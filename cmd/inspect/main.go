@@ -133,26 +133,18 @@ func inspectImage(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("flat image %s: n=%d eps=%g mode=%s path_reporting=%v\n",
-		path, fl.N(), fl.Eps(), fl.Mode(), fl.PathReporting())
+	fmt.Printf("flat image %s: n=%d eps=%g mode=%s\n",
+		path, fl.N(), fl.Eps(), fl.Mode())
 	fmt.Printf("  keys=%d entries=%d portals=%d encoded=%d B\n",
 		fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
 	fmt.Printf("  portal pool %d B (wire AoS), sweep lanes %d B (derived), lane pool 64B-aligned: %v\n",
 		16*fl.NumPortals(), fl.LaneBytes(), fl.LaneAligned())
 
-	// Path sections: present on wire-v2 images, absent on distance-only
-	// v1 images — printed as `absent`, matching the 409 Conflict that
-	// /query/path answers for the same image.
-	if fl.PathReporting() {
-		fmt.Printf("  path sections (wire v2): hops=%d (%d B)  path_off=%d (%d B)  path_vert=%d (%d B)  path_pos=%d (%d B)\n",
-			fl.NumHops(), 4*fl.NumHops(),
-			fl.NumKeys()+1, 4*(fl.NumKeys()+1),
-			fl.NumPathVerts(), 4*fl.NumPathVerts(),
-			fl.NumPathVerts(), 8*fl.NumPathVerts())
-	} else {
-		fmt.Println("  path sections (wire v1): hops=absent  path_off=absent  path_vert=absent  path_pos=absent")
-		fmt.Println("    distance-only image: /query/path on this image answers 409 Conflict")
-	}
+	fmt.Printf("  path sections (wire v2): hops=%d (%d B)  path_off=%d (%d B)  path_vert=%d (%d B)  path_pos=%d (%d B)\n",
+		fl.NumHops(), 4*fl.NumHops(),
+		fl.NumKeys()+1, 4*(fl.NumKeys()+1),
+		fl.NumPathVerts(), 4*fl.NumPathVerts(),
+		fl.NumPathVerts(), 8*fl.NumPathVerts())
 
 	runs := fl.PortalRunLengths(nil)
 	if len(runs) == 0 {

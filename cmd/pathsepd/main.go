@@ -9,8 +9,7 @@
 // Endpoints (see internal/serve):
 //
 //	GET  /query?u=&v=      one distance, JSON
-//	GET  /query/path?u=&v= distance plus witness path, JSON (409 on
-//	                       distance-only images)
+//	GET  /query/path?u=&v= distance plus witness path, JSON
 //	POST /query/batch      JSON batch
 //	POST /query/batchbin   binary batch (LE uint32 pairs -> LE float64)
 //	GET  /admin/status     image metadata, serving stats, slow queries
@@ -95,12 +94,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	paths := "distance-only"
-	if fl.PathReporting() {
-		paths = "paths"
-	}
-	fmt.Printf("pathsepd: image %s: n=%d eps=%g mode=%s %s (%d keys, %d entries, %d portals, %d bytes)\n",
-		source, fl.N(), fl.Eps(), fl.Mode(), paths, fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
+	fmt.Printf("pathsepd: image %s: n=%d eps=%g mode=%s (%d keys, %d entries, %d portals, %d bytes)\n",
+		source, fl.N(), fl.Eps(), fl.Mode(), fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
 
 	var slow *obs.SlowQuerySampler
 	if *slowN > 0 {

@@ -138,6 +138,7 @@ func TestFlatDecodeRejectsCorruption(t *testing.T) {
 	}
 	mutate("bad magic", func(b []byte) []byte { b[0] = 0x00; return b })
 	mutate("bad version", func(b []byte) []byte { b[1] = 99; return b })
+	mutate("version 1", func(b []byte) []byte { b[1] = 1; return b })
 	mutate("truncated", func(b []byte) []byte { return b[:len(b)-8] })
 	mutate("inflated entry count", func(b []byte) []byte { b[40] ^= 0x40; return b })
 	mutate("empty", func(b []byte) []byte { return nil })

@@ -26,20 +26,17 @@
 //   - unsafeview:  unsafe.Slice image views are validation-dominated,
 //     read-only outside the sanctioned writer, and never outlive their
 //     backing buffer
-//   - offwire:     encoder and decoder agree on every wire section's
-//     stride, widths, and counts, and decoded sections are
-//     element-validated
 //
 // The determinism trio (maporder, slotwrite, sortcmp) shares the ssaflow
 // value-flow layer and is backed at runtime by `make determinism`, which
 // rebuilds the oracle under shuffled schedules and byte-compares encodings.
 // The concurrency trio (atomicmix, poolleak, ctxdone) guards the serving
 // plane's lock-free image swap, buffer pools, and graceful drain; its
-// runtime backstop is the -race swap/drain tests in internal/serve. The
-// image-integrity trio (leasepair, unsafeview, offwire) rides the
-// interprocedural ssaflow summaries to guard the zero-copy image plane:
-// the reader lease around the atomic swap, the unsafe section views, and
-// the encode/decode wire contract.
+// runtime backstop is the -race swap/drain tests in internal/serve.
+// leasepair and unsafeview ride the interprocedural ssaflow summaries to
+// guard the zero-copy image plane: the reader lease around the atomic
+// swap and the unsafe section views. Encode/decode symmetry needs no
+// analyzer: one section table in internal/oracle drives both directions.
 //
 // The suite runs as `go vet -vettool=bin/pathsep-lint` (see cmd/pathsep-lint
 // and `make lint`), and each analyzer carries analysistest-style coverage
@@ -57,7 +54,6 @@ import (
 	"pathsep/internal/analyzers/leasepair"
 	"pathsep/internal/analyzers/maporder"
 	"pathsep/internal/analyzers/obsnilguard"
-	"pathsep/internal/analyzers/offwire"
 	"pathsep/internal/analyzers/poolleak"
 	"pathsep/internal/analyzers/seededrand"
 	"pathsep/internal/analyzers/slotwrite"
@@ -77,7 +73,6 @@ func All() []*analysis.Analyzer {
 		leasepair.Analyzer,
 		maporder.Analyzer,
 		obsnilguard.Analyzer,
-		offwire.Analyzer,
 		poolleak.Analyzer,
 		seededrand.Analyzer,
 		slotwrite.Analyzer,

@@ -14,8 +14,8 @@ import (
 // set. Bump the count when registering a new analyzer.
 func TestAll(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 15 {
-		t.Fatalf("All() returned %d analyzers, want exactly 15", len(all))
+	if len(all) != 14 {
+		t.Fatalf("All() returned %d analyzers, want exactly 14", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -42,15 +42,14 @@ type Flat struct {
 	portalOff []int32  // len numEntries+1: CSR offsets into portals
 	portals   []Portal // one contiguous pool, grouped by entry
 
-	// Path-reporting sections (wire v2; see path.go and flat_encode.go).
-	// hops[i] is the portal-pool index of the next record on pool record
-	// i's hop chain, or -1 at the chain's anchor; pathOff/pathVert/
-	// pathPos are the per-key separator-path geometry in CSR form.
-	hops        []int32
-	pathOff     []int32
-	pathVert    []int32
-	pathPos     []float64
-	hasPathData bool
+	// Path-reporting sections (see path.go and flat_encode.go). hops[i]
+	// is the portal-pool index of the next record on pool record i's hop
+	// chain, or -1 at the chain's anchor; pathOff/pathVert/pathPos are
+	// the per-key separator-path geometry in CSR form.
+	hops     []int32
+	pathOff  []int32
+	pathVert []int32
+	pathPos  []float64
 
 	// Derived view of the pool (see derive): the sweep lane. Entry e's
 	// portal run [portalOff[e], portalOff[e+1)) of k records occupies
@@ -74,7 +73,7 @@ type Flat struct {
 	lane           []float64
 	laneSum        []float64
 	schedU, schedV uint8
-	// Derived walk layout (deriveWalk; path-bearing images only): the hop
+	// Derived walk layout (deriveWalk): the hop
 	// forest re-laid-out in heavy-chain order, each chain one contiguous
 	// block in walkBlk — its records' owning vertices child-to-parent,
 	// then a two-word trailer [jumpSlot, jumpEnd] naming the segment the
@@ -91,8 +90,8 @@ type Flat struct {
 	walkBlk  []int32
 	walkFrom []startRec
 
-	// buf retains the encoded byte slice when the Flat was produced by a
-	// zero-copy DecodeFlat; the slices above alias it.
+	// buf is the image the section slices above alias when the Flat came
+	// from DecodeFlat (the caller's buffer, or DecodeFlat's aligned copy).
 	buf []byte
 
 	// Query-time instruments (SetMetrics); all nil-safe, and the disabled
@@ -108,8 +107,10 @@ type Flat struct {
 }
 
 // Freeze compiles the oracle into its flat serving form. The oracle itself
-// is not modified or retained. Freeze fails only when the oracle exceeds
-// the int32 CSR index space (more than ~2·10⁹ entries or portals).
+// is not modified or retained. Freeze fails when the oracle exceeds the
+// int32 CSR index space (more than ~2·10⁹ entries or portals) and when
+// its path records are inconsistent (see freezePaths): every image it
+// returns reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	// Intern keys: collect the distinct Key set and rank it by keyLess, so
 	// ID order coincides with the order the pointer merge-join visits keys.
@@ -152,8 +153,8 @@ func (o *Oracle) Freeze() (*Flat, error) {
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
 	}
-	if o.hasPathData {
-		f.freezePaths(o)
+	if err := f.freezePaths(o); err != nil {
+		return nil, err
 	}
 	f.derive()
 	return f, nil
@@ -223,9 +224,7 @@ func (f *Flat) derive() {
 			f.schedU = f.schedV
 		}
 	}
-	if f.hasPathData {
-		f.deriveWalk()
-	}
+	f.deriveWalk()
 }
 
 // startRec is the per-pool-record walk entry: the record's slot and its

@@ -7,173 +7,221 @@ import (
 	"unsafe"
 )
 
-// Flat binary format (little-endian throughout, all sections 4- or
-// 8-byte aligned relative to the buffer start):
+// Flat image format, version 2. Every word is little-endian:
 //
 //	[0]   magic 0xA7
-//	[1]   version 1
-//	[2:8] reserved (zero)
-//	[8]   n          uint64
-//	[16]  eps        float64 bits
-//	[24]  mode       uint64
-//	[32]  numKeys    uint64
-//	[40]  numEntries uint64
-//	[48]  numPortals uint64
-//	[56]  keys       numKeys × 8B   (node int32 | phase int16 | path int16)
-//	      entryOff   (n+1) × 4B     int32
-//	      entryKey   numEntries × 4B int32
-//	      portalOff  (numEntries+1) × 4B int32
-//	      pad to 8B
-//	      portals    numPortals × 16B (pos float64 | dist float64)
-//
-// Version 2 (path-reporting images) grows the header by one count and
-// appends the hop links and separator-path geometry after the portal
-// pool; everything up to and including the portals keeps the v1 layout
-// shifted by the 8 extra header bytes:
-//
 //	[1]   version 2
+//	[2:8] reserved (zero)
+//	[8]   n            uint64
+//	[16]  eps          float64 bits
+//	[24]  mode         uint64
+//	[32]  numKeys      uint64
+//	[40]  numEntries   uint64
+//	[48]  numPortals   uint64
 //	[56]  numPathVerts uint64
-//	[64]  keys … portals   as in v1
-//	      hops      numPortals × 4B int32 (pool index of the next chain
-//	                record, -1 at the anchor)
-//	      pathOff   (numKeys+1) × 4B int32
-//	      pathVert  numPathVerts × 4B int32
-//	      pad to 8B
-//	      pathPos   numPathVerts × 8B float64
+//	[64]  the sections of flatSections, in table order
 //
-// Distance-only images keep encoding as v1, so Encode∘DecodeFlat is a
-// fixed point in both directions and old readers reject v2 loudly by
-// version byte.
+// flatSections is the only description of the layout: EncodedSize,
+// Encode and DecodeFlat all walk it, so writer and reader cannot disagree
+// on a section's place, width or count. Each section starts at the next
+// multiple of its widest word, and a record's words sit where the
+// matching Go type keeps its fields on a little-endian host, so DecodeFlat
+// aliases every section straight out of an 8-byte-aligned buffer.
 //
-// The field order and widths match the in-memory layout of Key and Portal
-// on a little-endian host, so DecodeFlat can alias the sections straight
-// out of the byte slice (zero copy) whenever the buffer is 8-byte aligned;
-// otherwise — or on a big-endian host — it falls back to a copying decode
-// that reads the same bytes portably.
+// Any other version byte is rejected, the distance-only version 1
+// included: rebuild such images (pathsepd -graph … -save-image).
 const (
 	flatMagic    = 0xA7
-	flatVersion  = 1
 	flatVersion2 = 2
-	flatHeader   = 56
 	flatHeaderV2 = 64
 )
 
 // hostLittleEndian reports whether this machine stores multi-byte values
-// little-endian (the layout the flat encoding is defined in).
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
+// little-endian (the order the image is defined in).
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// flatSections computes the byte offsets of each section for the given
-// element counts. The returned total is the exact encoded size.
-type flatSections struct {
-	keys, entryOff, entryKey, portalOff, portals int
-	total                                        int
+// flatCounts holds the header's element counts, indexed by the count*
+// constants.
+type flatCounts [5]int
+
+const (
+	countN = iota
+	countKeys
+	countEntries
+	countPortals
+	countPathVerts
+)
+
+// countAt is the header byte offset of each flatCounts element.
+var countAt = [len(flatCounts{})]int{8, 32, 40, 48, 56}
+
+// section is one row of the image layout: a run of fixed-width records
+// bound to one Flat field.
+type section struct {
+	name  string
+	words []int // little-endian word widths of one record, in order
+	// The record count is header count number count plus extra (1 for
+	// the CSR offset arrays).
+	count, extra int
+	// reject is a first word validation must refuse in record 0. The
+	// decode tests plant it in every section, so a section added without
+	// element-level validation fails them.
+	reject uint64
+	// raw exposes the field's records as bytes (Encode); alias points the
+	// field at count records of an aligned image (DecodeFlat).
+	raw   func(f *Flat) []byte
+	alias func(f *Flat, image []byte, off, count int) error
 }
 
-func flatLayout(n, numKeys, numEntries, numPortals int) flatSections {
-	var s flatSections
-	s.keys = flatHeader
-	s.entryOff = s.keys + 8*numKeys
-	s.entryKey = s.entryOff + 4*(n+1)
-	s.portalOff = s.entryKey + 4*numEntries
-	end := s.portalOff + 4*(numEntries+1)
-	s.portals = (end + 7) &^ 7 // align the float64 pool
-	s.total = s.portals + 16*numPortals
+// row builds a section bound to the Flat field that field returns. The
+// word widths must add up to the field's element size; a mismatch is a
+// bug in the table and fails at package initialization.
+func row[T any](name string, words []int, count, extra int, reject uint64, field func(f *Flat) *[]T) section {
+	s := section{name: name, words: words, count: count, extra: extra, reject: reject}
+	var zero T
+	if int(unsafe.Sizeof(zero)) != s.size() {
+		panic("oracle: flat section " + name + ": word widths do not add up to the element size")
+	}
+	s.raw = func(f *Flat) []byte {
+		recs := *field(f)
+		b, _ := view[byte](recs, 0, len(recs)*s.size()) // a byte view is never misaligned
+		return b
+	}
+	s.alias = func(f *Flat, image []byte, off, count int) (err error) {
+		*field(f), err = view[T](image, off, count)
+		return err
+	}
 	return s
 }
 
-// flatSectionsV2 extends flatSections with the v2 path sections.
-type flatSectionsV2 struct {
-	flatSections
-	hops, pathOff, pathVert, pathPos int
+// First words every validation refuses (see section.reject).
+const (
+	rejectIndex = 0xFFFF_FFFF           // int32 −1: no vertex, key or offset start
+	rejectHop   = 0xFFFF_FFFE           // int32 −2: below the −1 anchor sentinel
+	rejectFloat = 0x7FF8_0000_0000_0001 // a NaN
+)
+
+// flatSections is the image layout after the header, in order.
+var flatSections = [...]section{
+	row("keys", []int{4, 2, 2}, countKeys, 0, rejectIndex, func(f *Flat) *[]Key { return &f.keys }),
+	row("entry_off", []int{4}, countN, 1, rejectIndex, func(f *Flat) *[]int32 { return &f.entryOff }),
+	row("entry_key", []int{4}, countEntries, 0, rejectIndex, func(f *Flat) *[]int32 { return &f.entryKey }),
+	row("portal_off", []int{4}, countEntries, 1, rejectIndex, func(f *Flat) *[]int32 { return &f.portalOff }),
+	row("portals", []int{8, 8}, countPortals, 0, rejectFloat, func(f *Flat) *[]Portal { return &f.portals }),
+	row("hops", []int{4}, countPortals, 0, rejectHop, func(f *Flat) *[]int32 { return &f.hops }),
+	row("path_off", []int{4}, countKeys, 1, rejectIndex, func(f *Flat) *[]int32 { return &f.pathOff }),
+	row("path_vert", []int{4}, countPathVerts, 0, rejectIndex, func(f *Flat) *[]int32 { return &f.pathVert }),
+	row("path_pos", []int{8}, countPathVerts, 0, rejectFloat, func(f *Flat) *[]float64 { return &f.pathPos }),
 }
 
-func flatLayoutV2(n, numKeys, numEntries, numPortals, numPathVerts int) flatSectionsV2 {
-	var s flatSectionsV2
-	s.keys = flatHeaderV2
-	s.entryOff = s.keys + 8*numKeys
-	s.entryKey = s.entryOff + 4*(n+1)
-	s.portalOff = s.entryKey + 4*numEntries
-	end := s.portalOff + 4*(numEntries+1)
-	s.portals = (end + 7) &^ 7 // align the float64 pool
-	s.hops = s.portals + 16*numPortals
-	s.pathOff = s.hops + 4*numPortals
-	s.pathVert = s.pathOff + 4*(numKeys+1)
-	end = s.pathVert + 4*numPathVerts
-	s.pathPos = (end + 7) &^ 7 // align the float64 positions
-	s.total = s.pathPos + 8*numPathVerts
-	return s
+// size is the record width in bytes.
+func (s *section) size() int {
+	n := 0
+	for _, w := range s.words {
+		n += w
+	}
+	return n
+}
+
+// align is the section's start alignment: its widest word.
+func (s *section) align() int {
+	a := 1
+	for _, w := range s.words {
+		a = max(a, w)
+	}
+	return a
+}
+
+// records is the section's record count under the header counts c.
+func (s *section) records(c *flatCounts) int { return c[s.count] + s.extra }
+
+// span is one section's byte range [off, end) in the image.
+type span struct{ off, end int }
+
+// layout places the sections after the header for counts c and returns
+// their spans and the total image size.
+func layout(c *flatCounts) (spans [len(flatSections)]span, total int) {
+	at := flatHeaderV2
+	for i := range flatSections {
+		s := &flatSections[i]
+		at = (at + s.align() - 1) &^ (s.align() - 1)
+		spans[i] = span{at, at + s.records(c)*s.size()}
+		at = spans[i].end
+	}
+	return spans, at
+}
+
+// view reinterprets count values of T starting at src[off], in place: the
+// result aliases src. It is the image codec's only unsafe.Slice, and it
+// refuses a span that overruns src or starts misaligned for T, so a short
+// or shifted buffer is an error, never an out-of-bounds typed read.
+func view[T, S any](src []S, off, count int) ([]T, error) {
+	if count == 0 {
+		return nil, nil
+	}
+	var t T
+	var s S
+	if off < 0 || count < 0 || off >= len(src) ||
+		uintptr(count)*unsafe.Sizeof(t) > uintptr(len(src)-off)*unsafe.Sizeof(s) {
+		return nil, fmt.Errorf("%d records at %d overrun a %d-element buffer", count, off, len(src))
+	}
+	if uintptr(unsafe.Pointer(&src[off]))%unsafe.Alignof(t) != 0 {
+		return nil, fmt.Errorf("records at %d are misaligned", off)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&src[off])), count), nil
+}
+
+// swapWords reverses the bytes of every word of the records in b: it
+// turns little-endian records into host order on a big-endian machine,
+// and back.
+func swapWords(b []byte, words []int) {
+	for at := 0; at < len(b); {
+		for _, w := range words {
+			for i, j := at, at+w-1; i < j; i, j = i+1, j-1 {
+				b[i], b[j] = b[j], b[i]
+			}
+			at += w
+		}
+	}
+}
+
+// counts returns the header counts of f.
+func (f *Flat) counts() flatCounts {
+	return flatCounts{
+		countN:         f.n,
+		countKeys:      len(f.keys),
+		countEntries:   len(f.entryKey),
+		countPortals:   len(f.portals),
+		countPathVerts: len(f.pathVert),
+	}
 }
 
 // EncodedSize returns the exact byte length of Encode's output.
 func (f *Flat) EncodedSize() int {
-	if f.hasPathData {
-		return flatLayoutV2(f.n, len(f.keys), len(f.entryKey), len(f.portals), len(f.pathVert)).total
-	}
-	return flatLayout(f.n, len(f.keys), len(f.entryKey), len(f.portals)).total
+	c := f.counts()
+	_, total := layout(&c)
+	return total
 }
 
-// Encode serializes the flat oracle (as v2 when it carries path data,
-// v1 otherwise). The output is 8-byte aligned by construction (Go
+// Encode serializes the flat oracle. The output is 8-byte aligned (Go
 // allocations of this size always are), so decoding it back on a
 // little-endian host takes the zero-copy path.
 func (f *Flat) Encode() []byte {
-	var s flatSections
-	var s2 flatSectionsV2
-	if f.hasPathData {
-		s2 = flatLayoutV2(f.n, len(f.keys), len(f.entryKey), len(f.portals), len(f.pathVert))
-		s = s2.flatSections
-	} else {
-		s = flatLayout(f.n, len(f.keys), len(f.entryKey), len(f.portals))
-	}
-	buf := make([]byte, s.total)
-	buf[0] = flatMagic
-	buf[1] = flatVersion
+	c := f.counts()
+	spans, total := layout(&c)
+	buf := make([]byte, total)
+	buf[0], buf[1] = flatMagic, flatVersion2
 	le := binary.LittleEndian
-	le.PutUint64(buf[8:], uint64(f.n))
 	le.PutUint64(buf[16:], math.Float64bits(f.eps))
 	le.PutUint64(buf[24:], uint64(f.mode))
-	le.PutUint64(buf[32:], uint64(len(f.keys)))
-	le.PutUint64(buf[40:], uint64(len(f.entryKey)))
-	le.PutUint64(buf[48:], uint64(len(f.portals)))
-	if f.hasPathData {
-		buf[1] = flatVersion2
-		le.PutUint64(buf[56:], uint64(len(f.pathVert)))
+	for i, at := range countAt {
+		le.PutUint64(buf[at:], uint64(c[i]))
 	}
-	for i, k := range f.keys {
-		at := s.keys + 8*i
-		le.PutUint32(buf[at:], uint32(k.Node))
-		le.PutUint16(buf[at+4:], uint16(k.Phase))
-		le.PutUint16(buf[at+6:], uint16(k.Path))
-	}
-	for i, v := range f.entryOff {
-		le.PutUint32(buf[s.entryOff+4*i:], uint32(v))
-	}
-	for i, v := range f.entryKey {
-		le.PutUint32(buf[s.entryKey+4*i:], uint32(v))
-	}
-	for i, v := range f.portalOff {
-		le.PutUint32(buf[s.portalOff+4*i:], uint32(v))
-	}
-	for i, p := range f.portals {
-		at := s.portals + 16*i
-		le.PutUint64(buf[at:], math.Float64bits(p.Pos))
-		le.PutUint64(buf[at+8:], math.Float64bits(p.Dist))
-	}
-	if f.hasPathData {
-		for i, v := range f.hops {
-			le.PutUint32(buf[s2.hops+4*i:], uint32(v))
-		}
-		for i, v := range f.pathOff {
-			le.PutUint32(buf[s2.pathOff+4*i:], uint32(v))
-		}
-		for i, v := range f.pathVert {
-			le.PutUint32(buf[s2.pathVert+4*i:], uint32(v))
-		}
-		for i, x := range f.pathPos {
-			le.PutUint64(buf[s2.pathPos+8*i:], math.Float64bits(x))
+	for i := range flatSections {
+		s, sp := &flatSections[i], spans[i]
+		copy(buf[sp.off:sp.end], s.raw(f))
+		if !hostLittleEndian {
+			swapWords(buf[sp.off:sp.end], s.words)
 		}
 	}
 	return buf
@@ -183,127 +231,47 @@ func (f *Flat) Encode() []byte {
 // host with an 8-byte-aligned buffer the returned Flat aliases buf
 // directly — no per-label rebuilding, no slice-of-slices allocation —
 // so an oracle can serve straight from a mapped or fully read file; the
-// only per-decode work is offset validation and one linear pass deriving
-// the three sweep arrays (see Flat.derive). The caller must not mutate
-// buf afterwards. Misaligned buffers and big-endian hosts decode by
-// copying instead; the result is identical.
+// only per-decode work is validation and the linear passes deriving the
+// sweep lanes and walk layout (see Flat.derive). The caller must not
+// mutate buf afterwards. Misaligned buffers and big-endian hosts decode
+// from one private aligned copy instead; the result is identical.
 //
-// All CSR offsets are validated before the Flat is returned, so a
-// malformed buffer yields an error, never a panicking Query.
+// Every section is validated element by element before the Flat is
+// returned, so a malformed buffer yields an error, never a panicking
+// query.
 func DecodeFlat(buf []byte) (*Flat, error) {
-	if len(buf) < flatHeader || buf[0] != flatMagic {
+	if len(buf) < 2 || buf[0] != flatMagic {
 		return nil, fmt.Errorf("oracle: flat: bad magic or truncated header")
 	}
-	withPaths := false
-	switch buf[1] {
-	case flatVersion:
-	case flatVersion2:
-		withPaths = true
-		if len(buf) < flatHeaderV2 {
-			return nil, fmt.Errorf("oracle: flat: truncated v2 header")
-		}
-	default:
-		return nil, fmt.Errorf("oracle: flat: unsupported version %d", buf[1])
+	if buf[1] != flatVersion2 {
+		return nil, fmt.Errorf("oracle: flat: unsupported version %d (want %d; rebuild the image)", buf[1], flatVersion2)
+	}
+	if len(buf) < flatHeaderV2 {
+		return nil, fmt.Errorf("oracle: flat: truncated header")
 	}
 	le := binary.LittleEndian
-	n := le.Uint64(buf[8:])
+	var c flatCounts
+	for i, at := range countAt {
+		v := le.Uint64(buf[at:])
+		if v >= math.MaxInt32 {
+			return nil, fmt.Errorf("oracle: flat: header count at byte %d out of range (%d)", at, v)
+		}
+		c[i] = int(v)
+	}
+	spans, total := layout(&c)
+	if len(buf) != total {
+		return nil, fmt.Errorf("oracle: flat: size %d does not match header (want %d)", len(buf), total)
+	}
 	eps := math.Float64frombits(le.Uint64(buf[16:]))
-	mode := le.Uint64(buf[24:])
-	numKeys := le.Uint64(buf[32:])
-	numEntries := le.Uint64(buf[40:])
-	numPortals := le.Uint64(buf[48:])
-	numPathVerts := uint64(0)
-	if withPaths {
-		numPathVerts = le.Uint64(buf[56:])
+	mode := Mode(le.Uint64(buf[24:]))
+	if !hostLittleEndian || uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
+		buf = alignedCopy(buf, &spans)
 	}
-	const maxCount = math.MaxInt32
-	if n > maxCount || numKeys > maxCount || numEntries >= maxCount || numPortals > maxCount || numPathVerts > maxCount {
-		return nil, fmt.Errorf("oracle: flat: header counts out of range (n=%d keys=%d entries=%d portals=%d pathverts=%d)",
-			n, numKeys, numEntries, numPortals, numPathVerts)
-	}
-	var s flatSections
-	var s2 flatSectionsV2
-	if withPaths {
-		s2 = flatLayoutV2(int(n), int(numKeys), int(numEntries), int(numPortals), int(numPathVerts))
-		s = s2.flatSections
-	} else {
-		s = flatLayout(int(n), int(numKeys), int(numEntries), int(numPortals))
-	}
-	if len(buf) != s.total {
-		return nil, fmt.Errorf("oracle: flat: size %d does not match header (want %d)", len(buf), s.total)
-	}
-
-	f := &Flat{n: int(n), eps: eps, mode: Mode(mode), hasPathData: withPaths}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&buf[0]))%8 == 0 {
-		f.buf = buf
-		if numKeys > 0 {
-			f.keys = unsafe.Slice((*Key)(unsafe.Pointer(&buf[s.keys])), numKeys)
-		}
-		f.entryOff = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.entryOff])), n+1)
-		if numEntries > 0 {
-			f.entryKey = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.entryKey])), numEntries)
-		}
-		f.portalOff = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s.portalOff])), numEntries+1)
-		if numPortals > 0 {
-			f.portals = unsafe.Slice((*Portal)(unsafe.Pointer(&buf[s.portals])), numPortals)
-		}
-		if withPaths {
-			if numPortals > 0 {
-				f.hops = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s2.hops])), numPortals)
-			}
-			f.pathOff = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s2.pathOff])), numKeys+1)
-			if numPathVerts > 0 {
-				f.pathVert = unsafe.Slice((*int32)(unsafe.Pointer(&buf[s2.pathVert])), numPathVerts)
-				f.pathPos = unsafe.Slice((*float64)(unsafe.Pointer(&buf[s2.pathPos])), numPathVerts)
-			}
-		}
-	} else {
-		f.keys = make([]Key, numKeys)
-		for i := range f.keys {
-			at := s.keys + 8*i
-			f.keys[i] = Key{
-				Node:  int32(le.Uint32(buf[at:])),
-				Phase: int16(le.Uint16(buf[at+4:])),
-				Path:  int16(le.Uint16(buf[at+6:])),
-			}
-		}
-		f.entryOff = make([]int32, n+1)
-		for i := range f.entryOff {
-			f.entryOff[i] = int32(le.Uint32(buf[s.entryOff+4*i:]))
-		}
-		f.entryKey = make([]int32, numEntries)
-		for i := range f.entryKey {
-			f.entryKey[i] = int32(le.Uint32(buf[s.entryKey+4*i:]))
-		}
-		f.portalOff = make([]int32, numEntries+1)
-		for i := range f.portalOff {
-			f.portalOff[i] = int32(le.Uint32(buf[s.portalOff+4*i:]))
-		}
-		f.portals = make([]Portal, numPortals)
-		for i := range f.portals {
-			at := s.portals + 16*i
-			f.portals[i] = Portal{
-				Pos:  math.Float64frombits(le.Uint64(buf[at:])),
-				Dist: math.Float64frombits(le.Uint64(buf[at+8:])),
-			}
-		}
-		if withPaths {
-			f.hops = make([]int32, numPortals)
-			for i := range f.hops {
-				f.hops[i] = int32(le.Uint32(buf[s2.hops+4*i:]))
-			}
-			f.pathOff = make([]int32, numKeys+1)
-			for i := range f.pathOff {
-				f.pathOff[i] = int32(le.Uint32(buf[s2.pathOff+4*i:]))
-			}
-			f.pathVert = make([]int32, numPathVerts)
-			for i := range f.pathVert {
-				f.pathVert[i] = int32(le.Uint32(buf[s2.pathVert+4*i:]))
-			}
-			f.pathPos = make([]float64, numPathVerts)
-			for i := range f.pathPos {
-				f.pathPos[i] = math.Float64frombits(le.Uint64(buf[s2.pathPos+8*i:]))
-			}
+	f := &Flat{n: c[countN], eps: eps, mode: mode, buf: buf}
+	for i := range flatSections {
+		s := &flatSections[i]
+		if err := s.alias(f, buf, spans[i].off, s.records(&c)); err != nil {
+			return nil, fmt.Errorf("oracle: flat: section %s: %w", s.name, err)
 		}
 	}
 	if err := f.validate(); err != nil {
@@ -311,6 +279,22 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	}
 	f.derive()
 	return f, nil
+}
+
+// alignedCopy is DecodeFlat's one copying path: it copies the image into
+// fresh 8-byte-aligned memory and, on a big-endian host, swaps every
+// section's words into host order, so the copy aliases like any aligned
+// little-endian image.
+func alignedCopy(image []byte, spans *[len(flatSections)]span) []byte {
+	words := make([]uint64, (len(image)+7)/8)
+	own, _ := view[byte](words, 0, len(image)) // a byte view is never misaligned
+	copy(own, image)
+	if !hostLittleEndian {
+		for i := range flatSections {
+			swapWords(own[spans[i].off:spans[i].end], flatSections[i].words)
+		}
+	}
+	return own
 }
 
 // validate bounds-checks every CSR offset so the hot path can index
@@ -351,10 +335,7 @@ func (f *Flat) validate() error {
 			return fmt.Errorf("oracle: flat: portal record %d contains NaN", i)
 		}
 	}
-	if f.hasPathData {
-		return f.validatePaths()
-	}
-	return nil
+	return f.validatePaths()
 }
 
 // validatePaths bounds-checks the v2 sections: hop links stay inside the

@@ -57,9 +57,13 @@ func TestFreezeRoundTrip(t *testing.T) {
 	if fl.NumEntries() != entries {
 		t.Fatalf("NumEntries = %d, want %d", fl.NumEntries(), entries)
 	}
-	dec, err := DecodeFlat(fl.Encode())
+	enc := fl.Encode()
+	dec, err := DecodeFlat(enc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hostLittleEndian && &dec.buf[0] != &enc[0] {
+		t.Fatal("aligned little-endian image was copied, not aliased")
 	}
 	for u := 0; u < o.N; u++ {
 		for v := 0; v < o.N; v++ {
@@ -245,17 +249,13 @@ func FuzzDecodeFlat(f *testing.F) {
 	enc := fl.Encode()
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
-	f.Add([]byte{flatMagic, flatVersion})
+	f.Add([]byte{flatMagic, 1}) // a version-1 header: rejected as unsupported
 	f.Add([]byte{flatMagic, flatVersion2})
 	f.Add([]byte{})
-	// A distance-only v1 image of the same oracle seeds the legacy branch.
-	o.hasPathData = false
-	if flV1, err := o.Freeze(); err == nil {
-		encV1 := flV1.Encode()
-		f.Add(encV1)
-		f.Add(encV1[:len(encV1)-9])
-	}
-	o.hasPathData = true
+	v1 := append([]byte(nil), enc...)
+	v1[1] = 1
+	f.Add(v1)
+	f.Add(enc[:flatHeaderV2]) // header only, sections missing
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode from an aligned copy and a deliberately misaligned copy,

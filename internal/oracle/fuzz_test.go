@@ -42,30 +42,3 @@ func FuzzDecodeLabel(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeOracle does the same for the whole-oracle format: magic byte,
-// header, and length-prefixed labels.
-func FuzzDecodeOracle(f *testing.F) {
-	o := &Oracle{N: 2, Eps: 0.25, Labels: []Label{*fuzzSeedLabel(), {}}}
-	f.Add(o.Encode())
-	buf := o.Encode()
-	f.Add(buf[:len(buf)-3]) // truncated
-	f.Add([]byte{oracleMagic})
-	f.Add([]byte{0x00, 0x01}) // bad magic
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := Decode(data)
-		if err != nil {
-			return
-		}
-		canon := o.Encode()
-		o2, err := Decode(canon)
-		if err != nil {
-			t.Fatalf("re-decode of own encoding failed: %v", err)
-		}
-		if !bytes.Equal(canon, o2.Encode()) {
-			t.Fatal("Encode/Decode is not a fixed point")
-		}
-	})
-}

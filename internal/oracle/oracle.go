@@ -74,7 +74,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Workers bounds the worker pool that fans out the per-separator-path
 	// (and, in CoverExact mode, per-vertex) Dijkstra tasks. Task outputs
-	// are merged in a fixed order, so the oracle encoding is bit-identical
+	// are merged in a fixed order, so the frozen image is bit-identical
 	// for every worker count. 0 means runtime.GOMAXPROCS(0); 1 forces the
 	// serial reference build.
 	Workers int
@@ -110,8 +110,8 @@ type Portal struct {
 // sorted by position. Hops, when present, is parallel to Portals:
 // Hops[i] is the next vertex on a shortest walk from the labeled vertex
 // toward the path vertex Portals[i] points at, or -1 when the labeled
-// vertex is that path vertex itself. Path-reporting builds fill it; a
-// nil (or length-mismatched) Hops marks a distance-only legacy entry.
+// vertex is that path vertex itself. Build always fills it; Freeze
+// rejects an entry whose Hops do not parallel its Portals.
 type Entry struct {
 	Key     Key
 	Portals []Portal
@@ -151,12 +151,11 @@ type Oracle struct {
 	N      int
 	Eps    float64
 	mode   Mode
-	// paths, when hasPathData, holds every separator path sorted by
-	// keyLess; QueryPath reads the middle segment of a reported walk off
-	// it. pos aliases the planning pass's prefix sums, so positions match
-	// portal Pos values bit for bit.
-	paths       []sepPath
-	hasPathData bool
+	// paths holds every separator path sorted by keyLess; QueryPath reads
+	// the middle segment of a reported walk off it. pos aliases the
+	// planning pass's prefix sums, so positions match portal Pos values
+	// bit for bit.
+	paths []sepPath
 	// Query-time instruments, cached so the hot path costs one nil check
 	// when metrics are disabled. Set via SetMetrics / Options.Metrics.
 	qLatency *obs.Histogram
@@ -194,9 +193,9 @@ type rec struct {
 // vertex in CoverExact mode. The tasks then fan out on a bounded worker
 // pool (Options.Workers), each returning its label records into its own
 // slot, and a serial merge pass replays the slots in task order. Labels
-// are canonicalized by normalizeLabel, so the encoded oracle is
+// are canonicalized by normalizeLabel, so the frozen image is
 // bit-identical for every worker count — the differential tests compare
-// Encode() bytes of workers=1 and workers=N builds.
+// Freeze().Encode() bytes of workers=1 and workers=N builds.
 func Build(t *core.Tree, opt Options) (*Oracle, error) {
 	if !(opt.Epsilon > 0) || math.IsInf(opt.Epsilon, 1) {
 		return nil, fmt.Errorf("oracle: epsilon must be positive and finite, got %v", opt.Epsilon)
@@ -391,7 +390,6 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 		normalizeLabel(&o.Labels[v])
 	}
 	sort.Slice(o.paths, func(i, j int) bool { return keyLess(o.paths[i].key, o.paths[j].key) })
-	o.hasPathData = true
 	if m := opt.Metrics; m != nil {
 		labelHist := m.Histogram("oracle.label_portals")
 		for v := range o.Labels {
@@ -481,10 +479,8 @@ type portalHop struct {
 
 // normalizeLabel sorts entries by key, sorts portals by position, and
 // deduplicates portals at equal positions keeping the smaller distance.
-// Hops, when present, travel with their portals (ties broken by the
-// smaller hop so the result is schedule-independent); entries whose Hops
-// length does not match (legacy distance-only labels) take the
-// portal-only path.
+// Hops travel with their portals (ties broken by the smaller hop so the
+// result is schedule-independent).
 func normalizeLabel(l *Label) {
 	sort.Slice(l.Entries, func(i, j int) bool { return keyLess(l.Entries[i].Key, l.Entries[j].Key) })
 	// Merge duplicate keys (entries were appended per construction stage).
@@ -500,11 +496,6 @@ func normalizeLabel(l *Label) {
 	l.Entries = out
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		if len(e.Hops) != len(e.Portals) {
-			e.Hops = nil
-			normalizePortals(e)
-			continue
-		}
 		ph := make([]portalHop, len(e.Portals))
 		for x := range ph {
 			ph[x] = portalHop{p: e.Portals[x], h: e.Hops[x]}
@@ -528,26 +519,6 @@ func normalizeLabel(l *Label) {
 		}
 		e.Portals, e.Hops = ps, hs
 	}
-}
-
-// normalizePortals is the distance-only half of normalizeLabel: sort by
-// position and dedup keeping the smaller distance.
-func normalizePortals(e *Entry) {
-	ps := e.Portals
-	sort.Slice(ps, func(a, b int) bool {
-		if !core.SameDist(ps[a].Pos, ps[b].Pos) {
-			return ps[a].Pos < ps[b].Pos
-		}
-		return ps[a].Dist < ps[b].Dist
-	})
-	dedup := ps[:0]
-	for _, p := range ps {
-		if len(dedup) > 0 && core.SameDist(dedup[len(dedup)-1].Pos, p.Pos) {
-			continue // keep the smaller distance (sorted first)
-		}
-		dedup = append(dedup, p)
-	}
-	e.Portals = dedup
 }
 
 // Query returns a (1+ε)-approximate distance between u and v, or +Inf if

@@ -12,15 +12,12 @@ package oracle
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
 	"pathsep/internal/core"
 )
-
-// ErrNoPathData reports a QueryPath against an oracle or flat image that
-// carries no hop records (a distance-only build or a legacy image).
-var ErrNoPathData = errors.New("oracle: no path data (distance-only image)")
 
 // Static walk errors: corrupt or inconsistent path records are reported,
 // never panicked on, and reporting them allocates nothing.
@@ -30,22 +27,12 @@ var (
 	errPathGeometry = errors.New("oracle: path geometry mismatch")
 )
 
-// PathReporting reports whether the oracle carries the per-portal hop
-// records QueryPath needs.
-func (o *Oracle) PathReporting() bool { return o.hasPathData }
-
-// PathReporting reports whether the flat image carries the per-portal
-// hop records QueryPath needs (wire-format v2 images and freezes of
-// path-reporting oracles).
-func (f *Flat) PathReporting() bool { return f.hasPathData }
-
-// NumHops returns the hop-chain section length (one record per portal
-// on v2 images); 0 on a distance-only image.
+// NumHops returns the hop-chain section length (one record per portal).
 func (f *Flat) NumHops() int { return len(f.hops) }
 
 // NumPathVerts returns the total separator-path geometry length across
 // all keys (the CSR payload shared by the path_vert and path_pos
-// sections); 0 on a distance-only image.
+// sections).
 func (f *Flat) NumPathVerts() int { return len(f.pathVert) }
 
 // pairMinArg is pairMin plus the argmin: the indices into a and b whose
@@ -185,14 +172,11 @@ func (o *Oracle) walkChain(out []int32, w int, k Key, pos float64) ([]int32, int
 // allocations away). The walk starts at u, ends at v, steps only along
 // graph edges, and its weight equals the returned distance up to float
 // rounding. Out-of-range vertex IDs and disconnected pairs report
-// (+Inf, empty, nil); a distance-only oracle reports ErrNoPathData.
+// (+Inf, empty, nil).
 func (o *Oracle) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 	out := buf[:0]
 	if u < 0 || v < 0 || u >= len(o.Labels) || v >= len(o.Labels) {
 		return math.Inf(1), out, nil
-	}
-	if !o.hasPathData {
-		return math.Inf(1), out, ErrNoPathData
 	}
 	if u == v {
 		return 0, append(out, int32(u)), nil
@@ -414,15 +398,11 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 // back, the path's middle segment between them. The two chains are
 // walked interleaved, one segment each per turn — their lead cache
 // misses overlap instead of serializing. Out-of-range vertex IDs and
-// disconnected pairs report (+Inf, empty, nil); a distance-only image
-// reports ErrNoPathData.
+// disconnected pairs report (+Inf, empty, nil).
 func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 	out := buf[:0]
 	if u < 0 || v < 0 || u >= f.n || v >= f.n {
 		return math.Inf(1), out, nil
-	}
-	if !f.hasPathData {
-		return math.Inf(1), out, ErrNoPathData
 	}
 	if u == v {
 		return 0, append(out, int32(u)), nil
@@ -529,9 +509,6 @@ func (f *Flat) QueryPathBatch(pairs []Pair, dists []float64, verts []int32, offs
 	offs = offs[:len(pairs)+1]
 	verts = verts[:0]
 	offs[0] = 0
-	if !f.hasPathData {
-		return dists, verts, offs, ErrNoPathData
-	}
 	for i, p := range pairs {
 		n0 := len(verts)
 		d, seg, err := f.QueryPath(int(p.U), int(p.V), verts[n0:])
@@ -571,18 +548,18 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 // form: hop vertex IDs resolve to portal-pool indices (one array lookup
 // per walk step at query time), and the separator-path vertex/position
 // tables land in CSR form aligned with the interned key order. Any
-// inconsistency — a hop with no record at the target vertex, geometry
-// that does not cover the key set — degrades the Flat to distance-only
-// instead of failing the freeze: the image still serves distances, and
-// PathReporting reports false.
-func (f *Flat) freezePaths(o *Oracle) {
+// inconsistency — an entry whose hops do not parallel its portals, a hop
+// with no record at the target vertex, geometry that does not cover the
+// key set — fails the freeze rather than produce an image that cannot
+// report paths.
+func (f *Flat) freezePaths(o *Oracle) error {
 	if len(o.paths) != len(f.keys) {
-		return
+		return fmt.Errorf("oracle: freeze: %d separator paths for %d keys", len(o.paths), len(f.keys))
 	}
 	nv := 0
 	for i := range o.paths {
 		if o.paths[i].key != f.keys[i] {
-			return
+			return fmt.Errorf("oracle: freeze: no separator path for key %v", f.keys[i])
 		}
 		nv += len(o.paths[i].verts)
 	}
@@ -599,7 +576,7 @@ func (f *Flat) freezePaths(o *Oracle) {
 	for v := range o.Labels {
 		for _, e := range o.Labels[v].Entries {
 			if len(e.Hops) != len(e.Portals) {
-				return
+				return fmt.Errorf("oracle: freeze: vertex %d key %v: %d hops for %d portals", v, e.Key, len(e.Hops), len(e.Portals))
 			}
 			kid := f.entryKey[ei]
 			for x := range e.Hops {
@@ -608,7 +585,7 @@ func (f *Flat) freezePaths(o *Oracle) {
 				} else {
 					t := f.findRecord(int(h), kid, e.Portals[x].Pos)
 					if t < 0 {
-						return
+						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, e.Key, h, e.Portals[x].Pos)
 					}
 					hops[pi] = t
 				}
@@ -618,5 +595,5 @@ func (f *Flat) freezePaths(o *Oracle) {
 		}
 	}
 	f.hops, f.pathOff, f.pathVert, f.pathPos = hops, pathOff, pathVert, pathPos
-	f.hasPathData = true
+	return nil
 }

@@ -2,77 +2,77 @@ package oracle
 
 import (
 	"encoding/binary"
-	"errors"
-	"math"
-	"math/rand"
+	"strings"
 	"testing"
 )
 
-// buildPathImage builds a path-reporting oracle plus its frozen v2 image
-// for the corruption tests below.
+// buildPathImage builds an oracle plus its frozen image for the
+// corruption tests below.
 func buildPathImage(t *testing.T) (*Oracle, *Flat) {
 	t.Helper()
 	_, o := buildSeeded(t, 2, 24, CoverExact)
-	if !o.PathReporting() {
-		t.Fatal("seeded build carries no path data")
-	}
 	fl, err := o.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fl.PathReporting() {
-		t.Fatal("frozen image lost path data")
-	}
 	return o, fl
 }
 
-// TestDecodeFlatPathValidation pins the v2 decode contract: structural
-// corruption of the path sections is rejected at decode time, semantic
-// corruption (in-range hop cycles) surfaces as a static query error —
-// never a panic — and v1 images decode to distance-only oracles whose
-// QueryPath reports ErrNoPathData.
+// decodeBoth decodes img from an aligned copy (the zero-copy path on a
+// little-endian host) and from a misaligned copy (the copying path).
+func decodeBoth(img []byte) (zero, copied *Flat, errZero, errCopied error) {
+	aligned := make([]byte, len(img))
+	copy(aligned, img)
+	shifted := make([]byte, len(img)+1)
+	copy(shifted[1:], img)
+	zero, errZero = DecodeFlat(aligned)
+	copied, errCopied = DecodeFlat(shifted[1:])
+	return zero, copied, errZero, errCopied
+}
+
+// putWord writes v as one little-endian word of w bytes.
+func putWord(b []byte, w int, v uint64) {
+	for i := 0; i < w; i++ {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// TestDecodeFlatPathValidation pins the decode contract section by
+// section: every row of the section table carries a first word its
+// validation must refuse, and planting it in record 0 must fail the
+// decode on both the zero-copy and the copying path — a section added to
+// the table without element-level validation fails here. Semantic
+// corruption that passes structural validation (in-range hop cycles)
+// must surface as a static query error, never a panic, and a version-1
+// header is rejected as unsupported.
 func TestDecodeFlatPathValidation(t *testing.T) {
-	o, fl := buildPathImage(t)
+	_, fl := buildPathImage(t)
 	enc := fl.Encode()
-	if enc[1] != flatVersion2 {
-		t.Fatalf("path-reporting image encoded as version %d", enc[1])
-	}
-	s2 := flatLayoutV2(fl.n, len(fl.keys), len(fl.entryKey), len(fl.portals), len(fl.pathVert))
-	le := binary.LittleEndian
-
-	mutate := func(f func(b []byte)) []byte {
-		b := make([]byte, len(enc))
-		copy(b, enc)
-		f(b)
-		return b
-	}
-
-	// Hop link pointing past the portal pool: decode must reject.
-	bad := mutate(func(b []byte) { le.PutUint32(b[s2.hops:], uint32(len(fl.portals)+5)) })
-	if _, err := DecodeFlat(bad); err == nil {
-		t.Fatal("out-of-range hop link decoded without error")
-	}
-
-	// Path vertex out of range: decode must reject.
-	bad = mutate(func(b []byte) { le.PutUint32(b[s2.pathVert:], uint32(fl.n)) })
-	if _, err := DecodeFlat(bad); err == nil {
-		t.Fatal("out-of-range path vertex decoded without error")
-	}
-
-	// NaN position: decode must reject.
-	bad = mutate(func(b []byte) { le.PutUint64(b[s2.pathPos:], math.Float64bits(math.NaN())) })
-	if _, err := DecodeFlat(bad); err == nil {
-		t.Fatal("NaN path position decoded without error")
+	c := fl.counts()
+	spans, _ := layout(&c)
+	hops := -1
+	for i := range flatSections {
+		s, sp := &flatSections[i], spans[i]
+		if s.name == "hops" {
+			hops = i
+		}
+		if sp.end-sp.off < s.size() {
+			t.Fatalf("%s: section empty in the fixture", s.name)
+		}
+		bad := append([]byte(nil), enc...)
+		putWord(bad[sp.off:], s.words[0], s.reject)
+		if _, _, errZero, errCopied := decodeBoth(bad); errZero == nil || errCopied == nil {
+			t.Errorf("%s: invalid record 0 accepted (zero-copy err=%v, copying err=%v)", s.name, errZero, errCopied)
+		}
 	}
 
 	// In-range hop cycle: every link routed back to record 0. This passes
 	// structural validation by design; the walk's step bound must convert
 	// it into a static error on every reachable pair, never a panic.
-	cyclic := mutate(func(b []byte) {
-		for i := 0; i < len(fl.portals); i++ {
-			le.PutUint32(b[s2.hops+4*i:], 0)
-		}
-	})
+	cyclic := append([]byte(nil), enc...)
+	for at := spans[hops].off; at < spans[hops].end; at += 4 {
+		binary.LittleEndian.PutUint32(cyclic[at:], 0)
+	}
 	cf, err := DecodeFlat(cyclic)
 	if err != nil {
 		t.Fatalf("in-range cyclic hops rejected at decode: %v", err)
@@ -90,88 +90,50 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 		t.Fatal("cyclic hop links never surfaced a walk error")
 	}
 
-	// A distance-only freeze of the same oracle encodes as v1 and decodes
-	// to an image that declines path queries with ErrNoPathData.
-	o.hasPathData = false
-	flV1, err := o.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.hasPathData = true
-	encV1 := flV1.Encode()
-	if encV1[1] != flatVersion {
-		t.Fatalf("distance-only image encoded as version %d", encV1[1])
-	}
-	dv1, err := DecodeFlat(encV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dv1.PathReporting() {
-		t.Fatal("v1 image claims path reporting")
-	}
-	if _, _, err := dv1.QueryPath(0, 1, nil); !errors.Is(err, ErrNoPathData) {
-		t.Fatalf("v1 QueryPath error = %v, want ErrNoPathData", err)
-	}
-	if _, _, _, err := dv1.QueryPathBatch([]Pair{{U: 0, V: 1}}, nil, nil, nil); !errors.Is(err, ErrNoPathData) {
-		t.Fatalf("v1 QueryPathBatch error = %v, want ErrNoPathData", err)
-	}
-	// Distance service is unharmed either way.
-	if math.Float64bits(dv1.Query(0, 1)) != math.Float64bits(fl.Query(0, 1)) {
-		t.Fatal("v1 image distance disagrees with v2 image")
+	v1 := append([]byte(nil), enc...)
+	v1[1] = 1
+	if _, err := DecodeFlat(v1); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("version-1 image: err = %v, want unsupported version", err)
 	}
 }
 
-// TestOracleEncodePathsRoundTrip pins the 0x9D pointer wire format:
-// Decode(Encode(o)) re-encodes byte-identically and answers path queries
-// exactly like the original.
-func TestOracleEncodePathsRoundTrip(t *testing.T) {
+// TestFreezeRejectsTruncatedHops pins Freeze's failure mode: hop records
+// that do not parallel the portals make Freeze fail instead of producing
+// an image that cannot report paths.
+func TestFreezeRejectsTruncatedHops(t *testing.T) {
 	o, _ := buildPathImage(t)
-	enc := o.Encode()
-	if enc[0] != oracleMagicPaths {
-		t.Fatalf("path-reporting oracle encoded with magic %#x", enc[0])
-	}
-	o2, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o2.PathReporting() {
-		t.Fatal("decoded oracle lost path data")
-	}
-	enc2 := o2.Encode()
-	if len(enc) != len(enc2) {
-		t.Fatalf("re-encode length %d, want %d", len(enc2), len(enc))
-	}
-	for i := range enc {
-		if enc[i] != enc2[i] {
-			t.Fatalf("re-encode differs at byte %d", i)
+	for v := range o.Labels {
+		if es := o.Labels[v].Entries; len(es) > 0 && len(es[0].Hops) > 0 {
+			es[0].Hops = es[0].Hops[:len(es[0].Hops)-1]
+			break
 		}
 	}
-	rng := rand.New(rand.NewSource(11))
-	var buf, buf2 []int32
-	for q := 0; q < 100; q++ {
-		u, v := rng.Intn(o.N), rng.Intn(o.N)
-		var d, d2 float64
-		d, buf, err = o.QueryPath(u, v, buf[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, buf2, err = o2.QueryPath(u, v, buf2[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(d) != math.Float64bits(d2) || len(buf) != len(buf2) {
-			t.Fatalf("(%d,%d): decoded oracle path disagrees", u, v)
-		}
-		for i := range buf {
-			if buf[i] != buf2[i] {
-				t.Fatalf("(%d,%d): decoded path differs at %d", u, v, i)
-			}
-		}
+	if _, err := o.Freeze(); err == nil {
+		t.Fatal("Freeze accepted an entry with truncated hop records")
 	}
+}
 
-	// A truncated paths-image and a hop pointing past n must both be
-	// rejected by the pointer decoder.
-	if _, err := Decode(enc[:len(enc)-3]); err == nil {
-		t.Fatal("truncated paths oracle decoded without error")
+// TestSwapWords pins the conversion Encode and DecodeFlat apply on
+// big-endian hosts: every word of every record is reversed in place, so a
+// little-endian record reads back as its big-endian encoding, and a
+// second swap restores it.
+func TestSwapWords(t *testing.T) {
+	le, be := binary.LittleEndian, binary.BigEndian
+	rec := make([]byte, 16) // two {4, 2, 2} key records
+	for i := 0; i < 2; i++ {
+		le.PutUint32(rec[8*i:], 0x01020304+uint32(i))
+		le.PutUint16(rec[8*i+4:], 0x0506)
+		le.PutUint16(rec[8*i+6:], 0x0708)
+	}
+	orig := append([]byte(nil), rec...)
+	swapWords(rec, []int{4, 2, 2})
+	for i := 0; i < 2; i++ {
+		if be.Uint32(rec[8*i:]) != 0x01020304+uint32(i) || be.Uint16(rec[8*i+4:]) != 0x0506 || be.Uint16(rec[8*i+6:]) != 0x0708 {
+			t.Fatalf("record %d not byte-swapped per word: % x", i, rec[8*i:8*i+8])
+		}
+	}
+	swapWords(rec, []int{4, 2, 2})
+	if string(rec) != string(orig) {
+		t.Fatal("swapping twice does not restore the record")
 	}
 }

@@ -34,9 +34,6 @@ type ImageStatus struct {
 	PortalPoolBytes int  `json:"portal_pool_bytes"`
 	SweepLaneBytes  int  `json:"sweep_lane_bytes"`
 	LaneAligned     bool `json:"lane_aligned"`
-	// PathReporting reports whether the image answers /query/path (wire
-	// format v2); distance-only v1 images serve distances only.
-	PathReporting bool `json:"path_reporting"`
 }
 
 // ServingStatus is the live request-side accounting.
@@ -108,7 +105,6 @@ func (s *Server) status() Status {
 			PortalPoolBytes: 16 * im.flat.NumPortals(),
 			SweepLaneBytes:  im.flat.LaneBytes(),
 			LaneAligned:     im.flat.LaneAligned(),
-			PathReporting:   im.flat.PathReporting(),
 		},
 		Serving: ServingStatus{
 			Inflight:     s.inflight.Load(),

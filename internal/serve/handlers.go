@@ -216,9 +216,7 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 //	{"u":3,"v":9,"dist":4.25,"len":5,"path":[3,7,2,8,9],"ns":2100}
 //
 // dist is null and path empty when v is unreachable from u. Non-integer
-// or out-of-range IDs are 400s (as on /query); a distance-only image —
-// a v1 reload can land mid-flight — answers 409, telling the caller the
-// resource cannot satisfy path requests rather than blaming the request.
+// or out-of-range IDs are 400s (as on /query).
 func (s *Server) handleQueryPath(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
@@ -231,11 +229,6 @@ func (s *Server) handleQueryPath(w http.ResponseWriter, r *http.Request) {
 	im := s.acquire()
 	if s.rejectOutOfRange(w, u, v, im.flat.N()) {
 		s.release(im)
-		return
-	}
-	if !im.flat.PathReporting() {
-		s.release(im)
-		s.fail(w, http.StatusConflict, "serving image is distance-only: no path data (wire format v1)")
 		return
 	}
 	buf := s.getPath()

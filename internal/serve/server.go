@@ -3,8 +3,7 @@
 // immutable image and exposes:
 //
 //	GET  /query?u=&v=      one distance query, JSON
-//	GET  /query/path?u=&v= distance plus witness path, JSON (path-reporting
-//	                       images; distance-only images answer 409)
+//	GET  /query/path?u=&v= distance plus witness path, JSON
 //	POST /query/batch      JSON batch: {"pairs":[[u,v],...]} -> {"dists":[...]}
 //	POST /query/batchbin   binary batch: LE uint32 pairs in, LE float64 out
 //	GET  /admin/status     image metadata, serving stats, slow-query

@@ -243,9 +243,6 @@ func TestAdminStatus(t *testing.T) {
 	if st.Image.N != fl.N() || st.Image.Bytes != fl.EncodedSize() || st.Image.Mode != "portal" {
 		t.Fatalf("image metadata wrong: %+v", st.Image)
 	}
-	if st.Image.PathReporting != fl.PathReporting() {
-		t.Fatalf("path_reporting = %v, image says %v", st.Image.PathReporting, fl.PathReporting())
-	}
 	if st.Image.PortalPoolBytes != 16*fl.NumPortals() || st.Image.SweepLaneBytes != fl.LaneBytes() {
 		t.Fatalf("pool sizing wrong: %+v (want portal pool %d, lanes %d)",
 			st.Image, 16*fl.NumPortals(), fl.LaneBytes())
@@ -441,36 +438,6 @@ func TestQueryValidationContract(t *testing.T) {
 	}
 }
 
-// distanceOnlyFlat rewrites fl's v2 encoding into the equivalent v1
-// (distance-only) image: same header fields minus the path-vertex count,
-// same keys-through-portals sections shifted down 8 bytes, path sections
-// dropped. Every section keeps its alignment (the 8-byte header delta
-// preserves residues mod 8), so this is a byte-exact v1 image of the
-// same oracle.
-func distanceOnlyFlat(tb testing.TB, fl *oracle.Flat) *oracle.Flat {
-	tb.Helper()
-	enc := fl.Encode()
-	if enc[1] != 2 {
-		tb.Fatalf("expected a v2 image, got version %d", enc[1])
-	}
-	le := binary.LittleEndian
-	n := int(le.Uint64(enc[8:]))
-	numKeys := int(le.Uint64(enc[32:]))
-	numEntries := int(le.Uint64(enc[40:]))
-	numPortals := int(le.Uint64(enc[48:]))
-	end := 64 + 8*numKeys + 4*(n+1) + 4*numEntries + 4*(numEntries+1)
-	portalsEnd := (end+7)&^7 + 16*numPortals
-	v1 := make([]byte, 0, portalsEnd-8)
-	v1 = append(v1, enc[:56]...)
-	v1 = append(v1, enc[64:portalsEnd]...)
-	v1[1] = 1
-	out, err := oracle.DecodeFlat(v1)
-	if err != nil {
-		tb.Fatalf("synthesized v1 image does not decode: %v", err)
-	}
-	return out
-}
-
 func TestQueryPathEndpoint(t *testing.T) {
 	_, ts, fl := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/query/path?u=0&v=17")
@@ -522,28 +489,6 @@ func TestQueryPathEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("pooled query %d: status %d", i, resp.StatusCode)
 		}
-	}
-
-	// A distance-only (v1) image answers /query/path with 409 Conflict
-	// and keeps /query working.
-	_, ts2, _ := newTestServer(t, Config{Flat: distanceOnlyFlat(t, fl)})
-	resp2, err := http.Get(ts2.URL + "/query/path?u=0&v=17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusConflict || !strings.Contains(string(body), "distance-only") {
-		t.Fatalf("distance-only image: status=%d body=%s, want 409", resp2.StatusCode, body)
-	}
-	resp3, err := http.Get(ts2.URL + "/query?u=0&v=17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp3.Body)
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("distance query on v1 image: status %d", resp3.StatusCode)
 	}
 }
 

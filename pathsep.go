@@ -121,6 +121,8 @@ type Separator = core.Separator
 // distances (Query), it reports witness paths: QueryPath(u, v, buf)
 // returns a u-to-v walk whose weight is exactly the reported distance,
 // assembled from the per-portal parent links recorded at build time.
+// It is the construction and reference form; serve and persist its
+// Freeze() result.
 type Oracle = oracle.Oracle
 
 // Label is a vertex's distance label (the distributed form of the oracle).
@@ -133,16 +135,10 @@ type Label = oracle.Label
 // bit-identical to the pointer form. FlatOracle.QueryBatch answers a
 // slice of pairs into a caller-owned buffer, fanning out over the worker
 // pool. FlatOracle.QueryPath / QueryPathBatch report witness paths into
-// caller buffers (allocation-free once the buffers are warm) when the
-// image carries path records; distance-only images (wire format v1)
-// answer ErrNoPathData.
+// caller buffers (allocation-free once the buffers are warm): every
+// image carries its path records. Encode writes the one image format,
+// and DecodeFlatOracle rejects any other version.
 type FlatOracle = oracle.Flat
-
-// ErrNoPathData is answered by FlatOracle.QueryPath when the decoded
-// image is distance-only (wire format v1, or a pointer oracle built
-// before path reporting): distances still work, witness paths are not
-// recorded. Test with errors.Is.
-var ErrNoPathData = oracle.ErrNoPathData
 
 // QueryPair is one (U, V) query of a FlatOracle batch.
 type QueryPair = oracle.Pair
@@ -257,7 +253,7 @@ type OracleOptions struct {
 	Metrics *Metrics
 	// Workers bounds the construction worker pool: 0 means
 	// runtime.GOMAXPROCS(0), 1 forces the serial reference build. Every
-	// worker count produces a bit-identical oracle encoding.
+	// worker count produces a bit-identical frozen image.
 	Workers int
 }
 
