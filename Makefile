@@ -1,6 +1,6 @@
 # Tier-1+ verification for the pathsep repo.
 #
-#   make check      vet + lint + build + race tests + determinism + fuzz smoke + obs-overhead + parallel-speedup + query-serving + path-serving + serve-bench gates
+#   make check      vet + lint + build + race tests + determinism + fuzz smoke + obs-overhead + parallel-speedup + query-serving + path-serving + serve-bench gates + bench-module tests
 #   make test       plain test run (the tier-1 gate)
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
@@ -10,6 +10,7 @@
 #   make bench-query     flat-vs-pointer query speedup gate (BENCH_query.json)
 #   make bench-path      path-reporting serving gate (BENCH_path.json)
 #   make bench-serve     in-process daemon self-load gate (BENCH_serve.json)
+#   make bench-unit      the bench/ module's own tests (a separate Go module that ./... never reaches)
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -20,9 +21,9 @@ FUZZMINTIME ?= 50x
 LINT_BIN := bin/pathsep-lint
 LINT_SRC := $(wildcard cmd/pathsep-lint/*.go internal/analyzers/*.go internal/analyzers/*/*.go)
 
-.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve
+.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit
 
-check: vet lint build race determinism fuzz-short bench-overhead bench-parallel bench-query bench-path bench-serve
+check: vet lint build race determinism fuzz-short bench-overhead bench-parallel bench-query bench-path bench-serve bench-unit
 
 test:
 	$(GO) build ./...
@@ -116,3 +117,9 @@ bench-path:
 # percentiles in BENCH_serve.json; zero errors and a sane p99 required.
 bench-serve:
 	BENCH_SERVE_GATE=1 $(GO) test -run TestServeBenchGate -v .
+
+# bench/ is its own Go module (it replaces pathsep with ../), so the root
+# ./... never compiles it; this runs its tests against the tree, catching
+# an API change that would break bench/run.sh.
+bench-unit:
+	$(GO) -C bench test ./...

@@ -120,8 +120,8 @@ func main() {
 }
 
 // inspectImage reports the serving layout of a flat oracle image: header
-// metadata, pool sizes (wire portal pool vs the derived sweep lanes the
-// queries actually walk), lane alignment, and the per-entry portal-run
+// metadata, the memory the decoded image holds for serving (its tables,
+// sweep lane and walk layout), lane alignment, and the per-entry portal-run
 // length distribution — short runs are one-candidate sweeps, long runs
 // are where the suffix-min fold and the batch scheduler earn their keep.
 func inspectImage(path string) error {
@@ -137,8 +137,8 @@ func inspectImage(path string) error {
 		path, fl.N(), fl.Eps(), fl.Mode())
 	fmt.Printf("  keys=%d entries=%d portals=%d encoded=%d B\n",
 		fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
-	fmt.Printf("  portal pool %d B (wire AoS), sweep lanes %d B (derived), lane pool 64B-aligned: %v\n",
-		16*fl.NumPortals(), fl.LaneBytes(), fl.LaneAligned())
+	fmt.Printf("  resident %d B (%.1f B/portal: tables, sweep lane, walk layout), lane 64B-aligned: %v\n",
+		fl.ResidentBytes(), float64(fl.ResidentBytes())/float64(max(fl.NumPortals(), 1)), fl.LaneAligned())
 
 	fmt.Printf("  path sections (wire v2): hops=%d (%d B)  path_off=%d (%d B)  path_vert=%d (%d B)  path_pos=%d (%d B)\n",
 		fl.NumHops(), 4*fl.NumHops(),

@@ -37,6 +37,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -94,6 +95,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// Collect once before serving: the load's garbage (the image file,
+	// or the whole build) is dead now, and the next heap goal is set from
+	// what the last collection found live. Without this the goal is twice
+	// whatever the load's last automatic cycle happened to find live,
+	// which can be most of the load's transient, rather than twice the
+	// serving image.
+	runtime.GC()
 	fmt.Printf("pathsepd: image %s: n=%d eps=%g mode=%s (%d keys, %d entries, %d portals, %d bytes)\n",
 		source, fl.N(), fl.Eps(), fl.Mode(), fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
 

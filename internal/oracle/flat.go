@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 	"unsafe"
@@ -21,57 +22,45 @@ import (
 //     ID, so the merge-join compares one int32 instead of an 8-byte struct.
 //   - Per-vertex entries live in CSR form: vertex v owns entry indices
 //     entryOff[v]..entryOff[v+1], and entry e owns the portal range
-//     portalOff[e]..portalOff[e+1] of the single contiguous portal pool.
+//     portalOff[e]..portalOff[e+1] of the single contiguous portal pool,
+//     which the Flat keeps only as its sweep lane.
 //
-// A Flat is immutable after Freeze/DecodeFlat, so Query and QueryBatch are
-// safe for unbounded concurrent use. Queries return bit-identical results
-// to the pointer-walking Oracle.Query: the merge-join visits shared keys in
-// the same order (galloping only skips keys that cannot match), and the
+// A Flat owns all of its memory: one compact serving form, built by
+// Freeze or DecodeFlat and never aliasing an image buffer. It is
+// immutable after construction, so Query and QueryBatch are safe for
+// unbounded concurrent use. Queries return bit-identical results to the
+// pointer-walking Oracle.Query: the merge-join visits shared keys in the
+// same order (galloping only skips keys that cannot match), and the
 // portal sweep evaluates exactly the candidate values pairMin evaluates —
-// the per-portal terms fl(Dist+Pos) and fl(Dist−Pos) are precomputed once
-// (with pairMin's own rounding) into the blocked sweep lanes, so every
-// float64 comparison sees the same bits.
+// every per-portal term fl(Dist+Pos) or fl(Dist−Pos) is rounded once from
+// the lane's raw Pos and Dist, as pairMin rounds it, so every float64
+// comparison sees the same bits.
 type Flat struct {
 	n    int
 	eps  float64
 	mode Mode
 
-	keys      []Key    // interned keys, sorted by keyLess; ID = index
-	entryOff  []int32  // len n+1: CSR offsets into entryKey/portalOff
-	entryKey  []int32  // len numEntries: key ID per entry
-	portalOff []int32  // len numEntries+1: CSR offsets into portals
-	portals   []Portal // one contiguous pool, grouped by entry
+	tables
 
-	// Path-reporting sections (see path.go and flat_encode.go). hops[i]
-	// is the portal-pool index of the next record on pool record i's hop
-	// chain, or -1 at the chain's anchor; pathOff/pathVert/pathPos are
-	// the per-key separator-path geometry in CSR form.
-	hops     []int32
-	pathOff  []int32
-	pathVert []int32
-	pathPos  []float64
-
-	// Derived view of the pool (see derive): the sweep lane. Entry e's
-	// portal run [portalOff[e], portalOff[e+1)) of k records occupies
-	// lane[3*portalOff[e]:] as k three-float records
-	// (pos, fl(Dist−Pos), smin), where record x's smin is the min of
+	// The sweep lane: entry e's portal run [portalOff[e], portalOff[e+1))
+	// of k records occupies lane[3*portalOff[e]:] as k three-float
+	// records (pos, Dist, smin), where record x's smin is the min of
 	// fl(Dist+Pos) over the run's suffix [x, k). The suffix-min collapses
 	// the classic sweep's per-element fold: when the merge consumes
 	// element x of one side, every legal partner is exactly the other
 	// side's unconsumed suffix, so the single candidate
-	// fl(diff_consumed + smin_other) covers all of them at once — min is
-	// exact and rounding is monotone, so that equals the min of the
+	// fl(fl(Dist_x−pos_x) + smin_other) covers all of them at once — min
+	// is exact and rounding is monotone, so that equals the min of the
 	// pairwise fl(sum+diff) candidates bit for bit. One fold per step,
 	// no running min registers, and no tail pass: once either side is
 	// exhausted the remainder has no partners left and is never touched.
-	// laneSum holds the raw fl(Dist+Pos) values (entry e's at
-	// [portalOff[e], portalOff[e+1])), read only by argminPair's
-	// once-per-query replay of the winning pair. Both pools are 64-byte
-	// aligned. None of this is part of the encoding; it is rebuilt on
-	// decode. schedU/schedV are the key shifts the batch locality
-	// scheduler derives from the entry-table size.
+	// The difference, and argminPair's sum, are computed where they are
+	// used, with the single rounding pairMin applies. The lane is the
+	// only resident copy of the portal pool (Encode transcribes the wire
+	// rows from it) and is 64-byte aligned. schedU/schedV are the key
+	// shifts the batch locality scheduler derives from the entry-table
+	// size.
 	lane           []float64
-	laneSum        []float64
 	schedU, schedV uint8
 	// Derived walk layout (deriveWalk): the hop
 	// forest re-laid-out in heavy-chain order, each chain one contiguous
@@ -90,10 +79,6 @@ type Flat struct {
 	walkBlk  []int32
 	walkFrom []startRec
 
-	// buf is the image the section slices above alias when the Flat came
-	// from DecodeFlat (the caller's buffer, or DecodeFlat's aligned copy).
-	buf []byte
-
 	// Query-time instruments (SetMetrics); all nil-safe, and the disabled
 	// path is a single nil check with no allocation.
 	qLatency *obs.Histogram
@@ -104,6 +89,37 @@ type Flat struct {
 	// as (u, v, dist, ns) exemplars. Like the instruments above it is
 	// nil-safe and costs nothing when detached.
 	slow *obs.SlowQuerySampler
+}
+
+// tables are the image sections a Flat keeps in their wire form: the
+// interned keys and CSR offsets above, and the path-reporting sections
+// (see path.go). hops[i] is the portal-pool index of the next record on
+// pool record i's hop chain, or -1 at the chain's anchor;
+// pathOff/pathVert/pathPos are the per-key separator-path geometry in
+// CSR form.
+type tables struct {
+	keys      []Key   // interned keys, sorted by keyLess; ID = index
+	entryOff  []int32 // len n+1: CSR offsets into entryKey/portalOff
+	entryKey  []int32 // len numEntries: key ID per entry
+	portalOff []int32 // len numEntries+1: CSR offsets into the portal pool
+	hops      []int32
+	pathOff   []int32
+	pathVert  []int32
+	pathPos   []float64
+}
+
+// clone copies every table into fresh memory.
+func (t *tables) clone() tables {
+	return tables{
+		keys:      slices.Clone(t.keys),
+		entryOff:  slices.Clone(t.entryOff),
+		entryKey:  slices.Clone(t.entryKey),
+		portalOff: slices.Clone(t.portalOff),
+		hops:      slices.Clone(t.hops),
+		pathOff:   slices.Clone(t.pathOff),
+		pathVert:  slices.Clone(t.pathVert),
+		pathPos:   slices.Clone(t.pathPos),
+	}
 }
 
 // Freeze compiles the oracle into its flat serving form. The oracle itself
@@ -136,22 +152,27 @@ func (o *Oracle) Freeze() (*Flat, error) {
 	}
 
 	f := &Flat{
-		n:         o.N,
-		eps:       o.Eps,
-		mode:      o.mode,
-		keys:      keys,
-		entryOff:  make([]int32, o.N+1),
-		entryKey:  make([]int32, 0, numEntries),
-		portalOff: make([]int32, 1, numEntries+1),
-		portals:   make([]Portal, 0, numPortals),
+		n:    o.N,
+		eps:  o.Eps,
+		mode: o.mode,
+		tables: tables{
+			keys:      keys,
+			entryOff:  make([]int32, o.N+1),
+			entryKey:  make([]int32, 0, numEntries),
+			portalOff: make([]int32, 1, numEntries+1),
+		},
 	}
+	portals := make([]Portal, 0, numPortals)
 	for v := range o.Labels {
 		for _, e := range o.Labels[v].Entries {
 			f.entryKey = append(f.entryKey, seen[e.Key])
-			f.portals = append(f.portals, e.Portals...)
-			f.portalOff = append(f.portalOff, int32(len(f.portals)))
+			portals = append(portals, e.Portals...)
+			f.portalOff = append(f.portalOff, int32(len(portals)))
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
+	}
+	if err := f.buildLane(portals); err != nil {
+		return nil, fmt.Errorf("oracle: freeze: %w", err)
 	}
 	if err := f.freezePaths(o); err != nil {
 		return nil, err
@@ -176,44 +197,53 @@ func alignedFloats(n int) []float64 {
 	return buf[off : off+n : off+n]
 }
 
-// derive materializes the sweep lane and the replay sum pool. The sums
-// and differences are rounded here exactly as pairMin rounds them
-// (left-associated fl(Dist+Pos), fl(Dist−Pos)), so the sweep's candidate
-// values — and therefore Query answers — stay bit-identical to the
-// pointer form. Record x's smin precomputes the min of fl(Dist+Pos)
-// over the run's suffix [x, k): min is exact (no rounding), so the
-// query-time fold fl(diff_consumed + smin_other) equals the min of the
-// pairwise candidates fl(sum+diff) the register sweep folds one by one
-// (see the lane layout doc on Flat). It also fixes the batch
-// scheduler's key shifts: the coarser of (entry-table bits − 16) and 6,
-// so a u-block names a ~64-entry portal region and both block numbers
-// fit their 16-bit key lanes.
+// buildLane transcribes the portal pool, grouped by f.portalOff, into the
+// sweep lane (see the lane layout doc on Flat), checking each record on
+// the way: Pos and Dist must be NaN-free — a NaN would poison every
+// min-fold the sweep computes — and positions must be non-decreasing
+// within each entry, the order the merged sweep and its suffix-min rely
+// on. +Inf stays legal in Dist: it is the unreachable sentinel some
+// constructions store. Record x's smin is the min of fl(Dist+Pos) over
+// the run's suffix [x, k), rounded exactly as pairMin rounds the sum; min
+// is exact (no rounding), so the query-time fold
+// fl(fl(Dist−Pos) + smin_other) equals the min of the pairwise
+// candidates the register sweep folds one by one.
 //
-// derive is the sanctioned writer of the lane views: it fills the
-// aligned arrays it just allocated, before the image is published.
-// The argumented directive does not opt it into hotalloc (it allocates
-// the lanes by design).
+// buildLane is the sanctioned writer of the lane view: it fills the
+// aligned array it just allocated, before the image is published. The
+// argumented directive does not opt it into hotalloc (it allocates the
+// lane by design).
 //
 //pathsep:hotpath writes=views
-func (f *Flat) derive() {
-	f.lane = alignedFloats(3 * len(f.portals))
-	f.laneSum = alignedFloats(len(f.portals))
+func (f *Flat) buildLane(portals []Portal) error {
+	f.lane = alignedFloats(3 * len(portals))
 	for e := 0; e+1 < len(f.portalOff); e++ {
 		lo, hi := int(f.portalOff[e]), int(f.portalOff[e+1])
-		base := 3 * lo
 		sm := math.Inf(1)
-		for x := hi - lo - 1; x >= 0; x-- {
-			p := f.portals[lo+x]
-			s := p.Dist + p.Pos
-			if s < sm {
+		for x := hi - 1; x >= lo; x-- {
+			p := portals[x]
+			if math.IsNaN(p.Pos) || math.IsNaN(p.Dist) {
+				return fmt.Errorf("portal record %d contains NaN", x)
+			}
+			if x+1 < hi && p.Pos > portals[x+1].Pos {
+				return fmt.Errorf("portal positions of entry %d decrease at record %d", e, x)
+			}
+			if s := p.Dist + p.Pos; s < sm {
 				sm = s
 			}
-			f.lane[base+3*x] = p.Pos
-			f.lane[base+3*x+1] = p.Dist - p.Pos
-			f.lane[base+3*x+2] = sm
-			f.laneSum[lo+x] = s
+			f.lane[3*x] = p.Pos
+			f.lane[3*x+1] = p.Dist
+			f.lane[3*x+2] = sm
 		}
 	}
+	return nil
+}
+
+// derive fixes the batch scheduler's key shifts — the coarser of
+// (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
+// region and both block numbers fit their 16-bit key lanes — and
+// compiles the walk layout.
+func (f *Flat) derive() {
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}
@@ -252,6 +282,11 @@ type startRec struct {
 // cycle (possible only in a corrupt image: decode validates hop ranges,
 // not acyclicity) are never reached from an anchor and keep walkFrom
 // slot -1, which the walk reports as a dangling record.
+//
+// The scratch is five p-sized int32 arrays — the child CSR pair, order,
+// size and heavy — with order reused as the head stack and size as the
+// chain buffer once they are dead; walkFrom takes every per-record
+// result directly, and walkBlk is allocated at its exact length.
 func (f *Flat) deriveWalk() {
 	p := len(f.hops)
 	f.walkFrom = make([]startRec, p)
@@ -259,160 +294,138 @@ func (f *Flat) deriveWalk() {
 		f.walkBlk = nil
 		return
 	}
-	pos := make([]int32, p)
-	owner := make([]int32, p)
-	for v := 0; v < f.n; v++ {
-		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
-			for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
-				owner[i] = int32(v)
-			}
-		}
+	for r := range f.walkFrom {
+		f.walkFrom[r] = startRec{slot: -1, end: -1, anchor: -1}
 	}
-	// Children of each record in the hop forest, CSR form.
+	// Each anchor's index into its key's path geometry, resolved before
+	// placement so the chains hopping into it inherit it as they land (a
+	// failed resolution — a corrupt image — stays -1 and surfaces as a
+	// walk error).
+	f.eachRecord(func(v, kid, i int32) {
+		if f.hops[i] >= 0 {
+			return
+		}
+		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
+		if idx, err := pathIndexAt(f.pathPos[plo:phi], f.pathVert[plo:phi], f.lane[3*i], v); err == nil {
+			f.walkFrom[i].anchor = int32(idx)
+		}
+	})
+	// Children of each record in the hop forest, CSR form, each list in
+	// ascending record order: count into childOff[h], prefix-sum to each
+	// list's end, then fill backwards so childOff[h] lands on its start.
 	childOff := make([]int32, p+1)
 	for _, h := range f.hops {
 		if h >= 0 {
-			childOff[h+1]++
+			childOff[h]++
 		}
 	}
-	for i := 0; i < p; i++ {
-		childOff[i+1] += childOff[i]
+	for i := 1; i <= p; i++ {
+		childOff[i] += childOff[i-1]
 	}
 	child := make([]int32, childOff[p])
-	fill := make([]int32, p)
-	for i, h := range f.hops {
-		if h >= 0 {
-			child[childOff[h]+fill[h]] = int32(i)
-			fill[h]++
-		}
-	}
-	// Subtree sizes bottom-up (Kahn's order: leaves drain first). Cycle
-	// records never drain; their sizes stay partial, which is fine — they
-	// are never placed either.
-	size := make([]int32, p)
-	pend := fill // fully counted above; reuse as the pending-child count
-	queue := make([]int32, 0, p)
-	for i := 0; i < p; i++ {
-		size[i] = 1
-		if pend[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		i := queue[qi]
+	for i := p - 1; i >= 0; i-- {
 		if h := f.hops[i]; h >= 0 {
-			size[h] += size[i]
-			if pend[h]--; pend[h] == 0 {
-				queue = append(queue, h)
-			}
+			childOff[h]--
+			child[childOff[h]] = int32(i)
 		}
 	}
+	// The records reachable from an anchor, parents before children
+	// (breadth-first from the anchors, taken in ascending record order);
+	// cycle records are never reached and keep size 0. Subtree sizes
+	// accumulate in reverse order.
+	order := make([]int32, 0, p)
+	for i, h := range f.hops {
+		if h < 0 {
+			order = append(order, int32(i))
+		}
+	}
+	roots := len(order)
+	for x := 0; x < len(order); x++ {
+		r := order[x]
+		for _, c := range child[childOff[r]:childOff[r+1]] {
+			order = append(order, c)
+		}
+	}
+	size := make([]int32, p)
+	for x := len(order) - 1; x >= 0; x-- {
+		r := order[x]
+		size[r]++
+		if h := f.hops[r]; h >= 0 {
+			size[h] += size[r]
+		}
+	}
+	// Each record's heaviest child (the first of the largest subtrees);
+	// every reachable leaf ends exactly one chain.
 	heavy := make([]int32, p)
+	chains := 0
 	for i := 0; i < p; i++ {
 		best, bestSz := int32(-1), int32(0)
-		for x := childOff[i]; x < childOff[i+1]; x++ {
-			if c := child[x]; size[c] > bestSz {
+		for _, c := range child[childOff[i]:childOff[i+1]] {
+			if size[c] > bestSz {
 				best, bestSz = c, size[c]
 			}
 		}
 		heavy[i] = best
+		if size[i] > 0 && best < 0 {
+			chains++
+		}
 	}
 	// Lay out heavy paths into walkBlk: each chain root-to-leaf, written
 	// leaf-first so the bulk copy runs child-to-parent left to right, the
 	// chain head on the run's last slot, and a two-word trailer after it.
-	// Chains are placed parent-before-light-child (a head is pushed only
-	// after its parent's chain lands), so a chain's jump and anchor
-	// resolve off already-placed chains in one placement-order pass.
-	for i := range pos {
-		pos[i] = -1
-	}
-	var heads, path []int32
-	for i := 0; i < p; i++ {
-		if f.hops[i] < 0 {
-			heads = append(heads, int32(i))
-		}
-	}
-	type chainRec struct {
-		head int32 // pool record on the run's last slot
-		end  int32 // walkBlk index of that slot
-	}
-	var chains []chainRec
-	chainOf := make([]int32, p) // pool record -> index into chains
-	recEnd := make([]int32, p)  // pool record -> its chain's end slot
-	blk := make([]int32, 0, p+p/2)
+	// Chains are placed parent-before-light-child (a chain's light
+	// children are pushed, root to leaf, as the chain is traced), so a
+	// light chain's trailer, anchor and walk length past its head are
+	// read off the already-final walkFrom record it hops into. The
+	// anchors seed the head stack in the order the breadth-first pass left
+	// them.
+	blk := make([]int32, len(order)+2*chains)
+	heads, path := order[:roots], size[:0]
+	at := int32(0)
 	for len(heads) > 0 {
 		h := heads[len(heads)-1]
 		heads = heads[:len(heads)-1]
 		path = path[:0]
-		for x := h; x >= 0; x = heavy[x] {
-			path = append(path, x)
-		}
-		end := int32(len(blk) + len(path) - 1)
-		ci := int32(len(chains))
-		chains = append(chains, chainRec{head: h, end: end})
-		for i := len(path) - 1; i >= 0; i-- {
-			r := path[i]
-			pos[r] = int32(len(blk))
-			blk = append(blk, owner[r])
-			chainOf[r] = ci
-			recEnd[r] = end
-		}
-		blk = append(blk, -1, -1) // trailer, filled below
-		for _, node := range path {
-			for x := childOff[node]; x < childOff[node+1]; x++ {
-				if c := child[x]; c != heavy[node] {
+		for r := h; r >= 0; r = heavy[r] {
+			path = append(path, r)
+			for _, c := range child[childOff[r]:childOff[r+1]] {
+				if c != heavy[r] {
 					heads = append(heads, c)
 				}
 			}
 		}
+		end := at + int32(len(path)) - 1
+		anchor, tail := f.walkFrom[h].anchor, int32(0)
+		blk[end+1], blk[end+2] = -1, -1
+		if up := f.hops[h]; up >= 0 {
+			w := f.walkFrom[up]
+			blk[end+1], blk[end+2] = w.slot, w.end
+			anchor, tail = w.anchor, w.depth
+		}
+		for k, r := range path {
+			slot := end - int32(k)
+			f.walkFrom[r] = startRec{slot: slot, end: end, anchor: anchor, depth: end - slot + 1 + tail}
+		}
+		at = end + 3
 	}
+	// The owner runs: every placed record's slot holds its vertex.
+	f.eachRecord(func(v, _, i int32) {
+		if s := f.walkFrom[i].slot; s >= 0 {
+			blk[s] = v
+		}
+	})
 	f.walkBlk = blk
-	// Resolve each placed anchor head's geometry index — a failed
-	// resolution (corrupt image) stays -1 and surfaces as a walk error.
-	anchorIdx := make([]int32, p)
-	for i := range anchorIdx {
-		anchorIdx[i] = -1
-	}
-	for e := 0; e < len(f.entryKey); e++ {
-		kid := f.entryKey[e]
-		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
-		pathPos := f.pathPos[plo:phi]
-		pathVert := f.pathVert[plo:phi]
-		for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
-			if pos[i] < 0 || f.hops[i] >= 0 {
-				continue
-			}
-			if idx, err := pathIndexAt(pathPos, pathVert, f.portals[i].Pos, owner[i]); err == nil {
-				anchorIdx[i] = int32(idx)
+}
+
+// eachRecord calls fn(v, kid, i) for every pool record i in pool order,
+// with its owning vertex v and its entry's key ID kid.
+func (f *Flat) eachRecord(fn func(v, kid, i int32)) {
+	for v := 0; v < f.n; v++ {
+		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
+			for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
+				fn(int32(v), f.entryKey[e], i)
 			}
 		}
-	}
-	// Fill trailers and per-chain anchor/tail-depth in placement order: a
-	// light chain jumps into its parent's run and inherits its anchor and
-	// the walk length past its head; a root chain stops at its own
-	// resolved geometry index.
-	chainAnchor := make([]int32, len(chains))
-	chainTail := make([]int32, len(chains)) // output length after the head
-	for ci, c := range chains {
-		if h := f.hops[c.head]; h >= 0 {
-			blk[c.end+1] = pos[h]
-			blk[c.end+2] = recEnd[h]
-			hc := chainOf[h]
-			chainAnchor[ci] = chainAnchor[hc]
-			chainTail[ci] = (recEnd[h] - pos[h] + 1) + chainTail[hc]
-		} else {
-			chainAnchor[ci] = anchorIdx[c.head]
-		}
-	}
-	for r := 0; r < p; r++ {
-		sr := startRec{slot: pos[r], end: -1, anchor: -1}
-		if sr.slot >= 0 {
-			ci := chainOf[r]
-			sr.end = recEnd[r]
-			sr.anchor = chainAnchor[ci]
-			sr.depth = (recEnd[r] - pos[r] + 1) + chainTail[ci]
-		}
-		f.walkFrom[r] = sr
 	}
 }
 
@@ -432,20 +445,27 @@ func (f *Flat) NumKeys() int { return len(f.keys) }
 func (f *Flat) NumEntries() int { return len(f.entryKey) }
 
 // NumPortals returns the size of the contiguous portal pool.
-func (f *Flat) NumPortals() int { return len(f.portals) }
+func (f *Flat) NumPortals() int { return len(f.lane) / 3 }
 
-// PortalPoolBytes returns the in-memory size of the contiguous portal
-// pool (16 bytes per record).
-func (f *Flat) PortalPoolBytes() int { return 16 * len(f.portals) }
+// ResidentBytes returns the memory the Flat holds for serving: the
+// capacity of every slice it owns (tables, sweep lane, walk layout), in
+// bytes.
+func (f *Flat) ResidentBytes() int {
+	t := &f.tables
+	return sliceBytes(t.keys) + sliceBytes(t.entryOff) + sliceBytes(t.entryKey) +
+		sliceBytes(t.portalOff) + sliceBytes(t.hops) + sliceBytes(t.pathOff) +
+		sliceBytes(t.pathVert) + sliceBytes(t.pathPos) +
+		sliceBytes(f.lane) + sliceBytes(f.walkBlk) + sliceBytes(f.walkFrom)
+}
 
-// LaneBytes returns the in-memory size of the derived sweep-lane pools
-// (the record lane plus the replay sum/prefix-min pools; see derive).
-func (f *Flat) LaneBytes() int {
-	return 8 * (len(f.lane) + len(f.laneSum))
+// sliceBytes is the size of s's backing array up to its capacity.
+func sliceBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
 // LaneAligned reports whether the sweep-lane pool starts on a 64-byte
-// boundary. derive aligns it unconditionally, so false means the derived
+// boundary. buildLane aligns it unconditionally, so false means the derived
 // layout regressed; an empty pool counts as aligned.
 func (f *Flat) LaneAligned() bool {
 	return len(f.lane) == 0 || uintptr(unsafe.Pointer(&f.lane[0]))%64 == 0
@@ -464,8 +484,9 @@ func (f *Flat) PortalRunLengths(dst []int) []int {
 // SetMetrics attaches (or, with nil, detaches) serving metrics:
 // "oracle.query_ns" and "oracle.query_portals" observe single queries
 // (same instruments as the pointer oracle), "oracle.batch_qps" records the
-// throughput of the last QueryBatch, and "oracle.flat_bytes" is set once
-// to the encoded size of this Flat.
+// throughput of the last QueryBatch, and "oracle.flat_bytes" and
+// "oracle.resident_bytes" are set once to the encoded size and the
+// resident size (ResidentBytes) of this Flat.
 func (f *Flat) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		f.qLatency, f.qPortals, f.batchQPS = nil, nil, nil
@@ -475,6 +496,7 @@ func (f *Flat) SetMetrics(reg *obs.Registry) {
 	f.qPortals = reg.Histogram("oracle.query_portals")
 	f.batchQPS = reg.Gauge("oracle.batch_qps")
 	reg.Gauge("oracle.flat_bytes").Set(int64(f.EncodedSize()))
+	reg.Gauge("oracle.resident_bytes").Set(int64(f.ResidentBytes()))
 }
 
 // SetSlowSampler attaches (or, with nil, detaches) a slow-query exemplar
@@ -556,10 +578,11 @@ func gallopTo(keys []int32, lo, hi int, target int32) int {
 // (kA/kB are the runs' lengths in lane slots, 3 per portal; see the
 // lane layout doc on Flat) and returns best folded with the run pair's
 // candidates. Consuming element x of one side folds the single
-// candidate fl(diff_x + smin_other), which covers every legal pairing
-// of x at once — the other side's unconsumed suffix is exactly x's
-// partner set — so each step is one load-add-compare, there are no
-// running min registers, and when either side runs out the remainder
+// candidate fl(fl(Dist_x−pos_x) + smin_other), which covers every legal
+// pairing of x at once — the other side's unconsumed suffix is exactly
+// x's partner set — so each step is one subtract-add-compare on values
+// the step already loads (pos_x feeds the merge comparison too), there
+// are no running min registers, and when either side runs out the remainder
 // has no partners and the sweep simply stops: no tail pass. The advance
 // is a predicted branch on purpose: a branchless select would chain the
 // next load address through the compare and serialize the memory level
@@ -577,14 +600,14 @@ func sweepRec(recA, recB []float64, kA, kB int, best float64) float64 {
 	xa, yb := 0, 0
 	for {
 		if recA[xa] <= recB[yb] {
-			if est := recA[xa+1] + recB[yb+2]; est < best {
+			if est := recA[xa+1] - recA[xa] + recB[yb+2]; est < best {
 				best = est
 			}
 			if xa += 3; xa >= kA {
 				break
 			}
 		} else {
-			if est := recB[yb+1] + recA[xa+2]; est < best {
+			if est := recB[yb+1] - recB[yb] + recA[xa+2]; est < best {
 				best = est
 			}
 			if yb += 3; yb >= kB {

@@ -26,7 +26,7 @@ import (
 // on a section's place, width or count. Each section starts at the next
 // multiple of its widest word, and a record's words sit where the
 // matching Go type keeps its fields on a little-endian host, so DecodeFlat
-// aliases every section straight out of an 8-byte-aligned buffer.
+// reads every section in place out of an 8-byte-aligned buffer.
 //
 // Any other version byte is rejected, the distance-only version 1
 // included: rebuild such images (pathsepd -graph … -save-image).
@@ -55,8 +55,18 @@ const (
 // countAt is the header byte offset of each flatCounts element.
 var countAt = [len(flatCounts{})]int{8, 32, 40, 48, 56}
 
+// wire is an image's sections as typed records, one field per row of
+// flatSections. DecodeFlat fills it with views of the image it is
+// reading, validates them, and copies them into the Flat it returns;
+// Encode fills it from a Flat, transcribing the portal pool out of the
+// sweep lane.
+type wire struct {
+	tables
+	portals []Portal
+}
+
 // section is one row of the image layout: a run of fixed-width records
-// bound to one Flat field.
+// bound to one wire field.
 type section struct {
 	name  string
 	words []int // little-endian word widths of one record, in order
@@ -69,26 +79,26 @@ type section struct {
 	reject uint64
 	// raw exposes the field's records as bytes (Encode); alias points the
 	// field at count records of an aligned image (DecodeFlat).
-	raw   func(f *Flat) []byte
-	alias func(f *Flat, image []byte, off, count int) error
+	raw   func(w *wire) []byte
+	alias func(w *wire, image []byte, off, count int) error
 }
 
-// row builds a section bound to the Flat field that field returns. The
+// row builds a section bound to the wire field that field returns. The
 // word widths must add up to the field's element size; a mismatch is a
 // bug in the table and fails at package initialization.
-func row[T any](name string, words []int, count, extra int, reject uint64, field func(f *Flat) *[]T) section {
+func row[T any](name string, words []int, count, extra int, reject uint64, field func(w *wire) *[]T) section {
 	s := section{name: name, words: words, count: count, extra: extra, reject: reject}
 	var zero T
 	if int(unsafe.Sizeof(zero)) != s.size() {
 		panic("oracle: flat section " + name + ": word widths do not add up to the element size")
 	}
-	s.raw = func(f *Flat) []byte {
-		recs := *field(f)
+	s.raw = func(w *wire) []byte {
+		recs := *field(w)
 		b, _ := view[byte](recs, 0, len(recs)*s.size()) // a byte view is never misaligned
 		return b
 	}
-	s.alias = func(f *Flat, image []byte, off, count int) (err error) {
-		*field(f), err = view[T](image, off, count)
+	s.alias = func(w *wire, image []byte, off, count int) (err error) {
+		*field(w), err = view[T](image, off, count)
 		return err
 	}
 	return s
@@ -103,15 +113,15 @@ const (
 
 // flatSections is the image layout after the header, in order.
 var flatSections = [...]section{
-	row("keys", []int{4, 2, 2}, countKeys, 0, rejectIndex, func(f *Flat) *[]Key { return &f.keys }),
-	row("entry_off", []int{4}, countN, 1, rejectIndex, func(f *Flat) *[]int32 { return &f.entryOff }),
-	row("entry_key", []int{4}, countEntries, 0, rejectIndex, func(f *Flat) *[]int32 { return &f.entryKey }),
-	row("portal_off", []int{4}, countEntries, 1, rejectIndex, func(f *Flat) *[]int32 { return &f.portalOff }),
-	row("portals", []int{8, 8}, countPortals, 0, rejectFloat, func(f *Flat) *[]Portal { return &f.portals }),
-	row("hops", []int{4}, countPortals, 0, rejectHop, func(f *Flat) *[]int32 { return &f.hops }),
-	row("path_off", []int{4}, countKeys, 1, rejectIndex, func(f *Flat) *[]int32 { return &f.pathOff }),
-	row("path_vert", []int{4}, countPathVerts, 0, rejectIndex, func(f *Flat) *[]int32 { return &f.pathVert }),
-	row("path_pos", []int{8}, countPathVerts, 0, rejectFloat, func(f *Flat) *[]float64 { return &f.pathPos }),
+	row("keys", []int{4, 2, 2}, countKeys, 0, rejectIndex, func(w *wire) *[]Key { return &w.keys }),
+	row("entry_off", []int{4}, countN, 1, rejectIndex, func(w *wire) *[]int32 { return &w.entryOff }),
+	row("entry_key", []int{4}, countEntries, 0, rejectIndex, func(w *wire) *[]int32 { return &w.entryKey }),
+	row("portal_off", []int{4}, countEntries, 1, rejectIndex, func(w *wire) *[]int32 { return &w.portalOff }),
+	row("portals", []int{8, 8}, countPortals, 0, rejectFloat, func(w *wire) *[]Portal { return &w.portals }),
+	row("hops", []int{4}, countPortals, 0, rejectHop, func(w *wire) *[]int32 { return &w.hops }),
+	row("path_off", []int{4}, countKeys, 1, rejectIndex, func(w *wire) *[]int32 { return &w.pathOff }),
+	row("path_vert", []int{4}, countPathVerts, 0, rejectIndex, func(w *wire) *[]int32 { return &w.pathVert }),
+	row("path_pos", []int{8}, countPathVerts, 0, rejectFloat, func(w *wire) *[]float64 { return &w.pathPos }),
 }
 
 // size is the record width in bytes.
@@ -191,7 +201,7 @@ func (f *Flat) counts() flatCounts {
 		countN:         f.n,
 		countKeys:      len(f.keys),
 		countEntries:   len(f.entryKey),
-		countPortals:   len(f.portals),
+		countPortals:   f.NumPortals(),
 		countPathVerts: len(f.pathVert),
 	}
 }
@@ -203,12 +213,17 @@ func (f *Flat) EncodedSize() int {
 	return total
 }
 
-// Encode serializes the flat oracle. The output is 8-byte aligned (Go
-// allocations of this size always are), so decoding it back on a
-// little-endian host takes the zero-copy path.
+// Encode serializes the flat oracle. The portal rows are transcribed
+// from the sweep lane, which keeps every Pos and Dist bit for bit. The
+// output is 8-byte aligned (Go allocations of this size always are), so
+// DecodeFlat reads it back in place on a little-endian host.
 func (f *Flat) Encode() []byte {
 	c := f.counts()
 	spans, total := layout(&c)
+	w := wire{tables: f.tables, portals: make([]Portal, f.NumPortals())}
+	for i := range w.portals {
+		w.portals[i] = Portal{Pos: f.lane[3*i], Dist: f.lane[3*i+1]}
+	}
 	buf := make([]byte, total)
 	buf[0], buf[1] = flatMagic, flatVersion2
 	le := binary.LittleEndian
@@ -219,7 +234,7 @@ func (f *Flat) Encode() []byte {
 	}
 	for i := range flatSections {
 		s, sp := &flatSections[i], spans[i]
-		copy(buf[sp.off:sp.end], s.raw(f))
+		copy(buf[sp.off:sp.end], s.raw(&w))
 		if !hostLittleEndian {
 			swapWords(buf[sp.off:sp.end], s.words)
 		}
@@ -227,18 +242,18 @@ func (f *Flat) Encode() []byte {
 	return buf
 }
 
-// DecodeFlat parses a flat oracle produced by Encode. On a little-endian
-// host with an 8-byte-aligned buffer the returned Flat aliases buf
-// directly — no per-label rebuilding, no slice-of-slices allocation —
-// so an oracle can serve straight from a mapped or fully read file; the
-// only per-decode work is validation and the linear passes deriving the
-// sweep lanes and walk layout (see Flat.derive). The caller must not
-// mutate buf afterwards. Misaligned buffers and big-endian hosts decode
-// from one private aligned copy instead; the result is identical.
+// DecodeFlat parses a flat oracle produced by Encode into a Flat that
+// owns all of its memory: buf is not retained, so the caller may reuse
+// or overwrite it as soon as DecodeFlat returns. The sections are read
+// in place as typed views of buf and validated element by element; the
+// Flat then copies the CSR tables and hop links, builds the sweep lane
+// from the portal rows (the lane is the only resident copy of the
+// pool), and derives the walk layout after the views are dead (see
+// Flat.derive). Misaligned buffers and big-endian hosts first take one
+// aligned, host-order copy of the image, read the same way; the result
+// is identical.
 //
-// Every section is validated element by element before the Flat is
-// returned, so a malformed buffer yields an error, never a panicking
-// query.
+// A malformed buffer yields an error, never a panicking query.
 func DecodeFlat(buf []byte) (*Flat, error) {
 	if len(buf) < 2 || buf[0] != flatMagic {
 		return nil, fmt.Errorf("oracle: flat: bad magic or truncated header")
@@ -267,24 +282,27 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if !hostLittleEndian || uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
 		buf = alignedCopy(buf, &spans)
 	}
-	f := &Flat{n: c[countN], eps: eps, mode: mode, buf: buf}
+	var w wire
 	for i := range flatSections {
 		s := &flatSections[i]
-		if err := s.alias(f, buf, spans[i].off, s.records(&c)); err != nil {
+		if err := s.alias(&w, buf, spans[i].off, s.records(&c)); err != nil {
 			return nil, fmt.Errorf("oracle: flat: section %s: %w", s.name, err)
 		}
 	}
-	if err := f.validate(); err != nil {
+	if err := w.validate(c[countN]); err != nil {
 		return nil, err
+	}
+	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone()}
+	if err := f.buildLane(w.portals); err != nil {
+		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
 	f.derive()
 	return f, nil
 }
 
-// alignedCopy is DecodeFlat's one copying path: it copies the image into
-// fresh 8-byte-aligned memory and, on a big-endian host, swaps every
-// section's words into host order, so the copy aliases like any aligned
-// little-endian image.
+// alignedCopy is how misaligned or big-endian input reaches DecodeFlat's
+// views: it copies the image into fresh 8-byte-aligned memory and, on a
+// big-endian host, swaps every section's words into host order.
 func alignedCopy(image []byte, spans *[len(flatSections)]span) []byte {
 	words := make([]uint64, (len(image)+7)/8)
 	own, _ := view[byte](words, 0, len(image)) // a byte view is never misaligned
@@ -298,75 +316,74 @@ func alignedCopy(image []byte, spans *[len(flatSections)]span) []byte {
 }
 
 // validate bounds-checks every CSR offset so the hot path can index
-// without guards.
-func (f *Flat) validate() error {
-	if f.entryOff[0] != 0 || int(f.entryOff[f.n]) != len(f.entryKey) {
+// without guards, and checks the entry-key order the merge-join relies
+// on: strictly increasing within each vertex. The portal rows are
+// checked where the lane is built from them (buildLane).
+func (w *wire) validate(n int) error {
+	if w.entryOff[0] != 0 || int(w.entryOff[n]) != len(w.entryKey) {
 		return fmt.Errorf("oracle: flat: entry offsets do not span the entry table")
 	}
-	for v := 0; v < f.n; v++ {
-		if f.entryOff[v] > f.entryOff[v+1] {
+	for v := 0; v < n; v++ {
+		if w.entryOff[v] > w.entryOff[v+1] {
 			return fmt.Errorf("oracle: flat: entry offsets decrease at vertex %d", v)
 		}
 	}
-	if f.portalOff[0] != 0 || int(f.portalOff[len(f.portalOff)-1]) != len(f.portals) {
+	if w.portalOff[0] != 0 || int(w.portalOff[len(w.portalOff)-1]) != len(w.portals) {
 		return fmt.Errorf("oracle: flat: portal offsets do not span the pool")
 	}
-	for e := 0; e < len(f.entryKey); e++ {
-		if f.portalOff[e] > f.portalOff[e+1] {
-			return fmt.Errorf("oracle: flat: portal offsets decrease at entry %d", e)
-		}
-		if int(f.entryKey[e]) < 0 || int(f.entryKey[e]) >= len(f.keys) {
-			return fmt.Errorf("oracle: flat: entry %d references unknown key %d", e, f.entryKey[e])
+	for v := 0; v < n; v++ {
+		for e := w.entryOff[v]; e < w.entryOff[v+1]; e++ {
+			if w.portalOff[e] > w.portalOff[e+1] {
+				return fmt.Errorf("oracle: flat: portal offsets decrease at entry %d", e)
+			}
+			if int(w.entryKey[e]) < 0 || int(w.entryKey[e]) >= len(w.keys) {
+				return fmt.Errorf("oracle: flat: entry %d references unknown key %d", e, w.entryKey[e])
+			}
+			if e > w.entryOff[v] && w.entryKey[e-1] >= w.entryKey[e] {
+				return fmt.Errorf("oracle: flat: entry keys of vertex %d not strictly increasing at entry %d", v, e)
+			}
 		}
 	}
 	// Element-level checks on the record sections, not just the CSR
 	// offsets that index them: an interned key must name a vertex of this
-	// graph, and portal records must be NaN-free — a NaN Pos or Dist
-	// would poison every min-fold the sweep lanes compute from them.
-	// +Inf stays legal: it is the unreachable sentinel some constructions
-	// store in Dist.
-	for i := range f.keys {
-		if int(f.keys[i].Node) < 0 || int(f.keys[i].Node) >= f.n {
-			return fmt.Errorf("oracle: flat: key %d names out-of-range vertex %d", i, f.keys[i].Node)
+	// graph.
+	for i := range w.keys {
+		if int(w.keys[i].Node) < 0 || int(w.keys[i].Node) >= n {
+			return fmt.Errorf("oracle: flat: key %d names out-of-range vertex %d", i, w.keys[i].Node)
 		}
 	}
-	for i := range f.portals {
-		if math.IsNaN(f.portals[i].Pos) || math.IsNaN(f.portals[i].Dist) {
-			return fmt.Errorf("oracle: flat: portal record %d contains NaN", i)
-		}
-	}
-	return f.validatePaths()
+	return w.validatePaths(n)
 }
 
-// validatePaths bounds-checks the v2 sections: hop links stay inside the
-// portal pool, the path geometry spans its CSR table, vertices are in
-// range, and positions are NaN-free and non-decreasing per path. The
+// validatePaths bounds-checks the path sections: hop links stay inside
+// the portal pool, the path geometry spans its CSR table, vertices are
+// in range, and positions are NaN-free and non-decreasing per path. The
 // walk itself still guards against semantic corruption (cycles, chains
 // landing off their path) with static errors — validation here is what
 // lets it index without bounds checks.
-func (f *Flat) validatePaths() error {
-	for i, h := range f.hops {
-		if h < -1 || int(h) >= len(f.portals) {
+func (w *wire) validatePaths(n int) error {
+	for i, h := range w.hops {
+		if h < -1 || int(h) >= len(w.portals) {
 			return fmt.Errorf("oracle: flat: hop %d links to out-of-range record %d", i, h)
 		}
 	}
-	if f.pathOff[0] != 0 || int(f.pathOff[len(f.pathOff)-1]) != len(f.pathVert) {
+	if w.pathOff[0] != 0 || int(w.pathOff[len(w.pathOff)-1]) != len(w.pathVert) {
 		return fmt.Errorf("oracle: flat: path offsets do not span the geometry")
 	}
 	// Check the whole offset table before indexing through it: a later
 	// decrease can push an earlier span past the geometry arrays.
-	for k := 0; k+1 < len(f.pathOff); k++ {
-		if f.pathOff[k] > f.pathOff[k+1] {
+	for k := 0; k+1 < len(w.pathOff); k++ {
+		if w.pathOff[k] > w.pathOff[k+1] {
 			return fmt.Errorf("oracle: flat: path offsets decrease at key %d", k)
 		}
 	}
-	for k := 0; k+1 < len(f.pathOff); k++ {
+	for k := 0; k+1 < len(w.pathOff); k++ {
 		prev := math.Inf(-1)
-		for x := f.pathOff[k]; x < f.pathOff[k+1]; x++ {
-			if int(f.pathVert[x]) < 0 || int(f.pathVert[x]) >= f.n {
-				return fmt.Errorf("oracle: flat: path vertex %d out of range", f.pathVert[x])
+		for x := w.pathOff[k]; x < w.pathOff[k+1]; x++ {
+			if int(w.pathVert[x]) < 0 || int(w.pathVert[x]) >= n {
+				return fmt.Errorf("oracle: flat: path vertex %d out of range", w.pathVert[x])
 			}
-			p := f.pathPos[x]
+			p := w.pathPos[x]
 			if math.IsNaN(p) || p < prev {
 				return fmt.Errorf("oracle: flat: path positions not sorted at key %d", k)
 			}

@@ -3,10 +3,13 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"pathsep/internal/core"
+	"pathsep/internal/embed"
 	"pathsep/internal/graph"
 	"pathsep/internal/obs"
 )
@@ -34,7 +37,10 @@ func buildSeeded(tb testing.TB, seed int64, n int, mode Mode) (*graph.Graph, *Or
 }
 
 // TestFreezeRoundTrip pins the flat accessors and the exact Encode /
-// DecodeFlat round trip against the source oracle's accounting.
+// DecodeFlat round trip against the source oracle's accounting, and the
+// decode's no-retention contract: once DecodeFlat returns, the image
+// buffer is the caller's again, so overwriting it must not change a
+// single Query or QueryPath answer.
 func TestFreezeRoundTrip(t *testing.T) {
 	_, o := buildSeeded(t, 4, 60, CoverExact)
 	fl, err := o.Freeze()
@@ -62,15 +68,75 @@ func TestFreezeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hostLittleEndian && &dec.buf[0] != &enc[0] {
-		t.Fatal("aligned little-endian image was copied, not aliased")
+	for i := range enc {
+		enc[i] = 0xFF
 	}
+	var want, got []int32
 	for u := 0; u < o.N; u++ {
 		for v := 0; v < o.N; v++ {
 			if math.Float64bits(dec.Query(u, v)) != math.Float64bits(o.Query(u, v)) {
 				t.Fatalf("decoded Query(%d,%d) = %v, oracle %v", u, v, dec.Query(u, v), o.Query(u, v))
 			}
+			dw, w, errW := fl.QueryPath(u, v, want)
+			dg, g, errG := dec.QueryPath(u, v, got)
+			if errW != nil || errG != nil || math.Float64bits(dw) != math.Float64bits(dg) || !slices.Equal(w, g) {
+				t.Fatalf("decoded QueryPath(%d,%d) = %v %v (%v), frozen %v %v (%v)", u, v, dg, g, errG, dw, w, errW)
+			}
+			want, got = w, g
 		}
+	}
+}
+
+// gridFlat freezes the bench-shaped build: a side×side grid with uniform
+// [1,4) weights from seed 1, ε = 0.25, serial workers.
+func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
+	tb.Helper()
+	rot := embed.Grid(side, side, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
+	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	o, err := Build(dec, Options{Epsilon: 0.25, Mode: mode, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fl, err := o.Freeze()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fl
+}
+
+// TestFlatMemoryBudget pins the serving footprint per portal on the
+// 32×32 bench-shaped CoverPortal image. A decoded Flat keeps a 24 B lane
+// record, a 4 B hop link, a 16 B walk entry and ~6 B of walk blocks per
+// portal plus the small CSR tables, so ResidentBytes must stay within
+// 56 B/portal; the decode allocates that plus the walk derivation's
+// scratch, within 90 B/portal. Retaining the image buffer (21 B/portal
+// here) or a second copy of the pool breaks the first budget; doubling
+// the derivation scratch breaks the second.
+func TestFlatMemoryBudget(t *testing.T) {
+	fl := gridFlat(t, 32, CoverPortal)
+	p := fl.NumPortals()
+	if p != 67878 {
+		t.Fatalf("fixture has %d portals, want 67878", p)
+	}
+	enc := fl.Encode()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dec, err := DecodeFlat(enc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := float64(dec.ResidentBytes()) / float64(p)
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(p)
+	t.Logf("resident %.1f B/portal, decode allocates %.1f B/portal", resident, alloc)
+	if resident > 56 {
+		t.Errorf("ResidentBytes = %.1f B/portal, budget 56", resident)
+	}
+	if alloc > 90 {
+		t.Errorf("DecodeFlat allocates %.1f B/portal, budget 90", alloc)
 	}
 }
 

@@ -99,8 +99,8 @@ func TestSweepLayoutDifferential(t *testing.T) {
 			n := fx.g.N()
 
 			// Field-level: each entry's lane run transcribes its Portal
-			// run, and the suffix-min lane is the backward fold of the
-			// sum lane under strict <.
+			// run's Pos and Dist bits, and the suffix-min lane is the
+			// backward fold of fl(Dist+Pos) under strict <.
 			ei := 0
 			for u := 0; u < n; u++ {
 				for _, e := range o.Labels[u].Entries {
@@ -121,11 +121,10 @@ func TestSweepLayoutDifferential(t *testing.T) {
 						}
 						rec := f.lane[3*(lo+x) : 3*(lo+x)+3]
 						if rec[0] != p.Pos ||
-							math.Float64bits(rec[1]) != math.Float64bits(p.Dist-p.Pos) ||
-							math.Float64bits(rec[2]) != math.Float64bits(sm) ||
-							math.Float64bits(f.laneSum[lo+x]) != math.Float64bits(p.Dist+p.Pos) {
-							t.Fatalf("%s/%s: entry %d record %d = (%v,%v,%v|%v), portal (%v,%v) suffix-min %v",
-								fam, m.name, ei, x, rec[0], rec[1], rec[2], f.laneSum[lo+x], p.Pos, p.Dist, sm)
+							math.Float64bits(rec[1]) != math.Float64bits(p.Dist) ||
+							math.Float64bits(rec[2]) != math.Float64bits(sm) {
+							t.Fatalf("%s/%s: entry %d record %d = (%v,%v,%v), portal (%v,%v) suffix-min %v",
+								fam, m.name, ei, x, rec[0], rec[1], rec[2], p.Pos, p.Dist, sm)
 						}
 					}
 					ei++

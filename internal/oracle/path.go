@@ -316,15 +316,16 @@ func (f *Flat) sweepMatchesArg(mA, mB []int32, best float64, winI, winJ int) (fl
 // minimum: the pool indices of the first candidate in the pointer
 // sweep's classic merge order achieving target — the same candidate
 // pairMinArg's strict-< updates pick. It replays that merge over the
-// winning pair's lanes (positions and diffs from the records,
-// fl(Dist+Pos) from laneSum), checking each candidate against target's
-// bits and returning at the first hit: target IS this pair's minimum,
-// so the first candidate equal to it is exactly the strict-< fold's
-// argmin. Float add is commutative, so fl(sum + diff) here carries the
-// same bits as the suffix-min fold's fl(diff + sum) — the two sweeps
-// agree on every candidate's value, only the fold grouping differs.
+// winning pair's lane records, rounding fl(Dist+Pos) and fl(Dist−Pos)
+// from each record's raw Pos and Dist exactly as pairMinArg does,
+// checking each candidate against target's bits and returning at the
+// first hit: target IS this pair's minimum, so the first candidate equal
+// to it is exactly the strict-< fold's argmin. Float add is commutative,
+// so fl(sum + diff) here carries the same bits as the suffix-min fold's
+// fl(diff + sum) — the two sweeps agree on every candidate's value, only
+// the fold grouping differs.
 func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
-	po, ln, ls := f.portalOff, f.lane, f.laneSum
+	po, ln := f.portalOff, f.lane
 	tbits := math.Float64bits(target)
 	ia0, ka := int(po[e1]), int(po[e1+1]-po[e1])
 	ib0, kb := int(po[e2]), int(po[e2+1]-po[e2])
@@ -356,8 +357,6 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 	}
 	recA := ln[3*ia0 : 3*ia0+3*ka]
 	recB := ln[3*ib0 : 3*ib0+3*kb]
-	sumA := ls[ia0 : ia0+ka]
-	sumB := ls[ib0 : ib0+kb]
 	minA, minB := math.Inf(1), math.Inf(1)
 	minAi, minBi := -1, -1
 	a, b := 0, 0
@@ -365,19 +364,19 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 		if b >= kb || (a < ka && recA[3*a] <= recB[3*b]) {
 			// A finite target never matches sum + Inf, so a hit implies
 			// minBi (resp. minAi below) is a real index.
-			if math.Float64bits(sumA[a]+minB) == tbits {
+			if math.Float64bits(recA[3*a+1]+recA[3*a]+minB) == tbits {
 				return int32(ia0 + a), int32(ib0 + minBi)
 			}
-			if v := recA[3*a+1]; v < minA {
+			if v := recA[3*a+1] - recA[3*a]; v < minA {
 				minA = v
 				minAi = a
 			}
 			a++
 		} else {
-			if math.Float64bits(sumB[b]+minA) == tbits {
+			if math.Float64bits(recB[3*b+1]+recB[3*b]+minA) == tbits {
 				return int32(ia0 + minAi), int32(ib0 + b)
 			}
-			if v := recB[3*b+1]; v < minB {
+			if v := recB[3*b+1] - recB[3*b]; v < minB {
 				minB = v
 				minBi = b
 			}
@@ -536,10 +535,9 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 		return -1
 	}
 	plo, phi := int(f.portalOff[e]), int(f.portalOff[e+1])
-	ps := f.portals[plo:phi]
-	x := sort.Search(len(ps), func(i int) bool { return ps[i].Pos >= pos })
-	if x < len(ps) && core.SameDist(ps[x].Pos, pos) {
-		return int32(plo + x)
+	x := plo + sort.Search(phi-plo, func(i int) bool { return f.lane[3*(plo+i)] >= pos })
+	if x < phi && core.SameDist(f.lane[3*x], pos) {
+		return int32(x)
 	}
 	return -1
 }
@@ -571,7 +569,7 @@ func (f *Flat) freezePaths(o *Oracle) error {
 		pathPos = append(pathPos, o.paths[i].pos...)
 		pathOff[i+1] = int32(len(pathVert))
 	}
-	hops := make([]int32, len(f.portals))
+	hops := make([]int32, f.NumPortals())
 	ei, pi := 0, 0
 	for v := range o.Labels {
 		for _, e := range o.Labels[v].Entries {

@@ -30,6 +30,66 @@ func decodeBoth(img []byte) (zero, copied *Flat, errZero, errCopied error) {
 	return zero, copied, errZero, errCopied
 }
 
+// TestDecodeFlatRejectsOutOfOrder pins the two orderings the query path
+// relies on without checking: entry keys strictly increasing within a
+// vertex (the merge-join) and portal positions non-decreasing within an
+// entry (the merged sweep and its suffix-min). On the 12×12 CoverPortal
+// image with uniform [1,4) weights, swapping two of vertex 5's entry
+// keys, or the first and last records of vertex 0's first run of at
+// least four portals, used to decode cleanly and change most of the
+// vertex's distances. Both decode paths must refuse both mutations.
+func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
+	fl := gridFlat(t, 12, CoverPortal)
+	enc := fl.Encode()
+	c := fl.counts()
+	spans, _ := layout(&c)
+	at := func(name string) int {
+		for i := range flatSections {
+			if flatSections[i].name == name {
+				return spans[i].off
+			}
+		}
+		t.Fatalf("no section %s", name)
+		return 0
+	}
+	swap := func(img []byte, i, j, width int) {
+		for b := 0; b < width; b++ {
+			img[i+b], img[j+b] = img[j+b], img[i+b]
+		}
+	}
+
+	keys := append([]byte(nil), enc...)
+	e := int(fl.entryOff[5])
+	if fl.entryOff[6]-fl.entryOff[5] < 2 {
+		t.Fatal("vertex 5 has fewer than two entries in the fixture")
+	}
+	ek := at("entry_key")
+	swap(keys, ek+4*e, ek+4*(e+1), 4)
+
+	portals := append([]byte(nil), enc...)
+	run := -1
+	for e := fl.entryOff[0]; e < fl.entryOff[1]; e++ {
+		if lo, hi := fl.portalOff[e], fl.portalOff[e+1]; hi-lo >= 4 && fl.lane[3*lo] < fl.lane[3*(hi-1)] {
+			run = int(e)
+			break
+		}
+	}
+	if run < 0 {
+		t.Fatal("vertex 0 has no run of four or more portals in the fixture")
+	}
+	pp := at("portals")
+	swap(portals, pp+16*int(fl.portalOff[run]), pp+16*int(fl.portalOff[run+1]-1), 16)
+
+	for _, m := range []struct {
+		name string
+		img  []byte
+	}{{"entry keys", keys}, {"portal positions", portals}} {
+		if _, _, errZero, errCopied := decodeBoth(m.img); errZero == nil || errCopied == nil {
+			t.Errorf("%s out of order accepted (aligned err=%v, copying err=%v)", m.name, errZero, errCopied)
+		}
+	}
+}
+
 // putWord writes v as one little-endian word of w bytes.
 func putWord(b []byte, w int, v uint64) {
 	for i := 0; i < w; i++ {

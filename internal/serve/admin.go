@@ -26,14 +26,13 @@ type ImageStatus struct {
 	NumEntries int     `json:"num_entries"`
 	NumPortals int     `json:"num_portals"`
 	Bytes      int     `json:"bytes"`
-	// PortalPoolBytes is the wire-format portal pool (16 B AoS records);
-	// SweepLaneBytes is the derived query-time lane pool the merge sweep
-	// actually walks, and LaneAligned reports whether that pool starts on
-	// a 64-byte cache-line boundary (the layout Freeze/DecodeFlat aim
-	// for; false only under exotic allocator behavior).
-	PortalPoolBytes int  `json:"portal_pool_bytes"`
-	SweepLaneBytes  int  `json:"sweep_lane_bytes"`
-	LaneAligned     bool `json:"lane_aligned"`
+	// ResidentBytes is the memory the image holds for serving
+	// (Flat.ResidentBytes: its tables, sweep lane and walk layout), and
+	// LaneAligned reports whether the sweep lane starts on a 64-byte
+	// cache-line boundary (the layout Freeze/DecodeFlat aim for; false
+	// only under exotic allocator behavior).
+	ResidentBytes int  `json:"resident_bytes"`
+	LaneAligned   bool `json:"lane_aligned"`
 }
 
 // ServingStatus is the live request-side accounting.
@@ -90,21 +89,20 @@ func (s *Server) status() Status {
 		Goroutines: runtime.NumGoroutine(),
 		UptimeSec:  time.Since(s.started).Seconds(),
 		Image: ImageStatus{
-			Source:          im.source,
-			Generation:      im.gen,
-			LoadedAt:        im.loadedAt.UTC().Format(time.RFC3339Nano),
-			LoadNs:          im.loadNs,
-			Readers:         im.readers.Load() - 1, // exclude status's own lease
-			N:               im.flat.N(),
-			Eps:             im.flat.Eps(),
-			Mode:            im.flat.Mode().String(),
-			NumKeys:         im.flat.NumKeys(),
-			NumEntries:      im.flat.NumEntries(),
-			NumPortals:      im.flat.NumPortals(),
-			Bytes:           im.bytes,
-			PortalPoolBytes: 16 * im.flat.NumPortals(),
-			SweepLaneBytes:  im.flat.LaneBytes(),
-			LaneAligned:     im.flat.LaneAligned(),
+			Source:        im.source,
+			Generation:    im.gen,
+			LoadedAt:      im.loadedAt.UTC().Format(time.RFC3339Nano),
+			LoadNs:        im.loadNs,
+			Readers:       im.readers.Load() - 1, // exclude status's own lease
+			N:             im.flat.N(),
+			Eps:           im.flat.Eps(),
+			Mode:          im.flat.Mode().String(),
+			NumKeys:       im.flat.NumKeys(),
+			NumEntries:    im.flat.NumEntries(),
+			NumPortals:    im.flat.NumPortals(),
+			Bytes:         im.bytes,
+			ResidentBytes: im.flat.ResidentBytes(),
+			LaneAligned:   im.flat.LaneAligned(),
 		},
 		Serving: ServingStatus{
 			Inflight:     s.inflight.Load(),

@@ -243,9 +243,9 @@ func TestAdminStatus(t *testing.T) {
 	if st.Image.N != fl.N() || st.Image.Bytes != fl.EncodedSize() || st.Image.Mode != "portal" {
 		t.Fatalf("image metadata wrong: %+v", st.Image)
 	}
-	if st.Image.PortalPoolBytes != 16*fl.NumPortals() || st.Image.SweepLaneBytes != fl.LaneBytes() {
-		t.Fatalf("pool sizing wrong: %+v (want portal pool %d, lanes %d)",
-			st.Image, 16*fl.NumPortals(), fl.LaneBytes())
+	if st.Image.ResidentBytes != fl.ResidentBytes() || st.Image.ResidentBytes < 24*fl.NumPortals() {
+		t.Fatalf("resident_bytes = %d, image says %d (its %d portals alone hold %d B of lane)",
+			st.Image.ResidentBytes, fl.ResidentBytes(), fl.NumPortals(), 24*fl.NumPortals())
 	}
 	if st.Image.LaneAligned != fl.LaneAligned() {
 		t.Fatalf("lane_aligned = %v, image says %v", st.Image.LaneAligned, fl.LaneAligned())
@@ -292,6 +292,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pathsep_oracle_query_portals_count 1\n",
 		"# TYPE pathsep_go_goroutines gauge\n",
 		"pathsep_oracle_flat_bytes ",
+		"# HELP pathsep_oracle_resident_bytes Memory the attached flat oracle image holds for serving in bytes.\n",
+		"# TYPE pathsep_oracle_resident_bytes gauge\n",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("scrape missing %q", want)

@@ -96,8 +96,9 @@ type ReloadResult struct {
 }
 
 // ReloadImage decodes, validates and publishes a new flat image without
-// stopping service. data must be an owned buffer: DecodeFlat aliases it
-// zero-copy on aligned hosts, so the caller may not reuse or pool it.
+// stopping service. The decoded image owns its memory and keeps nothing
+// of data, so the caller may reuse or pool the buffer once ReloadImage
+// returns.
 //
 // The swap sequence is: decode and fully validate off to the side (a
 // corrupt image never becomes current — the old image keeps serving),
@@ -172,8 +173,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// ReadAll gives an owned buffer: the zero-copy decode aliases it, so
-	// it must never come from (or return to) a pool.
+	// The decode copies what it keeps, so the body buffer is garbage as
+	// soon as ReloadImage returns.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxImage)))
 	if err != nil {
 		s.fail(w, http.StatusRequestEntityTooLarge,

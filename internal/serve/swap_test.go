@@ -280,8 +280,7 @@ func TestSwapHammer(t *testing.T) {
 		}()
 	}
 
-	// Alternate the serving image under the load. Each body is freshly
-	// copied by the server's ReadAll, so zero-copy aliasing is safe.
+	// Alternate the serving image under the load.
 	const swaps = 40
 	for i := 0; i < swaps; i++ {
 		img := encA

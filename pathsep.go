@@ -129,8 +129,8 @@ type Oracle = oracle.Oracle
 type Label = oracle.Label
 
 // FlatOracle is the compiled read-only serving form of an Oracle: a
-// struct-of-arrays layout with one contiguous portal pool, CSR entry
-// offsets and interned separator-path keys. Build one with
+// struct-of-arrays layout with one contiguous portal pool (kept as the
+// sweep lane), CSR entry offsets and interned separator-path keys. Build one with
 // Oracle.Freeze(); queries are goroutine-safe, allocation-free and
 // bit-identical to the pointer form. FlatOracle.QueryBatch answers a
 // slice of pairs into a caller-owned buffer, fanning out over the worker
@@ -276,10 +276,9 @@ func NewOracle(d *Decomposition, opt OracleOptions) (*Oracle, error) {
 // (the distributed distance-labeling scheme of Theorem 2).
 func QueryLabels(a, b *Label) float64 { return oracle.QueryLabels(a, b) }
 
-// DecodeFlatOracle parses a flat oracle produced by FlatOracle.Encode. On
-// little-endian hosts with an 8-byte-aligned buffer the result serves
-// straight from buf without rebuilding any per-label structure (zero
-// copy); the caller must not mutate buf afterwards.
+// DecodeFlatOracle parses a flat oracle produced by FlatOracle.Encode into
+// a FlatOracle that owns its memory: buf is validated in place and not
+// retained, so the caller may reuse it as soon as the call returns.
 func DecodeFlatOracle(buf []byte) (*FlatOracle, error) { return oracle.DecodeFlat(buf) }
 
 // RouterOptions configures NewRouter.
