@@ -215,12 +215,12 @@ func Decompose(g *graph.Graph, opt Options) (*Tree, error) {
 			return out
 		}
 		for _, comp := range graph.ComponentsAfterRemoval(j, locals) {
-			childSub := graph.Induced(j, comp)
 			// Compose origin maps so children map straight to root IDs.
-			for i, lv := range childSub.Orig {
-				childSub.Orig[i] = it.sub.Orig[lv]
+			rootIDs := make([]int, len(comp))
+			for i, lv := range comp {
+				rootIDs[i] = it.sub.Orig[lv]
 			}
-			lifted := graph.Induced(g, childSub.Orig)
+			lifted := graph.Induced(g, rootIDs)
 			var childRot *embed.Rotation
 			if it.rot != nil {
 				childRot = it.rot.Restrict(graph.Induced(j, comp))

@@ -182,15 +182,16 @@ func (r *Rotation) Validate() error {
 // vertex keeps its cyclic order filtered to surviving neighbors. The
 // result embeds every component of the subgraph in the plane.
 func (r *Rotation) Restrict(sub *graph.Sub) *Rotation {
-	inSub := make(map[int]int, len(sub.Orig))
+	// inSub[v] is the sub ID of r's vertex v plus one, 0 when v is not in sub.
+	inSub := make([]int32, r.G.N())
 	for sv, ov := range sub.Orig {
-		inSub[ov] = sv
+		inSub[ov] = int32(sv) + 1
 	}
 	order := make([][]int, len(sub.Orig))
 	for sv, ov := range sub.Orig {
 		for _, w := range r.Order[ov] {
-			if sw, ok := inSub[w]; ok {
-				order[sv] = append(order[sv], sw)
+			if sw := inSub[w]; sw != 0 {
+				order[sv] = append(order[sv], int(sw)-1)
 			}
 		}
 	}

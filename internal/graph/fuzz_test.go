@@ -77,3 +77,44 @@ func FuzzGraphIO(f *testing.F) {
 		}
 	})
 }
+
+// fuzzVertex maps a fuzzer byte to a vertex ID in [-2, n+1], so vertex
+// lists mix valid IDs with negative and out-of-range ones.
+func fuzzVertex(b byte, n int) int { return int(b)%(n+4) - 2 }
+
+// FuzzInduced checks Induced against the NewBuilder reference on graphs
+// with parallel edges. edges holds (u, v, weight) byte triples added
+// through a zero-value Builder over n = 1 + edges[0]%24 vertices; verts
+// holds the input vertex list, one byte per vertex.
+func FuzzInduced(f *testing.F) {
+	for _, c := range inducedCases {
+		edges := []byte{byte(c.n - 1)}
+		for _, e := range c.edges {
+			edges = append(edges, byte(e[0]), byte(e[1]), byte(e[2]))
+		}
+		verts := make([]byte, len(c.verts))
+		for i, v := range c.verts {
+			verts[i] = byte(min(max(v+2, 0), c.n+3)) // fuzzVertex inverts this
+		}
+		f.Add(edges, verts)
+	}
+	f.Fuzz(func(t *testing.T, edges, verts []byte) {
+		if len(edges) == 0 || len(edges) > 3<<10 || len(verts) > 1<<10 {
+			return
+		}
+		n := 1 + int(edges[0])%24
+		var b Builder
+		b.EnsureVertex(n - 1)
+		for i := 1; i+2 < len(edges); i += 3 {
+			b.AddEdge(int(edges[i])%n, int(edges[i+1])%n, float64(edges[i+2])/8)
+		}
+		g := b.Build()
+		vs := make([]int, len(verts))
+		for i, x := range verts {
+			vs[i] = fuzzVertex(x, n)
+		}
+		if d := subDiff(Induced(g, vs), inducedRef(g, vs)); d != "" {
+			t.Fatalf("n=%d m=%d vertices %v: %s", n, g.M(), vs, d)
+		}
+	})
+}

@@ -136,21 +136,21 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d}", g.N(), g.M())
 }
 
-// Builder accumulates edges and produces an immutable Graph.
-// The zero value is ready to use; vertices are created on demand.
+// Builder accumulates edges and produces an immutable Graph. Vertices are
+// created on demand. The zero value is ready to use and keeps parallel
+// edges; NewBuilder drops them, keeping the first weight.
 type Builder struct {
-	n     int
-	us    []int
-	vs    []int
-	ws    []float64
-	seen  map[[2]int]int // edge -> index into us/vs/ws, for dedup
-	dedup bool
+	n    int
+	us   []int
+	vs   []int
+	ws   []float64
+	seen map[[2]int]int // edge -> index into us/vs/ws; nil keeps parallel edges
 }
 
 // NewBuilder returns a Builder pre-sized for n vertices that silently
 // deduplicates repeated edges (keeping the first weight).
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, seen: make(map[[2]int]int), dedup: true}
+	return &Builder{n: n, seen: make(map[[2]int]int)}
 }
 
 // EnsureVertex grows the vertex set to include v.
@@ -162,7 +162,7 @@ func (b *Builder) EnsureVertex(v int) {
 
 // AddEdge records the undirected edge {u,v} with weight w. Self-loops are
 // ignored. Negative weights are clamped to 0. Duplicate edges keep the
-// first weight when the builder deduplicates (the default for NewBuilder).
+// first weight when the builder deduplicates (one made by NewBuilder).
 func (b *Builder) AddEdge(u, v int, w float64) {
 	if u == v {
 		return

@@ -14,28 +14,79 @@ func (s *Sub) ToParent(v int) int { return s.Orig[v] }
 // Induced returns the subgraph of g induced by the given vertices, with the
 // origin map. Duplicate and out-of-range vertices are ignored. Vertex order
 // in the Sub follows the input order of the first occurrence.
+//
+// The result is exactly what feeding the edges to a NewBuilder would give:
+// edges are taken by lower Sub endpoint, then in g's adjacency order; a
+// parallel edge keeps its first weight; and every adjacency list is in
+// edge order. Dijkstra tie-breaking and the decomposition depend on that
+// order. Weights are copied unchanged, since every Graph's weights were
+// already clamped by a Builder. No map is involved: a dense index over the
+// span of the input IDs finds Sub IDs, a per-vertex stamp drops parallel
+// edges, and one backing array holds all adjacency lists.
 func Induced(g *Graph, vertices []int) *Sub {
-	toSub := make(map[int]int, len(vertices))
-	orig := make([]int, 0, len(vertices))
+	lo, hi := g.N(), -1
 	for _, v := range vertices {
-		if v < 0 || v >= g.N() {
+		if v >= 0 && v < g.N() {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	orig := make([]int, 0, len(vertices))
+	if hi < 0 {
+		return &Sub{G: New(0), Orig: orig}
+	}
+	// idx[v-lo] is the Sub ID of v plus one, or 0 when v is not in the Sub.
+	// Sizing it to the span rather than g.N() keeps a small vertex set of a
+	// large graph cheap.
+	idx := make([]int32, hi-lo+1)
+	sumDeg := 0
+	for _, v := range vertices {
+		if v < 0 || v >= g.N() || idx[v-lo] != 0 {
 			continue
 		}
-		if _, ok := toSub[v]; ok {
-			continue
-		}
-		toSub[v] = len(orig)
 		orig = append(orig, v)
+		idx[v-lo] = int32(len(orig))
+		sumDeg += len(g.adj[v])
 	}
-	b := NewBuilder(len(orig))
+
+	// Every edge {sv, sw} with sw > sv is met while scanning sv, so
+	// stamping sw with sv+1 catches every later parallel copy of it.
+	type edge struct {
+		u, v int32
+		w    float64
+	}
+	n := len(orig)
+	edges := make([]edge, 0, sumDeg/2)
+	deg := make([]int32, n)
+	stamp := make([]int32, n)
 	for sv, ov := range orig {
-		for _, h := range g.Neighbors(ov) {
-			if sw, ok := toSub[h.To]; ok && sw > sv {
-				b.AddEdge(sv, sw, h.W)
+		for _, h := range g.adj[ov] {
+			x := h.To - lo
+			if x < 0 || x >= len(idx) {
+				continue
 			}
+			sw := idx[x] - 1
+			if int(sw) <= sv || stamp[sw] == int32(sv)+1 {
+				continue
+			}
+			stamp[sw] = int32(sv) + 1
+			edges = append(edges, edge{int32(sv), sw, h.W})
+			deg[sv]++
+			deg[sw]++
 		}
 	}
-	return &Sub{G: b.Build(), Orig: orig}
+
+	halves := make([]Half, 2*len(edges))
+	adj := make([][]Half, n)
+	off := 0
+	for v, d := range deg {
+		adj[v] = halves[off : off : off+int(d)]
+		off += int(d)
+	}
+	for _, e := range edges {
+		adj[e.u] = append(adj[e.u], Half{To: int(e.v), W: e.w})
+		adj[e.v] = append(adj[e.v], Half{To: int(e.u), W: e.w})
+	}
+	return &Sub{G: &Graph{adj: adj, edges: len(edges)}, Orig: orig}
 }
 
 // RemoveVertices returns the subgraph of g induced by all vertices NOT in

@@ -22,8 +22,10 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -73,9 +75,10 @@ type Options struct {
 	// SetMetrics).
 	Metrics *obs.Registry
 	// Workers bounds the worker pool that fans out the per-separator-path
-	// (and, in CoverExact mode, per-vertex) Dijkstra tasks. Task outputs
-	// are merged in a fixed order, so the frozen image is bit-identical
-	// for every worker count. 0 means runtime.GOMAXPROCS(0); 1 forces the
+	// (and, in CoverExact mode, per-vertex) Dijkstra tasks and then
+	// assembles the labels, one vertex range per task. Every label replays
+	// its records in task order, so the frozen image is bit-identical for
+	// every worker count. 0 means runtime.GOMAXPROCS(0); 1 forces the
 	// serial reference build.
 	Workers int
 }
@@ -175,14 +178,60 @@ func (o *Oracle) SetMetrics(reg *obs.Registry) {
 }
 
 // rec is one deferred label entry produced by a parallel build task:
-// add(v, k, p, h) to be replayed by the merge pass. h is the hop vertex
-// of the record (-1 when the record is a path vertex's self entry).
+// add(v, k, p, h) to be replayed by stage 3. h is the hop vertex of the
+// record (-1 when the record is a path vertex's self entry).
 type rec struct {
-	v int
-	k Key
 	p Portal
+	k Key
+	v int32
 	h int32
 }
+
+// replaySplit cuts the root vertices 0..n-1 into contiguous ranges of
+// width vertices, one stage-3 replay task each. The last ranges are empty
+// when n is smaller than the range count.
+type replaySplit struct {
+	ranges, width int
+}
+
+func newReplaySplit(n, ranges int) replaySplit {
+	return replaySplit{ranges: ranges, width: max(1, (n+ranges-1)/ranges)}
+}
+
+// of returns the range that owns root vertex v.
+func (s replaySplit) of(v int32) int { return int(v) / s.width }
+
+// recBuf is one build task's output: recBuf[r] holds its records for the
+// vertices of range r, in emission order.
+type recBuf [][]rec
+
+// sizedRecBuf allocates a task output in one block for a task that emits
+// at most perVertex records for each residual vertex, whose root IDs are
+// roots; appends never reallocate.
+func sizedRecBuf(s replaySplit, roots []int32, perVertex int) recBuf {
+	counts := make([]int, s.ranges)
+	for _, v := range roots {
+		counts[s.of(v)]++
+	}
+	block := make([]rec, perVertex*len(roots))
+	buf := make(recBuf, s.ranges)
+	off := 0
+	for r, c := range counts {
+		buf[r] = block[off : off : off+c*perVertex]
+		off += c * perVertex
+	}
+	return buf
+}
+
+// put appends x to the range that owns its vertex.
+func (b recBuf) put(s replaySplit, x rec) {
+	r := s.of(x.v)
+	b[r] = append(b[r], x)
+}
+
+// replayRangesPerWorker over-splits stage 3 so that a worker that finishes
+// its share early can take another range.
+const replayRangesPerWorker = 4
 
 // Build constructs the oracle from a decomposition tree.
 //
@@ -191,11 +240,14 @@ type rec struct {
 // zero-distance self entries, and collects one closure per unit of
 // Dijkstra work: per separator path in CoverPortal mode, per residual
 // vertex in CoverExact mode. The tasks then fan out on a bounded worker
-// pool (Options.Workers), each returning its label records into its own
-// slot, and a serial merge pass replays the slots in task order. Labels
-// are canonicalized by normalizeLabel, so the frozen image is
-// bit-identical for every worker count — the differential tests compare
-// Freeze().Encode() bytes of workers=1 and workers=N builds.
+// pool (Options.Workers), each returning its label records grouped by the
+// contiguous vertex range that owns them. Stage 3 runs on the same pool,
+// one task per range: it replays that range's records in task order and
+// normalizes the range's labels, so every label sees the same record
+// sequence as a serial replay would. Labels are canonicalized by
+// normalizeLabel, so the frozen image is bit-identical for every worker
+// count — the differential tests compare Freeze().Encode() bytes of
+// workers=1 and workers=N builds.
 func Build(t *core.Tree, opt Options) (*Oracle, error) {
 	if !(opt.Epsilon > 0) || math.IsInf(opt.Epsilon, 1) {
 		return nil, fmt.Errorf("oracle: epsilon must be positive and finite, got %v", opt.Epsilon)
@@ -215,8 +267,9 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 	if portalsPerPath <= 0 {
 		portalsPerPath = int(math.Ceil(4 / opt.Epsilon))
 	}
+	split := newReplaySplit(o.N, replayRangesPerWorker*pool.Workers())
 
-	add := func(rootV int, k Key, p Portal, hop int32) {
+	add := func(rootV int32, k Key, p Portal, hop int32) {
 		lbl := &o.Labels[rootV]
 		if len(lbl.Entries) == 0 || lbl.Entries[len(lbl.Entries)-1].Key != k {
 			lbl.Entries = append(lbl.Entries, Entry{Key: k})
@@ -228,31 +281,30 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 
 	// Stage 1: serial planning — residual graphs, path geometry, self
 	// entries, and the task list.
-	var tasks []func() []rec
+	var tasks []func() recBuf
 	for _, node := range t.Nodes {
 		if node.Sep == nil {
 			continue
 		}
 		local := node.Sub.G
-		removed := make(map[int]bool)
+		// toJ[lv] is the residual ID of local vertex lv in the current
+		// phase, or -1 once an earlier phase removed it.
+		toJ := make([]int, local.N())
 		for phaseIdx, phase := range node.Sep.Phases {
 			keep := make([]int, 0, local.N())
-			for v := 0; v < local.N(); v++ {
-				if !removed[v] {
-					keep = append(keep, v)
+			for lv, jv := range toJ {
+				if jv >= 0 {
+					toJ[lv] = len(keep)
+					keep = append(keep, lv)
 				}
 			}
 			sub := graph.Induced(local, keep) // residual J
 			j := sub.G
-			toJ := make(map[int]int, len(sub.Orig))
-			for jv, lv := range sub.Orig {
-				toJ[lv] = jv
-			}
 			// roots[jv] is the root-graph ID of residual vertex jv,
-			// precomputed so tasks touch no shared maps.
-			roots := make([]int, j.N())
+			// precomputed once and read by every task of the phase.
+			roots := make([]int32, j.N())
 			for jv := range roots {
-				roots[jv] = node.Sub.Orig[sub.Orig[jv]]
+				roots[jv] = int32(node.Sub.Orig[sub.Orig[jv]])
 			}
 
 			// Per-path J-local vertex lists and positions.
@@ -263,10 +315,10 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 					pos:   make([]float64, len(p.Vertices)),
 				}
 				for x, lv := range p.Vertices {
-					jv, ok := toJ[lv]
-					if !ok {
+					if lv < 0 || lv >= len(toJ) || toJ[lv] < 0 {
 						return nil, fmt.Errorf("oracle: node %d phase %d path %d: vertex removed earlier", node.ID, phaseIdx, pi)
 					}
+					jv := toJ[lv]
 					info.verts[x] = jv
 					if x > 0 {
 						w, ok := j.EdgeWeight(info.verts[x-1], jv)
@@ -282,7 +334,7 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 				// portal.
 				sp := sepPath{key: k, verts: make([]int32, len(info.verts)), pos: info.pos}
 				for x, jv := range info.verts {
-					sp.verts[x] = int32(roots[jv])
+					sp.verts[x] = roots[jv]
 					add(roots[jv], k, Portal{Pos: info.pos[x], Dist: 0}, -1)
 				}
 				o.paths = append(o.paths, sp)
@@ -293,12 +345,16 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 				for pi := range infos {
 					info := infos[pi]
 					k := Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)}
-					tasks = append(tasks, func() []rec {
-						var out []rec
+					tasks = append(tasks, func() recBuf {
+						// Evenly spaced portals (by weight), endpoints
+						// included, plus the closest attachment: at most
+						// one record per residual vertex each.
+						sel := selectEvenPortals(info.pos, portalsPerPath)
+						out := sizedRecBuf(split, roots, len(sel)+1)
 						// Closest-attachment entries via one multi-source run.
 						trQ := shortest.MultiSource(j, info.verts)
 						col.Record(trQ)
-						posOf := make(map[int]float64, len(info.verts))
+						posOf := make([]float64, j.N())
 						for x, jv := range info.verts {
 							posOf[jv] = info.pos[x]
 						}
@@ -311,10 +367,8 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 							// forest: it shares w's source, so it carries a
 							// record at the same (key, position) and the hop
 							// chain telescopes down to the source itself.
-							out = append(out, rec{roots[w], k, Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, int32(roots[trQ.Parent[w]])})
+							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, k, roots[w], roots[trQ.Parent[w]]})
 						}
-						// Evenly spaced portals (by weight), endpoints included.
-						sel := selectEvenPortals(info.pos, portalsPerPath)
 						for _, x := range sel {
 							tr := shortest.Dijkstra(j, info.verts[x])
 							col.Record(tr)
@@ -322,7 +376,7 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 								if math.IsInf(tr.Dist[w], 1) || core.IsZeroDist(tr.Dist[w]) {
 									continue
 								}
-								out = append(out, rec{roots[w], k, Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, int32(roots[tr.Parent[w]])})
+								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, k, roots[w], roots[tr.Parent[w]]})
 							}
 						}
 						return out
@@ -332,8 +386,8 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 				node := node
 				for w := 0; w < j.N(); w++ {
 					w := w
-					tasks = append(tasks, func() []rec {
-						var out []rec
+					tasks = append(tasks, func() recBuf {
+						out := make(recBuf, split.ranges)
 						tr := shortest.Dijkstra(j, w)
 						col.Record(tr)
 						for pi, info := range infos {
@@ -343,7 +397,7 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 									continue // self entry already present
 								}
 								path := tr.PathTo(info.verts[x])
-								out = append(out, rec{roots[w], k, Portal{Pos: info.pos[x], Dist: tr.Dist[info.verts[x]]}, int32(roots[path[1]])})
+								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[info.verts[x]]}, k, roots[w], roots[path[1]]})
 								// Closure records: the ε-cover places no
 								// records at the witness path's interior
 								// vertices, so emit one per interior vertex
@@ -358,7 +412,7 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 								for pidx := len(path) - 2; pidx >= 1; pidx-- {
 									ew, _ := j.EdgeWeight(path[pidx], path[pidx+1])
 									tail = ew + tail
-									out = append(out, rec{roots[path[pidx]], k, Portal{Pos: info.pos[x], Dist: tail}, int32(roots[path[pidx+1]])})
+									out.put(split, rec{Portal{Pos: info.pos[x], Dist: tail}, k, roots[path[pidx]], roots[path[pidx+1]]})
 								}
 							}
 						}
@@ -369,26 +423,29 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 
 			for _, p := range phase.Paths {
 				for _, lv := range p.Vertices {
-					removed[lv] = true
+					toJ[lv] = -1
 				}
 			}
 		}
 	}
 
 	// Stage 2: fan out the Dijkstra tasks; each writes only its own slot.
-	outs := make([][]rec, len(tasks))
+	outs := make([]recBuf, len(tasks))
 	pool.ForEach(len(tasks), func(i int) { outs[i] = tasks[i]() })
 
-	// Stage 3: serial merge in fixed task order.
-	for _, rs := range outs {
-		for _, r := range rs {
-			add(r.v, r.k, r.p, r.h)
+	// Stage 3: one task per vertex range replays the range's records in
+	// task order, then normalizes the range's labels. Ranges own disjoint
+	// labels, and each record was routed to its range once, in stage 2.
+	pool.ForEach(split.ranges, func(r int) {
+		for _, out := range outs {
+			for _, x := range out[r] {
+				add(x.v, x.k, x.p, x.h)
+			}
 		}
-	}
-
-	for v := range o.Labels {
-		normalizeLabel(&o.Labels[v])
-	}
+		for v := r * split.width; v < min((r+1)*split.width, o.N); v++ {
+			normalizeLabel(&o.Labels[v])
+		}
+	})
 	sort.Slice(o.paths, func(i, j int) bool { return keyLess(o.paths[i].key, o.paths[j].key) })
 	if m := opt.Metrics; m != nil {
 		labelHist := m.Histogram("oracle.label_portals")
@@ -482,7 +539,7 @@ type portalHop struct {
 // Hops travel with their portals (ties broken by the smaller hop so the
 // result is schedule-independent).
 func normalizeLabel(l *Label) {
-	sort.Slice(l.Entries, func(i, j int) bool { return keyLess(l.Entries[i].Key, l.Entries[j].Key) })
+	slices.SortFunc(l.Entries, func(a, b Entry) int { return keyCmp(a.Key, b.Key) })
 	// Merge duplicate keys (entries were appended per construction stage).
 	out := l.Entries[:0]
 	for _, e := range l.Entries {
@@ -500,14 +557,14 @@ func normalizeLabel(l *Label) {
 		for x := range ph {
 			ph[x] = portalHop{p: e.Portals[x], h: e.Hops[x]}
 		}
-		sort.Slice(ph, func(a, b int) bool {
-			if !core.SameDist(ph[a].p.Pos, ph[b].p.Pos) {
-				return ph[a].p.Pos < ph[b].p.Pos
+		slices.SortFunc(ph, func(a, b portalHop) int {
+			if !core.SameDist(a.p.Pos, b.p.Pos) {
+				return floatCmp(a.p.Pos, b.p.Pos)
 			}
-			if !core.SameDist(ph[a].p.Dist, ph[b].p.Dist) {
-				return ph[a].p.Dist < ph[b].p.Dist
+			if !core.SameDist(a.p.Dist, b.p.Dist) {
+				return floatCmp(a.p.Dist, b.p.Dist)
 			}
-			return ph[a].h < ph[b].h
+			return cmp.Compare(a.h, b.h)
 		})
 		ps, hs := e.Portals[:0], e.Hops[:0]
 		for _, x := range ph {
@@ -519,6 +576,20 @@ func normalizeLabel(l *Label) {
 		}
 		e.Portals, e.Hops = ps, hs
 	}
+}
+
+// keyCmp is keyLess as a three-way comparison.
+func keyCmp(a, b Key) int {
+	return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Path, b.Path))
+}
+
+// floatCmp orders two distances its caller has found not SameDist: -1 when
+// a < b, else +1.
+func floatCmp(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	return 1
 }
 
 // Query returns a (1+ε)-approximate distance between u and v, or +Inf if

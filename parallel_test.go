@@ -62,6 +62,12 @@ func parallelFamilies(t *testing.T) map[string]struct {
 		g   *graph.Graph
 		rot *embed.Rotation
 	}{meshApex(rng), nil}
+	// Fewer vertices than the widest pool the tests use, so some of the
+	// build's per-range stage-3 tasks own no vertex at all.
+	out["path3"] = struct {
+		g   *graph.Graph
+		rot *embed.Rotation
+	}{graph.Path(3, graph.UniformWeights(1, 4), rng), nil}
 	return out
 }
 
