@@ -4,7 +4,7 @@
 #   make test       plain test run (the tier-1 gate)
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
-#   make fuzz-short short fuzz smoke of the graph/label/address decoders and Induced
+#   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced and the walk layout
 #   make bench-obs  regenerate BENCH_obs.json (metrics on vs. off numbers)
 #   make bench-parallel  parallel-build speedup gate (BENCH_parallel.json)
 #   make bench-query     flat-vs-pointer query speedup gate (BENCH_query.json)
@@ -75,6 +75,7 @@ FUZZ_TARGETS := \
 	internal/oracle:FuzzDecodeLabel \
 	internal/oracle:FuzzDecodeFlat \
 	internal/oracle:FuzzFlatRoundTrip \
+	internal/oracle:FuzzWalkLayout \
 	internal/routing:FuzzDecodeAddr \
 	internal/serve:FuzzReloadImage
 

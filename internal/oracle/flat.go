@@ -177,7 +177,9 @@ func (o *Oracle) Freeze() (*Flat, error) {
 	if err := f.freezePaths(o); err != nil {
 		return nil, err
 	}
-	f.derive()
+	if err := f.derive(0); err != nil {
+		return nil, fmt.Errorf("oracle: freeze: %w", err)
+	}
 	return f, nil
 }
 
@@ -242,8 +244,9 @@ func (f *Flat) buildLane(portals []Portal) error {
 // derive fixes the batch scheduler's key shifts — the coarser of
 // (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
 // region and both block numbers fit their 16-bit key lanes — and
-// compiles the walk layout.
-func (f *Flat) derive() {
+// compiles the walk layout on a pool of the given width (0 means
+// runtime.GOMAXPROCS(0)). It fails only on hop links deriveWalk refuses.
+func (f *Flat) derive(workers int) error {
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}
@@ -254,179 +257,7 @@ func (f *Flat) derive() {
 			f.schedU = f.schedV
 		}
 	}
-	f.deriveWalk()
-}
-
-// startRec is the per-pool-record walk entry: the record's slot and its
-// chain's last owner slot in walkBlk (slot -1 when stranded by a corrupt
-// image), the chain's final anchor index into the key's path-geometry
-// span (-1 when unresolvable), and the walk's total output length from
-// this record to its anchor inclusive. Knowing both walks' lengths and
-// anchors up front lets QueryPath size the output once and write every
-// piece straight into its final position. 16 bytes keeps the record on
-// one cache line.
-type startRec struct {
-	slot   int32
-	end    int32
-	anchor int32
-	depth  int32
-}
-
-// deriveWalk compiles the hop forest into the walkBlk/walkFrom layout.
-// Chains are emitted in heavy-path order — each record's heaviest child
-// is placed immediately before it — so a chain from any slot to its head
-// is one contiguous owner run the walk copies in bulk; only light edges
-// jump, and a root-to-leaf walk crosses O(log P) of them. Anchor heads
-// resolve their path-geometry index here (the one equality search per
-// anchor that QueryPath would otherwise run per query). Records on a hop
-// cycle (possible only in a corrupt image: decode validates hop ranges,
-// not acyclicity) are never reached from an anchor and keep walkFrom
-// slot -1, which the walk reports as a dangling record.
-//
-// The scratch is five p-sized int32 arrays — the child CSR pair, order,
-// size and heavy — with order reused as the head stack and size as the
-// chain buffer once they are dead; walkFrom takes every per-record
-// result directly, and walkBlk is allocated at its exact length.
-func (f *Flat) deriveWalk() {
-	p := len(f.hops)
-	f.walkFrom = make([]startRec, p)
-	if p == 0 {
-		f.walkBlk = nil
-		return
-	}
-	for r := range f.walkFrom {
-		f.walkFrom[r] = startRec{slot: -1, end: -1, anchor: -1}
-	}
-	// Each anchor's index into its key's path geometry, resolved before
-	// placement so the chains hopping into it inherit it as they land (a
-	// failed resolution — a corrupt image — stays -1 and surfaces as a
-	// walk error).
-	f.eachRecord(func(v, kid, i int32) {
-		if f.hops[i] >= 0 {
-			return
-		}
-		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
-		if idx, err := pathIndexAt(f.pathPos[plo:phi], f.pathVert[plo:phi], f.lane[3*i], v); err == nil {
-			f.walkFrom[i].anchor = int32(idx)
-		}
-	})
-	// Children of each record in the hop forest, CSR form, each list in
-	// ascending record order: count into childOff[h], prefix-sum to each
-	// list's end, then fill backwards so childOff[h] lands on its start.
-	childOff := make([]int32, p+1)
-	for _, h := range f.hops {
-		if h >= 0 {
-			childOff[h]++
-		}
-	}
-	for i := 1; i <= p; i++ {
-		childOff[i] += childOff[i-1]
-	}
-	child := make([]int32, childOff[p])
-	for i := p - 1; i >= 0; i-- {
-		if h := f.hops[i]; h >= 0 {
-			childOff[h]--
-			child[childOff[h]] = int32(i)
-		}
-	}
-	// The records reachable from an anchor, parents before children
-	// (breadth-first from the anchors, taken in ascending record order);
-	// cycle records are never reached and keep size 0. Subtree sizes
-	// accumulate in reverse order.
-	order := make([]int32, 0, p)
-	for i, h := range f.hops {
-		if h < 0 {
-			order = append(order, int32(i))
-		}
-	}
-	roots := len(order)
-	for x := 0; x < len(order); x++ {
-		r := order[x]
-		for _, c := range child[childOff[r]:childOff[r+1]] {
-			order = append(order, c)
-		}
-	}
-	size := make([]int32, p)
-	for x := len(order) - 1; x >= 0; x-- {
-		r := order[x]
-		size[r]++
-		if h := f.hops[r]; h >= 0 {
-			size[h] += size[r]
-		}
-	}
-	// Each record's heaviest child (the first of the largest subtrees);
-	// every reachable leaf ends exactly one chain.
-	heavy := make([]int32, p)
-	chains := 0
-	for i := 0; i < p; i++ {
-		best, bestSz := int32(-1), int32(0)
-		for _, c := range child[childOff[i]:childOff[i+1]] {
-			if size[c] > bestSz {
-				best, bestSz = c, size[c]
-			}
-		}
-		heavy[i] = best
-		if size[i] > 0 && best < 0 {
-			chains++
-		}
-	}
-	// Lay out heavy paths into walkBlk: each chain root-to-leaf, written
-	// leaf-first so the bulk copy runs child-to-parent left to right, the
-	// chain head on the run's last slot, and a two-word trailer after it.
-	// Chains are placed parent-before-light-child (a chain's light
-	// children are pushed, root to leaf, as the chain is traced), so a
-	// light chain's trailer, anchor and walk length past its head are
-	// read off the already-final walkFrom record it hops into. The
-	// anchors seed the head stack in the order the breadth-first pass left
-	// them.
-	blk := make([]int32, len(order)+2*chains)
-	heads, path := order[:roots], size[:0]
-	at := int32(0)
-	for len(heads) > 0 {
-		h := heads[len(heads)-1]
-		heads = heads[:len(heads)-1]
-		path = path[:0]
-		for r := h; r >= 0; r = heavy[r] {
-			path = append(path, r)
-			for _, c := range child[childOff[r]:childOff[r+1]] {
-				if c != heavy[r] {
-					heads = append(heads, c)
-				}
-			}
-		}
-		end := at + int32(len(path)) - 1
-		anchor, tail := f.walkFrom[h].anchor, int32(0)
-		blk[end+1], blk[end+2] = -1, -1
-		if up := f.hops[h]; up >= 0 {
-			w := f.walkFrom[up]
-			blk[end+1], blk[end+2] = w.slot, w.end
-			anchor, tail = w.anchor, w.depth
-		}
-		for k, r := range path {
-			slot := end - int32(k)
-			f.walkFrom[r] = startRec{slot: slot, end: end, anchor: anchor, depth: end - slot + 1 + tail}
-		}
-		at = end + 3
-	}
-	// The owner runs: every placed record's slot holds its vertex.
-	f.eachRecord(func(v, _, i int32) {
-		if s := f.walkFrom[i].slot; s >= 0 {
-			blk[s] = v
-		}
-	})
-	f.walkBlk = blk
-}
-
-// eachRecord calls fn(v, kid, i) for every pool record i in pool order,
-// with its owning vertex v and its entry's key ID kid.
-func (f *Flat) eachRecord(fn func(v, kid, i int32)) {
-	for v := 0; v < f.n; v++ {
-		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
-			for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
-				fn(int32(v), f.entryKey[e], i)
-			}
-		}
-	}
+	return f.deriveWalk(workers)
 }
 
 // N returns the number of labeled vertices.

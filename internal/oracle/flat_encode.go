@@ -296,7 +296,9 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if err := f.buildLane(w.portals); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
-	f.derive()
+	if err := f.derive(0); err != nil {
+		return nil, fmt.Errorf("oracle: flat: %w", err)
+	}
 	return f, nil
 }
 
@@ -357,8 +359,10 @@ func (w *wire) validate(n int) error {
 
 // validatePaths bounds-checks the path sections: hop links stay inside
 // the portal pool, the path geometry spans its CSR table, vertices are
-// in range, and positions are NaN-free and non-decreasing per path. The
-// walk itself still guards against semantic corruption (cycles, chains
+// in range, and positions are NaN-free and non-decreasing per path. A
+// hop that leaves its key is refused by the walk derivation (see
+// Flat.deriveWalk), which partitions the pool by key anyway; the walk
+// itself still guards against semantic corruption (cycles, chains
 // landing off their path) with static errors — validation here is what
 // lets it index without bounds checks.
 func (w *wire) validatePaths(n int) error {

@@ -187,19 +187,26 @@ type rec struct {
 	h int32
 }
 
-// replaySplit cuts the root vertices 0..n-1 into contiguous ranges of
-// width vertices, one stage-3 replay task each. The last ranges are empty
-// when n is smaller than the range count.
-type replaySplit struct {
-	ranges, width int
+// vertexSplit cuts the root vertices 0..n-1 into contiguous ranges of
+// width vertices, one pool task each: Build's stage-3 replay, Freeze's
+// hop resolution and the walk relocation. The last ranges are empty when
+// n is smaller than the range count.
+type vertexSplit struct {
+	n, ranges, width int
 }
 
-func newReplaySplit(n, ranges int) replaySplit {
-	return replaySplit{ranges: ranges, width: max(1, (n+ranges-1)/ranges)}
+func newVertexSplit(n, ranges int) vertexSplit {
+	return vertexSplit{n: n, ranges: ranges, width: max(1, (n+ranges-1)/ranges)}
 }
 
 // of returns the range that owns root vertex v.
-func (s replaySplit) of(v int32) int { return int(v) / s.width }
+func (s vertexSplit) of(v int32) int { return int(v) / s.width }
+
+// bounds returns the vertices [lo, hi) of range r.
+func (s vertexSplit) bounds(r int) (lo, hi int) {
+	lo = min(r*s.width, s.n)
+	return lo, min(lo+s.width, s.n)
+}
 
 // recBuf is one build task's output: recBuf[r] holds its records for the
 // vertices of range r, in emission order.
@@ -208,7 +215,7 @@ type recBuf [][]rec
 // sizedRecBuf allocates a task output in one block for a task that emits
 // at most perVertex records for each residual vertex, whose root IDs are
 // roots; appends never reallocate.
-func sizedRecBuf(s replaySplit, roots []int32, perVertex int) recBuf {
+func sizedRecBuf(s vertexSplit, roots []int32, perVertex int) recBuf {
 	counts := make([]int, s.ranges)
 	for _, v := range roots {
 		counts[s.of(v)]++
@@ -224,14 +231,14 @@ func sizedRecBuf(s replaySplit, roots []int32, perVertex int) recBuf {
 }
 
 // put appends x to the range that owns its vertex.
-func (b recBuf) put(s replaySplit, x rec) {
+func (b recBuf) put(s vertexSplit, x rec) {
 	r := s.of(x.v)
 	b[r] = append(b[r], x)
 }
 
-// replayRangesPerWorker over-splits stage 3 so that a worker that finishes
-// its share early can take another range.
-const replayRangesPerWorker = 4
+// rangesPerWorker over-splits the vertex-range stages so that a worker
+// that finishes its share early can take another range.
+const rangesPerWorker = 4
 
 // Build constructs the oracle from a decomposition tree.
 //
@@ -267,7 +274,7 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 	if portalsPerPath <= 0 {
 		portalsPerPath = int(math.Ceil(4 / opt.Epsilon))
 	}
-	split := newReplaySplit(o.N, replayRangesPerWorker*pool.Workers())
+	split := newVertexSplit(o.N, rangesPerWorker*pool.Workers())
 
 	add := func(rootV int32, k Key, p Portal, hop int32) {
 		lbl := &o.Labels[rootV]
@@ -442,7 +449,8 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 				add(x.v, x.k, x.p, x.h)
 			}
 		}
-		for v := r * split.width; v < min((r+1)*split.width, o.N); v++ {
+		lo, hi := split.bounds(r)
+		for v := lo; v < hi; v++ {
 			normalizeLabel(&o.Labels[v])
 		}
 	})

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"pathsep/internal/core"
+	"pathsep/internal/par"
 )
 
 // Static walk errors: corrupt or inconsistent path records are reported,
@@ -549,7 +550,9 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 // inconsistency — an entry whose hops do not parallel its portals, a hop
 // with no record at the target vertex, geometry that does not cover the
 // key set — fails the freeze rather than produce an image that cannot
-// report paths.
+// report paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool,
+// one task per vertex range; the error reported is the first in pool
+// order, as a serial pass would find it.
 func (f *Flat) freezePaths(o *Oracle) error {
 	if len(o.paths) != len(f.keys) {
 		return fmt.Errorf("oracle: freeze: %d separator paths for %d keys", len(o.paths), len(f.keys))
@@ -570,28 +573,42 @@ func (f *Flat) freezePaths(o *Oracle) error {
 		pathOff[i+1] = int32(len(pathVert))
 	}
 	hops := make([]int32, f.NumPortals())
-	ei, pi := 0, 0
-	for v := range o.Labels {
-		for _, e := range o.Labels[v].Entries {
-			if len(e.Hops) != len(e.Portals) {
-				return fmt.Errorf("oracle: freeze: vertex %d key %v: %d hops for %d portals", v, e.Key, len(e.Hops), len(e.Portals))
-			}
-			kid := f.entryKey[ei]
-			for x := range e.Hops {
-				if h := e.Hops[x]; h < 0 {
-					hops[pi] = -1
-				} else {
-					t := f.findRecord(int(h), kid, e.Portals[x].Pos)
-					if t < 0 {
-						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, e.Key, h, e.Portals[x].Pos)
-					}
-					hops[pi] = t
-				}
-				pi++
-			}
-			ei++
+	pool := par.New(0, nil)
+	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
+	errs := make([]error, split.ranges)
+	pool.ForEach(split.ranges, func(i int) {
+		lo, hi := split.bounds(i)
+		errs[i] = f.resolveHops(o, hops, lo, hi)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	f.hops, f.pathOff, f.pathVert, f.pathPos = hops, pathOff, pathVert, pathPos
+	return nil
+}
+
+// resolveHops writes the pool index of every hop target of vertices
+// [lo, hi) into hops, stopping at the first inconsistency.
+func (f *Flat) resolveHops(o *Oracle, hops []int32, lo, hi int) error {
+	for v := lo; v < hi; v++ {
+		ei := int(f.entryOff[v])
+		for j, e := range o.Labels[v].Entries {
+			if len(e.Hops) != len(e.Portals) {
+				return fmt.Errorf("oracle: freeze: vertex %d key %v: %d hops for %d portals", v, e.Key, len(e.Hops), len(e.Portals))
+			}
+			kid, pi := f.entryKey[ei+j], int(f.portalOff[ei+j])
+			for x, h := range e.Hops {
+				t := int32(-1)
+				if h >= 0 {
+					if t = f.findRecord(int(h), kid, e.Portals[x].Pos); t < 0 {
+						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, e.Key, h, e.Portals[x].Pos)
+					}
+				}
+				hops[pi+x] = t
+			}
+		}
+	}
 	return nil
 }

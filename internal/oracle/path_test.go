@@ -90,6 +90,45 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestDecodeFlatRejectsCrossKeyHop pins the key partition check. Every
+// hop chain stays on one separator path, but the range check alone let a
+// hop link a record to a record of another key: the chain then inherited
+// that key's anchor index, and QueryPath indexed the winning key's path
+// geometry out of range and panicked. On the 12×12 CoverPortal image,
+// each of 20 records spread over the pool has its hop rewired to the
+// anchor with the largest path index, on a key other than its own; both
+// decode paths must refuse every such image.
+func TestDecodeFlatRejectsCrossKeyHop(t *testing.T) {
+	fl := gridFlat(t, 12, CoverPortal)
+	enc := fl.Encode()
+	hopsAt := hopsOffset(fl)
+	_, keyOf := keyRecords(fl)
+	far := int32(-1)
+	for r, h := range fl.hops {
+		if h < 0 && (far < 0 || fl.walkFrom[r].anchor > fl.walkFrom[far].anchor) {
+			far = int32(r)
+		}
+	}
+	var victims []int32
+	for r := range fl.hops {
+		if fl.hops[r] >= 0 && keyOf[r] != keyOf[far] {
+			victims = append(victims, int32(r))
+		}
+	}
+	if far < 0 || len(victims) < 20 {
+		t.Fatalf("fixture has no far anchor or too few records off its key (%d)", len(victims))
+	}
+	for i := 0; i < 20; i++ {
+		r := victims[i*len(victims)/20]
+		img := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint32(img[hopsAt+4*int(r):], uint32(far))
+		if _, _, errZero, errCopied := decodeBoth(img); errZero == nil || errCopied == nil ||
+			!strings.Contains(errZero.Error(), "another key") || !strings.Contains(errCopied.Error(), "another key") {
+			t.Errorf("hop of record %d rewired to key %d's anchor %d: zero-copy err=%v, copying err=%v", r, keyOf[far], far, errZero, errCopied)
+		}
+	}
+}
+
 // putWord writes v as one little-endian word of w bytes.
 func putWord(b []byte, w int, v uint64) {
 	for i := 0; i < w; i++ {
@@ -126,12 +165,20 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 		}
 	}
 
-	// In-range hop cycle: every link routed back to record 0. This passes
-	// structural validation by design; the walk's step bound must convert
-	// it into a static error on every reachable pair, never a panic.
-	cyclic := append([]byte(nil), enc...)
-	for at := spans[hops].off; at < spans[hops].end; at += 4 {
-		binary.LittleEndian.PutUint32(cyclic[at:], 0)
+	// In-range hop cycles: every link routed to its key's first record,
+	// which links to itself. Hops that stay in range and inside their key
+	// pass decode by design; the walk must convert the cycles into a
+	// static error on every reachable pair, never a panic. Routing every
+	// link to record 0 instead crosses keys, which decode refuses.
+	cyclic, crossed := append([]byte(nil), enc...), append([]byte(nil), enc...)
+	recs, keyOf := keyRecords(fl)
+	for r := range fl.hops {
+		at := spans[hops].off + 4*r
+		binary.LittleEndian.PutUint32(cyclic[at:], uint32(recs[keyOf[r]][0]))
+		binary.LittleEndian.PutUint32(crossed[at:], 0)
+	}
+	if _, _, errZero, errCopied := decodeBoth(crossed); errZero == nil || errCopied == nil {
+		t.Errorf("every hop routed to record 0 accepted (zero-copy err=%v, copying err=%v)", errZero, errCopied)
 	}
 	cf, err := DecodeFlat(cyclic)
 	if err != nil {

@@ -1,0 +1,329 @@
+package oracle
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pathsep/internal/par"
+)
+
+// deriveWalkRef is the whole-pool walk derivation the per-key deriveWalk
+// replaced, kept as the reference the differential tests compare the
+// layout against word for word. It reads f's tables and returns the
+// walkBlk/walkFrom pair instead of storing it.
+//
+// Chains are emitted in heavy-path order — each record's heaviest child
+// is placed immediately before it — so a chain from any slot to its head
+// is one contiguous owner run; anchors seed the head stack in ascending
+// record order, so the last anchor's tree is laid out first. Records on
+// a hop cycle are never reached from an anchor and keep slot -1.
+func deriveWalkRef(f *Flat) ([]int32, []startRec) {
+	p := len(f.hops)
+	from := make([]startRec, p)
+	if p == 0 {
+		return nil, from
+	}
+	for r := range from {
+		from[r] = startRec{slot: -1, end: -1, anchor: -1}
+	}
+	eachRecordRef(f, func(v, kid, i int32) {
+		if f.hops[i] >= 0 {
+			return
+		}
+		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
+		if idx, err := pathIndexAt(f.pathPos[plo:phi], f.pathVert[plo:phi], f.lane[3*i], v); err == nil {
+			from[i].anchor = int32(idx)
+		}
+	})
+	// Children of each record, CSR form, each list in ascending record
+	// order.
+	childOff := make([]int32, p+1)
+	for _, h := range f.hops {
+		if h >= 0 {
+			childOff[h]++
+		}
+	}
+	for i := 1; i <= p; i++ {
+		childOff[i] += childOff[i-1]
+	}
+	child := make([]int32, childOff[p])
+	for i := p - 1; i >= 0; i-- {
+		if h := f.hops[i]; h >= 0 {
+			childOff[h]--
+			child[childOff[h]] = int32(i)
+		}
+	}
+	// Breadth-first from the anchors; subtree sizes in reverse order.
+	order := make([]int32, 0, p)
+	for i, h := range f.hops {
+		if h < 0 {
+			order = append(order, int32(i))
+		}
+	}
+	roots := len(order)
+	for x := 0; x < len(order); x++ {
+		r := order[x]
+		order = append(order, child[childOff[r]:childOff[r+1]]...)
+	}
+	size := make([]int32, p)
+	for x := len(order) - 1; x >= 0; x-- {
+		r := order[x]
+		size[r]++
+		if h := f.hops[r]; h >= 0 {
+			size[h] += size[r]
+		}
+	}
+	heavy := make([]int32, p)
+	chains := 0
+	for i := 0; i < p; i++ {
+		best, bestSz := int32(-1), int32(0)
+		for _, c := range child[childOff[i]:childOff[i+1]] {
+			if size[c] > bestSz {
+				best, bestSz = c, size[c]
+			}
+		}
+		heavy[i] = best
+		if size[i] > 0 && best < 0 {
+			chains++
+		}
+	}
+	blk := make([]int32, len(order)+2*chains)
+	heads, path := order[:roots], size[:0]
+	at := int32(0)
+	for len(heads) > 0 {
+		h := heads[len(heads)-1]
+		heads = heads[:len(heads)-1]
+		path = path[:0]
+		for r := h; r >= 0; r = heavy[r] {
+			path = append(path, r)
+			for _, c := range child[childOff[r]:childOff[r+1]] {
+				if c != heavy[r] {
+					heads = append(heads, c)
+				}
+			}
+		}
+		end := at + int32(len(path)) - 1
+		anchor, tail := from[h].anchor, int32(0)
+		blk[end+1], blk[end+2] = -1, -1
+		if up := f.hops[h]; up >= 0 {
+			w := from[up]
+			blk[end+1], blk[end+2] = w.slot, w.end
+			anchor, tail = w.anchor, w.depth
+		}
+		for k, r := range path {
+			slot := end - int32(k)
+			from[r] = startRec{slot: slot, end: end, anchor: anchor, depth: end - slot + 1 + tail}
+		}
+		at = end + 3
+	}
+	eachRecordRef(f, func(v, _, i int32) {
+		if s := from[i].slot; s >= 0 {
+			blk[s] = v
+		}
+	})
+	return blk, from
+}
+
+// eachRecordRef calls fn(v, kid, i) for every pool record i in pool
+// order, with its owning vertex v and its entry's key ID kid.
+func eachRecordRef(f *Flat, fn func(v, kid, i int32)) {
+	for v := 0; v < f.n; v++ {
+		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
+			for i := f.portalOff[e]; i < f.portalOff[e+1]; i++ {
+				fn(int32(v), f.entryKey[e], i)
+			}
+		}
+	}
+}
+
+// walkDiff compares f's walk layout with deriveWalkRef's word for word
+// and describes the first difference, or returns "".
+func walkDiff(f *Flat, refBlk []int32, refFrom []startRec) string {
+	if len(f.walkBlk) != len(refBlk) || len(f.walkFrom) != len(refFrom) {
+		return fmt.Sprintf("%d words, %d records; reference %d, %d", len(f.walkBlk), len(f.walkFrom), len(refBlk), len(refFrom))
+	}
+	for i := range refBlk {
+		if f.walkBlk[i] != refBlk[i] {
+			return fmt.Sprintf("walkBlk[%d] = %d, reference %d", i, f.walkBlk[i], refBlk[i])
+		}
+	}
+	for r := range refFrom {
+		if f.walkFrom[r] != refFrom[r] {
+			return fmt.Sprintf("walkFrom[%d] = %+v, reference %+v", r, f.walkFrom[r], refFrom[r])
+		}
+	}
+	return ""
+}
+
+// checkWidths derives f's walk layout at pool widths 1, 2, 4 and 0 with
+// shuffled task submission and compares each with the reference.
+func checkWidths(t *testing.T, name string, f *Flat) {
+	t.Helper()
+	refBlk, refFrom := deriveWalkRef(f)
+	par.SetShuffleSeed(0x5eed)
+	defer par.SetShuffleSeed(0)
+	for _, w := range []int{1, 2, 4, 0} {
+		if err := f.deriveWalk(w); err != nil {
+			t.Fatalf("%s width %d: %v", name, w, err)
+		}
+		if d := walkDiff(f, refBlk, refFrom); d != "" {
+			t.Fatalf("%s width %d: %s", name, w, d)
+		}
+	}
+}
+
+// keyRecords lists each key's pool records in pool order, and each
+// record's key.
+func keyRecords(f *Flat) (recs [][]int32, keyOf []int32) {
+	recs, keyOf = make([][]int32, len(f.keys)), make([]int32, len(f.hops))
+	for e, k := range f.entryKey {
+		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
+			recs[k] = append(recs[k], r)
+			keyOf[r] = k
+		}
+	}
+	return recs, keyOf
+}
+
+// hopsOffset is the byte offset of the hops section in f's image.
+func hopsOffset(f *Flat) int {
+	c := f.counts()
+	spans, _ := layout(&c)
+	for i := range flatSections {
+		if flatSections[i].name == "hops" {
+			return spans[i].off
+		}
+	}
+	panic("no hops section")
+}
+
+// corrupted returns a copy of f sharing its lane with a fresh copy of
+// its tables, for hop-table surgery.
+func corrupted(f *Flat) *Flat {
+	return &Flat{n: f.n, eps: f.eps, mode: f.mode, tables: f.tables.clone(), lane: f.lane}
+}
+
+// TestWalkLayoutMatchesReference pins the per-key derivation to the
+// whole-pool reference word for word: walkBlk and every walkFrom record,
+// at pool widths 1, 2, 4 and 0 with shuffled task submission, on the
+// golden fixture, 24×24 grids in both modes, the 64×64 portal grid and
+// (outside -short) the 128×128 bench image — and on 24×24 hop tables
+// corrupted with same-key rewires, self-loops and extra anchors, where
+// records no anchor reaches must keep slot -1.
+func TestWalkLayoutMatchesReference(t *testing.T) {
+	for _, mode := range []Mode{CoverExact, CoverPortal} {
+		checkWidths(t, fmt.Sprintf("golden %s", mode), goldenFlat(t, mode))
+		checkWidths(t, fmt.Sprintf("24x24 %s", mode), gridFlat(t, 24, mode))
+	}
+	checkWidths(t, "64x64 portal", gridFlat(t, 64, CoverPortal))
+	if !testing.Short() {
+		checkWidths(t, "128x128 portal", gridFlat(t, 128, CoverPortal))
+	}
+
+	base := gridFlat(t, 24, CoverPortal)
+	recs, keyOf := keyRecords(base)
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 12; c++ {
+		f := corrupted(base)
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			r := int32(rng.Intn(len(f.hops)))
+			switch c % 3 {
+			case 0: // same-key rewire
+				kr := recs[keyOf[r]]
+				f.hops[r] = kr[rng.Intn(len(kr))]
+			case 1: // self-loop
+				f.hops[r] = r
+			case 2: // extra anchor
+				f.hops[r] = -1
+			}
+		}
+		name := fmt.Sprintf("corruption %d", c)
+		checkWidths(t, name, f)
+		if c%3 == 1 {
+			stranded := 0
+			for _, w := range f.walkFrom {
+				if w.slot < 0 {
+					stranded++
+				}
+			}
+			if stranded == 0 {
+				t.Fatalf("%s: self-loops stranded no record", name)
+			}
+		}
+	}
+}
+
+// FuzzWalkLayout rewires up to 32 hops of a small portal image, each to
+// a record of its own key or to no record (a new anchor), chosen by the
+// input bytes: such images pass decode, and their walk layout must
+// equal deriveWalkRef's at pool widths 0, 1 and 2 (the last with
+// shuffled task submission). QueryPath over every pair must return an
+// answer or one of the typed walk errors, never panic.
+func FuzzWalkLayout(f *testing.F) {
+	fl := gridFlat(f, 8, CoverPortal)
+	enc := fl.Encode()
+	hopsAt := hopsOffset(fl)
+	recs, keyOf := keyRecords(fl)
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{7, 1, 9, 0, 200, 3, 0, 0, 31, 2, 255, 255})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		img := append([]byte(nil), enc...)
+		for i := 0; i+4 <= len(ops) && i < 4*32; i += 4 {
+			r := int(binary.LittleEndian.Uint16(ops[i:])) % len(fl.hops)
+			kr := recs[keyOf[r]]
+			to := int32(-1)
+			if x := int(binary.LittleEndian.Uint16(ops[i+2:])) % (len(kr) + 1); x < len(kr) {
+				to = kr[x]
+			}
+			binary.LittleEndian.PutUint32(img[hopsAt+4*r:], uint32(to))
+		}
+		dec, err := DecodeFlat(img)
+		if err != nil {
+			t.Fatalf("same-key rewires rejected: %v", err)
+		}
+		refBlk, refFrom := deriveWalkRef(dec)
+		if d := walkDiff(dec, refBlk, refFrom); d != "" {
+			t.Fatalf("width 0: %s", d)
+		}
+		for _, w := range []int{1, 2} {
+			par.SetShuffleSeed(int64(len(ops)) + 1)
+			err := dec.deriveWalk(w)
+			par.SetShuffleSeed(0)
+			if err != nil {
+				t.Fatalf("width %d: %v", w, err)
+			}
+			if d := walkDiff(dec, refBlk, refFrom); d != "" {
+				t.Fatalf("width %d: %s", w, d)
+			}
+		}
+		var buf []int32
+		for u := 0; u < dec.N(); u++ {
+			for v := 0; v < dec.N(); v++ {
+				var err error
+				_, buf, err = dec.QueryPath(u, v, buf[:0])
+				if err != nil && !errors.Is(err, errPathCycle) && !errors.Is(err, errPathRecord) && !errors.Is(err, errPathGeometry) {
+					t.Fatalf("QueryPath(%d,%d): untyped error %v", u, v, err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkDeriveWalk times the walk derivation alone on the bench-shaped
+// 64×64 ε = 0.25 portal image at the GOMAXPROCS pool width, so the layer
+// pairs without the end-to-end benchmark:
+//
+//	go test -run '^$' -bench DeriveWalk -cpu 1,2 ./internal/oracle/
+func BenchmarkDeriveWalk(b *testing.B) {
+	fl := gridFlat(b, 64, CoverPortal)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fl.deriveWalk(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
