@@ -184,16 +184,18 @@ func BenchmarkE5LabelEncodeDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	labels := make([]*oracle.Label, o.N)
 	maxBits := 0
-	for v := range o.Labels {
-		if bits := o.Labels[v].Bits(); bits > maxBits {
+	for v := range labels {
+		labels[v] = o.Label(v)
+		if bits := labels[v].Bits(); bits > maxBits {
 			maxBits = bits
 		}
 	}
 	b.ReportMetric(float64(maxBits), "maxLabelBits")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := o.Labels[i%len(o.Labels)].Encode()
+		buf := labels[i%len(labels)].Encode()
 		if _, err := oracle.DecodeLabel(buf); err != nil {
 			b.Fatal(err)
 		}

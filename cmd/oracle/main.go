@@ -11,10 +11,11 @@
 // query latency histogram); with -pprof addr it serves net/http/pprof
 // and /debug/vars while running.
 //
-// -flat freezes the oracle into its flat serving form (oracle.Flat) and
-// runs the query and audit phases through it; -serve-bench 2s measures
-// serving throughput (single-thread Query and batched QueryBatch QPS,
-// reported to the oracle.batch_qps gauge when -metrics is set).
+// Queries run on the oracle's serving rows (the flat engine). With
+// -serve-bench 2s it also freezes the oracle into its serving image
+// (oracle.Flat), prints the freeze stats and measures serving throughput
+// (single-thread Query and batched QueryBatch QPS, reported to the
+// oracle.batch_qps gauge when -metrics is set).
 package main
 
 import (
@@ -41,8 +42,7 @@ func main() {
 	audit := flag.Int("audit", 200, "queries to audit against Dijkstra")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "construction worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	flat := flag.Bool("flat", false, "freeze the oracle into its flat serving form and query through it")
-	serveBench := flag.Duration("serve-bench", 0, "run a query-throughput benchmark (single-thread and batched) for this long; implies -flat")
+	serveBench := flag.Duration("serve-bench", 0, "freeze the oracle and run a query-throughput benchmark (single-thread and batched) for this long")
 	batch := flag.Int("batch", 1024, "batch size for -serve-bench QueryBatch rounds")
 	metricsOut := flag.String("metrics", "", "write a metrics JSON snapshot to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /debug/vars on this address")
@@ -106,11 +106,10 @@ func main() {
 	}
 	buildTime := time.Since(start)
 
-	// The flat serving form: queries (and -serve-bench) run through it
-	// when requested; answers are bit-identical to the pointer oracle.
+	// The serving image: -serve-bench measures it. Its answers are
+	// bit-identical to the oracle's.
 	var fl *oracle.Flat
-	query := o.Query
-	if *flat || *serveBench > 0 {
+	if *serveBench > 0 {
 		start = time.Now()
 		var err error
 		fl, err = o.Freeze()
@@ -119,7 +118,6 @@ func main() {
 		}
 		freezeTime := time.Since(start)
 		fl.SetMetrics(reg)
-		query = fl.Query
 		fmt.Printf("flat: froze in %v  (%d keys, %d entries, %d portals, %d bytes)\n",
 			freezeTime.Round(time.Millisecond), fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
 	}
@@ -127,7 +125,7 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	start = time.Now()
 	for i := 0; i < *queries; i++ {
-		query(rng.Intn(g.N()), rng.Intn(g.N()))
+		o.Query(rng.Intn(g.N()), rng.Intn(g.N()))
 	}
 	qTime := time.Since(start) / time.Duration(max(1, *queries))
 
@@ -141,7 +139,7 @@ func main() {
 		if math.IsInf(d, 1) || core.IsZeroDist(d) {
 			continue
 		}
-		ratio := query(u, v) / d
+		ratio := o.Query(u, v) / d
 		if ratio > worst {
 			worst = ratio
 		}

@@ -52,6 +52,6 @@ func main() {
 
 	// The oracle distributes into per-vertex labels: two labels alone
 	// answer a query (Theorem 2's distance labeling scheme).
-	d := pathsep.QueryLabels(&orc.Labels[0], &orc.Labels[6])
+	d := pathsep.QueryLabels(orc.Label(0), orc.Label(6))
 	fmt.Printf("label-only query 0 -> 6: %.2f\n", d)
 }

@@ -1,8 +1,9 @@
 // Differential and race coverage for the flat serving form: Flat.Query,
 // QueryBatch (every worker count) and both decode paths must return
-// bit-identical answers to the pointer-walking Oracle.Query on every
+// bit-identical answers to Oracle.Query on the build rows, on every
 // graph family and mode, and the whole surface must survive -race
-// alongside metric snapshots.
+// alongside metric snapshots. internal/oracle pins both to the reference
+// label walk.
 package pathsep_test
 
 import (
@@ -84,7 +85,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 				for i, p := range pairs {
 					got := fl.Query(int(p.U), int(p.V))
 					if !sameBits(got, want[i]) {
-						t.Fatalf("%s/%s/%s: Query(%d,%d) = %v, pointer oracle %v",
+						t.Fatalf("%s/%s/%s: Query(%d,%d) = %v, oracle %v",
 							name, modeName, fname, p.U, p.V, got, want[i])
 					}
 				}
@@ -102,7 +103,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 					}
 					for i := range out {
 						if !sameBits(out[i], want[i]) {
-							t.Fatalf("%s/%s/%s: workers=%d batch[%d] (%d,%d) = %v, pointer oracle %v",
+							t.Fatalf("%s/%s/%s: workers=%d batch[%d] (%d,%d) = %v, oracle %v",
 								name, modeName, fname, workers, i, pairs[i].U, pairs[i].V, out[i], want[i])
 						}
 					}

@@ -57,7 +57,7 @@ func TestGrandIntegration(t *testing.T) {
 		if est < d-1e-9 || est > (1+eps)*d+1e-9 {
 			t.Fatalf("oracle out of bounds: est %v, true %v", est, d)
 		}
-		if lbl := pathsep.QueryLabels(&orc.Labels[u], &orc.Labels[v]); u != v && lbl != est {
+		if lbl := pathsep.QueryLabels(orc.Label(u), orc.Label(v)); u != v && lbl != est {
 			t.Fatalf("label query %v != oracle %v", lbl, est)
 		}
 	}

@@ -257,9 +257,10 @@ func E5Labels(c Config) *Table {
 				continue
 			}
 			totP, maxP, totB, maxB := 0, 0, 0, 0
-			for v := range o.Labels {
-				p := o.Labels[v].NumPortals()
-				b := o.Labels[v].Bits()
+			for v := 0; v < o.N; v++ {
+				l := o.Label(v)
+				p := l.NumPortals()
+				b := l.Bits()
 				totP += p
 				totB += b
 				if p > maxP {

@@ -27,22 +27,22 @@ func buildSmall(t *testing.T) *Oracle {
 
 func TestLabelRoundTrip(t *testing.T) {
 	o := buildSmall(t)
-	for v := range o.Labels {
-		buf := o.Labels[v].Encode()
-		got, err := DecodeLabel(buf)
+	for v := 0; v < o.N; v++ {
+		want := o.Label(v)
+		got, err := DecodeLabel(want.Encode())
 		if err != nil {
 			t.Fatalf("label %d: %v", v, err)
 		}
-		if len(got.Entries) != len(o.Labels[v].Entries) {
-			t.Fatalf("label %d: entries %d != %d", v, len(got.Entries), len(o.Labels[v].Entries))
+		if len(got.Entries) != len(want.Entries) {
+			t.Fatalf("label %d: entries %d != %d", v, len(got.Entries), len(want.Entries))
 		}
 		for i, e := range got.Entries {
-			want := o.Labels[v].Entries[i]
-			if e.Key != want.Key || len(e.Portals) != len(want.Portals) {
+			w := want.Entries[i]
+			if e.Key != w.Key || len(e.Portals) != len(w.Portals) {
 				t.Fatalf("label %d entry %d mismatch", v, i)
 			}
 			for j, p := range e.Portals {
-				if p != want.Portals[j] {
+				if p != w.Portals[j] {
 					t.Fatalf("label %d entry %d portal %d mismatch", v, i, j)
 				}
 			}

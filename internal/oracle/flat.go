@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 	"unsafe"
 
@@ -13,28 +12,29 @@ import (
 	"pathsep/internal/par"
 )
 
-// Flat is the compiled read-only query form of an Oracle: the same labels
-// re-laid-out as a struct-of-arrays so the query hot path touches only
-// contiguous memory.
+// Flat is the read-only serving form of the oracle: the labels laid out
+// as a struct-of-arrays so the query hot path touches only contiguous
+// memory.
 //
-//   - Every distinct separator-path Key across all labels is interned into
-//     keys (sorted by keyLess); entries refer to keys by their dense int32
-//     ID, so the merge-join compares one int32 instead of an 8-byte struct.
+//   - Every separator-path Key is interned into keys (sorted by keyLess);
+//     entries refer to keys by their dense int32 ID, so the merge-join
+//     compares one int32 instead of an 8-byte struct.
 //   - Per-vertex entries live in CSR form: vertex v owns entry indices
 //     entryOff[v]..entryOff[v+1], and entry e owns the portal range
 //     portalOff[e]..portalOff[e+1] of the single contiguous portal pool,
 //     which the Flat keeps only as its sweep lane.
 //
-// A Flat owns all of its memory: one compact serving form, built by
-// Freeze or DecodeFlat and never aliasing an image buffer. It is
-// immutable after construction, so Query and QueryBatch are safe for
-// unbounded concurrent use. Queries return bit-identical results to the
-// pointer-walking Oracle.Query: the merge-join visits shared keys in the
-// same order (galloping only skips keys that cannot match), and the
-// portal sweep evaluates exactly the candidate values pairMin evaluates —
-// every per-portal term fl(Dist+Pos) or fl(Dist−Pos) is rounded once from
-// the lane's raw Pos and Dist, as pairMin rounds it, so every float64
-// comparison sees the same bits.
+// Build writes these rows, Freeze adds the resolved hop links and the
+// walk layout, and DecodeFlat rebuilds all of it from an image; a Flat
+// never aliases an image buffer. It is immutable after construction, so
+// Query and QueryBatch are safe for unbounded concurrent use. Queries
+// return bit-identical results to the label-walking reference the tests
+// keep (queryLabels over the same labels): the merge-join visits shared
+// keys in the same order (galloping only skips keys that cannot match),
+// and the portal sweep evaluates exactly the candidate values pairMin
+// evaluates — every per-portal term fl(Dist+Pos) or fl(Dist−Pos) is
+// rounded once from the lane's raw Pos and Dist, as pairMin rounds it,
+// so every float64 comparison sees the same bits.
 type Flat struct {
 	n    int
 	eps  float64
@@ -122,59 +122,17 @@ func (t *tables) clone() tables {
 	}
 }
 
-// Freeze compiles the oracle into its flat serving form. The oracle itself
-// is not modified or retained. Freeze fails when the oracle exceeds the
-// int32 CSR index space (more than ~2·10⁹ entries or portals) and when
-// its path records are inconsistent (see freezePaths): every image it
-// returns reports paths.
+// Freeze compiles the oracle into its flat serving form. The Flat shares
+// the oracle's immutable rows — keys, CSR tables, sweep lane and path
+// geometry — and adds what path reporting needs: every hop vertex
+// resolved to the pool index of the record it names (see resolveHops),
+// and the walk layout derived from those links (deriveWalk). Freeze
+// fails when a hop names no record, or links records of two keys: every
+// image it returns reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
-	// Intern keys: collect the distinct Key set and rank it by keyLess, so
-	// ID order coincides with the order the pointer merge-join visits keys.
-	seen := make(map[Key]int32)
-	var keys []Key
-	numEntries, numPortals := 0, 0
-	for v := range o.Labels {
-		for _, e := range o.Labels[v].Entries {
-			if _, ok := seen[e.Key]; !ok {
-				seen[e.Key] = 0
-				keys = append(keys, e.Key)
-			}
-			numEntries++
-			numPortals += len(e.Portals)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	for i, k := range keys {
-		seen[k] = int32(i)
-	}
-	if numEntries+1 > math.MaxInt32 || numPortals > math.MaxInt32 {
-		return nil, fmt.Errorf("oracle: freeze: %d entries / %d portals exceed the int32 CSR index space", numEntries, numPortals)
-	}
-
-	f := &Flat{
-		n:    o.N,
-		eps:  o.Eps,
-		mode: o.mode,
-		tables: tables{
-			keys:      keys,
-			entryOff:  make([]int32, o.N+1),
-			entryKey:  make([]int32, 0, numEntries),
-			portalOff: make([]int32, 1, numEntries+1),
-		},
-	}
-	portals := make([]Portal, 0, numPortals)
-	for v := range o.Labels {
-		for _, e := range o.Labels[v].Entries {
-			f.entryKey = append(f.entryKey, seen[e.Key])
-			portals = append(portals, e.Portals...)
-			f.portalOff = append(f.portalOff, int32(len(portals)))
-		}
-		f.entryOff[v+1] = int32(len(f.entryKey))
-	}
-	if err := f.buildLane(portals); err != nil {
-		return nil, fmt.Errorf("oracle: freeze: %w", err)
-	}
-	if err := f.freezePaths(o); err != nil {
+	r := &o.rows
+	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
+	if err := f.resolveHops(o.hopVert); err != nil {
 		return nil, err
 	}
 	if err := f.derive(0); err != nil {
@@ -199,8 +157,9 @@ func alignedFloats(n int) []float64 {
 	return buf[off : off+n : off+n]
 }
 
-// buildLane transcribes the portal pool, grouped by f.portalOff, into the
-// sweep lane (see the lane layout doc on Flat), checking each record on
+// buildLane transcribes the portal runs of entries [e0, e1) into the
+// sweep lane (see the lane layout doc on Flat); portals holds those runs
+// back to back, from pool index portalOff[e0]. It checks each record on
 // the way: Pos and Dist must be NaN-free — a NaN would poison every
 // min-fold the sweep computes — and positions must be non-decreasing
 // within each entry, the order the merged sweep and its suffix-min rely
@@ -212,22 +171,23 @@ func alignedFloats(n int) []float64 {
 // candidates the register sweep folds one by one.
 //
 // buildLane is the sanctioned writer of the lane view: it fills the
-// aligned array it just allocated, before the image is published. The
-// argumented directive does not opt it into hotalloc (it allocates the
-// lane by design).
+// aligned array its caller just allocated, before the rows are
+// published. DecodeFlat transcribes the whole pool in one call; Build's
+// range tasks each transcribe their own disjoint entries. The
+// argumented directive does not opt it into hotalloc.
 //
 //pathsep:hotpath writes=views
-func (f *Flat) buildLane(portals []Portal) error {
-	f.lane = alignedFloats(3 * len(portals))
-	for e := 0; e+1 < len(f.portalOff); e++ {
+func (f *Flat) buildLane(e0, e1 int, portals []Portal) error {
+	base := int(f.portalOff[e0])
+	for e := e0; e < e1; e++ {
 		lo, hi := int(f.portalOff[e]), int(f.portalOff[e+1])
 		sm := math.Inf(1)
 		for x := hi - 1; x >= lo; x-- {
-			p := portals[x]
+			p := portals[x-base]
 			if math.IsNaN(p.Pos) || math.IsNaN(p.Dist) {
 				return fmt.Errorf("portal record %d contains NaN", x)
 			}
-			if x+1 < hi && p.Pos > portals[x+1].Pos {
+			if x+1 < hi && p.Pos > portals[x+1-base].Pos {
 				return fmt.Errorf("portal positions of entry %d decrease at record %d", e, x)
 			}
 			if s := p.Dist + p.Pos; s < sm {
@@ -278,6 +238,11 @@ func (f *Flat) NumEntries() int { return len(f.entryKey) }
 // NumPortals returns the size of the contiguous portal pool.
 func (f *Flat) NumPortals() int { return len(f.lane) / 3 }
 
+// labelPortals returns vertex v's label size in portals.
+func (f *Flat) labelPortals(v int) int {
+	return int(f.portalOff[f.entryOff[v+1]] - f.portalOff[f.entryOff[v]])
+}
+
 // ResidentBytes returns the memory the Flat holds for serving: the
 // capacity of every slice it owns (tables, sweep lane, walk layout), in
 // bytes.
@@ -314,9 +279,9 @@ func (f *Flat) PortalRunLengths(dst []int) []int {
 
 // SetMetrics attaches (or, with nil, detaches) serving metrics:
 // "oracle.query_ns" and "oracle.query_portals" observe single queries
-// (same instruments as the pointer oracle), "oracle.batch_qps" records the
-// throughput of the last QueryBatch, and "oracle.flat_bytes" and
-// "oracle.resident_bytes" are set once to the encoded size and the
+// (the same instruments as Oracle.SetMetrics), "oracle.batch_qps"
+// records the throughput of the last QueryBatch, and "oracle.flat_bytes"
+// and "oracle.resident_bytes" are set once to the encoded size and the
 // resident size (ResidentBytes) of this Flat.
 func (f *Flat) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -338,10 +303,10 @@ func (f *Flat) SetMetrics(reg *obs.Registry) {
 func (f *Flat) SetSlowSampler(s *obs.SlowQuerySampler) { f.slow = s }
 
 // Query returns the same (1+ε)-approximate distance as the source
-// Oracle.Query, bit for bit. It is goroutine-safe and allocation-free;
-// malformed vertex IDs report +Inf. With metrics or a slow-query sampler
-// attached it observes the query latency and portal work, including on
-// the u == v fast path.
+// Oracle.Query, bit for bit: it is the same engine on the same rows. It
+// is goroutine-safe and allocation-free; malformed vertex IDs report
+// +Inf. With metrics or a slow-query sampler attached it observes the
+// query latency and portal work, including on the u == v fast path.
 func (f *Flat) Query(u, v int) float64 {
 	if u < 0 || v < 0 || u >= f.n || v >= f.n {
 		return math.Inf(1)

@@ -292,8 +292,8 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if err := w.validate(c[countN]); err != nil {
 		return nil, err
 	}
-	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone()}
-	if err := f.buildLane(w.portals); err != nil {
+	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone(), lane: alignedFloats(3 * len(w.portals))}
+	if err := f.buildLane(0, len(f.entryKey), w.portals); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
 	if err := f.derive(0); err != nil {

@@ -14,9 +14,9 @@ import (
 	"pathsep/internal/obs"
 )
 
-// buildSeeded builds a pointer oracle over a seeded random graph: a tree
-// for even seeds, a sparse connected graph for odd ones.
-func buildSeeded(tb testing.TB, seed int64, n int, mode Mode) (*graph.Graph, *Oracle) {
+// seededDec decomposes a seeded random graph: a tree for even seeds, a
+// sparse connected graph for odd ones.
+func seededDec(tb testing.TB, seed int64, n int) (*graph.Graph, *core.Tree) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var g *graph.Graph
@@ -29,6 +29,13 @@ func buildSeeded(tb testing.TB, seed int64, n int, mode Mode) (*graph.Graph, *Or
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return g, dec
+}
+
+// buildSeeded builds the oracle of seededDec's graph.
+func buildSeeded(tb testing.TB, seed int64, n int, mode Mode) (*graph.Graph, *Oracle) {
+	tb.Helper()
+	g, dec := seededDec(tb, seed, n)
 	o, err := Build(dec, Options{Epsilon: 0.25, Mode: mode})
 	if err != nil {
 		tb.Fatal(err)
@@ -57,8 +64,8 @@ func TestFreezeRoundTrip(t *testing.T) {
 		t.Fatalf("NumPortals = %d, want %d", fl.NumPortals(), o.SpacePortals())
 	}
 	entries := 0
-	for v := range o.Labels {
-		entries += len(o.Labels[v].Entries)
+	for v := 0; v < o.N; v++ {
+		entries += len(o.Label(v).Entries)
 	}
 	if fl.NumEntries() != entries {
 		t.Fatalf("NumEntries = %d, want %d", fl.NumEntries(), entries)
@@ -141,8 +148,8 @@ func TestFlatMemoryBudget(t *testing.T) {
 }
 
 // TestFlatSelfQueryObserved checks the metrics parity of the fast paths:
-// both the pointer oracle and the flat form must observe self queries, so
-// QPS accounting covers all traffic.
+// both the oracle and the flat form must observe self queries, so QPS
+// accounting covers all traffic.
 func TestFlatSelfQueryObserved(t *testing.T) {
 	_, o := buildSeeded(t, 2, 30, CoverExact)
 	reg := obs.New()
@@ -267,9 +274,10 @@ func TestQueryBatchReusedBufferAllocs(t *testing.T) {
 	}
 }
 
-// FuzzFlatRoundTrip drives Freeze → Encode → DecodeFlat over seeded
-// random graphs and checks query equivalence against the pointer oracle
-// on sampled pairs (including self and out-of-range IDs).
+// FuzzFlatRoundTrip drives Build → Freeze → Encode → DecodeFlat over
+// seeded random graphs and checks query equivalence against the
+// reference label walk on sampled pairs (including self and out-of-range
+// IDs).
 func FuzzFlatRoundTrip(f *testing.F) {
 	f.Add(int64(2), uint8(24), false)
 	f.Add(int64(3), uint8(31), true)
@@ -281,7 +289,13 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		if portal {
 			mode = CoverPortal
 		}
-		_, o := buildSeeded(t, seed, n, mode)
+		_, tree := seededDec(t, seed, n)
+		opt := Options{Epsilon: 0.25, Mode: mode}
+		o, err := Build(tree, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refBuild(t, tree, opt, 1)
 		fl, err := o.Freeze()
 		if err != nil {
 			t.Fatal(err)
@@ -293,12 +307,15 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for q := 0; q < 200; q++ {
 			u, v := rng.Intn(n+2)-1, rng.Intn(n+2)-1
-			want := o.Query(u, v)
+			want := ref.Query(u, v)
+			if got := o.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Query(%d,%d) = %v, reference %v", u, v, got, want)
+			}
 			if got := fl.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("frozen Query(%d,%d) = %v, oracle %v", u, v, got, want)
+				t.Fatalf("frozen Query(%d,%d) = %v, reference %v", u, v, got, want)
 			}
 			if got := dec.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("decoded Query(%d,%d) = %v, oracle %v", u, v, got, want)
+				t.Fatalf("decoded Query(%d,%d) = %v, reference %v", u, v, got, want)
 			}
 		}
 	})

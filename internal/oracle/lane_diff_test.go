@@ -1,16 +1,16 @@
 // White-box differential coverage for the blocked sweep-lane layout.
 //
-// The flat image no longer stores AoS portal records: Freeze/DecodeFlat
-// derive per-entry lanes (pos, diff, suffix-min) plus a sum lane, and
-// the merge sweep folds over those. These tests pin the layout to its
-// AoS source of truth — the pointer oracle's []Portal runs — field by
+// The flat image stores no AoS portal records: Build writes per-entry
+// lanes (pos, Dist, suffix-min) and the merge sweep folds over those.
+// These tests pin the layout to its AoS source of truth — the reference
+// labels' []Portal runs, replayed from the same build records — field by
 // field and fold by fold, across three graph families and both modes:
 //
 //   - every lane record must be a bit-exact transcription of its Portal
-//     (pos, Dist-Pos, suffix-min of Dist+Pos, and the sum lane);
+//     (pos, Dist, and the suffix-min of Dist+Pos);
 //   - the lane fold (sweepRec) must reproduce the classic AoS
 //     two-pointer fold (pairMin) bit-for-bit on every matched key;
-//   - Query/QueryPath/QueryBatch must agree with the pointer oracle;
+//   - Query/QueryPath must agree with the reference label walk;
 //   - locality-scheduled batches must return results in caller order
 //     byte-identically under any permutation of the pair list.
 package oracle
@@ -67,13 +67,16 @@ func laneFamilies(t *testing.T) map[string]struct {
 	return out
 }
 
-func laneBuild(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode Mode) (*Oracle, *Flat) {
+// laneBuild builds g's oracle in the given mode, freezes it, and replays
+// the same build's records into the reference labels.
+func laneBuild(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode Mode) (*refOracle, *Flat) {
 	t.Helper()
 	dec, err := core.Decompose(g, core.Options{Strategy: core.Auto{}, Rot: rot})
 	if err != nil {
 		t.Fatalf("decompose: %v", err)
 	}
-	o, err := Build(dec, Options{Epsilon: 0.25, Mode: mode})
+	opt := Options{Epsilon: 0.25, Mode: mode}
+	o, err := Build(dec, opt)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -81,7 +84,7 @@ func laneBuild(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode Mode) (*O
 	if err != nil {
 		t.Fatalf("freeze: %v", err)
 	}
-	return o, f
+	return refBuild(t, dec, opt, 0), f
 }
 
 // laneModes enumerates both cover modes with printable names.
@@ -90,12 +93,13 @@ var laneModes = []struct {
 	name string
 }{{CoverExact, "exact"}, {CoverPortal, "portal"}}
 
-// TestSweepLayoutDifferential pins the derived lanes to the AoS portal
-// records and the lane fold to the classic AoS fold, bit for bit.
+// TestSweepLayoutDifferential pins the lanes to the reference labels' AoS
+// portal records, the lane fold to the classic AoS fold, and Query and
+// QueryPath to the reference label walk, bit for bit.
 func TestSweepLayoutDifferential(t *testing.T) {
 	for fam, fx := range laneFamilies(t) {
 		for _, m := range laneModes {
-			o, f := laneBuild(t, fx.g, fx.rot, m.mode)
+			ref, f := laneBuild(t, fx.g, fx.rot, m.mode)
 			n := fx.g.N()
 
 			// Field-level: each entry's lane run transcribes its Portal
@@ -103,7 +107,7 @@ func TestSweepLayoutDifferential(t *testing.T) {
 			// backward fold of fl(Dist+Pos) under strict <.
 			ei := 0
 			for u := 0; u < n; u++ {
-				for _, e := range o.Labels[u].Entries {
+				for _, e := range ref.labels[u].Entries {
 					if f.keys[f.entryKey[ei]] != e.Key {
 						t.Fatalf("%s/%s: entry %d key %v, labels say %v",
 							fam, m.name, ei, f.keys[f.entryKey[ei]], e.Key)
@@ -135,7 +139,7 @@ func TestSweepLayoutDifferential(t *testing.T) {
 			// pair, the lane fold equals the AoS two-pointer fold.
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v++ {
-					lu, lv := &o.Labels[u], &o.Labels[v]
+					lu, lv := &ref.labels[u], &ref.labels[v]
 					i, j := 0, 0
 					for i < len(lu.Entries) && j < len(lv.Entries) {
 						a, b := lu.Entries[i], lv.Entries[j]
@@ -162,28 +166,28 @@ func TestSweepLayoutDifferential(t *testing.T) {
 				}
 			}
 
-			// End-to-end: flat Query and QueryPath against the pointer
-			// oracle on a pair sample (all pairs for the smaller grid).
+			// End-to-end: flat Query and QueryPath against the reference
+			// label walk on every pair, out-of-range IDs included.
 			var buf, pbuf []int32
 			for u := -1; u <= n; u++ {
 				for v := -1; v <= n; v++ {
-					want := o.Query(u, v)
+					want := ref.Query(u, v)
 					if got := f.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s/%s: Query(%d,%d) = %v, pointer %v", fam, m.name, u, v, got, want)
+						t.Fatalf("%s/%s: Query(%d,%d) = %v, reference %v", fam, m.name, u, v, got, want)
 					}
-					wd, wp, werr := o.QueryPath(u, v, buf[:0])
+					wd, wp, werr := ref.QueryPath(u, v, buf[:0])
 					gd, gp, gerr := f.QueryPath(u, v, pbuf[:0])
 					buf, pbuf = wp, gp
 					if math.Float64bits(gd) != math.Float64bits(wd) || (werr == nil) != (gerr == nil) {
-						t.Fatalf("%s/%s: QueryPath(%d,%d) = (%v,%v), pointer (%v,%v)",
+						t.Fatalf("%s/%s: QueryPath(%d,%d) = (%v,%v), reference (%v,%v)",
 							fam, m.name, u, v, gd, gerr, wd, werr)
 					}
 					if len(gp) != len(wp) {
-						t.Fatalf("%s/%s: QueryPath(%d,%d) walk %v, pointer %v", fam, m.name, u, v, gp, wp)
+						t.Fatalf("%s/%s: QueryPath(%d,%d) walk %v, reference %v", fam, m.name, u, v, gp, wp)
 					}
 					for x := range gp {
 						if gp[x] != wp[x] {
-							t.Fatalf("%s/%s: QueryPath(%d,%d) walk %v, pointer %v", fam, m.name, u, v, gp, wp)
+							t.Fatalf("%s/%s: QueryPath(%d,%d) walk %v, reference %v", fam, m.name, u, v, gp, wp)
 						}
 					}
 				}

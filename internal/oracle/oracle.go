@@ -27,7 +27,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"pathsep/internal/core"
 	"pathsep/internal/graph"
@@ -76,10 +75,10 @@ type Options struct {
 	Metrics *obs.Registry
 	// Workers bounds the worker pool that fans out the per-separator-path
 	// (and, in CoverExact mode, per-vertex) Dijkstra tasks and then
-	// assembles the labels, one vertex range per task. Every label replays
-	// its records in task order, so the frozen image is bit-identical for
-	// every worker count. 0 means runtime.GOMAXPROCS(0); 1 forces the
-	// serial reference build.
+	// writes the serving rows, one vertex range per task. Every vertex's
+	// records are sorted under a total order, so the frozen image is
+	// bit-identical for every worker count. 0 means
+	// runtime.GOMAXPROCS(0); 1 forces the serial build.
 	Workers int
 }
 
@@ -110,11 +109,10 @@ type Portal struct {
 }
 
 // Entry is the portal list a vertex stores for one separator path,
-// sorted by position. Hops, when present, is parallel to Portals:
-// Hops[i] is the next vertex on a shortest walk from the labeled vertex
-// toward the path vertex Portals[i] points at, or -1 when the labeled
-// vertex is that path vertex itself. Build always fills it; Freeze
-// rejects an entry whose Hops do not parallel its Portals.
+// sorted by position. Hops is parallel to Portals: Hops[i] is the next
+// vertex on a shortest walk from the labeled vertex toward the path
+// vertex Portals[i] points at, or -1 when the labeled vertex is that path
+// vertex itself. Oracle.Label fills both from the build rows.
 type Entry struct {
 	Key     Key
 	Portals []Portal
@@ -147,22 +145,19 @@ type sepPath struct {
 	pos   []float64
 }
 
-// Oracle is the centralized distance oracle: all labels plus the
-// decomposition tree metadata.
+// Oracle is the centralized distance oracle: the n vertex labels of
+// Theorem 2, held as the serving rows Build writes them in. rows is a
+// Flat without its path records: the interned keys, the CSR entry and
+// portal tables, the sweep lane and the separator-path geometry, so
+// Query runs the flat engine on them. hopVert[i] is the hop vertex of
+// pool record i (-1 at a path vertex's own record); Freeze resolves the
+// hop vertices to pool indices and derives the walk, sharing the rows
+// rather than copying them. The rows are immutable once Build returns.
 type Oracle struct {
-	Labels []Label
-	N      int
-	Eps    float64
-	mode   Mode
-	// paths holds every separator path sorted by keyLess; QueryPath reads
-	// the middle segment of a reported walk off it. pos aliases the
-	// planning pass's prefix sums, so positions match portal Pos values
-	// bit for bit.
-	paths []sepPath
-	// Query-time instruments, cached so the hot path costs one nil check
-	// when metrics are disabled. Set via SetMetrics / Options.Metrics.
-	qLatency *obs.Histogram
-	qPortals *obs.Histogram
+	N       int
+	Eps     float64
+	rows    Flat
+	hopVert []int32
 }
 
 // SetMetrics attaches (or, with nil, detaches) query-time metrics:
@@ -170,27 +165,27 @@ type Oracle struct {
 // "oracle.query_portals" the number of portals compared per query.
 func (o *Oracle) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
-		o.qLatency, o.qPortals = nil, nil
+		o.rows.qLatency, o.rows.qPortals = nil, nil
 		return
 	}
-	o.qLatency = reg.Histogram("oracle.query_ns")
-	o.qPortals = reg.Histogram("oracle.query_portals")
+	o.rows.qLatency = reg.Histogram("oracle.query_ns")
+	o.rows.qPortals = reg.Histogram("oracle.query_portals")
 }
 
-// rec is one deferred label entry produced by a parallel build task:
-// add(v, k, p, h) to be replayed by stage 3. h is the hop vertex of the
-// record (-1 when the record is a path vertex's self entry).
+// rec is one label record produced by a build task: vertex v stores
+// portal p on the separator path with key ID k, with hop vertex h (-1
+// when the record is a path vertex's self record).
 type rec struct {
 	p Portal
-	k Key
 	v int32
+	k int32
 	h int32
 }
 
 // vertexSplit cuts the root vertices 0..n-1 into contiguous ranges of
-// width vertices, one pool task each: Build's stage-3 replay, Freeze's
-// hop resolution and the walk relocation. The last ranges are empty when
-// n is smaller than the range count.
+// width vertices, one pool task each: Build's row assembly, Freeze's hop
+// resolution and the walk relocation. The last ranges are empty when n
+// is smaller than the range count.
 type vertexSplit struct {
 	n, ranges, width int
 }
@@ -240,54 +235,77 @@ func (b recBuf) put(s vertexSplit, x rec) {
 // that finishes its share early can take another range.
 const rangesPerWorker = 4
 
+// records is what Build's first two stages hand to the third: the
+// interned keys with their separator-path geometry, and every label
+// record, grouped by the task that emitted it and the vertex range that
+// owns it. The last output holds the path vertices' self records.
+type records struct {
+	n     int
+	split vertexSplit
+	geo   tables // keys, pathOff, pathVert, pathPos
+	outs  []recBuf
+}
+
 // Build constructs the oracle from a decomposition tree.
 //
 // Construction is a three-stage pipeline. A serial planning pass walks the
-// tree, builds every residual graph J and path geometry, emits the
-// zero-distance self entries, and collects one closure per unit of
-// Dijkstra work: per separator path in CoverPortal mode, per residual
-// vertex in CoverExact mode. The tasks then fan out on a bounded worker
-// pool (Options.Workers), each returning its label records grouped by the
-// contiguous vertex range that owns them. Stage 3 runs on the same pool,
-// one task per range: it replays that range's records in task order and
-// normalizes the range's labels, so every label sees the same record
-// sequence as a serial replay would. Labels are canonicalized by
-// normalizeLabel, so the frozen image is bit-identical for every worker
-// count — the differential tests compare Freeze().Encode() bytes of
-// workers=1 and workers=N builds.
+// tree, builds every residual graph J and path geometry, and collects one
+// closure per unit of Dijkstra work: per separator path in CoverPortal
+// mode, per residual vertex in CoverExact mode. It then sorts the
+// separator paths by key, which interns the keys (a key's ID is its
+// rank), and emits the zero-distance self records. The tasks fan out on a
+// bounded worker pool (Options.Workers), each returning its records
+// grouped by the contiguous vertex range that owns them. Stage 3 writes
+// the serving rows on the same pool, one task per range (see assemble):
+// every vertex's records are sorted under a total order, so the rows are
+// bit-identical for every worker count and task order — the differential
+// tests compare Freeze().Encode() bytes of workers=1 and workers=N builds.
 func Build(t *core.Tree, opt Options) (*Oracle, error) {
 	if !(opt.Epsilon > 0) || math.IsInf(opt.Epsilon, 1) {
 		return nil, fmt.Errorf("oracle: epsilon must be positive and finite, got %v", opt.Epsilon)
 	}
 	span := opt.Metrics.StartSpan("oracle.build")
 	defer span.End()
-	col := shortest.NewCollector(opt.Metrics)
 	pool := par.New(opt.Workers, opt.Metrics)
 	defer pool.Finish()
-	o := &Oracle{
-		Labels: make([]Label, t.G.N()),
-		N:      t.G.N(),
-		Eps:    opt.Epsilon,
-		mode:   opt.Mode,
+	c, err := collect(t, opt, pool)
+	if err != nil {
+		return nil, err
 	}
+	o, err := c.assemble(opt, pool)
+	if err != nil {
+		return nil, err
+	}
+	if m := opt.Metrics; m != nil {
+		labelHist := m.Histogram("oracle.label_portals")
+		for v := 0; v < o.N; v++ {
+			labelHist.Observe(float64(o.rows.labelPortals(v)))
+		}
+		m.Gauge("oracle.labels").Set(int64(o.N))
+		m.Gauge("oracle.portal_words").Set(int64(o.SpacePortals()))
+		m.Gauge("oracle.max_label_portals").Set(int64(o.MaxLabelPortals()))
+		o.SetMetrics(m)
+	}
+	return o, nil
+}
+
+// collect runs Build's first two stages: the serial planning pass, then
+// the Dijkstra tasks on pool.
+func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
+	col := shortest.NewCollector(opt.Metrics)
 	portalsPerPath := opt.PortalsPerPath
 	if portalsPerPath <= 0 {
 		portalsPerPath = int(math.Ceil(4 / opt.Epsilon))
 	}
-	split := newVertexSplit(o.N, rangesPerWorker*pool.Workers())
+	n := t.G.N()
+	split := newVertexSplit(n, rangesPerWorker*pool.Workers())
 
-	add := func(rootV int32, k Key, p Portal, hop int32) {
-		lbl := &o.Labels[rootV]
-		if len(lbl.Entries) == 0 || lbl.Entries[len(lbl.Entries)-1].Key != k {
-			lbl.Entries = append(lbl.Entries, Entry{Key: k})
-		}
-		e := &lbl.Entries[len(lbl.Entries)-1]
-		e.Portals = append(e.Portals, p)
-		e.Hops = append(e.Hops, hop)
-	}
-
-	// Stage 1: serial planning — residual graphs, path geometry, self
-	// entries, and the task list.
+	// Stage 1: serial planning — residual graphs, path geometry and the
+	// task list. Paths are numbered in emission order; rank maps that
+	// number to the path's key ID once every path is known, and the tasks
+	// read it when they run.
+	var paths []sepPath
+	var rank []int32
 	var tasks []func() recBuf
 	for _, node := range t.Nodes {
 		if node.Sep == nil {
@@ -315,8 +333,12 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 			}
 
 			// Per-path J-local vertex lists and positions.
+			first := len(paths)
 			infos := make([]pathInfo, len(phase.Paths))
 			for pi, p := range phase.Paths {
+				if len(p.Vertices) == 0 {
+					return nil, fmt.Errorf("oracle: node %d phase %d path %d: empty path", node.ID, phaseIdx, pi)
+				}
 				info := pathInfo{
 					verts: make([]int, len(p.Vertices)),
 					pos:   make([]float64, len(p.Vertices)),
@@ -336,23 +358,24 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 					}
 				}
 				infos[pi] = info
-				k := Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)}
-				// Self entries: every path vertex is its own zero-distance
-				// portal.
-				sp := sepPath{key: k, verts: make([]int32, len(info.verts)), pos: info.pos}
+				sp := sepPath{
+					key:   Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)},
+					verts: make([]int32, len(info.verts)),
+					pos:   info.pos,
+				}
 				for x, jv := range info.verts {
 					sp.verts[x] = roots[jv]
-					add(roots[jv], k, Portal{Pos: info.pos[x], Dist: 0}, -1)
 				}
-				o.paths = append(o.paths, sp)
+				paths = append(paths, sp)
 			}
 
 			switch opt.Mode {
 			case CoverPortal:
 				for pi := range infos {
 					info := infos[pi]
-					k := Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)}
+					at := first + pi
 					tasks = append(tasks, func() recBuf {
+						k := rank[at]
 						// Evenly spaced portals (by weight), endpoints
 						// included, plus the closest attachment: at most
 						// one record per residual vertex each.
@@ -366,31 +389,33 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 							posOf[jv] = info.pos[x]
 						}
 						for w := 0; w < j.N(); w++ {
+							// Path vertices have their self records; every
+							// other reached vertex gets one, at distance 0
+							// too, since a record may hop through it.
 							src := trQ.Source[w]
-							if src < 0 || core.IsZeroDist(trQ.Dist[w]) {
+							if src < 0 || src == w {
 								continue
 							}
 							// The hop is w's parent in the multi-source
 							// forest: it shares w's source, so it carries a
 							// record at the same (key, position) and the hop
 							// chain telescopes down to the source itself.
-							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, k, roots[w], roots[trQ.Parent[w]]})
+							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, roots[w], k, roots[trQ.Parent[w]]})
 						}
 						for _, x := range sel {
 							tr := shortest.Dijkstra(j, info.verts[x])
 							col.Record(tr)
 							for w := 0; w < j.N(); w++ {
-								if math.IsInf(tr.Dist[w], 1) || core.IsZeroDist(tr.Dist[w]) {
+								if math.IsInf(tr.Dist[w], 1) || w == info.verts[x] {
 									continue
 								}
-								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, k, roots[w], roots[tr.Parent[w]]})
+								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, roots[w], k, roots[tr.Parent[w]]})
 							}
 						}
 						return out
 					})
 				}
 			default: // CoverExact
-				node := node
 				for w := 0; w < j.N(); w++ {
 					w := w
 					tasks = append(tasks, func() recBuf {
@@ -398,20 +423,20 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 						tr := shortest.Dijkstra(j, w)
 						col.Record(tr)
 						for pi, info := range infos {
-							k := Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)}
+							k := rank[first+pi]
 							for _, x := range epsCover(tr.Dist, info, opt.Epsilon) {
 								if info.verts[x] == w {
-									continue // self entry already present
+									continue // self record already present
 								}
 								path := tr.PathTo(info.verts[x])
-								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[info.verts[x]]}, k, roots[w], roots[path[1]]})
+								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[info.verts[x]]}, roots[w], k, roots[path[1]]})
 								// Closure records: the ε-cover places no
 								// records at the witness path's interior
 								// vertices, so emit one per interior vertex
 								// (its exact tail distance to the anchor,
 								// accumulated backwards) to keep every hop
 								// chain landing on a record until it reaches
-								// the anchor's self entry. Subpaths of a
+								// the anchor's self record. Subpaths of a
 								// shortest path are shortest, so each Dist is
 								// a true distance and query stretch can only
 								// improve.
@@ -419,7 +444,7 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 								for pidx := len(path) - 2; pidx >= 1; pidx-- {
 									ew, _ := j.EdgeWeight(path[pidx], path[pidx+1])
 									tail = ew + tail
-									out.put(split, rec{Portal{Pos: info.pos[x], Dist: tail}, k, roots[path[pidx]], roots[path[pidx+1]]})
+									out.put(split, rec{Portal{Pos: info.pos[x], Dist: tail}, roots[path[pidx]], k, roots[path[pidx+1]]})
 								}
 							}
 						}
@@ -436,34 +461,244 @@ func Build(t *core.Tree, opt Options) (*Oracle, error) {
 		}
 	}
 
-	// Stage 2: fan out the Dijkstra tasks; each writes only its own slot.
-	outs := make([]recBuf, len(tasks))
-	pool.ForEach(len(tasks), func(i int) { outs[i] = tasks[i]() })
-
-	// Stage 3: one task per vertex range replays the range's records in
-	// task order, then normalizes the range's labels. Ranges own disjoint
-	// labels, and each record was routed to its range once, in stage 2.
-	pool.ForEach(split.ranges, func(r int) {
-		for _, out := range outs {
-			for _, x := range out[r] {
-				add(x.v, x.k, x.p, x.h)
-			}
+	// Intern the keys: a path's key ID is its rank under keyCmp, and the
+	// geometry is laid out in key order. Then the self records: every
+	// path vertex is its own zero-distance portal.
+	order := make([]int32, len(paths))
+	nv := 0
+	for i := range order {
+		order[i] = int32(i)
+		nv += len(paths[i].verts)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return keyCmp(paths[a].key, paths[b].key) })
+	rank = make([]int32, len(paths))
+	c := &records{
+		n:     n,
+		split: split,
+		geo: tables{
+			keys:     make([]Key, len(paths)),
+			pathOff:  make([]int32, len(paths)+1),
+			pathVert: make([]int32, 0, nv),
+			pathPos:  make([]float64, 0, nv),
+		},
+		outs: make([]recBuf, len(tasks)+1),
+	}
+	for id, i := range order {
+		rank[i] = int32(id)
+		sp := &paths[i]
+		c.geo.keys[id] = sp.key
+		c.geo.pathVert = append(c.geo.pathVert, sp.verts...)
+		c.geo.pathPos = append(c.geo.pathPos, sp.pos...)
+		c.geo.pathOff[id+1] = int32(len(c.geo.pathVert))
+	}
+	self := sizedRecBuf(split, c.geo.pathVert, 1)
+	for k := range c.geo.keys {
+		for x := c.geo.pathOff[k]; x < c.geo.pathOff[k+1]; x++ {
+			self.put(split, rec{Portal{Pos: c.geo.pathPos[x]}, c.geo.pathVert[x], int32(k), -1})
 		}
+	}
+	c.outs[len(tasks)] = self
+
+	// Stage 2: fan out the Dijkstra tasks; each writes only its own slot.
+	pool.ForEach(len(tasks), func(i int) { c.outs[i] = tasks[i]() })
+	return c, nil
+}
+
+// labelRow is one label record in stage 3, under its vertex. rowTag
+// holds the words of a row the lane does not: its key ID and hop vertex.
+type (
+	labelRow struct {
+		pos, dist float64
+		rowTag
+	}
+	rowTag struct{ key, hop int32 }
+)
+
+// rowCmp orders a vertex's rows by key ID, position, distance and hop
+// vertex. Two rows it ties are identical, so the order is total and a
+// sort yields the same rows whatever order the records arrived in.
+func rowCmp(a, b labelRow) int {
+	if a.key != b.key {
+		return cmp.Compare(a.key, b.key)
+	}
+	if !core.SameDist(a.pos, b.pos) {
+		return floatCmp(a.pos, b.pos)
+	}
+	if !core.SameDist(a.dist, b.dist) {
+		return floatCmp(a.dist, b.dist)
+	}
+	return cmp.Compare(a.hop, b.hop)
+}
+
+// sortRows sorts a vertex's rows with rowCmp. In CoverPortal mode they
+// arrive nearly sorted — tasks come in key order, a task's records for
+// one vertex come by ascending position after one attachment record, and
+// the vertex's self record comes last with its largest key — so an
+// insertion pass finishes the job in a few moves per row. Once the pass
+// has moved rows more than twice the group's length it hands the group
+// to a general sort, which bounds the CoverExact case, whose closure
+// records arrive in no particular order.
+func sortRows(g []labelRow) {
+	budget := 2 * len(g)
+	for i := 1; i < len(g); i++ {
+		x := g[i]
+		j := i
+		for j > 0 && rowCmp(x, g[j-1]) < 0 {
+			g[j] = g[j-1]
+			j--
+		}
+		g[j] = x
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(g, rowCmp)
+			return
+		}
+	}
+}
+
+// floatCmp orders two distances its caller has found not SameDist: -1 when
+// a < b, else +1.
+func floatCmp(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	return 1
+}
+
+// rangeRows is one vertex range's rows after stage 3's sort, vertex
+// after vertex: vertex lo+i owns portals[ends[i]:ends[i+1]] and the
+// parallel tags. entries counts the label entries the rows form.
+type rangeRows struct {
+	portals []Portal
+	tags    []rowTag
+	ends    []int
+	entries int
+}
+
+// sortRange gathers range r's records from every task output, sorts each
+// vertex's rows with rowCmp and drops repeated positions on a key,
+// keeping the first — the smallest distance, then the smallest hop.
+func (c *records) sortRange(r int) rangeRows {
+	lo, hi := c.split.bounds(r)
+	nv := hi - lo
+	// Count each vertex's records, then scatter them into its group.
+	ends := make([]int, nv+1)
+	for _, out := range c.outs {
+		for _, x := range out[r] {
+			ends[int(x.v)-lo+1]++
+		}
+	}
+	for i := 0; i < nv; i++ {
+		ends[i+1] += ends[i]
+	}
+	rows := make([]labelRow, ends[nv])
+	next := slices.Clone(ends[:nv])
+	for _, out := range c.outs {
+		for _, x := range out[r] {
+			i := int(x.v) - lo
+			rows[next[i]] = labelRow{x.p.Pos, x.p.Dist, rowTag{x.k, x.h}}
+			next[i]++
+		}
+	}
+	// Sort and deduplicate group by group, compacting in place: the write
+	// cursor never passes the row being read.
+	kept, entries, start := 0, 0, 0
+	for i := 0; i < nv; i++ {
+		end := ends[i+1]
+		group := rows[start:end]
+		sortRows(group)
+		first := kept
+		for _, x := range group {
+			if kept > first && x.key == rows[kept-1].key {
+				if core.SameDist(x.pos, rows[kept-1].pos) {
+					continue
+				}
+			} else {
+				entries++
+			}
+			rows[kept] = x
+			kept++
+		}
+		ends[i+1] = kept
+		start = end
+	}
+	rr := rangeRows{portals: make([]Portal, kept), tags: make([]rowTag, kept), ends: ends, entries: entries}
+	for x, w := range rows[:kept] {
+		rr.portals[x] = Portal{Pos: w.pos, Dist: w.dist}
+		rr.tags[x] = w.rowTag
+	}
+	return rr
+}
+
+// assemble is Build's stage 3: it writes the serving rows. One pool task
+// per vertex range sorts and deduplicates the range's rows (sortRange);
+// one prefix sum over the ranges then gives every range its entry and
+// pool offsets, and a second task per range fills its share of
+// entryOff, entryKey and portalOff, the sweep lane (buildLane) and one
+// hop vertex per row. The range boundaries of portalOff are written
+// before that pass, so no range reads an offset another one writes.
+func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
+	split := c.split
+	parts := make([]rangeRows, split.ranges)
+	pool.ForEach(split.ranges, func(r int) { parts[r] = c.sortRange(r) })
+
+	entBase := make([]int, split.ranges+1)
+	portBase := make([]int, split.ranges+1)
+	for r := range parts {
+		entBase[r+1] = entBase[r] + parts[r].entries
+		portBase[r+1] = portBase[r] + len(parts[r].portals)
+	}
+	numEntries, numPortals := entBase[split.ranges], portBase[split.ranges]
+	if numEntries+1 > math.MaxInt32 || numPortals > math.MaxInt32 {
+		return nil, fmt.Errorf("oracle: build: %d entries / %d portals exceed the int32 CSR index space", numEntries, numPortals)
+	}
+	o := &Oracle{
+		N:   c.n,
+		Eps: opt.Epsilon,
+		rows: Flat{
+			n:      c.n,
+			eps:    opt.Epsilon,
+			mode:   opt.Mode,
+			tables: c.geo,
+			lane:   alignedFloats(3 * numPortals),
+		},
+		hopVert: make([]int32, numPortals),
+	}
+	rows := &o.rows
+	rows.entryOff = make([]int32, c.n+1)
+	rows.entryKey = make([]int32, numEntries)
+	rows.portalOff = make([]int32, numEntries+1)
+	for r := range parts {
+		rows.portalOff[entBase[r]] = int32(portBase[r])
+	}
+	rows.portalOff[numEntries] = int32(numPortals)
+
+	errs := make([]error, split.ranges)
+	pool.ForEach(split.ranges, func(r int) {
+		rr := &parts[r]
 		lo, hi := split.bounds(r)
-		for v := lo; v < hi; v++ {
-			normalizeLabel(&o.Labels[v])
+		e, pb := entBase[r], portBase[r]
+		for i := 0; i < hi-lo; i++ {
+			for x := rr.ends[i]; x < rr.ends[i+1]; x++ {
+				tg := rr.tags[x]
+				if x == rr.ends[i] || tg.key != rr.tags[x-1].key {
+					if e > entBase[r] {
+						rows.portalOff[e] = int32(pb + x)
+					}
+					rows.entryKey[e] = tg.key
+					e++
+				}
+				o.hopVert[pb+x] = tg.hop
+			}
+			rows.entryOff[lo+i+1] = int32(e)
+		}
+		if err := rows.buildLane(entBase[r], e, rr.portals); err != nil {
+			errs[r] = fmt.Errorf("oracle: build: %w", err)
 		}
 	})
-	sort.Slice(o.paths, func(i, j int) bool { return keyLess(o.paths[i].key, o.paths[j].key) })
-	if m := opt.Metrics; m != nil {
-		labelHist := m.Histogram("oracle.label_portals")
-		for v := range o.Labels {
-			labelHist.Observe(float64(o.Labels[v].NumPortals()))
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		m.Gauge("oracle.labels").Set(int64(o.N))
-		m.Gauge("oracle.portal_words").Set(int64(o.SpacePortals()))
-		m.Gauge("oracle.max_label_portals").Set(int64(o.MaxLabelPortals()))
-		o.SetMetrics(m)
 	}
 	return o, nil
 }
@@ -536,100 +771,45 @@ func epsCover(dist []float64, info pathInfo, eps float64) []int {
 	return chosen
 }
 
-// portalHop pairs a portal with its hop so the two co-sort and co-dedup.
-type portalHop struct {
-	p Portal
-	h int32
-}
-
-// normalizeLabel sorts entries by key, sorts portals by position, and
-// deduplicates portals at equal positions keeping the smaller distance.
-// Hops travel with their portals (ties broken by the smaller hop so the
-// result is schedule-independent).
-func normalizeLabel(l *Label) {
-	slices.SortFunc(l.Entries, func(a, b Entry) int { return keyCmp(a.Key, b.Key) })
-	// Merge duplicate keys (entries were appended per construction stage).
-	out := l.Entries[:0]
-	for _, e := range l.Entries {
-		if len(out) > 0 && out[len(out)-1].Key == e.Key {
-			out[len(out)-1].Portals = append(out[len(out)-1].Portals, e.Portals...)
-			out[len(out)-1].Hops = append(out[len(out)-1].Hops, e.Hops...)
-			continue
-		}
-		out = append(out, e)
-	}
-	l.Entries = out
-	for i := range l.Entries {
-		e := &l.Entries[i]
-		ph := make([]portalHop, len(e.Portals))
-		for x := range ph {
-			ph[x] = portalHop{p: e.Portals[x], h: e.Hops[x]}
-		}
-		slices.SortFunc(ph, func(a, b portalHop) int {
-			if !core.SameDist(a.p.Pos, b.p.Pos) {
-				return floatCmp(a.p.Pos, b.p.Pos)
-			}
-			if !core.SameDist(a.p.Dist, b.p.Dist) {
-				return floatCmp(a.p.Dist, b.p.Dist)
-			}
-			return cmp.Compare(a.h, b.h)
-		})
-		ps, hs := e.Portals[:0], e.Hops[:0]
-		for _, x := range ph {
-			if len(ps) > 0 && core.SameDist(ps[len(ps)-1].Pos, x.p.Pos) {
-				continue // keep the smaller distance (sorted first)
-			}
-			ps = append(ps, x.p)
-			hs = append(hs, x.h)
-		}
-		e.Portals, e.Hops = ps, hs
-	}
-}
-
 // keyCmp is keyLess as a three-way comparison.
 func keyCmp(a, b Key) int {
 	return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Path, b.Path))
 }
 
-// floatCmp orders two distances its caller has found not SameDist: -1 when
-// a < b, else +1.
-func floatCmp(a, b float64) int {
-	if a < b {
-		return -1
-	}
-	return 1
-}
-
 // Query returns a (1+ε)-approximate distance between u and v, or +Inf if
-// they are disconnected. Out-of-range or negative vertex IDs also report
-// +Inf ("not locatable") rather than panicking — the oracle is the public
-// query surface, so malformed input degrades gracefully. With metrics
-// attached (SetMetrics) it also observes the query latency and the number
-// of portals compared; the disabled path is a single bounds-and-nil check
-// and allocation-free.
-func (o *Oracle) Query(u, v int) float64 {
-	if u < 0 || v < 0 || u >= len(o.Labels) || v >= len(o.Labels) {
-		return math.Inf(1)
+// they are disconnected. It runs the flat engine (Flat.Query) on the
+// build rows, so its answers are bit-identical to the frozen image's.
+// Out-of-range or negative vertex IDs also report +Inf ("not
+// locatable") rather than panicking. With metrics attached (SetMetrics)
+// it also observes the query latency and the number of portals
+// compared; the disabled path is a single bounds-and-nil check and
+// allocation-free.
+func (o *Oracle) Query(u, v int) float64 { return o.rows.Query(u, v) }
+
+// Label returns vertex v's distance label, assembled from its rows, or
+// nil when v is out of range. Two labels alone answer a query
+// (QueryLabels): the distributed form of the oracle.
+func (o *Oracle) Label(v int) *Label {
+	if v < 0 || v >= o.N {
+		return nil
 	}
-	if o.qLatency == nil {
-		if u == v {
-			return 0
+	r := &o.rows
+	lo, hi := int(r.entryOff[v]), int(r.entryOff[v+1])
+	l := &Label{Entries: make([]Entry, hi-lo)}
+	for i := range l.Entries {
+		e := lo + i
+		plo, phi := int(r.portalOff[e]), int(r.portalOff[e+1])
+		ent := Entry{
+			Key:     r.keys[r.entryKey[e]],
+			Portals: make([]Portal, phi-plo),
+			Hops:    slices.Clone(o.hopVert[plo:phi]),
 		}
-		est, _ := queryLabels(&o.Labels[u], &o.Labels[v])
-		return est
+		for x := range ent.Portals {
+			ent.Portals[x] = Portal{Pos: r.lane[3*(plo+x)], Dist: r.lane[3*(plo+x)+1]}
+		}
+		l.Entries[i] = ent
 	}
-	start := time.Now()
-	// Self queries are answered on a fast path but still observed (zero
-	// portals compared), so QPS and latency numbers reflect all traffic.
-	if u == v {
-		o.qLatency.Observe(float64(time.Since(start)))
-		o.qPortals.Observe(0)
-		return 0
-	}
-	est, portals := queryLabels(&o.Labels[u], &o.Labels[v])
-	o.qLatency.Observe(float64(time.Since(start)))
-	o.qPortals.Observe(float64(portals))
-	return est
+	return l
 }
 
 // QueryLabels answers an approximate distance query from two labels alone
@@ -706,21 +886,13 @@ func pairMin(a, b []Portal) float64 {
 
 // SpacePortals returns the total number of portal entries across all
 // labels — the oracle's space in words, up to constants.
-func (o *Oracle) SpacePortals() int {
-	total := 0
-	for i := range o.Labels {
-		total += o.Labels[i].NumPortals()
-	}
-	return total
-}
+func (o *Oracle) SpacePortals() int { return o.rows.NumPortals() }
 
 // MaxLabelPortals returns the largest label size in portals.
 func (o *Oracle) MaxLabelPortals() int {
 	best := 0
-	for i := range o.Labels {
-		if p := o.Labels[i].NumPortals(); p > best {
-			best = p
-		}
+	for v := 0; v < o.N; v++ {
+		best = max(best, o.rows.labelPortals(v))
 	}
 	return best
 }
@@ -772,8 +944,11 @@ func (o *Oracle) AuditWorkers(g *graph.Graph, pairs int, next func(n int) int, w
 		if math.IsInf(d, 1) || core.IsZeroDist(d) {
 			return
 		}
+		// The tolerance is relative: float rounding in an estimate grows
+		// with the weights, and an absolute one counts it as a shortfall
+		// once the distances are large.
 		est := o.Query(u, v)
-		slots[i] = slot{ratio: est / d, under: est < d-1e-9, ok: true}
+		slots[i] = slot{ratio: est / d, under: est < d && !core.ApproxDistEq(est, d, 1e-9), ok: true}
 	})
 	pool.Finish()
 

@@ -242,7 +242,7 @@ func TestSpaceAccounting(t *testing.T) {
 	o := buildFor(t, r.G, r, Options{Epsilon: 0.5})
 	total := 0
 	for v := 0; v < r.G.N(); v++ {
-		total += o.Labels[v].NumPortals()
+		total += o.Label(v).NumPortals()
 	}
 	if total != o.SpacePortals() {
 		t.Fatalf("SpacePortals %d != sum %d", o.SpacePortals(), total)
@@ -265,5 +265,31 @@ func TestAuditAPI(t *testing.T) {
 	}
 	if res.MaxStretch > 1.25+1e-9 || res.MeanStretch > res.MaxStretch {
 		t.Fatalf("audit: %+v", res)
+	}
+}
+
+// TestAuditScaleInvariant pins Audit's underestimate check to a relative
+// tolerance. The 24×24 grid of seed 3 with weights uniform in [1, 4), and
+// the same grid with every weight scaled by 1e6, are audited over 4000
+// pairs at ε = 0.25 in both modes: neither scale may report an
+// underestimate, and both must report the same MaxStretch up to
+// rounding. An absolute tolerance counted the scaled estimates' float
+// rounding — about 1e-15 of the distance — as shortfalls.
+func TestAuditScaleInvariant(t *testing.T) {
+	for _, mode := range []Mode{CoverExact, CoverPortal} {
+		var stretch [2]float64
+		for i, scale := range []float64{1, 1e6} {
+			w := func(_, _ int, rng *rand.Rand) float64 { return scale * (1 + 3*rng.Float64()) }
+			r := embed.Grid(24, 24, w, rand.New(rand.NewSource(3)))
+			o := buildFor(t, r.G, r, Options{Epsilon: 0.25, Mode: mode})
+			res := o.Audit(r.G, 4000, rand.New(rand.NewSource(4)).Intn)
+			if res.Pairs < 3900 || res.Underestimates != 0 {
+				t.Errorf("%s scale %g: %d underestimates over %d pairs", mode, scale, res.Underestimates, res.Pairs)
+			}
+			stretch[i] = res.MaxStretch
+		}
+		if !core.ApproxDistEq(stretch[0], stretch[1], 1e-9) {
+			t.Errorf("%s: MaxStretch %v at scale 1, %v at scale 1e6", mode, stretch[0], stretch[1])
+		}
 	}
 }

@@ -36,67 +36,6 @@ func (f *Flat) NumHops() int { return len(f.hops) }
 // sections).
 func (f *Flat) NumPathVerts() int { return len(f.pathVert) }
 
-// pairMinArg is pairMin plus the argmin: the indices into a and b whose
-// combination achieved the returned minimum (-1, -1 when none did). The
-// candidate values and their fold order are exactly pairMin's, so the
-// returned minimum is bit-identical to it.
-func pairMinArg(a, b []Portal) (float64, int, int) {
-	best := math.Inf(1)
-	bestA, bestB := -1, -1
-	minA, minB := math.Inf(1), math.Inf(1)
-	minAi, minBi := -1, -1
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		if j >= len(b) || (i < len(a) && a[i].Pos <= b[j].Pos) {
-			if est := a[i].Dist + a[i].Pos + minB; est < best {
-				best = est
-				bestA, bestB = i, minBi
-			}
-			if v := a[i].Dist - a[i].Pos; v < minA {
-				minA = v
-				minAi = i
-			}
-			i++
-		} else {
-			if est := b[j].Dist + b[j].Pos + minA; est < best {
-				best = est
-				bestA, bestB = minAi, j
-			}
-			if v := b[j].Dist - b[j].Pos; v < minB {
-				minB = v
-				minBi = j
-			}
-			j++
-		}
-	}
-	return best, bestA, bestB
-}
-
-// queryLabelsArg is queryLabels plus the argmin: the entry and portal
-// indices on each side whose portal pair achieved the minimum.
-func queryLabelsArg(lu, lv *Label) (float64, int, int, int, int) {
-	best := math.Inf(1)
-	entA, entB, pA, pB := -1, -1, -1, -1
-	i, j := 0, 0
-	for i < len(lu.Entries) && j < len(lv.Entries) {
-		a, b := lu.Entries[i], lv.Entries[j]
-		switch {
-		case a.Key == b.Key:
-			if est, ai, bi := pairMinArg(a.Portals, b.Portals); est < best {
-				best = est
-				entA, entB, pA, pB = i, j, ai, bi
-			}
-			i++
-			j++
-		case keyLess(a.Key, b.Key):
-			i++
-		default:
-			j++
-		}
-	}
-	return best, entA, entB, pA, pB
-}
-
 // pathIndexAt locates the path index whose position equals p and whose
 // vertex is the walked-to anchor. Positions are copied bit-for-bit from
 // the same prefix sums into both the portal records and the geometry, so
@@ -109,122 +48,6 @@ func pathIndexAt(pos []float64, verts []int32, p float64, anchor int32) (int, er
 		}
 	}
 	return 0, errPathGeometry
-}
-
-func reverseInt32(s []int32) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// joinSegments splices the three pieces of a reported walk already
-// appended to out — [u..anchorA] then [v..anchorB, mid(B→A exclusive)]
-// from mark on — into [u..anchorA, mid(A→B), anchorB..v], dropping the
-// duplicated anchor when the two chains meet at the same path vertex.
-func joinSegments(out []int32, mark int) []int32 {
-	reverseInt32(out[mark:])
-	if out[mark-1] == out[mark] {
-		copy(out[mark:], out[mark+1:])
-		out = out[:len(out)-1]
-	}
-	return out
-}
-
-// findEntry locates the entry for k in a label (entries sorted by key).
-func findEntry(l *Label, k Key) *Entry {
-	x := sort.Search(len(l.Entries), func(i int) bool { return !keyLess(l.Entries[i].Key, k) })
-	if x < len(l.Entries) && l.Entries[x].Key == k {
-		return &l.Entries[x]
-	}
-	return nil
-}
-
-// walkChain appends the hop chain from vertex w to its anchor on path k
-// at position pos: w itself, every intermediate vertex, and the anchor.
-// The step bound turns a corrupt (cyclic) hop table into an error
-// instead of an unbounded loop.
-func (o *Oracle) walkChain(out []int32, w int, k Key, pos float64) ([]int32, int32, error) {
-	for steps := 0; steps <= o.N; steps++ {
-		out = append(out, int32(w))
-		e := findEntry(&o.Labels[w], k)
-		if e == nil || len(e.Hops) != len(e.Portals) {
-			return out, -1, errPathRecord
-		}
-		ps := e.Portals
-		x := sort.Search(len(ps), func(i int) bool { return ps[i].Pos >= pos })
-		if x == len(ps) || !core.SameDist(ps[x].Pos, pos) {
-			return out, -1, errPathRecord
-		}
-		h := e.Hops[x]
-		if h < 0 {
-			return out, int32(w), nil
-		}
-		if int(h) >= o.N {
-			return out, -1, errPathRecord
-		}
-		w = int(h)
-	}
-	return out, -1, errPathCycle
-}
-
-// QueryPath returns the same (1+ε)-approximate distance as Query
-// together with a witness walk from u to v realizing it, appended into
-// buf (which may be nil; pass the returned slice back in to amortize
-// allocations away). The walk starts at u, ends at v, steps only along
-// graph edges, and its weight equals the returned distance up to float
-// rounding. Out-of-range vertex IDs and disconnected pairs report
-// (+Inf, empty, nil).
-func (o *Oracle) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
-	out := buf[:0]
-	if u < 0 || v < 0 || u >= len(o.Labels) || v >= len(o.Labels) {
-		return math.Inf(1), out, nil
-	}
-	if u == v {
-		return 0, append(out, int32(u)), nil
-	}
-	est, entA, entB, pA, pB := queryLabelsArg(&o.Labels[u], &o.Labels[v])
-	if math.IsInf(est, 1) {
-		return est, out, nil
-	}
-	ea := &o.Labels[u].Entries[entA]
-	eb := &o.Labels[v].Entries[entB]
-	k := ea.Key
-	posA := ea.Portals[pA].Pos
-	posB := eb.Portals[pB].Pos
-	pi := sort.Search(len(o.paths), func(i int) bool { return !keyLess(o.paths[i].key, k) })
-	if pi == len(o.paths) || o.paths[pi].key != k {
-		return est, out, errPathRecord
-	}
-	sp := &o.paths[pi]
-	out, aU, err := o.walkChain(out, u, k, posA)
-	if err != nil {
-		return est, out, err
-	}
-	ia, err := pathIndexAt(sp.pos, sp.verts, posA, aU)
-	if err != nil {
-		return est, out, err
-	}
-	mark := len(out)
-	out, aV, err := o.walkChain(out, v, k, posB)
-	if err != nil {
-		return est, out, err
-	}
-	ib, err := pathIndexAt(sp.pos, sp.verts, posB, aV)
-	if err != nil {
-		return est, out, err
-	}
-	// Middle segment appended anchor-B-to-anchor-A exclusive; the join
-	// reverses the tail into place.
-	if ia < ib {
-		for x := ib - 1; x > ia; x-- {
-			out = append(out, sp.verts[x])
-		}
-	} else {
-		for x := ib + 1; x < ia; x++ {
-			out = append(out, sp.verts[x])
-		}
-	}
-	return est, joinSegments(out, mark), nil
 }
 
 // queryArg is query plus the argmin: the key ID and the two portal-pool
@@ -296,7 +119,7 @@ func (f *Flat) queryArg(u, v int) (float64, int32, int32, int32) {
 // does not work: portal distances are affine in path position along
 // shortest-path segments, so distinct portal pairs routinely share the
 // exact candidate bits, and the reported witness must break those ties
-// in the pointer sweep's merge order — argminPair's job.
+// in the classic sweep's merge order — argminPair's job.
 func (f *Flat) sweepMatchesArg(mA, mB []int32, best float64, winI, winJ int) (float64, int, int) {
 	po, ln := f.portalOff, f.lane
 	for t := 0; t < len(mA) && t < len(mB); t++ {
@@ -314,11 +137,12 @@ func (f *Flat) sweepMatchesArg(mA, mB []int32, best float64, winI, winJ int) (fl
 }
 
 // argminPair resolves the portal pair of one matched entry pair's known
-// minimum: the pool indices of the first candidate in the pointer
-// sweep's classic merge order achieving target — the same candidate
-// pairMinArg's strict-< updates pick. It replays that merge over the
-// winning pair's lane records, rounding fl(Dist+Pos) and fl(Dist−Pos)
-// from each record's raw Pos and Dist exactly as pairMinArg does,
+// minimum: the pool indices of the first candidate in the classic
+// sweep's merge order achieving target — the same candidate the strict-<
+// updates of the label reference's pairMinArg pick. It replays that
+// merge over the winning pair's lane records, rounding fl(Dist+Pos) and
+// fl(Dist−Pos) from each record's raw Pos and Dist exactly as pairMin
+// does,
 // checking each candidate against target's bits and returning at the
 // first hit: target IS this pair's minimum, so the first candidate equal
 // to it is exactly the strict-< fold's argmin. Float add is commutative,
@@ -543,70 +367,46 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 	return -1
 }
 
-// freezePaths compiles the hop chains and path geometry into the flat
-// form: hop vertex IDs resolve to portal-pool indices (one array lookup
-// per walk step at query time), and the separator-path vertex/position
-// tables land in CSR form aligned with the interned key order. Any
-// inconsistency — an entry whose hops do not parallel its portals, a hop
-// with no record at the target vertex, geometry that does not cover the
-// key set — fails the freeze rather than produce an image that cannot
-// report paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool,
-// one task per vertex range; the error reported is the first in pool
-// order, as a serial pass would find it.
-func (f *Flat) freezePaths(o *Oracle) error {
-	if len(o.paths) != len(f.keys) {
-		return fmt.Errorf("oracle: freeze: %d separator paths for %d keys", len(o.paths), len(f.keys))
-	}
-	nv := 0
-	for i := range o.paths {
-		if o.paths[i].key != f.keys[i] {
-			return fmt.Errorf("oracle: freeze: no separator path for key %v", f.keys[i])
-		}
-		nv += len(o.paths[i].verts)
-	}
-	pathOff := make([]int32, len(f.keys)+1)
-	pathVert := make([]int32, 0, nv)
-	pathPos := make([]float64, 0, nv)
-	for i := range o.paths {
-		pathVert = append(pathVert, o.paths[i].verts...)
-		pathPos = append(pathPos, o.paths[i].pos...)
-		pathOff[i+1] = int32(len(pathVert))
-	}
-	hops := make([]int32, f.NumPortals())
+// resolveHops resolves every hop vertex to the pool index of the record
+// it names: the hop vertex's record at the same key and position, one
+// array lookup per walk step at query time. A hop that names no record
+// fails the freeze rather than produce an image that cannot report
+// paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool, one task
+// per vertex range; the error reported is the first in pool order, as a
+// serial pass would find it.
+func (f *Flat) resolveHops(hopVert []int32) error {
+	hops := make([]int32, len(hopVert))
 	pool := par.New(0, nil)
 	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
 	errs := make([]error, split.ranges)
 	pool.ForEach(split.ranges, func(i int) {
 		lo, hi := split.bounds(i)
-		errs[i] = f.resolveHops(o, hops, lo, hi)
+		errs[i] = f.resolveRange(hopVert, hops, lo, hi)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	f.hops, f.pathOff, f.pathVert, f.pathPos = hops, pathOff, pathVert, pathPos
+	f.hops = hops
 	return nil
 }
 
-// resolveHops writes the pool index of every hop target of vertices
-// [lo, hi) into hops, stopping at the first inconsistency.
-func (f *Flat) resolveHops(o *Oracle, hops []int32, lo, hi int) error {
+// resolveRange writes the pool index of every hop target of vertices
+// [lo, hi) into hops, stopping at the first hop with no record.
+func (f *Flat) resolveRange(hopVert, hops []int32, lo, hi int) error {
 	for v := lo; v < hi; v++ {
-		ei := int(f.entryOff[v])
-		for j, e := range o.Labels[v].Entries {
-			if len(e.Hops) != len(e.Portals) {
-				return fmt.Errorf("oracle: freeze: vertex %d key %v: %d hops for %d portals", v, e.Key, len(e.Hops), len(e.Portals))
-			}
-			kid, pi := f.entryKey[ei+j], int(f.portalOff[ei+j])
-			for x, h := range e.Hops {
+		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
+			kid := f.entryKey[e]
+			for x := f.portalOff[e]; x < f.portalOff[e+1]; x++ {
 				t := int32(-1)
-				if h >= 0 {
-					if t = f.findRecord(int(h), kid, e.Portals[x].Pos); t < 0 {
-						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, e.Key, h, e.Portals[x].Pos)
+				if h := hopVert[x]; h >= 0 {
+					pos := f.lane[3*x]
+					if t = f.findRecord(int(h), kid, pos); t < 0 {
+						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, f.keys[kid], h, pos)
 					}
 				}
-				hops[pi+x] = t
+				hops[x] = t
 			}
 		}
 	}

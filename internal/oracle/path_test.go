@@ -204,19 +204,45 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	}
 }
 
-// TestFreezeRejectsTruncatedHops pins Freeze's failure mode: hop records
-// that do not parallel the portals make Freeze fail instead of producing
-// an image that cannot report paths.
+// TestFreezeRejectsTruncatedHops pins Freeze's failure mode: a hop that
+// names no record makes Freeze fail instead of producing an image that
+// cannot report paths. Every hop record of the first vertex that has
+// one is planted, in turn, with a hop vertex that has no record at the
+// record's key and position.
 func TestFreezeRejectsTruncatedHops(t *testing.T) {
 	o, _ := buildPathImage(t)
-	for v := range o.Labels {
-		if es := o.Labels[v].Entries; len(es) > 0 && len(es[0].Hops) > 0 {
-			es[0].Hops = es[0].Hops[:len(es[0].Hops)-1]
-			break
+	r := &o.rows
+	planted := 0
+	for v := 0; v < o.N && planted == 0; v++ {
+		for e := r.entryOff[v]; e < r.entryOff[v+1]; e++ {
+			kid := r.entryKey[e]
+			for x := r.portalOff[e]; x < r.portalOff[e+1]; x++ {
+				if o.hopVert[x] < 0 {
+					continue
+				}
+				w := 0
+				for w < o.N && r.findRecord(w, kid, r.lane[3*x]) >= 0 {
+					w++
+				}
+				if w == o.N {
+					continue
+				}
+				hop := o.hopVert[x]
+				o.hopVert[x] = int32(w)
+				_, err := o.Freeze()
+				o.hopVert[x] = hop
+				if err == nil || !strings.Contains(err.Error(), "has no record") {
+					t.Fatalf("vertex %d record %d: hop planted on vertex %d: Freeze err = %v, want no record", v, x, w, err)
+				}
+				planted++
+			}
 		}
 	}
-	if _, err := o.Freeze(); err == nil {
-		t.Fatal("Freeze accepted an entry with truncated hop records")
+	if planted == 0 {
+		t.Fatal("fixture has no hop record to plant")
+	}
+	if _, err := o.Freeze(); err != nil {
+		t.Fatalf("restored hops: %v", err)
 	}
 }
 

@@ -1,0 +1,255 @@
+package oracle
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"pathsep/internal/core"
+	"pathsep/internal/embed"
+	"pathsep/internal/graph"
+	"pathsep/internal/par"
+)
+
+// rowsDiff compares Build's rows, with the hops Freeze resolved, against
+// the reference freeze word for word, and describes the first difference
+// or returns "".
+func rowsDiff(o *Oracle, got, want *Flat) string {
+	r := &o.rows
+	if !slices.Equal(r.keys, want.keys) {
+		return fmt.Sprintf("keys: %d interned, reference %d", len(r.keys), len(want.keys))
+	}
+	for _, t := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"entryOff", r.entryOff, want.entryOff},
+		{"entryKey", r.entryKey, want.entryKey},
+		{"portalOff", r.portalOff, want.portalOff},
+		{"pathOff", r.pathOff, want.pathOff},
+		{"pathVert", r.pathVert, want.pathVert},
+		{"hops", got.hops, want.hops},
+	} {
+		if len(t.got) != len(t.want) {
+			return fmt.Sprintf("%s: %d words, reference %d", t.name, len(t.got), len(t.want))
+		}
+		for i := range t.want {
+			if t.got[i] != t.want[i] {
+				return fmt.Sprintf("%s[%d] = %d, reference %d", t.name, i, t.got[i], t.want[i])
+			}
+		}
+	}
+	for _, t := range []struct {
+		name      string
+		got, want []float64
+	}{{"lane", r.lane, want.lane}, {"pathPos", r.pathPos, want.pathPos}} {
+		if len(t.got) != len(t.want) {
+			return fmt.Sprintf("%s: %d words, reference %d", t.name, len(t.got), len(t.want))
+		}
+		for i := range t.want {
+			if math.Float64bits(t.got[i]) != math.Float64bits(t.want[i]) {
+				return fmt.Sprintf("%s[%d] = %v, reference %v", t.name, i, t.got[i], t.want[i])
+			}
+		}
+	}
+	return ""
+}
+
+// labelDiff compares o.Label(v) with the reference label of every vertex.
+func labelDiff(o *Oracle, ref *refOracle) string {
+	for v := range ref.labels {
+		got, want := o.Label(v), &ref.labels[v]
+		if len(got.Entries) != len(want.Entries) {
+			return fmt.Sprintf("vertex %d: %d entries, reference %d", v, len(got.Entries), len(want.Entries))
+		}
+		for i, e := range want.Entries {
+			g := got.Entries[i]
+			if g.Key != e.Key || len(g.Portals) != len(e.Portals) || !slices.Equal(g.Hops, e.Hops) {
+				return fmt.Sprintf("vertex %d entry %d: key %v, %d portals; reference %v, %d", v, i, g.Key, len(g.Portals), e.Key, len(e.Portals))
+			}
+			for x, p := range e.Portals {
+				if math.Float64bits(g.Portals[x].Pos) != math.Float64bits(p.Pos) || math.Float64bits(g.Portals[x].Dist) != math.Float64bits(p.Dist) {
+					return fmt.Sprintf("vertex %d entry %d portal %d = %v, reference %v", v, i, x, g.Portals[x], p)
+				}
+			}
+		}
+	}
+	if o.Label(-1) != nil || o.Label(o.N) != nil {
+		return "out-of-range label is not nil"
+	}
+	return ""
+}
+
+// checkRows builds dec at pool widths 1, 2, 4 and 0 with shuffled task
+// submission and compares every build's rows, and the hops its Freeze
+// resolves, with the reference replay of a serial build; with labels it
+// also compares every Label with the reference's.
+func checkRows(t *testing.T, name string, dec *core.Tree, opt Options, labels bool) {
+	t.Helper()
+	ref := refBuild(t, dec, opt, 1)
+	want, err := ref.freeze()
+	if err != nil {
+		t.Fatalf("%s: reference freeze: %v", name, err)
+	}
+	par.SetShuffleSeed(0x5eed)
+	defer par.SetShuffleSeed(0)
+	for _, w := range []int{1, 2, 4, 0} {
+		opt.Workers = w
+		o, err := Build(dec, opt)
+		if err != nil {
+			t.Fatalf("%s width %d: %v", name, w, err)
+		}
+		got, err := o.Freeze()
+		if err != nil {
+			t.Fatalf("%s width %d: freeze: %v", name, w, err)
+		}
+		if d := rowsDiff(o, got, want); d != "" {
+			t.Fatalf("%s width %d: %s", name, w, d)
+		}
+		if labels {
+			if d := labelDiff(o, ref); d != "" {
+				t.Fatalf("%s width %d: %s", name, w, d)
+			}
+		}
+	}
+}
+
+// zeroWeightGrid is a side×side grid whose edges weigh 0 or 1 at
+// random, so separator paths carry runs of equal positions and the row
+// assembly's dedup drops repeated positions.
+func zeroWeightGrid(side int, rng *rand.Rand) *embed.Rotation {
+	return embed.Grid(side, side, func(_, _ int, rng *rand.Rand) float64 { return float64(rng.Intn(2)) }, rng)
+}
+
+// TestBuildRowsMatchReference pins the row assembly to the label replay
+// it replaced, word for word: keys, entryOff, entryKey, portalOff, the
+// lane, the geometry and the hops Freeze resolves, plus every Label —
+// on laneFamilies and a zero-weight grid in both modes, and on the
+// 64×64 bench grid and (outside -short) the 128×128 one, at pool widths
+// 1, 2, 4 and 0 with shuffled task submission.
+func TestBuildRowsMatchReference(t *testing.T) {
+	fams := laneFamilies(t)
+	zero := zeroWeightGrid(9, rand.New(rand.NewSource(12)))
+	fams["zero-weight"] = struct {
+		g   *graph.Graph
+		rot *embed.Rotation
+	}{zero.G, zero}
+	for _, fam := range []string{"grid", "mesh-apex", "random-tree", "zero-weight"} {
+		fx := fams[fam]
+		dec, err := core.Decompose(fx.g, core.Options{Strategy: core.Auto{}, Rot: fx.rot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range laneModes {
+			checkRows(t, fam+"/"+m.name, dec, Options{Epsilon: 0.25, Mode: m.mode}, true)
+		}
+	}
+	sides := []int{64}
+	if !testing.Short() {
+		sides = append(sides, 128)
+	}
+	for _, side := range sides {
+		rot := embed.Grid(side, side, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
+		dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, fmt.Sprintf("%dx%d portal", side, side), dec, Options{Epsilon: 0.25, Mode: CoverPortal}, false)
+	}
+}
+
+// FuzzBuildRows builds small random grids — up to 7×7, weights uniform
+// in [0, 4) with a share of zero edges chosen by the input — in either
+// mode at pool width 1 or 2, and compares the rows, the resolved hops
+// and every Label with the reference replay.
+func FuzzBuildRows(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(4), uint8(0), false)
+	f.Add(int64(2), uint8(6), uint8(5), uint8(128), true)
+	f.Add(int64(3), uint8(2), uint8(7), uint8(255), false)
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, zeros uint8, portal bool) {
+		rng := rand.New(rand.NewSource(seed))
+		w := func(_, _ int, rng *rand.Rand) float64 {
+			if rng.Intn(256) < int(zeros) {
+				return 0
+			}
+			return 4 * rng.Float64()
+		}
+		rot := embed.Grid(2+int(rows)%6, 2+int(cols)%6, w, rng)
+		dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
+		if err != nil {
+			t.Skip(err)
+		}
+		opt := Options{Epsilon: 0.25, Mode: CoverExact}
+		if portal {
+			opt.Mode = CoverPortal
+		}
+		ref := refBuild(t, dec, opt, 1)
+		want, err := ref.freeze()
+		if err != nil {
+			t.Fatalf("reference freeze: %v", err)
+		}
+		opt.Workers = 1 + int(seed&1)
+		o, err := Build(dec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.Freeze()
+		if err != nil {
+			t.Fatalf("freeze: %v", err)
+		}
+		if d := rowsDiff(o, got, want); d != "" {
+			t.Fatal(d)
+		}
+		if d := labelDiff(o, ref); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// TestBuildMemoryBudget pins what building the 32×32 bench-shaped
+// CoverPortal image costs, per portal. Build writes the serving rows
+// directly and Freeze shares them, so Build+Freeze allocates within
+// 280 B/portal in all, and the live Oracle plus its Flat — one lane,
+// the hop vertices and links, the walk layout and the small CSR tables
+// — hold within 80 B/portal after a GC. Assembling per-vertex label
+// slices first and copying them into the Flat breaks both.
+func TestBuildMemoryBudget(t *testing.T) {
+	rot := embed.Grid(32, 32, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
+	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, built, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	o, err := Build(dec, Options{Epsilon: 0.25, Mode: CoverPortal, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := o.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&built)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	p := fl.NumPortals()
+	if p != 67878 {
+		t.Fatalf("fixture has %d portals, want 67878", p)
+	}
+	alloc := float64(built.TotalAlloc-before.TotalAlloc) / float64(p)
+	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(p)
+	runtime.KeepAlive(dec)
+	runtime.KeepAlive(o)
+	runtime.KeepAlive(fl)
+	t.Logf("Build+Freeze allocate %.1f B/portal in %d mallocs; Oracle+Flat hold %.1f B/portal", alloc, built.Mallocs-before.Mallocs, live)
+	if alloc > 280 {
+		t.Errorf("Build+Freeze allocate %.1f B/portal, budget 280", alloc)
+	}
+	if live > 80 {
+		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 80", live)
+	}
+}

@@ -172,7 +172,7 @@ func TestQueryBoundsGuards(t *testing.T) {
 			t.Fatalf("Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
 		}
 	}
-	if d := pathsep.QueryLabels(nil, &o.Labels[0]); !math.IsInf(d, 1) {
+	if d := pathsep.QueryLabels(nil, o.Label(0)); !math.IsInf(d, 1) {
 		t.Fatalf("QueryLabels(nil, l) = %v, want +Inf", d)
 	}
 

@@ -117,27 +117,30 @@ type Decomposition = core.Tree
 // Separator is a k-path separator (Definition 1 of the paper).
 type Separator = core.Separator
 
-// Oracle is the Theorem 2 (1+ε)-approximate distance oracle. Besides
-// distances (Query), it reports witness paths: QueryPath(u, v, buf)
-// returns a u-to-v walk whose weight is exactly the reported distance,
-// assembled from the per-portal parent links recorded at build time.
-// It is the construction and reference form; serve and persist its
-// Freeze() result.
+// Oracle is the Theorem 2 (1+ε)-approximate distance oracle. NewOracle
+// writes its labels straight into the serving rows: Query runs the same
+// engine as a FlatOracle, and Label(v) assembles vertex v's distance
+// label from its rows. Freeze() resolves the per-portal parent links
+// recorded at build time and returns the FlatOracle to serve, persist
+// and report witness paths from.
 type Oracle = oracle.Oracle
 
-// Label is a vertex's distance label (the distributed form of the oracle).
+// Label is a vertex's distance label (the distributed form of the
+// oracle); Oracle.Label(v) returns vertex v's.
 type Label = oracle.Label
 
-// FlatOracle is the compiled read-only serving form of an Oracle: a
-// struct-of-arrays layout with one contiguous portal pool (kept as the
-// sweep lane), CSR entry offsets and interned separator-path keys. Build one with
-// Oracle.Freeze(); queries are goroutine-safe, allocation-free and
-// bit-identical to the pointer form. FlatOracle.QueryBatch answers a
-// slice of pairs into a caller-owned buffer, fanning out over the worker
-// pool. FlatOracle.QueryPath / QueryPathBatch report witness paths into
-// caller buffers (allocation-free once the buffers are warm): every
-// image carries its path records. Encode writes the one image format,
-// and DecodeFlatOracle rejects any other version.
+// FlatOracle is the read-only serving form of an Oracle: the oracle's
+// rows — a struct-of-arrays layout with one contiguous portal pool (kept
+// as the sweep lane), CSR entry offsets and interned separator-path keys
+// — plus its path records. Oracle.Freeze() builds one and shares the
+// oracle's rows rather than copying them; queries are goroutine-safe,
+// allocation-free and bit-identical to Oracle.Query.
+// FlatOracle.QueryBatch answers a slice of pairs into a caller-owned
+// buffer, fanning out over the worker pool. FlatOracle.QueryPath /
+// QueryPathBatch report witness paths into caller buffers
+// (allocation-free once the buffers are warm): every image carries its
+// path records. Encode writes the one image format, and DecodeFlatOracle
+// rejects any other version.
 type FlatOracle = oracle.Flat
 
 // QueryPair is one (U, V) query of a FlatOracle batch.

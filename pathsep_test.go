@@ -83,7 +83,7 @@ func TestLabelsQuery(t *testing.T) {
 			if u == v {
 				continue
 			}
-			got := pathsep.QueryLabels(&orc.Labels[u], &orc.Labels[v])
+			got := pathsep.QueryLabels(orc.Label(u), orc.Label(v))
 			want := orc.Query(u, v)
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("labels disagree with oracle at (%d,%d)", u, v)
