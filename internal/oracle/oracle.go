@@ -819,23 +819,20 @@ func QueryLabels(lu, lv *Label) float64 {
 	if lu == nil || lv == nil {
 		return math.Inf(1)
 	}
-	est, _ := queryLabels(lu, lv)
-	return est
+	return queryLabels(lu, lv)
 }
 
-// queryLabels is QueryLabels plus the number of portals examined (the
-// query's work, reported by the oracle.query_portals histogram).
+// queryLabels is the label walk behind QueryLabels: a merge-join of the
+// two labels' entries, pairMin on every shared key.
 //
 //pathsep:hotpath
-func queryLabels(lu, lv *Label) (float64, int) {
+func queryLabels(lu, lv *Label) float64 {
 	best := math.Inf(1)
-	portals := 0
 	i, j := 0, 0
 	for i < len(lu.Entries) && j < len(lv.Entries) {
 		a, b := lu.Entries[i], lv.Entries[j]
 		switch {
 		case a.Key == b.Key:
-			portals += len(a.Portals) + len(b.Portals)
 			if est := pairMin(a.Portals, b.Portals); est < best {
 				best = est
 			}
@@ -847,7 +844,7 @@ func queryLabels(lu, lv *Label) (float64, int) {
 			j++
 		}
 	}
-	return best, portals
+	return best
 }
 
 // pairMin computes min over portals p in a, q in b of

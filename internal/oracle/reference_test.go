@@ -135,8 +135,7 @@ func (ref *refOracle) Query(u, v int) float64 {
 	if u == v {
 		return 0
 	}
-	est, _ := queryLabels(&ref.labels[u], &ref.labels[v])
-	return est
+	return queryLabels(&ref.labels[u], &ref.labels[v])
 }
 
 // pairMinArg is pairMin plus the argmin: the indices into a and b whose
