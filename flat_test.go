@@ -1,9 +1,9 @@
-// Differential and race coverage for the flat serving form: Flat.Query,
-// QueryBatch (every worker count) and both decode paths must return
-// bit-identical answers to Oracle.Query on the build rows, on every
-// graph family and mode, and the whole surface must survive -race
-// alongside metric snapshots. internal/oracle pins both to the reference
-// label walk.
+// Differential and race coverage for the flat serving form: Oracle.Query,
+// Flat.Query, QueryBatch (every worker count) and both decode paths must
+// return bit-identical answers to the label walk (QueryLabels over
+// Oracle.Label), on every graph family and mode, and the whole surface
+// must survive -race alongside metric snapshots. internal/oracle pins
+// the rows themselves to the reference replay.
 package pathsep_test
 
 import (
@@ -53,9 +53,10 @@ func freezeVariants(t *testing.T, o *oracle.Oracle) map[string]*oracle.Flat {
 }
 
 // TestFlatQueryDifferential is the acceptance contract: across the grid,
-// random-tree and mesh+apex families, both oracle modes, and workers in
-// {1, 2, 4, 0}, the flat forms answer every pair (including self and
-// out-of-range pairs) bit-identically to Oracle.Query.
+// random-tree, mesh+apex and path3 families, both oracle modes, and
+// workers in {1, 2, 4, 0}, Oracle.Query and the flat forms answer every
+// pair (including self and out-of-range pairs) bit-identically to the
+// label walk, a second engine over the same rows.
 func TestFlatQueryDifferential(t *testing.T) {
 	for name, fam := range parallelFamilies(t) {
 		for _, mode := range []oracle.Mode{oracle.CoverExact, oracle.CoverPortal} {
@@ -72,11 +73,20 @@ func TestFlatQueryDifferential(t *testing.T) {
 				t.Fatalf("%s/%s: build: %v", name, modeName, err)
 			}
 			n := fam.g.N()
+			labels := make([]*pathsep.Label, n+2) // labels[v+1]; nil out of range
+			for v := range labels {
+				labels[v] = o.Label(v - 1)
+			}
 			want := make([]float64, 0, (n+2)*(n+2))
 			pairs := make([]oracle.Pair, 0, (n+2)*(n+2))
 			for u := -1; u <= n; u++ {
 				for v := -1; v <= n; v++ {
-					want = append(want, o.Query(u, v))
+					w := pathsep.QueryLabels(labels[u+1], labels[v+1])
+					if got := o.Query(u, v); !sameBits(got, w) {
+						t.Fatalf("%s/%s: oracle Query(%d,%d) = %v, label walk %v",
+							name, modeName, u, v, got, w)
+					}
+					want = append(want, w)
 					pairs = append(pairs, oracle.Pair{U: int32(u), V: int32(v)})
 				}
 			}
@@ -85,7 +95,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 				for i, p := range pairs {
 					got := fl.Query(int(p.U), int(p.V))
 					if !sameBits(got, want[i]) {
-						t.Fatalf("%s/%s/%s: Query(%d,%d) = %v, oracle %v",
+						t.Fatalf("%s/%s/%s: Query(%d,%d) = %v, label walk %v",
 							name, modeName, fname, p.U, p.V, got, want[i])
 					}
 				}
@@ -103,7 +113,7 @@ func TestFlatQueryDifferential(t *testing.T) {
 					}
 					for i := range out {
 						if !sameBits(out[i], want[i]) {
-							t.Fatalf("%s/%s/%s: workers=%d batch[%d] (%d,%d) = %v, oracle %v",
+							t.Fatalf("%s/%s/%s: workers=%d batch[%d] (%d,%d) = %v, label walk %v",
 								name, modeName, fname, workers, i, pairs[i].U, pairs[i].V, out[i], want[i])
 						}
 					}

@@ -244,8 +244,10 @@ func (f *Flat) labelPortals(v int) int {
 }
 
 // ResidentBytes returns the memory the Flat holds for serving: the
-// capacity of every slice it owns (tables, sweep lane, walk layout), in
-// bytes.
+// capacity of every slice it references (tables, sweep lane, walk
+// layout), in bytes. A frozen Flat shares its keys, rows, lane and path
+// geometry with its Oracle, so while the Oracle is alive this counts
+// memory the two hold together.
 func (f *Flat) ResidentBytes() int {
 	t := &f.tables
 	return sliceBytes(t.keys) + sliceBytes(t.entryOff) + sliceBytes(t.entryKey) +

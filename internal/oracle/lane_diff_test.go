@@ -4,7 +4,7 @@
 // lanes (pos, Dist, suffix-min) and the merge sweep folds over those.
 // These tests pin the layout to its AoS source of truth — the reference
 // labels' []Portal runs, replayed from the same build records — field by
-// field and fold by fold, across three graph families and both modes:
+// field and fold by fold, across four graph families and both modes:
 //
 //   - every lane record must be a bit-exact transcription of its Portal
 //     (pos, Dist, and the suffix-min of Dist+Pos);
@@ -25,9 +25,11 @@ import (
 	"pathsep/internal/graph"
 )
 
-// laneFamilies builds the three differential graph families: planar-ish
-// grid, random tree (degenerate separators), and 3D mesh plus an apex
-// vertex (high-degree hub, skewed label sizes for the galloping path).
+// laneFamilies builds the differential graph families: planar-ish grid,
+// random tree (degenerate separators), 3D mesh plus an apex vertex
+// (high-degree hub, skewed label sizes for the galloping path), and a
+// 3-vertex path, fewer vertices than the widest pool the tests use, so
+// some of the build's per-range stage-3 tasks own no vertex at all.
 func laneFamilies(t *testing.T) map[string]struct {
 	g   *graph.Graph
 	rot *embed.Rotation
@@ -64,6 +66,10 @@ func laneFamilies(t *testing.T) map[string]struct {
 		g   *graph.Graph
 		rot *embed.Rotation
 	}{b.Build(), nil}
+	out["path3"] = struct {
+		g   *graph.Graph
+		rot *embed.Rotation
+	}{graph.Path(3, graph.UniformWeights(1, 4), rng), nil}
 	return out
 }
 

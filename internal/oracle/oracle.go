@@ -238,7 +238,7 @@ const rangesPerWorker = 4
 // records is what Build's first two stages hand to the third: the
 // interned keys with their separator-path geometry, and every label
 // record, grouped by the task that emitted it and the vertex range that
-// owns it. The last output holds the path vertices' self records.
+// owns it. The first output holds the path vertices' self records.
 type records struct {
 	n     int
 	split vertexSplit
@@ -497,10 +497,10 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 			self.put(split, rec{Portal{Pos: c.geo.pathPos[x]}, c.geo.pathVert[x], int32(k), -1})
 		}
 	}
-	c.outs[len(tasks)] = self
+	c.outs[0] = self
 
 	// Stage 2: fan out the Dijkstra tasks; each writes only its own slot.
-	pool.ForEach(len(tasks), func(i int) { c.outs[i] = tasks[i]() })
+	pool.ForEach(len(tasks), func(i int) { c.outs[1+i] = tasks[i]() })
 	return c, nil
 }
 
@@ -528,31 +528,6 @@ func rowCmp(a, b labelRow) int {
 		return floatCmp(a.dist, b.dist)
 	}
 	return cmp.Compare(a.hop, b.hop)
-}
-
-// sortRows sorts a vertex's rows with rowCmp. In CoverPortal mode they
-// arrive nearly sorted — tasks come in key order, a task's records for
-// one vertex come by ascending position after one attachment record, and
-// the vertex's self record comes last with its largest key — so an
-// insertion pass finishes the job in a few moves per row. Once the pass
-// has moved rows more than twice the group's length it hands the group
-// to a general sort, which bounds the CoverExact case, whose closure
-// records arrive in no particular order.
-func sortRows(g []labelRow) {
-	budget := 2 * len(g)
-	for i := 1; i < len(g); i++ {
-		x := g[i]
-		j := i
-		for j > 0 && rowCmp(x, g[j-1]) < 0 {
-			g[j] = g[j-1]
-			j--
-		}
-		g[j] = x
-		if budget -= i - j; budget < 0 {
-			slices.SortFunc(g, rowCmp)
-			return
-		}
-	}
 }
 
 // floatCmp orders two distances its caller has found not SameDist: -1 when
@@ -605,7 +580,7 @@ func (c *records) sortRange(r int) rangeRows {
 	for i := 0; i < nv; i++ {
 		end := ends[i+1]
 		group := rows[start:end]
-		sortRows(group)
+		slices.SortFunc(group, rowCmp)
 		first := kept
 		for _, x := range group {
 			if kept > first && x.key == rows[kept-1].key {

@@ -1,12 +1,13 @@
 // Differential gate for path reporting: every walk returned by
 // Flat.QueryPath must be a real walk in the graph (consecutive vertices
 // joined by edges), start at u, end at v, and weigh exactly the reported
-// (1+ε) distance — which must equal Oracle.Query, bound the true
-// distance from below (up to float tolerance) and, in exact mode, from
-// above by (1+ε). The ground truth is the parent-tracking bidirectional
-// Dijkstra. Frozen and decoded images must agree vertex for vertex
-// across worker counts, or the determinism story of the flat image is
-// broken; internal/oracle pins the walks to the reference label walk.
+// (1+ε) distance — which must equal Oracle.Query and the label walk
+// (QueryLabels over Oracle.Label), bound the true distance from below
+// (up to float tolerance) and, in exact mode, from above by (1+ε). The
+// ground truth is the parent-tracking bidirectional Dijkstra. Frozen and
+// decoded images must agree vertex for vertex across worker counts, or
+// the determinism story of the flat image is broken; internal/oracle
+// pins the walks to the reference label walk.
 package pathsep_test
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pathsep"
 	"pathsep/internal/core"
 	"pathsep/internal/graph"
 	"pathsep/internal/oracle"
@@ -146,6 +148,9 @@ func TestPathReportDifferential(t *testing.T) {
 									t.Fatalf("(%d,%d): self query reported %v %v", u, v, dist, buf)
 								}
 								continue
+							}
+							if lw := pathsep.QueryLabels(o.Label(u), o.Label(v)); !core.SameDist(dist, lw) {
+								t.Fatalf("(%d,%d): QueryPath distance %v != label walk %v", u, v, dist, lw)
 							}
 							truth := checkWalk(t, fam.g, u, v, dist, buf)
 							if mode == oracle.CoverExact && !math.IsInf(truth, 1) {
