@@ -5,11 +5,14 @@
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
 #   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced, the walk layout and the build rows
-#   make bench-obs  regenerate BENCH_obs.json (metrics on vs. off numbers)
-#   make bench-parallel  parallel-build speedup gate (BENCH_parallel.json)
-#   make bench-query     flat-vs-pointer query speedup gate (BENCH_query.json)
-#   make bench-path      path-reporting serving gate (BENCH_path.json)
-#   make bench-serve     in-process daemon self-load gate (BENCH_serve.json)
+#   make bench-obs  metrics on vs. off numbers (.bench_build/BENCH_obs.json)
+#   make bench-parallel  parallel-build speedup gate (.bench_build/BENCH_parallel.json)
+#   make bench-query     flat-vs-pointer query speedup gate (.bench_build/BENCH_query.json)
+#   make bench-path      path-reporting serving gate (.bench_build/BENCH_path.json)
+#   make bench-serve     in-process daemon self-load gate (.bench_build/BENCH_serve.json)
+#
+# The gates write their measurements under the ignored .bench_build/, so
+# make check leaves the tracked tree as it found it.
 #   make bench-unit      the bench/ module's own tests (a separate Go module that ./... never reaches)
 
 GO ?= go
@@ -43,7 +46,8 @@ lint: $(LINT_BIN)
 # Machine-readable lint: one JSON diagnostic per line (plus ::error
 # annotations under GITHUB_ACTIONS). CI uses this form; the NDJSON
 # stream is mirrored to LINT_findings.ndjson (created even when clean),
-# which CI uploads as an artifact alongside the BENCH_*.json set.
+# which CI uploads as an artifact alongside the .bench_build/BENCH_*.json
+# set.
 lint-json: $(LINT_BIN)
 	./$(LINT_BIN) -json -out=LINT_findings.ndjson ./...
 
@@ -98,27 +102,29 @@ bench-obs:
 
 # The parallel-build gate: workers=N must beat workers=1 by >= 1.5x on the
 # 4k-vertex grid (ratio enforced only when GOMAXPROCS >= 4; narrower
-# machines record the measurement with a "skipped": "single-core" marker).
+# machines record the measurement with a "skipped": "single-core" marker)
+# in .bench_build/BENCH_parallel.json.
 bench-parallel:
 	BENCH_PARALLEL_GATE=1 $(GO) test -run TestParallelBuildSpeedupGate -v .
 
 # The query-serving gate: Flat.Query must beat the reference label walk
 # (the pointer engine internal/oracle's tests keep) by >= 1.5x ns/op on
 # the 4k-vertex grid and take 0 allocs/op; the measured numbers land in
-# BENCH_query.json at the repository root.
+# .bench_build/BENCH_query.json.
 bench-query:
 	BENCH_QUERY_GATE=1 $(GO) test -run TestQueryServingGate -v ./internal/oracle/
 
 # The path-reporting gate: with a warm reused caller buffer Flat.QueryPath
 # must allocate nothing and cost at most 2.5x a flat distance query
 # (best of three paired rounds — scheduler noise only inflates). The
-# measured numbers land in BENCH_path.json.
+# measured numbers land in .bench_build/BENCH_path.json.
 bench-path:
 	BENCH_PATH_GATE=1 $(GO) test -run TestPathServingGate -v .
 
 # The serving gate: stand up the pathsepd engine in-process, self-load it
 # (concurrent GET /query then binary batches), and record QPS + latency
-# percentiles in BENCH_serve.json; zero errors and a sane p99 required.
+# percentiles in .bench_build/BENCH_serve.json; zero errors and a sane
+# p99 required.
 bench-serve:
 	BENCH_SERVE_GATE=1 $(GO) test -run TestServeBenchGate -v .
 

@@ -6,8 +6,9 @@
 // sampler hook: FlatQueryDisabled (no registry, no sampler) and
 // FlatQuerySampled (registry + sampler attached) are both 0 allocs/op.
 //
-// TestEmitBenchObs (run with EMIT_BENCH_OBS=1) regenerates BENCH_obs.json,
-// the committed metrics-on vs. metrics-off numbers for oracle build+query.
+// TestEmitBenchObs (run with EMIT_BENCH_OBS=1) writes
+// .bench_build/BENCH_obs.json, the metrics-on vs. metrics-off numbers for
+// oracle build+query.
 package pathsep_test
 
 import (
@@ -132,12 +133,13 @@ func TestFlatQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEmitBenchObs writes BENCH_obs.json when EMIT_BENCH_OBS=1. It times
-// oracle build and query with the registry attached and detached so the
-// committed file documents the measured instrumentation overhead.
+// TestEmitBenchObs writes .bench_build/BENCH_obs.json when
+// EMIT_BENCH_OBS=1. It times oracle build and query with the registry
+// attached and detached, so the file documents the measured
+// instrumentation overhead.
 func TestEmitBenchObs(t *testing.T) {
 	if os.Getenv("EMIT_BENCH_OBS") != "1" {
-		t.Skip("set EMIT_BENCH_OBS=1 to regenerate BENCH_obs.json")
+		t.Skip("set EMIT_BENCH_OBS=1 to write .bench_build/BENCH_obs.json")
 	}
 
 	type row struct {
@@ -191,7 +193,7 @@ func TestEmitBenchObs(t *testing.T) {
 		t.Errorf("oracle_query_disabled allocates %d/op, want 0", qd.AllocsPerOp)
 	}
 
-	f, err := os.Create("BENCH_obs.json")
+	f, err := createBenchJSON("BENCH_obs.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // TestParallelBuildSpeedupGate (run with BENCH_PARALLEL_GATE=1) is the CI
 // gate: with GOMAXPROCS >= 4 the parallel build must be >= 1.5x the
 // serial build — a hard failure, not a skip — recorded in
-// BENCH_parallel.json. On narrower machines the pool cannot reliably
+// .bench_build/BENCH_parallel.json. On narrower machines the pool cannot reliably
 // demonstrate a 1.5x win, so the gate records the measurement and stamps
 // the JSON with an explicit "skipped": "single-core" marker instead of
 // silently passing.
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -24,6 +25,19 @@ import (
 	"pathsep/internal/graph"
 	"pathsep/internal/oracle"
 )
+
+// benchDir is where the gate tests record their BENCH_*.json
+// measurements: the ignored build directory bench/run.sh also uses, so
+// running a gate never rewrites a tracked file.
+const benchDir = ".bench_build"
+
+// createBenchJSON creates the measurement file name under benchDir.
+func createBenchJSON(name string) (*os.File, error) {
+	if err := os.MkdirAll(benchDir, 0o755); err != nil {
+		return nil, err
+	}
+	return os.Create(filepath.Join(benchDir, name))
+}
 
 // buildParallel runs the full pipeline (decompose + portal oracle) on the
 // 64x64 grid with the given pool width.
@@ -83,7 +97,7 @@ func TestParallelBuildSpeedupGate(t *testing.T) {
 	if !enforced {
 		out["skipped"] = "single-core"
 	}
-	f, err := os.Create("BENCH_parallel.json")
+	f, err := createBenchJSON("BENCH_parallel.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // path query must allocate nothing and cost at most 2.5x a distance-only
 // flat query — the walk assembly is O(len(path)) on top of the same
 // merge-join, so a larger gap means the argmin or walk code regressed.
-// The measured numbers land in BENCH_path.json.
+// The measured numbers land in .bench_build/BENCH_path.json.
 package pathsep_test
 
 import (
@@ -109,7 +109,7 @@ func TestPathServingGate(t *testing.T) {
 		"path_allocs_per_query_loop": allocs,
 		"gate_enforced":              true,
 	}
-	f, err := os.Create("BENCH_path.json")
+	f, err := createBenchJSON("BENCH_path.json")
 	if err != nil {
 		t.Fatal(err)
 	}

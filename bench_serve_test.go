@@ -1,6 +1,6 @@
 // Serving benchmark gate: stand up the pathsepd engine in-process, drive
 // it with the self-load client, and record QPS + latency percentiles in
-// BENCH_serve.json.
+// .bench_build/BENCH_serve.json.
 //
 // TestServeBenchGate (run with BENCH_SERVE_GATE=1, wired into make check
 // via the bench-serve target) asserts the daemon actually answers load:
@@ -74,7 +74,7 @@ func TestServeBenchGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Create("BENCH_serve.json")
+	f, err := createBenchJSON("BENCH_serve.json")
 	if err != nil {
 		t.Fatal(err)
 	}

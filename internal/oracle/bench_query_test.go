@@ -8,8 +8,8 @@
 // TestQueryServingGate (run with BENCH_QUERY_GATE=1, as make bench-query
 // does) is the CI gate: the flat engine must answer queries >= 1.5x
 // faster than the label walk and Flat.Query must allocate nothing; the
-// measured numbers are recorded in BENCH_query.json at the repository
-// root. Unlike the parallel-build gate this one holds on a single-core
+// measured numbers are recorded in .bench_build/BENCH_query.json at the
+// repository root. Unlike the parallel-build gate this one holds on a single-core
 // runner too — the flat layout's win is locality and interned key
 // compares, not parallelism.
 package oracle
@@ -27,9 +27,10 @@ import (
 	"pathsep/internal/graph"
 )
 
-// benchQueryJSON is where the gate records its numbers, relative to this
-// package: the repository root, beside the other BENCH_*.json files.
-const benchQueryJSON = "../../BENCH_query.json"
+// benchQueryDir is where the gate records its numbers, relative to this
+// package: the repository's ignored .bench_build directory, beside the
+// other BENCH_*.json files.
+const benchQueryDir = "../../.bench_build"
 
 // queryFixture builds the 64x64 grid CoverPortal oracle once per process,
 // freezes it and replays the reference labels; the benchmarks and the
@@ -165,7 +166,10 @@ func TestQueryServingGate(t *testing.T) {
 		"batch_qps":                  batchQPS,
 		"flat_encoded_bytes":         fx.fl.EncodedSize(),
 	}
-	f, err := os.Create(benchQueryJSON)
+	if err := os.MkdirAll(benchQueryDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(benchQueryDir + "/BENCH_query.json")
 	if err != nil {
 		t.Fatal(err)
 	}

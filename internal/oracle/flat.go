@@ -24,9 +24,9 @@ import (
 //     portalOff[e]..portalOff[e+1] of the single contiguous portal pool,
 //     which the Flat keeps only as its sweep lane.
 //
-// Build writes these rows, Freeze adds the resolved hop links and the
-// walk layout, and DecodeFlat rebuilds all of it from an image; a Flat
-// never aliases an image buffer. It is immutable after construction, so
+// Build writes these rows, Freeze adds the walk layout derived from the
+// resolved hop links, and DecodeFlat rebuilds all of it from an image; a
+// Flat never aliases an image buffer. It is immutable after construction, so
 // Query and QueryBatch are safe for unbounded concurrent use. Queries
 // return bit-identical results to the label-walking reference the tests
 // keep (queryLabels over the same labels): the merge-join visits shared
@@ -62,22 +62,26 @@ type Flat struct {
 	// size.
 	lane           []float64
 	schedU, schedV uint8
-	// Derived walk layout (deriveWalk): the hop
-	// forest re-laid-out in heavy-chain order, each chain one contiguous
-	// block in walkBlk — its records' owning vertices child-to-parent,
-	// then a two-word trailer [jumpSlot, jumpEnd] naming the segment the
-	// chain head hops into (jumpSlot -1 at an anchor head). A walk is a
-	// handful of bulk copies: memmove the owner run, read the trailer off
-	// the cache lines the copy just touched, jump. Light edges are the
-	// only jumps and a walk crosses O(log P) of them. walkFrom maps a
-	// pool record to its first segment (slot, run end) plus its chain's
-	// final anchor index into the key's path-geometry span — one load
-	// hands QueryPath both walk entries and both anchors before either
-	// walk runs, so the middle segment is emitted in final order between
-	// the two chains. Records a corrupt image left unreachable from any
-	// anchor carry slot -1; anchor -1 marks unresolvable geometry.
+	// Derived walk layout (deriveWalk), the Flat's only copy of the hop
+	// forest: the forest re-laid-out in heavy-chain order, each chain one
+	// contiguous block in walkBlk — its records' owning vertices
+	// child-to-parent, then the trailer [−2−jumpSlot, jumpEnd, anchor,
+	// tail] (see trailerWords): the segment the chain head hops into
+	// (first word −1 at an anchor head), the chain's final anchor index
+	// into the key's path-geometry span (−1 when unresolvable), and the
+	// walk length past the head. A walk is a handful of bulk copies:
+	// memmove the owner run, read the trailer off the cache lines the
+	// copy just touched, jump. Light edges are the only jumps and a walk
+	// crosses O(log P) of them. walkSlot maps a pool record to its slot;
+	// QueryPath scans each winning slot's run forward to its trailer, so
+	// both anchors and both output lengths are known before either walk
+	// runs, and the middle segment is emitted in final order between the
+	// two chains. A record a corrupt image left unreachable from any
+	// anchor keeps its raw hop as slot −2−hop. Encode writes the image's
+	// hop section back from this layout: a record hops to the next slot's
+	// record, a chain head to its trailer's jump, an anchor nowhere.
 	walkBlk  []int32
-	walkFrom []startRec
+	walkSlot []int32
 
 	// Query-time instruments (SetMetrics); all nil-safe, and the disabled
 	// path is a single nil check with no allocation.
@@ -92,17 +96,15 @@ type Flat struct {
 }
 
 // tables are the image sections a Flat keeps in their wire form: the
-// interned keys and CSR offsets above, and the path-reporting sections
-// (see path.go). hops[i] is the portal-pool index of the next record on
-// pool record i's hop chain, or -1 at the chain's anchor;
-// pathOff/pathVert/pathPos are the per-key separator-path geometry in
-// CSR form.
+// interned keys and CSR offsets above, and the separator-path geometry
+// pathOff/pathVert/pathPos in CSR form (see path.go). The portal rows and
+// the hop links are not among them: the lane and the walk layout are
+// their only resident copies.
 type tables struct {
 	keys      []Key   // interned keys, sorted by keyLess; ID = index
 	entryOff  []int32 // len n+1: CSR offsets into entryKey/portalOff
 	entryKey  []int32 // len numEntries: key ID per entry
 	portalOff []int32 // len numEntries+1: CSR offsets into the portal pool
-	hops      []int32
 	pathOff   []int32
 	pathVert  []int32
 	pathPos   []float64
@@ -115,7 +117,6 @@ func (t *tables) clone() tables {
 		entryOff:  slices.Clone(t.entryOff),
 		entryKey:  slices.Clone(t.entryKey),
 		portalOff: slices.Clone(t.portalOff),
-		hops:      slices.Clone(t.hops),
 		pathOff:   slices.Clone(t.pathOff),
 		pathVert:  slices.Clone(t.pathVert),
 		pathPos:   slices.Clone(t.pathPos),
@@ -124,18 +125,19 @@ func (t *tables) clone() tables {
 
 // Freeze compiles the oracle into its flat serving form. The Flat shares
 // the oracle's immutable rows — keys, CSR tables, sweep lane and path
-// geometry — and adds what path reporting needs: every hop vertex
-// resolved to the pool index of the record it names (see resolveHops),
-// and the walk layout derived from those links (deriveWalk). Freeze
-// fails when a hop names no record, or links records of two keys: every
-// image it returns reports paths.
+// geometry — and adds what path reporting needs: the walk layout
+// (deriveWalk), derived from every hop vertex resolved to the pool index
+// of the record it names (see resolveHops); the resolved links are not
+// kept. Freeze fails when a hop names no record, or links records of two
+// keys: every image it returns reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	r := &o.rows
 	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
-	if err := f.resolveHops(o.hopVert); err != nil {
+	hops, err := f.resolveHops(o.hopVert)
+	if err != nil {
 		return nil, err
 	}
-	if err := f.derive(0); err != nil {
+	if err := f.derive(hops, 0); err != nil {
 		return nil, fmt.Errorf("oracle: freeze: %w", err)
 	}
 	return f, nil
@@ -204,9 +206,10 @@ func (f *Flat) buildLane(e0, e1 int, portals []Portal) error {
 // derive fixes the batch scheduler's key shifts — the coarser of
 // (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
 // region and both block numbers fit their 16-bit key lanes — and
-// compiles the walk layout on a pool of the given width (0 means
-// runtime.GOMAXPROCS(0)). It fails only on hop links deriveWalk refuses.
-func (f *Flat) derive(workers int) error {
+// compiles the walk layout from the hop links on a pool of the given
+// width (0 means runtime.GOMAXPROCS(0)). It fails only on hop links
+// deriveWalk refuses.
+func (f *Flat) derive(hops []int32, workers int) error {
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}
@@ -217,7 +220,7 @@ func (f *Flat) derive(workers int) error {
 			f.schedU = f.schedV
 		}
 	}
-	return f.deriveWalk(workers)
+	return f.deriveWalk(hops, workers)
 }
 
 // N returns the number of labeled vertices.
@@ -251,9 +254,9 @@ func (f *Flat) labelPortals(v int) int {
 func (f *Flat) ResidentBytes() int {
 	t := &f.tables
 	return sliceBytes(t.keys) + sliceBytes(t.entryOff) + sliceBytes(t.entryKey) +
-		sliceBytes(t.portalOff) + sliceBytes(t.hops) + sliceBytes(t.pathOff) +
+		sliceBytes(t.portalOff) + sliceBytes(t.pathOff) +
 		sliceBytes(t.pathVert) + sliceBytes(t.pathPos) +
-		sliceBytes(f.lane) + sliceBytes(f.walkBlk) + sliceBytes(f.walkFrom)
+		sliceBytes(f.lane) + sliceBytes(f.walkBlk) + sliceBytes(f.walkSlot)
 }
 
 // sliceBytes is the size of s's backing array up to its capacity.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"pathsep/internal/par"
 )
 
 // Flat image format, version 2. Every word is little-endian:
@@ -57,12 +59,13 @@ var countAt = [len(flatCounts{})]int{8, 32, 40, 48, 56}
 
 // wire is an image's sections as typed records, one field per row of
 // flatSections. DecodeFlat fills it with views of the image it is
-// reading, validates them, and copies them into the Flat it returns;
-// Encode fills it from a Flat, transcribing the portal pool out of the
-// sweep lane.
+// reading, validates them, copies the tables into the Flat it returns,
+// and builds the lane and the walk layout from the portal rows and the
+// hop links in place; Encode copies the tables from a Flat.
 type wire struct {
 	tables
 	portals []Portal
+	hops    []int32 // pool index of each record's next record, -1 at an anchor
 }
 
 // section is one row of the image layout: a run of fixed-width records
@@ -81,6 +84,10 @@ type section struct {
 	// field at count records of an aligned image (DecodeFlat).
 	raw   func(w *wire) []byte
 	alias func(w *wire, image []byte, off, count int) error
+	// put, when set, writes the section's little-endian words straight
+	// from the Flat's serving form into dst, the section's bytes in the
+	// image (Encode): the Flat keeps no wire copy of it.
+	put func(f *Flat, dst []byte)
 }
 
 // row builds a section bound to the wire field that field returns. The
@@ -104,6 +111,12 @@ func row[T any](name string, words []int, count, extra int, reject uint64, field
 	return s
 }
 
+// from marks a section Encode writes with put instead of copying it.
+func (s section) from(put func(f *Flat, dst []byte)) section {
+	s.put = put
+	return s
+}
+
 // First words every validation refuses (see section.reject).
 const (
 	rejectIndex = 0xFFFF_FFFF           // int32 −1: no vertex, key or offset start
@@ -117,8 +130,8 @@ var flatSections = [...]section{
 	row("entry_off", []int{4}, countN, 1, rejectIndex, func(w *wire) *[]int32 { return &w.entryOff }),
 	row("entry_key", []int{4}, countEntries, 0, rejectIndex, func(w *wire) *[]int32 { return &w.entryKey }),
 	row("portal_off", []int{4}, countEntries, 1, rejectIndex, func(w *wire) *[]int32 { return &w.portalOff }),
-	row("portals", []int{8, 8}, countPortals, 0, rejectFloat, func(w *wire) *[]Portal { return &w.portals }),
-	row("hops", []int{4}, countPortals, 0, rejectHop, func(w *wire) *[]int32 { return &w.hops }),
+	row("portals", []int{8, 8}, countPortals, 0, rejectFloat, func(w *wire) *[]Portal { return &w.portals }).from((*Flat).putPortals),
+	row("hops", []int{4}, countPortals, 0, rejectHop, func(w *wire) *[]int32 { return &w.hops }).from((*Flat).putHops),
 	row("path_off", []int{4}, countKeys, 1, rejectIndex, func(w *wire) *[]int32 { return &w.pathOff }),
 	row("path_vert", []int{4}, countPathVerts, 0, rejectIndex, func(w *wire) *[]int32 { return &w.pathVert }),
 	row("path_pos", []int{8}, countPathVerts, 0, rejectFloat, func(w *wire) *[]float64 { return &w.pathPos }),
@@ -213,17 +226,16 @@ func (f *Flat) EncodedSize() int {
 	return total
 }
 
-// Encode serializes the flat oracle. The portal rows are transcribed
-// from the sweep lane, which keeps every Pos and Dist bit for bit. The
-// output is 8-byte aligned (Go allocations of this size always are), so
-// DecodeFlat reads it back in place on a little-endian host.
+// Encode serializes the flat oracle. The tables are copied section by
+// section; the portal rows are written from the sweep lane, which keeps
+// every Pos and Dist bit for bit, and the hop links from the walk
+// layout, each straight into the output (see putPortals and putHops).
+// The output is 8-byte aligned (Go allocations of this size always are),
+// so DecodeFlat reads it back in place on a little-endian host.
 func (f *Flat) Encode() []byte {
 	c := f.counts()
 	spans, total := layout(&c)
-	w := wire{tables: f.tables, portals: make([]Portal, f.NumPortals())}
-	for i := range w.portals {
-		w.portals[i] = Portal{Pos: f.lane[3*i], Dist: f.lane[3*i+1]}
-	}
+	w := wire{tables: f.tables}
 	buf := make([]byte, total)
 	buf[0], buf[1] = flatMagic, flatVersion2
 	le := binary.LittleEndian
@@ -233,22 +245,95 @@ func (f *Flat) Encode() []byte {
 		le.PutUint64(buf[at:], uint64(c[i]))
 	}
 	for i := range flatSections {
-		s, sp := &flatSections[i], spans[i]
-		copy(buf[sp.off:sp.end], s.raw(&w))
+		s, dst := &flatSections[i], buf[spans[i].off:spans[i].end]
+		if s.put != nil {
+			s.put(f, dst)
+			continue
+		}
+		copy(dst, s.raw(&w))
 		if !hostLittleEndian {
-			swapWords(buf[sp.off:sp.end], s.words)
+			swapWords(dst, s.words)
 		}
 	}
 	return buf
+}
+
+// putPortals writes every pool record's (Pos, Dist) row from the sweep
+// lane into dst, the image's portal section, on a runtime.GOMAXPROCS(0)
+// pool of record ranges.
+func (f *Flat) putPortals(dst []byte) {
+	le := binary.LittleEndian
+	eachRange(f.NumPortals(), func(lo, hi int) {
+		rows, ln := dst[16*lo:16*hi], f.lane[3*lo:3*hi]
+		for len(rows) >= 16 && len(ln) >= 3 {
+			le.PutUint64(rows, math.Float64bits(ln[0]))
+			le.PutUint64(rows[8:], math.Float64bits(ln[1]))
+			rows, ln = rows[16:], ln[3:]
+		}
+	})
+}
+
+// putHops writes every pool record's hop link from the walk layout into
+// dst, the image's hop section: a record inside an owner run hops to the
+// next slot's record, a chain head to the record at its trailer's jump
+// slot, an anchor head to −1, and a record no anchor reaches keeps its
+// raw hop (slot −2−hop). One pass over record ranges fills the
+// slot→record inverse (record+1, so trailer words read 0) and writes the
+// stranded records' hops; a second, over walkBlk ranges, reads each run
+// and the inverse in slot order and writes every placed record's hop.
+// Both run on a runtime.GOMAXPROCS(0) pool.
+func (f *Flat) putHops(dst []byte) {
+	le := binary.LittleEndian
+	blk, slots := f.walkBlk, f.walkSlot
+	rec := make([]int32, len(blk))
+	eachRange(len(slots), func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			if s := slots[r]; s >= 0 {
+				rec[s] = int32(r) + 1
+			} else {
+				le.PutUint32(dst[4*r:], uint32(-2-s))
+			}
+		}
+	})
+	eachRange(len(blk), func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			r := rec[s] - 1
+			if r < 0 {
+				continue // a trailer word the range starts in
+			}
+			hop := int32(-1)
+			switch next := blk[s+1]; {
+			case next >= 0:
+				hop = rec[s+1] - 1
+			case next < -1:
+				hop = rec[-2-next] - 1
+				s += trailerWords
+			default:
+				s += trailerWords
+			}
+			le.PutUint32(dst[4*r:], uint32(hop))
+		}
+	})
+}
+
+// eachRange calls fn on ranges [lo, hi) that split [0, n), on a
+// runtime.GOMAXPROCS(0)-wide pool.
+func eachRange(n int, fn func(lo, hi int)) {
+	pool := par.New(0, nil)
+	split := newVertexSplit(n, rangesPerWorker*pool.Workers())
+	pool.ForEach(split.ranges, func(i int) {
+		lo, hi := split.bounds(i)
+		fn(lo, hi)
+	})
 }
 
 // DecodeFlat parses a flat oracle produced by Encode into a Flat that
 // owns all of its memory: buf is not retained, so the caller may reuse
 // or overwrite it as soon as DecodeFlat returns. The sections are read
 // in place as typed views of buf and validated element by element; the
-// Flat then copies the CSR tables and hop links, builds the sweep lane
-// from the portal rows (the lane is the only resident copy of the
-// pool), and derives the walk layout after the views are dead (see
+// Flat then copies the CSR tables, builds the sweep lane from the portal
+// rows (the lane is the only resident copy of the pool), and derives the
+// walk layout from a view of the hop links, which it does not copy (see
 // Flat.derive). Misaligned buffers and big-endian hosts first take one
 // aligned, host-order copy of the image, read the same way; the result
 // is identical.
@@ -296,7 +381,7 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if err := f.buildLane(0, len(f.entryKey), w.portals); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
-	if err := f.derive(0); err != nil {
+	if err := f.derive(w.hops, 0); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
 	return f, nil

@@ -116,20 +116,27 @@ func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 
 // TestFlatMemoryBudget pins the serving footprint per portal on the
 // 32×32 bench-shaped CoverPortal image. A decoded Flat keeps a 24 B lane
-// record, a 4 B hop link, a 16 B walk entry and ~6 B of walk blocks per
-// portal plus the small CSR tables, so ResidentBytes must stay within
-// 56 B/portal; the decode allocates that plus the walk derivation's
-// scratch, within 90 B/portal. Retaining the image buffer (21 B/portal
-// here) or a second copy of the pool breaks the first budget; doubling
-// the derivation scratch breaks the second.
+// record, a 4 B walk slot and ~10 B of walk blocks (4 B of owner vertex
+// per record, 16 B of trailer per chain) per portal plus the small CSR
+// tables, so ResidentBytes must stay within 40 B/portal; the decode
+// allocates that plus the walk derivation's scratch, within 64 B/portal.
+// Keeping a copy of the hop links (4 B/portal) or per-record walk entries
+// breaks the first budget, retaining the image buffer (21 B/portal here)
+// breaks both, and a 16 B/record derivation scratch breaks the second.
+// Encode allocates its output plus the walk layout's slot→record inverse,
+// within EncodedSize + 10 B/portal; transcribing the portal rows into an
+// intermediate []Portal (16 B/portal) breaks it.
 func TestFlatMemoryBudget(t *testing.T) {
 	fl := gridFlat(t, 32, CoverPortal)
 	p := fl.NumPortals()
 	if p != 67878 {
 		t.Fatalf("fixture has %d portals, want 67878", p)
 	}
-	enc := fl.Encode()
 	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	enc := fl.Encode()
+	runtime.ReadMemStats(&after)
+	encAlloc := float64(after.TotalAlloc-before.TotalAlloc-uint64(fl.EncodedSize())) / float64(p)
 	runtime.ReadMemStats(&before)
 	dec, err := DecodeFlat(enc)
 	runtime.ReadMemStats(&after)
@@ -138,12 +145,15 @@ func TestFlatMemoryBudget(t *testing.T) {
 	}
 	resident := float64(dec.ResidentBytes()) / float64(p)
 	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(p)
-	t.Logf("resident %.1f B/portal, decode allocates %.1f B/portal", resident, alloc)
-	if resident > 56 {
-		t.Errorf("ResidentBytes = %.1f B/portal, budget 56", resident)
+	t.Logf("resident %.1f B/portal, decode allocates %.1f B/portal, encode %.1f B/portal beyond its output", resident, alloc, encAlloc)
+	if resident > 40 {
+		t.Errorf("ResidentBytes = %.1f B/portal, budget 40", resident)
 	}
-	if alloc > 90 {
-		t.Errorf("DecodeFlat allocates %.1f B/portal, budget 90", alloc)
+	if alloc > 64 {
+		t.Errorf("DecodeFlat allocates %.1f B/portal, budget 64", alloc)
+	}
+	if encAlloc > 10 {
+		t.Errorf("Encode allocates %.1f B/portal beyond its %d-byte output, budget 10", encAlloc, fl.EncodedSize())
 	}
 }
 

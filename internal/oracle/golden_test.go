@@ -58,18 +58,17 @@ func goldenFlat(t *testing.T, mode Mode) *Flat {
 
 // TestWalkLayoutGolden pins the derived walk layout on the golden
 // fixture, for the Freeze output and for a decode of its image: SHA-256
-// over little-endian int32 words, walkBlk[0:len] followed by slot, end,
-// anchor and depth of every walkFrom record in pool order. The layout is
-// not part of the image, so this is what keeps a rewrite of deriveWalk
-// honest: QueryPath reads nothing else.
+// over little-endian int32 words, walkBlk[0:len] followed by walkSlot in
+// pool order. The layout is not part of the image, so this is what keeps
+// a rewrite of deriveWalk honest: QueryPath reads nothing else.
 func TestWalkLayoutGolden(t *testing.T) {
 	golden := []struct {
 		mode         Mode
 		recs, blkLen int
 		sum          string
 	}{
-		{CoverExact, 3512, 5240, "4730f6aa75971d0358e5ed12a3602116e0d57c5d590e47affa11597e2a65f1db"},
-		{CoverPortal, 5910, 10046, "2851e369bbe548f1b14d12d866f9e2901dac19da8e56a08386b7d2ad31e1112d"},
+		{CoverExact, 3512, 6968, "2f68bbf4ccc0ebe2a8fb015c374f704a5039e2aa0531bde0eb5989fa3a396bae"},
+		{CoverPortal, 5910, 14182, "d2c0fb5caa3fe5cb429c9d9b5d508a18af07762fc1e78a1a7d64c99262c3121d"},
 	}
 	for _, g := range golden {
 		fl := goldenFlat(t, g.mode)
@@ -87,16 +86,13 @@ func TestWalkLayoutGolden(t *testing.T) {
 			for _, w := range f.walkBlk {
 				word(w)
 			}
-			for _, r := range f.walkFrom {
-				word(r.slot)
-				word(r.end)
-				word(r.anchor)
-				word(r.depth)
+			for _, s := range f.walkSlot {
+				word(s)
 			}
 			sum := hex.EncodeToString(h.Sum(nil))
-			if len(f.walkFrom) != g.recs || len(f.walkBlk) != g.blkLen || sum != g.sum {
+			if len(f.walkSlot) != g.recs || len(f.walkBlk) != g.blkLen || sum != g.sum {
 				t.Errorf("%s %s walk layout: %d records, %d words, sha256 %s; want %d, %d, %s",
-					g.mode, side.name, len(f.walkFrom), len(f.walkBlk), sum, g.recs, g.blkLen, g.sum)
+					g.mode, side.name, len(f.walkSlot), len(f.walkBlk), sum, g.recs, g.blkLen, g.sum)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ var (
 )
 
 // NumHops returns the hop-chain section length (one record per portal).
-func (f *Flat) NumHops() int { return len(f.hops) }
+func (f *Flat) NumHops() int { return len(f.walkSlot) }
 
 // NumPathVerts returns the total separator-path geometry length across
 // all keys (the CSR payload shared by the path_vert and path_pos
@@ -157,22 +157,23 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 	if ka == 0 || kb == 0 {
 		return -1, -1
 	}
-	// Touch the winning runs' walkFrom lines before the replay: the
-	// chosen portals' chain-start records are read right after this
-	// returns, and the replay's run time hides their misses. startRecs
-	// are 16 bytes, so stride 4 covers every line once.
+	// Touch the winning runs' walkSlot lines before the replay: the
+	// chosen portals' slots are read right after this returns, and the
+	// replay's run time hides their misses. Slots are 4 bytes, so stride
+	// 16 covers every line once.
 	wt := int32(0)
-	if wf := f.walkFrom; len(wf) >= ia0+ka && len(wf) >= ib0+kb {
-		for x := ia0; x < ia0+ka; x += 4 {
-			wt |= wf[x].slot
+	if ws := f.walkSlot; len(ws) >= ia0+ka && len(ws) >= ib0+kb {
+		for x := ia0; x < ia0+ka; x += 16 {
+			wt |= ws[x]
 		}
-		for x := ib0; x < ib0+kb; x += 4 {
-			wt |= wf[x].slot
+		for x := ib0; x < ib0+kb; x += 16 {
+			wt |= ws[x]
 		}
 	}
-	if wt < -1<<30 {
-		// Unreachable (slots are -1 or small indices); keeps the touch
-		// loads live.
+	if wt == math.MinInt32 {
+		// Unreachable (a slot is at least −1−P, and an OR of such words
+		// is at least the smallest negative one); keeps the touch loads
+		// live.
 		return -1, -1
 	}
 	if ka == 1 && kb == 1 {
@@ -215,8 +216,10 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 // together with a witness walk from u to v realizing it, written into
 // buf. With a reused buffer it runs at zero allocations per query: the
 // merge-join is queryArg, the walk is O(len(path)), and all errors are
-// static. Both chains' anchors and output lengths are known before
-// either walk runs (per-record precompute), so the output is sized once
+// static. Each winning record's slot opens its first owner run, and a
+// forward scan to the run's trailer hands over its chain's anchor and
+// the walk length past the head, so both chains' anchors and output
+// lengths are known before either walk runs: the output is sized once
 // and every piece lands directly in its final position: the u-chain
 // left to right from the front, the v-chain right to left from the
 // back, the path's middle segment between them. The two chains are
@@ -238,14 +241,16 @@ func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 	if bpa < 0 || bpb < 0 {
 		return est, out, errPathRecord
 	}
-	wa, wb := f.walkFrom[bpa], f.walkFrom[bpb]
-	if wa.slot < 0 || wb.slot < 0 {
+	xa, xb := f.walkSlot[bpa], f.walkSlot[bpb]
+	if xa < 0 || xb < 0 {
 		return est, out, errPathRecord
 	}
-	if wa.anchor < 0 || wb.anchor < 0 {
+	blk := f.walkBlk
+	ea, eb := runEnd(blk, xa), runEnd(blk, xb)
+	ia, ib := blk[ea+3], blk[eb+3]
+	if ia < 0 || ib < 0 {
 		return est, out, errPathGeometry
 	}
-	ia, ib := wa.anchor, wb.anchor
 	mid := ib - ia - 1
 	if ia > ib {
 		mid = ia - ib - 1
@@ -253,7 +258,7 @@ func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 	// When the chains meet at the same path vertex (ia == ib, mid -1)
 	// the v-side anchor duplicates the u-side one; the v-chain's last
 	// write then lands on the u-chain's anchor cell with the same value.
-	need := int(wa.depth) + int(wb.depth)
+	need := int(ea-xa+1+blk[ea+4]) + int(eb-xb+1+blk[eb+4])
 	if mid > 0 {
 		need += int(mid)
 	} else if ia == ib {
@@ -264,9 +269,6 @@ func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 	} else {
 		out = make([]int32, need)
 	}
-	blk := f.walkBlk
-	xa, ea := wa.slot, wa.end
-	xb, eb := wb.slot, wb.end
 	wp, bp := 0, need-1
 	aDone, bDone := false, false
 	for segs := 0; !aDone || !bDone; segs++ {
@@ -280,8 +282,8 @@ func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 			}
 			copy(out[wp:wp+L], blk[xa:ea+1])
 			wp += L
-			if q := blk[ea+1]; q >= 0 {
-				xa, ea = q, blk[ea+2]
+			if q := blk[ea+1]; q < -1 {
+				xa, ea = -2-q, blk[ea+2]
 			} else {
 				aDone = true
 			}
@@ -294,8 +296,8 @@ func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 				out[bp] = blk[i]
 				bp--
 			}
-			if q := blk[eb+1]; q >= 0 {
-				xb, eb = q, blk[eb+2]
+			if q := blk[eb+1]; q < -1 {
+				xb, eb = -2-q, blk[eb+2]
 			} else {
 				bDone = true
 			}
@@ -368,13 +370,13 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 }
 
 // resolveHops resolves every hop vertex to the pool index of the record
-// it names: the hop vertex's record at the same key and position, one
-// array lookup per walk step at query time. A hop that names no record
+// it names: the hop vertex's record at the same key and position, the
+// hop forest the walk layout is derived from. A hop that names no record
 // fails the freeze rather than produce an image that cannot report
 // paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool, one task
 // per vertex range; the error reported is the first in pool order, as a
 // serial pass would find it.
-func (f *Flat) resolveHops(hopVert []int32) error {
+func (f *Flat) resolveHops(hopVert []int32) ([]int32, error) {
 	hops := make([]int32, len(hopVert))
 	pool := par.New(0, nil)
 	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
@@ -385,11 +387,10 @@ func (f *Flat) resolveHops(hopVert []int32) error {
 	})
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	f.hops = hops
-	return nil
+	return hops, nil
 }
 
 // resolveRange writes the pool index of every hop target of vertices

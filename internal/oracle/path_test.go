@@ -102,16 +102,19 @@ func TestDecodeFlatRejectsCrossKeyHop(t *testing.T) {
 	fl := gridFlat(t, 12, CoverPortal)
 	enc := fl.Encode()
 	hopsAt := hopsOffset(fl)
+	hops := imageHops(fl)
 	_, keyOf := keyRecords(fl)
+	// The path index of an anchor's chain, off its run's trailer.
+	anchor := func(r int32) int32 { return fl.walkBlk[runEnd(fl.walkBlk, fl.walkSlot[r])+3] }
 	far := int32(-1)
-	for r, h := range fl.hops {
-		if h < 0 && (far < 0 || fl.walkFrom[r].anchor > fl.walkFrom[far].anchor) {
+	for r, h := range hops {
+		if h < 0 && (far < 0 || anchor(int32(r)) > anchor(far)) {
 			far = int32(r)
 		}
 	}
 	var victims []int32
-	for r := range fl.hops {
-		if fl.hops[r] >= 0 && keyOf[r] != keyOf[far] {
+	for r := range hops {
+		if hops[r] >= 0 && keyOf[r] != keyOf[far] {
 			victims = append(victims, int32(r))
 		}
 	}
@@ -172,7 +175,7 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	// link to record 0 instead crosses keys, which decode refuses.
 	cyclic, crossed := append([]byte(nil), enc...), append([]byte(nil), enc...)
 	recs, keyOf := keyRecords(fl)
-	for r := range fl.hops {
+	for r := 0; r < fl.NumPortals(); r++ {
 		at := spans[hops].off + 4*r
 		binary.LittleEndian.PutUint32(cyclic[at:], uint32(recs[keyOf[r]][0]))
 		binary.LittleEndian.PutUint32(crossed[at:], 0)

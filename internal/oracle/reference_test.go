@@ -315,8 +315,9 @@ func (ref *refOracle) QueryPath(u, v int, buf []int32) (float64, []int32, error)
 // before Build wrote rows: the distinct keys collected through a map and
 // ranked by keyLess, the CSR tables and the portal pool appended label
 // by label, the lane transcribed from that pool, and every hop resolved
-// against the tables. It derives no walk.
-func (ref *refOracle) freeze() (*Flat, error) {
+// against the tables, which it returns beside the Flat. It derives no
+// walk.
+func (ref *refOracle) freeze() (*Flat, []int32, error) {
 	seen := make(map[Key]int32)
 	var keys []Key
 	numEntries, numPortals := 0, 0
@@ -356,21 +357,21 @@ func (ref *refOracle) freeze() (*Flat, error) {
 	}
 	f.lane = alignedFloats(3 * len(portals))
 	if err := f.buildLane(0, len(f.entryKey), portals); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(ref.paths) != len(keys) {
-		return nil, fmt.Errorf("%d separator paths for %d keys", len(ref.paths), len(keys))
+		return nil, nil, fmt.Errorf("%d separator paths for %d keys", len(ref.paths), len(keys))
 	}
 	f.pathOff = make([]int32, len(keys)+1)
 	for i := range ref.paths {
 		if ref.paths[i].key != keys[i] {
-			return nil, fmt.Errorf("no separator path for key %v", keys[i])
+			return nil, nil, fmt.Errorf("no separator path for key %v", keys[i])
 		}
 		f.pathVert = append(f.pathVert, ref.paths[i].verts...)
 		f.pathPos = append(f.pathPos, ref.paths[i].pos...)
 		f.pathOff[i+1] = int32(len(f.pathVert))
 	}
-	f.hops = make([]int32, len(portals))
+	hops := make([]int32, len(portals))
 	for v := range ref.labels {
 		ei := int(f.entryOff[v])
 		for j, e := range ref.labels[v].Entries {
@@ -379,12 +380,12 @@ func (ref *refOracle) freeze() (*Flat, error) {
 				t := int32(-1)
 				if h >= 0 {
 					if t = f.findRecord(int(h), kid, e.Portals[x].Pos); t < 0 {
-						return nil, fmt.Errorf("vertex %d key %v: hop to %d has no record at position %v", v, e.Key, h, e.Portals[x].Pos)
+						return nil, nil, fmt.Errorf("vertex %d key %v: hop to %d has no record at position %v", v, e.Key, h, e.Portals[x].Pos)
 					}
 				}
-				f.hops[pi+x] = t
+				hops[pi+x] = t
 			}
 		}
 	}
-	return f, nil
+	return f, hops, nil
 }

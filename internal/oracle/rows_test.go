@@ -14,10 +14,10 @@ import (
 	"pathsep/internal/par"
 )
 
-// rowsDiff compares Build's rows, with the hops Freeze resolved, against
-// the reference freeze word for word, and describes the first difference
-// or returns "".
-func rowsDiff(o *Oracle, got, want *Flat) string {
+// rowsDiff compares Build's rows, with the hops Freeze resolved (as its
+// image carries them), against the reference freeze and its hops word for
+// word, and describes the first difference or returns "".
+func rowsDiff(o *Oracle, got, want *Flat, wantHops []int32) string {
 	r := &o.rows
 	if !slices.Equal(r.keys, want.keys) {
 		return fmt.Sprintf("keys: %d interned, reference %d", len(r.keys), len(want.keys))
@@ -31,7 +31,7 @@ func rowsDiff(o *Oracle, got, want *Flat) string {
 		{"portalOff", r.portalOff, want.portalOff},
 		{"pathOff", r.pathOff, want.pathOff},
 		{"pathVert", r.pathVert, want.pathVert},
-		{"hops", got.hops, want.hops},
+		{"hops", imageHops(got), wantHops},
 	} {
 		if len(t.got) != len(t.want) {
 			return fmt.Sprintf("%s: %d words, reference %d", t.name, len(t.got), len(t.want))
@@ -90,7 +90,7 @@ func labelDiff(o *Oracle, ref *refOracle) string {
 func checkRows(t *testing.T, name string, dec *core.Tree, opt Options, labels bool) {
 	t.Helper()
 	ref := refBuild(t, dec, opt, 1)
-	want, err := ref.freeze()
+	want, wantHops, err := ref.freeze()
 	if err != nil {
 		t.Fatalf("%s: reference freeze: %v", name, err)
 	}
@@ -106,7 +106,7 @@ func checkRows(t *testing.T, name string, dec *core.Tree, opt Options, labels bo
 		if err != nil {
 			t.Fatalf("%s width %d: freeze: %v", name, w, err)
 		}
-		if d := rowsDiff(o, got, want); d != "" {
+		if d := rowsDiff(o, got, want, wantHops); d != "" {
 			t.Fatalf("%s width %d: %s", name, w, d)
 		}
 		if labels {
@@ -187,7 +187,7 @@ func FuzzBuildRows(f *testing.F) {
 			opt.Mode = CoverPortal
 		}
 		ref := refBuild(t, dec, opt, 1)
-		want, err := ref.freeze()
+		want, wantHops, err := ref.freeze()
 		if err != nil {
 			t.Fatalf("reference freeze: %v", err)
 		}
@@ -200,7 +200,7 @@ func FuzzBuildRows(f *testing.F) {
 		if err != nil {
 			t.Fatalf("freeze: %v", err)
 		}
-		if d := rowsDiff(o, got, want); d != "" {
+		if d := rowsDiff(o, got, want, wantHops); d != "" {
 			t.Fatal(d)
 		}
 		if d := labelDiff(o, ref); d != "" {
@@ -213,9 +213,10 @@ func FuzzBuildRows(f *testing.F) {
 // CoverPortal image costs, per portal. Build writes the serving rows
 // directly and Freeze shares them, so Build+Freeze allocates within
 // 280 B/portal in all, and the live Oracle plus its Flat — one lane,
-// the hop vertices and links, the walk layout and the small CSR tables
-// — hold within 80 B/portal after a GC. Assembling per-vertex label
-// slices first and copying them into the Flat breaks both.
+// the hop vertices, the walk layout and the small CSR tables — hold
+// within 48 B/portal after a GC. Assembling per-vertex label slices
+// first and copying them into the Flat breaks both; keeping the resolved
+// hop links or per-record walk entries breaks the second.
 func TestBuildMemoryBudget(t *testing.T) {
 	rot := embed.Grid(32, 32, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
 	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
@@ -249,7 +250,7 @@ func TestBuildMemoryBudget(t *testing.T) {
 	if alloc > 280 {
 		t.Errorf("Build+Freeze allocate %.1f B/portal, budget 280", alloc)
 	}
-	if live > 80 {
-		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 80", live)
+	if live > 48 {
+		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 48", live)
 	}
 }

@@ -6,51 +6,64 @@ import (
 	"pathsep/internal/par"
 )
 
-// startRec is the per-pool-record walk entry: the record's slot and its
-// chain's last owner slot in walkBlk (slot -1 when stranded by a corrupt
-// image), the chain's final anchor index into the key's path-geometry
-// span (-1 when unresolvable), and the walk's total output length from
-// this record to its anchor inclusive. Knowing both walks' lengths and
-// anchors up front lets QueryPath size the output once and write every
-// piece straight into its final position. 16 bytes keeps the record on
-// one cache line.
-type startRec struct {
-	slot   int32
-	end    int32
-	anchor int32
-	depth  int32
+// trailerWords is the length of the trailer that closes every chain's
+// owner run in walkBlk: [−2−jumpSlot, jumpEnd, anchor, tail]. The first
+// word is always negative — −1 at an anchor head, ≤ −2 where the head
+// hops into its parent chain's segment [jumpSlot, jumpEnd] — and owner
+// vertices never are, so a walk finds its run's end by scanning forward
+// (runEnd). anchor is the chain's final anchor index into the key's
+// path-geometry span (−1 when unresolvable), and tail the walk's output
+// length past the chain head (0 at an anchor head).
+const trailerWords = 4
+
+// runEnd returns the last slot of the owner run holding slot s: the
+// slot before the run's trailer.
+func runEnd(blk []int32, s int32) int32 {
+	for blk[s+1] >= 0 {
+		s++
+	}
+	return s
 }
 
-// deriveWalk compiles the hop forest into the walkBlk/walkFrom layout on
-// a pool of the given width (0 means runtime.GOMAXPROCS(0)). Chains are
-// emitted in heavy-path order — each record's heaviest child is placed
-// immediately before it — so a chain from any slot to its head is one
-// contiguous owner run the walk copies in bulk; only light edges jump,
-// and a root-to-leaf walk crosses O(log P) of them. Anchor heads resolve
-// their path-geometry index here (the one equality search per anchor
-// that QueryPath would otherwise run per query). Records on a hop cycle
-// (possible only in a corrupt image: decode validates hop ranges, not
-// acyclicity) are never reached from an anchor and keep walkFrom slot
-// -1, which the walk reports as a dangling record.
+// Marks sizeKey's tree labels use besides anchor ranks.
+const (
+	treeStranded = -1 // on or behind a hop cycle: no anchor reaches it
+	treeClimbing = -2 // on the parent-link path being climbed
+	treeUnseen   = -3
+)
+
+// deriveWalk compiles the hop forest — hops[r] is the pool index of the
+// next record on record r's chain, or -1 at the chain's anchor — into the
+// walkBlk/walkSlot layout on a pool of the given width (0 means
+// runtime.GOMAXPROCS(0)); hops itself is not kept. Chains are emitted in
+// heavy-path order — each record's heaviest child is placed immediately
+// before it — so a chain from any slot to its head is one contiguous
+// owner run the walk copies in bulk; only light edges jump, and a
+// root-to-leaf walk crosses O(log P) of them. Anchor heads resolve their
+// path-geometry index here (the one equality search per anchor that
+// QueryPath would otherwise run per query) into their trailers. Records
+// on a hop cycle (possible only in a corrupt image: decode validates hop
+// ranges, not acyclicity) are never reached from an anchor; their slot
+// keeps the raw hop as −2−hop, which the walk reports as a dangling
+// record and Encode writes back.
 //
 // Every hop chain stays on one separator path, so the forest splits into
-// one independent forest per key. Each key is a pool task (layoutKey)
-// that lays its anchors' trees out at tree-relative slots, in scratch
-// sized to the largest key; one descending scan over the anchors then
-// gives every tree its offset, and two passes over vertex ranges write
-// the owner runs and trailers and relocate walkFrom. The trees land where
-// a whole-pool pass puts them — the last anchor's tree first, each tree
-// whole — so the layout is the same word for word at every pool width
-// and task order. A hop linking records of two keys fails the
-// derivation: its chain would inherit the other key's anchor index and
-// QueryPath would read that key's geometry out of range.
-func (f *Flat) deriveWalk(workers int) error {
-	p := len(f.hops)
-	f.walkBlk, f.walkFrom = nil, make([]startRec, p)
-	if p == 0 {
+// one independent forest per key, and each key is a pool task in two
+// rounds, in scratch sized to the largest key. sizeKey turns the key's
+// hops into parent links in key-local slots and sizes its anchor trees
+// (records plus one trailer per chain, and a tree has one chain per
+// leaf); one descending scan over the anchors then gives every tree its
+// offset, and layoutKey writes the key's trees straight into place. The trees land where a whole-pool pass puts them — the last
+// anchor's tree first, each tree whole — so the layout is the same word
+// for word at every pool width and task order. A hop linking records of
+// two keys fails the derivation: its chain would inherit the other key's
+// anchor index and QueryPath would read that key's geometry out of range.
+func (f *Flat) deriveWalk(hops []int32, workers int) error {
+	f.walkBlk, f.walkSlot = nil, nil
+	if len(hops) == 0 {
 		return nil
 	}
-	kp := f.partitionByKey()
+	kp := f.partitionByKey(hops)
 	pool := par.New(workers, nil)
 	// A free list of per-worker scratch: at most Workers() tasks run at
 	// once, so at most that many scratch sets are ever allocated.
@@ -58,18 +71,21 @@ func (f *Flat) deriveWalk(workers int) error {
 	for range pool.Workers() {
 		free <- nil
 	}
+	scratch := func() *walkScratch {
+		if s := <-free; s != nil {
+			return s
+		}
+		return newWalkScratch(kp.maxKey)
+	}
 	cross := make([]int32, len(f.keys))
 	pool.ForEach(len(f.keys), func(k int) {
-		s := <-free
-		if s == nil {
-			s = newWalkScratch(kp.maxKey)
-		}
-		cross[k] = f.layoutKey(int32(k), kp, s)
+		s := scratch()
+		cross[k] = f.sizeKey(int32(k), kp, hops, s)
 		free <- s
 	})
 	for _, r := range cross {
 		if r >= 0 {
-			return fmt.Errorf("hop of record %d links to record %d of another key", r, f.hops[r])
+			return fmt.Errorf("hop of record %d links to record %d of another key", r, hops[r])
 		}
 	}
 	// Tree offsets: the trees follow one another in descending anchor
@@ -80,74 +96,49 @@ func (f *Flat) deriveWalk(workers int) error {
 		kp.block[a] = total
 		total += size
 	}
-	// Until the relocation, a placed record's anchor field holds its
-	// tree's rank. The owner runs and chain trailers go first: a trailer
-	// reads its parent's tree-relative slot and end (the parent is in the
-	// head's tree, so both take the tree's offset), so walkFrom is
-	// relocated only once every trailer is written.
-	blk := make([]int32, total)
-	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
-	pool.ForEach(split.ranges, func(i int) {
-		lo, hi := split.bounds(i)
-		for v := lo; v < hi; v++ {
-			for r := f.portalOff[f.entryOff[v]]; r < f.portalOff[f.entryOff[v+1]]; r++ {
-				w := f.walkFrom[r]
-				if w.slot < 0 {
-					continue
-				}
-				off := kp.block[w.anchor]
-				blk[off+w.slot] = int32(v)
-				if w.slot == w.end {
-					jump, jumpEnd := int32(-1), int32(-1)
-					if u := f.hops[r]; u >= 0 {
-						jump, jumpEnd = off+f.walkFrom[u].slot, off+f.walkFrom[u].end
-					}
-					blk[off+w.end+1], blk[off+w.end+2] = jump, jumpEnd
-				}
-			}
-		}
+	// The slot map is dead once every key is sized: its array becomes
+	// walkSlot, which the second round writes whole.
+	f.walkBlk, f.walkSlot = make([]int32, total), kp.slot
+	pool.ForEach(len(f.keys), func(k int) {
+		s := scratch()
+		f.layoutKey(int32(k), kp, hops, s)
+		free <- s
 	})
-	pool.ForEach(split.ranges, func(i int) {
-		lo, hi := split.bounds(i)
-		for r := f.portalOff[f.entryOff[lo]]; r < f.portalOff[f.entryOff[hi]]; r++ {
-			if w := &f.walkFrom[r]; w.slot >= 0 {
-				tree := w.anchor
-				w.slot += kp.block[tree]
-				w.end += kp.block[tree]
-				w.anchor = kp.anchorAt[tree]
-			}
-		}
-	})
-	f.walkBlk = blk
 	return nil
 }
 
 // keyPartition is the pool split by key. Key k owns the entries
 // ent[entOff[k]:entOff[k+1]], ascending, so its records come in pool
-// order, and the key-major slots recOff[k]..recOff[k+1]; slot[r] is
-// record r's key-major slot, so a hop target h belongs to key k exactly
-// when slot[h] falls in k's range. The anchors are ranked in pool order:
-// anchorAt[a] is anchor a's path-geometry index (-1 when unresolvable),
-// and block[a] the size of its laid-out tree until deriveWalk turns it
-// into the tree's offset in walkBlk.
+// order, with owning vertices vert[entOff[k]:entOff[k+1]], and the
+// key-major slots recOff[k]..recOff[k+1]; slot[r] is record r's key-major
+// slot, so a hop target h belongs to key k exactly when slot[h] falls in
+// k's range (sizeKey reads it; layoutKey writes the same array as
+// walkSlot). up, indexed by key-major slot, holds each record's parent
+// link in key-local slots, or −1−a at anchor a; a key's range of it is
+// its own task's to read and write. The anchors are ranked in pool
+// order: anchorAt[a] is anchor a's path-geometry index (-1 when
+// unresolvable), and block[a] the size of its tree until deriveWalk
+// turns it into the tree's offset in walkBlk.
 type keyPartition struct {
-	entOff, ent     []int32
-	recOff, slot    []int32
-	anchorAt, block []int32
-	maxKey          int32
+	entOff, ent, vert []int32
+	recOff, slot, up  []int32
+	anchorAt, block   []int32
+	maxKey            int32
 }
 
 // partitionByKey builds the key partition in one pass over the pool. It
-// resolves each anchor's path-geometry index (a failed resolution — a
-// corrupt image — stays -1 and surfaces as a walk error) and leaves the
-// anchor's rank in its walkFrom anchor field for layoutKey.
-func (f *Flat) partitionByKey() *keyPartition {
+// ranks the anchors into up and resolves each one's path-geometry index
+// (a failed resolution — a corrupt image — stays -1 and surfaces as a
+// walk error); the key tasks fill in the parent links.
+func (f *Flat) partitionByKey(hops []int32) *keyPartition {
 	nk := len(f.keys)
 	kp := &keyPartition{
 		entOff: make([]int32, nk+1),
 		ent:    make([]int32, len(f.entryKey)),
+		vert:   make([]int32, len(f.entryKey)),
 		recOff: make([]int32, nk+1),
-		slot:   make([]int32, len(f.hops)),
+		slot:   make([]int32, len(hops)),
+		up:     make([]int32, len(hops)),
 	}
 	for e, k := range f.entryKey {
 		kp.entOff[k+1]++
@@ -164,16 +155,16 @@ func (f *Flat) partitionByKey() *keyPartition {
 	for v := 0; v < f.n; v++ {
 		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
 			k := f.entryKey[e]
-			kp.ent[nextEnt[k]] = e
+			kp.ent[nextEnt[k]], kp.vert[nextEnt[k]] = e, int32(v)
 			nextEnt[k]++
 			s := nextSlot[k]
 			for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
 				kp.slot[r] = s
 				s++
-				if f.hops[r] >= 0 {
+				if hops[r] >= 0 {
 					continue
 				}
-				f.walkFrom[r].anchor = int32(len(kp.anchorAt))
+				kp.up[s-1] = -1 - int32(len(kp.anchorAt))
 				plo, phi := f.pathOff[k], f.pathOff[k+1]
 				idx, err := pathIndexAt(f.pathPos[plo:phi], f.pathVert[plo:phi], f.lane[3*r], int32(v))
 				if err != nil {
@@ -188,33 +179,89 @@ func (f *Flat) partitionByKey() *keyPartition {
 	return kp
 }
 
-// walkScratch is one worker's layoutKey scratch, each array sized to the
-// largest key and indexed by key-local slot: the key's records, the
-// parent links (reused as the breadth-first order, then as the head
-// stack), the child CSR pair, and the subtree sizes (reused for the
-// chain heads' walk lengths past their heads).
+// walkScratch is one worker's key-task scratch, each array sized to the
+// largest key and indexed by key-local slot: the key's records and their
+// owning vertices, the child CSR pair, the subtree sizes (reused for the
+// pushed chain heads' jump slots, jend holding their jump ends and,
+// until its tree is laid out, each anchor's rank), and the length of
+// each record's heavy chain down to its leaf. sizeKey uses the child
+// counts, the child array as its climb stack and the size array for tree
+// labels.
 type walkScratch struct {
-	recs, up, childOff, child, size []int32
+	recs, own, childOff, child, size, jend, chain []int32
 }
 
 func newWalkScratch(maxKey int32) *walkScratch {
 	n := int(maxKey)
-	buf := make([]int32, 5*n+1)
+	buf := make([]int32, 7*n+1)
 	return &walkScratch{
 		recs:     buf[:n:n],
-		up:       buf[n : 2*n : 2*n],
+		own:      buf[n : 2*n : 2*n],
 		childOff: buf[2*n : 3*n+1 : 3*n+1],
 		child:    buf[3*n+1 : 4*n+1 : 4*n+1],
-		size:     buf[4*n+1:],
+		size:     buf[4*n+1 : 5*n+1 : 5*n+1],
+		jend:     buf[5*n+1 : 6*n+1 : 6*n+1],
+		chain:    buf[6*n+1:],
 	}
 }
 
-// layoutKey lays out key k's hop forest. Every placed record's walkFrom
-// gets its tree-relative slot and end, its depth, and its tree's rank in
-// the anchor field; a record no anchor reaches gets slot -1. block gets
-// each of the key's trees' size: its records plus two trailer words per
-// chain. layoutKey returns the first record whose hop leaves the key,
-// or -1; such a key is left unfinished.
+// sizeKey writes key k's parent links into up and sizes its anchor
+// trees into block: each tree's records plus trailerWords per leaf. It
+// labels every record with its tree by climbing the parent links to an
+// anchor or into a cycle. sizeKey returns the first record whose hop
+// leaves the key, or -1; such a key is left unfinished.
+func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) int32 {
+	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
+	up, kids, tree := kp.up[base:base+n], s.childOff[:n], s.size[:n]
+	clear(kids)
+	x := 0
+	for _, e := range kp.ent[kp.entOff[k]:kp.entOff[k+1]] {
+		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
+			h := hops[r]
+			if h < 0 {
+				tree[x] = -1 - up[x]
+				continue
+			}
+			u := kp.slot[h] - base
+			if u < 0 || u >= n {
+				return r
+			}
+			up[x] = u
+			kids[u]++
+			tree[x] = treeUnseen
+		}
+	}
+	stack := s.child[:0]
+	for x := range tree {
+		y := int32(x)
+		for tree[y] == treeUnseen {
+			tree[y] = treeClimbing
+			stack = append(stack, y)
+			y = up[y]
+		}
+		t := tree[y]
+		if t == treeClimbing {
+			t = treeStranded
+		}
+		for _, z := range stack {
+			tree[z] = t
+		}
+		stack = stack[:0]
+	}
+	for x, t := range tree {
+		if t >= 0 {
+			kp.block[t]++
+			if kids[x] == 0 {
+				kp.block[t] += trailerWords
+			}
+		}
+	}
+	return -1
+}
+
+// layoutKey writes key k's anchor trees into walkBlk at the offsets in
+// block, and every record's slot into walkSlot; a record no anchor
+// reaches gets −2−hop instead.
 //
 // Local slots run in pool order, so every child list comes out in
 // ascending record order, and each anchor's tree is laid out exactly as
@@ -222,27 +269,24 @@ func newWalkScratch(maxKey int32) *walkScratch {
 // parent-first off a head stack seeded with the anchor, each record's
 // light children pushed in ascending order as its chain is traced root
 // to leaf.
-func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) int32 {
+func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) {
 	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
-	recs, up, childOff, child, size := s.recs[:n], s.up[:n], s.childOff[:n+1], s.child[:n], s.size[:n]
-	recs = recs[:0]
-	for _, e := range kp.ent[kp.entOff[k]:kp.entOff[k+1]] {
-		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
+	up := kp.up[base : base+n]
+	recs, own, childOff, child, size, jend, chain := s.recs[:0], s.own[:0], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
+	// The key's records in pool order (their key-local slots), and their
+	// owning vertices.
+	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
+		for r := f.portalOff[kp.ent[i]]; r < f.portalOff[kp.ent[i]+1]; r++ {
 			recs = append(recs, r)
+			own = append(own, kp.vert[i])
 		}
 	}
-	// Parent links and child lists in local slots: count into childOff,
-	// prefix-sum to each list's end, then fill backwards so childOff[u]
-	// lands on its start.
+	// Child lists in local slots from sizeKey's parent links: count into
+	// childOff, prefix-sum to each list's end, then fill backwards so
+	// childOff[u] lands on its start.
 	clear(childOff)
-	for x, r := range recs {
-		up[x] = -1
-		if h := f.hops[r]; h >= 0 {
-			u := kp.slot[h] - base
-			if u < 0 || u >= n {
-				return r
-			}
-			up[x] = u
+	for _, u := range up {
+		if u >= 0 {
 			childOff[u]++
 		}
 	}
@@ -256,16 +300,18 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) int32 {
 		}
 	}
 	// The records reachable from an anchor, parents before children
-	// (breadth-first from the anchors in ascending order); cycle records
-	// are never reached.
-	order, roots := up, 0
-	for x, r := range recs {
-		if f.hops[r] < 0 {
-			order[roots] = int32(x)
+	// (breadth-first from the anchors in ascending order), written over
+	// the parent links the child lists have consumed; cycle records are
+	// never reached. jend keeps each anchor's rank.
+	order, roots := up, int32(0)
+	for x := int32(0); x < n; x++ {
+		if w := up[x]; w < 0 {
+			jend[x] = -1 - w
+			order[roots] = x
 			roots++
 		}
 	}
-	reached := roots
+	reached := int(roots)
 	for i := 0; i < reached; i++ {
 		x := order[i]
 		for j := childOff[x]; j < childOff[x+1]; j++ {
@@ -275,7 +321,8 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) int32 {
 	}
 	// Subtree sizes in reverse order. Each record's heaviest child (the
 	// first of the largest subtrees) moves to the front of its list; the
-	// light children keep their ascending order behind it.
+	// light children keep their ascending order behind it. A record's
+	// heavy chain is one longer than its heavy child's.
 	if reached < int(n) {
 		clear(size)
 	}
@@ -290,7 +337,10 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) int32 {
 				heavy, heavySz = j, c
 			}
 		}
-		size[x] = sz
+		size[x], chain[x] = sz, 1
+		if heavy < hi {
+			chain[x] += chain[child[heavy]]
+		}
 		if heavy > lo {
 			c := child[heavy]
 			copy(child[lo+1:heavy+1], child[lo:heavy])
@@ -300,46 +350,47 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) int32 {
 	if reached < int(n) {
 		for x, r := range recs {
 			if size[x] == 0 {
-				f.walkFrom[r] = startRec{slot: -1, end: -1, anchor: -1}
+				f.walkSlot[r] = -2 - hops[r]
 			}
 		}
 	}
-	// Lay out each anchor's tree from tree-relative slot 0, the anchors
-	// waiting on the head stack below the tree in progress: every chain
-	// root-to-leaf, written leaf-first so the bulk copy runs
-	// child-to-parent, the chain head on the run's last slot, two trailer
-	// words after it. A pushed light child's size slot takes its parent's
-	// depth — the walk length past its chain's head.
+	// Lay out each anchor's tree at its offset, the anchors waiting on the
+	// head stack below the tree in progress: every chain root-to-leaf,
+	// written leaf-first so the bulk copy runs child-to-parent, the chain
+	// head on the run's last slot, its trailer after it. A pushed light
+	// child's size slot takes its parent's slot and its jend slot the
+	// parent's run end; the walk length past its head is the parent's,
+	// read off the parent chain's trailer.
+	blk := f.walkBlk
 	heads := order[:roots]
 	for len(heads) > 0 {
 		floor := len(heads) - 1
 		a := heads[floor]
-		tree := f.walkFrom[recs[a]].anchor
-		size[a] = 0
-		at := int32(0)
+		tree := jend[a]
+		size[a], jend[a] = -1, -1
+		at := kp.block[tree]
 		for len(heads) > floor {
 			h := heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
-			end := at
-			for x := h; childOff[x] < childOff[x+1]; x = child[childOff[x]] {
-				end++
+			end := at + chain[h] - 1
+			jump, jumpEnd, tail := size[h], jend[h], int32(0)
+			if jump >= 0 {
+				tail = jumpEnd - jump + 1 + blk[jumpEnd+4]
 			}
-			tail := size[h]
+			blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, kp.anchorAt[tree], tail
 			for x, slot := h, end; ; x, slot = child[childOff[x]], slot-1 {
-				depth := end - slot + 1 + tail
-				f.walkFrom[recs[x]] = startRec{slot: slot, end: end, anchor: tree, depth: depth}
+				blk[slot] = own[x]
+				f.walkSlot[recs[x]] = slot
 				lo, hi := childOff[x], childOff[x+1]
 				if lo == hi {
 					break
 				}
 				for _, c := range child[lo+1 : hi] {
-					size[c] = depth
+					size[c], jend[c] = slot, end
 					heads = append(heads, c)
 				}
 			}
-			at = end + 3
+			at = end + 1 + trailerWords
 		}
-		kp.block[tree] = at
 	}
-	return -1
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,25 +13,29 @@ import (
 
 // deriveWalkRef is the whole-pool walk derivation the per-key deriveWalk
 // replaced, kept as the reference the differential tests compare the
-// layout against word for word. It reads f's tables and returns the
-// walkBlk/walkFrom pair instead of storing it.
+// layout against word for word. It reads f's tables and the hop links
+// and returns the walkBlk/walkSlot pair instead of storing it.
 //
 // Chains are emitted in heavy-path order — each record's heaviest child
 // is placed immediately before it — so a chain from any slot to its head
 // is one contiguous owner run; anchors seed the head stack in ascending
 // record order, so the last anchor's tree is laid out first. Records on
-// a hop cycle are never reached from an anchor and keep slot -1.
-func deriveWalkRef(f *Flat) ([]int32, []startRec) {
-	p := len(f.hops)
-	from := make([]startRec, p)
+// a hop cycle are never reached from an anchor and keep −2−hop as their
+// slot.
+func deriveWalkRef(f *Flat, hops []int32) ([]int32, []int32) {
+	p := len(hops)
+	slots := make([]int32, p)
 	if p == 0 {
-		return nil, from
+		return nil, slots
 	}
+	// Each record's slot, run end, chain anchor and walk length.
+	type refRec struct{ slot, end, anchor, depth int32 }
+	from := make([]refRec, p)
 	for r := range from {
-		from[r] = startRec{slot: -1, end: -1, anchor: -1}
+		from[r] = refRec{slot: -1, end: -1, anchor: -1}
 	}
 	eachRecordRef(f, func(v, kid, i int32) {
-		if f.hops[i] >= 0 {
+		if hops[i] >= 0 {
 			return
 		}
 		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
@@ -41,7 +46,7 @@ func deriveWalkRef(f *Flat) ([]int32, []startRec) {
 	// Children of each record, CSR form, each list in ascending record
 	// order.
 	childOff := make([]int32, p+1)
-	for _, h := range f.hops {
+	for _, h := range hops {
 		if h >= 0 {
 			childOff[h]++
 		}
@@ -51,14 +56,14 @@ func deriveWalkRef(f *Flat) ([]int32, []startRec) {
 	}
 	child := make([]int32, childOff[p])
 	for i := p - 1; i >= 0; i-- {
-		if h := f.hops[i]; h >= 0 {
+		if h := hops[i]; h >= 0 {
 			childOff[h]--
 			child[childOff[h]] = int32(i)
 		}
 	}
 	// Breadth-first from the anchors; subtree sizes in reverse order.
 	order := make([]int32, 0, p)
-	for i, h := range f.hops {
+	for i, h := range hops {
 		if h < 0 {
 			order = append(order, int32(i))
 		}
@@ -72,7 +77,7 @@ func deriveWalkRef(f *Flat) ([]int32, []startRec) {
 	for x := len(order) - 1; x >= 0; x-- {
 		r := order[x]
 		size[r]++
-		if h := f.hops[r]; h >= 0 {
+		if h := hops[r]; h >= 0 {
 			size[h] += size[r]
 		}
 	}
@@ -90,7 +95,7 @@ func deriveWalkRef(f *Flat) ([]int32, []startRec) {
 			chains++
 		}
 	}
-	blk := make([]int32, len(order)+2*chains)
+	blk := make([]int32, len(order)+trailerWords*chains)
 	heads, path := order[:roots], size[:0]
 	at := int32(0)
 	for len(heads) > 0 {
@@ -107,24 +112,27 @@ func deriveWalkRef(f *Flat) ([]int32, []startRec) {
 		}
 		end := at + int32(len(path)) - 1
 		anchor, tail := from[h].anchor, int32(0)
-		blk[end+1], blk[end+2] = -1, -1
-		if up := f.hops[h]; up >= 0 {
+		jump, jumpEnd := int32(-1), int32(-1)
+		if up := hops[h]; up >= 0 {
 			w := from[up]
-			blk[end+1], blk[end+2] = w.slot, w.end
+			jump, jumpEnd = w.slot, w.end
 			anchor, tail = w.anchor, w.depth
 		}
+		blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, anchor, tail
 		for k, r := range path {
 			slot := end - int32(k)
-			from[r] = startRec{slot: slot, end: end, anchor: anchor, depth: end - slot + 1 + tail}
+			from[r] = refRec{slot: slot, end: end, anchor: anchor, depth: end - slot + 1 + tail}
 		}
-		at = end + 3
+		at = end + 1 + trailerWords
 	}
 	eachRecordRef(f, func(v, _, i int32) {
+		slots[i] = -2 - hops[i]
 		if s := from[i].slot; s >= 0 {
 			blk[s] = v
+			slots[i] = s
 		}
 	})
-	return blk, from
+	return blk, slots
 }
 
 // eachRecordRef calls fn(v, kid, i) for every pool record i in pool
@@ -139,37 +147,39 @@ func eachRecordRef(f *Flat, fn func(v, kid, i int32)) {
 	}
 }
 
-// walkDiff compares f's walk layout with deriveWalkRef's word for word
-// and describes the first difference, or returns "".
-func walkDiff(f *Flat, refBlk []int32, refFrom []startRec) string {
-	if len(f.walkBlk) != len(refBlk) || len(f.walkFrom) != len(refFrom) {
-		return fmt.Sprintf("%d words, %d records; reference %d, %d", len(f.walkBlk), len(f.walkFrom), len(refBlk), len(refFrom))
+// walkDiff compares f's walk layout with deriveWalkRef's word for word,
+// walkBlk then walkSlot, and describes the first difference, or returns
+// "".
+func walkDiff(f *Flat, refBlk, refSlot []int32) string {
+	if len(f.walkBlk) != len(refBlk) || len(f.walkSlot) != len(refSlot) {
+		return fmt.Sprintf("%d words, %d records; reference %d, %d", len(f.walkBlk), len(f.walkSlot), len(refBlk), len(refSlot))
 	}
 	for i := range refBlk {
 		if f.walkBlk[i] != refBlk[i] {
 			return fmt.Sprintf("walkBlk[%d] = %d, reference %d", i, f.walkBlk[i], refBlk[i])
 		}
 	}
-	for r := range refFrom {
-		if f.walkFrom[r] != refFrom[r] {
-			return fmt.Sprintf("walkFrom[%d] = %+v, reference %+v", r, f.walkFrom[r], refFrom[r])
+	for r := range refSlot {
+		if f.walkSlot[r] != refSlot[r] {
+			return fmt.Sprintf("walkSlot[%d] = %d, reference %d", r, f.walkSlot[r], refSlot[r])
 		}
 	}
 	return ""
 }
 
-// checkWidths derives f's walk layout at pool widths 1, 2, 4 and 0 with
-// shuffled task submission and compares each with the reference.
-func checkWidths(t *testing.T, name string, f *Flat) {
+// checkWidths derives f's walk layout from hops at pool widths 1, 2, 4
+// and 0 with shuffled task submission and compares each with the
+// reference.
+func checkWidths(t *testing.T, name string, f *Flat, hops []int32) {
 	t.Helper()
-	refBlk, refFrom := deriveWalkRef(f)
+	refBlk, refSlot := deriveWalkRef(f, hops)
 	par.SetShuffleSeed(0x5eed)
 	defer par.SetShuffleSeed(0)
 	for _, w := range []int{1, 2, 4, 0} {
-		if err := f.deriveWalk(w); err != nil {
+		if err := f.deriveWalk(hops, w); err != nil {
 			t.Fatalf("%s width %d: %v", name, w, err)
 		}
-		if d := walkDiff(f, refBlk, refFrom); d != "" {
+		if d := walkDiff(f, refBlk, refSlot); d != "" {
 			t.Fatalf("%s width %d: %s", name, w, d)
 		}
 	}
@@ -178,7 +188,7 @@ func checkWidths(t *testing.T, name string, f *Flat) {
 // keyRecords lists each key's pool records in pool order, and each
 // record's key.
 func keyRecords(f *Flat) (recs [][]int32, keyOf []int32) {
-	recs, keyOf = make([][]int32, len(f.keys)), make([]int32, len(f.hops))
+	recs, keyOf = make([][]int32, len(f.keys)), make([]int32, f.NumPortals())
 	for e, k := range f.entryKey {
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
 			recs[k] = append(recs[k], r)
@@ -200,52 +210,97 @@ func hopsOffset(f *Flat) int {
 	panic("no hops section")
 }
 
-// corrupted returns a copy of f sharing its lane with a fresh copy of
-// its tables, for hop-table surgery.
-func corrupted(f *Flat) *Flat {
-	return &Flat{n: f.n, eps: f.eps, mode: f.mode, tables: f.tables.clone(), lane: f.lane}
+// readHops reads the p hop links of an image whose hop section starts
+// at byte at.
+func readHops(img []byte, at, p int) []int32 {
+	hops := make([]int32, p)
+	for r := range hops {
+		hops[r] = int32(binary.LittleEndian.Uint32(img[at+4*r:]))
+	}
+	return hops
+}
+
+// imageHops returns the hop links of f's image: what Encode writes back
+// from the walk layout.
+func imageHops(f *Flat) []int32 {
+	return readHops(f.Encode(), hopsOffset(f), f.NumPortals())
+}
+
+// withHops returns a copy of f's image whose hop section holds hops.
+func withHops(f *Flat, hops []int32) []byte {
+	img, at := f.Encode(), hopsOffset(f)
+	for r, h := range hops {
+		binary.LittleEndian.PutUint32(img[at+4*r:], uint32(h))
+	}
+	return img
+}
+
+// checkRoundTrip requires that img decodes and encodes back to itself
+// byte for byte: the walk layout keeps every hop link, stranded records
+// included.
+func checkRoundTrip(t *testing.T, name string, img []byte) {
+	t.Helper()
+	dec, err := DecodeFlat(img)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if enc := dec.Encode(); !bytes.Equal(enc, img) {
+		i := 0
+		for i < len(enc) && i < len(img) && enc[i] == img[i] {
+			i++
+		}
+		t.Fatalf("%s: Encode(DecodeFlat(img)) differs from img at byte %d of %d", name, i, len(img))
+	}
 }
 
 // TestWalkLayoutMatchesReference pins the per-key derivation to the
-// whole-pool reference word for word: walkBlk and every walkFrom record,
-// at pool widths 1, 2, 4 and 0 with shuffled task submission, on the
-// golden fixture, 24×24 grids in both modes, the 64×64 portal grid and
-// (outside -short) the 128×128 bench image — and on 24×24 hop tables
-// corrupted with same-key rewires, self-loops and extra anchors, where
-// records no anchor reaches must keep slot -1.
+// whole-pool reference word for word: walkBlk and every walkSlot, at
+// pool widths 1, 2, 4 and 0 with shuffled task submission, on the golden
+// fixture, 24×24 grids in both modes, the 64×64 portal grid and (outside
+// -short) the 128×128 bench image — and on 24×24 hop tables corrupted
+// with same-key rewires, self-loops and extra anchors, where records no
+// anchor reaches must keep their raw hop. Every image, corrupted or not,
+// must also decode and encode back to itself byte for byte.
 func TestWalkLayoutMatchesReference(t *testing.T) {
-	for _, mode := range []Mode{CoverExact, CoverPortal} {
-		checkWidths(t, fmt.Sprintf("golden %s", mode), goldenFlat(t, mode))
-		checkWidths(t, fmt.Sprintf("24x24 %s", mode), gridFlat(t, 24, mode))
+	check := func(name string, f *Flat) {
+		t.Helper()
+		checkWidths(t, name, f, imageHops(f))
+		checkRoundTrip(t, name, f.Encode())
 	}
-	checkWidths(t, "64x64 portal", gridFlat(t, 64, CoverPortal))
+	for _, mode := range []Mode{CoverExact, CoverPortal} {
+		check(fmt.Sprintf("golden %s", mode), goldenFlat(t, mode))
+		check(fmt.Sprintf("24x24 %s", mode), gridFlat(t, 24, mode))
+	}
+	check("64x64 portal", gridFlat(t, 64, CoverPortal))
 	if !testing.Short() {
-		checkWidths(t, "128x128 portal", gridFlat(t, 128, CoverPortal))
+		check("128x128 portal", gridFlat(t, 128, CoverPortal))
 	}
 
 	base := gridFlat(t, 24, CoverPortal)
+	baseHops := imageHops(base)
 	recs, keyOf := keyRecords(base)
 	rng := rand.New(rand.NewSource(3))
 	for c := 0; c < 12; c++ {
-		f := corrupted(base)
+		f := &Flat{n: base.n, eps: base.eps, mode: base.mode, tables: base.tables, lane: base.lane}
+		hops := append([]int32(nil), baseHops...)
 		for i := 0; i < 1+rng.Intn(40); i++ {
-			r := int32(rng.Intn(len(f.hops)))
+			r := int32(rng.Intn(len(hops)))
 			switch c % 3 {
 			case 0: // same-key rewire
 				kr := recs[keyOf[r]]
-				f.hops[r] = kr[rng.Intn(len(kr))]
+				hops[r] = kr[rng.Intn(len(kr))]
 			case 1: // self-loop
-				f.hops[r] = r
+				hops[r] = r
 			case 2: // extra anchor
-				f.hops[r] = -1
+				hops[r] = -1
 			}
 		}
 		name := fmt.Sprintf("corruption %d", c)
-		checkWidths(t, name, f)
+		checkWidths(t, name, f, hops)
 		if c%3 == 1 {
 			stranded := 0
-			for _, w := range f.walkFrom {
-				if w.slot < 0 {
+			for _, s := range f.walkSlot {
+				if s < 0 {
 					stranded++
 				}
 			}
@@ -253,15 +308,17 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 				t.Fatalf("%s: self-loops stranded no record", name)
 			}
 		}
+		checkRoundTrip(t, name, withHops(base, hops))
 	}
 }
 
 // FuzzWalkLayout rewires up to 32 hops of a small portal image, each to
 // a record of its own key or to no record (a new anchor), chosen by the
-// input bytes: such images pass decode, and their walk layout must
-// equal deriveWalkRef's at pool widths 0, 1 and 2 (the last with
-// shuffled task submission). QueryPath over every pair must return an
-// answer or one of the typed walk errors, never panic.
+// input bytes: such images pass decode, their walk layout must equal
+// deriveWalkRef's at pool widths 0, 1 and 2 (the last with shuffled task
+// submission), and they must encode back to themselves byte for byte.
+// QueryPath over every pair must return an answer or one of the typed
+// walk errors, never panic.
 func FuzzWalkLayout(f *testing.F) {
 	fl := gridFlat(f, 8, CoverPortal)
 	enc := fl.Encode()
@@ -273,7 +330,7 @@ func FuzzWalkLayout(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		img := append([]byte(nil), enc...)
 		for i := 0; i+4 <= len(ops) && i < 4*32; i += 4 {
-			r := int(binary.LittleEndian.Uint16(ops[i:])) % len(fl.hops)
+			r := int(binary.LittleEndian.Uint16(ops[i:])) % fl.NumPortals()
 			kr := recs[keyOf[r]]
 			to := int32(-1)
 			if x := int(binary.LittleEndian.Uint16(ops[i+2:])) % (len(kr) + 1); x < len(kr) {
@@ -285,18 +342,22 @@ func FuzzWalkLayout(f *testing.F) {
 		if err != nil {
 			t.Fatalf("same-key rewires rejected: %v", err)
 		}
-		refBlk, refFrom := deriveWalkRef(dec)
-		if d := walkDiff(dec, refBlk, refFrom); d != "" {
+		if got := dec.Encode(); !bytes.Equal(got, img) {
+			t.Fatal("Encode(DecodeFlat(img)) differs from img")
+		}
+		hops := readHops(img, hopsAt, fl.NumPortals())
+		refBlk, refSlot := deriveWalkRef(dec, hops)
+		if d := walkDiff(dec, refBlk, refSlot); d != "" {
 			t.Fatalf("width 0: %s", d)
 		}
 		for _, w := range []int{1, 2} {
 			par.SetShuffleSeed(int64(len(ops)) + 1)
-			err := dec.deriveWalk(w)
+			err := dec.deriveWalk(hops, w)
 			par.SetShuffleSeed(0)
 			if err != nil {
 				t.Fatalf("width %d: %v", w, err)
 			}
-			if d := walkDiff(dec, refBlk, refFrom); d != "" {
+			if d := walkDiff(dec, refBlk, refSlot); d != "" {
 				t.Fatalf("width %d: %s", w, d)
 			}
 		}
@@ -320,9 +381,10 @@ func FuzzWalkLayout(f *testing.F) {
 //	go test -run '^$' -bench DeriveWalk -cpu 1,2 ./internal/oracle/
 func BenchmarkDeriveWalk(b *testing.B) {
 	fl := gridFlat(b, 64, CoverPortal)
+	hops := imageHops(fl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fl.deriveWalk(0); err != nil {
+		if err := fl.deriveWalk(hops, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -110,9 +109,8 @@ func (s *Server) handleBatchJSON(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*64+4096))
-	if err != nil {
-		s.fail(w, http.StatusRequestEntityTooLarge, "body too large or unreadable")
+	body, ok := s.readBody(w, r, int64(s.maxBatch)*64+4096)
+	if !ok {
 		return
 	}
 	var req batchRequest
@@ -175,9 +173,8 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*8+8))
-	if err != nil {
-		s.fail(w, http.StatusRequestEntityTooLarge, "body too large or unreadable")
+	body, ok := s.readBody(w, r, int64(s.maxBatch)*8+8)
+	if !ok {
 		return
 	}
 	if len(body)%8 != 0 {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -224,6 +225,24 @@ func (s *Server) track(h http.Handler) http.Handler {
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	s.errs.Inc()
 	http.Error(w, msg, code)
+}
+
+// readBody reads r's body up to limit bytes. A body over the cap answers
+// 413; any other read error (a client that stops mid-upload, a dropped
+// connection) is a bad request, not a large one, and answers 400. ok
+// reports whether the body was read whole.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body larger than the %d-byte cap", limit))
+	} else {
+		s.fail(w, http.StatusBadRequest, "reading body: "+err.Error())
+	}
+	return nil, false
 }
 
 // getPairs returns a pooled pair buffer of length n.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -210,6 +211,32 @@ func TestBatchCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-cap batch: status=%d, want 413", resp.StatusCode)
+	}
+}
+
+// failingBody yields one pair's bytes, then fails the read the way a
+// client that drops mid-upload does.
+type failingBody struct{ sent bool }
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if !b.sent {
+		b.sent = true
+		return copy(p, "\x00\x00\x00\x00\x01\x00\x00\x00"), nil
+	}
+	return 0, errors.New("connection reset mid-upload")
+}
+
+// TestBodyReadErrors pins the status of a body that fails mid-read on
+// each endpoint that reads one: the request is bad (400), not too large
+// (413) — only a body over the cap is.
+func TestBodyReadErrors(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	for _, path := range []string{"/query/batch", "/query/batchbin", "/admin/reload"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, &failingBody{}))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: body failing mid-read: status %d (%s), want 400", path, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sync/atomic"
@@ -175,10 +174,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	// The decode copies what it keeps, so the body buffer is garbage as
 	// soon as ReloadImage returns.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxImage)))
-	if err != nil {
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("image larger than the %d-byte cap or unreadable", s.maxImage))
+	body, ok := s.readBody(w, r, int64(s.maxImage))
+	if !ok {
 		return
 	}
 	if len(body) == 0 {
