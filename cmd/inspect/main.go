@@ -121,8 +121,9 @@ func main() {
 
 // inspectImage reports the serving layout of a flat oracle image: header
 // metadata, the memory the decoded image holds for serving (its tables,
-// sweep lane and walk layout), lane alignment, and the per-entry portal-run
-// length distribution — short runs are one-candidate sweeps, long runs
+// sweep lane and walk layout), lane alignment, every image section's
+// record count and bytes, and the per-entry portal-run length
+// distribution — short runs are one-candidate sweeps, long runs
 // are where the suffix-min fold and the batch scheduler earn their keep.
 func inspectImage(path string) error {
 	buf, err := os.ReadFile(path)
@@ -140,11 +141,10 @@ func inspectImage(path string) error {
 	fmt.Printf("  resident %d B (%.1f B/portal: tables, sweep lane, walk layout), lane 64B-aligned: %v\n",
 		fl.ResidentBytes(), float64(fl.ResidentBytes())/float64(max(fl.NumPortals(), 1)), fl.LaneAligned())
 
-	fmt.Printf("  path sections (wire v2): hops=%d (%d B)  path_off=%d (%d B)  path_vert=%d (%d B)  path_pos=%d (%d B)\n",
-		fl.NumHops(), 4*fl.NumHops(),
-		fl.NumKeys()+1, 4*(fl.NumKeys()+1),
-		fl.NumPathVerts(), 4*fl.NumPathVerts(),
-		fl.NumPathVerts(), 8*fl.NumPathVerts())
+	fmt.Println("  sections (records, bytes):")
+	for _, s := range fl.Sections() {
+		fmt.Printf("    %-10s %9d %11d B\n", s.Name, s.Records, s.Bytes)
+	}
 
 	runs := fl.PortalRunLengths(nil)
 	if len(runs) == 0 {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 	"pathsep/internal/oracle"
 )
 
-// buildImage freezes a small grid oracle and returns its v2 encoding.
+// buildImage freezes a small grid oracle and returns its encoding.
 func buildImage(t *testing.T) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -58,14 +60,36 @@ func runInspect(t *testing.T, img []byte) string {
 	return string(out)
 }
 
-// TestInspectImagePathSections checks the path-section report of an
-// image, and that a version-1 image is refused as unsupported.
+// TestInspectImagePathSections checks the section report of an image:
+// one row per section of the layout Encode writes, with its record count
+// and bytes, which with the 64-byte header and under 8 bytes of
+// alignment per section add up to the image; and that a version-1 image
+// is refused as unsupported.
 func TestInspectImagePathSections(t *testing.T) {
 	img := buildImage(t)
+	fl, err := oracle.DecodeFlat(img)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	out := runInspect(t, img)
-	if !strings.Contains(out, "path sections (wire v2): hops=") {
-		t.Errorf("inspect missing path-section sizes:\n%s", out)
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[3] == "B" {
+			rows[f[0]] = f[1:3]
+		}
+	}
+	sections := fl.Sections()
+	total := 64
+	for _, s := range sections {
+		want := []string{strconv.Itoa(s.Records), strconv.Itoa(s.Bytes)}
+		if got := rows[s.Name]; !slices.Equal(got, want) {
+			t.Errorf("section %s: inspect reports %v, want records and bytes %v\n%s", s.Name, got, want, out)
+		}
+		total += s.Bytes
+	}
+	if len(rows) != len(sections) || rows["dists"] == nil || total > len(img) || len(img)-total >= 8*len(sections) {
+		t.Errorf("inspect reports %d sections, image %d B, sections add up to %d B:\n%s", len(rows), len(img), total, out)
 	}
 
 	img[1] = 1

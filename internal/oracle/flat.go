@@ -25,7 +25,8 @@ import (
 //     which the Flat keeps only as its sweep lane.
 //
 // Build writes these rows, Freeze adds the walk layout derived from the
-// resolved hop links, and DecodeFlat rebuilds all of it from an image; a
+// resolved hop links, and DecodeFlat rebuilds all of it from an image,
+// the portal positions included, which the image leaves to the walk; a
 // Flat never aliases an image buffer. It is immutable after construction, so
 // Query and QueryBatch are safe for unbounded concurrent use. Queries
 // return bit-identical results to the label-walking reference the tests
@@ -56,10 +57,13 @@ type Flat struct {
 	// exhausted the remainder has no partners left and is never touched.
 	// The difference, and argminPair's sum, are computed where they are
 	// used, with the single rounding pairMin applies. The lane is the
-	// only resident copy of the portal pool (Encode transcribes the wire
-	// rows from it) and is 64-byte aligned. schedU/schedV are the key
-	// shifts the batch locality scheduler derives from the entry-table
-	// size.
+	// only resident copy of the portal pool (Encode writes the image's
+	// distances from it) and is 64-byte aligned. Every record's pos is
+	// its chain anchor's path position: a hop links records at one
+	// position, and a chain ends at a path vertex's own record, so the
+	// image stores no positions and DecodeFlat reads them off the walk
+	// layout. schedU/schedV are the key shifts the batch locality
+	// scheduler derives from the entry-table size.
 	lane           []float64
 	schedU, schedV uint8
 	// Derived walk layout (deriveWalk), the Flat's only copy of the hop
@@ -68,16 +72,16 @@ type Flat struct {
 	// child-to-parent, then the trailer [−2−jumpSlot, jumpEnd, anchor,
 	// tail] (see trailerWords): the segment the chain head hops into
 	// (first word −1 at an anchor head), the chain's final anchor index
-	// into the key's path-geometry span (−1 when unresolvable), and the
-	// walk length past the head. A walk is a handful of bulk copies:
+	// into the key's path-geometry span, and the walk length past the
+	// head. A walk is a handful of bulk copies:
 	// memmove the owner run, read the trailer off the cache lines the
 	// copy just touched, jump. Light edges are the only jumps and a walk
 	// crosses O(log P) of them. walkSlot maps a pool record to its slot;
 	// QueryPath scans each winning slot's run forward to its trailer, so
 	// both anchors and both output lengths are known before either walk
 	// runs, and the middle segment is emitted in final order between the
-	// two chains. A record a corrupt image left unreachable from any
-	// anchor keeps its raw hop as slot −2−hop. Encode writes the image's
+	// two chains. Every record has a slot: no image in which a record
+	// reaches no anchor is built or decoded. Encode writes the image's
 	// hop section back from this layout: a record hops to the next slot's
 	// record, a chain head to its trailer's jump, an anchor nowhere.
 	walkBlk  []int32
@@ -97,7 +101,7 @@ type Flat struct {
 
 // tables are the image sections a Flat keeps in their wire form: the
 // interned keys and CSR offsets above, and the separator-path geometry
-// pathOff/pathVert/pathPos in CSR form (see path.go). The portal rows and
+// pathOff/pathVert/pathPos in CSR form (see path.go). The distances and
 // the hop links are not among them: the lane and the walk layout are
 // their only resident copies.
 type tables struct {
@@ -128,8 +132,11 @@ func (t *tables) clone() tables {
 // geometry — and adds what path reporting needs: the walk layout
 // (deriveWalk), derived from every hop vertex resolved to the pool index
 // of the record it names (see resolveHops); the resolved links are not
-// kept. Freeze fails when a hop names no record, or links records of two
-// keys: every image it returns reports paths.
+// kept. Freeze fails when a hop names no record or links records of two
+// keys, when a record's hops reach no anchor, and when a key's path
+// repeats a vertex: an image stores no positions, and such a record's
+// would be lost. Every image Freeze returns decodes to the same lane and
+// walk layout and reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	r := &o.rows
 	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
@@ -137,7 +144,7 @@ func (o *Oracle) Freeze() (*Flat, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.derive(hops, 0); err != nil {
+	if _, err := f.derive(hops, 0); err != nil {
 		return nil, fmt.Errorf("oracle: freeze: %w", err)
 	}
 	return f, nil
@@ -160,44 +167,61 @@ func alignedFloats(n int) []float64 {
 }
 
 // buildLane transcribes the portal runs of entries [e0, e1) into the
-// sweep lane (see the lane layout doc on Flat); portals holds those runs
-// back to back, from pool index portalOff[e0]. It checks each record on
-// the way: Pos and Dist must be NaN-free — a NaN would poison every
-// min-fold the sweep computes — and positions must be non-decreasing
-// within each entry, the order the merged sweep and its suffix-min rely
-// on. +Inf stays legal in Dist: it is the unreachable sentinel some
-// constructions store. Record x's smin is the min of fl(Dist+Pos) over
-// the run's suffix [x, k), rounded exactly as pairMin rounds the sum; min
-// is exact (no rounding), so the query-time fold
-// fl(fl(Dist−Pos) + smin_other) equals the min of the pairwise
-// candidates the register sweep folds one by one.
+// sweep lane (see the lane layout doc on Flat); pos and dist hold those
+// runs' positions and distances back to back, from pool index
+// portalOff[e0]. A decoded image has no positions: with a nil pos, each
+// record's is the path_pos entry of its chain's anchor, which the walk
+// derivation left in anchors. It checks each record on the way: Pos and
+// Dist must be NaN-free — a NaN would poison every min-fold the sweep
+// computes — and positions must be non-decreasing within each entry,
+// the order the merged sweep and its suffix-min rely on. +Inf stays
+// legal in Dist: it is the unreachable sentinel some constructions
+// store. Record x's smin is the min of fl(Dist+Pos) over the run's
+// suffix [x, k), rounded exactly as pairMin rounds the sum; min is exact
+// (no rounding), so the query-time fold fl(fl(Dist−Pos) + smin_other)
+// equals the min of the pairwise candidates the register sweep folds one
+// by one.
 //
 // buildLane is the sanctioned writer of the lane view: it fills the
 // aligned array its caller just allocated, before the rows are
-// published. DecodeFlat transcribes the whole pool in one call; Build's
-// range tasks each transcribe their own disjoint entries. The
-// argumented directive does not opt it into hotalloc.
+// published. Build's and DecodeFlat's range tasks each transcribe their
+// own disjoint entries. The argumented directive does not opt it into
+// hotalloc.
 //
 //pathsep:hotpath writes=views
-func (f *Flat) buildLane(e0, e1 int, portals []Portal) error {
+func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) error {
 	base := int(f.portalOff[e0])
 	for e := e0; e < e1; e++ {
 		lo, hi := int(f.portalOff[e]), int(f.portalOff[e+1])
-		sm := math.Inf(1)
+		// Without pos: the key's path positions, and the entry's anchors.
+		var geo []float64
+		var idx []int32
+		if pos == nil && lo < hi {
+			k := f.entryKey[e]
+			geo, idx = f.pathPos[f.pathOff[k]:f.pathOff[k+1]], anchors.idx[anchors.first[e]:]
+		}
+		sm, next := math.Inf(1), math.Inf(1)
 		for x := hi - 1; x >= lo; x-- {
-			p := portals[x-base]
-			if math.IsNaN(p.Pos) || math.IsNaN(p.Dist) {
+			var p float64
+			if pos != nil {
+				p = pos[x-base]
+			} else {
+				p = geo[idx[x-lo]]
+			}
+			d := dist[x-base]
+			if math.IsNaN(p) || math.IsNaN(d) {
 				return fmt.Errorf("portal record %d contains NaN", x)
 			}
-			if x+1 < hi && p.Pos > portals[x+1-base].Pos {
+			if p > next {
 				return fmt.Errorf("portal positions of entry %d decrease at record %d", e, x)
 			}
-			if s := p.Dist + p.Pos; s < sm {
+			if s := d + p; s < sm {
 				sm = s
 			}
-			f.lane[3*x] = p.Pos
-			f.lane[3*x+1] = p.Dist
+			f.lane[3*x] = p
+			f.lane[3*x+1] = d
 			f.lane[3*x+2] = sm
+			next = p
 		}
 	}
 	return nil
@@ -207,9 +231,9 @@ func (f *Flat) buildLane(e0, e1 int, portals []Portal) error {
 // (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
 // region and both block numbers fit their 16-bit key lanes — and
 // compiles the walk layout from the hop links on a pool of the given
-// width (0 means runtime.GOMAXPROCS(0)). It fails only on hop links
-// deriveWalk refuses.
-func (f *Flat) derive(hops []int32, workers int) error {
+// width (0 means runtime.GOMAXPROCS(0)), returning every record's
+// anchor. It fails only on hop links deriveWalk refuses.
+func (f *Flat) derive(hops []int32, workers int) (anchorRuns, error) {
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}

@@ -9,10 +9,10 @@ import (
 	"pathsep/internal/par"
 )
 
-// Flat image format, version 2. Every word is little-endian:
+// Flat image format, version 3. Every word is little-endian:
 //
 //	[0]   magic 0xA7
-//	[1]   version 2
+//	[1]   version 3
 //	[2:8] reserved (zero)
 //	[8]   n            uint64
 //	[16]  eps          float64 bits
@@ -30,12 +30,15 @@ import (
 // matching Go type keeps its fields on a little-endian host, so DecodeFlat
 // reads every section in place out of an 8-byte-aligned buffer.
 //
-// Any other version byte is rejected, the distance-only version 1
-// included: rebuild such images (pathsepd -graph … -save-image).
+// The image stores no portal positions: a record's position is its
+// chain anchor's path_pos entry (see DecodeFlat). Any other version byte
+// is rejected, version 2 (which stored them) and the distance-only
+// version 1 included: rebuild such images (pathsepd -graph …
+// -save-image).
 const (
-	flatMagic    = 0xA7
-	flatVersion2 = 2
-	flatHeaderV2 = 64
+	flatMagic   = 0xA7
+	flatVersion = 3
+	flatHeader  = 64
 )
 
 // hostLittleEndian reports whether this machine stores multi-byte values
@@ -60,12 +63,12 @@ var countAt = [len(flatCounts{})]int{8, 32, 40, 48, 56}
 // wire is an image's sections as typed records, one field per row of
 // flatSections. DecodeFlat fills it with views of the image it is
 // reading, validates them, copies the tables into the Flat it returns,
-// and builds the lane and the walk layout from the portal rows and the
-// hop links in place; Encode copies the tables from a Flat.
+// and derives the walk layout from the hop links and then the lane from
+// the distances, both in place; Encode copies the tables from a Flat.
 type wire struct {
 	tables
-	portals []Portal
-	hops    []int32 // pool index of each record's next record, -1 at an anchor
+	dists []float64 // each pool record's Dist
+	hops  []int32   // pool index of each record's next record, -1 at an anchor
 }
 
 // section is one row of the image layout: a run of fixed-width records
@@ -130,7 +133,7 @@ var flatSections = [...]section{
 	row("entry_off", []int{4}, countN, 1, rejectIndex, func(w *wire) *[]int32 { return &w.entryOff }),
 	row("entry_key", []int{4}, countEntries, 0, rejectIndex, func(w *wire) *[]int32 { return &w.entryKey }),
 	row("portal_off", []int{4}, countEntries, 1, rejectIndex, func(w *wire) *[]int32 { return &w.portalOff }),
-	row("portals", []int{8, 8}, countPortals, 0, rejectFloat, func(w *wire) *[]Portal { return &w.portals }).from((*Flat).putPortals),
+	row("dists", []int{8}, countPortals, 0, rejectFloat, func(w *wire) *[]float64 { return &w.dists }).from((*Flat).putDists),
 	row("hops", []int{4}, countPortals, 0, rejectHop, func(w *wire) *[]int32 { return &w.hops }).from((*Flat).putHops),
 	row("path_off", []int{4}, countKeys, 1, rejectIndex, func(w *wire) *[]int32 { return &w.pathOff }),
 	row("path_vert", []int{4}, countPathVerts, 0, rejectIndex, func(w *wire) *[]int32 { return &w.pathVert }),
@@ -164,7 +167,7 @@ type span struct{ off, end int }
 // layout places the sections after the header for counts c and returns
 // their spans and the total image size.
 func layout(c *flatCounts) (spans [len(flatSections)]span, total int) {
-	at := flatHeaderV2
+	at := flatHeader
 	for i := range flatSections {
 		s := &flatSections[i]
 		at = (at + s.align() - 1) &^ (s.align() - 1)
@@ -226,10 +229,30 @@ func (f *Flat) EncodedSize() int {
 	return total
 }
 
+// SectionSize is one section of a Flat's image: its name in the layout,
+// its record count and its length in bytes, alignment padding excluded.
+type SectionSize struct {
+	Name           string
+	Records, Bytes int
+}
+
+// Sections lists the sections of the image Encode writes for f, in
+// layout order.
+func (f *Flat) Sections() []SectionSize {
+	c := f.counts()
+	spans, _ := layout(&c)
+	out := make([]SectionSize, len(flatSections))
+	for i := range flatSections {
+		out[i] = SectionSize{flatSections[i].name, flatSections[i].records(&c), spans[i].end - spans[i].off}
+	}
+	return out
+}
+
 // Encode serializes the flat oracle. The tables are copied section by
-// section; the portal rows are written from the sweep lane, which keeps
-// every Pos and Dist bit for bit, and the hop links from the walk
-// layout, each straight into the output (see putPortals and putHops).
+// section; the distances are written from the sweep lane, which keeps
+// every Dist bit for bit, and the hop links from the walk layout, each
+// straight into the output (see putDists and putHops). Positions are not
+// written: each is its chain anchor's path_pos entry.
 // The output is 8-byte aligned (Go allocations of this size always are),
 // so DecodeFlat reads it back in place on a little-endian host.
 func (f *Flat) Encode() []byte {
@@ -237,7 +260,7 @@ func (f *Flat) Encode() []byte {
 	spans, total := layout(&c)
 	w := wire{tables: f.tables}
 	buf := make([]byte, total)
-	buf[0], buf[1] = flatMagic, flatVersion2
+	buf[0], buf[1] = flatMagic, flatVersion
 	le := binary.LittleEndian
 	le.PutUint64(buf[16:], math.Float64bits(f.eps))
 	le.PutUint64(buf[24:], uint64(f.mode))
@@ -258,17 +281,16 @@ func (f *Flat) Encode() []byte {
 	return buf
 }
 
-// putPortals writes every pool record's (Pos, Dist) row from the sweep
-// lane into dst, the image's portal section, on a runtime.GOMAXPROCS(0)
-// pool of record ranges.
-func (f *Flat) putPortals(dst []byte) {
+// putDists writes every pool record's Dist from the sweep lane into dst,
+// the image's dists section, on a runtime.GOMAXPROCS(0) pool of record
+// ranges.
+func (f *Flat) putDists(dst []byte) {
 	le := binary.LittleEndian
 	eachRange(f.NumPortals(), func(lo, hi int) {
-		rows, ln := dst[16*lo:16*hi], f.lane[3*lo:3*hi]
-		for len(rows) >= 16 && len(ln) >= 3 {
-			le.PutUint64(rows, math.Float64bits(ln[0]))
-			le.PutUint64(rows[8:], math.Float64bits(ln[1]))
-			rows, ln = rows[16:], ln[3:]
+		rows, ln := dst[8*lo:8*hi], f.lane[3*lo:3*hi]
+		for len(rows) >= 8 && len(ln) >= 3 {
+			le.PutUint64(rows, math.Float64bits(ln[1]))
+			rows, ln = rows[8:], ln[3:]
 		}
 	})
 }
@@ -276,23 +298,17 @@ func (f *Flat) putPortals(dst []byte) {
 // putHops writes every pool record's hop link from the walk layout into
 // dst, the image's hop section: a record inside an owner run hops to the
 // next slot's record, a chain head to the record at its trailer's jump
-// slot, an anchor head to −1, and a record no anchor reaches keeps its
-// raw hop (slot −2−hop). One pass over record ranges fills the
-// slot→record inverse (record+1, so trailer words read 0) and writes the
-// stranded records' hops; a second, over walkBlk ranges, reads each run
-// and the inverse in slot order and writes every placed record's hop.
-// Both run on a runtime.GOMAXPROCS(0) pool.
+// slot, and an anchor head to −1. One pass over record ranges fills the
+// slot→record inverse (record+1, so trailer words read 0); a second,
+// over walkBlk ranges, reads each run and the inverse in slot order and
+// writes every record's hop. Both run on a runtime.GOMAXPROCS(0) pool.
 func (f *Flat) putHops(dst []byte) {
 	le := binary.LittleEndian
 	blk, slots := f.walkBlk, f.walkSlot
 	rec := make([]int32, len(blk))
 	eachRange(len(slots), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			if s := slots[r]; s >= 0 {
-				rec[s] = int32(r) + 1
-			} else {
-				le.PutUint32(dst[4*r:], uint32(-2-s))
-			}
+			rec[slots[r]] = int32(r) + 1
 		}
 	})
 	eachRange(len(blk), func(lo, hi int) {
@@ -319,22 +335,43 @@ func (f *Flat) putHops(dst []byte) {
 // eachRange calls fn on ranges [lo, hi) that split [0, n), on a
 // runtime.GOMAXPROCS(0)-wide pool.
 func eachRange(n int, fn func(lo, hi int)) {
+	_ = eachRangeErr(n, func(lo, hi int) error {
+		fn(lo, hi)
+		return nil
+	})
+}
+
+// eachRangeErr is eachRange for an fn that can fail: it returns the
+// error of the first range, in range order, that fails.
+func eachRangeErr(n int, fn func(lo, hi int) error) error {
 	pool := par.New(0, nil)
 	split := newVertexSplit(n, rangesPerWorker*pool.Workers())
+	errs := make([]error, split.ranges)
 	pool.ForEach(split.ranges, func(i int) {
 		lo, hi := split.bounds(i)
-		fn(lo, hi)
+		errs[i] = fn(lo, hi)
 	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DecodeFlat parses a flat oracle produced by Encode into a Flat that
 // owns all of its memory: buf is not retained, so the caller may reuse
 // or overwrite it as soon as DecodeFlat returns. The sections are read
 // in place as typed views of buf and validated element by element; the
-// Flat then copies the CSR tables, builds the sweep lane from the portal
-// rows (the lane is the only resident copy of the pool), and derives the
-// walk layout from a view of the hop links, which it does not copy (see
-// Flat.derive). Misaligned buffers and big-endian hosts first take one
+// Flat then copies the CSR tables and derives the walk layout from a
+// view of the hop links, which it does not copy (see Flat.derive). Only
+// then can it build the sweep lane, the only resident copy of the pool:
+// each record's Dist comes from the dists section and its position from
+// the walk, as its chain anchor's path_pos entry, on a
+// runtime.GOMAXPROCS(0) pool of entry ranges (see buildLane). A record
+// no anchor reaches has no position, so the image is refused, as it is
+// when an anchor's vertex is not on its key's path or a path repeats a
+// vertex. Misaligned buffers and big-endian hosts first take one
 // aligned, host-order copy of the image, read the same way; the result
 // is identical.
 //
@@ -343,10 +380,10 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if len(buf) < 2 || buf[0] != flatMagic {
 		return nil, fmt.Errorf("oracle: flat: bad magic or truncated header")
 	}
-	if buf[1] != flatVersion2 {
-		return nil, fmt.Errorf("oracle: flat: unsupported version %d (want %d; rebuild the image)", buf[1], flatVersion2)
+	if buf[1] != flatVersion {
+		return nil, fmt.Errorf("oracle: flat: unsupported version %d (want %d; rebuild the image)", buf[1], flatVersion)
 	}
-	if len(buf) < flatHeaderV2 {
+	if len(buf) < flatHeader {
 		return nil, fmt.Errorf("oracle: flat: truncated header")
 	}
 	le := binary.LittleEndian
@@ -361,6 +398,9 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	spans, total := layout(&c)
 	if len(buf) != total {
 		return nil, fmt.Errorf("oracle: flat: size %d does not match header (want %d)", len(buf), total)
+	}
+	if at := nonzeroGap(buf, &spans); at >= 0 {
+		return nil, fmt.Errorf("oracle: flat: reserved or padding byte %d is not zero", at)
 	}
 	eps := math.Float64frombits(le.Uint64(buf[16:]))
 	mode := Mode(le.Uint64(buf[24:]))
@@ -377,14 +417,41 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if err := w.validate(c[countN]); err != nil {
 		return nil, err
 	}
-	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone(), lane: alignedFloats(3 * len(w.portals))}
-	if err := f.buildLane(0, len(f.entryKey), w.portals); err != nil {
+	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone(), lane: alignedFloats(3 * len(w.dists))}
+	anchors, err := f.derive(w.hops, 0)
+	if err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
-	if err := f.derive(w.hops, 0); err != nil {
+	po := f.portalOff
+	if err := eachRangeErr(len(f.entryKey), func(lo, hi int) error {
+		return f.buildLane(lo, hi, nil, w.dists[po[lo]:po[hi]], anchors)
+	}); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
 	return f, nil
+}
+
+// nonzeroGap returns the first byte of image that no header field or
+// section holds — the header's reserved bytes and the alignment padding
+// before a section — and that is not zero, as Encode writes it, or -1.
+// Refusing those makes Encode(DecodeFlat(image)) == image for every
+// image that decodes.
+func nonzeroGap(image []byte, spans *[len(flatSections)]span) int {
+	for at := 2; at < 8; at++ {
+		if image[at] != 0 {
+			return at
+		}
+	}
+	end := flatHeader
+	for _, s := range spans {
+		for at := end; at < s.off; at++ {
+			if image[at] != 0 {
+				return at
+			}
+		}
+		end = s.end
+	}
+	return -1
 }
 
 // alignedCopy is how misaligned or big-endian input reaches DecodeFlat's
@@ -404,8 +471,9 @@ func alignedCopy(image []byte, spans *[len(flatSections)]span) []byte {
 
 // validate bounds-checks every CSR offset so the hot path can index
 // without guards, and checks the entry-key order the merge-join relies
-// on: strictly increasing within each vertex. The portal rows are
-// checked where the lane is built from them (buildLane).
+// on: strictly increasing within each vertex. The distances, and the
+// positions the walk gives the records, are checked where the lane is
+// built from them (buildLane).
 func (w *wire) validate(n int) error {
 	if w.entryOff[0] != 0 || int(w.entryOff[n]) != len(w.entryKey) {
 		return fmt.Errorf("oracle: flat: entry offsets do not span the entry table")
@@ -415,7 +483,7 @@ func (w *wire) validate(n int) error {
 			return fmt.Errorf("oracle: flat: entry offsets decrease at vertex %d", v)
 		}
 	}
-	if w.portalOff[0] != 0 || int(w.portalOff[len(w.portalOff)-1]) != len(w.portals) {
+	if w.portalOff[0] != 0 || int(w.portalOff[len(w.portalOff)-1]) != len(w.dists) {
 		return fmt.Errorf("oracle: flat: portal offsets do not span the pool")
 	}
 	for v := 0; v < n; v++ {
@@ -444,15 +512,15 @@ func (w *wire) validate(n int) error {
 
 // validatePaths bounds-checks the path sections: hop links stay inside
 // the portal pool, the path geometry spans its CSR table, vertices are
-// in range, and positions are NaN-free and non-decreasing per path. A
-// hop that leaves its key is refused by the walk derivation (see
-// Flat.deriveWalk), which partitions the pool by key anyway; the walk
-// itself still guards against semantic corruption (cycles, chains
-// landing off their path) with static errors — validation here is what
-// lets it index without bounds checks.
+// in range, and positions are NaN-free and non-decreasing per path. The
+// walk derivation (see Flat.deriveWalk), which partitions the pool by
+// key anyway, refuses the semantic corruption: a hop that leaves its
+// key, a record no anchor reaches, an anchor off its key's path and a
+// path that repeats a vertex. Validation here is what lets it index
+// without bounds checks.
 func (w *wire) validatePaths(n int) error {
 	for i, h := range w.hops {
-		if h < -1 || int(h) >= len(w.portals) {
+		if h < -1 || int(h) >= len(w.dists) {
 			return fmt.Errorf("oracle: flat: hop %d links to out-of-range record %d", i, h)
 		}
 	}

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -94,6 +96,61 @@ func TestFreezeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRestoresPositions pins the position invariant image v3
+// rests on: every frozen record's position is its chain anchor's
+// path_pos entry, so an image stores no positions and decoding restores
+// each from the walk. On the lane families and the zero-weight grids of
+// TestZeroWeightWalks in both modes, both golden fixtures and the 64×64
+// bench grid (128×128 outside -short), the frozen lane must hold the
+// invariant, and DecodeFlat(Freeze().Encode()) must hold the frozen lane
+// bit for bit and the frozen walkBlk and walkSlot word for word.
+func TestDecodeRestoresPositions(t *testing.T) {
+	check := func(name string, fl *Flat) {
+		t.Helper()
+		if d := positionDiff(fl); d != "" {
+			t.Fatalf("%s: frozen %s", name, d)
+		}
+		dec, err := DecodeFlat(fl.Encode())
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if len(dec.lane) != len(fl.lane) {
+			t.Fatalf("%s: decoded lane has %d words, frozen %d", name, len(dec.lane), len(fl.lane))
+		}
+		for i := range fl.lane {
+			if math.Float64bits(dec.lane[i]) != math.Float64bits(fl.lane[i]) {
+				t.Fatalf("%s: decoded lane[%d] (record %d, word %d) = %v, frozen %v", name, i, i/3, i%3, dec.lane[i], fl.lane[i])
+			}
+		}
+		if d := walkDiff(dec, fl.walkBlk, fl.walkSlot); d != "" {
+			t.Fatalf("%s: decoded %s", name, d)
+		}
+	}
+	for fam, fx := range laneFamilies(t) {
+		for _, m := range laneModes {
+			_, fl := laneBuild(t, fx.g, fx.rot, m.mode)
+			check(fam+"/"+m.name, fl)
+		}
+	}
+	for _, in := range zeroWeightGrids {
+		rot := fuzzGrid(in.seed, in.rows, in.cols, in.zeros)
+		for _, m := range laneModes {
+			_, fl := laneBuild(t, rot.G, rot, m.mode)
+			check(fmt.Sprintf("zero-weight seed %d/%s", in.seed, m.name), fl)
+		}
+	}
+	for _, m := range laneModes {
+		check("golden/"+m.name, goldenFlat(t, m.mode))
+	}
+	sides := []int{64}
+	if !testing.Short() {
+		sides = append(sides, 128)
+	}
+	for _, side := range sides {
+		check(fmt.Sprintf("%dx%d portal", side, side), gridFlat(t, side, CoverPortal))
+	}
+}
+
 // gridFlat freezes the bench-shaped build: a side×side grid with uniform
 // [1,4) weights from seed 1, ε = 0.25, serial workers.
 func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
@@ -114,23 +171,30 @@ func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 	return fl
 }
 
-// TestFlatMemoryBudget pins the serving footprint per portal on the
-// 32×32 bench-shaped CoverPortal image. A decoded Flat keeps a 24 B lane
-// record, a 4 B walk slot and ~10 B of walk blocks (4 B of owner vertex
-// per record, 16 B of trailer per chain) per portal plus the small CSR
-// tables, so ResidentBytes must stay within 40 B/portal; the decode
-// allocates that plus the walk derivation's scratch, within 64 B/portal.
-// Keeping a copy of the hop links (4 B/portal) or per-record walk entries
-// breaks the first budget, retaining the image buffer (21 B/portal here)
-// breaks both, and a 16 B/record derivation scratch breaks the second.
-// Encode allocates its output plus the walk layout's slot→record inverse,
-// within EncodedSize + 10 B/portal; transcribing the portal rows into an
-// intermediate []Portal (16 B/portal) breaks it.
+// TestFlatMemoryBudget pins the image and the serving footprint per
+// portal on the 32×32 bench-shaped CoverPortal image. The image stores
+// an 8 B distance and a 4 B hop link per portal plus the small CSR
+// tables and path geometry, so EncodedSize must stay within 14
+// B/portal; storing the positions too (8 B/portal) breaks it. A decoded
+// Flat keeps a 24 B lane record, a 4 B walk slot and ~10 B of walk
+// blocks (4 B of owner vertex per record, 16 B of trailer per chain) per
+// portal plus the small CSR tables, so ResidentBytes must stay within 40
+// B/portal; the decode allocates that plus the walk derivation's
+// scratch, within 64 B/portal. Keeping a copy of the hop links (4
+// B/portal) or per-record walk entries breaks the first budget,
+// retaining the image buffer (13 B/portal here) breaks both, and a 16
+// B/record derivation scratch or an 8 B/record position array breaks
+// the second. Encode allocates its output plus the walk layout's
+// slot→record inverse, within EncodedSize + 10 B/portal; transcribing
+// the distances into an intermediate slice (8 B/portal) breaks it.
 func TestFlatMemoryBudget(t *testing.T) {
 	fl := gridFlat(t, 32, CoverPortal)
 	p := fl.NumPortals()
 	if p != 67878 {
 		t.Fatalf("fixture has %d portals, want 67878", p)
+	}
+	if image := float64(fl.EncodedSize()) / float64(p); image > 14 {
+		t.Errorf("EncodedSize = %.1f B/portal, budget 14", image)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -145,7 +209,7 @@ func TestFlatMemoryBudget(t *testing.T) {
 	}
 	resident := float64(dec.ResidentBytes()) / float64(p)
 	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(p)
-	t.Logf("resident %.1f B/portal, decode allocates %.1f B/portal, encode %.1f B/portal beyond its output", resident, alloc, encAlloc)
+	t.Logf("image %.1f B/portal, resident %.1f B/portal, decode allocates %.1f B/portal, encode %.1f B/portal beyond its output", float64(fl.EncodedSize())/float64(p), resident, alloc, encAlloc)
 	if resident > 40 {
 		t.Errorf("ResidentBytes = %.1f B/portal, budget 40", resident)
 	}
@@ -332,7 +396,8 @@ func FuzzFlatRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeFlat feeds arbitrary bytes to DecodeFlat: inputs that parse
-// must re-encode to the same bytes and answer queries without panicking.
+// must re-encode to the same bytes, byte for byte, and answer queries
+// without panicking.
 func FuzzDecodeFlat(f *testing.F) {
 	_, o := buildSeeded(f, 2, 20, CoverExact)
 	fl, err := o.Freeze()
@@ -343,12 +408,17 @@ func FuzzDecodeFlat(f *testing.F) {
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte{flatMagic, 1}) // a version-1 header: rejected as unsupported
-	f.Add([]byte{flatMagic, flatVersion2})
+	f.Add([]byte{flatMagic, flatVersion})
 	f.Add([]byte{})
 	v1 := append([]byte(nil), enc...)
 	v1[1] = 1
 	f.Add(v1)
-	f.Add(enc[:flatHeaderV2]) // header only, sections missing
+	f.Add(enc[:flatHeader]) // header only, sections missing
+	// An entry with no portals, in an image with none: no walk, so no
+	// anchors to read positions from.
+	empty := &Flat{n: 1, tables: tables{keys: []Key{{}}, entryOff: []int32{0, 1}, entryKey: []int32{0},
+		portalOff: []int32{0, 0}, pathOff: []int32{0, 1}, pathVert: []int32{0}, pathPos: []float64{0}}}
+	f.Add(empty.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode from an aligned copy and a deliberately misaligned copy,
@@ -371,6 +441,9 @@ func FuzzDecodeFlat(f *testing.F) {
 			return
 		}
 		canon := fl.Encode()
+		if !bytes.Equal(canon, data) {
+			t.Fatal("Encode(DecodeFlat(data)) differs from data")
+		}
 		fl2, err := DecodeFlat(canon)
 		if err != nil {
 			t.Fatalf("re-decode of own encoding failed: %v", err)

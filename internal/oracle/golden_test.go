@@ -23,8 +23,8 @@ func TestFlatImageGolden(t *testing.T) {
 		size int
 		sum  string
 	}{
-		{CoverExact, 79752, "b1212b49bf0cf03afacc09d192f3aa7dad4b9b777ca885fcac6f25ae90281101"},
-		{CoverPortal, 127712, "78a30b16889ae848db4e87283c4e8072518e8c5b02d8f17162ba2811d3f2d05a"},
+		{CoverExact, 51656, "6b92fe566eb334c30ef88cbd9fc5c8d32616e93be88ca221b84c31868c4b2c0e"},
+		{CoverPortal, 80432, "2033ab795f32b512d646dbb3057b4315abc00e32dddf64b4573e1c332385a16c"},
 	}
 	for _, g := range golden {
 		fl := goldenFlat(t, g.mode)

@@ -174,12 +174,15 @@ func (o *Oracle) SetMetrics(reg *obs.Registry) {
 
 // rec is one label record produced by a build task: vertex v stores
 // portal p on the separator path with key ID k, with hop vertex h (-1
-// when the record is a path vertex's self record).
+// when the record is a path vertex's self record) and depth d, the
+// number of hops from v to that path vertex along the run that emitted
+// the record.
 type rec struct {
 	p Portal
 	v int32
 	k int32
 	h int32
+	d int32
 }
 
 // vertexSplit cuts the root vertices 0..n-1 into contiguous ranges of
@@ -400,7 +403,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 							// forest: it shares w's source, so it carries a
 							// record at the same (key, position) and the hop
 							// chain telescopes down to the source itself.
-							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, roots[w], k, roots[trQ.Parent[w]]})
+							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, roots[w], k, roots[trQ.Parent[w]], int32(trQ.Hops[w])})
 						}
 						for _, x := range sel {
 							tr := shortest.Dijkstra(j, info.verts[x])
@@ -409,7 +412,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 								if math.IsInf(tr.Dist[w], 1) || w == info.verts[x] {
 									continue
 								}
-								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, roots[w], k, roots[tr.Parent[w]]})
+								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, roots[w], k, roots[tr.Parent[w]], int32(tr.Hops[w])})
 							}
 						}
 						return out
@@ -428,23 +431,26 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 								if info.verts[x] == w {
 									continue // self record already present
 								}
+								// w's record, then closure records: the
+								// ε-cover places no records at the witness
+								// path's interior vertices, so emit one per
+								// interior vertex too (its exact tail distance
+								// to the anchor) to keep every hop chain
+								// landing on a record until it reaches the
+								// anchor's self record. Subpaths of a shortest
+								// path are shortest, so each Dist is a true
+								// distance and query stretch can only improve.
+								// Every Dist of the run, w's included, is
+								// summed backwards from the anchor, so none is
+								// below the next one's: summed forward from w,
+								// w's could round below its hop's, and a chain
+								// of kept rows could then close on itself.
 								path := tr.PathTo(info.verts[x])
-								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[info.verts[x]]}, roots[w], k, roots[path[1]]})
-								// Closure records: the ε-cover places no
-								// records at the witness path's interior
-								// vertices, so emit one per interior vertex
-								// (its exact tail distance to the anchor,
-								// accumulated backwards) to keep every hop
-								// chain landing on a record until it reaches
-								// the anchor's self record. Subpaths of a
-								// shortest path are shortest, so each Dist is
-								// a true distance and query stretch can only
-								// improve.
 								tail := 0.0
-								for pidx := len(path) - 2; pidx >= 1; pidx-- {
+								for pidx := len(path) - 2; pidx >= 0; pidx-- {
 									ew, _ := j.EdgeWeight(path[pidx], path[pidx+1])
 									tail = ew + tail
-									out.put(split, rec{Portal{Pos: info.pos[x], Dist: tail}, roots[path[pidx]], k, roots[path[pidx+1]]})
+									out.put(split, rec{Portal{Pos: info.pos[x], Dist: tail}, roots[path[pidx]], k, roots[path[pidx+1]], int32(len(path) - 1 - pidx)})
 								}
 							}
 						}
@@ -494,7 +500,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 	self := sizedRecBuf(split, c.geo.pathVert, 1)
 	for k := range c.geo.keys {
 		for x := c.geo.pathOff[k]; x < c.geo.pathOff[k+1]; x++ {
-			self.put(split, rec{Portal{Pos: c.geo.pathPos[x]}, c.geo.pathVert[x], int32(k), -1})
+			self.put(split, rec{Portal{Pos: c.geo.pathPos[x]}, c.geo.pathVert[x], int32(k), -1, 0})
 		}
 	}
 	c.outs[0] = self
@@ -506,17 +512,20 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 
 // labelRow is one label record in stage 3, under its vertex. rowTag
 // holds the words of a row the lane does not: its key ID and hop vertex.
+// depth is the record's hop count to its path vertex (rec.d), which only
+// the sort reads.
 type (
 	labelRow struct {
 		pos, dist float64
+		depth     int32
 		rowTag
 	}
 	rowTag struct{ key, hop int32 }
 )
 
-// rowCmp orders a vertex's rows by key ID, position, distance and hop
-// vertex. Two rows it ties are identical, so the order is total and a
-// sort yields the same rows whatever order the records arrived in.
+// rowCmp orders a vertex's rows by key ID, position, distance, depth and
+// hop vertex. Two rows it ties are identical, so the order is total and
+// a sort yields the same rows whatever order the records arrived in.
 func rowCmp(a, b labelRow) int {
 	if a.key != b.key {
 		return cmp.Compare(a.key, b.key)
@@ -527,7 +536,7 @@ func rowCmp(a, b labelRow) int {
 	if !core.SameDist(a.dist, b.dist) {
 		return floatCmp(a.dist, b.dist)
 	}
-	return cmp.Compare(a.hop, b.hop)
+	return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.hop, b.hop))
 }
 
 // floatCmp orders two distances its caller has found not SameDist: -1 when
@@ -540,18 +549,26 @@ func floatCmp(a, b float64) int {
 }
 
 // rangeRows is one vertex range's rows after stage 3's sort, vertex
-// after vertex: vertex lo+i owns portals[ends[i]:ends[i+1]] and the
-// parallel tags. entries counts the label entries the rows form.
+// after vertex: vertex lo+i owns rows ends[i]..ends[i+1] of the parallel
+// pos, dist and tags. entries counts the label entries the rows form.
 type rangeRows struct {
-	portals []Portal
-	tags    []rowTag
-	ends    []int
-	entries int
+	pos, dist []float64
+	tags      []rowTag
+	ends      []int
+	entries   int
 }
 
 // sortRange gathers range r's records from every task output, sorts each
 // vertex's rows with rowCmp and drops repeated positions on a key,
-// keeping the first — the smallest distance, then the smallest hop.
+// keeping the first — the smallest distance, then the smallest depth,
+// then the smallest hop. The depth breaks the distance ties zero-weight
+// edges make between rows of different runs (shortest-path trees, or
+// exact mode's witness paths): a kept row's hop vertex keeps a row no
+// greater than its own row from the same run, which is one hop shallower
+// and no farther, so (distance, depth) decreases along every hop chain
+// and the chain reaches a path vertex's self record. Breaking those ties
+// by the hop vertex alone can link two kept rows to each other, and
+// neither then reaches the path.
 func (c *records) sortRange(r int) rangeRows {
 	lo, hi := c.split.bounds(r)
 	nv := hi - lo
@@ -570,7 +587,7 @@ func (c *records) sortRange(r int) rangeRows {
 	for _, out := range c.outs {
 		for _, x := range out[r] {
 			i := int(x.v) - lo
-			rows[next[i]] = labelRow{x.p.Pos, x.p.Dist, rowTag{x.k, x.h}}
+			rows[next[i]] = labelRow{x.p.Pos, x.p.Dist, x.d, rowTag{x.k, x.h}}
 			next[i]++
 		}
 	}
@@ -596,10 +613,9 @@ func (c *records) sortRange(r int) rangeRows {
 		ends[i+1] = kept
 		start = end
 	}
-	rr := rangeRows{portals: make([]Portal, kept), tags: make([]rowTag, kept), ends: ends, entries: entries}
+	rr := rangeRows{pos: make([]float64, kept), dist: make([]float64, kept), tags: make([]rowTag, kept), ends: ends, entries: entries}
 	for x, w := range rows[:kept] {
-		rr.portals[x] = Portal{Pos: w.pos, Dist: w.dist}
-		rr.tags[x] = w.rowTag
+		rr.pos[x], rr.dist[x], rr.tags[x] = w.pos, w.dist, w.rowTag
 	}
 	return rr
 }
@@ -620,7 +636,7 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 	portBase := make([]int, split.ranges+1)
 	for r := range parts {
 		entBase[r+1] = entBase[r] + parts[r].entries
-		portBase[r+1] = portBase[r] + len(parts[r].portals)
+		portBase[r+1] = portBase[r] + len(parts[r].tags)
 	}
 	numEntries, numPortals := entBase[split.ranges], portBase[split.ranges]
 	if numEntries+1 > math.MaxInt32 || numPortals > math.MaxInt32 {
@@ -666,7 +682,7 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 			}
 			rows.entryOff[lo+i+1] = int32(e)
 		}
-		if err := rows.buildLane(entBase[r], e, rr.portals); err != nil {
+		if err := rows.buildLane(entBase[r], e, rr.pos, rr.dist, anchorRuns{}); err != nil {
 			errs[r] = fmt.Errorf("oracle: build: %w", err)
 		}
 	})

@@ -17,38 +17,14 @@ import (
 	"sort"
 
 	"pathsep/internal/core"
-	"pathsep/internal/par"
 )
 
-// Static walk errors: corrupt or inconsistent path records are reported,
-// never panicked on, and reporting them allocates nothing.
+// Static walk errors: inconsistent path records are reported, never
+// panicked on, and reporting them allocates nothing.
 var (
-	errPathCycle    = errors.New("oracle: path records form a cycle")
-	errPathRecord   = errors.New("oracle: dangling path record")
-	errPathGeometry = errors.New("oracle: path geometry mismatch")
+	errPathCycle  = errors.New("oracle: path records form a cycle")
+	errPathRecord = errors.New("oracle: dangling path record")
 )
-
-// NumHops returns the hop-chain section length (one record per portal).
-func (f *Flat) NumHops() int { return len(f.walkSlot) }
-
-// NumPathVerts returns the total separator-path geometry length across
-// all keys (the CSR payload shared by the path_vert and path_pos
-// sections).
-func (f *Flat) NumPathVerts() int { return len(f.pathVert) }
-
-// pathIndexAt locates the path index whose position equals p and whose
-// vertex is the walked-to anchor. Positions are copied bit-for-bit from
-// the same prefix sums into both the portal records and the geometry, so
-// the equality search is exact.
-func pathIndexAt(pos []float64, verts []int32, p float64, anchor int32) (int, error) {
-	x := sort.SearchFloat64s(pos, p)
-	for ; x < len(pos) && core.SameDist(pos[x], p); x++ {
-		if verts[x] == anchor {
-			return x, nil
-		}
-	}
-	return 0, errPathGeometry
-}
 
 // queryArg is query plus the argmin: the key ID and the two portal-pool
 // indices whose combination achieved the minimum. The hot sweep is
@@ -170,10 +146,9 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 			wt |= ws[x]
 		}
 	}
-	if wt == math.MinInt32 {
-		// Unreachable (a slot is at least −1−P, and an OR of such words
-		// is at least the smallest negative one); keeps the touch loads
-		// live.
+	if wt < 0 {
+		// Unreachable (slots are non-negative, and so is their OR); keeps
+		// the touch loads live.
 		return -1, -1
 	}
 	if ka == 1 && kb == 1 {
@@ -242,15 +217,9 @@ func (f *Flat) QueryPath(u, v int, buf []int32) (float64, []int32, error) {
 		return est, out, errPathRecord
 	}
 	xa, xb := f.walkSlot[bpa], f.walkSlot[bpb]
-	if xa < 0 || xb < 0 {
-		return est, out, errPathRecord
-	}
 	blk := f.walkBlk
 	ea, eb := runEnd(blk, xa), runEnd(blk, xb)
 	ia, ib := blk[ea+3], blk[eb+3]
-	if ia < 0 || ib < 0 {
-		return est, out, errPathGeometry
-	}
 	mid := ib - ia - 1
 	if ia > ib {
 		mid = ia - ib - 1
@@ -378,17 +347,8 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 // serial pass would find it.
 func (f *Flat) resolveHops(hopVert []int32) ([]int32, error) {
 	hops := make([]int32, len(hopVert))
-	pool := par.New(0, nil)
-	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
-	errs := make([]error, split.ranges)
-	pool.ForEach(split.ranges, func(i int) {
-		lo, hi := split.bounds(i)
-		errs[i] = f.resolveRange(hopVert, hops, lo, hi)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := eachRangeErr(f.n, func(lo, hi int) error { return f.resolveRange(hopVert, hops, lo, hi) }); err != nil {
+		return nil, err
 	}
 	return hops, nil
 }

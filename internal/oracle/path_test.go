@@ -2,8 +2,13 @@ package oracle
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"pathsep/internal/core"
+	"pathsep/internal/embed"
+	"pathsep/internal/graph"
 )
 
 // buildPathImage builds an oracle plus its frozen image for the
@@ -35,23 +40,15 @@ func decodeBoth(img []byte) (zero, copied *Flat, errZero, errCopied error) {
 // vertex (the merge-join) and portal positions non-decreasing within an
 // entry (the merged sweep and its suffix-min). On the 12×12 CoverPortal
 // image with uniform [1,4) weights, swapping two of vertex 5's entry
-// keys, or the first and last records of vertex 0's first run of at
-// least four portals, used to decode cleanly and change most of the
-// vertex's distances. Both decode paths must refuse both mutations.
+// keys used to decode cleanly and change most of the vertex's distances.
+// Positions are not in the image: a record's position is its chain
+// anchor's, so the last record of vertex 0's first run of at least four
+// portals is moved onto a lower anchor, the one its first record's chain
+// ends at, by rewiring its hop there. Both decode paths must refuse both
+// mutations.
 func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 	fl := gridFlat(t, 12, CoverPortal)
 	enc := fl.Encode()
-	c := fl.counts()
-	spans, _ := layout(&c)
-	at := func(name string) int {
-		for i := range flatSections {
-			if flatSections[i].name == name {
-				return spans[i].off
-			}
-		}
-		t.Fatalf("no section %s", name)
-		return 0
-	}
 	swap := func(img []byte, i, j, width int) {
 		for b := 0; b < width; b++ {
 			img[i+b], img[j+b] = img[j+b], img[i+b]
@@ -63,13 +60,13 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 	if fl.entryOff[6]-fl.entryOff[5] < 2 {
 		t.Fatal("vertex 5 has fewer than two entries in the fixture")
 	}
-	ek := at("entry_key")
+	ek := sectionOffset(fl, "entry_key")
 	swap(keys, ek+4*e, ek+4*(e+1), 4)
 
-	portals := append([]byte(nil), enc...)
+	positions := append([]byte(nil), enc...)
 	run := -1
 	for e := fl.entryOff[0]; e < fl.entryOff[1]; e++ {
-		if lo, hi := fl.portalOff[e], fl.portalOff[e+1]; hi-lo >= 4 && fl.lane[3*lo] < fl.lane[3*(hi-1)] {
+		if lo, hi := fl.portalOff[e], fl.portalOff[e+1]; hi-lo >= 4 && fl.lane[3*lo] < fl.lane[3*(hi-2)] {
 			run = int(e)
 			break
 		}
@@ -77,16 +74,24 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 	if run < 0 {
 		t.Fatal("vertex 0 has no run of four or more portals in the fixture")
 	}
-	pp := at("portals")
-	swap(portals, pp+16*int(fl.portalOff[run]), pp+16*int(fl.portalOff[run+1]-1), 16)
+	hops := imageHops(fl)
+	anchor := fl.portalOff[run]
+	for hops[anchor] >= 0 {
+		anchor = hops[anchor]
+	}
+	last := int(fl.portalOff[run+1] - 1)
+	binary.LittleEndian.PutUint32(positions[sectionOffset(fl, "hops")+4*last:], uint32(anchor))
 
 	for _, m := range []struct {
 		name string
 		img  []byte
-	}{{"entry keys", keys}, {"portal positions", portals}} {
+	}{{"entry keys", keys}, {"portal positions", positions}} {
 		if _, _, errZero, errCopied := decodeBoth(m.img); errZero == nil || errCopied == nil {
 			t.Errorf("%s out of order accepted (aligned err=%v, copying err=%v)", m.name, errZero, errCopied)
 		}
+	}
+	if _, err := DecodeFlat(positions); err == nil || !strings.Contains(err.Error(), "decrease") {
+		t.Errorf("record moved onto a lower anchor: err = %v, want positions that decrease", err)
 	}
 }
 
@@ -101,7 +106,7 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 func TestDecodeFlatRejectsCrossKeyHop(t *testing.T) {
 	fl := gridFlat(t, 12, CoverPortal)
 	enc := fl.Encode()
-	hopsAt := hopsOffset(fl)
+	hopsAt := sectionOffset(fl, "hops")
 	hops := imageHops(fl)
 	_, keyOf := keyRecords(fl)
 	// The path index of an anchor's chain, off its run's trailer.
@@ -143,10 +148,13 @@ func putWord(b []byte, w int, v uint64) {
 // section: every row of the section table carries a first word its
 // validation must refuse, and planting it in record 0 must fail the
 // decode on both the zero-copy and the copying path — a section added to
-// the table without element-level validation fails here. Semantic
-// corruption that passes structural validation (in-range hop cycles)
-// must surface as a static query error, never a panic, and a version-1
-// header is rejected as unsupported.
+// the table without element-level validation fails here. So must a
+// nonzero reserved header byte or alignment padding byte, which Encode
+// would not write back. In-range hop cycles pass structural validation,
+// but a record on one reaches no anchor and has no position, so both
+// decode paths must refuse them too, as they must a key path that
+// repeats a vertex. Version-1 and version-2 headers are rejected as
+// unsupported.
 func TestDecodeFlatPathValidation(t *testing.T) {
 	_, fl := buildPathImage(t)
 	enc := fl.Encode()
@@ -168,11 +176,45 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 		}
 	}
 
+	// Bytes outside every field: a reserved header byte, and the padding
+	// before a section of the golden portal image.
+	gold := goldenFlat(t, CoverPortal)
+	goldEnc, gc := gold.Encode(), gold.counts()
+	goldSpans, _ := layout(&gc)
+	gaps := []int{2}
+	for i := 1; i < len(goldSpans) && len(gaps) < 2; i++ {
+		if goldSpans[i].off > goldSpans[i-1].end {
+			gaps = append(gaps, goldSpans[i-1].end)
+		}
+	}
+	if len(gaps) < 2 {
+		t.Fatal("golden portal image has no alignment padding")
+	}
+	for _, at := range gaps {
+		bad := append([]byte(nil), goldEnc...)
+		bad[at] = 1
+		if _, _, errZero, errCopied := decodeBoth(bad); errZero == nil || errCopied == nil {
+			t.Errorf("nonzero byte %d outside every field accepted (zero-copy err=%v, copying err=%v)", at, errZero, errCopied)
+		}
+	}
+
+	// A key path of the golden image that repeats a vertex: an anchor's
+	// path index would be ambiguous.
+	repeated := append([]byte(nil), goldEnc...)
+	k := 0
+	for gold.pathOff[k+1]-gold.pathOff[k] < 2 {
+		k++
+	}
+	pv := sectionOffset(gold, "path_vert") + 4*int(gold.pathOff[k])
+	copy(repeated[pv+4:pv+8], repeated[pv:pv+4])
+	if _, _, errZero, errCopied := decodeBoth(repeated); errZero == nil || errCopied == nil ||
+		!strings.Contains(errZero.Error(), "repeats vertex") || !strings.Contains(errCopied.Error(), "repeats vertex") {
+		t.Errorf("path of key %d repeating a vertex: zero-copy err=%v, copying err=%v", k, errZero, errCopied)
+	}
+
 	// In-range hop cycles: every link routed to its key's first record,
-	// which links to itself. Hops that stay in range and inside their key
-	// pass decode by design; the walk must convert the cycles into a
-	// static error on every reachable pair, never a panic. Routing every
-	// link to record 0 instead crosses keys, which decode refuses.
+	// which links to itself. Routing every link to record 0 instead
+	// crosses keys. Decode refuses both.
 	cyclic, crossed := append([]byte(nil), enc...), append([]byte(nil), enc...)
 	recs, keyOf := keyRecords(fl)
 	for r := 0; r < fl.NumPortals(); r++ {
@@ -183,27 +225,17 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	if _, _, errZero, errCopied := decodeBoth(crossed); errZero == nil || errCopied == nil {
 		t.Errorf("every hop routed to record 0 accepted (zero-copy err=%v, copying err=%v)", errZero, errCopied)
 	}
-	cf, err := DecodeFlat(cyclic)
-	if err != nil {
-		t.Fatalf("in-range cyclic hops rejected at decode: %v", err)
-	}
-	var buf []int32
-	sawErr := false
-	for v := 1; v < cf.N(); v++ {
-		var qerr error
-		_, buf, qerr = cf.QueryPath(0, v, buf[:0])
-		if qerr != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Fatal("cyclic hop links never surfaced a walk error")
+	if _, _, errZero, errCopied := decodeBoth(cyclic); errZero == nil || errCopied == nil ||
+		!strings.Contains(errZero.Error(), "reach no anchor") || !strings.Contains(errCopied.Error(), "reach no anchor") {
+		t.Errorf("in-range cyclic hops: zero-copy err=%v, copying err=%v, want records that reach no anchor", errZero, errCopied)
 	}
 
-	v1 := append([]byte(nil), enc...)
-	v1[1] = 1
-	if _, err := DecodeFlat(v1); err == nil || !strings.Contains(err.Error(), "unsupported version") {
-		t.Fatalf("version-1 image: err = %v, want unsupported version", err)
+	for _, version := range []byte{1, 2} {
+		old := append([]byte(nil), enc...)
+		old[1] = version
+		if _, err := DecodeFlat(old); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version-%d image: err = %v, want unsupported version", version, err)
+		}
 	}
 }
 
@@ -246,6 +278,57 @@ func TestFreezeRejectsTruncatedHops(t *testing.T) {
 	}
 	if _, err := o.Freeze(); err != nil {
 		t.Fatalf("restored hops: %v", err)
+	}
+}
+
+// TestFreezeRejectsUnpositioned pins the two ways a build could leave a
+// record without a position, which Freeze must refuse rather than write
+// an image that does not decode: a hop cycle, planted by pointing the
+// record the first hop reaches back at the hopping record's vertex, and
+// a key path that repeats a vertex, planted on the golden fixture's
+// first path of two or more vertices.
+func TestFreezeRejectsUnpositioned(t *testing.T) {
+	o, _ := buildPathImage(t)
+	r := &o.rows
+	x, owner := int32(-1), int32(-1)
+	for v := 0; v < o.N && x < 0; v++ {
+		for e := r.entryOff[v]; e < r.entryOff[v+1] && x < 0; e++ {
+			for y := r.portalOff[e]; y < r.portalOff[e+1]; y++ {
+				if o.hopVert[y] >= 0 {
+					x, owner = r.findRecord(int(o.hopVert[y]), r.entryKey[e], r.lane[3*y]), int32(v)
+					break
+				}
+			}
+		}
+	}
+	if x < 0 {
+		t.Fatal("fixture has no hop record")
+	}
+	hop := o.hopVert[x]
+	o.hopVert[x] = owner
+	_, err := o.Freeze()
+	o.hopVert[x] = hop
+	if err == nil || !strings.Contains(err.Error(), "reach no anchor") {
+		t.Errorf("hop cycle through record %d: Freeze err = %v, want records that reach no anchor", x, err)
+	}
+
+	rot := embed.Grid(12, 12, graph.UnitWeights(), rand.New(rand.NewSource(1)))
+	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Build(dec, Options{Epsilon: 0.25, Mode: CoverPortal, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for g.rows.pathOff[k+1]-g.rows.pathOff[k] < 2 {
+		k++
+	}
+	verts := g.rows.pathVert[g.rows.pathOff[k]:]
+	verts[1] = verts[0]
+	if _, err := g.Freeze(); err == nil || !strings.Contains(err.Error(), "repeats vertex") {
+		t.Errorf("path of key %d repeating a vertex: Freeze err = %v", k, err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // The label reference: the []Label form of the oracle that Build's row
 // assembly replaced, kept as the oracle the differential tests compare
 // against. It replays the same stage-2 records into per-vertex labels
-// (add, normalizeLabel), answers queries by walking the labels
+// (normalizeLabel), answers queries by walking the labels
 // (queryLabels, queryLabelsArg, walkChain) and freezes them the old way:
 // keys interned through a map, the CSR laid out label by label and
 // every hop resolved against those tables.
@@ -9,6 +9,7 @@ package oracle
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -43,19 +44,20 @@ func refBuild(tb testing.TB, t *core.Tree, opt Options, workers int) *refOracle 
 	return ref
 }
 
-// replayRef appends every record to its vertex's label range by range,
-// in task order, then normalizes every label.
+// replayRef gathers every record under its vertex range by range, in
+// task order, then normalizes each vertex's records into its label.
 func replayRef(c *records) *refOracle {
 	ref := &refOracle{n: c.n, labels: make([]Label, c.n)}
+	rows := make([][]refRow, c.n)
 	for r := 0; r < c.split.ranges; r++ {
 		for _, out := range c.outs {
 			for _, x := range out[r] {
-				ref.add(x.v, c.geo.keys[x.k], x.p, x.h)
+				rows[x.v] = append(rows[x.v], refRow{key: c.geo.keys[x.k], p: x.p, hop: x.h, depth: x.d})
 			}
 		}
 	}
 	for v := range ref.labels {
-		normalizeLabel(&ref.labels[v])
+		ref.labels[v] = normalizeLabel(rows[v])
 	}
 	for k, key := range c.geo.keys {
 		lo, hi := c.geo.pathOff[k], c.geo.pathOff[k+1]
@@ -64,66 +66,45 @@ func replayRef(c *records) *refOracle {
 	return ref
 }
 
-// add appends one record to v's label, opening an entry when the key
-// changes.
-func (ref *refOracle) add(v int32, k Key, p Portal, hop int32) {
-	lbl := &ref.labels[v]
-	if len(lbl.Entries) == 0 || lbl.Entries[len(lbl.Entries)-1].Key != k {
-		lbl.Entries = append(lbl.Entries, Entry{Key: k})
-	}
-	e := &lbl.Entries[len(lbl.Entries)-1]
-	e.Portals = append(e.Portals, p)
-	e.Hops = append(e.Hops, hop)
+// refRow is one replayed record of a vertex: its portal on the path with
+// key, its hop vertex and its depth (hops to the path along its run).
+type refRow struct {
+	key        Key
+	p          Portal
+	hop, depth int32
 }
 
-// portalHop pairs a portal with its hop so the two co-sort and co-dedup.
-type portalHop struct {
-	p Portal
-	h int32
-}
-
-// normalizeLabel sorts entries by key, sorts portals by position, and
-// deduplicates portals at equal positions keeping the smaller distance.
-// Hops travel with their portals (ties broken by the smaller hop so the
-// result is schedule-independent).
-func normalizeLabel(l *Label) {
-	slices.SortFunc(l.Entries, func(a, b Entry) int { return keyCmp(a.Key, b.Key) })
-	// Merge duplicate keys (entries were appended per construction stage).
-	out := l.Entries[:0]
-	for _, e := range l.Entries {
-		if len(out) > 0 && out[len(out)-1].Key == e.Key {
-			out[len(out)-1].Portals = append(out[len(out)-1].Portals, e.Portals...)
-			out[len(out)-1].Hops = append(out[len(out)-1].Hops, e.Hops...)
+// normalizeLabel turns a vertex's records into its label: entries sorted
+// by key, portals by position, and one portal per position, keeping the
+// smaller distance, then the smaller depth, then the smaller hop, so the
+// result is schedule-independent. Hops travel with their portals.
+func normalizeLabel(rows []refRow) Label {
+	slices.SortFunc(rows, func(a, b refRow) int {
+		if c := keyCmp(a.key, b.key); c != 0 {
+			return c
+		}
+		if !core.SameDist(a.p.Pos, b.p.Pos) {
+			return floatCmp(a.p.Pos, b.p.Pos)
+		}
+		if !core.SameDist(a.p.Dist, b.p.Dist) {
+			return floatCmp(a.p.Dist, b.p.Dist)
+		}
+		return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.hop, b.hop))
+	})
+	var l Label
+	for _, x := range rows {
+		if n := len(l.Entries); n > 0 && l.Entries[n-1].Key == x.key {
+			e := &l.Entries[n-1]
+			if core.SameDist(e.Portals[len(e.Portals)-1].Pos, x.p.Pos) {
+				continue // keep the first: the smaller distance, depth, hop
+			}
+			e.Portals = append(e.Portals, x.p)
+			e.Hops = append(e.Hops, x.hop)
 			continue
 		}
-		out = append(out, e)
+		l.Entries = append(l.Entries, Entry{Key: x.key, Portals: []Portal{x.p}, Hops: []int32{x.hop}})
 	}
-	l.Entries = out
-	for i := range l.Entries {
-		e := &l.Entries[i]
-		ph := make([]portalHop, len(e.Portals))
-		for x := range ph {
-			ph[x] = portalHop{p: e.Portals[x], h: e.Hops[x]}
-		}
-		slices.SortFunc(ph, func(a, b portalHop) int {
-			if !core.SameDist(a.p.Pos, b.p.Pos) {
-				return floatCmp(a.p.Pos, b.p.Pos)
-			}
-			if !core.SameDist(a.p.Dist, b.p.Dist) {
-				return floatCmp(a.p.Dist, b.p.Dist)
-			}
-			return cmp.Compare(a.h, b.h)
-		})
-		ps, hs := e.Portals[:0], e.Hops[:0]
-		for _, x := range ph {
-			if len(ps) > 0 && core.SameDist(ps[len(ps)-1].Pos, x.p.Pos) {
-				continue // keep the smaller distance (sorted first)
-			}
-			ps = append(ps, x.p)
-			hs = append(hs, x.h)
-		}
-		e.Portals, e.Hops = ps, hs
-	}
+	return l
 }
 
 // Query is the label walk: the merge-join of the two labels' entries,
@@ -225,6 +206,24 @@ func findEntry(l *Label, k Key) *Entry {
 		return &l.Entries[x]
 	}
 	return nil
+}
+
+// errPathGeometry is the label walk's error for an anchor its path's
+// geometry does not hold.
+var errPathGeometry = errors.New("oracle: path geometry mismatch")
+
+// pathIndexAt locates the path index whose position equals p and whose
+// vertex is the walked-to anchor. Positions are copied bit-for-bit from
+// the same prefix sums into both the portal records and the geometry, so
+// the equality search is exact.
+func pathIndexAt(pos []float64, verts []int32, p float64, anchor int32) (int, error) {
+	x := sort.SearchFloat64s(pos, p)
+	for ; x < len(pos) && core.SameDist(pos[x], p); x++ {
+		if verts[x] == anchor {
+			return x, nil
+		}
+	}
+	return 0, errPathGeometry
 }
 
 // walkChain appends the hop chain from vertex w to its anchor on path k
@@ -346,17 +345,19 @@ func (ref *refOracle) freeze() (*Flat, []int32, error) {
 			portalOff: make([]int32, 1, numEntries+1),
 		},
 	}
-	portals := make([]Portal, 0, numPortals)
+	pos, dist := make([]float64, 0, numPortals), make([]float64, 0, numPortals)
 	for v := range ref.labels {
 		for _, e := range ref.labels[v].Entries {
 			f.entryKey = append(f.entryKey, seen[e.Key])
-			portals = append(portals, e.Portals...)
-			f.portalOff = append(f.portalOff, int32(len(portals)))
+			for _, p := range e.Portals {
+				pos, dist = append(pos, p.Pos), append(dist, p.Dist)
+			}
+			f.portalOff = append(f.portalOff, int32(len(pos)))
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
 	}
-	f.lane = alignedFloats(3 * len(portals))
-	if err := f.buildLane(0, len(f.entryKey), portals); err != nil {
+	f.lane = alignedFloats(3 * len(pos))
+	if err := f.buildLane(0, len(f.entryKey), pos, dist, anchorRuns{}); err != nil {
 		return nil, nil, err
 	}
 	if len(ref.paths) != len(keys) {
@@ -371,7 +372,7 @@ func (ref *refOracle) freeze() (*Flat, []int32, error) {
 		f.pathPos = append(f.pathPos, ref.paths[i].pos...)
 		f.pathOff[i+1] = int32(len(f.pathVert))
 	}
-	hops := make([]int32, len(portals))
+	hops := make([]int32, len(pos))
 	for v := range ref.labels {
 		ei := int(f.entryOff[v])
 		for j, e := range ref.labels[v].Entries {

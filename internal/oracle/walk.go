@@ -12,8 +12,8 @@ import (
 // hops into its parent chain's segment [jumpSlot, jumpEnd] — and owner
 // vertices never are, so a walk finds its run's end by scanning forward
 // (runEnd). anchor is the chain's final anchor index into the key's
-// path-geometry span (−1 when unresolvable), and tail the walk's output
-// length past the chain head (0 at an anchor head).
+// path-geometry span, and tail the walk's output length past the chain
+// head (0 at an anchor head).
 const trailerWords = 4
 
 // runEnd returns the last slot of the owner run holding slot s: the
@@ -27,7 +27,7 @@ func runEnd(blk []int32, s int32) int32 {
 
 // Marks sizeKey's tree labels use besides anchor ranks.
 const (
-	treeStranded = -1 // on or behind a hop cycle: no anchor reaches it
+	treeStranded = -1 // on or behind a hop cycle: it reaches no anchor
 	treeClimbing = -2 // on the parent-link path being climbed
 	treeUnseen   = -3
 )
@@ -39,29 +39,33 @@ const (
 // heavy-path order — each record's heaviest child is placed immediately
 // before it — so a chain from any slot to its head is one contiguous
 // owner run the walk copies in bulk; only light edges jump, and a
-// root-to-leaf walk crosses O(log P) of them. Anchor heads resolve their
-// path-geometry index here (the one equality search per anchor that
-// QueryPath would otherwise run per query) into their trailers. Records
-// on a hop cycle (possible only in a corrupt image: decode validates hop
-// ranges, not acyclicity) are never reached from an anchor; their slot
-// keeps the raw hop as −2−hop, which the walk reports as a dangling
-// record and Encode writes back.
+// root-to-leaf walk crosses O(log P) of them. Each anchor resolves its
+// path-geometry index here, by its own vertex on its key's path, into
+// its tree's trailers, where QueryPath reads it. deriveWalk also returns
+// every record's anchor index, which is all a decode needs to give the
+// record its position (see anchorRuns).
 //
 // Every hop chain stays on one separator path, so the forest splits into
 // one independent forest per key, and each key is a pool task in two
-// rounds, in scratch sized to the largest key. sizeKey turns the key's
-// hops into parent links in key-local slots and sizes its anchor trees
-// (records plus one trailer per chain, and a tree has one chain per
-// leaf); one descending scan over the anchors then gives every tree its
-// offset, and layoutKey writes the key's trees straight into place. The trees land where a whole-pool pass puts them — the last
+// rounds, in scratch sized to the largest key. sizeKey checks the key,
+// turns its hops into parent links in key-local slots and sizes its
+// anchor trees (records plus one trailer per chain, and a tree has one
+// chain per leaf); one descending scan over the anchors then gives every
+// tree its offset, and layoutKey writes the key's trees straight into
+// place. The trees land where a whole-pool pass puts them — the last
 // anchor's tree first, each tree whole — so the layout is the same word
-// for word at every pool width and task order. A hop linking records of
-// two keys fails the derivation: its chain would inherit the other key's
-// anchor index and QueryPath would read that key's geometry out of range.
-func (f *Flat) deriveWalk(hops []int32, workers int) error {
+// for word at every pool width and task order.
+//
+// The derivation fails, naming the lowest failing key, when a key's path
+// repeats a vertex, a hop links records of two keys, an anchor's vertex
+// is not on its key's path, or records reach no anchor (a hop cycle, or
+// a chain into one). Each would leave a record without a position, and
+// a cross-key hop would also make QueryPath read another key's geometry
+// out of range.
+func (f *Flat) deriveWalk(hops []int32, workers int) (anchorRuns, error) {
 	f.walkBlk, f.walkSlot = nil, nil
 	if len(hops) == 0 {
-		return nil
+		return anchorRuns{}, nil
 	}
 	kp := f.partitionByKey(hops)
 	pool := par.New(workers, nil)
@@ -75,17 +79,17 @@ func (f *Flat) deriveWalk(hops []int32, workers int) error {
 		if s := <-free; s != nil {
 			return s
 		}
-		return newWalkScratch(kp.maxKey)
+		return newWalkScratch(kp.maxKey, f.n)
 	}
-	cross := make([]int32, len(f.keys))
+	errs := make([]error, len(f.keys))
 	pool.ForEach(len(f.keys), func(k int) {
 		s := scratch()
-		cross[k] = f.sizeKey(int32(k), kp, hops, s)
+		errs[k] = f.sizeKey(int32(k), kp, hops, s)
 		free <- s
 	})
-	for _, r := range cross {
-		if r >= 0 {
-			return fmt.Errorf("hop of record %d links to record %d of another key", r, hops[r])
+	for _, err := range errs {
+		if err != nil {
+			return anchorRuns{}, err
 		}
 	}
 	// Tree offsets: the trees follow one another in descending anchor
@@ -101,41 +105,50 @@ func (f *Flat) deriveWalk(hops []int32, workers int) error {
 	f.walkBlk, f.walkSlot = make([]int32, total), kp.slot
 	pool.ForEach(len(f.keys), func(k int) {
 		s := scratch()
-		f.layoutKey(int32(k), kp, hops, s)
+		f.layoutKey(int32(k), kp, s)
 		free <- s
 	})
-	return nil
+	return anchorRuns{first: kp.first, idx: kp.up}, nil
 }
+
+// anchorRuns holds every record's chain anchor, as an index into its
+// key's path geometry, key-major: entry e's records, which are
+// consecutive in their key, find theirs in pool order at
+// idx[first[e]:]. A decode reads its positions off it (see buildLane)
+// one run per entry, where reading each record's anchor off its walk
+// trailer is a cache miss per record.
+type anchorRuns struct{ first, idx []int32 }
 
 // keyPartition is the pool split by key. Key k owns the entries
 // ent[entOff[k]:entOff[k+1]], ascending, so its records come in pool
 // order, with owning vertices vert[entOff[k]:entOff[k+1]], and the
-// key-major slots recOff[k]..recOff[k+1]; slot[r] is record r's key-major
-// slot, so a hop target h belongs to key k exactly when slot[h] falls in
-// k's range (sizeKey reads it; layoutKey writes the same array as
-// walkSlot). up, indexed by key-major slot, holds each record's parent
-// link in key-local slots, or −1−a at anchor a; a key's range of it is
-// its own task's to read and write. The anchors are ranked in pool
-// order: anchorAt[a] is anchor a's path-geometry index (-1 when
-// unresolvable), and block[a] the size of its tree until deriveWalk
-// turns it into the tree's offset in walkBlk.
+// key-major slots recOff[k]..recOff[k+1]; first[e] is entry e's first
+// key-major slot, and slot[r] record r's, so a hop target h belongs to
+// key k exactly when slot[h] falls in k's range (sizeKey reads it;
+// layoutKey writes the same array as walkSlot). up, indexed by key-major
+// slot, holds each record's parent link in key-local slots, or −1−a at
+// anchor a, until layoutKey leaves each record's anchor index there; a
+// key's range of it is its own task's to read and write. The anchors are
+// ranked in pool order: anchorAt[a] is anchor a's path-geometry index,
+// and block[a] the size of its tree until deriveWalk turns it into the
+// tree's offset in walkBlk.
 type keyPartition struct {
-	entOff, ent, vert []int32
-	recOff, slot, up  []int32
-	anchorAt, block   []int32
-	maxKey            int32
+	entOff, ent, vert, first []int32
+	recOff, slot, up         []int32
+	anchorAt, block          []int32
+	maxKey                   int32
 }
 
 // partitionByKey builds the key partition in one pass over the pool. It
-// ranks the anchors into up and resolves each one's path-geometry index
-// (a failed resolution — a corrupt image — stays -1 and surfaces as a
-// walk error); the key tasks fill in the parent links.
+// ranks the anchors into up; the key tasks fill in the parent links and
+// resolve each anchor's path-geometry index.
 func (f *Flat) partitionByKey(hops []int32) *keyPartition {
 	nk := len(f.keys)
 	kp := &keyPartition{
 		entOff: make([]int32, nk+1),
 		ent:    make([]int32, len(f.entryKey)),
 		vert:   make([]int32, len(f.entryKey)),
+		first:  make([]int32, len(f.entryKey)),
 		recOff: make([]int32, nk+1),
 		slot:   make([]int32, len(hops)),
 		up:     make([]int32, len(hops)),
@@ -152,48 +165,45 @@ func (f *Flat) partitionByKey(hops []int32) *keyPartition {
 	// Each key's next entry and next slot.
 	nextEnt := append([]int32(nil), kp.entOff[:nk]...)
 	nextSlot := append([]int32(nil), kp.recOff[:nk]...)
+	anchors := int32(0)
 	for v := 0; v < f.n; v++ {
 		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
 			k := f.entryKey[e]
 			kp.ent[nextEnt[k]], kp.vert[nextEnt[k]] = e, int32(v)
 			nextEnt[k]++
 			s := nextSlot[k]
+			kp.first[e] = s
 			for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
 				kp.slot[r] = s
+				if hops[r] < 0 {
+					kp.up[s] = -1 - anchors
+					anchors++
+				}
 				s++
-				if hops[r] >= 0 {
-					continue
-				}
-				kp.up[s-1] = -1 - int32(len(kp.anchorAt))
-				plo, phi := f.pathOff[k], f.pathOff[k+1]
-				idx, err := pathIndexAt(f.pathPos[plo:phi], f.pathVert[plo:phi], f.lane[3*r], int32(v))
-				if err != nil {
-					idx = -1
-				}
-				kp.anchorAt = append(kp.anchorAt, int32(idx))
 			}
 			nextSlot[k] = s
 		}
 	}
-	kp.block = make([]int32, len(kp.anchorAt))
+	kp.anchorAt, kp.block = make([]int32, anchors), make([]int32, anchors)
 	return kp
 }
 
-// walkScratch is one worker's key-task scratch, each array sized to the
-// largest key and indexed by key-local slot: the key's records and their
-// owning vertices, the child CSR pair, the subtree sizes (reused for the
-// pushed chain heads' jump slots, jend holding their jump ends and,
-// until its tree is laid out, each anchor's rank), and the length of
-// each record's heavy chain down to its leaf. sizeKey uses the child
-// counts, the child array as its climb stack and the size array for tree
-// labels.
+// walkScratch is one worker's key-task scratch. Each array but at is
+// sized to the largest key and indexed by key-local slot: the key's
+// records and their owning vertices, the child CSR pair, the subtree
+// sizes (reused for the pushed chain heads' jump slots, jend holding
+// their jump ends and, until its tree is laid out, each anchor's rank),
+// and the length of each record's heavy chain down to its leaf. sizeKey
+// uses the child counts, the child array as its climb stack and the size
+// array for tree labels. at, indexed by vertex, holds 1 + the vertex's
+// index on the path of the key being sized, and 0 between keys.
 type walkScratch struct {
-	recs, own, childOff, child, size, jend, chain []int32
+	recs, own, childOff, child, size, jend, chain, at []int32
 }
 
-func newWalkScratch(maxKey int32) *walkScratch {
+func newWalkScratch(maxKey int32, vertices int) *walkScratch {
 	n := int(maxKey)
-	buf := make([]int32, 7*n+1)
+	buf := make([]int32, 7*n+1+vertices)
 	return &walkScratch{
 		recs:     buf[:n:n],
 		own:      buf[n : 2*n : 2*n],
@@ -201,30 +211,50 @@ func newWalkScratch(maxKey int32) *walkScratch {
 		child:    buf[3*n+1 : 4*n+1 : 4*n+1],
 		size:     buf[4*n+1 : 5*n+1 : 5*n+1],
 		jend:     buf[5*n+1 : 6*n+1 : 6*n+1],
-		chain:    buf[6*n+1:],
+		chain:    buf[6*n+1 : 7*n+1 : 7*n+1],
+		at:       buf[7*n+1:],
 	}
 }
 
-// sizeKey writes key k's parent links into up and sizes its anchor
-// trees into block: each tree's records plus trailerWords per leaf. It
-// labels every record with its tree by climbing the parent links to an
-// anchor or into a cycle. sizeKey returns the first record whose hop
-// leaves the key, or -1; such a key is left unfinished.
-func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) int32 {
+// sizeKey checks key k, writes its parent links into up and sizes its
+// anchor trees into block: each tree's records plus trailerWords per
+// leaf. It resolves each anchor's path-geometry index into anchorAt by
+// the anchor's vertex, and labels every record with its tree by climbing
+// the parent links to an anchor or into a cycle. It fails, leaving the
+// key unfinished, when the key's path repeats a vertex, a hop leaves the
+// key, an anchor's vertex is off the path, or records reach no anchor.
+func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) error {
+	path := f.pathVert[f.pathOff[k]:f.pathOff[k+1]]
+	defer func() {
+		for _, v := range path {
+			s.at[v] = 0
+		}
+	}()
+	for x, v := range path {
+		if s.at[v] != 0 {
+			return fmt.Errorf("path of key %d repeats vertex %d", k, v)
+		}
+		s.at[v] = int32(x) + 1
+	}
 	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
 	up, kids, tree := kp.up[base:base+n], s.childOff[:n], s.size[:n]
 	clear(kids)
 	x := 0
-	for _, e := range kp.ent[kp.entOff[k]:kp.entOff[k+1]] {
+	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
+		e, v := kp.ent[i], kp.vert[i]
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
 			h := hops[r]
 			if h < 0 {
+				if s.at[v] == 0 {
+					return fmt.Errorf("anchor record %d: vertex %d is not on the path of key %d", r, v, k)
+				}
 				tree[x] = -1 - up[x]
+				kp.anchorAt[tree[x]] = s.at[v] - 1
 				continue
 			}
 			u := kp.slot[h] - base
 			if u < 0 || u >= n {
-				return r
+				return fmt.Errorf("hop of record %d links to record %d of another key", r, h)
 			}
 			up[x] = u
 			kids[u]++
@@ -248,20 +278,26 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) 
 		}
 		stack = stack[:0]
 	}
+	stranded := 0
 	for x, t := range tree {
-		if t >= 0 {
-			kp.block[t]++
-			if kids[x] == 0 {
-				kp.block[t] += trailerWords
-			}
+		if t < 0 {
+			stranded++
+			continue
+		}
+		kp.block[t]++
+		if kids[x] == 0 {
+			kp.block[t] += trailerWords
 		}
 	}
-	return -1
+	if stranded > 0 {
+		return fmt.Errorf("%d records of key %d reach no anchor: their hops form a cycle or lead into one", stranded, k)
+	}
+	return nil
 }
 
 // layoutKey writes key k's anchor trees into walkBlk at the offsets in
-// block, and every record's slot into walkSlot; a record no anchor
-// reaches gets −2−hop instead.
+// block, every record's slot into walkSlot and, over the key's parent
+// links, every record's anchor index.
 //
 // Local slots run in pool order, so every child list comes out in
 // ascending record order, and each anchor's tree is laid out exactly as
@@ -269,7 +305,7 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) 
 // parent-first off a head stack seeded with the anchor, each record's
 // light children pushed in ascending order as its chain is traced root
 // to leaf.
-func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) {
+func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
 	up := kp.up[base : base+n]
 	recs, own, childOff, child, size, jend, chain := s.recs[:0], s.own[:0], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
@@ -299,10 +335,10 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch
 			child[childOff[u]] = x
 		}
 	}
-	// The records reachable from an anchor, parents before children
-	// (breadth-first from the anchors in ascending order), written over
-	// the parent links the child lists have consumed; cycle records are
-	// never reached. jend keeps each anchor's rank.
+	// The records, parents before children (breadth-first from the
+	// anchors in ascending order: sizeKey saw every record reach one),
+	// written over the parent links the child lists have consumed. jend
+	// keeps each anchor's rank.
 	order, roots := up, int32(0)
 	for x := int32(0); x < n; x++ {
 		if w := up[x]; w < 0 {
@@ -323,9 +359,6 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch
 	// first of the largest subtrees) moves to the front of its list; the
 	// light children keep their ascending order behind it. A record's
 	// heavy chain is one longer than its heavy child's.
-	if reached < int(n) {
-		clear(size)
-	}
 	for i := reached - 1; i >= 0; i-- {
 		x := order[i]
 		lo, hi := childOff[x], childOff[x+1]
@@ -347,20 +380,14 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch
 			child[lo] = c
 		}
 	}
-	if reached < int(n) {
-		for x, r := range recs {
-			if size[x] == 0 {
-				f.walkSlot[r] = -2 - hops[r]
-			}
-		}
-	}
 	// Lay out each anchor's tree at its offset, the anchors waiting on the
 	// head stack below the tree in progress: every chain root-to-leaf,
 	// written leaf-first so the bulk copy runs child-to-parent, the chain
 	// head on the run's last slot, its trailer after it. A pushed light
 	// child's size slot takes its parent's slot and its jend slot the
 	// parent's run end; the walk length past its head is the parent's,
-	// read off the parent chain's trailer.
+	// read off the parent chain's trailer. A placed record's chain length
+	// is spent, so its slot keeps the record's anchor index instead.
 	blk := f.walkBlk
 	heads := order[:roots]
 	for len(heads) > 0 {
@@ -381,6 +408,7 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch
 			for x, slot := h, end; ; x, slot = child[childOff[x]], slot-1 {
 				blk[slot] = own[x]
 				f.walkSlot[recs[x]] = slot
+				chain[x] = kp.anchorAt[tree]
 				lo, hi := childOff[x], childOff[x+1]
 				if lo == hi {
 					break
@@ -393,4 +421,6 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, hops []int32, s *walkScratch
 			at = end + 1 + trailerWords
 		}
 	}
+	// The parent links are spent too: they take the anchor indices.
+	copy(up, chain)
 }

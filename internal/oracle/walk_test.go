@@ -3,9 +3,10 @@ package oracle
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathsep/internal/par"
@@ -14,19 +15,22 @@ import (
 // deriveWalkRef is the whole-pool walk derivation the per-key deriveWalk
 // replaced, kept as the reference the differential tests compare the
 // layout against word for word. It reads f's tables and the hop links
-// and returns the walkBlk/walkSlot pair instead of storing it.
+// and returns the walkBlk/walkSlot pair instead of storing it, with ok
+// false where a record has no position and deriveWalk must fail: it
+// reaches no anchor, or its anchor's vertex is not on the key's path.
+// (The tests that plant hops across keys or paths that repeat a vertex
+// check those failures themselves.)
 //
 // Chains are emitted in heavy-path order — each record's heaviest child
 // is placed immediately before it — so a chain from any slot to its head
 // is one contiguous owner run; anchors seed the head stack in ascending
-// record order, so the last anchor's tree is laid out first. Records on
-// a hop cycle are never reached from an anchor and keep −2−hop as their
-// slot.
-func deriveWalkRef(f *Flat, hops []int32) ([]int32, []int32) {
+// record order, so the last anchor's tree is laid out first. An anchor's
+// path index is the index of its vertex on its key's path.
+func deriveWalkRef(f *Flat, hops []int32) (blk, slots []int32, ok bool) {
 	p := len(hops)
-	slots := make([]int32, p)
+	slots = make([]int32, p)
 	if p == 0 {
-		return nil, slots
+		return nil, slots, true
 	}
 	// Each record's slot, run end, chain anchor and walk length.
 	type refRec struct{ slot, end, anchor, depth int32 }
@@ -34,13 +38,11 @@ func deriveWalkRef(f *Flat, hops []int32) ([]int32, []int32) {
 	for r := range from {
 		from[r] = refRec{slot: -1, end: -1, anchor: -1}
 	}
+	ok = true
 	eachRecordRef(f, func(v, kid, i int32) {
-		if hops[i] >= 0 {
-			return
-		}
-		plo, phi := f.pathOff[kid], f.pathOff[kid+1]
-		if idx, err := pathIndexAt(f.pathPos[plo:phi], f.pathVert[plo:phi], f.lane[3*i], v); err == nil {
-			from[i].anchor = int32(idx)
+		if hops[i] < 0 {
+			from[i].anchor = int32(slices.Index(f.pathVert[f.pathOff[kid]:f.pathOff[kid+1]], v))
+			ok = ok && from[i].anchor >= 0
 		}
 	})
 	// Children of each record, CSR form, each list in ascending record
@@ -95,7 +97,7 @@ func deriveWalkRef(f *Flat, hops []int32) ([]int32, []int32) {
 			chains++
 		}
 	}
-	blk := make([]int32, len(order)+trailerWords*chains)
+	blk = make([]int32, len(order)+trailerWords*chains)
 	heads, path := order[:roots], size[:0]
 	at := int32(0)
 	for len(heads) > 0 {
@@ -126,13 +128,13 @@ func deriveWalkRef(f *Flat, hops []int32) ([]int32, []int32) {
 		at = end + 1 + trailerWords
 	}
 	eachRecordRef(f, func(v, _, i int32) {
-		slots[i] = -2 - hops[i]
 		if s := from[i].slot; s >= 0 {
-			blk[s] = v
-			slots[i] = s
+			blk[s], slots[i] = v, s
+		} else {
+			ok = false
 		}
 	})
-	return blk, slots
+	return blk, slots, ok
 }
 
 // eachRecordRef calls fn(v, kid, i) for every pool record i in pool
@@ -145,6 +147,22 @@ func eachRecordRef(f *Flat, fn func(v, kid, i int32)) {
 			}
 		}
 	}
+}
+
+// positionDiff checks the position invariant on f: every record's lane
+// position is, bit for bit, the path position of the anchor its walk
+// trailer names. It describes the first record that breaks it, or
+// returns "".
+func positionDiff(f *Flat) string {
+	for e, k := range f.entryKey {
+		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
+			a := f.walkBlk[runEnd(f.walkBlk, f.walkSlot[r])+3]
+			if want := f.pathPos[f.pathOff[k]+a]; math.Float64bits(f.lane[3*r]) != math.Float64bits(want) {
+				return fmt.Sprintf("record %d at position %v, its anchor %d at %v", r, f.lane[3*r], a, want)
+			}
+		}
+	}
+	return ""
 }
 
 // walkDiff compares f's walk layout with deriveWalkRef's word for word,
@@ -169,20 +187,24 @@ func walkDiff(f *Flat, refBlk, refSlot []int32) string {
 
 // checkWidths derives f's walk layout from hops at pool widths 1, 2, 4
 // and 0 with shuffled task submission and compares each with the
-// reference.
-func checkWidths(t *testing.T, name string, f *Flat, hops []int32) {
+// reference: the same layout word for word, or a failure at every width
+// where the reference finds a record without a position. It reports
+// whether the layout derived.
+func checkWidths(t *testing.T, name string, f *Flat, hops []int32) bool {
 	t.Helper()
-	refBlk, refSlot := deriveWalkRef(f, hops)
+	refBlk, refSlot, ok := deriveWalkRef(f, hops)
 	par.SetShuffleSeed(0x5eed)
 	defer par.SetShuffleSeed(0)
 	for _, w := range []int{1, 2, 4, 0} {
-		if err := f.deriveWalk(hops, w); err != nil {
-			t.Fatalf("%s width %d: %v", name, w, err)
+		_, err := f.deriveWalk(hops, w)
+		if (err == nil) != ok {
+			t.Fatalf("%s width %d: derivation error %v, but reference positions every record: %v", name, w, err, ok)
 		}
-		if d := walkDiff(f, refBlk, refSlot); d != "" {
+		if d := walkDiff(f, refBlk, refSlot); ok && d != "" {
 			t.Fatalf("%s width %d: %s", name, w, d)
 		}
 	}
+	return ok
 }
 
 // keyRecords lists each key's pool records in pool order, and each
@@ -198,16 +220,16 @@ func keyRecords(f *Flat) (recs [][]int32, keyOf []int32) {
 	return recs, keyOf
 }
 
-// hopsOffset is the byte offset of the hops section in f's image.
-func hopsOffset(f *Flat) int {
+// sectionOffset is the byte offset of the named section in f's image.
+func sectionOffset(f *Flat, name string) int {
 	c := f.counts()
 	spans, _ := layout(&c)
 	for i := range flatSections {
-		if flatSections[i].name == "hops" {
+		if flatSections[i].name == name {
 			return spans[i].off
 		}
 	}
-	panic("no hops section")
+	panic("no section " + name)
 }
 
 // readHops reads the p hop links of an image whose hop section starts
@@ -223,26 +245,30 @@ func readHops(img []byte, at, p int) []int32 {
 // imageHops returns the hop links of f's image: what Encode writes back
 // from the walk layout.
 func imageHops(f *Flat) []int32 {
-	return readHops(f.Encode(), hopsOffset(f), f.NumPortals())
+	return readHops(f.Encode(), sectionOffset(f, "hops"), f.NumPortals())
 }
 
 // withHops returns a copy of f's image whose hop section holds hops.
 func withHops(f *Flat, hops []int32) []byte {
-	img, at := f.Encode(), hopsOffset(f)
+	img, at := f.Encode(), sectionOffset(f, "hops")
 	for r, h := range hops {
 		binary.LittleEndian.PutUint32(img[at+4*r:], uint32(h))
 	}
 	return img
 }
 
-// checkRoundTrip requires that img decodes and encodes back to itself
-// byte for byte: the walk layout keeps every hop link, stranded records
-// included.
-func checkRoundTrip(t *testing.T, name string, img []byte) {
+// checkRoundTrip requires that img decodes, with every record at its
+// anchor's position, and encodes back to itself byte for byte — the walk
+// layout keeps every hop link, and the lane every distance — and returns
+// the decoded Flat.
+func checkRoundTrip(t *testing.T, name string, img []byte) *Flat {
 	t.Helper()
 	dec, err := DecodeFlat(img)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if d := positionDiff(dec); d != "" {
+		t.Fatalf("%s: decoded %s", name, d)
 	}
 	if enc := dec.Encode(); !bytes.Equal(enc, img) {
 		i := 0
@@ -251,20 +277,28 @@ func checkRoundTrip(t *testing.T, name string, img []byte) {
 		}
 		t.Fatalf("%s: Encode(DecodeFlat(img)) differs from img at byte %d of %d", name, i, len(img))
 	}
+	return dec
 }
 
 // TestWalkLayoutMatchesReference pins the per-key derivation to the
 // whole-pool reference word for word: walkBlk and every walkSlot, at
 // pool widths 1, 2, 4 and 0 with shuffled task submission, on the golden
 // fixture, 24×24 grids in both modes, the 64×64 portal grid and (outside
-// -short) the 128×128 bench image — and on 24×24 hop tables corrupted
-// with same-key rewires, self-loops and extra anchors, where records no
-// anchor reaches must keep their raw hop. Every image, corrupted or not,
-// must also decode and encode back to itself byte for byte.
+// -short) the 128×128 bench image, each of which must also decode and
+// encode back to itself byte for byte. On 24×24 hop tables corrupted
+// with same-key rewires, self-loops, extra anchors and rewires to a
+// record at the same position, the derivation must fail exactly where
+// the reference finds a record without a position, the self-loops
+// always; the corrupted image must then fail to decode. Otherwise it
+// either decodes, round-trips byte for byte and matches the reference,
+// or fails to decode with an error, which same-position rewires, whose
+// positions all stay put, must not.
 func TestWalkLayoutMatchesReference(t *testing.T) {
 	check := func(name string, f *Flat) {
 		t.Helper()
-		checkWidths(t, name, f, imageHops(f))
+		if !checkWidths(t, name, f, imageHops(f)) {
+			t.Fatalf("%s: a record reaches no anchor", name)
+		}
 		checkRoundTrip(t, name, f.Encode())
 	}
 	for _, mode := range []Mode{CoverExact, CoverPortal} {
@@ -279,13 +313,19 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 	base := gridFlat(t, 24, CoverPortal)
 	baseHops := imageHops(base)
 	recs, keyOf := keyRecords(base)
+	// Each key's records by position, for rewires that keep positions.
+	atPos := map[[2]uint64][]int32{}
+	for r, k := range keyOf {
+		at := [2]uint64{uint64(k), math.Float64bits(base.lane[3*r])}
+		atPos[at] = append(atPos[at], int32(r))
+	}
 	rng := rand.New(rand.NewSource(3))
-	for c := 0; c < 12; c++ {
+	for c := 0; c < 16; c++ {
 		f := &Flat{n: base.n, eps: base.eps, mode: base.mode, tables: base.tables, lane: base.lane}
 		hops := append([]int32(nil), baseHops...)
 		for i := 0; i < 1+rng.Intn(40); i++ {
 			r := int32(rng.Intn(len(hops)))
-			switch c % 3 {
+			switch c % 4 {
 			case 0: // same-key rewire
 				kr := recs[keyOf[r]]
 				hops[r] = kr[rng.Intn(len(kr))]
@@ -293,36 +333,46 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 				hops[r] = r
 			case 2: // extra anchor
 				hops[r] = -1
+			case 3: // same-position rewire of a non-anchor
+				if same := atPos[[2]uint64{uint64(keyOf[r]), math.Float64bits(base.lane[3*r])}]; hops[r] >= 0 {
+					hops[r] = same[rng.Intn(len(same))]
+				}
 			}
 		}
 		name := fmt.Sprintf("corruption %d", c)
-		checkWidths(t, name, f, hops)
-		if c%3 == 1 {
-			stranded := 0
-			for _, s := range f.walkSlot {
-				if s < 0 {
-					stranded++
-				}
-			}
-			if stranded == 0 {
-				t.Fatalf("%s: self-loops stranded no record", name)
-			}
+		derived := checkWidths(t, name, f, hops)
+		if c%4 == 1 && derived {
+			t.Fatalf("%s: self-loops derived a layout", name)
 		}
-		checkRoundTrip(t, name, withHops(base, hops))
+		img := withHops(base, hops)
+		if _, err := DecodeFlat(img); err != nil {
+			if c%4 == 3 && derived {
+				t.Fatalf("%s: rewires that keep every position: %v", name, err)
+			}
+			continue
+		} else if !derived {
+			t.Fatalf("%s: decoded, but a record has no position", name)
+		}
+		dec := checkRoundTrip(t, name, img)
+		refBlk, refSlot, _ := deriveWalkRef(dec, hops)
+		if d := walkDiff(dec, refBlk, refSlot); d != "" {
+			t.Fatalf("%s: decoded %s", name, d)
+		}
 	}
 }
 
 // FuzzWalkLayout rewires up to 32 hops of a small portal image, each to
 // a record of its own key or to no record (a new anchor), chosen by the
-// input bytes: such images pass decode, their walk layout must equal
-// deriveWalkRef's at pool widths 0, 1 and 2 (the last with shuffled task
-// submission), and they must encode back to themselves byte for byte.
-// QueryPath over every pair must return an answer or one of the typed
-// walk errors, never panic.
+// input bytes. Such an image either fails to decode with an error — a
+// record then reaches no anchor, has an anchor off the key's path, or
+// lands at a position out of its entry's order — or it decodes, its walk
+// layout equals deriveWalkRef's at pool widths 0, 1 and 2 (the last with
+// shuffled task submission), it encodes back to itself byte for byte,
+// and QueryPath answers every pair without error.
 func FuzzWalkLayout(f *testing.F) {
 	fl := gridFlat(f, 8, CoverPortal)
 	enc := fl.Encode()
-	hopsAt := hopsOffset(fl)
+	hopsAt := sectionOffset(fl, "hops")
 	recs, keyOf := keyRecords(fl)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
@@ -340,19 +390,25 @@ func FuzzWalkLayout(f *testing.F) {
 		}
 		dec, err := DecodeFlat(img)
 		if err != nil {
-			t.Fatalf("same-key rewires rejected: %v", err)
+			return
 		}
 		if got := dec.Encode(); !bytes.Equal(got, img) {
 			t.Fatal("Encode(DecodeFlat(img)) differs from img")
 		}
+		if d := positionDiff(dec); d != "" {
+			t.Fatal(d)
+		}
 		hops := readHops(img, hopsAt, fl.NumPortals())
-		refBlk, refSlot := deriveWalkRef(dec, hops)
+		refBlk, refSlot, ok := deriveWalkRef(dec, hops)
+		if !ok {
+			t.Fatal("decoded, but the reference finds a record without a position")
+		}
 		if d := walkDiff(dec, refBlk, refSlot); d != "" {
 			t.Fatalf("width 0: %s", d)
 		}
 		for _, w := range []int{1, 2} {
 			par.SetShuffleSeed(int64(len(ops)) + 1)
-			err := dec.deriveWalk(hops, w)
+			_, err := dec.deriveWalk(hops, w)
 			par.SetShuffleSeed(0)
 			if err != nil {
 				t.Fatalf("width %d: %v", w, err)
@@ -365,9 +421,8 @@ func FuzzWalkLayout(f *testing.F) {
 		for u := 0; u < dec.N(); u++ {
 			for v := 0; v < dec.N(); v++ {
 				var err error
-				_, buf, err = dec.QueryPath(u, v, buf[:0])
-				if err != nil && !errors.Is(err, errPathCycle) && !errors.Is(err, errPathRecord) && !errors.Is(err, errPathGeometry) {
-					t.Fatalf("QueryPath(%d,%d): untyped error %v", u, v, err)
+				if _, buf, err = dec.QueryPath(u, v, buf[:0]); err != nil {
+					t.Fatalf("QueryPath(%d,%d): %v", u, v, err)
 				}
 			}
 		}
@@ -384,7 +439,7 @@ func BenchmarkDeriveWalk(b *testing.B) {
 	hops := imageHops(fl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fl.deriveWalk(hops, 0); err != nil {
+		if _, err := fl.deriveWalk(hops, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
