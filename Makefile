@@ -14,6 +14,7 @@
 # The gates write their measurements under the ignored .bench_build/, so
 # make check leaves the tracked tree as it found it.
 #   make bench-unit      the bench/ module's own tests (a separate Go module that ./... never reaches)
+#   make loc BASE=<rev>  non-test Go lines added and removed against BASE (code/comment/blank)
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -24,7 +25,7 @@ FUZZMINTIME ?= 50x
 LINT_BIN := bin/pathsep-lint
 LINT_SRC := $(wildcard cmd/pathsep-lint/*.go internal/analyzers/*.go internal/analyzers/*/*.go)
 
-.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit
+.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit loc
 
 check: vet lint build race determinism fuzz-short bench-overhead bench-parallel bench-query bench-path bench-serve bench-unit
 
@@ -53,10 +54,9 @@ lint-json: $(LINT_BIN)
 
 # Per-analyzer finding and suppression counts: the findings come from
 # the same vet run as lint-json; suppressions are the exception-granting
-# directives (//pathsep:detached, //pathsep:lease-bypass, the
-# writes=views grant) counted in non-test library sources. Rising
-# suppressions with flat findings means exceptions are doing an
-# analyzer's job — worth a look in review.
+# directives (//pathsep:detached, //pathsep:lease-bypass) counted in
+# non-test library sources. Rising suppressions with flat findings means
+# exceptions are doing an analyzer's job — worth a look in review.
 lint-stats: $(LINT_BIN)
 	./$(LINT_BIN) -stats ./...
 
@@ -133,3 +133,34 @@ bench-serve:
 # an API change that would break bench/run.sh.
 bench-unit:
 	$(GO) -C bench test ./...
+
+# Non-test Go lines added and removed against BASE (default HEAD), per
+# directory (two levels under internal/ and cmd/) and in total, split
+# into code, comment and blank; a comment line is one whose first token
+# is //, and the repo has no /* */ blocks. vendor/, testdata/ and
+# _test.go files are skipped. The working tree is compared, so
+# uncommitted edits count, and untracked files count as added.
+BASE ?= HEAD
+LOC_PATHS := '*.go' ':(exclude)vendor/**' ':(exclude)**/testdata/**' ':(exclude)*_test.go'
+
+loc:
+	@{ git diff -U0 --no-color --no-renames $(BASE) -- $(LOC_PATHS); \
+	  git ls-files -o --exclude-standard -- $(LOC_PATHS) | while read -r f; do \
+	    printf 'diff --git a/%s b/%s\n+++ b/%s\n@@\n' "$$f" "$$f" "$$f"; sed 's/^/+/' "$$f"; \
+	  done; } | awk ' \
+	  /^diff --git / { hdr = 1; next } \
+	  hdr && /^(---|\+\+\+) [ab]\// { f = substr($$0, 7); next } \
+	  /^@@/ { hdr = 0; next } \
+	  hdr || !/^[-+]/ { next } \
+	  { t = substr($$0, 2); sub(/^[ \t]+/, "", t); \
+	    k = t == "" ? 3 : (t ~ /^\/\// ? 2 : 1); \
+	    n = split(f, p, "/"); d = n == 1 ? "." : ((p[1] == "internal" || p[1] == "cmd") && n > 2 ? p[1] "/" p[2] : p[1]); \
+	    s = substr($$0, 1, 1) == "+" ? 0 : 3; c[d, s + k]++; c["total", s + k]++; dirs[d] = 1 } \
+	  function row(d, i) { \
+	    for (i = 1; i <= 6; i++) c[d, i] += 0; \
+	    return sprintf("%-26s %7d %7d %7d %7d %7d %7d %7d %7d %7d", d, c[d, 1], c[d, 2], c[d, 3], c[d, 4], c[d, 5], c[d, 6], \
+	      c[d, 1] - c[d, 4], c[d, 2] - c[d, 5], c[d, 1] + c[d, 2] + c[d, 3] - c[d, 4] - c[d, 5] - c[d, 6]) } \
+	  END { print "non-test Go lines, working tree against $(BASE):"; \
+	    printf "%-26s %7s %7s %7s %7s %7s %7s %7s %7s %7s\n", "path", "+code", "+comm", "+blank", \
+	      "-code", "-comm", "-blank", "net cd", "net cm", "net"; \
+	    for (d in dirs) print row(d) | "sort"; close("sort"); print row("total") }'

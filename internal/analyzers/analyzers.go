@@ -16,27 +16,24 @@
 //     compare floats via core/floatcmp
 //   - atomicmix:   memory touched through sync/atomic is never accessed
 //     plainly, and atomic.Pointer pointees are initialized before publish
-//   - poolleak:    sync.Pool buffers reach a Put on every path, with no
-//     use-after-Put and no foreign or cross-pool Put
 //   - ctxdone:     serving-plane goroutines are tied to a shutdown signal
 //     or carry an explicit //pathsep:detached
-//   - leasepair:   //pathsep:lease acquire/release pairs close on every
-//     path, with no use-after-release, one generation per response, and
-//     no raw atomic access to the leased pointer
-//   - unsafeview:  unsafe.Slice image views are validation-dominated,
-//     read-only outside the sanctioned writer, and never outlive their
-//     backing buffer
+//   - leasepair:   sync.Pool buffers and //pathsep:lease values are
+//     released on every path, never used after release, and pool buffers
+//     go back to their own pool; a lease allows one generation per
+//     response and no raw atomic access to the leased pointer
+//   - unsafeview:  unsafe.Slice appears only inside the image codec's
+//     view[T], which refuses overrunning and misaligned spans
 //
 // The determinism trio (maporder, slotwrite, sortcmp) shares the ssaflow
 // value-flow layer and is backed at runtime by `make determinism`, which
 // rebuilds the oracle under shuffled schedules and byte-compares encodings.
-// The concurrency trio (atomicmix, poolleak, ctxdone) guards the serving
-// plane's lock-free image swap, buffer pools, and graceful drain; its
-// runtime backstop is the -race swap/drain tests in internal/serve.
-// leasepair and unsafeview ride the interprocedural ssaflow summaries to
-// guard the zero-copy image plane: the reader lease around the atomic
-// swap and the unsafe section views. Encode/decode symmetry needs no
-// analyzer: one section table in internal/oracle drives both directions.
+// atomicmix, leasepair and ctxdone guard the serving plane's lock-free
+// image swap, its buffer pools and image lease, and its graceful drain;
+// their runtime backstop is the -race swap/drain tests in internal/serve.
+// leasepair finds acquire/release wrappers through the interprocedural
+// ssaflow summaries. Encode/decode symmetry needs no analyzer: one section
+// table in internal/oracle drives both directions.
 //
 // The suite runs as `go vet -vettool=bin/pathsep-lint` (see cmd/pathsep-lint
 // and `make lint`), and each analyzer carries analysistest-style coverage
@@ -54,7 +51,6 @@ import (
 	"pathsep/internal/analyzers/leasepair"
 	"pathsep/internal/analyzers/maporder"
 	"pathsep/internal/analyzers/obsnilguard"
-	"pathsep/internal/analyzers/poolleak"
 	"pathsep/internal/analyzers/seededrand"
 	"pathsep/internal/analyzers/slotwrite"
 	"pathsep/internal/analyzers/sortcmp"
@@ -73,7 +69,6 @@ func All() []*analysis.Analyzer {
 		leasepair.Analyzer,
 		maporder.Analyzer,
 		obsnilguard.Analyzer,
-		poolleak.Analyzer,
 		seededrand.Analyzer,
 		slotwrite.Analyzer,
 		sortcmp.Analyzer,

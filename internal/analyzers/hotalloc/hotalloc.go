@@ -25,13 +25,9 @@
 // interface conversions are not yet detected; call sites are by far the
 // common leak.
 //
-// Only the bare directive opts a function in. Argumented forms such as
-//
-//	//pathsep:hotpath writes=views
-//
-// address other analyzers (unsafeview's sanctioned-writer grant) and
-// deliberately do NOT impose the zero-alloc contract: a sanctioned view
-// writer like Flat.derive allocates the arrays it then fills.
+// Only the bare directive opts a function in: a comment that adds
+// anything after it is not the directive, and the function stays
+// untagged.
 package hotalloc
 
 import (

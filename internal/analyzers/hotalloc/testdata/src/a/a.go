@@ -85,12 +85,12 @@ func okWindow(keys []int32) int32 {
 	return best + int32(scratch[0])
 }
 
-// sanctionedWriter carries the argumented form of the directive, which
-// grants unsafeview's write permission but does NOT opt into the
-// zero-alloc contract — it allocates freely with no diagnostics.
+// untagged carries the directive with an argument after it, which is
+// not the directive: it is not opted into the zero-alloc contract and
+// allocates freely with no diagnostics.
 //
-//pathsep:hotpath writes=views
-func sanctionedWriter(n int) []float64 {
+//pathsep:hotpath fill
+func untagged(n int) []float64 {
 	lanes := make([]float64, n)
 	for i := range lanes {
 		lanes[i] = float64(i)

@@ -1,52 +1,70 @@
-// Package leasepair generalizes poolleak's acquire/release discipline
-// to the serving plane's image lease. internal/serve hands out the
-// current oracle image through an acquire/release pair around an
-// atomic.Pointer: acquire pins a generation (so a concurrent reload
-// cannot unmap the flat image mid-query), release unpins it, and the
-// reload path swaps only after draining readers. Every handler must
-// pair the two on all paths — a missed release on an early return
-// wedges reload drains forever, a use after release races the swap, and
-// a second acquire in one response can observe two different
-// generations and mix their results.
-//
-// The leased type is declared, not hard-coded: a
+// Package leasepair enforces the repo's one acquire/release discipline,
+// for two kinds of pair. Every sync.Pool is a built-in pair, Get and Put:
+// the serving hot path recycles its pair/dist/byte/path buffers on every
+// request, one early return that skips the Put quietly turns the pool
+// into a per-request allocator, and one Put too early hands the same
+// backing array to two concurrent requests. A leased type declares its
+// pair with a
 //
 //	//pathsep:lease acquire=<name> release=<name>
 //
-// directive in the doc comment of a type declaration names the
-// package's acquire and release functions. The pass then enforces, in
-// every function of that package (acquire/release themselves and test
-// files excepted):
+// directive in the doc comment of its type declaration, naming the
+// package's acquire and release functions. internal/serve hands out the
+// current oracle image this way: acquire pins a generation, so a
+// concurrent reload cannot retire it mid-query, and release unpins it; a
+// missed release wedges reload drains forever, and a use after release
+// races the swap.
 //
-//   - all-paths release: a value obtained from the acquire function (or
-//     any wrapper whose result transitively derives from it — resolved
-//     through the interprocedural ssaflow summaries, like poolleak's
-//     getters) must reach the release function (or a wrapper one of
-//     whose parameters transitively reaches it) on every path out:
-//     early returns, falls-off-the-end, and panics. A deferred release
-//     covers every exit including panics and permits later uses.
-//   - no use-after-release: after a non-deferred release, any mention
-//     of the leased value races the reload swap.
-//   - one generation per response: acquiring a second lease while one
-//     is open mixes generations; release the first or restructure.
-//   - no raw pointer access: calling Load/Store/Swap/CompareAndSwap on
-//     an atomic.Pointer[T] of the leased type anywhere outside the
-//     acquire/release bodies bypasses the reader count. Deliberate
-//     bypasses (the reload swap, which is serialized by its own mutex)
-//     are annotated at the call site with
-//     `//pathsep:lease-bypass <reason>` on the same line or the line
-//     above, keeping the justification in the diff.
+// Wrappers are found by one fixpoint over the ssaflow direct summaries: a
+// function one of whose results is an acquirer's result (pool.Get, the
+// named acquire function, or another wrapper) acquires the same pair, and
+// a function that passes one of its parameters to a releaser's release
+// slot (pool.Put, the named release function, or another wrapper)
+// releases it, however many levels deep the chain goes. The walk ignores
+// a pair inside the bodies that acquire or release it for their callers:
+// dropping a too-small buffer inside a getter is the resize policy, not a
+// leak.
 //
-// Ownership transfer mirrors poolleak: returning the lease, storing it
-// into a field/slice/map, sending it on a channel, or capturing it in a
-// goroutine/closure moves the obligation elsewhere and the walk stops
-// tracking it.
+// One path-sensitive walk over every function body (test files excepted)
+// then carries both kinds of obligation:
+//
+//   - all-paths release: a value obtained from an acquirer must reach a
+//     releaser of its pair on every path out — early returns, falling off
+//     the end, and panics. A deferred release covers every exit and
+//     permits later uses.
+//   - no use after release: after a non-deferred release, any mention of
+//     the value races whoever holds it next.
+//   - no overwrite: rebinding an open value to something unrelated drops
+//     it. Rebinding through a self-slice (v = v[:n]), a self-append or
+//     v = f(..., v, ...) keeps it.
+//   - ownership transfer: returning the value, storing it into a
+//     field/slice/map, sending it on a channel, or capturing it in a
+//     goroutine or function literal moves the obligation elsewhere, and
+//     the walk stops tracking it. A plain call argument does not.
+//
+// Pool buffers also must go back to the pool they came from, and must not
+// be rebound to a different backing array (v = append(w, v...),
+// v = w[i:j]) before the Put, which would poison the pool with a foreign
+// array. Leases also allow one generation per response — acquiring a
+// second lease while one is open can mix two generations' results — and
+// no raw Load/Store/Swap/CompareAndSwap on an atomic.Pointer of the
+// leased type outside the acquire/release bodies, which would bypass the
+// reader count. A deliberate bypass (the reload swap, serialized by its
+// own mutex) is annotated at the call site with
+// `//pathsep:lease-bypass <reason>` on the same line or the line above,
+// keeping the justification in the diff.
+//
+// Branches merge conservatively: a value is open after a branch if any
+// surviving path left it open, and counts as released only if every
+// surviving path released it.
 package leasepair
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -66,19 +84,50 @@ const (
 // Analyzer is the leasepair pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "leasepair",
-	Doc:      "acquire/release pairing for //pathsep:lease types: all paths release, no use-after-release, one generation per response, no raw atomic access",
+	Doc:      "acquire/release pairing for sync.Pool buffers and //pathsep:lease types: all paths release, no use-after-release, buffers back to their own pool, one lease generation per response, no raw atomic access",
 	Requires: []*analysis.Analyzer{inspect.Analyzer, ssaflow.Analyzer},
 	Run:      run,
 }
 
-// lease is one declared lease discipline.
-type lease struct {
-	typ         *types.Named // the leased type
-	acquireName string
-	releaseName string
-	acquirers   map[*types.Func]bool // acquire fn + wrappers (result derives from it)
-	releasers   map[*types.Func]int  // release fn + wrappers -> which param releases
-	exempt      map[ast.Node]bool    // acquire/release bodies, skipped by the walk
+// pair is one acquire/release discipline: a sync.Pool, or a type
+// declared with Directive.
+type pair struct {
+	typ              *types.Named // the leased type; nil for a pool
+	name             string       // the pool's or the leased type's name
+	acquire, release string       // the directive's names; release is "Put" for a pool
+	noun             string       // "pool buffer" or "lease", in messages
+	origin           string       // how a message says the value was opened
+	hazard           string       // what a use after release risks
+}
+
+func poolPair(pool types.Object) *pair {
+	return &pair{
+		name: pool.Name(), release: "Put",
+		noun: "pool buffer", origin: "Get from " + pool.Name(),
+		hazard: "the pool may have handed it to another goroutine",
+	}
+}
+
+func leasePair(typ *types.Named, acquire, release string) *pair {
+	return &pair{
+		typ: typ, name: typ.Obj().Name(), acquire: acquire, release: release,
+		noun: "lease", origin: "acquired",
+		hazard: "the image may be swapped out from under it",
+	}
+}
+
+// fits reports whether a wrapper's result or parameter of type t can
+// carry the pair's value: any type for a pool (Get returns any), *T or T
+// for a leased T.
+func (p *pair) fits(t types.Type) bool {
+	if p.typ == nil {
+		return true
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj() == p.typ.Obj()
 }
 
 // parseDirective extracts acquire=/release= from a directive line.
@@ -99,8 +148,8 @@ func parseDirective(text string) (acquire, release string, ok bool) {
 }
 
 // declaredLeases finds //pathsep:lease directives on type declarations.
-func declaredLeases(pass *analysis.Pass) []*lease {
-	var out []*lease
+func declaredLeases(pass *analysis.Pass) []*pair {
+	var out []*pair
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -133,14 +182,7 @@ func declaredLeases(pass *analysis.Pass) []*lease {
 						pass.Reportf(c.Pos(), "%s directive on %s: leased type must be a defined type", Directive, ts.Name.Name)
 						continue
 					}
-					out = append(out, &lease{
-						typ:         named,
-						acquireName: acq,
-						releaseName: rel,
-						acquirers:   map[*types.Func]bool{},
-						releasers:   map[*types.Func]int{},
-						exempt:      map[ast.Node]bool{},
-					})
+					out = append(out, leasePair(named, acq, rel))
 				}
 			}
 		}
@@ -148,81 +190,163 @@ func declaredLeases(pass *analysis.Pass) []*lease {
 	return out
 }
 
-// isLeasedPtr reports whether t is *T (or T) for the leased type.
-func (l *lease) isLeasedPtr(t types.Type) bool {
+// pairs is one package's classification: the declared leases, the pools
+// met so far, the functions that acquire and release each pair, and
+// those functions' bodies, where the walk ignores that pair.
+type pairs struct {
+	info      *types.Info
+	leases    []*pair
+	pools     map[types.Object]*pair
+	acquirers map[*types.Func]*pair
+	releasers map[*types.Func]map[int]*pair // function -> parameter -> pair
+	exempt    map[ast.Node]map[*pair]bool
+}
+
+// poolCall matches a direct sync.Pool method call, returning the pool's
+// pair and the method name ("Get" or "Put").
+func (ps *pairs) poolCall(call *ast.CallExpr) (*pair, string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Get" && sel.Sel.Name != "Put") {
+		return nil, ""
+	}
+	t := ps.info.TypeOf(sel.X)
 	if t == nil {
-		return false
+		return nil, ""
 	}
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	return ok && n.Obj() == l.typ.Obj()
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" || n.Obj().Name() != "Pool" {
+		return nil, ""
+	}
+	obj := poolObj(ps.info, sel.X)
+	if obj == nil {
+		return nil, ""
+	}
+	p := ps.pools[obj]
+	if p == nil {
+		p = poolPair(obj)
+		ps.pools[obj] = p
+	}
+	return p, sel.Sel.Name
 }
 
-// classify resolves the acquire/release functions and their wrappers
-// through the interprocedural summaries: any function whose result
-// transitively derives from the named acquire call is itself an
-// acquirer; any function one of whose parameters transitively reaches
-// the named release call is a releaser.
-func (l *lease) classify(pass *analysis.Pass, res *ssaflow.Result) {
-	// Pass 1: the directly named functions, matched by name and by
-	// touching the leased type (result for acquire, param for release).
-	for fn := range res.Summaries {
-		sig := fn.Type().(*types.Signature)
-		switch fn.Name() {
-		case l.acquireName:
-			for j := 0; j < sig.Results().Len(); j++ {
-				if l.isLeasedPtr(sig.Results().At(j).Type()) {
-					l.acquirers[fn] = true
-					l.exempt[res.Summaries[fn].Decl] = true
+// poolObj resolves a pool's identity from the receiver of pool.Get() or
+// pool.Put(): the field object for s.pairBufs, the variable for a
+// package-level pool.
+func poolObj(info *types.Info, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.ObjectOf(x)
+	case *ast.SelectorExpr:
+		return info.ObjectOf(x.Sel)
+	case *ast.IndexExpr:
+		return poolObj(info, x.X)
+	case *ast.StarExpr:
+		return poolObj(info, x.X)
+	}
+	return nil
+}
+
+// acquired returns the pair whose value call's result is: a pool.Get, or
+// a call to an acquirer. nil if neither.
+func (ps *pairs) acquired(call *ast.CallExpr) *pair {
+	if call == nil {
+		return nil
+	}
+	if p, method := ps.poolCall(call); method == "Get" {
+		return p
+	}
+	return ps.acquirers[ssaflow.CalleeFunc(ps.info, call)]
+}
+
+// released returns which of call's arguments it releases, and into which
+// pair: a pool.Put's only argument, or a releaser's release slots.
+func (ps *pairs) released(call *ast.CallExpr) map[int]*pair {
+	if p, method := ps.poolCall(call); method == "Put" && len(call.Args) == 1 {
+		return map[int]*pair{0: p}
+	}
+	return ps.releasers[ssaflow.CalleeFunc(ps.info, call)]
+}
+
+func (ps *pairs) addAcquirer(s *ssaflow.Summary, p *pair) {
+	ps.acquirers[s.Fn] = p
+	ps.exemptBody(s.Decl, p)
+}
+
+func (ps *pairs) addReleaser(s *ssaflow.Summary, i int, p *pair) {
+	if ps.releasers[s.Fn] == nil {
+		ps.releasers[s.Fn] = map[int]*pair{}
+	}
+	ps.releasers[s.Fn][i] = p
+	ps.exemptBody(s.Decl, p)
+}
+
+func (ps *pairs) exemptBody(decl ast.Node, p *pair) {
+	if ps.exempt[decl] == nil {
+		ps.exempt[decl] = map[*pair]bool{}
+	}
+	ps.exempt[decl][p] = true
+}
+
+// classify seeds each lease's named functions, then finds every wrapper
+// to a fixpoint over the direct summaries: a function one of whose
+// results is an acquired value acquires that pair, and a function passing
+// a parameter into a release slot releases it. (Transitive resolvers
+// would see through the in-package acquire to its atomics; the direct
+// summaries stop at the pair's own functions.) Summaries are visited in
+// source order, so the first matching result or parameter wins
+// deterministically.
+func (ps *pairs) classify(res *ssaflow.Result) {
+	sums := make([]*ssaflow.Summary, 0, len(res.Summaries))
+	for _, s := range res.Summaries {
+		sums = append(sums, s)
+	}
+	slices.SortFunc(sums, func(a, b *ssaflow.Summary) int { return cmp.Compare(a.Decl.Pos(), b.Decl.Pos()) })
+
+	for _, s := range sums {
+		sig := s.Fn.Type().(*types.Signature)
+		for _, l := range ps.leases {
+			switch s.Fn.Name() {
+			case l.acquire:
+				for j := 0; j < sig.Results().Len(); j++ {
+					if l.fits(sig.Results().At(j).Type()) {
+						ps.addAcquirer(s, l)
+					}
 				}
-			}
-		case l.releaseName:
-			for i := 0; i < sig.Params().Len(); i++ {
-				if l.isLeasedPtr(sig.Params().At(i).Type()) {
-					l.releasers[fn] = i
-					l.exempt[res.Summaries[fn].Decl] = true
+			case l.release:
+				for i := 0; i < sig.Params().Len(); i++ {
+					if l.fits(sig.Params().At(i).Type()) {
+						ps.addReleaser(s, i, l)
+					}
 				}
 			}
 		}
 	}
-	// Pass 2: wrappers, to a fixpoint over the per-function summaries —
-	// a function returning an acquirer's result is an acquirer, a
-	// function forwarding a parameter into a releaser's release slot is
-	// a releaser, however many levels deep the chain goes. (ResultFlow
-	// and ParamFlow would resolve *through* the in-package acquire and
-	// bottom out at its atomics, so the direct summaries are what we
-	// want here.)
 	for changed := true; changed; {
 		changed = false
-		for fn, s := range res.Summaries {
-			sig := fn.Type().(*types.Signature)
-			if !l.acquirers[fn] {
-				for j := 0; j < sig.Results().Len(); j++ {
-					if !l.isLeasedPtr(sig.Results().At(j).Type()) {
-						continue
-					}
-					for _, src := range s.Returns[j] {
-						if src.Callee != nil && l.acquirers[src.Callee] {
-							l.acquirers[fn] = true
-							l.exempt[s.Decl] = true
-							changed = true
-						}
+		for _, s := range sums {
+			sig := s.Fn.Type().(*types.Signature)
+		results:
+			for j := 0; j < sig.Results().Len() && ps.acquirers[s.Fn] == nil; j++ {
+				for _, src := range s.Returns[j] {
+					if p := ps.acquired(src.Call); p != nil && p.fits(sig.Results().At(j).Type()) {
+						ps.addAcquirer(s, p)
+						changed = true
+						break results
 					}
 				}
 			}
-			if _, ok := l.releasers[fn]; !ok {
-				for i := 0; i < sig.Params().Len(); i++ {
-					if !l.isLeasedPtr(sig.Params().At(i).Type()) {
-						continue
-					}
-					for _, use := range s.ParamUses[i] {
-						if ri, ok := l.releasers[use.Callee]; ok && use.Arg == ri {
-							l.releasers[fn] = i
-							l.exempt[s.Decl] = true
-							changed = true
-						}
+			for i := 0; i < sig.Params().Len(); i++ {
+				if ps.releasers[s.Fn][i] != nil {
+					continue
+				}
+				for _, use := range s.ParamUses[i] {
+					if p := ps.released(use.Call)[use.Arg]; p != nil && p.fits(sig.Params().At(i).Type()) {
+						ps.addReleaser(s, i, p)
+						changed = true
+						break
 					}
 				}
 			}
@@ -249,28 +373,51 @@ func bypassLines(pass *analysis.Pass) map[string]map[int]bool {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	leases := declaredLeases(pass)
-	if len(leases) == 0 {
-		return nil, nil
-	}
 	res := pass.ResultOf[ssaflow.Analyzer].(*ssaflow.Result)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	for _, l := range leases {
-		l.classify(pass, res)
+	ps := &pairs{
+		info:      pass.TypesInfo,
+		leases:    declaredLeases(pass),
+		pools:     map[types.Object]*pair{},
+		acquirers: map[*types.Func]*pair{},
+		releasers: map[*types.Func]map[int]*pair{},
+		exempt:    map[ast.Node]map[*pair]bool{},
 	}
-	bypass := bypassLines(pass)
+	ps.classify(res)
+	if len(ps.leases) > 0 {
+		rawAccess(pass, ps)
+	}
 
-	// Raw atomic.Pointer[T] access outside the acquire/release bodies.
-	exemptPos := func(pos token.Pos) bool {
-		for _, l := range leases {
-			for node := range l.exempt {
-				if pos >= node.Pos() && pos < node.End() {
+	// Path-sensitive pairing walk over every function body.
+	for _, fn := range res.Funcs {
+		if strings.HasSuffix(pass.Fset.Position(fn.Node.Pos()).Filename, "_test.go") {
+			continue
+		}
+		w := &walker{pass: pass, ps: ps, exempt: ps.exempt[fn.Node]}
+		st := &state{open: map[types.Object]*held{}, done: map[types.Object]*held{}}
+		w.stmts(st, fn.Body.List)
+		if !st.dead {
+			w.leaks(st, fn.Body.End(), "falls off the end of "+fn.Name)
+		}
+	}
+	return nil, nil
+}
+
+// rawAccess reports Load/Store/Swap/CompareAndSwap on an
+// atomic.Pointer[T] of a leased T outside the lease's acquire/release
+// bodies and without a bypass annotation.
+func rawAccess(pass *analysis.Pass, ps *pairs) {
+	bypass := bypassLines(pass)
+	inLeaseBody := func(pos token.Pos) bool {
+		for node, ex := range ps.exempt {
+			for p := range ex {
+				if p.typ != nil && pos >= node.Pos() && pos < node.End() {
 					return true
 				}
 			}
 		}
 		return false
 	}
+	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
 		sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -282,45 +429,21 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		default:
 			return
 		}
-		for _, l := range leases {
+		for _, l := range ps.leases {
 			if !isAtomicPtrOf(pass.TypesInfo.TypeOf(sel.X), l.typ) {
 				continue
 			}
 			pos := pass.Fset.Position(call.Pos())
-			if strings.HasSuffix(pos.Filename, "_test.go") || exemptPos(call.Pos()) {
+			if strings.HasSuffix(pos.Filename, "_test.go") || inLeaseBody(call.Pos()) {
 				continue
 			}
 			if lines := bypass[pos.Filename]; lines[pos.Line] || lines[pos.Line-1] {
 				continue
 			}
 			pass.Reportf(call.Pos(), "raw atomic %s of leased type %s bypasses the %s/%s lease; use the lease or annotate %s",
-				sel.Sel.Name, l.typ.Obj().Name(), l.acquireName, l.releaseName, BypassDirective)
+				sel.Sel.Name, l.name, l.acquire, l.release, BypassDirective)
 		}
 	})
-
-	// Path-sensitive pairing walk over every non-exempt function body.
-	for _, fn := range res.Funcs {
-		file := pass.Fset.Position(fn.Node.Pos()).Filename
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		skip := false
-		for _, l := range leases {
-			if l.exempt[fn.Node] {
-				skip = true
-			}
-		}
-		if skip {
-			continue
-		}
-		w := &walker{pass: pass, leases: leases}
-		st := &state{open: map[types.Object]*held{}, done: map[types.Object]token.Pos{}}
-		w.stmts(st, fn.Body.List)
-		if !st.dead {
-			w.leaks(st, fn.Body.End(), "falls off the end of "+fn.Name)
-		}
-	}
-	return nil, nil
 }
 
 // isAtomicPtrOf reports whether t is sync/atomic.Pointer[leased] (or a
@@ -348,23 +471,25 @@ func isAtomicPtrOf(t types.Type, leased *types.Named) bool {
 	return ok && arg.Obj() == leased.Obj()
 }
 
-// held is one open lease.
+// held is one tracked value: its pair, where it was acquired (or, once
+// released, where), and whether a rebind replaced its backing array.
 type held struct {
-	pos   token.Pos
-	lease *lease
+	pos     token.Pos
+	pair    *pair
+	foreign token.Pos // position of the backing-array-replacing rebind
 }
 
 // state is the abstract store along one path.
 type state struct {
 	open map[types.Object]*held
-	done map[types.Object]token.Pos
+	done map[types.Object]*held
 	dead bool
 }
 
 func (st *state) clone() *state {
 	c := &state{
 		open: make(map[types.Object]*held, len(st.open)),
-		done: make(map[types.Object]token.Pos, len(st.done)),
+		done: make(map[types.Object]*held, len(st.done)),
 		dead: st.dead,
 	}
 	for k, v := range st.open {
@@ -398,7 +523,7 @@ func (st *state) merge(branches []*state) {
 			}
 		}
 	}
-	done := map[types.Object]token.Pos{}
+	released := map[types.Object]*held{}
 	for k, v := range live[0].done {
 		onAll := true
 		for _, b := range live[1:] {
@@ -408,27 +533,30 @@ func (st *state) merge(branches []*state) {
 			}
 		}
 		if onAll {
-			done[k] = v
+			released[k] = v
 		}
 	}
+	// A value released on some paths but still open on another stays
+	// open: the remaining path still owes the release.
 	for k := range open {
-		delete(done, k)
+		delete(released, k)
 	}
-	st.open, st.done = open, done
+	st.open, st.done = open, released
 }
 
 // walker interprets one function body.
 type walker struct {
 	pass   *analysis.Pass
-	leases []*lease
+	ps     *pairs
+	exempt map[*pair]bool // pairs this body acquires or releases for its callers
 }
 
 func (w *walker) info() *types.Info { return w.pass.TypesInfo }
 
 func (w *walker) leaks(st *state, pos token.Pos, how string) {
 	for obj, h := range st.open {
-		w.pass.Reportf(pos, "lease %s (acquired at %s) is never released: control %s without a %s",
-			obj.Name(), w.pass.Fset.Position(h.pos), how, h.lease.releaseName)
+		w.pass.Reportf(pos, "%s %s (%s at %s) is never released: control %s without a %s",
+			h.pair.noun, obj.Name(), h.pair.origin, w.pass.Fset.Position(h.pos), how, h.pair.release)
 	}
 	st.open = map[types.Object]*held{}
 }
@@ -442,25 +570,27 @@ func (w *walker) stmts(st *state, list []ast.Stmt) {
 	}
 }
 
-// useCheck reports mentions of already-released leases inside e. skip,
-// when non-nil, is the release argument itself.
-func (w *walker) useCheck(st *state, e ast.Expr, skip ast.Expr) {
+// useCheck reports mentions of already-released values inside e and
+// scrubs them to avoid cascades. Values in skip (those the release call e
+// is releasing) do not count.
+func (w *walker) useCheck(st *state, e ast.Expr, skip map[types.Object]*pair) {
 	if e == nil || len(st.done) == 0 {
 		return
 	}
-	for obj, relPos := range st.done {
-		if skip != nil && ssaflow.BaseObject(w.info(), skip) == obj {
+	for obj, d := range st.done {
+		if skip[obj] != nil {
 			continue
 		}
 		if ssaflow.Mentions(w.info(), e, func(o types.Object) bool { return o == obj }) {
-			w.pass.Reportf(e.Pos(), "lease %s used after release at %s; the image may be swapped out from under it",
-				obj.Name(), w.pass.Fset.Position(relPos))
+			w.pass.Reportf(e.Pos(), "%s %s used after %s at %s; %s",
+				d.pair.noun, obj.Name(), d.pair.release, w.pass.Fset.Position(d.pos), d.pair.hazard)
 			delete(st.done, obj)
 		}
 	}
 }
 
-// escapes stops tracking leases mentioned by e (ownership moved).
+// escapes stops tracking values mentioned by e: ownership has moved into
+// a structure, channel, or closure the walk can't follow.
 func (w *walker) escapes(st *state, e ast.Expr) {
 	if e == nil || len(st.open) == 0 {
 		return
@@ -472,57 +602,66 @@ func (w *walker) escapes(st *state, e ast.Expr) {
 	}
 }
 
-// acquireCall matches a call to an acquirer (possibly behind a type
-// assertion), returning its lease.
-func (w *walker) acquireCall(e ast.Expr) (*lease, bool) {
+// acquireCall matches an acquire (possibly behind a type assertion),
+// returning its pair.
+func (w *walker) acquireCall(e ast.Expr) *pair {
 	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
 		e = ast.Unparen(ta.X)
 	}
-	call, ok := e.(*ast.CallExpr)
+	call, _ := e.(*ast.CallExpr)
+	if p := w.ps.acquired(call); p != nil && !w.exempt[p] {
+		return p
+	}
+	return nil
+}
+
+// releasedObj names the value a release argument hands back: v for v,
+// v[:0] or &v.
+func (w *walker) releasedObj(arg ast.Expr) types.Object {
+	arg = ast.Unparen(arg)
+	if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		arg = ast.Unparen(u.X)
+	}
+	return ssaflow.BaseObject(w.info(), arg)
+}
+
+// release closes obj against pair p.
+func (w *walker) release(st *state, p *pair, obj types.Object, deferred bool, pos token.Pos) {
+	h, ok := st.open[obj]
 	if !ok {
-		return nil, false
+		return // unknown origin (parameter, field, fresh buffer seeding a pool)
 	}
-	fn := ssaflow.CalleeFunc(w.info(), call)
-	if fn == nil {
-		return nil, false
+	if h.pair != p {
+		w.pass.Reportf(pos, "%s %s from %s is %s into %s; buffers must return to their own pool",
+			h.pair.noun, obj.Name(), h.pair.name, p.release, p.name)
 	}
-	for _, l := range w.leases {
-		if l.acquirers[fn] {
-			return l, true
-		}
-	}
-	return nil, false
-}
-
-// releaseCall matches a call to a releaser, returning the lease and the
-// released expression.
-func (w *walker) releaseCall(call *ast.CallExpr) (*lease, ast.Expr, bool) {
-	fn := ssaflow.CalleeFunc(w.info(), call)
-	if fn == nil {
-		return nil, nil, false
-	}
-	for _, l := range w.leases {
-		if ri, ok := l.releasers[fn]; ok && ri < len(call.Args) {
-			return l, ast.Unparen(call.Args[ri]), true
-		}
-	}
-	return nil, nil, false
-}
-
-// release closes the lease named by arg.
-func (w *walker) release(st *state, l *lease, arg ast.Expr, deferred bool, pos token.Pos) {
-	obj := ssaflow.BaseObject(w.info(), arg)
-	if obj == nil {
-		return
-	}
-	if _, ok := st.open[obj]; !ok {
-		return // unknown origin (parameter, field) — the acquirer is elsewhere
+	if h.foreign != token.NoPos {
+		w.pass.Reportf(pos, "%s %s was rebound to a different backing array at %s; Putting the alias poisons %s",
+			h.pair.noun, obj.Name(), w.pass.Fset.Position(h.foreign), p.name)
 	}
 	delete(st.open, obj)
 	if !deferred {
-		st.done[obj] = pos
+		// A deferred release runs after every later use; a plain one
+		// makes later mentions races.
+		st.done[obj] = &held{pos: pos, pair: h.pair}
 	}
+}
+
+// foreignRebind reports whether rhs rebinds obj to a (possibly)
+// different backing array: slicing or appending another object.
+func (w *walker) foreignRebind(obj types.Object, rhs ast.Expr) bool {
+	switch r := ast.Unparen(rhs).(type) {
+	case *ast.SliceExpr:
+		return ssaflow.BaseObject(w.info(), r.X) != obj
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok {
+			if _, isBuiltin := w.info().Uses[id].(*types.Builtin); isBuiltin && id.Name == "append" && len(r.Args) > 0 {
+				return ssaflow.BaseObject(w.info(), r.Args[0]) != obj
+			}
+		}
+	}
+	return false
 }
 
 // assign interprets one assignment or binding.
@@ -532,6 +671,8 @@ func (w *walker) assign(st *state, lhs, rhs ast.Expr, pos token.Pos) {
 
 	id, isIdent := ast.Unparen(lhs).(*ast.Ident)
 	if !isIdent {
+		// Storing into a field, slot, or map transfers ownership of any
+		// open value the RHS mentions.
 		w.useCheck(st, lhs, nil)
 		w.escapes(st, rhs)
 		return
@@ -540,47 +681,68 @@ func (w *walker) assign(st *state, lhs, rhs ast.Expr, pos token.Pos) {
 	if obj == nil {
 		return
 	}
-	l, isAcquire := (*lease)(nil), false
+	var p *pair
 	if rhs != nil {
-		l, isAcquire = w.acquireCall(rhs)
+		p = w.acquireCall(rhs)
 	}
 	if h, open := st.open[obj]; open {
-		if rhs == nil || !ssaflow.Mentions(info, rhs, func(o types.Object) bool { return o == obj }) {
-			w.pass.Reportf(pos, "lease %s (acquired at %s) is overwritten without a %s",
-				obj.Name(), w.pass.Fset.Position(h.pos), h.lease.releaseName)
+		switch {
+		case rhs == nil || !ssaflow.Mentions(info, rhs, func(o types.Object) bool { return o == obj }):
+			w.pass.Reportf(pos, "%s %s (%s at %s) is overwritten without a %s",
+				h.pair.noun, obj.Name(), h.pair.origin, w.pass.Fset.Position(h.pos), h.pair.release)
 			delete(st.open, obj)
+		case w.foreignRebind(obj, rhs):
+			h.foreign = pos
 		}
 	}
-	delete(st.done, obj)
-	if isAcquire {
+	delete(st.done, obj) // rebinding after a release starts a fresh value
+	if p == nil {
+		return
+	}
+	if p.typ != nil {
 		for other, h := range st.open {
-			w.pass.Reportf(pos, "second lease generation acquired while %s (acquired at %s) is still held; one generation per response",
-				other.Name(), w.pass.Fset.Position(h.pos))
+			if h.pair.typ != nil {
+				w.pass.Reportf(pos, "second lease generation acquired while %s (acquired at %s) is still held; one generation per response",
+					other.Name(), w.pass.Fset.Position(h.pos))
+			}
 		}
-		st.open[obj] = &held{pos: pos, lease: l}
 	}
+	st.open[obj] = &held{pos: pos, pair: p}
 }
 
 // call interprets a call in statement position.
 func (w *walker) call(st *state, call *ast.CallExpr, deferred bool) {
-	if l, arg, ok := w.releaseCall(call); ok {
-		w.useCheck(st, call, arg)
-		w.release(st, l, arg, deferred, call.Pos())
+	if rel := w.ps.released(call); len(rel) > 0 {
+		released := map[types.Object]*pair{}
+		for i, p := range rel {
+			if i < len(call.Args) {
+				if obj := w.releasedObj(call.Args[i]); obj != nil {
+					released[obj] = p
+				}
+			}
+		}
+		w.useCheck(st, call, released)
+		for obj, p := range released {
+			w.release(st, p, obj, deferred, call.Pos())
+		}
 		return
 	}
 	w.useCheck(st, call, nil)
-	if _, isAcquire := w.acquireCall(call); isAcquire {
+	if p := w.acquireCall(call); p != nil {
 		// Acquiring without binding the result leaks it immediately.
-		w.pass.Reportf(call.Pos(), "lease acquired and discarded; bind the result and release it")
+		w.pass.Reportf(call.Pos(), "%s acquired and discarded; bind the result and %s it", p.noun, p.release)
 		return
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 		if _, isBuiltin := w.info().Uses[id].(*types.Builtin); isBuiltin {
+			// Open values at a panic leak unless a deferred release covers
+			// them — and deferred releases already removed themselves.
 			w.leaks(st, call.Pos(), "panics")
 			st.dead = true
 			return
 		}
 	}
+	// Closures receiving the value take the obligation with them.
 	for _, arg := range call.Args {
 		if _, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 			w.escapes(st, arg)
@@ -686,7 +848,7 @@ func (w *walker) stmt(st *state, s ast.Stmt) {
 		if s.Post != nil && !body.dead {
 			w.stmt(body, s.Post)
 		}
-		body.dead = false
+		body.dead = false // breaking out rejoins the fall-through path
 		st.merge([]*state{st.clone(), body})
 	case *ast.RangeStmt:
 		w.exprEvents(st, s.X)
@@ -749,6 +911,8 @@ func (w *walker) stmt(st *state, s ast.Stmt) {
 	case *ast.IncDecStmt:
 		w.exprEvents(st, s.X)
 	case *ast.BranchStmt:
+		// break/continue/goto end this path as far as the straight-line
+		// walk can see; open values rejoin via the loop merge.
 		st.dead = true
 	}
 }

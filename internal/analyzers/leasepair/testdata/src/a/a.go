@@ -1,10 +1,15 @@
-// Package a exercises the leasepair analyzer: values obtained from the
-// declared acquire function must be released on every path, never used
-// after release, never doubled up within one response, and the backing
-// atomic pointer is off-limits outside the pair.
+// Package a exercises the leasepair analyzer's leases: values obtained
+// from the declared acquire function must be released on every path,
+// never used after release, never doubled up within one response, and the
+// backing atomic pointer is off-limits outside the pair. Its batch
+// handlers hold a lease and pool buffers at once, as the serving plane's
+// do; package pool covers the sync.Pool shapes on their own.
 package a
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // image is one immutable serving generation.
 //
@@ -15,7 +20,9 @@ type image struct {
 }
 
 type server struct {
-	img atomic.Pointer[image]
+	img   atomic.Pointer[image]
+	pairs sync.Pool // *[]int32
+	dists sync.Pool // *[]float64
 }
 
 // acquire leases the current image: exempt from the walk, and calls to
@@ -189,4 +196,66 @@ func rawSwapSanctioned(s *server, im *image) *image {
 // sanctioned, same-line form.
 func rawStoreSanctioned(s *server, im *image) {
 	s.img.Store(im) //pathsep:lease-bypass initial publish before serving starts
+}
+
+// Pool wrappers, as internal/serve has them.
+func (s *server) getPairs(n int) []int32 {
+	if p, ok := s.pairs.Get().(*[]int32); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]int32, n)
+}
+
+func (s *server) putPairs(p []int32) { s.pairs.Put(&p) }
+
+func (s *server) getDists(n int) []float64 {
+	if p, ok := s.dists.Get().(*[]float64); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]float64, n)
+}
+
+func (s *server) putDists(p []float64) { s.dists.Put(&p) }
+
+func query(im *image, pairs []int32, dists []float64) []float64 { return dists }
+
+func sum(dists []float64) float64 { return 0 }
+
+// leak: a lease and two pool buffers are live at once, and the early
+// return releases the lease and pairs but not dists.
+func batchLeak(s *server, n int, bad bool) float64 {
+	pairs := s.getPairs(n)
+	dists := s.getDists(n)
+	im := s.acquire()
+	if bad {
+		s.release(im)
+		s.putPairs(pairs)
+		return 0 // want `pool buffer dists \(Get from dists at .*\) is never released: control returns without a Put`
+	}
+	dists = query(im, pairs, dists)
+	s.release(im)
+	total := sum(dists)
+	s.putPairs(pairs)
+	s.putDists(dists)
+	return total
+}
+
+// clean: the lease is taken while a pool buffer is open (a lease, not a
+// second generation), and dists outlives the lease's release, as the
+// batch handlers' distances do.
+func batchClean(s *server, n int, bad bool) float64 {
+	pairs := s.getPairs(n)
+	im := s.acquire()
+	if bad {
+		s.release(im)
+		s.putPairs(pairs)
+		return 0
+	}
+	dists := s.getDists(n)
+	dists = query(im, pairs, dists)
+	s.release(im)
+	total := sum(dists)
+	s.putPairs(pairs)
+	s.putDists(dists)
+	return total
 }

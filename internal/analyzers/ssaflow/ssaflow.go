@@ -1,9 +1,9 @@
 // Package ssaflow is the shared value-flow layer under the determinism
-// analyzers (maporder, slotwrite, sortcmp). It plays the role
-// golang.org/x/tools/go/analysis/passes/buildssa plays for SSA-based
-// passes: one pass builds a per-package function index plus conservative
-// def-use utilities, and the determinism analyzers consume its Result via
-// Requires.
+// analyzers (maporder, slotwrite, sortcmp), leasepair and ctxdone. It
+// plays the role golang.org/x/tools/go/analysis/passes/buildssa plays for
+// SSA-based passes: one pass builds a per-package function index plus
+// conservative def-use utilities and per-function summaries (summary.go),
+// and the analyzers consume its Result via Requires.
 //
 // The toolchain-vendored x/tools subset this repo carries (see DESIGN.md,
 // "Static analysis") does not include go/ssa, so ssaflow implements the
@@ -37,11 +37,11 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// Analyzer builds the per-package function index. It reports nothing
-// itself; the determinism analyzers require it.
+// Analyzer builds the per-package function index and summaries. It
+// reports nothing itself; the analyzers that need value flow require it.
 var Analyzer = &analysis.Analyzer{
 	Name:       "ssaflow",
-	Doc:        "build per-function value-flow summaries for the determinism analyzers",
+	Doc:        "build per-function value-flow summaries for the analyzers that need them",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: reflect.TypeOf((*Result)(nil)),
 	Run:        run,
@@ -56,8 +56,7 @@ type Result struct {
 	// and rely on the literal's own entry.
 	Funcs []*Func
 	// Summaries holds the interprocedural per-function fact records for
-	// every declared function with a body (see summary.go). Clients use
-	// SummaryOf / ParamFlow / ResultFlow rather than reading this map.
+	// every declared function with a body (see summary.go).
 	Summaries map[*types.Func]*Summary
 }
 

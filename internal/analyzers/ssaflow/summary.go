@@ -2,9 +2,9 @@
 // graph, the fragment of a bottom-up interprocedural analysis the
 // analyzers need to see through wrappers.
 //
-// The intraprocedural walks in poolleak/maporder/ctxdone stop at call
+// The intraprocedural walks in leasepair/maporder/ctxdone stop at call
 // boundaries; every one of them used to carry its own single-level
-// wrapper recognizer (poolleak's getter/putter classifier, ctxdone's
+// wrapper recognizer (the pool getter/putter classifier, ctxdone's
 // argument-type heuristic). Summaries replace those: one pass over the
 // package records, per function,
 //
@@ -15,11 +15,8 @@
 //     launched in a goroutine, passed through a function value) — the
 //     ownership-transfer facts the path-sensitive walks key on;
 //   - what each result can be: an alias of a parameter ("derives alias
-//     of param") or the result of a call (pool.Get behind two wrapper
-//     levels resolves here);
-//   - whether len() of a parameter is consulted in a comparison
-//     ("validates offsets" — unsafeview accepts factored-out
-//     validation helpers through this bit);
+//     of param") or the result of a call (a pool.Get behind a wrapper
+//     resolves here);
 //   - whether the body contains a shutdown-tie construct (ctxdone's
 //     named-function case), and the body's statically resolved callees.
 //
@@ -29,10 +26,10 @@
 // rather than real Facts: the vendored unitchecker would serialize
 // facts fine, yet the analyzertest harness (and everything these
 // analyzers check) is package-local, so package-scope summaries keep
-// both drivers on one code path. ParamFlow and ResultFlow are the
-// transitive resolvers: they chase summary edges across in-package
-// calls (cycle-guarded, depth-capped) so clients ask "does this value
-// reach X" instead of re-implementing the closure.
+// both drivers on one code path. ParamFlow is the transitive resolver:
+// it chases summary edges across in-package calls (cycle-guarded,
+// depth-capped) so clients ask "does this value reach X" instead of
+// re-implementing the closure.
 package ssaflow
 
 import (
@@ -81,9 +78,6 @@ type Summary struct {
 	ParamSunk map[int]string
 	// Returns[j] lists what result j can be (see ReturnSource).
 	Returns map[int][]ReturnSource
-	// Validates[i] reports that len(parameter i) is consulted in a
-	// comparison — the "validates offsets" bit.
-	Validates map[int]bool
 	// Tied reports a shutdown-tie construct in the body (a non-timer
 	// channel receive, ctx.Done, defer close, defer wg.Done).
 	Tied bool
@@ -93,8 +87,7 @@ type Summary struct {
 	info   *types.Info
 	params map[types.Object]int
 	// locals maps each local variable to the sources its value may
-	// carry, computed to a fixpoint; ArgSources resolves call-site
-	// arguments against it during transitive result resolution.
+	// carry, computed to a fixpoint.
 	locals map[types.Object][]ReturnSource
 }
 
@@ -125,7 +118,6 @@ func summarize(info *types.Info, funcs []*Func) map[*types.Func]*Summary {
 			ParamUses: map[int][]ParamUse{},
 			ParamSunk: map[int]string{},
 			Returns:   map[int][]ReturnSource{},
-			Validates: map[int]bool{},
 			Callees:   map[*types.Func]bool{},
 			info:      info,
 			params:    map[types.Object]int{},
@@ -173,9 +165,11 @@ func (s *Summary) exprSources(e ast.Expr) []ReturnSource {
 	}
 }
 
-// addLocal merges srcs into obj's source set, reporting growth.
+// addLocal merges srcs into obj's source set, reporting growth. Only
+// variables declared in the function are locals: a store into a
+// package-level variable is a sink (computeFacts), not a binding.
 func (s *Summary) addLocal(obj types.Object, srcs []ReturnSource) bool {
-	if obj == nil || len(srcs) == 0 {
+	if obj == nil || len(srcs) == 0 || !DeclaredWithin(obj, s.Decl) {
 		return false
 	}
 	if _, isParam := s.params[obj]; isParam {
@@ -288,7 +282,7 @@ func (s *Summary) carries(e ast.Expr, i int) bool {
 }
 
 // computeFacts walks the body once, recording param-flow edges, sink
-// reasons, returns, validation bits, the shutdown tie, and callees.
+// reasons, returns, the shutdown tie, and callees.
 func (s *Summary) computeFacts(body *ast.BlockStmt) {
 	nparams := len(s.params)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -357,14 +351,6 @@ func (s *Summary) computeFacts(body *ast.BlockStmt) {
 					}
 				}
 			}
-		case *ast.BinaryExpr:
-			if isComparison(n.Op) {
-				for i := 0; i < nparams; i++ {
-					if !s.Validates[i] && (lenOf(s, n.X, i) || lenOf(s, n.Y, i)) {
-						s.Validates[i] = true
-					}
-				}
-			}
 		}
 		return true
 	})
@@ -421,53 +407,9 @@ func (s *Summary) sinkMentioned(exprs []ast.Expr, why string) {
 	}
 }
 
-// ArgSources resolves argument k of a call appearing in this function's
-// body to its sources (used by ResultFlow to map callee params back into
-// the caller's frame).
-func (s *Summary) ArgSources(call *ast.CallExpr, k int) []ReturnSource {
-	if k < 0 || k >= len(call.Args) {
-		return nil
-	}
-	return s.exprSources(call.Args[k])
-}
-
-func isComparison(op token.Token) bool {
-	switch op {
-	case token.EQL, token.NEQ, token.LSS, token.GTR, token.LEQ, token.GEQ:
-		return true
-	}
-	return false
-}
-
-// lenOf reports whether e contains len(x) where x carries parameter i.
-func lenOf(s *Summary, e ast.Expr, i int) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "len" || len(call.Args) != 1 {
-			return true
-		}
-		if _, isBuiltin := s.info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true
-		}
-		if s.carries(call.Args[0], i) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
 // Flow is the transitive fate of one parameter's value: every call site
 // it may reach through chains of in-package calls, plus the sideways
-// escapes and validation observed anywhere along the way.
+// escapes observed anywhere along the way.
 type Flow struct {
 	// Uses lists every call site the value may reach, at any depth.
 	// In-package callees with summaries are both listed and descended
@@ -478,8 +420,6 @@ type Flow struct {
 	// Returned reports that some function on the chain may return the
 	// value to its caller.
 	Returned bool
-	// Validated reports a len() comparison on the value somewhere.
-	Validated bool
 }
 
 // ParamFlow resolves the transitive fate of parameter arg of fn,
@@ -503,9 +443,6 @@ func (r *Result) ParamFlow(fn *types.Func, arg int) Flow {
 		}
 		if why, ok := s.ParamSunk[arg]; ok && fl.Sunk == "" {
 			fl.Sunk = why
-		}
-		if s.Validates[arg] {
-			fl.Validated = true
 		}
 		for _, srcs := range s.Returns {
 			for _, src := range srcs {
@@ -534,65 +471,6 @@ func (r *Result) ParamFlow(fn *types.Func, arg int) Flow {
 	}
 	walk(fn, arg, 0)
 	return fl
-}
-
-// ResultFlow resolves what result res of fn can terminally be: aliases
-// of fn's own parameters, and the terminal calls (out-of-package,
-// builtin, or unresolvable) the value may originate from. In-package
-// callee results are chased through their summaries, with callee
-// parameters mapped back through the call sites into the caller frames.
-func (r *Result) ResultFlow(fn *types.Func, res int) []ReturnSource {
-	root := r.SummaryOf(fn)
-	if root == nil {
-		return nil
-	}
-	type frame struct {
-		s      *Summary
-		call   *ast.CallExpr // the call that entered s, in parent's frame
-		parent *frame
-	}
-	var out []ReturnSource
-	type ck struct {
-		s   *Summary
-		res int
-	}
-	visited := map[ck]bool{}
-	var emit func(f *frame, src ReturnSource, depth int)
-	emit = func(f *frame, src ReturnSource, depth int) {
-		if depth > maxFlowDepth {
-			return
-		}
-		if src.Param >= 0 {
-			if f.parent == nil {
-				out = append(out, src)
-				return
-			}
-			for _, as := range f.parent.s.ArgSources(f.call, src.Param) {
-				emit(f.parent, as, depth+1)
-			}
-			return
-		}
-		cs := r.SummaryOf(src.Callee)
-		if cs == nil || visited[ck{cs, src.Result}] {
-			out = append(out, src)
-			return
-		}
-		visited[ck{cs, src.Result}] = true
-		srcs := cs.Returns[src.Result]
-		if len(srcs) == 0 {
-			out = append(out, src) // callee returns fresh values; keep the call as terminal
-			return
-		}
-		nf := &frame{s: cs, call: src.Call, parent: f}
-		for _, s2 := range srcs {
-			emit(nf, s2, depth+1)
-		}
-	}
-	rootFrame := &frame{s: root}
-	for _, src := range root.Returns[res] {
-		emit(rootFrame, src, 0)
-	}
-	return out
 }
 
 // BodyTied reports whether a function body contains a shutdown-tie

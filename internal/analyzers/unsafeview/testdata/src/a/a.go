@@ -1,11 +1,11 @@
-// Package a exercises the unsafeview analyzer: unsafe.Slice views need
-// dominating bounds and alignment validation, stay read-only outside a
-// sanctioned writer, and may not outlive their backing buffer.
+// Package a exercises the unsafeview analyzer: unsafe.Slice belongs in
+// the codec's view[T] alone.
 package a
 
-import "unsafe"
-
-const hostOK = true
+import (
+	"errors"
+	"unsafe"
+)
 
 type rec struct {
 	a uint32
@@ -15,87 +15,62 @@ type rec struct {
 type img struct {
 	buf  []byte
 	recs []rec
-	off  []int32
-	lane []float64
 }
 
 func layoutTotal(n int) int { return 8 * n }
 
-// checkLen is an in-package validator: its interprocedural summary
-// records the len comparison on its parameter.
-func checkLen(buf []byte, n int) bool {
-	return len(buf) == layoutTotal(n)
+// clean: the codec's view is the one function that may build a typed
+// view, and it refuses overrunning and misaligned spans.
+func view[T, S any](src []S, off, count int) ([]T, error) {
+	if count == 0 {
+		return nil, nil
+	}
+	var t T
+	var s S
+	if off < 0 || count < 0 || off >= len(src) ||
+		uintptr(count)*unsafe.Sizeof(t) > uintptr(len(src)-off)*unsafe.Sizeof(s) {
+		return nil, errors.New("overrun")
+	}
+	if uintptr(unsafe.Pointer(&src[off]))%unsafe.Alignof(t) != 0 {
+		return nil, errors.New("misaligned")
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&src[off])), count), nil
 }
 
-// aligned8 performs the alignment probe for callers.
-func aligned8(buf []byte) bool {
-	return uintptr(unsafe.Pointer(&buf[0]))%8 == 0
+// clean: decoding through view, and other unsafe uses (alignment probes,
+// sizes) that build no view.
+func decodeGood(buf []byte, n int) (*img, error) {
+	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 || unsafe.Sizeof(rec{}) != 8 {
+		return nil, errors.New("unaligned")
+	}
+	recs, err := view[rec](buf, 0, n)
+	if err != nil {
+		return nil, err
+	}
+	return &img{buf: buf, recs: recs}, nil
 }
 
-// alignedFloats is an unsafe-using slice factory: its results (and any
-// field they are stored into) are views.
-func alignedFloats(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	buf := make([]float64, n+7)
-	off := 0
-	for uintptr(unsafe.Pointer(&buf[off]))%64 != 0 {
-		off++
-	}
-	return buf[off : off+n : off+n]
-}
-
-// clean: guard-style bounds check, then views inside the alignment
-// branch, with the backing buffer retained alongside the views.
-func decodeGood(buf []byte, n int) *img {
-	if len(buf) != layoutTotal(n) {
-		return nil
-	}
-	f := &img{}
-	if hostOK && uintptr(unsafe.Pointer(&buf[0]))%8 == 0 {
-		f.buf = buf
-		f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n)
-	}
-	return f
-}
-
-// clean: validation through in-package helpers, seen via summaries.
-func decodeHelpers(buf []byte, n int) *img {
-	if !checkLen(buf, n) {
-		return nil
-	}
-	if !aligned8(buf) {
-		return nil
-	}
-	f := &img{}
-	f.buf = buf
-	f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n)
-	return f
-}
-
-// missing bounds check: only alignment is proven.
+// The shapes the old dominance, escape and read-only rules reported each
+// build their own view, and that alone is now the finding.
 func decodeNoBounds(buf []byte, n int) *img {
 	f := &img{}
 	if uintptr(unsafe.Pointer(&buf[0]))%8 == 0 {
 		f.buf = buf
-		f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe view of buf constructed without a dominating bounds check of len\(buf\)`
+		f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe.Slice outside the codec's view\[T\]`
 	}
 	return f
 }
 
-// missing alignment check: only bounds are proven.
 func decodeNoAlign(buf []byte, n int) *img {
 	if len(buf) != layoutTotal(n) {
 		return nil
 	}
 	f := &img{}
 	f.buf = buf
-	f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe view of buf constructed without a dominating alignment check of buf`
+	f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe.Slice outside the codec's view\[T\]`
 	return f
 }
 
-// escape asymmetry: the view is returned but buf stays local.
 func sliceEscapes(buf []byte, n int) []rec {
 	if len(buf) != layoutTotal(n) {
 		return nil
@@ -103,23 +78,10 @@ func sliceEscapes(buf []byte, n int) []rec {
 	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
 		return nil
 	}
-	r := unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe view over buf escapes sliceEscapes but buf itself does not; retain the backing buffer alongside the view`
+	r := unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe.Slice outside the codec's view\[T\]`
 	return r
 }
 
-// clean: view and backing escape together.
-func sliceEscapesWithBacking(buf []byte, n int, f *img) {
-	if len(buf) != layoutTotal(n) {
-		return
-	}
-	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
-		return
-	}
-	f.buf = buf
-	f.recs = unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n)
-}
-
-// write through a view local: the frozen image is read-only.
 func writeViewLocal(buf []byte, n int) {
 	if len(buf) != layoutTotal(n) {
 		return
@@ -127,46 +89,16 @@ func writeViewLocal(buf []byte, n int) {
 	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
 		return
 	}
-	r := unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n)
-	r[0] = rec{} // want `write through unsafe-derived view r outside a sanctioned writer`
+	r := unsafe.Slice((*rec)(unsafe.Pointer(&buf[0])), n) // want `unsafe.Slice outside the codec's view\[T\]`
+	r[0] = rec{}
 }
 
-// write through a view field, package-wide: recs held an unsafe view in
-// the decoders above, so no function may store through it.
-func writeViewField(f *img) {
-	f.recs[0].a = 1 // want `write through unsafe-derived view recs outside a sanctioned writer`
+// A method named view is not the codec's function.
+func (f *img) view(n int) []rec {
+	return unsafe.Slice((*rec)(unsafe.Pointer(&f.buf[0])), n) // want `unsafe.Slice outside the codec's view\[T\]`
 }
 
-// copy into a view is a bulk write.
-func copyIntoView(f *img, src []rec) {
-	copy(f.recs, src) // want `copy into unsafe-derived view recs outside a sanctioned writer`
-}
+// Nor is a package-level initializer, which has no enclosing function.
+var backing [4]rec
 
-// sanctioned writer: the lane derivation fills views it just built,
-// before the image is published.
-//
-//pathsep:hotpath writes=views
-func deriveLanes(f *img, n int) {
-	f.lane = alignedFloats(n)
-	for i := 0; i < n; i++ {
-		f.lane[i] = 0
-	}
-}
-
-// unsanctioned writer through the factory-derived field.
-func writeLane(f *img) {
-	f.lane[0] = 1 // want `write through unsafe-derived view lane outside a sanctioned writer`
-}
-
-// clean: the builder fills arrays it just made — composite-literal
-// make() fields and plain make() assignments are owned, not views, even
-// though the same fields hold unsafe views after a zero-copy decode.
-func build(n int) *img {
-	f := &img{off: make([]int32, n+1)}
-	f.recs = make([]rec, n)
-	for i := 0; i < n; i++ {
-		f.off[i+1] = int32(i)
-		f.recs[i] = rec{a: uint32(i)}
-	}
-	return f
-}
+var global = unsafe.Slice(&backing[0], 4) // want `unsafe.Slice outside the codec's view\[T\]`

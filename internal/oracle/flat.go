@@ -182,13 +182,9 @@ func alignedFloats(n int) []float64 {
 // equals the min of the pairwise candidates the register sweep folds one
 // by one.
 //
-// buildLane is the sanctioned writer of the lane view: it fills the
-// aligned array its caller just allocated, before the rows are
-// published. Build's and DecodeFlat's range tasks each transcribe their
-// own disjoint entries. The argumented directive does not opt it into
-// hotalloc.
-//
-//pathsep:hotpath writes=views
+// buildLane fills the aligned array its caller just allocated, before
+// the rows are published. Build's and DecodeFlat's range tasks each
+// transcribe their own disjoint entries.
 func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) error {
 	base := int(f.portalOff[e0])
 	for e := e0; e < e1; e++ {

@@ -434,11 +434,24 @@ func FuzzDecodeFlat(f *testing.F) {
 
 		fl, err := DecodeFlat(aligned)
 		flCopy, errCopy := DecodeFlat(shifted[1:])
+		// Decoding reads its views and writes nothing through them,
+		// whether or not the image decodes.
+		if !bytes.Equal(aligned, data) || !bytes.Equal(shifted[1:], data) {
+			t.Fatal("DecodeFlat wrote into its input")
+		}
 		if (err == nil) != (errCopy == nil) {
 			t.Fatalf("decode paths disagree: zero-copy err=%v, copying err=%v", err, errCopy)
 		}
 		if err != nil {
 			return
+		}
+		// A Flat keeps nothing of its input: clobbering both buffers must
+		// change neither its encoding nor its answers.
+		for i := range aligned {
+			aligned[i] = 0xFF
+		}
+		for i := range shifted {
+			shifted[i] = 0xFF
 		}
 		canon := fl.Encode()
 		if !bytes.Equal(canon, data) {
