@@ -1,10 +1,11 @@
 # Tier-1+ verification for the pathsep repo.
 #
-#   make check      vet + lint + build + race tests + determinism + fuzz smoke + obs-overhead + parallel-speedup + query-serving + path-serving + serve-bench gates + bench-module tests
+#   make check      vet + lint + build + race tests + determinism + fuzz smoke + memory budget + obs-overhead + parallel-speedup + query-serving + path-serving + serve-bench gates + bench-module tests
 #   make test       plain test run (the tier-1 gate)
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
 #   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced, the walk layout and the build rows
+#   make memory-budget  the flat image's memory budgets at pool widths 1, 2, 4 and 8
 #   make bench-obs  metrics on vs. off numbers (.bench_build/BENCH_obs.json)
 #   make bench-parallel  parallel-build speedup gate (.bench_build/BENCH_parallel.json)
 #   make bench-query     flat-vs-pointer query speedup gate (.bench_build/BENCH_query.json)
@@ -25,9 +26,9 @@ FUZZMINTIME ?= 50x
 LINT_BIN := bin/pathsep-lint
 LINT_SRC := $(wildcard cmd/pathsep-lint/*.go internal/analyzers/*.go internal/analyzers/*/*.go)
 
-.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit loc
+.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short memory-budget build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit loc
 
-check: vet lint build race determinism fuzz-short bench-overhead bench-parallel bench-query bench-path bench-serve bench-unit
+check: vet lint build race determinism fuzz-short memory-budget bench-overhead bench-parallel bench-query bench-path bench-serve bench-unit
 
 test:
 	$(GO) build ./...
@@ -93,6 +94,12 @@ fuzz-short:
 		$(GO) test -fuzz=$$fn -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./$$pkg/; \
 	done
 
+# The decode's memory budget grows with the pool width (one walk
+# derivation scratch set per worker), so it runs at every width a runner
+# may have, not only at this machine's GOMAXPROCS.
+memory-budget:
+	$(GO) test -cpu 1,2,4,8 -run '^TestFlatMemoryBudget$$' ./internal/oracle/
+
 # The disabled-path gate: must report 0 allocs/op on QueryDisabled.
 bench-overhead:
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime=1s .
@@ -115,9 +122,9 @@ bench-query:
 	BENCH_QUERY_GATE=1 $(GO) test -run TestQueryServingGate -v ./internal/oracle/
 
 # The path-reporting gate: with a warm reused caller buffer Flat.QueryPath
-# must allocate nothing and cost at most 2.5x a flat distance query
-# (best of three paired rounds — scheduler noise only inflates). The
-# measured numbers land in .bench_build/BENCH_path.json.
+# must allocate nothing and cost at most 2x a flat distance query, both
+# timed over the same 256-pair blocks, one after the other. The measured
+# numbers land in .bench_build/BENCH_path.json.
 bench-path:
 	BENCH_PATH_GATE=1 $(GO) test -run TestPathServingGate -v .
 

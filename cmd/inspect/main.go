@@ -10,9 +10,9 @@
 // -mode pins the separator strategy (auto|tree|bag|planar|greedy; unknown
 // values are rejected) and -workers bounds the construction pool. With
 // -image the input is a flat oracle image instead of a graph, and the
-// report covers the serving layout: sweep-lane pool sizes, alignment,
-// and the per-entry portal-run length distribution that drives merge
-// sweep cost.
+// report covers the serving layout: the bytes each resident array holds,
+// lane alignment, the image sections, and the per-entry portal-run
+// length distribution that drives merge sweep cost.
 package main
 
 import (
@@ -120,11 +120,12 @@ func main() {
 }
 
 // inspectImage reports the serving layout of a flat oracle image: header
-// metadata, the memory the decoded image holds for serving (its tables,
-// sweep lane and walk layout), lane alignment, every image section's
-// record count and bytes, and the per-entry portal-run length
-// distribution — short runs are one-candidate sweeps, long runs
-// are where the suffix-min fold and the batch scheduler earn their keep.
+// metadata, the memory the decoded image holds for serving, one row per
+// resident array (its tables, sweep lane and walk layout), lane
+// alignment, every image section's record count and bytes, and the
+// per-entry portal-run length distribution — short runs are
+// one-candidate sweeps, long runs are where the sweep's register fold
+// spends its steps and the batch scheduler earns its keep.
 func inspectImage(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -138,8 +139,12 @@ func inspectImage(path string) error {
 		path, fl.N(), fl.Eps(), fl.Mode())
 	fmt.Printf("  keys=%d entries=%d portals=%d encoded=%d B\n",
 		fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
-	fmt.Printf("  resident %d B (%.1f B/portal: tables, sweep lane, walk layout), lane 64B-aligned: %v\n",
-		fl.ResidentBytes(), float64(fl.ResidentBytes())/float64(max(fl.NumPortals(), 1)), fl.LaneAligned())
+	perPortal := func(bytes int) float64 { return float64(bytes) / float64(max(fl.NumPortals(), 1)) }
+	fmt.Printf("  resident %d B (%.1f B/portal), lane 64B-aligned: %v\n",
+		fl.ResidentBytes(), perPortal(fl.ResidentBytes()), fl.LaneAligned())
+	for _, a := range fl.ResidentArrays() {
+		fmt.Printf("    %-10s %11d B %5.1f B/portal\n", a.Name, a.Bytes, perPortal(a.Bytes))
+	}
 
 	fmt.Println("  sections (records, bytes):")
 	for _, s := range fl.Sections() {

@@ -101,3 +101,41 @@ func TestInspectImagePathSections(t *testing.T) {
 		t.Errorf("version-1 image: err = %v, want unsupported version", err)
 	}
 }
+
+// TestInspectImageResidentRows checks the resident report of an image:
+// one row per array Flat.ResidentArrays lists, in its order, whose bytes
+// add up to ResidentBytes and to the total the resident line reports.
+func TestInspectImageResidentRows(t *testing.T) {
+	img := buildImage(t)
+	fl, err := oracle.DecodeFlat(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runInspect(t, img)
+	var names []string
+	sum, total := 0, -1
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 5 && f[2] == "B" && f[4] == "B/portal":
+			b, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatalf("resident row %q: %v", line, err)
+			}
+			names = append(names, f[0])
+			sum += b
+		case len(f) > 2 && f[0] == "resident" && f[2] == "B":
+			if total, err = strconv.Atoi(f[1]); err != nil {
+				t.Fatalf("resident line %q: %v", line, err)
+			}
+		}
+	}
+	var want []string
+	for _, a := range fl.ResidentArrays() {
+		want = append(want, a.Name)
+	}
+	if !slices.Equal(names, want) || sum != fl.ResidentBytes() || total != sum {
+		t.Errorf("inspect reports resident rows %v adding up to %d B under a %d B total; want rows %v adding up to ResidentBytes %d:\n%s",
+			names, sum, total, want, fl.ResidentBytes(), out)
+	}
+}

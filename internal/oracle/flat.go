@@ -32,10 +32,10 @@ import (
 // return bit-identical results to the label-walking reference the tests
 // keep (queryLabels over the same labels): the merge-join visits shared
 // keys in the same order (galloping only skips keys that cannot match),
-// and the portal sweep evaluates exactly the candidate values pairMin
-// evaluates — every per-portal term fl(Dist+Pos) or fl(Dist−Pos) is
-// rounded once from the lane's raw Pos and Dist, as pairMin rounds it,
-// so every float64 comparison sees the same bits.
+// and the portal sweep is pairMin's fold over the same records — the
+// same candidates, each computed by the same expression from the same
+// Pos and Dist, folded in the same order — so every float64 comparison
+// sees the same bits.
 type Flat struct {
 	n    int
 	eps  float64
@@ -43,28 +43,20 @@ type Flat struct {
 
 	tables
 
-	// The sweep lane: entry e's portal run [portalOff[e], portalOff[e+1))
-	// of k records occupies lane[3*portalOff[e]:] as k three-float
-	// records (pos, Dist, smin), where record x's smin is the min of
-	// fl(Dist+Pos) over the run's suffix [x, k). The suffix-min collapses
-	// the classic sweep's per-element fold: when the merge consumes
-	// element x of one side, every legal partner is exactly the other
-	// side's unconsumed suffix, so the single candidate
-	// fl(fl(Dist_x−pos_x) + smin_other) covers all of them at once — min
-	// is exact and rounding is monotone, so that equals the min of the
-	// pairwise fl(sum+diff) candidates bit for bit. One fold per step,
-	// no running min registers, and no tail pass: once either side is
-	// exhausted the remainder has no partners left and is never touched.
-	// The difference, and argminPair's sum, are computed where they are
-	// used, with the single rounding pairMin applies. The lane is the
-	// only resident copy of the portal pool (Encode writes the image's
-	// distances from it) and is 64-byte aligned. Every record's pos is
-	// its chain anchor's path position: a hop links records at one
-	// position, and a chain ends at a path vertex's own record, so the
-	// image stores no positions and DecodeFlat reads them off the walk
-	// layout. schedU/schedV are the key shifts the batch locality
-	// scheduler derives from the entry-table size.
-	lane           []float64
+	// The sweep lane: entry e's portal run is lane[portalOff[e]:
+	// portalOff[e+1]], one 16-byte record per portal, the label's own
+	// Portal, sorted by position. sweepRec folds two runs exactly as
+	// pairMin folds two labels' portal lists, computing each record's
+	// fl(Dist+Pos) and fl(Dist−Pos) where it uses them, so the lane holds
+	// nothing a label does not. The lane is the only resident copy of the
+	// portal pool (Encode writes the image's distances from it) and is
+	// 64-byte aligned. Every record's Pos is its chain anchor's path
+	// position: a hop links records at one position, and a chain ends at a
+	// path vertex's own record, so the image stores no positions and
+	// DecodeFlat reads them off the walk layout. schedU/schedV are the key
+	// shifts the batch locality scheduler derives from the entry-table
+	// size.
+	lane           []Portal
 	schedU, schedV uint8
 	// Derived walk layout (deriveWalk), the Flat's only copy of the hop
 	// forest: the forest re-laid-out in heavy-chain order, each chain one
@@ -150,37 +142,35 @@ func (o *Oracle) Freeze() (*Flat, error) {
 	return f, nil
 }
 
-// alignedFloats allocates n float64s whose first element sits on a
+// alignedPortals allocates n lane records whose first one sits on a
 // 64-byte boundary, so every lane run begins at a predictable cache-line
-// offset. Go only guarantees 8-byte alignment for float64 backing
-// arrays; the slack makes the stronger guarantee unconditional.
-func alignedFloats(n int) []float64 {
+// offset. Go only guarantees a Portal array 8-byte alignment, and from a
+// base 8 bytes past a 16-byte boundary whole records never reach a line;
+// the array is therefore allocated as float64 words, whose 8-byte steps
+// reach one within seven, and viewed as records from there.
+func alignedPortals(n int) []Portal {
 	if n == 0 {
 		return nil
 	}
-	buf := make([]float64, n+7)
+	buf := make([]float64, 2*n+7)
 	off := 0
 	for uintptr(unsafe.Pointer(&buf[off]))%64 != 0 {
 		off++
 	}
-	return buf[off : off+n : off+n]
+	lane, _ := view[Portal](buf, off, n) // aligned, and 2n words follow off
+	return lane
 }
 
 // buildLane transcribes the portal runs of entries [e0, e1) into the
-// sweep lane (see the lane layout doc on Flat); pos and dist hold those
-// runs' positions and distances back to back, from pool index
-// portalOff[e0]. A decoded image has no positions: with a nil pos, each
-// record's is the path_pos entry of its chain's anchor, which the walk
-// derivation left in anchors. It checks each record on the way: Pos and
-// Dist must be NaN-free — a NaN would poison every min-fold the sweep
-// computes — and positions must be non-decreasing within each entry,
-// the order the merged sweep and its suffix-min rely on. +Inf stays
-// legal in Dist: it is the unreachable sentinel some constructions
-// store. Record x's smin is the min of fl(Dist+Pos) over the run's
-// suffix [x, k), rounded exactly as pairMin rounds the sum; min is exact
-// (no rounding), so the query-time fold fl(fl(Dist−Pos) + smin_other)
-// equals the min of the pairwise candidates the register sweep folds one
-// by one.
+// sweep lane (see the lane doc on Flat); pos and dist hold those runs'
+// positions and distances back to back, from pool index portalOff[e0].
+// A decoded image has no positions: with a nil pos, each record's is the
+// path_pos entry of its chain's anchor, which the walk derivation left
+// in anchors. It checks each record on the way: Pos and Dist must be
+// NaN-free — a NaN would poison every min-fold the sweep computes — and
+// positions must be non-decreasing within each entry, the merge order
+// the sweep relies on. +Inf stays legal in Dist: it is the unreachable
+// sentinel some constructions store.
 //
 // buildLane fills the aligned array its caller just allocated, before
 // the rows are published. Build's and DecodeFlat's range tasks each
@@ -196,8 +186,8 @@ func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) er
 			k := f.entryKey[e]
 			geo, idx = f.pathPos[f.pathOff[k]:f.pathOff[k+1]], anchors.idx[anchors.first[e]:]
 		}
-		sm, next := math.Inf(1), math.Inf(1)
-		for x := hi - 1; x >= lo; x-- {
+		prev := math.Inf(-1)
+		for x := lo; x < hi; x++ {
 			var p float64
 			if pos != nil {
 				p = pos[x-base]
@@ -208,16 +198,11 @@ func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) er
 			if math.IsNaN(p) || math.IsNaN(d) {
 				return fmt.Errorf("portal record %d contains NaN", x)
 			}
-			if p > next {
+			if p < prev {
 				return fmt.Errorf("portal positions of entry %d decrease at record %d", e, x)
 			}
-			if s := d + p; s < sm {
-				sm = s
-			}
-			f.lane[3*x] = p
-			f.lane[3*x+1] = d
-			f.lane[3*x+2] = sm
-			next = p
+			f.lane[x] = Portal{Pos: p, Dist: d}
+			prev = p
 		}
 	}
 	return nil
@@ -259,24 +244,49 @@ func (f *Flat) NumKeys() int { return len(f.keys) }
 func (f *Flat) NumEntries() int { return len(f.entryKey) }
 
 // NumPortals returns the size of the contiguous portal pool.
-func (f *Flat) NumPortals() int { return len(f.lane) / 3 }
+func (f *Flat) NumPortals() int { return len(f.lane) }
 
 // labelPortals returns vertex v's label size in portals.
 func (f *Flat) labelPortals(v int) int {
 	return int(f.portalOff[f.entryOff[v+1]] - f.portalOff[f.entryOff[v]])
 }
 
-// ResidentBytes returns the memory the Flat holds for serving: the
-// capacity of every slice it references (tables, sweep lane, walk
-// layout), in bytes. A frozen Flat shares its keys, rows, lane and path
-// geometry with its Oracle, so while the Oracle is alive this counts
-// memory the two hold together.
-func (f *Flat) ResidentBytes() int {
+// ArraySize is one array a Flat holds for serving: its name and the
+// bytes of its backing array up to its capacity.
+type ArraySize struct {
+	Name  string
+	Bytes int
+}
+
+// ResidentArrays lists every array the Flat holds for serving: the CSR
+// tables, the path geometry, the sweep lane and the walk layout's blocks
+// and slots. A frozen Flat shares its keys, rows, lane and path geometry
+// with its Oracle, so while the Oracle is alive these count memory the
+// two hold together.
+func (f *Flat) ResidentArrays() []ArraySize {
 	t := &f.tables
-	return sliceBytes(t.keys) + sliceBytes(t.entryOff) + sliceBytes(t.entryKey) +
-		sliceBytes(t.portalOff) + sliceBytes(t.pathOff) +
-		sliceBytes(t.pathVert) + sliceBytes(t.pathPos) +
-		sliceBytes(f.lane) + sliceBytes(f.walkBlk) + sliceBytes(f.walkSlot)
+	return []ArraySize{
+		{"keys", sliceBytes(t.keys)},
+		{"entry_off", sliceBytes(t.entryOff)},
+		{"entry_key", sliceBytes(t.entryKey)},
+		{"portal_off", sliceBytes(t.portalOff)},
+		{"path_off", sliceBytes(t.pathOff)},
+		{"path_vert", sliceBytes(t.pathVert)},
+		{"path_pos", sliceBytes(t.pathPos)},
+		{"lane", sliceBytes(f.lane)},
+		{"walk_blk", sliceBytes(f.walkBlk)},
+		{"walk_slot", sliceBytes(f.walkSlot)},
+	}
+}
+
+// ResidentBytes returns the memory the Flat holds for serving: the sum
+// of ResidentArrays.
+func (f *Flat) ResidentBytes() int {
+	n := 0
+	for _, a := range f.ResidentArrays() {
+		n += a.Bytes
+	}
+	return n
 }
 
 // sliceBytes is the size of s's backing array up to its capacity.
@@ -395,45 +405,65 @@ func gallopTo(keys []int32, lo, hi int, target int32) int {
 	return top
 }
 
-// sweepRec folds one matched key's merged sweep over two record runs
-// (kA/kB are the runs' lengths in lane slots, 3 per portal; see the
-// lane layout doc on Flat) and returns best folded with the run pair's
-// candidates. Consuming element x of one side folds the single
-// candidate fl(fl(Dist_x−pos_x) + smin_other), which covers every legal
-// pairing of x at once — the other side's unconsumed suffix is exactly
-// x's partner set — so each step is one subtract-add-compare on values
-// the step already loads (pos_x feeds the merge comparison too), there
-// are no running min registers, and when either side runs out the remainder
-// has no partners and the sweep simply stops: no tail pass. The advance
-// is a predicted branch on purpose: a branchless select would chain the
-// next load address through the compare and serialize the memory level
-// parallelism the speculative fetch down the predicted path provides.
-// A separate function keeps the loop's live values inside one register
-// file instead of spilling the caller's merge state around it.
+// sweepRec folds one matched key's merged sweep over two portal runs
+// into best and returns it. It is pairMin's register fold over the lane:
+// the runs are consumed in merge order, A first on ties; each consumed
+// record folds fl(fl(Dist+Pos) + min_other), where min_other is the
+// other side's running minimum of fl(Dist−Pos) over the records before
+// it in merge order (its partners), then folds its own fl(Dist−Pos) into
+// its side's minimum. Once either run is spent, the records left on the
+// other side pair with the spent side's final minimum, and one loop over
+// them finishes the sweep. The candidates, their expressions and their
+// order are pairMin's, so the result carries its bits. Each side's
+// current record stays in registers, so a step loads only the next
+// record of the side it consumed. The advance is a predicted branch on
+// purpose: a branchless select would chain the next load address
+// through the compare and serialize the memory level parallelism the
+// speculative fetch down the predicted path provides. A separate
+// function keeps the loop's live values inside one register file
+// instead of spilling the caller's merge state around it; it stays apart
+// from pairMin, the reference the differential tests hold it to.
 //
 //pathsep:hotpath
-func sweepRec(recA, recB []float64, kA, kB int, best float64) float64 {
-	if kA == 0 || kB == 0 {
+func sweepRec(a, b []Portal, best float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
 		return best
 	}
-	_ = recA[kA-1]
-	_ = recB[kB-1]
-	xa, yb := 0, 0
+	minA, minB := math.Inf(1), math.Inf(1)
+	i, j := 0, 0
+	pa, pb := a[0], b[0]
+	var rest []Portal
+	var m float64
 	for {
-		if recA[xa] <= recB[yb] {
-			if est := recA[xa+1] - recA[xa] + recB[yb+2]; est < best {
+		if pa.Pos <= pb.Pos {
+			if est := pa.Dist + pa.Pos + minB; est < best {
 				best = est
 			}
-			if xa += 3; xa >= kA {
+			if d := pa.Dist - pa.Pos; d < minA {
+				minA = d
+			}
+			if i++; i == len(a) {
+				rest, m = b[j:], minA
 				break
 			}
+			pa = a[i]
 		} else {
-			if est := recB[yb+1] - recB[yb] + recA[xa+2]; est < best {
+			if est := pb.Dist + pb.Pos + minA; est < best {
 				best = est
 			}
-			if yb += 3; yb >= kB {
+			if d := pb.Dist - pb.Pos; d < minB {
+				minB = d
+			}
+			if j++; j == len(b) {
+				rest, m = a[i:], minB
 				break
 			}
+			pb = b[j]
+		}
+	}
+	for _, p := range rest {
+		if est := p.Dist + p.Pos + m; est < best {
+			best = est
 		}
 	}
 	return best
@@ -449,8 +479,8 @@ const matchBuf = 16
 
 // query is the flat merge-join: two CSR entry ranges advance on int32 key
 // IDs (galloping over the longer one when the lists are ≥8× skewed);
-// matched entries run pairMin's merged sweep (sweepRec) over the blocked
-// record lanes, collected first through the matchBuf window (see above).
+// matched entries run pairMin's merged sweep (sweepRec) over their lane
+// runs, collected first through the matchBuf window (see above).
 // The candidate values are exactly queryLabels'/pairMin's — min over an
 // identical multiset — which the differential tests pin down bit for bit.
 //
@@ -477,11 +507,11 @@ func (f *Flat) query(u, v int) (float64, int) {
 			nm++
 			// Touch both runs' first lane lines now; the loads carry no
 			// dependency, so the misses overlap with the rest of the merge.
-			if x := 3 * int(po[i]); x < len(ln) {
-				touch += ln[x]
+			if x := int(po[i]); x < len(ln) {
+				touch += ln[x].Pos
 			}
-			if x := 3 * int(po[j]); x < len(ln) {
-				touch += ln[x]
+			if x := int(po[j]); x < len(ln) {
+				touch += ln[x].Pos
 			}
 			i++
 			j++
@@ -513,11 +543,9 @@ func (f *Flat) sweepMatches(mA, mB []int32, best float64, portals int) (float64,
 	po, ln := f.portalOff, f.lane
 	for t := 0; t < len(mA) && t < len(mB); t++ {
 		i, j := int(mA[t]), int(mB[t])
-		ia0, ka := int(po[i]), int(po[i+1]-po[i])
-		ib0, kb := int(po[j]), int(po[j+1]-po[j])
-		portals += ka + kb
-		kA, kB := 3*ka, 3*kb
-		best = sweepRec(ln[3*ia0:3*ia0+kA], ln[3*ib0:3*ib0+kB], kA, kB, best)
+		a, b := ln[po[i]:po[i+1]], ln[po[j]:po[j+1]]
+		portals += len(a) + len(b)
+		best = sweepRec(a, b, best)
 	}
 	return best, portals
 }

@@ -287,10 +287,9 @@ func (f *Flat) Encode() []byte {
 func (f *Flat) putDists(dst []byte) {
 	le := binary.LittleEndian
 	eachRange(f.NumPortals(), func(lo, hi int) {
-		rows, ln := dst[8*lo:8*hi], f.lane[3*lo:3*hi]
-		for len(rows) >= 8 && len(ln) >= 3 {
-			le.PutUint64(rows, math.Float64bits(ln[1]))
-			rows, ln = rows[8:], ln[3:]
+		rows := dst[8*lo : 8*hi]
+		for x, p := range f.lane[lo:hi] {
+			le.PutUint64(rows[8*x:], math.Float64bits(p.Dist))
 		}
 	})
 }
@@ -417,7 +416,7 @@ func DecodeFlat(buf []byte) (*Flat, error) {
 	if err := w.validate(c[countN]); err != nil {
 		return nil, err
 	}
-	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone(), lane: alignedFloats(3 * len(w.dists))}
+	f := &Flat{n: c[countN], eps: eps, mode: mode, tables: w.tables.clone(), lane: alignedPortals(len(w.dists))}
 	anchors, err := f.derive(w.hops, 0)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -114,13 +115,8 @@ func TestDecodeRestoresPositions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		if len(dec.lane) != len(fl.lane) {
-			t.Fatalf("%s: decoded lane has %d words, frozen %d", name, len(dec.lane), len(fl.lane))
-		}
-		for i := range fl.lane {
-			if math.Float64bits(dec.lane[i]) != math.Float64bits(fl.lane[i]) {
-				t.Fatalf("%s: decoded lane[%d] (record %d, word %d) = %v, frozen %v", name, i, i/3, i%3, dec.lane[i], fl.lane[i])
-			}
+		if d := laneDiff(dec.lane, fl.lane); d != "" {
+			t.Fatalf("%s: decoded lane against frozen: %s", name, d)
 		}
 		if d := walkDiff(dec, fl.walkBlk, fl.walkSlot); d != "" {
 			t.Fatalf("%s: decoded %s", name, d)
@@ -176,12 +172,16 @@ func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 // an 8 B distance and a 4 B hop link per portal plus the small CSR
 // tables and path geometry, so EncodedSize must stay within 14
 // B/portal; storing the positions too (8 B/portal) breaks it. A decoded
-// Flat keeps a 24 B lane record, a 4 B walk slot and ~10 B of walk
+// Flat keeps a 16 B lane record, a 4 B walk slot and ~10 B of walk
 // blocks (4 B of owner vertex per record, 16 B of trailer per chain) per
-// portal plus the small CSR tables, so ResidentBytes must stay within 40
-// B/portal; the decode allocates that plus the walk derivation's
-// scratch, within 64 B/portal. Keeping a copy of the hop links (4
-// B/portal) or per-record walk entries breaks the first budget,
+// portal plus the small CSR tables, so ResidentBytes must stay within 32
+// B/portal. The decode allocates that, the walk derivation's per-record
+// parent links, and one derivation scratch set per pool worker — seven
+// int32 arrays sized to the largest key and one int32 per vertex
+// (newWalkScratch), ~7 B/portal each on this fixture — so it must stay
+// within 40 B/portal plus GOMAXPROCS scratch sets; make check runs the
+// test at pool widths 1, 2, 4 and 8. A lane record with a third word or
+// a kept copy of the hop links (4 B/portal) breaks the first budget,
 // retaining the image buffer (13 B/portal here) breaks both, and a 16
 // B/record derivation scratch or an 8 B/record position array breaks
 // the second. Encode allocates its output plus the walk layout's
@@ -196,6 +196,12 @@ func TestFlatMemoryBudget(t *testing.T) {
 	if image := float64(fl.EncodedSize()) / float64(p); image > 14 {
 		t.Errorf("EncodedSize = %.1f B/portal, budget 14", image)
 	}
+	keyRecs := make([]int, fl.NumKeys())
+	for e, k := range fl.entryKey {
+		keyRecs[k] += int(fl.portalOff[e+1] - fl.portalOff[e])
+	}
+	scratch := 4 * (7*slices.Max(keyRecs) + 1 + fl.N())
+	decodeBudget := 40 + float64(runtime.GOMAXPROCS(0)*scratch)/float64(p)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	enc := fl.Encode()
@@ -209,15 +215,51 @@ func TestFlatMemoryBudget(t *testing.T) {
 	}
 	resident := float64(dec.ResidentBytes()) / float64(p)
 	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(p)
-	t.Logf("image %.1f B/portal, resident %.1f B/portal, decode allocates %.1f B/portal, encode %.1f B/portal beyond its output", float64(fl.EncodedSize())/float64(p), resident, alloc, encAlloc)
-	if resident > 40 {
-		t.Errorf("ResidentBytes = %.1f B/portal, budget 40", resident)
+	t.Logf("image %.1f B/portal, resident %.1f B/portal, decode allocates %.1f B/portal (budget %.1f at GOMAXPROCS %d), encode %.1f B/portal beyond its output",
+		float64(fl.EncodedSize())/float64(p), resident, alloc, decodeBudget, runtime.GOMAXPROCS(0), encAlloc)
+	if resident > 32 {
+		t.Errorf("ResidentBytes = %.1f B/portal, budget 32", resident)
 	}
-	if alloc > 64 {
-		t.Errorf("DecodeFlat allocates %.1f B/portal, budget 64", alloc)
+	if alloc > decodeBudget {
+		t.Errorf("DecodeFlat allocates %.1f B/portal, budget %.1f (40 + %d × %.1f of walk scratch)", alloc, decodeBudget, runtime.GOMAXPROCS(0), float64(scratch)/float64(p))
 	}
 	if encAlloc > 10 {
 		t.Errorf("Encode allocates %.1f B/portal beyond its %d-byte output, budget 10", encAlloc, fl.EncodedSize())
+	}
+}
+
+// TestResidentArraysCoverFlat checks that ResidentArrays lists every
+// array a frozen or decoded Flat holds: the bytes of every slice field
+// of the Flat and its tables, up to capacity, must add up to its rows,
+// and the rows to ResidentBytes. A slice field added without a row
+// fails it.
+func TestResidentArraysCoverFlat(t *testing.T) {
+	fl := gridFlat(t, 8, CoverPortal)
+	dec, err := DecodeFlat(fl.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*Flat{"frozen": fl, "decoded": dec} {
+		held := 0
+		var fields func(v reflect.Value)
+		fields = func(v reflect.Value) {
+			for i := 0; i < v.NumField(); i++ {
+				switch fv := v.Field(i); fv.Kind() {
+				case reflect.Slice:
+					held += fv.Cap() * int(fv.Type().Elem().Size())
+				case reflect.Struct:
+					fields(fv)
+				}
+			}
+		}
+		fields(reflect.ValueOf(f).Elem())
+		rows := 0
+		for _, a := range f.ResidentArrays() {
+			rows += a.Bytes
+		}
+		if held != rows || rows != f.ResidentBytes() {
+			t.Errorf("%s: slice fields hold %d B, ResidentArrays rows add up to %d, ResidentBytes %d", name, held, rows, f.ResidentBytes())
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // White-box differential coverage for the blocked sweep-lane layout.
 //
-// The flat image stores no AoS portal records: Build writes per-entry
-// lanes (pos, Dist, suffix-min) and the merge sweep folds over those.
-// These tests pin the layout to its AoS source of truth — the reference
+// Build writes each entry's portal run into the sweep lane, one
+// (Pos, Dist) record per portal, and the merge sweep folds over those.
+// These tests pin the layout to its source of truth — the reference
 // labels' []Portal runs, replayed from the same build records — field by
 // field and fold by fold, across four graph families and both modes:
 //
 //   - every lane record must be a bit-exact transcription of its Portal
-//     (pos, Dist, and the suffix-min of Dist+Pos);
+//     (Pos and Dist);
 //   - the lane fold (sweepRec) must reproduce the classic AoS
 //     two-pointer fold (pairMin) bit-for-bit on every matched key;
 //   - Query/QueryPath must agree with the reference label walk;
@@ -99,8 +99,8 @@ var laneModes = []struct {
 	name string
 }{{CoverExact, "exact"}, {CoverPortal, "portal"}}
 
-// TestSweepLayoutDifferential pins the lanes to the reference labels' AoS
-// portal records, the lane fold to the classic AoS fold, and Query and
+// TestSweepLayoutDifferential pins the lanes to the reference labels'
+// portal records, the lane fold to the classic label fold, and Query and
 // QueryPath to the reference label walk, bit for bit.
 func TestSweepLayoutDifferential(t *testing.T) {
 	for fam, fx := range laneFamilies(t) {
@@ -109,8 +109,7 @@ func TestSweepLayoutDifferential(t *testing.T) {
 			n := fx.g.N()
 
 			// Field-level: each entry's lane run transcribes its Portal
-			// run's Pos and Dist bits, and the suffix-min lane is the
-			// backward fold of fl(Dist+Pos) under strict <.
+			// run's Pos and Dist bits.
 			ei := 0
 			for u := 0; u < n; u++ {
 				for _, e := range ref.labels[u].Entries {
@@ -123,18 +122,12 @@ func TestSweepLayoutDifferential(t *testing.T) {
 						t.Fatalf("%s/%s: entry %d run %d portals, labels have %d",
 							fam, m.name, ei, hi-lo, len(e.Portals))
 					}
-					sm := math.Inf(1)
-					for x := len(e.Portals) - 1; x >= 0; x-- {
-						p := e.Portals[x]
-						if s := p.Dist + p.Pos; s < sm {
-							sm = s
-						}
-						rec := f.lane[3*(lo+x) : 3*(lo+x)+3]
-						if rec[0] != p.Pos ||
-							math.Float64bits(rec[1]) != math.Float64bits(p.Dist) ||
-							math.Float64bits(rec[2]) != math.Float64bits(sm) {
-							t.Fatalf("%s/%s: entry %d record %d = (%v,%v,%v), portal (%v,%v) suffix-min %v",
-								fam, m.name, ei, x, rec[0], rec[1], rec[2], p.Pos, p.Dist, sm)
+					for x, p := range e.Portals {
+						rec := f.lane[lo+x]
+						if rec.Pos != p.Pos ||
+							math.Float64bits(rec.Dist) != math.Float64bits(p.Dist) {
+							t.Fatalf("%s/%s: entry %d record %d = (%v,%v), portal (%v,%v)",
+								fam, m.name, ei, x, rec.Pos, rec.Dist, p.Pos, p.Dist)
 						}
 					}
 					ei++
@@ -142,7 +135,7 @@ func TestSweepLayoutDifferential(t *testing.T) {
 			}
 
 			// Fold-level: for every matched entry pair of every vertex
-			// pair, the lane fold equals the AoS two-pointer fold.
+			// pair, the lane fold equals the label two-pointer fold.
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v++ {
 					lu, lv := &ref.labels[u], &ref.labels[v]
@@ -154,11 +147,9 @@ func TestSweepLayoutDifferential(t *testing.T) {
 							want := pairMin(a.Portals, b.Portals)
 							ea := int(f.entryOff[u]) + i
 							eb := int(f.entryOff[v]) + j
-							ia0, kA := int(f.portalOff[ea]), 3*int(f.portalOff[ea+1]-f.portalOff[ea])
-							ib0, kB := int(f.portalOff[eb]), 3*int(f.portalOff[eb+1]-f.portalOff[eb])
-							got := sweepRec(f.lane[3*ia0:3*ia0+kA], f.lane[3*ib0:3*ib0+kB], kA, kB, math.Inf(1))
+							got := sweepRec(f.lane[f.portalOff[ea]:f.portalOff[ea+1]], f.lane[f.portalOff[eb]:f.portalOff[eb+1]], math.Inf(1))
 							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%s/%s: key fold (%d,%d) entry %d/%d: lane %v, AoS %v",
+								t.Fatalf("%s/%s: key fold (%d,%d) entry %d/%d: lane %v, labels %v",
 									fam, m.name, u, v, i, j, got, want)
 							}
 							i++

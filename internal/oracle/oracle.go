@@ -650,7 +650,7 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 			eps:    opt.Epsilon,
 			mode:   opt.Mode,
 			tables: c.geo,
-			lane:   alignedFloats(3 * numPortals),
+			lane:   alignedPortals(numPortals),
 		},
 		hopVert: make([]int32, numPortals),
 	}
@@ -790,15 +790,11 @@ func (o *Oracle) Label(v int) *Label {
 	for i := range l.Entries {
 		e := lo + i
 		plo, phi := int(r.portalOff[e]), int(r.portalOff[e+1])
-		ent := Entry{
+		l.Entries[i] = Entry{
 			Key:     r.keys[r.entryKey[e]],
-			Portals: make([]Portal, phi-plo),
+			Portals: slices.Clone(r.lane[plo:phi]),
 			Hops:    slices.Clone(o.hopVert[plo:phi]),
 		}
-		for x := range ent.Portals {
-			ent.Portals[x] = Portal{Pos: r.lane[3*(plo+x)], Dist: r.lane[3*(plo+x)+1]}
-		}
-		l.Entries[i] = ent
 	}
 	return l
 }

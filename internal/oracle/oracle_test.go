@@ -208,30 +208,93 @@ func TestPairMin(t *testing.T) {
 	}
 }
 
+// TestPairMinMatchesBruteForce checks pairMin, and sweepRec over a lane
+// buildLane wrote, against a brute-force minimum over every portal pair.
+// Each candidate is rounded as pairMin rounds it —
+// fl(fl(Dist_later+Pos_later) + fl(Dist_earlier−Pos_earlier)), where the
+// earlier record comes first in merge order, A first on ties — so both
+// folds must match it bit for bit; the unrounded distance
+// Dist + |Pos−Pos'| + Dist' must match within 1e-9. The random runs draw
+// strictly increasing positions, then positions from a small grid, so
+// the two runs tie and a run repeats a position (a zero-weight path
+// edge), with +Inf distances and singleton runs among them; the fixed
+// cases put each run's minimum where only a tail pass past the other
+// run's end finds it.
 func TestPairMinMatchesBruteForce(t *testing.T) {
+	type pairCase struct{ a, b []Portal }
+	inf := math.Inf(1)
+	cases := []pairCase{
+		{[]Portal{{0, 9}}, []Portal{{1, 9}, {2, 9}, {3, 0.5}}},
+		{[]Portal{{1, 9}, {2, 9}, {3, 0.5}}, []Portal{{0, 9}}},
+		{[]Portal{{0, 9}, {0, 4}}, []Portal{{0, 3}}},
+		{[]Portal{{2, inf}}, []Portal{{2, 1}, {2, inf}}},
+		{[]Portal{{1, inf}}, []Portal{{1, inf}}},
+	}
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
-		na, nb := 1+rng.Intn(6), 1+rng.Intn(6)
-		mk := func(n int) []Portal {
-			ps := make([]Portal, n)
-			pos := 0.0
-			for i := range ps {
+	mk := func(n int, grid bool) []Portal {
+		ps := make([]Portal, n)
+		pos := 0.0
+		for i := range ps {
+			if grid {
+				pos += 0.1 * float64(rng.Intn(3))
+			} else {
 				pos += rng.Float64() * 3
-				ps[i] = Portal{Pos: pos, Dist: rng.Float64() * 10}
 			}
-			return ps
+			ps[i] = Portal{Pos: pos, Dist: rng.Float64() * 10}
+			if grid && rng.Intn(5) == 0 {
+				ps[i].Dist = inf
+			}
 		}
-		a, b := mk(na), mk(nb)
-		want := math.Inf(1)
+		return ps
+	}
+	for trial := 0; trial < 600; trial++ {
+		grid := trial >= 200
+		na, nb := 1+rng.Intn(6), 1+rng.Intn(6)
+		if trial%7 == 0 {
+			na = 1
+		}
+		cases = append(cases, pairCase{mk(na, grid), mk(nb, grid)})
+	}
+	for c, pc := range cases {
+		a, b := pc.a, pc.b
+		want, exact := inf, inf
 		for _, p := range a {
 			for _, q := range b {
-				if est := p.Dist + math.Abs(p.Pos-q.Pos) + q.Dist; est < want {
+				est := q.Dist + q.Pos + (p.Dist - p.Pos)
+				if p.Pos > q.Pos {
+					est = p.Dist + p.Pos + (q.Dist - q.Pos)
+				}
+				if est < want {
 					want = est
+				}
+				if d := p.Dist + math.Abs(p.Pos-q.Pos) + q.Dist; d < exact {
+					exact = d
 				}
 			}
 		}
-		if got := pairMin(a, b); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: pairMin = %v, brute force %v", trial, got, want)
+		if math.Abs(want-exact) > 1e-9 {
+			t.Fatalf("case %d: rounded minimum %v, exact %v", c, want, exact)
+		}
+		f := &Flat{tables: tables{portalOff: []int32{0, int32(len(a)), int32(len(a) + len(b))}}, lane: alignedPortals(len(a) + len(b))}
+		var pos, dist []float64
+		for _, run := range [][]Portal{a, b} {
+			for _, p := range run {
+				pos, dist = append(pos, p.Pos), append(dist, p.Dist)
+			}
+		}
+		if err := f.buildLane(0, 2, pos, dist, anchorRuns{}); err != nil {
+			t.Fatalf("case %d: buildLane: %v", c, err)
+		}
+		for _, got := range []struct {
+			name string
+			v    float64
+		}{
+			{"pairMin", pairMin(a, b)},
+			{"sweepRec", sweepRec(f.lane[:len(a)], f.lane[len(a):], inf)},
+		} {
+			if math.Float64bits(got.v) != math.Float64bits(want) {
+				t.Fatalf("case %d: %s = %v, brute force %v\na = %v\nb = %v", c, got.name, got.v, want, a, b)
+			}
 		}
 	}
 }

@@ -28,7 +28,7 @@ var (
 
 // queryArg is query plus the argmin: the key ID and the two portal-pool
 // indices whose combination achieved the minimum. The hot sweep is
-// query's, verbatim — same blocked lanes, same galloping key merge —
+// query's, verbatim — same lane runs, same galloping key merge —
 // with one change: each matched key folds into a key-local minimum
 // first, and only the winning entry pair is remembered — per-portal
 // argmin bookkeeping would cost ~30% in register pressure, so it runs
@@ -56,11 +56,11 @@ func (f *Flat) queryArg(u, v int) (float64, int32, int32, int32) {
 			}
 			mA[nm], mB[nm] = int32(i), int32(j)
 			nm++
-			if x := 3 * int(po[i]); x < len(ln) {
-				touch += ln[x]
+			if x := int(po[i]); x < len(ln) {
+				touch += ln[x].Pos
 			}
-			if x := 3 * int(po[j]); x < len(ln) {
-				touch += ln[x]
+			if x := int(po[j]); x < len(ln) {
+				touch += ln[x].Pos
 			}
 			i++
 			j++
@@ -100,10 +100,7 @@ func (f *Flat) sweepMatchesArg(mA, mB []int32, best float64, winI, winJ int) (fl
 	po, ln := f.portalOff, f.lane
 	for t := 0; t < len(mA) && t < len(mB); t++ {
 		mi, mj := int(mA[t]), int(mB[t])
-		ia0, ka := int(po[mi]), int(po[mi+1]-po[mi])
-		ib0, kb := int(po[mj]), int(po[mj+1]-po[mj])
-		kA, kB := 3*ka, 3*kb
-		kbest := sweepRec(ln[3*ia0:3*ia0+kA], ln[3*ib0:3*ib0+kB], kA, kB, math.Inf(1))
+		kbest := sweepRec(ln[po[mi]:po[mi+1]], ln[po[mj]:po[mj+1]], math.Inf(1))
 		if kbest < best {
 			best = kbest
 			winI, winJ = mi, mj
@@ -117,14 +114,13 @@ func (f *Flat) sweepMatchesArg(mA, mB []int32, best float64, winI, winJ int) (fl
 // sweep's merge order achieving target — the same candidate the strict-<
 // updates of the label reference's pairMinArg pick. It replays that
 // merge over the winning pair's lane records, rounding fl(Dist+Pos) and
-// fl(Dist−Pos) from each record's raw Pos and Dist exactly as pairMin
-// does,
-// checking each candidate against target's bits and returning at the
-// first hit: target IS this pair's minimum, so the first candidate equal
-// to it is exactly the strict-< fold's argmin. Float add is commutative,
-// so fl(sum + diff) here carries the same bits as the suffix-min fold's
-// fl(diff + sum) — the two sweeps agree on every candidate's value, only
-// the fold grouping differs.
+// fl(Dist−Pos) from each record's Pos and Dist exactly as pairMin and
+// sweepRec do, and tracking where each side's running minimum of
+// fl(Dist−Pos) was set; it checks each candidate against target's bits
+// and returns at the first hit: target IS this pair's minimum, so the
+// first candidate equal to it is exactly the strict-< fold's argmin. It
+// evaluates sweepRec's candidates in sweepRec's order, so the two agree
+// on every candidate's bits.
 func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 	po, ln := f.portalOff, f.lane
 	tbits := math.Float64bits(target)
@@ -156,28 +152,27 @@ func (f *Flat) argminPair(e1, e2 int32, target float64) (int32, int32) {
 		// that candidate.
 		return int32(ia0), int32(ib0)
 	}
-	recA := ln[3*ia0 : 3*ia0+3*ka]
-	recB := ln[3*ib0 : 3*ib0+3*kb]
+	recA, recB := ln[ia0:ia0+ka], ln[ib0:ib0+kb]
 	minA, minB := math.Inf(1), math.Inf(1)
 	minAi, minBi := -1, -1
 	a, b := 0, 0
 	for a < ka || b < kb {
-		if b >= kb || (a < ka && recA[3*a] <= recB[3*b]) {
+		if b >= kb || (a < ka && recA[a].Pos <= recB[b].Pos) {
 			// A finite target never matches sum + Inf, so a hit implies
 			// minBi (resp. minAi below) is a real index.
-			if math.Float64bits(recA[3*a+1]+recA[3*a]+minB) == tbits {
+			if math.Float64bits(recA[a].Dist+recA[a].Pos+minB) == tbits {
 				return int32(ia0 + a), int32(ib0 + minBi)
 			}
-			if v := recA[3*a+1] - recA[3*a]; v < minA {
+			if v := recA[a].Dist - recA[a].Pos; v < minA {
 				minA = v
 				minAi = a
 			}
 			a++
 		} else {
-			if math.Float64bits(recB[3*b+1]+recB[3*b]+minA) == tbits {
+			if math.Float64bits(recB[b].Dist+recB[b].Pos+minA) == tbits {
 				return int32(ia0 + minAi), int32(ib0 + b)
 			}
-			if v := recB[3*b+1] - recB[3*b]; v < minB {
+			if v := recB[b].Dist - recB[b].Pos; v < minB {
 				minB = v
 				minBi = b
 			}
@@ -331,8 +326,8 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 		return -1
 	}
 	plo, phi := int(f.portalOff[e]), int(f.portalOff[e+1])
-	x := plo + sort.Search(phi-plo, func(i int) bool { return f.lane[3*(plo+i)] >= pos })
-	if x < phi && core.SameDist(f.lane[3*x], pos) {
+	x := plo + sort.Search(phi-plo, func(i int) bool { return f.lane[plo+i].Pos >= pos })
+	if x < phi && core.SameDist(f.lane[x].Pos, pos) {
 		return int32(x)
 	}
 	return -1
@@ -362,7 +357,7 @@ func (f *Flat) resolveRange(hopVert, hops []int32, lo, hi int) error {
 			for x := f.portalOff[e]; x < f.portalOff[e+1]; x++ {
 				t := int32(-1)
 				if h := hopVert[x]; h >= 0 {
-					pos := f.lane[3*x]
+					pos := f.lane[x].Pos
 					if t = f.findRecord(int(h), kid, pos); t < 0 {
 						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, f.keys[kid], h, pos)
 					}

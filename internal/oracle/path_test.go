@@ -66,7 +66,7 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 	positions := append([]byte(nil), enc...)
 	run := -1
 	for e := fl.entryOff[0]; e < fl.entryOff[1]; e++ {
-		if lo, hi := fl.portalOff[e], fl.portalOff[e+1]; hi-lo >= 4 && fl.lane[3*lo] < fl.lane[3*(hi-2)] {
+		if lo, hi := fl.portalOff[e], fl.portalOff[e+1]; hi-lo >= 4 && fl.lane[lo].Pos < fl.lane[hi-2].Pos {
 			run = int(e)
 			break
 		}
@@ -256,7 +256,7 @@ func TestFreezeRejectsTruncatedHops(t *testing.T) {
 					continue
 				}
 				w := 0
-				for w < o.N && r.findRecord(w, kid, r.lane[3*x]) >= 0 {
+				for w < o.N && r.findRecord(w, kid, r.lane[x].Pos) >= 0 {
 					w++
 				}
 				if w == o.N {
@@ -295,7 +295,7 @@ func TestFreezeRejectsUnpositioned(t *testing.T) {
 		for e := r.entryOff[v]; e < r.entryOff[v+1] && x < 0; e++ {
 			for y := r.portalOff[e]; y < r.portalOff[e+1]; y++ {
 				if o.hopVert[y] >= 0 {
-					x, owner = r.findRecord(int(o.hopVert[y]), r.entryKey[e], r.lane[3*y]), int32(v)
+					x, owner = r.findRecord(int(o.hopVert[y]), r.entryKey[e], r.lane[y].Pos), int32(v)
 					break
 				}
 			}

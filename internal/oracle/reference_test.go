@@ -356,7 +356,7 @@ func (ref *refOracle) freeze() (*Flat, []int32, error) {
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
 	}
-	f.lane = alignedFloats(3 * len(pos))
+	f.lane = alignedPortals(len(pos))
 	if err := f.buildLane(0, len(f.entryKey), pos, dist, anchorRuns{}); err != nil {
 		return nil, nil, err
 	}

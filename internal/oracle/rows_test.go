@@ -43,17 +43,30 @@ func rowsDiff(o *Oracle, got, want *Flat, wantHops []int32) string {
 			}
 		}
 	}
-	for _, t := range []struct {
-		name      string
-		got, want []float64
-	}{{"lane", r.lane, want.lane}, {"pathPos", r.pathPos, want.pathPos}} {
-		if len(t.got) != len(t.want) {
-			return fmt.Sprintf("%s: %d words, reference %d", t.name, len(t.got), len(t.want))
+	if d := laneDiff(r.lane, want.lane); d != "" {
+		return "lane against reference: " + d
+	}
+	if len(r.pathPos) != len(want.pathPos) {
+		return fmt.Sprintf("pathPos: %d words, reference %d", len(r.pathPos), len(want.pathPos))
+	}
+	for i := range want.pathPos {
+		if math.Float64bits(r.pathPos[i]) != math.Float64bits(want.pathPos[i]) {
+			return fmt.Sprintf("pathPos[%d] = %v, reference %v", i, r.pathPos[i], want.pathPos[i])
 		}
-		for i := range t.want {
-			if math.Float64bits(t.got[i]) != math.Float64bits(t.want[i]) {
-				return fmt.Sprintf("%s[%d] = %v, reference %v", t.name, i, t.got[i], t.want[i])
-			}
+	}
+	return ""
+}
+
+// laneDiff compares two lanes record by record, both words bit for bit,
+// and describes the first difference, or returns "".
+func laneDiff(got, want []Portal) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d records against %d", len(got), len(want))
+	}
+	for x, w := range want {
+		g := got[x]
+		if math.Float64bits(g.Pos) != math.Float64bits(w.Pos) || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
+			return fmt.Sprintf("record %d is %+v against %+v", x, g, w)
 		}
 	}
 	return ""
@@ -290,11 +303,12 @@ func FuzzBuildRows(f *testing.F) {
 // TestBuildMemoryBudget pins what building the 32×32 bench-shaped
 // CoverPortal image costs, per portal. Build writes the serving rows
 // directly and Freeze shares them, so Build+Freeze allocates within
-// 280 B/portal in all, and the live Oracle plus its Flat — one lane,
-// the hop vertices, the walk layout and the small CSR tables — hold
-// within 48 B/portal after a GC. Assembling per-vertex label slices
-// first and copying them into the Flat breaks both; keeping the resolved
-// hop links or per-record walk entries breaks the second.
+// 280 B/portal in all, and the live Oracle plus its Flat — one 16 B
+// lane record and a 4 B hop vertex per portal, the walk layout and the
+// small CSR tables — hold within 40 B/portal after a GC. Assembling
+// per-vertex label slices first and copying them into the Flat breaks
+// both; keeping the resolved hop links, per-record walk entries or a
+// third lane word breaks the second.
 func TestBuildMemoryBudget(t *testing.T) {
 	rot := embed.Grid(32, 32, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
 	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
@@ -328,7 +342,7 @@ func TestBuildMemoryBudget(t *testing.T) {
 	if alloc > 280 {
 		t.Errorf("Build+Freeze allocate %.1f B/portal, budget 280", alloc)
 	}
-	if live > 48 {
-		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 48", live)
+	if live > 40 {
+		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 40", live)
 	}
 }

@@ -157,8 +157,8 @@ func positionDiff(f *Flat) string {
 	for e, k := range f.entryKey {
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
 			a := f.walkBlk[runEnd(f.walkBlk, f.walkSlot[r])+3]
-			if want := f.pathPos[f.pathOff[k]+a]; math.Float64bits(f.lane[3*r]) != math.Float64bits(want) {
-				return fmt.Sprintf("record %d at position %v, its anchor %d at %v", r, f.lane[3*r], a, want)
+			if want := f.pathPos[f.pathOff[k]+a]; math.Float64bits(f.lane[r].Pos) != math.Float64bits(want) {
+				return fmt.Sprintf("record %d at position %v, its anchor %d at %v", r, f.lane[r].Pos, a, want)
 			}
 		}
 	}
@@ -316,7 +316,7 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 	// Each key's records by position, for rewires that keep positions.
 	atPos := map[[2]uint64][]int32{}
 	for r, k := range keyOf {
-		at := [2]uint64{uint64(k), math.Float64bits(base.lane[3*r])}
+		at := [2]uint64{uint64(k), math.Float64bits(base.lane[r].Pos)}
 		atPos[at] = append(atPos[at], int32(r))
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -334,7 +334,7 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 			case 2: // extra anchor
 				hops[r] = -1
 			case 3: // same-position rewire of a non-anchor
-				if same := atPos[[2]uint64{uint64(keyOf[r]), math.Float64bits(base.lane[3*r])}]; hops[r] >= 0 {
+				if same := atPos[[2]uint64{uint64(keyOf[r]), math.Float64bits(base.lane[r].Pos)}]; hops[r] >= 0 {
 					hops[r] = same[rng.Intn(len(same))]
 				}
 			}

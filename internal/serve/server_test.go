@@ -270,9 +270,9 @@ func TestAdminStatus(t *testing.T) {
 	if st.Image.N != fl.N() || st.Image.Bytes != fl.EncodedSize() || st.Image.Mode != "portal" {
 		t.Fatalf("image metadata wrong: %+v", st.Image)
 	}
-	if st.Image.ResidentBytes != fl.ResidentBytes() || st.Image.ResidentBytes < 24*fl.NumPortals() {
+	if st.Image.ResidentBytes != fl.ResidentBytes() || st.Image.ResidentBytes < 16*fl.NumPortals() {
 		t.Fatalf("resident_bytes = %d, image says %d (its %d portals alone hold %d B of lane)",
-			st.Image.ResidentBytes, fl.ResidentBytes(), fl.NumPortals(), 24*fl.NumPortals())
+			st.Image.ResidentBytes, fl.ResidentBytes(), fl.NumPortals(), 16*fl.NumPortals())
 	}
 	if st.Image.LaneAligned != fl.LaneAligned() {
 		t.Fatalf("lane_aligned = %v, image says %v", st.Image.LaneAligned, fl.LaneAligned())
