@@ -127,11 +127,7 @@ func main() {
 // one-candidate sweeps, long runs are where the sweep's register fold
 // spends its steps and the batch scheduler earns its keep.
 func inspectImage(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	fl, err := oracle.DecodeFlat(buf)
+	fl, err := oracle.DecodeFlatFile(path)
 	if err != nil {
 		return err
 	}

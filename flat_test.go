@@ -1,5 +1,6 @@
 // Differential and race coverage for the flat serving form: Oracle.Query,
-// Flat.Query, QueryBatch (every worker count) and both decode paths must
+// Flat.Query, QueryBatch (every worker count) and the decode, from a
+// buffer and from a stream, must
 // return bit-identical answers to the label walk (QueryLabels over
 // Oracle.Label), on every graph family and mode, and the whole surface
 // must survive -race alongside metric snapshots. internal/oracle pins
@@ -7,10 +8,12 @@
 package pathsep_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"pathsep"
 	"pathsep/internal/core"
@@ -27,8 +30,8 @@ func sameBits(a, b float64) bool {
 }
 
 // freezeVariants returns the three Flat forms that must agree: the direct
-// Freeze result, a zero-copy decode of its encoding, and a copying decode
-// forced by a misaligned buffer.
+// Freeze result, a decode of its encoding from the buffer, and one from a
+// stream that yields half of each read's request.
 func freezeVariants(t *testing.T, o *oracle.Oracle) map[string]*oracle.Flat {
 	t.Helper()
 	fl, err := o.Freeze()
@@ -39,17 +42,15 @@ func freezeVariants(t *testing.T, o *oracle.Oracle) map[string]*oracle.Flat {
 	if len(enc) != fl.EncodedSize() {
 		t.Fatalf("EncodedSize %d != len(Encode) %d", fl.EncodedSize(), len(enc))
 	}
-	zero, err := oracle.DecodeFlat(enc)
+	decoded, err := oracle.DecodeFlat(enc)
 	if err != nil {
-		t.Fatalf("zero-copy decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	shifted := make([]byte, len(enc)+1)
-	copy(shifted[1:], enc)
-	copied, err := oracle.DecodeFlat(shifted[1:]) // misaligned: copy path
+	streamed, err := oracle.DecodeFlatFrom(iotest.HalfReader(bytes.NewReader(enc)), int64(len(enc)))
 	if err != nil {
-		t.Fatalf("copy decode: %v", err)
+		t.Fatalf("streamed decode: %v", err)
 	}
-	return map[string]*oracle.Flat{"frozen": fl, "zerocopy": zero, "copied": copied}
+	return map[string]*oracle.Flat{"frozen": fl, "decoded": decoded, "streamed": streamed}
 }
 
 // TestFlatQueryDifferential is the acceptance contract: across the grid,

@@ -1,11 +1,12 @@
 // Package unsafeview keeps unsafe.Slice inside the image codec's view[T].
-// DecodeFlat reinterprets its byte buffer as typed sections through view,
-// which refuses a span that overruns the buffer or starts misaligned for
-// T, so a short or shifted image is an error rather than an out-of-bounds
-// typed read (internal/oracle's tests pin each refusal). A decoded Flat
-// copies what it keeps out of those views, so nothing else needs policing:
-// the pass reports every unsafe.Slice call whose enclosing function is not
-// a top-level function named view. Test files are exempt.
+// The codec views its own tables as bytes and the lane's words as records
+// through view, which refuses a span that overruns the buffer or starts
+// misaligned for T, so a wrong span is an error rather than an
+// out-of-bounds typed read (internal/oracle's tests pin each refusal).
+// The decoder reads its input into arrays the Flat owns and views none of
+// it, so nothing else needs policing: the pass reports every unsafe.Slice
+// call whose enclosing function is not a top-level function named view.
+// Test files are exempt.
 package unsafeview
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"time"
 	"unsafe"
 
@@ -25,10 +24,11 @@ import (
 //     which the Flat keeps only as its sweep lane.
 //
 // Build writes these rows, Freeze adds the walk layout derived from the
-// resolved hop links, and DecodeFlat rebuilds all of it from an image,
-// the portal positions included, which the image leaves to the walk; a
-// Flat never aliases an image buffer. It is immutable after construction, so
-// Query and QueryBatch are safe for unbounded concurrent use. Queries
+// resolved hop links, and DecodeFlatFrom rebuilds all of it from an
+// image stream, the portal positions included, which the image leaves to
+// the walk; a Flat never aliases an image buffer. It is immutable after
+// construction, so Query and QueryBatch are safe for unbounded
+// concurrent use. Queries
 // return bit-identical results to the label-walking reference the tests
 // keep (queryLabels over the same labels): the merge-join visits shared
 // keys in the same order (galloping only skips keys that cannot match),
@@ -53,7 +53,7 @@ type Flat struct {
 	// 64-byte aligned. Every record's Pos is its chain anchor's path
 	// position: a hop links records at one position, and a chain ends at a
 	// path vertex's own record, so the image stores no positions and
-	// DecodeFlat reads them off the walk layout. schedU/schedV are the key
+	// the decode reads them off the walk layout. schedU/schedV are the key
 	// shifts the batch locality scheduler derives from the entry-table
 	// size.
 	lane           []Portal
@@ -106,37 +106,26 @@ type tables struct {
 	pathPos   []float64
 }
 
-// clone copies every table into fresh memory.
-func (t *tables) clone() tables {
-	return tables{
-		keys:      slices.Clone(t.keys),
-		entryOff:  slices.Clone(t.entryOff),
-		entryKey:  slices.Clone(t.entryKey),
-		portalOff: slices.Clone(t.portalOff),
-		pathOff:   slices.Clone(t.pathOff),
-		pathVert:  slices.Clone(t.pathVert),
-		pathPos:   slices.Clone(t.pathPos),
-	}
-}
-
 // Freeze compiles the oracle into its flat serving form. The Flat shares
 // the oracle's immutable rows — keys, CSR tables, sweep lane and path
 // geometry — and adds what path reporting needs: the walk layout
 // (deriveWalk), derived from every hop vertex resolved to the pool index
-// of the record it names (see resolveHops); the resolved links are not
-// kept. Freeze fails when a hop names no record or links records of two
-// keys, when a record's hops reach no anchor, and when a key's path
-// repeats a vertex: an image stores no positions, and such a record's
-// would be lost. Every image Freeze returns decodes to the same lane and
-// walk layout and reports paths.
+// of the record it names and scattered into the key partition as a
+// decode scatters its hop section (see resolveHops); the resolved links
+// are not kept. Freeze fails when a hop names no record or links records
+// of two keys, when a record's hops reach no anchor, and when a key's
+// path repeats a vertex: an image stores no positions, and such a
+// record's would be lost. Every image Freeze returns decodes to the same
+// lane and walk layout and reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	r := &o.rows
 	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
-	hops, err := f.resolveHops(o.hopVert)
+	kp := f.partitionByKey()
+	anchors, err := f.resolveHops(o.hopVert, kp)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.derive(hops, 0); err != nil {
+	if _, err := f.derive(kp, anchors, 0); err != nil {
 		return nil, fmt.Errorf("oracle: freeze: %w", err)
 	}
 	return f, nil
@@ -164,16 +153,17 @@ func alignedPortals(n int) []Portal {
 // buildLane transcribes the portal runs of entries [e0, e1) into the
 // sweep lane (see the lane doc on Flat); pos and dist hold those runs'
 // positions and distances back to back, from pool index portalOff[e0].
-// A decoded image has no positions: with a nil pos, each record's is the
-// path_pos entry of its chain's anchor, which the walk derivation left
-// in anchors. It checks each record on the way: Pos and Dist must be
-// NaN-free — a NaN would poison every min-fold the sweep computes — and
-// positions must be non-decreasing within each entry, the merge order
-// the sweep relies on. +Inf stays legal in Dist: it is the unreachable
-// sentinel some constructions store.
+// A decoded image has no positions, and the decode has already read its
+// distances into the lane: with a nil pos, each record's Dist stays, and
+// its Pos is the path_pos entry of its chain's anchor, which the walk
+// derivation left in anchors. It checks each record on the way: Pos and
+// Dist must be NaN-free — a NaN would poison every min-fold the sweep
+// computes — and positions must be non-decreasing within each entry, the
+// merge order the sweep relies on. +Inf stays legal in Dist: it is the
+// unreachable sentinel some constructions store.
 //
-// buildLane fills the aligned array its caller just allocated, before
-// the rows are published. Build's and DecodeFlat's range tasks each
+// buildLane fills the aligned array its caller allocated, before the
+// rows are published. Build's and the decode's range tasks each
 // transcribe their own disjoint entries.
 func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) error {
 	base := int(f.portalOff[e0])
@@ -188,13 +178,12 @@ func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) er
 		}
 		prev := math.Inf(-1)
 		for x := lo; x < hi; x++ {
-			var p float64
+			var p, d float64
 			if pos != nil {
-				p = pos[x-base]
+				p, d = pos[x-base], dist[x-base]
 			} else {
-				p = geo[idx[x-lo]]
+				p, d = geo[idx[x-lo]], f.lane[x].Dist
 			}
-			d := dist[x-base]
 			if math.IsNaN(p) || math.IsNaN(d) {
 				return fmt.Errorf("portal record %d contains NaN", x)
 			}
@@ -211,10 +200,11 @@ func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) er
 // derive fixes the batch scheduler's key shifts — the coarser of
 // (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
 // region and both block numbers fit their 16-bit key lanes — and
-// compiles the walk layout from the hop links on a pool of the given
-// width (0 means runtime.GOMAXPROCS(0)), returning every record's
-// anchor. It fails only on hop links deriveWalk refuses.
-func (f *Flat) derive(hops []int32, workers int) (anchorRuns, error) {
+// compiles the walk layout from the hop links scattered into kp, with
+// anchors anchors, on a pool of the given width (0 means
+// runtime.GOMAXPROCS(0)), returning every record's anchor. It fails only
+// on hop links deriveWalk refuses.
+func (f *Flat) derive(kp *keyPartition, anchors int32, workers int) (anchorRuns, error) {
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}
@@ -225,7 +215,7 @@ func (f *Flat) derive(hops []int32, workers int) (anchorRuns, error) {
 			f.schedU = f.schedV
 		}
 	}
-	return f.deriveWalk(hops, workers)
+	return f.deriveWalk(kp, anchors, workers)
 }
 
 // N returns the number of labeled vertices.

@@ -2,14 +2,21 @@ package oracle
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"pathsep/internal/core"
 	"pathsep/internal/embed"
@@ -175,16 +182,21 @@ func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 // Flat keeps a 16 B lane record, a 4 B walk slot and ~10 B of walk
 // blocks (4 B of owner vertex per record, 16 B of trailer per chain) per
 // portal plus the small CSR tables, so ResidentBytes must stay within 32
-// B/portal. The decode allocates that, the walk derivation's per-record
-// parent links, and one derivation scratch set per pool worker — seven
-// int32 arrays sized to the largest key and one int32 per vertex
-// (newWalkScratch), ~7 B/portal each on this fixture — so it must stay
-// within 40 B/portal plus GOMAXPROCS scratch sets; make check runs the
+// B/portal. The decode, from a file, allocates that, the walk
+// derivation's per-record hop links, its per-entry and per-anchor
+// arrays, one read chunk and the derivation scratch keyTasks bounds: at
+// a pool width w above 1, one set of six int32 arrays sized to the
+// largest key and one int32 per vertex (newWalkScratch, ~6 B/portal on
+// this fixture) for the big keys, and w sets sized to the largest key
+// over w. So the decode must stay within 40 B/portal plus that scratch,
+// and what it allocates beyond the Flat within 12 B/portal plus that
+// scratch, which has no term in the image size; make check runs the
 // test at pool widths 1, 2, 4 and 8. A lane record with a third word or
 // a kept copy of the hop links (4 B/portal) breaks the first budget,
-// retaining the image buffer (13 B/portal here) breaks both, and a 16
-// B/record derivation scratch or an 8 B/record position array breaks
-// the second. Encode allocates its output plus the walk layout's
+// reading the image into a buffer (13.3 B/portal here) breaks the last
+// two, and so do a 16 B/record derivation scratch, an 8 B/record position
+// array and a scratch set sized to the largest key on every worker (~6
+// B/portal each). Encode allocates its output plus the walk layout's
 // slot→record inverse, within EncodedSize + 10 B/portal; transcribing
 // the distances into an intermediate slice (8 B/portal) breaks it.
 func TestFlatMemoryBudget(t *testing.T) {
@@ -200,28 +212,41 @@ func TestFlatMemoryBudget(t *testing.T) {
 	for e, k := range fl.entryKey {
 		keyRecs[k] += int(fl.portalOff[e+1] - fl.portalOff[e])
 	}
-	scratch := 4 * (7*slices.Max(keyRecs) + 1 + fl.N())
-	decodeBudget := 40 + float64(runtime.GOMAXPROCS(0)*scratch)/float64(p)
+	w, maxKey := runtime.GOMAXPROCS(0), slices.Max(keyRecs)
+	set := func(records int) int { return 4 * (6*records + 1 + fl.N()) }
+	scratch := w * set(maxKey/w)
+	if w > 1 {
+		scratch += set(maxKey)
+	}
+	perPortal := func(bytes int) float64 { return float64(bytes) / float64(p) }
+	decodeBudget, transientBudget := 40+perPortal(scratch), 12+perPortal(scratch)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	enc := fl.Encode()
 	runtime.ReadMemStats(&after)
-	encAlloc := float64(after.TotalAlloc-before.TotalAlloc-uint64(fl.EncodedSize())) / float64(p)
+	encAlloc := perPortal(int(after.TotalAlloc - before.TotalAlloc - uint64(fl.EncodedSize())))
+	path := filepath.Join(t.TempDir(), "fixture.flat")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&before)
-	dec, err := DecodeFlat(enc)
+	dec, err := DecodeFlatFile(path)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident := float64(dec.ResidentBytes()) / float64(p)
-	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(p)
-	t.Logf("image %.1f B/portal, resident %.1f B/portal, decode allocates %.1f B/portal (budget %.1f at GOMAXPROCS %d), encode %.1f B/portal beyond its output",
-		float64(fl.EncodedSize())/float64(p), resident, alloc, decodeBudget, runtime.GOMAXPROCS(0), encAlloc)
+	resident := perPortal(dec.ResidentBytes())
+	alloc := perPortal(int(after.TotalAlloc - before.TotalAlloc))
+	t.Logf("image %.1f B/portal, resident %.1f B/portal, decode allocates %.1f B/portal, %.1f beyond the Flat (budgets %.1f and %.1f at GOMAXPROCS %d), encode %.1f B/portal beyond its output",
+		perPortal(fl.EncodedSize()), resident, alloc, alloc-resident, decodeBudget, transientBudget, w, encAlloc)
 	if resident > 32 {
 		t.Errorf("ResidentBytes = %.1f B/portal, budget 32", resident)
 	}
 	if alloc > decodeBudget {
-		t.Errorf("DecodeFlat allocates %.1f B/portal, budget %.1f (40 + %d × %.1f of walk scratch)", alloc, decodeBudget, runtime.GOMAXPROCS(0), float64(scratch)/float64(p))
+		t.Errorf("DecodeFlatFile allocates %.1f B/portal, budget %.1f (40 + %.1f of walk scratch)", alloc, decodeBudget, perPortal(scratch))
+	}
+	if alloc-resident > transientBudget {
+		t.Errorf("DecodeFlatFile allocates %.1f B/portal beyond the Flat, budget %.1f (12 + %.1f of walk scratch)", alloc-resident, transientBudget, perPortal(scratch))
 	}
 	if encAlloc > 10 {
 		t.Errorf("Encode allocates %.1f B/portal beyond its %d-byte output, budget 10", encAlloc, fl.EncodedSize())
@@ -437,9 +462,12 @@ func FuzzFlatRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFlat feeds arbitrary bytes to DecodeFlat: inputs that parse
-// must re-encode to the same bytes, byte for byte, and answer queries
-// without panicking.
+// FuzzDecodeFlat feeds arbitrary bytes to the decode through three
+// readers: the whole buffer (DecodeFlat), one byte per Read, and half of
+// each Read's request. All three must give the same error, or Flats with
+// the same lane, walk layout and answers; every input that decodes must
+// re-encode to itself, byte for byte, and answer queries and path
+// queries without panicking.
 func FuzzDecodeFlat(f *testing.F) {
 	_, o := buildSeeded(f, 2, 20, CoverExact)
 	fl, err := o.Freeze()
@@ -463,68 +491,122 @@ func FuzzDecodeFlat(f *testing.F) {
 	f.Add(empty.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode from an aligned copy and a deliberately misaligned copy,
-		// not from data itself: DecodeFlat branches on buffer alignment,
-		// and the fuzz engine hands inputs at arbitrary offsets, which
-		// would make coverage flip between the zero-copy and copying
-		// paths run to run and stall the minimizer. This way both paths
-		// run deterministically on every input.
-		aligned := make([]byte, len(data))
-		copy(aligned, data)
-		shifted := make([]byte, len(data)+1)
-		copy(shifted[1:], data)
-
-		fl, err := DecodeFlat(aligned)
-		flCopy, errCopy := DecodeFlat(shifted[1:])
-		// Decoding reads its views and writes nothing through them,
-		// whether or not the image decodes.
-		if !bytes.Equal(aligned, data) || !bytes.Equal(shifted[1:], data) {
+		in := append([]byte(nil), data...)
+		fl, err := DecodeFlat(in)
+		if !bytes.Equal(in, data) {
 			t.Fatal("DecodeFlat wrote into its input")
 		}
-		if (err == nil) != (errCopy == nil) {
-			t.Fatalf("decode paths disagree: zero-copy err=%v, copying err=%v", err, errCopy)
+		streams := []struct {
+			name string
+			r    io.Reader
+		}{
+			{"one byte per read", iotest.OneByteReader(bytes.NewReader(data))},
+			{"half reads", iotest.HalfReader(bytes.NewReader(data))},
+		}
+		var streamed []*Flat
+		for _, s := range streams {
+			g, gerr := DecodeFlatFrom(s.r, int64(len(data)))
+			if (err == nil) != (gerr == nil) || (err != nil && err.Error() != gerr.Error()) {
+				t.Fatalf("%s: err %v, whole buffer: err %v", s.name, gerr, err)
+			}
+			streamed = append(streamed, g)
 		}
 		if err != nil {
 			return
 		}
-		// A Flat keeps nothing of its input: clobbering both buffers must
-		// change neither its encoding nor its answers.
-		for i := range aligned {
-			aligned[i] = 0xFF
+		// A Flat keeps nothing of its input: clobbering it must change
+		// neither its encoding nor its answers.
+		for i := range in {
+			in[i] = 0xFF
 		}
-		for i := range shifted {
-			shifted[i] = 0xFF
-		}
-		canon := fl.Encode()
-		if !bytes.Equal(canon, data) {
+		if !bytes.Equal(fl.Encode(), data) {
 			t.Fatal("Encode(DecodeFlat(data)) differs from data")
 		}
-		fl2, err := DecodeFlat(canon)
+		fl2, err := DecodeFlat(fl.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of own encoding failed: %v", err)
+		}
+		for i, g := range streamed {
+			if d := laneDiff(g.lane, fl.lane); d != "" {
+				t.Fatalf("%s: lane: %s", streams[i].name, d)
+			}
+			if d := walkDiff(g, fl.walkBlk, fl.walkSlot); d != "" {
+				t.Fatalf("%s: %s", streams[i].name, d)
+			}
 		}
 		n := fl.N()
 		var buf, buf2 []int32
 		for _, pair := range [][2]int{{0, 0}, {0, n - 1}, {-1, 3}, {n, n}} {
 			a := fl.Query(pair[0], pair[1])
-			for _, other := range []*Flat{flCopy, fl2} {
+			for _, other := range append(streamed, fl2) {
 				if b := other.Query(pair[0], pair[1]); math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("Query(%d,%d): %v vs %v", pair[0], pair[1], a, b)
 				}
 			}
 			// Path queries over decoded (possibly hostile) images may
-			// return errors but must never panic, and the zero-copy and
-			// copying decodes must behave identically.
+			// return errors but must never panic, and the decodes must
+			// behave identically.
 			ad, buf0, errA := fl.QueryPath(pair[0], pair[1], buf)
 			buf = buf0[:0]
-			bd, buf1, errB := flCopy.QueryPath(pair[0], pair[1], buf2)
+			bd, buf1, errB := streamed[0].QueryPath(pair[0], pair[1], buf2)
 			buf2 = buf1[:0]
 			if (errA == nil) != (errB == nil) {
-				t.Fatalf("QueryPath(%d,%d): zero-copy err=%v, copying err=%v", pair[0], pair[1], errA, errB)
+				t.Fatalf("QueryPath(%d,%d): whole err=%v, streamed err=%v", pair[0], pair[1], errA, errB)
 			}
 			if errA == nil && math.Float64bits(ad) != math.Float64bits(bd) {
 				t.Fatalf("QueryPath(%d,%d): %v vs %v", pair[0], pair[1], ad, bd)
 			}
 		}
 	})
+}
+
+// TestDecodeFlatStream pins the stream contract on the 8×8 portal image.
+// A reader that fails after k bytes, for k at and inside every section
+// and at the very end, fails the decode with its error and no Flat; a
+// stream that ends before its declared size fails with
+// io.ErrUnexpectedEOF, one that runs past it is refused, and so is a
+// size that disagrees with the header. A 64-byte header that claims 2^30
+// portals, with size 64, is refused before the decode allocates for it:
+// under 64 KiB in all.
+func TestDecodeFlatStream(t *testing.T) {
+	fl := gridFlat(t, 8, CoverPortal)
+	img := fl.Encode()
+	c := fl.counts()
+	spans, _ := layout(&c)
+	cuts := []int{0, 1, flatHeader - 1, flatHeader, len(img) - 1, len(img)}
+	for _, sp := range spans {
+		cuts = append(cuts, sp.off, (sp.off+sp.end)/2)
+	}
+	errBroken := errors.New("reader broke")
+	for _, k := range cuts {
+		r := io.MultiReader(bytes.NewReader(img[:k]), iotest.ErrReader(errBroken))
+		if got, err := DecodeFlatFrom(r, int64(len(img))); got != nil || !errors.Is(err, errBroken) {
+			t.Errorf("reader failing after %d of %d bytes: Flat %v, err %v", k, len(img), got != nil, err)
+		}
+	}
+	if _, err := DecodeFlatFrom(bytes.NewReader(img[:len(img)-1]), int64(len(img))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("stream one byte short: err %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if _, err := DecodeFlatFrom(bytes.NewReader(append(img, 0)), int64(len(img))); err == nil || !strings.Contains(err.Error(), "runs past") {
+		t.Errorf("stream one byte long: err %v", err)
+	}
+	for _, size := range []int64{int64(len(img)) - 1, int64(len(img)) + 1, -1} {
+		if _, err := DecodeFlatFrom(bytes.NewReader(img), size); err == nil {
+			t.Errorf("%d-byte image declared as %d bytes accepted", len(img), size)
+		}
+	}
+
+	hdr := make([]byte, flatHeader)
+	hdr[0], hdr[1] = flatMagic, flatVersion
+	binary.LittleEndian.PutUint64(hdr[countAt[countPortals]:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := DecodeFlatFrom(bytes.NewReader(hdr), int64(len(hdr)))
+	runtime.ReadMemStats(&after)
+	if got != nil || err == nil || !strings.Contains(err.Error(), "does not match header") {
+		t.Errorf("header claiming 2^30 portals in 64 bytes: Flat %v, err %v", got != nil, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("refusing a header claiming 2^30 portals allocated %d bytes", alloc)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"pathsep/internal/core"
+	"pathsep/internal/par"
 )
 
 // Static walk errors: inconsistent path records are reported, never
@@ -335,22 +336,46 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 
 // resolveHops resolves every hop vertex to the pool index of the record
 // it names: the hop vertex's record at the same key and position, the
-// hop forest the walk layout is derived from. A hop that names no record
-// fails the freeze rather than produce an image that cannot report
-// paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool, one task
-// per vertex range; the error reported is the first in pool order, as a
-// serial pass would find it.
-func (f *Flat) resolveHops(hopVert []int32) ([]int32, error) {
-	hops := make([]int32, len(hopVert))
-	if err := eachRangeErr(f.n, func(lo, hi int) error { return f.resolveRange(hopVert, hops, lo, hi) }); err != nil {
-		return nil, err
+// hop forest the walk layout is derived from. Each link goes straight to
+// its record's key-major slot in kp, as a decode's hop section does (see
+// keyPartition.link), and it returns the anchor count. A hop that names
+// no record fails the freeze rather than produce an image that cannot
+// report paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool,
+// one task per vertex range; the anchors rank in pool order, each range
+// from the count of anchors before it, and the error reported is the
+// first in pool order, as a serial pass would find it.
+func (f *Flat) resolveHops(hopVert []int32, kp *keyPartition) (int32, error) {
+	pool := par.New(0, nil)
+	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
+	rank := make([]int32, split.ranges+1)
+	pool.ForEach(split.ranges, func(r int) {
+		lo, hi := split.bounds(r)
+		for _, h := range hopVert[f.portalOff[f.entryOff[lo]]:f.portalOff[f.entryOff[hi]]] {
+			if h < 0 {
+				rank[r+1]++
+			}
+		}
+	})
+	for r := 0; r < split.ranges; r++ {
+		rank[r+1] += rank[r]
 	}
-	return hops, nil
+	errs := make([]error, split.ranges)
+	pool.ForEach(split.ranges, func(r int) {
+		lo, hi := split.bounds(r)
+		errs[r] = f.resolveRange(hopVert, kp, lo, hi, rank[r])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	return rank[split.ranges], nil
 }
 
-// resolveRange writes the pool index of every hop target of vertices
-// [lo, hi) into hops, stopping at the first hop with no record.
-func (f *Flat) resolveRange(hopVert, hops []int32, lo, hi int) error {
+// resolveRange links every hop record of vertices [lo, hi) in kp, the
+// range's anchors ranked from rank, stopping at the first hop with no
+// record.
+func (f *Flat) resolveRange(hopVert []int32, kp *keyPartition, lo, hi int, rank int32) error {
 	for v := lo; v < hi; v++ {
 		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
 			kid := f.entryKey[e]
@@ -362,7 +387,7 @@ func (f *Flat) resolveRange(hopVert, hops []int32, lo, hi int) error {
 						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, f.keys[kid], h, pos)
 					}
 				}
-				hops[x] = t
+				rank = kp.link(x, t, rank)
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"pathsep/internal/core"
 	"pathsep/internal/embed"
@@ -23,16 +25,12 @@ func buildPathImage(t *testing.T) (*Oracle, *Flat) {
 	return o, fl
 }
 
-// decodeBoth decodes img from an aligned copy (the zero-copy path on a
-// little-endian host) and from a misaligned copy (the copying path).
-func decodeBoth(img []byte) (zero, copied *Flat, errZero, errCopied error) {
-	aligned := make([]byte, len(img))
-	copy(aligned, img)
-	shifted := make([]byte, len(img)+1)
-	copy(shifted[1:], img)
-	zero, errZero = DecodeFlat(aligned)
-	copied, errCopied = DecodeFlat(shifted[1:])
-	return zero, copied, errZero, errCopied
+// decodeBoth decodes img from the whole buffer (DecodeFlat) and from a
+// stream that yields one byte per Read.
+func decodeBoth(img []byte) (whole, streamed *Flat, errWhole, errStreamed error) {
+	whole, errWhole = DecodeFlat(img)
+	streamed, errStreamed = DecodeFlatFrom(iotest.OneByteReader(bytes.NewReader(img)), int64(len(img)))
+	return whole, streamed, errWhole, errStreamed
 }
 
 // TestDecodeFlatRejectsOutOfOrder pins the two orderings the query path
@@ -44,8 +42,8 @@ func decodeBoth(img []byte) (zero, copied *Flat, errZero, errCopied error) {
 // Positions are not in the image: a record's position is its chain
 // anchor's, so the last record of vertex 0's first run of at least four
 // portals is moved onto a lower anchor, the one its first record's chain
-// ends at, by rewiring its hop there. Both decode paths must refuse both
-// mutations.
+// ends at, by rewiring its hop there. The decode must refuse both
+// mutations, from a whole buffer and from a stream.
 func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 	fl := gridFlat(t, 12, CoverPortal)
 	enc := fl.Encode()
@@ -86,8 +84,8 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 		name string
 		img  []byte
 	}{{"entry keys", keys}, {"portal positions", positions}} {
-		if _, _, errZero, errCopied := decodeBoth(m.img); errZero == nil || errCopied == nil {
-			t.Errorf("%s out of order accepted (aligned err=%v, copying err=%v)", m.name, errZero, errCopied)
+		if _, _, errWhole, errStreamed := decodeBoth(m.img); errWhole == nil || errStreamed == nil {
+			t.Errorf("%s out of order accepted (whole err=%v, streamed err=%v)", m.name, errWhole, errStreamed)
 		}
 	}
 	if _, err := DecodeFlat(positions); err == nil || !strings.Contains(err.Error(), "decrease") {
@@ -101,8 +99,9 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 // that key's anchor index, and QueryPath indexed the winning key's path
 // geometry out of range and panicked. On the 12×12 CoverPortal image,
 // each of 20 records spread over the pool has its hop rewired to the
-// anchor with the largest path index, on a key other than its own; both
-// decode paths must refuse every such image.
+// anchor with the largest path index, on a key other than its own; the
+// decode must refuse every such image, from a whole buffer and from a
+// stream.
 func TestDecodeFlatRejectsCrossKeyHop(t *testing.T) {
 	fl := gridFlat(t, 12, CoverPortal)
 	enc := fl.Encode()
@@ -130,9 +129,9 @@ func TestDecodeFlatRejectsCrossKeyHop(t *testing.T) {
 		r := victims[i*len(victims)/20]
 		img := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint32(img[hopsAt+4*int(r):], uint32(far))
-		if _, _, errZero, errCopied := decodeBoth(img); errZero == nil || errCopied == nil ||
-			!strings.Contains(errZero.Error(), "another key") || !strings.Contains(errCopied.Error(), "another key") {
-			t.Errorf("hop of record %d rewired to key %d's anchor %d: zero-copy err=%v, copying err=%v", r, keyOf[far], far, errZero, errCopied)
+		if _, _, errWhole, errStreamed := decodeBoth(img); errWhole == nil || errStreamed == nil ||
+			!strings.Contains(errWhole.Error(), "another key") || !strings.Contains(errStreamed.Error(), "another key") {
+			t.Errorf("hop of record %d rewired to key %d's anchor %d: whole err=%v, streamed err=%v", r, keyOf[far], far, errWhole, errStreamed)
 		}
 	}
 }
@@ -147,13 +146,13 @@ func putWord(b []byte, w int, v uint64) {
 // TestDecodeFlatPathValidation pins the decode contract section by
 // section: every row of the section table carries a first word its
 // validation must refuse, and planting it in record 0 must fail the
-// decode on both the zero-copy and the copying path — a section added to
-// the table without element-level validation fails here. So must a
-// nonzero reserved header byte or alignment padding byte, which Encode
-// would not write back. In-range hop cycles pass structural validation,
-// but a record on one reaches no anchor and has no position, so both
-// decode paths must refuse them too, as they must a key path that
-// repeats a vertex. Version-1 and version-2 headers are rejected as
+// decode, from a whole buffer and from a stream read one byte at a time
+// — a section added to the table without element-level validation fails
+// here. So must a nonzero reserved header byte or alignment padding
+// byte, which Encode would not write back. In-range hop cycles pass
+// structural validation, but a record on one reaches no anchor and has
+// no position, so the decode must refuse them too, as it must a key path
+// that repeats a vertex. Version-1 and version-2 headers are rejected as
 // unsupported.
 func TestDecodeFlatPathValidation(t *testing.T) {
 	_, fl := buildPathImage(t)
@@ -171,8 +170,8 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 		}
 		bad := append([]byte(nil), enc...)
 		putWord(bad[sp.off:], s.words[0], s.reject)
-		if _, _, errZero, errCopied := decodeBoth(bad); errZero == nil || errCopied == nil {
-			t.Errorf("%s: invalid record 0 accepted (zero-copy err=%v, copying err=%v)", s.name, errZero, errCopied)
+		if _, _, errWhole, errStreamed := decodeBoth(bad); errWhole == nil || errStreamed == nil {
+			t.Errorf("%s: invalid record 0 accepted (whole err=%v, streamed err=%v)", s.name, errWhole, errStreamed)
 		}
 	}
 
@@ -193,8 +192,8 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	for _, at := range gaps {
 		bad := append([]byte(nil), goldEnc...)
 		bad[at] = 1
-		if _, _, errZero, errCopied := decodeBoth(bad); errZero == nil || errCopied == nil {
-			t.Errorf("nonzero byte %d outside every field accepted (zero-copy err=%v, copying err=%v)", at, errZero, errCopied)
+		if _, _, errWhole, errStreamed := decodeBoth(bad); errWhole == nil || errStreamed == nil {
+			t.Errorf("nonzero byte %d outside every field accepted (whole err=%v, streamed err=%v)", at, errWhole, errStreamed)
 		}
 	}
 
@@ -207,9 +206,9 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	}
 	pv := sectionOffset(gold, "path_vert") + 4*int(gold.pathOff[k])
 	copy(repeated[pv+4:pv+8], repeated[pv:pv+4])
-	if _, _, errZero, errCopied := decodeBoth(repeated); errZero == nil || errCopied == nil ||
-		!strings.Contains(errZero.Error(), "repeats vertex") || !strings.Contains(errCopied.Error(), "repeats vertex") {
-		t.Errorf("path of key %d repeating a vertex: zero-copy err=%v, copying err=%v", k, errZero, errCopied)
+	if _, _, errWhole, errStreamed := decodeBoth(repeated); errWhole == nil || errStreamed == nil ||
+		!strings.Contains(errWhole.Error(), "repeats vertex") || !strings.Contains(errStreamed.Error(), "repeats vertex") {
+		t.Errorf("path of key %d repeating a vertex: whole err=%v, streamed err=%v", k, errWhole, errStreamed)
 	}
 
 	// In-range hop cycles: every link routed to its key's first record,
@@ -222,12 +221,12 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 		binary.LittleEndian.PutUint32(cyclic[at:], uint32(recs[keyOf[r]][0]))
 		binary.LittleEndian.PutUint32(crossed[at:], 0)
 	}
-	if _, _, errZero, errCopied := decodeBoth(crossed); errZero == nil || errCopied == nil {
-		t.Errorf("every hop routed to record 0 accepted (zero-copy err=%v, copying err=%v)", errZero, errCopied)
+	if _, _, errWhole, errStreamed := decodeBoth(crossed); errWhole == nil || errStreamed == nil {
+		t.Errorf("every hop routed to record 0 accepted (whole err=%v, streamed err=%v)", errWhole, errStreamed)
 	}
-	if _, _, errZero, errCopied := decodeBoth(cyclic); errZero == nil || errCopied == nil ||
-		!strings.Contains(errZero.Error(), "reach no anchor") || !strings.Contains(errCopied.Error(), "reach no anchor") {
-		t.Errorf("in-range cyclic hops: zero-copy err=%v, copying err=%v, want records that reach no anchor", errZero, errCopied)
+	if _, _, errWhole, errStreamed := decodeBoth(cyclic); errWhole == nil || errStreamed == nil ||
+		!strings.Contains(errWhole.Error(), "reach no anchor") || !strings.Contains(errStreamed.Error(), "reach no anchor") {
+		t.Errorf("in-range cyclic hops: whole err=%v, streamed err=%v, want records that reach no anchor", errWhole, errStreamed)
 	}
 
 	for _, version := range []byte{1, 2} {

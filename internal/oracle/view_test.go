@@ -7,11 +7,11 @@ import (
 	"unsafe"
 )
 
-// TestView pins view's refusals, which DecodeFlat's size check would
-// otherwise always pre-empt: a span overrunning its buffer by one
-// element, an offset at or past the end, a negative count or offset, and
-// a start misaligned for T. A zero count is a nil view; anything else is
-// the exact in-place view.
+// TestView pins view's refusals, which the codec's own calls, on tables
+// and lanes it sized itself, never reach: a span overrunning its buffer
+// by one element, an offset at or past the end, a negative count or
+// offset, and a start misaligned for T. A zero count is a nil view;
+// anything else is the exact in-place view.
 func TestView(t *testing.T) {
 	buf := make([]byte, 64)
 	base := 0 // the first 8-aligned byte of buf

@@ -32,29 +32,30 @@ const (
 	treeUnseen   = -3
 )
 
-// deriveWalk compiles the hop forest — hops[r] is the pool index of the
-// next record on record r's chain, or -1 at the chain's anchor — into the
-// walkBlk/walkSlot layout on a pool of the given width (0 means
-// runtime.GOMAXPROCS(0)); hops itself is not kept. Chains are emitted in
-// heavy-path order — each record's heaviest child is placed immediately
-// before it — so a chain from any slot to its head is one contiguous
-// owner run the walk copies in bulk; only light edges jump, and a
-// root-to-leaf walk crosses O(log P) of them. Each anchor resolves its
-// path-geometry index here, by its own vertex on its key's path, into
-// its tree's trailers, where QueryPath reads it. deriveWalk also returns
-// every record's anchor index, which is all a decode needs to give the
-// record its position (see anchorRuns).
+// deriveWalk compiles the hop forest — kp.up holds, at each record's
+// key-major slot, the pool index of the next record on its chain, or
+// −1−rank at the chain's anchor, the anchors ranked in pool order (see
+// keyPartition.link) — into the walkBlk/walkSlot layout on a pool of the
+// given width (0 means runtime.GOMAXPROCS(0)); the links themselves are
+// not kept. Chains are emitted in heavy-path order — each record's
+// heaviest child is placed immediately before it — so a chain from any
+// slot to its head is one contiguous owner run the walk copies in bulk;
+// only light edges jump, and a root-to-leaf walk crosses O(log P) of
+// them. Each anchor resolves its path-geometry index here, by its own
+// vertex on its key's path, into its tree's trailers, where QueryPath
+// reads it. deriveWalk also returns every record's anchor index, which is
+// all a decode needs to give the record its position (see anchorRuns).
 //
 // Every hop chain stays on one separator path, so the forest splits into
 // one independent forest per key, and each key is a pool task in two
-// rounds, in scratch sized to the largest key. sizeKey checks the key,
-// turns its hops into parent links in key-local slots and sizes its
-// anchor trees (records plus one trailer per chain, and a tree has one
-// chain per leaf); one descending scan over the anchors then gives every
-// tree its offset, and layoutKey writes the key's trees straight into
-// place. The trees land where a whole-pool pass puts them — the last
-// anchor's tree first, each tree whole — so the layout is the same word
-// for word at every pool width and task order.
+// rounds, on the scratch keyTasks bounds. sizeKey checks the key, turns
+// its hops into parent links in key-local slots and sizes its anchor
+// trees (records plus one trailer per chain, and a tree has one chain
+// per leaf); one descending scan over the anchors then gives every tree
+// its offset, and layoutKey writes the key's trees straight into place.
+// The trees land where a whole-pool pass puts them — the last anchor's
+// tree first, each tree whole — so the layout is the same word for word
+// at every pool width and task order.
 //
 // The derivation fails, naming the lowest failing key, when a key's path
 // repeats a vertex, a hop links records of two keys, an anchor's vertex
@@ -62,31 +63,16 @@ const (
 // a chain into one). Each would leave a record without a position, and
 // a cross-key hop would also make QueryPath read another key's geometry
 // out of range.
-func (f *Flat) deriveWalk(hops []int32, workers int) (anchorRuns, error) {
+func (f *Flat) deriveWalk(kp *keyPartition, anchors int32, workers int) (anchorRuns, error) {
 	f.walkBlk, f.walkSlot = nil, nil
-	if len(hops) == 0 {
+	if len(kp.up) == 0 {
 		return anchorRuns{}, nil
 	}
-	kp := f.partitionByKey(hops)
+	kp.anchorAt, kp.block = make([]int32, anchors), make([]int32, anchors)
 	pool := par.New(workers, nil)
-	// A free list of per-worker scratch: at most Workers() tasks run at
-	// once, so at most that many scratch sets are ever allocated.
-	free := make(chan *walkScratch, pool.Workers())
-	for range pool.Workers() {
-		free <- nil
-	}
-	scratch := func() *walkScratch {
-		if s := <-free; s != nil {
-			return s
-		}
-		return newWalkScratch(kp.maxKey, f.n)
-	}
+	tasks := newKeyTasks(kp, pool.Workers(), f.n)
 	errs := make([]error, len(f.keys))
-	pool.ForEach(len(f.keys), func(k int) {
-		s := scratch()
-		errs[k] = f.sizeKey(int32(k), kp, hops, s)
-		free <- s
-	})
+	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.sizeKey(k, kp, s) })
 	for _, err := range errs {
 		if err != nil {
 			return anchorRuns{}, err
@@ -103,12 +89,65 @@ func (f *Flat) deriveWalk(hops []int32, workers int) (anchorRuns, error) {
 	// The slot map is dead once every key is sized: its array becomes
 	// walkSlot, which the second round writes whole.
 	f.walkBlk, f.walkSlot = make([]int32, total), kp.slot
-	pool.ForEach(len(f.keys), func(k int) {
-		s := scratch()
-		f.layoutKey(int32(k), kp, s)
-		free <- s
-	})
+	tasks.run(pool, func(k int32, s *walkScratch) { f.layoutKey(k, kp, s) })
 	return anchorRuns{first: kp.first, idx: kp.up}, nil
+}
+
+// keyTasks schedules the walk derivation's key tasks so that the scratch
+// they hold together does not grow with the pool width w. A key of more
+// than maxKey/w records is big: the big keys run one after another as
+// one task on one scratch set sized to the largest key, and every other
+// key is a task of its own on a per-worker set sized to the largest of
+// them, at most maxKey/w records. The sets hold at most twice the
+// largest key's scratch at any width. The big task is submitted first,
+// so the other workers lay out the small keys beside it; at width 1 no
+// key is big.
+type keyTasks struct {
+	big, small []int32
+	bigSet     *walkScratch
+	// free holds the per-worker sets: at most w tasks run at once, so at
+	// most w sets are ever allocated, each when a worker first finds none.
+	free     chan *walkScratch
+	smallMax int32
+	vertices int
+}
+
+func newKeyTasks(kp *keyPartition, w, vertices int) *keyTasks {
+	t := &keyTasks{free: make(chan *walkScratch, w), vertices: vertices}
+	for range w {
+		t.free <- nil
+	}
+	limit := kp.maxKey / int32(w)
+	for k := 0; k+1 < len(kp.recOff); k++ {
+		if n := kp.recOff[k+1] - kp.recOff[k]; n > limit {
+			t.big = append(t.big, int32(k))
+		} else {
+			t.small = append(t.small, int32(k))
+			t.smallMax = max(t.smallMax, n)
+		}
+	}
+	if len(t.big) > 0 {
+		t.bigSet = newWalkScratch(kp.maxKey, vertices)
+	}
+	return t
+}
+
+// run calls fn on every key with scratch for it, on pool.
+func (t *keyTasks) run(pool *par.Pool, fn func(k int32, s *walkScratch)) {
+	pool.ForEach(1+len(t.small), func(i int) {
+		if i == 0 {
+			for _, k := range t.big {
+				fn(k, t.bigSet)
+			}
+			return
+		}
+		s := <-t.free
+		if s == nil {
+			s = newWalkScratch(t.smallMax, t.vertices)
+		}
+		fn(t.small[i-1], s)
+		t.free <- s
+	})
 }
 
 // anchorRuns holds every record's chain anchor, as an index into its
@@ -126,8 +165,9 @@ type anchorRuns struct{ first, idx []int32 }
 // key-major slot, and slot[r] record r's, so a hop target h belongs to
 // key k exactly when slot[h] falls in k's range (sizeKey reads it;
 // layoutKey writes the same array as walkSlot). up, indexed by key-major
-// slot, holds each record's parent link in key-local slots, or −1−a at
-// anchor a, until layoutKey leaves each record's anchor index there; a
+// slot, holds each record's hop link as link stores it, until sizeKey
+// turns it into the record's parent link in key-local slots, or −1−a at
+// anchor a, and layoutKey leaves each record's anchor index there; a
 // key's range of it is its own task's to read and write. The anchors are
 // ranked in pool order: anchorAt[a] is anchor a's path-geometry index,
 // and block[a] the size of its tree until deriveWalk turns it into the
@@ -139,10 +179,9 @@ type keyPartition struct {
 	maxKey                   int32
 }
 
-// partitionByKey builds the key partition in one pass over the pool. It
-// ranks the anchors into up; the key tasks fill in the parent links and
-// resolve each anchor's path-geometry index.
-func (f *Flat) partitionByKey(hops []int32) *keyPartition {
+// partitionByKey builds the key partition of f's pool in one pass over
+// the entry tables; the hop links are stored into it afterwards (link).
+func (f *Flat) partitionByKey() *keyPartition {
 	nk := len(f.keys)
 	kp := &keyPartition{
 		entOff: make([]int32, nk+1),
@@ -150,8 +189,8 @@ func (f *Flat) partitionByKey(hops []int32) *keyPartition {
 		vert:   make([]int32, len(f.entryKey)),
 		first:  make([]int32, len(f.entryKey)),
 		recOff: make([]int32, nk+1),
-		slot:   make([]int32, len(hops)),
-		up:     make([]int32, len(hops)),
+		slot:   make([]int32, len(f.lane)),
+		up:     make([]int32, len(f.lane)),
 	}
 	for e, k := range f.entryKey {
 		kp.entOff[k+1]++
@@ -165,7 +204,6 @@ func (f *Flat) partitionByKey(hops []int32) *keyPartition {
 	// Each key's next entry and next slot.
 	nextEnt := append([]int32(nil), kp.entOff[:nk]...)
 	nextSlot := append([]int32(nil), kp.recOff[:nk]...)
-	anchors := int32(0)
 	for v := 0; v < f.n; v++ {
 		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
 			k := f.entryKey[e]
@@ -175,55 +213,65 @@ func (f *Flat) partitionByKey(hops []int32) *keyPartition {
 			kp.first[e] = s
 			for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
 				kp.slot[r] = s
-				if hops[r] < 0 {
-					kp.up[s] = -1 - anchors
-					anchors++
-				}
 				s++
 			}
 			nextSlot[k] = s
 		}
 	}
-	kp.anchorAt, kp.block = make([]int32, anchors), make([]int32, anchors)
 	return kp
 }
 
-// walkScratch is one worker's key-task scratch. Each array but at is
-// sized to the largest key and indexed by key-local slot: the key's
-// records and their owning vertices, the child CSR pair, the subtree
-// sizes (reused for the pushed chain heads' jump slots, jend holding
-// their jump ends and, until its tree is laid out, each anchor's rank),
-// and the length of each record's heavy chain down to its leaf. sizeKey
-// uses the child counts, the child array as its climb stack and the size
-// array for tree labels. at, indexed by vertex, holds 1 + the vertex's
-// index on the path of the key being sized, and 0 between keys.
+// link stores record r's hop link h at r's key-major slot in up: the
+// pool index of the record it hops to, or, at an anchor (h < 0), −1−rank.
+// Anchors are ranked in pool order, so a caller links them in that order
+// from rank, and link returns the next anchor's rank. The decode links
+// its hop section as it streams in, and Freeze its resolved hops.
+func (kp *keyPartition) link(r, h, rank int32) int32 {
+	if h < 0 {
+		kp.up[kp.slot[r]] = -1 - rank
+		return rank + 1
+	}
+	kp.up[kp.slot[r]] = h
+	return rank
+}
+
+// walkScratch is one key task's scratch. Each array but at is sized to
+// the task's largest key and indexed by key-local slot: the records'
+// owning vertices, the child CSR pair, the subtree sizes (reused for the
+// pushed chain heads' jump slots, jend holding their jump ends and,
+// until its tree is laid out, each anchor's rank, and for each placed
+// record's walk slot), and the length of each record's heavy chain down
+// to its leaf. sizeKey uses the child counts, the child array as its
+// climb stack and the size array for tree labels. at, indexed by vertex,
+// holds 1 + the vertex's index on the path of the key being sized, and 0
+// between keys.
 type walkScratch struct {
-	recs, own, childOff, child, size, jend, chain, at []int32
+	own, childOff, child, size, jend, chain, at []int32
 }
 
 func newWalkScratch(maxKey int32, vertices int) *walkScratch {
 	n := int(maxKey)
-	buf := make([]int32, 7*n+1+vertices)
+	buf := make([]int32, 6*n+1+vertices)
 	return &walkScratch{
-		recs:     buf[:n:n],
-		own:      buf[n : 2*n : 2*n],
-		childOff: buf[2*n : 3*n+1 : 3*n+1],
-		child:    buf[3*n+1 : 4*n+1 : 4*n+1],
-		size:     buf[4*n+1 : 5*n+1 : 5*n+1],
-		jend:     buf[5*n+1 : 6*n+1 : 6*n+1],
-		chain:    buf[6*n+1 : 7*n+1 : 7*n+1],
-		at:       buf[7*n+1:],
+		own:      buf[:n:n],
+		childOff: buf[n : 2*n+1 : 2*n+1],
+		child:    buf[2*n+1 : 3*n+1 : 3*n+1],
+		size:     buf[3*n+1 : 4*n+1 : 4*n+1],
+		jend:     buf[4*n+1 : 5*n+1 : 5*n+1],
+		chain:    buf[5*n+1 : 6*n+1 : 6*n+1],
+		at:       buf[6*n+1:],
 	}
 }
 
-// sizeKey checks key k, writes its parent links into up and sizes its
-// anchor trees into block: each tree's records plus trailerWords per
-// leaf. It resolves each anchor's path-geometry index into anchorAt by
-// the anchor's vertex, and labels every record with its tree by climbing
-// the parent links to an anchor or into a cycle. It fails, leaving the
-// key unfinished, when the key's path repeats a vertex, a hop leaves the
-// key, an anchor's vertex is off the path, or records reach no anchor.
-func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) error {
+// sizeKey checks key k, turns the hop links in its range of up into
+// parent links and sizes its anchor trees into block: each tree's
+// records plus trailerWords per leaf. It resolves each anchor's
+// path-geometry index into anchorAt by the anchor's vertex, and labels
+// every record with its tree by climbing the parent links to an anchor
+// or into a cycle. It fails, leaving the key unfinished, when the key's
+// path repeats a vertex, a hop leaves the key, an anchor's vertex is off
+// the path, or records reach no anchor.
+func (f *Flat) sizeKey(k int32, kp *keyPartition, s *walkScratch) error {
 	path := f.pathVert[f.pathOff[k]:f.pathOff[k+1]]
 	defer func() {
 		for _, v := range path {
@@ -243,12 +291,12 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) 
 	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
 		e, v := kp.ent[i], kp.vert[i]
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
-			h := hops[r]
+			h := up[x]
 			if h < 0 {
 				if s.at[v] == 0 {
 					return fmt.Errorf("anchor record %d: vertex %d is not on the path of key %d", r, v, k)
 				}
-				tree[x] = -1 - up[x]
+				tree[x] = -1 - h
 				kp.anchorAt[tree[x]] = s.at[v] - 1
 				continue
 			}
@@ -308,12 +356,11 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, hops []int32, s *walkScratch) 
 func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
 	up := kp.up[base : base+n]
-	recs, own, childOff, child, size, jend, chain := s.recs[:0], s.own[:0], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
-	// The key's records in pool order (their key-local slots), and their
-	// owning vertices.
+	own, childOff, child, size, jend, chain := s.own[:0], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
+	// The owning vertex of each record, in pool order (key-local slot
+	// order).
 	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
 		for r := f.portalOff[kp.ent[i]]; r < f.portalOff[kp.ent[i]+1]; r++ {
-			recs = append(recs, r)
 			own = append(own, kp.vert[i])
 		}
 	}
@@ -387,7 +434,8 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 	// child's size slot takes its parent's slot and its jend slot the
 	// parent's run end; the walk length past its head is the parent's,
 	// read off the parent chain's trailer. A placed record's chain length
-	// is spent, so its slot keeps the record's anchor index instead.
+	// and size are spent, so their slots keep the record's anchor index
+	// and its walk slot instead.
 	blk := f.walkBlk
 	heads := order[:roots]
 	for len(heads) > 0 {
@@ -407,7 +455,7 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 			blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, kp.anchorAt[tree], tail
 			for x, slot := h, end; ; x, slot = child[childOff[x]], slot-1 {
 				blk[slot] = own[x]
-				f.walkSlot[recs[x]] = slot
+				size[x] = slot
 				chain[x] = kp.anchorAt[tree]
 				lo, hi := childOff[x], childOff[x+1]
 				if lo == hi {
@@ -421,6 +469,14 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 			at = end + 1 + trailerWords
 		}
 	}
-	// The parent links are spent too: they take the anchor indices.
+	// The parent links are spent too: they take the anchor indices. The
+	// records take their walk slots in pool order, local slot by local
+	// slot.
 	copy(up, chain)
+	x := 0
+	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
+		for r := f.portalOff[kp.ent[i]]; r < f.portalOff[kp.ent[i]+1]; r, x = r+1, x+1 {
+			f.walkSlot[r] = size[x]
+		}
+	}
 }

@@ -185,6 +185,18 @@ func walkDiff(f *Flat, refBlk, refSlot []int32) string {
 	return ""
 }
 
+// deriveHops derives f's walk layout from pool-order hop links on a pool
+// of the given width, linking them into the key partition as a decode
+// links its hop section.
+func deriveHops(f *Flat, hops []int32, workers int) (anchorRuns, error) {
+	kp := f.partitionByKey()
+	rank := int32(0)
+	for r, h := range hops {
+		rank = kp.link(int32(r), h, rank)
+	}
+	return f.derive(kp, rank, workers)
+}
+
 // checkWidths derives f's walk layout from hops at pool widths 1, 2, 4
 // and 0 with shuffled task submission and compares each with the
 // reference: the same layout word for word, or a failure at every width
@@ -196,7 +208,7 @@ func checkWidths(t *testing.T, name string, f *Flat, hops []int32) bool {
 	par.SetShuffleSeed(0x5eed)
 	defer par.SetShuffleSeed(0)
 	for _, w := range []int{1, 2, 4, 0} {
-		_, err := f.deriveWalk(hops, w)
+		_, err := deriveHops(f, hops, w)
 		if (err == nil) != ok {
 			t.Fatalf("%s width %d: derivation error %v, but reference positions every record: %v", name, w, err, ok)
 		}
@@ -408,7 +420,7 @@ func FuzzWalkLayout(f *testing.F) {
 		}
 		for _, w := range []int{1, 2} {
 			par.SetShuffleSeed(int64(len(ops)) + 1)
-			_, err := dec.deriveWalk(hops, w)
+			_, err := deriveHops(dec, hops, w)
 			par.SetShuffleSeed(0)
 			if err != nil {
 				t.Fatalf("width %d: %v", w, err)
@@ -439,7 +451,7 @@ func BenchmarkDeriveWalk(b *testing.B) {
 	hops := imageHops(fl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fl.deriveWalk(hops, 0); err != nil {
+		if _, err := deriveHops(fl, hops, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

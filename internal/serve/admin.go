@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"time"
 
 	"pathsep/internal/obs"
@@ -29,7 +30,7 @@ type ImageStatus struct {
 	// ResidentBytes is the memory the image holds for serving
 	// (Flat.ResidentBytes: its tables, sweep lane and walk layout), and
 	// LaneAligned reports whether the sweep lane starts on a 64-byte
-	// cache-line boundary (the layout Freeze/DecodeFlat aim for; false
+	// cache-line boundary (the layout Freeze and the decode aim for; false
 	// only under exotic allocator behavior).
 	ResidentBytes int  `json:"resident_bytes"`
 	LaneAligned   bool `json:"lane_aligned"`
@@ -72,6 +73,12 @@ type Status struct {
 	SlowQueries []SlowQuery   `json:"slow_queries,omitempty"`
 	SlowSeen    int64         `json:"slow_queries_seen,omitempty"`
 	Metrics     obs.Snapshot  `json:"metrics"`
+	// MemoryLimit is the process's soft memory limit in bytes
+	// (math.MaxInt64 when none is set), and GCCycles the garbage
+	// collections it has completed: together they show how often a heap
+	// bound makes the collector run.
+	MemoryLimit int64  `json:"memory_limit"`
+	GCCycles    uint64 `json:"gc_cycles"`
 }
 
 // status assembles the current Status document. It takes a proper lease
@@ -117,6 +124,9 @@ func (s *Server) status() Status {
 		},
 		SlowSeen: s.slow.Seen(),
 		Metrics:  s.reg.Snapshot(),
+		// A negative limit reads the setting without changing it.
+		MemoryLimit: debug.SetMemoryLimit(-1),
+		GCCycles:    gcCycles(),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
@@ -134,6 +144,13 @@ func (s *Server) status() Status {
 		st.SlowQueries = append(st.SlowQueries, sq)
 	}
 	return st
+}
+
+// gcCycles returns the garbage collections the process has completed.
+func gcCycles() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // handleStatus answers GET /admin/status with the Status document.

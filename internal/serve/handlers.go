@@ -109,12 +109,16 @@ func (s *Server) handleBatchJSON(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, ok := s.readBody(w, r, int64(s.maxBatch)*64+4096)
+	body := s.getBytes(0)
+	body, ok := s.readBody(w, r, int64(s.maxBatch)*64+4096, body)
 	if !ok {
+		s.putBytes(body)
 		return
 	}
 	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body, &req)
+	s.putBytes(body)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -173,22 +177,27 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, ok := s.readBody(w, r, int64(s.maxBatch)*8+8)
+	body := s.getBytes(0)
+	body, ok := s.readBody(w, r, int64(s.maxBatch)*8+8, body)
 	if !ok {
+		s.putBytes(body)
 		return
 	}
 	if len(body)%8 != 0 {
+		s.putBytes(body)
 		s.fail(w, http.StatusBadRequest, "body length must be a multiple of 8 (uint32 u, uint32 v per pair)")
 		return
 	}
 	n := len(body) / 8
 	if n > s.maxBatch {
+		s.putBytes(body)
 		s.fail(w, http.StatusRequestEntityTooLarge,
 			"batch of "+strconv.Itoa(n)+" pairs exceeds the cap of "+strconv.Itoa(s.maxBatch))
 		return
 	}
 	pairs := s.getPairs(n)
 	decodePairs(pairs, body)
+	s.putBytes(body)
 	dists := s.getDists(n)
 	// One lease for the whole batch (see handleBatchJSON).
 	im := s.acquire()

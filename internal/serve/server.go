@@ -57,7 +57,26 @@ type Config struct {
 	// Source describes where the image came from ("file:oracle.flat",
 	// "built:grid64"), echoed by /admin/status.
 	Source string
+	// HeapBound, when set, is called around every reload that reaches the
+	// decode: with 0 before it, since the new image is then decoded
+	// beside the serving one, and after it with the ResidentBytes of the
+	// image left serving alone — the new one once the old has drained, or
+	// the old one if the decode failed. cmd/pathsepd bounds its heap with
+	// it; a nil HeapBound leaves the process's memory settings alone.
+	HeapBound func(resident int)
 }
+
+// Connection timeouts. readHeaderTimeout bounds how long a connection
+// may take to send a request's headers, so a client that opens
+// connections and trickles bytes into them (a slow loris) cannot hold
+// them open; idleTimeout closes a keep-alive connection that sends no
+// next request. A client that pauses between requests, as the bench's
+// reload connection does for up to a second, stays far inside it. Tests
+// shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Server serves a flat oracle image — the *current* one: the image
 // lives behind an atomic pointer so POST /admin/reload (or SIGHUP on
@@ -73,6 +92,8 @@ type Server struct {
 	maxBatch int
 	maxImage int
 	started  time.Time
+
+	heapBound func(resident int)
 
 	// reloadMu serializes image swaps: one decode+flip+drain at a time,
 	// so generations are strictly increasing and drain waits don't
@@ -124,6 +145,8 @@ func New(cfg Config) (*Server, error) {
 		maxBatch: cfg.MaxBatch,
 		maxImage: cfg.MaxImage,
 		started:  time.Now(),
+
+		heapBound: cfg.HeapBound,
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
@@ -161,7 +184,7 @@ func New(cfg Config) (*Server, error) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	obs.RegisterDebug(s.mux, reg)
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s, nil
 }
 
@@ -227,14 +250,21 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	http.Error(w, msg, code)
 }
 
-// readBody reads r's body up to limit bytes. A body over the cap answers
-// 413; any other read error (a client that stops mid-upload, a dropped
-// connection) is a bad request, not a large one, and answers 400. ok
-// reports whether the body was read whole.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+// readBody reads r's body, up to limit bytes, into buf's backing array
+// and returns it, in a new array when buf's is too small (see fill). A
+// body over the cap answers 413; any other read error (a client that
+// stops mid-upload, a dropped connection) is a bad request, not a large
+// one, and answers 400. ok reports whether the body was read whole; the
+// buffer returned is the caller's to keep or pool either way.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) (body []byte, ok bool) {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		buf, err = fill(http.MaxBytesReader(w, r.Body, limit), buf[:0], int(r.ContentLength))
+	}
 	if err == nil {
-		return body, true
+		return buf, true
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -242,7 +272,50 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 	} else {
 		s.fail(w, http.StatusBadRequest, "reading body: "+err.Error())
 	}
-	return nil, false
+	return buf, false
+}
+
+// bodyPrealloc bounds what a declared body length allocates before its
+// bytes arrive. A batch body, far below it, takes one allocation of its
+// length; a longer one, such as an image on /admin/reload, grows toward
+// its length as its bytes arrive, so a peer that declares more than it
+// sends gets bodyPrealloc, or twice what it sent, at most.
+const bodyPrealloc = 1 << 20
+
+// fill appends r's bytes to buf until EOF or, when want is not negative
+// (a declared length), until it holds want bytes; an earlier EOF is then
+// an error. buf grows only when full, by doubling, never past want, and
+// for a declared length from min(want, bodyPrealloc). io.ReadAll instead
+// grows a fresh slice from 512 bytes through every size class on the
+// way, allocating several times the body, most of it garbage.
+func fill(r io.Reader, buf []byte, want int) ([]byte, error) {
+	for want < 0 || len(buf) < want {
+		if len(buf) == cap(buf) {
+			c := max(2*cap(buf), 512)
+			if want >= 0 {
+				c = min(max(c, bodyPrealloc), want)
+			}
+			grown := make([]byte, len(buf), c)
+			copy(grown, buf)
+			buf = grown
+		}
+		end := cap(buf)
+		if want >= 0 {
+			end = min(end, want)
+		}
+		n, err := r.Read(buf[len(buf):end])
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == nil:
+		case !errors.Is(err, io.EOF):
+			return buf, err
+		case want >= 0 && len(buf) < want:
+			return buf, io.ErrUnexpectedEOF
+		default:
+			return buf, nil
+		}
+	}
+	return buf, nil
 }
 
 // getPairs returns a pooled pair buffer of length n.

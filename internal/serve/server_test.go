@@ -10,8 +10,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -254,6 +257,7 @@ func TestAdminStatus(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
+	runtime.GC()
 
 	resp, err := http.Get(ts.URL + "/admin/status")
 	if err != nil {
@@ -288,6 +292,117 @@ func TestAdminStatus(t *testing.T) {
 	}
 	if s.Inflight() != 0 {
 		t.Fatalf("inflight = %d after all requests done", s.Inflight())
+	}
+	// The server sets no memory limit of its own: it reports the
+	// process's, and at least the collection just forced.
+	if limit := debug.SetMemoryLimit(-1); st.MemoryLimit != limit {
+		t.Fatalf("memory_limit = %d, the process's is %d", st.MemoryLimit, limit)
+	}
+	if st.GCCycles == 0 {
+		t.Fatal("gc_cycles = 0 after a forced collection")
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the response,
+// so an allocation count sees only the handler's own.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestBatchBinBodyAllocs pins that a binary batch body costs no
+// allocation of its own once the buffer pools are warm: a 1024-pair
+// request through the handler allocates less than its 8 KiB body, which
+// reading the body into a fresh buffer takes at the least, and growing
+// one from 512 bytes about twice. Under the race detector the pools drop
+// buffers at random, so there is nothing to count.
+func TestBatchBinBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	s, _, fl := newTestServer(t, Config{Workers: 1})
+	rng := rand.New(rand.NewSource(5))
+	body := make([]byte, 8*1024)
+	for i := 0; i < len(body); i += 4 {
+		binary.LittleEndian.PutUint32(body[i:], uint32(rng.Intn(fl.N())))
+	}
+	w := &discardWriter{h: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/query/batchbin", nil)
+	rd := bytes.NewReader(body)
+	serveOne := func() {
+		rd.Reset(body)
+		req.Body, req.ContentLength = io.NopCloser(rd), int64(len(body))
+		s.Handler().ServeHTTP(w, req)
+	}
+	serveOne() // fills the pools
+	const reqs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reqs {
+		serveOne()
+	}
+	runtime.ReadMemStats(&after)
+	if got := s.batches.Value(); got != reqs+1 {
+		t.Fatalf("%d batches answered, want %d", got, reqs+1)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / reqs
+	t.Logf("a %d-byte batchbin request allocates %d B", len(body), per)
+	if per >= uint64(len(body)) {
+		t.Fatalf("a %d-byte batchbin request allocates %d B, not less than its body", len(body), per)
+	}
+}
+
+// TestSlowLoris pins the header timeout: a connection that sends half a
+// request line and stalls is closed within the timeout, while queries on
+// other connections keep answering.
+func TestSlowLoris(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	s, err := New(Config{Flat: testFlat(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	slow, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := slow.Write([]byte("GET /query?u=0")); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for i := 0; i < 3; i++ {
+		resp, err := client.Get(fmt.Sprintf("http://%s/query?u=0&v=%d", addr, 5+i))
+		if err != nil {
+			t.Fatalf("query beside the stalled connection: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query beside the stalled connection: status %d", resp.StatusCode)
+		}
+	}
+	if err := slow.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if took := time.Since(start); took > 10*readHeaderTimeout {
+		t.Fatalf("stalled connection closed after %v, header timeout %v", took, readHeaderTimeout)
 	}
 }
 

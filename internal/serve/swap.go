@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -39,7 +38,7 @@ type image struct {
 	source   string
 	bytes    int
 	loadedAt time.Time
-	loadNs   int64 // decode+validate time
+	loadNs   int64 // decode+validate time (a file's read included)
 	readers  atomic.Int64
 }
 
@@ -89,7 +88,7 @@ type ReloadResult struct {
 	Previous   uint64 `json:"previous"`
 	N          int    `json:"n"`
 	Bytes      int    `json:"bytes"`
-	LoadNs     int64  `json:"load_ns"`  // decode + validate
+	LoadNs     int64  `json:"load_ns"`  // decode + validate (a file's read included)
 	TotalNs    int64  `json:"total_ns"` // load + flip + drain
 	Drained    bool   `json:"drained"`  // old image's readers hit zero in time
 }
@@ -107,22 +106,42 @@ type ReloadResult struct {
 // reports Drained the old image is externally unreferenced (only the
 // garbage collector holds it).
 func (s *Server) ReloadImage(data []byte, source string) (ReloadResult, error) {
+	return s.reload(func() (*oracle.Flat, error) { return oracle.DecodeFlat(data) }, source)
+}
+
+// ReloadFromFile decodes the image at path straight from the file and
+// swaps it in as ReloadImage does: no buffer of the whole image is read
+// first. The SIGHUP handler on cmd/pathsepd and operators with a shell
+// both land here.
+func (s *Server) ReloadFromFile(path string) (ReloadResult, error) {
+	return s.reload(func() (*oracle.Flat, error) { return oracle.DecodeFlatFile(path) }, "file:"+path)
+}
+
+// reload is ReloadImage for the image decode returns. Around the decode
+// it tells Config.HeapBound what is live: nothing bounds the heap while
+// the new image is decoded beside the serving one, and after the old
+// image has drained, or the decode has failed, the image left serving
+// bounds it.
+func (s *Server) reload(decode func() (*oracle.Flat, error), source string) (ReloadResult, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	start := time.Now()
-	fl, err := oracle.DecodeFlat(data)
+	// Raw pointer access is sanctioned here: reloadMu serializes all
+	// swappers, and the Swap below is the publish the lease guards.
+	cur := s.img.Load() //pathsep:lease-bypass
+	s.boundHeap(0)
+	fl, err := decode()
 	if err != nil {
 		s.reloadErrs.Inc()
+		s.boundHeap(cur.flat.ResidentBytes())
 		return ReloadResult{}, fmt.Errorf("serve: reload rejected, image not swapped: %w", err)
 	}
 	loadNs := time.Since(start).Nanoseconds()
 
-	// Raw pointer access is sanctioned here: reloadMu serializes all
-	// swappers, and the Swap itself is the publish the lease guards.
-	cur := s.img.Load() //pathsep:lease-bypass
-	im := s.newImage(fl, cur.gen+1, source, len(data), loadNs)
+	im := s.newImage(fl, cur.gen+1, source, fl.EncodedSize(), loadNs)
 	old := s.img.Swap(im) //pathsep:lease-bypass
 	drained := waitDrain(old, drainTimeout)
+	s.boundHeap(fl.ResidentBytes())
 
 	total := time.Since(start).Nanoseconds()
 	s.reloads.Inc()
@@ -132,22 +151,19 @@ func (s *Server) ReloadImage(data []byte, source string) (ReloadResult, error) {
 		Generation: im.gen,
 		Previous:   old.gen,
 		N:          fl.N(),
-		Bytes:      len(data),
+		Bytes:      im.bytes,
 		LoadNs:     loadNs,
 		TotalNs:    total,
 		Drained:    drained,
 	}, nil
 }
 
-// ReloadFromFile reads path and swaps it in; the SIGHUP handler on
-// cmd/pathsepd and operators with a shell both land here.
-func (s *Server) ReloadFromFile(path string) (ReloadResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.reloadErrs.Inc()
-		return ReloadResult{}, fmt.Errorf("serve: reload rejected, image not swapped: %w", err)
+// boundHeap passes resident, the bytes the live images hold or 0 for no
+// bound, to Config.HeapBound when one is set.
+func (s *Server) boundHeap(resident int) {
+	if s.heapBound != nil {
+		s.heapBound(resident)
 	}
-	return s.ReloadImage(data, "file:"+path)
 }
 
 // waitDrain spins (with micro-sleeps — no goroutine, nothing to join)
@@ -172,9 +188,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// The decode copies what it keeps, so the body buffer is garbage as
-	// soon as ReloadImage returns.
-	body, ok := s.readBody(w, r, int64(s.maxImage))
+	// The body is read whole before the decode: a peer on the query port
+	// must not make the daemon allocate an image for bytes it never sent,
+	// and a declared Content-Length does not vouch for them. The decode
+	// copies what it keeps, so the body is garbage as soon as ReloadImage
+	// returns.
+	body, ok := s.readBody(w, r, int64(s.maxImage), nil)
 	if !ok {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -300,6 +301,42 @@ func TestSwapHammer(t *testing.T) {
 	}
 	if st.Serving.ReloadErrors != 0 {
 		t.Fatalf("%d reload errors under the hammer", st.Serving.ReloadErrors)
+	}
+}
+
+// TestReloadHeapBound pins when the server calls Config.HeapBound: with
+// 0 before each decode, and after it with the resident bytes of the image
+// left serving — the new one after a swap, the old one after a corrupt
+// image or an unreadable file.
+func TestReloadHeapBound(t *testing.T) {
+	var calls []int
+	s, ts, fl := newTestServer(t, Config{HeapBound: func(resident int) { calls = append(calls, resident) }})
+	alt := altFlat(t)
+	if _, code := postReload(t, ts.URL, alt.Encode()); code != http.StatusOK {
+		t.Fatalf("reload status %d", code)
+	}
+	bad := alt.Encode()
+	bad[0] ^= 0xFF
+	if _, code := postReload(t, ts.URL, bad); code != http.StatusUnprocessableEntity {
+		t.Fatalf("corrupt reload status %d", code)
+	}
+	if _, err := s.ReloadFromFile(filepath.Join(t.TempDir(), "missing.flat")); err == nil {
+		t.Fatal("reload from a missing file succeeded")
+	}
+	path := filepath.Join(t.TempDir(), "image.flat")
+	if err := os.WriteFile(path, fl.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.ReloadFromFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bytes != fl.EncodedSize() {
+		t.Fatalf("file reload reports %d bytes, image has %d", res.Bytes, fl.EncodedSize())
+	}
+	want := []int{0, alt.ResidentBytes(), 0, alt.ResidentBytes(), 0, alt.ResidentBytes(), 0, fl.ResidentBytes()}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("HeapBound calls %v, want %v", calls, want)
 	}
 }
 

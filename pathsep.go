@@ -280,8 +280,9 @@ func NewOracle(d *Decomposition, opt OracleOptions) (*Oracle, error) {
 func QueryLabels(a, b *Label) float64 { return oracle.QueryLabels(a, b) }
 
 // DecodeFlatOracle parses a flat oracle produced by FlatOracle.Encode into
-// a FlatOracle that owns its memory: buf is validated in place and not
-// retained, so the caller may reuse it as soon as the call returns.
+// a FlatOracle that owns its memory: buf is read once, validated as it is
+// read, and not retained, so the caller may reuse it as soon as the call
+// returns.
 func DecodeFlatOracle(buf []byte) (*FlatOracle, error) { return oracle.DecodeFlat(buf) }
 
 // RouterOptions configures NewRouter.
