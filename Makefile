@@ -5,7 +5,7 @@
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
 #   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced, the walk layout and the build rows
-#   make memory-budget  the build's and the flat image's memory budgets at pool widths 1, 2, 4 and 8
+#   make memory-budget  the decomposition's, the build's and the flat image's memory budgets at pool widths 1, 2, 4 and 8
 #   make bench-obs  metrics on vs. off numbers (.bench_build/BENCH_obs.json)
 #   make bench-parallel  parallel-build speedup gate (.bench_build/BENCH_parallel.json)
 #   make bench-query     flat-vs-pointer query speedup gate (.bench_build/BENCH_query.json)
@@ -97,9 +97,11 @@ fuzz-short:
 # The walk derivation's scratch depends on the pool width (a set per
 # worker, sized to the largest key over the width), so the decode's and
 # the build's budgets run at every width a runner may have, not only at
-# this machine's GOMAXPROCS.
+# this machine's GOMAXPROCS; so does the decomposition's, whose tasks
+# run on a pool of that width.
 memory-budget:
 	$(GO) test -cpu 1,2,4,8 -run '^(TestFlatMemoryBudget|TestBuildMemoryBudget)$$' ./internal/oracle/
+	$(GO) test -cpu 1,2,4,8 -run '^TestDecomposeMemoryBudget$$' ./internal/core/
 
 # The disabled-path gate: must report 0 allocs/op on QueryDisabled.
 bench-overhead:

@@ -223,7 +223,8 @@ func Decompose(g *graph.Graph, opt Options) (*Tree, error) {
 			lifted := graph.Induced(g, rootIDs)
 			var childRot *embed.Rotation
 			if it.rot != nil {
-				childRot = it.rot.Restrict(graph.Induced(j, comp))
+				// lifted.G is j's subgraph on comp, in comp's order.
+				childRot = it.rot.Restrict(&graph.Sub{G: lifted.G, Orig: comp})
 			}
 			out.children = append(out.children, item{sub: lifted, rot: childRot, parent: id, depth: it.depth + 1})
 		}

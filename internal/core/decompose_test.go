@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pathsep/internal/embed"
@@ -211,5 +212,33 @@ func TestSepInRootIDsNilSeparator(t *testing.T) {
 	n := &Node{}
 	if n.SepInRootIDs() != nil {
 		t.Fatal("nil separator should lift to nil")
+	}
+}
+
+// TestDecomposeMemoryBudget pins what decomposing the 64×64 bench-shaped
+// grid allocates, per vertex, at the pool width GOMAXPROCS gives
+// (make memory-budget runs it at 1, 2, 4 and 8). Each of these breaks
+// it: copying a node's graph to find the components of each separator
+// phase, building a second subgraph per child to restrict its rotation,
+// or either per-node map on the planar path (half-edge IDs, tree-edge
+// IDs). The node count pins the decomposition itself, so a different
+// tree cannot pass the budget.
+func TestDecomposeMemoryBudget(t *testing.T) {
+	rot := embed.Grid(64, 64, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr, err := Decompose(rot.G, Options{Strategy: Auto{}, Rot: rot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := len(tr.Nodes); got != 1073 {
+		t.Fatalf("fixture has %d nodes, want 1073", got)
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(rot.G.N())
+	t.Logf("Decompose allocates %.0f B/vertex in %d mallocs", alloc, after.Mallocs-before.Mallocs)
+	if alloc > 8000 {
+		t.Errorf("Decompose allocates %.0f B/vertex, budget 8000", alloc)
 	}
 }

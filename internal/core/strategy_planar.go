@@ -85,26 +85,14 @@ func fundamentalCycleSeparator(j *graph.Graph, rot *embed.Rotation, col *shortes
 	t := shortest.Dijkstra(j, 0)
 	col.Record(t)
 	// Tree-edge flags over the real edge IDs (graph.Edges enumeration order,
-	// matching embed.Triangulate).
-	edgeID := make(map[[2]int]int, j.M())
-	{
-		id := 0
-		j.Edges(func(u, v int, _ float64) {
-			edgeID[[2]int{u, v}] = id
-			id++
-		})
-	}
+	// matching embed.Triangulate): an edge is a tree edge when one end is
+	// the other's parent. j is simple, being built by graph.Induced.
 	isTree := make([]bool, tri.RealM)
-	for v := 0; v < n; v++ {
-		if p := t.Parent[v]; p >= 0 {
-			key := [2]int{min(p, v), max(p, v)}
-			id, ok := edgeID[key]
-			if !ok {
-				return nil, fmt.Errorf("core: SP tree edge {%d,%d} missing from triangulation", p, v)
-			}
-			isTree[id] = true
-		}
-	}
+	id := 0
+	j.Edges(func(u, v int, _ float64) {
+		isTree[id] = t.Parent[v] == u || t.Parent[u] == v
+		id++
+	})
 	parentFace, parentEdge, post, err := tri.DualTree(isTree)
 	if err != nil {
 		return nil, err

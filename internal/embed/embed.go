@@ -14,6 +14,7 @@ package embed
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pathsep/internal/graph"
 )
@@ -38,44 +39,59 @@ type halfEdges struct {
 
 func (r *Rotation) buildHalfEdges() (*halfEdges, error) {
 	g := r.G
-	h := &halfEdges{}
-	// Map (u,v) -> edge id. The graph is simple, so this is unambiguous.
-	type key [2]int
-	idOf := make(map[key]int, g.M())
-	g.Edges(func(u, v int, _ float64) {
-		idOf[key{u, v}] = h.m
-		h.eu = append(h.eu, u)
-		h.ev = append(h.ev, v)
-		h.m++
-	})
-	// Outgoing half-edge for v->w.
-	out := func(v, w int) (int, bool) {
-		if v < w {
-			id, ok := idOf[key{v, w}]
-			return 2 * id, ok
+	n, m := g.N(), g.M()
+	h := &halfEdges{eu: make([]int, 0, m), ev: make([]int, 0, m), rotv: make([][]int, n)}
+	// Edge IDs follow G.Edges: v's adjacency slot toward a higher w opens
+	// the next edge e, whose half-edges are 2e (v->w) and 2e+1 (w->v). The
+	// edge then waits in w's bucket, bucket[start[w]:start[w+1]], until the
+	// scan reaches w.
+	start := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		lower := 0
+		for _, x := range g.Neighbors(v) {
+			if x.To < v {
+				lower++
+			}
 		}
-		id, ok := idOf[key{w, v}]
-		return 2*id + 1, ok
+		start[v+1] = start[v] + lower
 	}
-	h.rotv = make([][]int, g.N())
-	pos := make([]int, 2*h.m) // pos[halfedge] = index in rotv[tail]
-	for v := 0; v < g.N(); v++ {
+	bucket := make([]int, start[n])
+	fill := slices.Clone(start[:n])
+	// While the scan is at v, out[w] is the half-edge from v to its
+	// neighbour w, and mark[w] is 2v+1 for a neighbour w, 2v+2 once v's
+	// rotation has listed it; both hold older vertices' values elsewhere.
+	out := make([]int, n)
+	mark := make([]int, n)
+	pos := make([]int, 2*m) // pos[halfedge] = index in rotv[tail]
+	for v := 0; v < n; v++ {
+		for _, e := range bucket[start[v]:start[v+1]] {
+			out[h.eu[e]] = 2*e + 1
+		}
+		for _, x := range g.Neighbors(v) {
+			if x.To > v {
+				bucket[fill[x.To]] = h.m
+				fill[x.To]++
+				out[x.To] = 2 * h.m
+				h.eu = append(h.eu, v)
+				h.ev = append(h.ev, x.To)
+				h.m++
+			}
+			mark[x.To] = 2*v + 1
+		}
 		if len(r.Order[v]) != g.Degree(v) {
 			return nil, fmt.Errorf("embed: rotation at %d has %d entries, degree is %d", v, len(r.Order[v]), g.Degree(v))
 		}
-		seen := make(map[int]bool, len(r.Order[v]))
 		h.rotv[v] = make([]int, len(r.Order[v]))
 		for i, w := range r.Order[v] {
-			he, ok := out(v, w)
-			if !ok {
+			if w < 0 || w >= n || mark[w] < 2*v+1 {
 				return nil, fmt.Errorf("embed: rotation at %d lists non-neighbor %d", v, w)
 			}
-			if seen[w] {
+			if mark[w] == 2*v+2 {
 				return nil, fmt.Errorf("embed: rotation at %d repeats neighbor %d", v, w)
 			}
-			seen[w] = true
-			h.rotv[v][i] = he
-			pos[he] = i
+			mark[w] = 2*v + 2
+			h.rotv[v][i] = out[w]
+			pos[out[w]] = i
 		}
 	}
 	// next(h): for h = u->v, take reverse(h) = v->u, and advance one step in

@@ -3,6 +3,7 @@ package embed
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Tri is a triangulation of an embedded connected graph: the original
@@ -45,9 +46,19 @@ func Triangulate(r *Rotation) (*Tri, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tri{N: g.N(), RealM: h.m}
-	t.EU = append(t.EU, h.eu...)
-	t.EV = append(t.EV, h.ev...)
+	// A walk of m half-edges becomes m-2 triangles through m-3 chords, so
+	// every output is allocated once at its final size.
+	walks := h.faceWalks()
+	faces := 2*h.m - 2*len(walks)
+	edges := h.m + 2*h.m - 3*len(walks)
+	t := &Tri{
+		N:        g.N(),
+		RealM:    h.m,
+		EU:       append(make([]int, 0, edges), h.eu...),
+		EV:       append(make([]int, 0, edges), h.ev...),
+		Faces:    make([][3]int, 0, faces),
+		FaceEdge: make([][3]int, 0, faces),
+	}
 
 	addEdge := func(u, v int) int {
 		t.EU = append(t.EU, u)
@@ -59,7 +70,7 @@ func Triangulate(r *Rotation) (*Tri, error) {
 		t.FaceEdge = append(t.FaceEdge, [3]int{eab, ebc, eca})
 	}
 
-	for _, walk := range h.faceWalks() {
+	for _, walk := range walks {
 		// Working representation: ws[i] is a vertex, es[i] is the edge ID
 		// from ws[i] to ws[(i+1)%len].
 		m := len(walk)
@@ -141,9 +152,9 @@ func (t *Tri) DualTree(isTreeEdge []bool) (parent []int, parentEdge []int, posto
 		parentEdge[i] = -1
 	}
 	parent[0] = -1
-	stack := []int{0}
-	postorder = make([]int, 0, nf)
-	order := []int{}
+	// Each face enters the stack once, when it gets its parent.
+	stack := append(make([]int, 0, nf), 0)
+	order := make([]int, 0, nf)
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -179,8 +190,6 @@ func (t *Tri) DualTree(isTreeEdge []bool) (parent []int, parentEdge []int, posto
 	// for trees; compute a true postorder by sorting children after parents.
 	// Since `order` is a DFS preorder, its reverse visits children before
 	// parents.
-	for i := len(order) - 1; i >= 0; i-- {
-		postorder = append(postorder, order[i])
-	}
-	return parent, parentEdge, postorder, nil
+	slices.Reverse(order)
+	return parent, parentEdge, order, nil
 }

@@ -129,7 +129,7 @@ func TestInducedIgnoresBadInput(t *testing.T) {
 
 func TestRemoveVertices(t *testing.T) {
 	g := Path(5, UnitWeights(), rand.New(rand.NewSource(1)))
-	sub := RemoveVertices(g, []int{2})
+	sub := removeVertices(g, []int{2})
 	if sub.G.N() != 4 || sub.G.M() != 2 {
 		t.Fatalf("n=%d m=%d", sub.G.N(), sub.G.M())
 	}

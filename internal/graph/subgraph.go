@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Sub is an induced subgraph together with the mapping back to the vertex
 // IDs of the graph it was taken from.
 type Sub struct {
@@ -89,24 +94,6 @@ func Induced(g *Graph, vertices []int) *Sub {
 	return &Sub{G: &Graph{adj: adj, edges: len(edges)}, Orig: orig}
 }
 
-// RemoveVertices returns the subgraph of g induced by all vertices NOT in
-// the removed set.
-func RemoveVertices(g *Graph, removed []int) *Sub {
-	drop := make([]bool, g.N())
-	for _, v := range removed {
-		if v >= 0 && v < g.N() {
-			drop[v] = true
-		}
-	}
-	keep := make([]int, 0, g.N())
-	for v := 0; v < g.N(); v++ {
-		if !drop[v] {
-			keep = append(keep, v)
-		}
-	}
-	return Induced(g, keep)
-}
-
 // ConnectedComponents returns the vertex sets of the connected components of
 // g, largest first.
 func ConnectedComponents(g *Graph) [][]int {
@@ -137,14 +124,7 @@ func ConnectedComponents(g *Graph) [][]int {
 		}
 		comps = append(comps, members)
 	}
-	// Largest first (stable on ties by first vertex).
-	for i := 1; i < len(comps); i++ {
-		j := i
-		for j > 0 && len(comps[j-1]) < len(comps[j]) {
-			comps[j-1], comps[j] = comps[j], comps[j-1]
-			j--
-		}
-	}
+	largestFirst(comps)
 	return comps
 }
 
@@ -159,16 +139,73 @@ func IsConnected(g *Graph) bool {
 
 // ComponentsAfterRemoval returns the connected components of g minus the
 // removed vertex set, as vertex lists in g's numbering, largest first.
+//
+// Member order is that of ConnectedComponents on the subgraph Induced
+// builds from the kept vertices in ascending order, whose adjacency
+// lists hold a vertex's lower neighbours ascending, then its higher ones
+// in g's order. The search walks g itself under a removed mask and
+// pushes neighbours in that order, so no subgraph is built; on a graph
+// Induced built, the lower neighbours are already in order.
 func ComponentsAfterRemoval(g *Graph, removed []int) [][]int {
-	sub := RemoveVertices(g, removed)
-	comps := ConnectedComponents(sub.G)
-	out := make([][]int, len(comps))
-	for i, c := range comps {
-		lifted := make([]int, len(c))
-		for j, v := range c {
-			lifted[j] = sub.Orig[v]
-		}
-		out[i] = lifted
+	const (
+		unseen = -1
+		gone   = -2
+	)
+	n := g.N()
+	// comp[v] is v's component, unseen until the search reaches v, or
+	// gone for a removed vertex.
+	comp := make([]int32, n)
+	for i := range comp {
+		comp[i] = unseen
 	}
-	return out
+	kept := n
+	for _, v := range removed {
+		if v >= 0 && v < n && comp[v] != gone {
+			comp[v] = gone
+			kept--
+		}
+	}
+	// The components partition the kept vertices, so their member lists
+	// share one array; each is capped at its end, so that an append to
+	// one cannot reach the next.
+	members := make([]int, 0, kept)
+	var comps [][]int
+	stack := make([]int, 0, 64)
+	for s := 0; s < n; s++ {
+		if comp[s] != unseen {
+			continue
+		}
+		id := int32(len(comps))
+		comp[s] = id
+		stack = append(stack[:0], s)
+		start := len(members)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			members = append(members, v)
+			lower := len(stack)
+			for _, h := range g.adj[v] {
+				if h.To < v && comp[h.To] == unseen {
+					comp[h.To] = id
+					stack = append(stack, h.To)
+				}
+			}
+			slices.Sort(stack[lower:])
+			for _, h := range g.adj[v] {
+				if h.To > v && comp[h.To] == unseen {
+					comp[h.To] = id
+					stack = append(stack, h.To)
+				}
+			}
+		}
+		comps = append(comps, members[start:len(members):len(members)])
+	}
+	largestFirst(comps)
+	return comps
+}
+
+// largestFirst orders components largest first, keeping the order they
+// were found in among equal sizes.
+func largestFirst(comps [][]int) {
+	slices.SortStableFunc(comps, func(a, b []int) int { return cmp.Compare(len(b), len(a)) })
 }

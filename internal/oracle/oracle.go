@@ -384,8 +384,11 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 						// one record per residual vertex each.
 						sel := selectEvenPortals(info.pos, portalsPerPath)
 						out := sizedRecBuf(split, roots, len(sel)+1)
+						// Every run of the task reuses one workspace; each
+						// run's tree is read before the next run starts.
+						var ws shortest.Workspace
 						// Closest-attachment entries via one multi-source run.
-						trQ := shortest.MultiSource(j, info.verts)
+						trQ := ws.Run(j, info.verts, nil)
 						col.Record(trQ)
 						posOf := make([]float64, j.N())
 						for x, jv := range info.verts {
@@ -406,7 +409,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, roots[w], k, roots[trQ.Parent[w]], int32(trQ.Hops[w])})
 						}
 						for _, x := range sel {
-							tr := shortest.Dijkstra(j, info.verts[x])
+							tr := ws.Run(j, info.verts[x:x+1], nil)
 							col.Record(tr)
 							for w := 0; w < j.N(); w++ {
 								if math.IsInf(tr.Dist[w], 1) || w == info.verts[x] {
@@ -597,6 +600,9 @@ func (c *records) sortRange(r int) rangeRows {
 	for i := 0; i < nv; i++ {
 		end := ends[i+1]
 		group := rows[start:end]
+		// pdqsort, not a stable sort: portal-mode groups arrive nearly
+		// sorted, where a stable sort is faster, but exact-mode groups
+		// interleave keys, where it is slower (DESIGN §7).
 		slices.SortFunc(group, rowCmp)
 		first := kept
 		for _, x := range group {

@@ -302,13 +302,15 @@ func FuzzBuildRows(f *testing.F) {
 
 // TestBuildMemoryBudget pins what building the 32×32 bench-shaped
 // CoverPortal image costs, per portal. Build writes the serving rows
-// directly and Freeze shares them, so Build+Freeze allocates within
-// 280 B/portal in all, and the live Oracle plus its Flat — one 16 B
+// directly and Freeze shares them, and each separator path's Dijkstra
+// runs share one workspace, so Build+Freeze allocates within
+// 200 B/portal in all, and the live Oracle plus its Flat — one 16 B
 // lane record and a 4 B hop vertex per portal, the walk layout and the
 // small CSR tables — hold within 40 B/portal after a GC. Assembling
-// per-vertex label slices first and copying them into the Flat breaks
-// both; keeping the resolved hop links, per-record walk entries or a
-// third lane word breaks the second.
+// per-vertex label slices first and copying them into the Flat, or
+// fresh arrays for every Dijkstra run, break the first; keeping the
+// resolved hop links, per-record walk entries or a third lane word
+// breaks the second.
 func TestBuildMemoryBudget(t *testing.T) {
 	rot := embed.Grid(32, 32, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
 	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
@@ -339,10 +341,59 @@ func TestBuildMemoryBudget(t *testing.T) {
 	runtime.KeepAlive(o)
 	runtime.KeepAlive(fl)
 	t.Logf("Build+Freeze allocate %.1f B/portal in %d mallocs; Oracle+Flat hold %.1f B/portal", alloc, built.Mallocs-before.Mallocs, live)
-	if alloc > 280 {
-		t.Errorf("Build+Freeze allocate %.1f B/portal, budget 280", alloc)
+	if alloc > 200 {
+		t.Errorf("Build+Freeze allocate %.1f B/portal, budget 200", alloc)
 	}
 	if live > 40 {
 		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 40", live)
+	}
+}
+
+// setupSink keeps BenchmarkImageSetup's results alive.
+var setupSink any
+
+// BenchmarkImageSetup times the bulk workload's image set-up stage by
+// stage — Decompose, Build, Freeze and Encode of the 128×128
+// bench-shaped ε = 0.25 portal image, at the GOMAXPROCS pool width — so
+// each stage pairs without the end-to-end benchmark:
+//
+//	go test -run '^$' -bench ImageSetup -cpu 1,2 ./internal/oracle/
+func BenchmarkImageSetup(b *testing.B) {
+	rot := embed.Grid(128, 128, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
+	decompose := func() (*core.Tree, error) {
+		return core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot})
+	}
+	dec, err := decompose()
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, err := Build(dec, Options{Epsilon: 0.25, Mode: CoverPortal})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl, err := o.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	stages := []struct {
+		name string
+		run  func() (any, error)
+	}{
+		{"decompose", func() (any, error) { return decompose() }},
+		{"build", func() (any, error) { return Build(dec, Options{Epsilon: 0.25, Mode: CoverPortal}) }},
+		{"freeze", func() (any, error) { return o.Freeze() }},
+		{"encode", func() (any, error) { return fl.Encode(), nil }},
+	}
+	for _, st := range stages {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := st.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				setupSink = out
+			}
+		})
 	}
 }

@@ -61,20 +61,51 @@ func MultiSource(g *graph.Graph, sources []int) *Tree {
 // source i starts with initial distance offsets[i] (all zero when offsets
 // is nil). This implements distance to a path with positions along it.
 func MultiSourceOffsets(g *graph.Graph, sources []int, offsets []float64) *Tree {
+	// A copy of the run's Tree, so that holding it keeps no heap alive.
+	var ws Workspace
+	t := *ws.Run(g, sources, offsets)
+	return &t
+}
+
+// Workspace holds the arrays of one Dijkstra run, so that a caller
+// making many runs allocates them once. The zero value is ready to use.
+// A Workspace is not safe for concurrent use.
+type Workspace struct {
+	tree Tree
+	pq   *pqueue.PQ
+	done []bool
+}
+
+// Run computes what MultiSourceOffsets computes, into the workspace's
+// arrays: it resets them to g's size, growing them only when g has more
+// vertices than any earlier run's graph, and reuses the heap. The
+// returned Tree is the workspace's own and is overwritten by the next
+// Run.
+func (ws *Workspace) Run(g *graph.Graph, sources []int, offsets []float64) *Tree {
 	n := g.N()
-	t := &Tree{
-		Dist:   make([]float64, n),
-		Parent: make([]int, n),
-		Source: make([]int, n),
-		Order:  make([]int, 0, n),
-		Hops:   make([]int, n),
+	t := &ws.tree
+	if ws.pq == nil || cap(t.Dist) < n {
+		*t = Tree{
+			Dist:   make([]float64, n),
+			Parent: make([]int, n),
+			Source: make([]int, n),
+			Order:  make([]int, 0, n),
+			Hops:   make([]int, n),
+		}
+		ws.pq = pqueue.New(n)
+		ws.done = make([]bool, n)
 	}
+	t.Dist, t.Parent, t.Source, t.Hops, t.Order = t.Dist[:n], t.Parent[:n], t.Source[:n], t.Hops[:n], t.Order[:0]
+	done := ws.done[:n]
+	pq := ws.pq
+	pq.Reset()
+	clear(done)
+	clear(t.Hops)
 	for i := 0; i < n; i++ {
 		t.Dist[i] = Inf
 		t.Parent[i] = -1
 		t.Source[i] = -1
 	}
-	pq := pqueue.New(n)
 	var pushes, pops, scanned, relaxed int64
 	for i, s := range sources {
 		d := 0.0
@@ -88,7 +119,6 @@ func MultiSourceOffsets(g *graph.Graph, sources []int, offsets []float64) *Tree 
 			pushes++
 		}
 	}
-	done := make([]bool, n)
 	for pq.Len() > 0 {
 		v, dv := pq.Pop()
 		pops++
