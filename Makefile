@@ -1,6 +1,6 @@
 # Tier-1+ verification for the pathsep repo.
 #
-#   make check      vet + lint + build + race tests + determinism + fuzz smoke + memory budget + obs-overhead + parallel-speedup + query-serving + path-serving + serve-bench gates + bench-module tests
+#   make check      vet + lint + build + race tests + determinism + fuzz smoke + memory budget + obs-overhead + parallel-speedup + query-serving + path-serving + serving gates + bench-module tests
 #   make test       plain test run (the tier-1 gate)
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
@@ -10,7 +10,7 @@
 #   make bench-parallel  parallel-build speedup gate (.bench_build/BENCH_parallel.json)
 #   make bench-query     flat-vs-pointer query speedup gate (.bench_build/BENCH_query.json)
 #   make bench-path      path-reporting serving gate (.bench_build/BENCH_path.json)
-#   make bench-serve     in-process daemon self-load gate (.bench_build/BENCH_serve.json)
+#   make bench-serve     serving gate: bench/run.sh drives pathsepd on the reload and bulk workloads (.bench_build/BENCH_serve-*.txt)
 #
 # The gates write their measurements under the ignored .bench_build/, so
 # make check leaves the tracked tree as it found it.
@@ -55,9 +55,9 @@ lint-json: $(LINT_BIN)
 
 # Per-analyzer finding and suppression counts: the findings come from
 # the same vet run as lint-json; suppressions are the exception-granting
-# directives (//pathsep:detached, //pathsep:lease-bypass) counted in
-# non-test library sources. Rising suppressions with flat findings means
-# exceptions are doing an analyzer's job — worth a look in review.
+# directives (//pathsep:lease-bypass) counted in non-test library
+# sources. Rising suppressions with flat findings means exceptions are
+# doing an analyzer's job — worth a look in review.
 lint-stats: $(LINT_BIN)
 	./$(LINT_BIN) -stats ./...
 
@@ -131,12 +131,27 @@ bench-query:
 bench-path:
 	BENCH_PATH_GATE=1 $(GO) test -run TestPathServingGate -v .
 
-# The serving gate: stand up the pathsepd engine in-process, self-load it
-# (concurrent GET /query then binary batches), and record QPS + latency
-# percentiles in .bench_build/BENCH_serve.json; zero errors and a sane
-# p99 required.
+# The serving gate: bench/run.sh builds pathsepd, serves each workload's
+# image from it and drives it over loopback, 4 s per workload: reload
+# (GET /query beside image swaps) and bulk (binary batches). A run exits
+# non-zero on a transport error, a non-2xx reply, a wrong answer or a
+# wrong reload generation. Its rows land in
+# .bench_build/BENCH_serve-<workload>.txt, and the gate also fails when a
+# p99_us row is missing (fewer than 1,000 samples) or reads 250 ms or
+# more, or when the reload rows have no reload_p50_ms (fewer than 20
+# reloads).
 bench-serve:
-	BENCH_SERVE_GATE=1 $(GO) test -run TestServeBenchGate -v .
+	@set -e; for w in reload bulk; do \
+		out=.bench_build/BENCH_serve-$$w.txt; \
+		echo "bash bench/run.sh --workload $$w --seed 1 --seconds 4 --trace 0 --out $$out"; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 4 --trace 0 --out $$out; \
+		awk -v w=$$w -v f=$$out ' \
+		  $$2 == "p99_us" { n++; if ($$3 + 0 >= 250000) { printf "bench-serve: %s: p99_us %s us, want < 250000\n", w, $$3; bad = 1 } } \
+		  $$2 == "reload_p50_ms" { r = 1 } \
+		  END { if (!n) { printf "bench-serve: %s: no p99_us row in %s (fewer than 1,000 samples)\n", w, f; bad = 1 } \
+		    if (w == "reload" && !r) { printf "bench-serve: reload: no reload_p50_ms row in %s (fewer than 20 reloads)\n", f; bad = 1 } \
+		    exit bad ? 1 : 0 }' $$out; \
+	done
 
 # bench/ is its own Go module (it replaces pathsep with ../), so the root
 # ./... never compiles it; this runs its tests against the tree, catching

@@ -11,11 +11,8 @@
 // query latency histogram); with -pprof addr it serves net/http/pprof
 // and /debug/vars while running.
 //
-// Queries run on the oracle's serving rows (the flat engine). With
-// -serve-bench 2s it also freezes the oracle into its serving image
-// (oracle.Flat), prints the freeze stats and measures serving throughput
-// (single-thread Query and batched QueryBatch QPS, reported to the
-// oracle.batch_qps gauge when -metrics is set).
+// Queries run on the oracle's serving rows (the flat engine). To measure
+// the serving image over HTTP, use bench/run.sh (see bench/README.md).
 package main
 
 import (
@@ -42,8 +39,6 @@ func main() {
 	audit := flag.Int("audit", 200, "queries to audit against Dijkstra")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "construction worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	serveBench := flag.Duration("serve-bench", 0, "freeze the oracle and run a query-throughput benchmark (single-thread and batched) for this long")
-	batch := flag.Int("batch", 1024, "batch size for -serve-bench QueryBatch rounds")
 	metricsOut := flag.String("metrics", "", "write a metrics JSON snapshot to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /debug/vars on this address")
 	flag.Parse()
@@ -106,22 +101,6 @@ func main() {
 	}
 	buildTime := time.Since(start)
 
-	// The serving image: -serve-bench measures it. Its answers are
-	// bit-identical to the oracle's.
-	var fl *oracle.Flat
-	if *serveBench > 0 {
-		start = time.Now()
-		var err error
-		fl, err = o.Freeze()
-		if err != nil {
-			fail(err)
-		}
-		freezeTime := time.Since(start)
-		fl.SetMetrics(reg)
-		fmt.Printf("flat: froze in %v  (%d keys, %d entries, %d portals, %d bytes)\n",
-			freezeTime.Round(time.Millisecond), fl.NumKeys(), fl.NumEntries(), fl.NumPortals(), fl.EncodedSize())
-	}
-
 	rng := rand.New(rand.NewSource(*seed))
 	start = time.Now()
 	for i := 0; i < *queries; i++ {
@@ -156,53 +135,12 @@ func main() {
 		fmt.Printf("stretch: max=%.4f mean=%.4f over %d audited pairs (bound 1+eps=%.4f)\n",
 			worst, sum/float64(count), count, 1+*eps)
 	}
-	if *serveBench > 0 {
-		serveBenchmark(fl, g.N(), *serveBench, *batch, *workers, rng)
-	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, reg); err != nil {
 			fail(err)
 		}
 		fmt.Printf("metrics: snapshot written to %s\n", *metricsOut)
 	}
-}
-
-// serveBenchmark measures serving throughput over the flat oracle: a
-// single-thread Query loop and batched QueryBatch rounds (buffer reused
-// across rounds), each for roughly half the given duration.
-func serveBenchmark(fl *oracle.Flat, n int, d time.Duration, batch, workers int, rng *rand.Rand) {
-	if batch < 1 {
-		batch = 1
-	}
-	half := d / 2
-
-	single := 0
-	deadline := time.Now().Add(half)
-	startSingle := time.Now()
-	for time.Now().Before(deadline) {
-		for i := 0; i < 256; i++ {
-			fl.Query(rng.Intn(n), rng.Intn(n))
-		}
-		single += 256
-	}
-	singleQPS := float64(single) / time.Since(startSingle).Seconds()
-
-	pairs := make([]oracle.Pair, batch)
-	out := make([]float64, batch)
-	batched := 0
-	deadline = time.Now().Add(half)
-	startBatch := time.Now()
-	for time.Now().Before(deadline) {
-		for i := range pairs {
-			pairs[i] = oracle.Pair{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
-		}
-		out = fl.QueryBatchWorkers(pairs, out, workers)
-		batched += len(pairs)
-	}
-	batchQPS := float64(batched) / time.Since(startBatch).Seconds()
-
-	fmt.Printf("serve-bench: single-thread %.0f qps, batched %.0f qps (batch=%d workers=%d, %.1fx)\n",
-		singleQPS, batchQPS, batch, workers, batchQPS/singleQPS)
 }
 
 func writeMetrics(path string, reg *obs.Registry) error {

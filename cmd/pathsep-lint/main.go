@@ -24,11 +24,11 @@
 //
 // With -stats as the first argument, standalone mode prints a
 // per-analyzer table instead: finding counts from the same vet run,
-// plus suppression counts — the exception-granting directive comments
-// (//pathsep:detached, //pathsep:lease-bypass) found in non-test library
-// sources, attributed to the analyzer each one silences. The table makes directive creep visible: a rising
-// suppression count with flat findings means exceptions are doing the
-// analyzer's job.
+// plus suppression counts — the exception-granting directive comment
+// //pathsep:lease-bypass found in non-test library sources, attributed
+// to the analyzer it silences. The table makes directive creep visible:
+// a rising suppression count with flat findings means exceptions are
+// doing the analyzer's job.
 package main
 
 import (
@@ -243,7 +243,6 @@ func runJSON(self string, patterns []string, outPath string) int {
 // //pathsep:hotpath, //pathsep:lease on a type) configure an analyzer
 // rather than suppress it and are deliberately not counted.
 var suppressionDirectives = map[string]string{
-	"//pathsep:detached":     "ctxdone",
 	"//pathsep:lease-bypass": "leasepair",
 }
 

@@ -29,14 +29,13 @@
 // fixed headroom, lifted while a reload decodes its image beside the
 // serving one. A GOMEMLIMIT in the environment takes its place.
 //
-// With -serve-bench the daemon instead self-loads: it binds an ephemeral
-// port, fires the load generator at itself, writes QPS/p50/p99 to
-// -bench-out (BENCH_serve.json by default) and exits.
+// bench/run.sh (see bench/README.md) builds this daemon, serves each
+// workload's image from it and drives it over loopback; make bench-serve
+// runs it as the serving gate.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -66,12 +65,6 @@ func main() {
 	slowN := flag.Int("slow", 16, "slow-query exemplars to retain for /admin/status (0 disables)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max pairs per batch request")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain budget on SIGTERM")
-	serveBench := flag.Duration("serve-bench", 0, "self-load for this long, write the results, and exit")
-	benchConc := flag.Int("bench-conc", 4, "concurrent single-query clients for -serve-bench")
-	benchBatch := flag.Int("bench-batch", 1024, "pairs per binary batch for -serve-bench")
-	benchReloads := flag.Int("bench-reloads", 6, "image swaps to fire mid-load during -serve-bench (0 disables)")
-	benchOut := flag.String("bench-out", "BENCH_serve.json", "where -serve-bench writes its measurements")
-	seed := flag.Int64("seed", 1, "random seed for -serve-bench traffic")
 	flag.Parse()
 
 	if (*image == "") == (*graphIn == "") {
@@ -109,10 +102,8 @@ func main() {
 	// which can be most of the load's transient, rather than twice the
 	// serving image.
 	runtime.GC()
-	// The self-load runs its load generator in this process, whose
-	// garbage a bound sized to the image would leave no room for.
 	var bound func(resident int)
-	if os.Getenv("GOMEMLIMIT") == "" && *serveBench == 0 {
+	if os.Getenv("GOMEMLIMIT") == "" {
 		bound = boundHeap
 		bound(fl.ResidentBytes())
 	}
@@ -134,11 +125,6 @@ func main() {
 	})
 	if err != nil {
 		fail(err)
-	}
-
-	if *serveBench > 0 {
-		runBench(srv, fl, *serveBench, *benchConc, *benchBatch, *benchReloads, *benchOut, *seed, *drain)
-		return
 	}
 
 	addr, err := srv.Start(*listen)
@@ -254,48 +240,6 @@ func loadFlat(image, graphIn string, eps float64, mode string, workers int, save
 		fmt.Printf("pathsepd: wrote flat image to %s\n", saveImage)
 	}
 	return fl, source, nil
-}
-
-// runBench self-loads the server on an ephemeral port and writes the
-// measurements as JSON. With reloads > 0 the load generator also swaps
-// the image mid-run, so the output records reload latency under traffic.
-func runBench(srv *serve.Server, fl *oracle.Flat, d time.Duration, conc, batch, reloads int, out string, seed int64, drain time.Duration) {
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	var img []byte
-	if reloads > 0 {
-		img = fl.Encode()
-	}
-	res, err := serve.LoadBenchReload("http://"+addr.String(), fl.N(), d, conc, batch, seed, img, reloads)
-	if err != nil {
-		fail(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fail(err)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fail(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		f.Close()
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-	reloadP99 := int64(0)
-	if res.ReloadP99Ns != nil {
-		reloadP99 = *res.ReloadP99Ns
-	}
-	fmt.Printf("serve-bench: %d reqs %.0f qps p50=%dns p99=%dns; batch %.0f pairs/s (batch=%d); %d reloads p99=%dns -> %s\n",
-		res.Requests, res.QPS, res.P50Ns, res.P99Ns, res.BatchQPS, batch, res.Reloads, reloadP99, out)
 }
 
 func fail(err error) {

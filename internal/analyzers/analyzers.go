@@ -14,10 +14,6 @@
 //     slots, never shared appends/maps/scalars
 //   - sortcmp:     sort.Slice less-functions are strict weak orderings and
 //     compare floats via core/floatcmp
-//   - atomicmix:   memory touched through sync/atomic is never accessed
-//     plainly, and atomic.Pointer pointees are initialized before publish
-//   - ctxdone:     serving-plane goroutines are tied to a shutdown signal
-//     or carry an explicit //pathsep:detached
 //   - leasepair:   sync.Pool buffers and //pathsep:lease values are
 //     released on every path, never used after release, and pool buffers
 //     go back to their own pool; a lease allows one generation per
@@ -28,12 +24,15 @@
 // The determinism trio (maporder, slotwrite, sortcmp) shares the ssaflow
 // value-flow layer and is backed at runtime by `make determinism`, which
 // rebuilds the oracle under shuffled schedules and byte-compares encodings.
-// atomicmix, leasepair and ctxdone guard the serving plane's lock-free
-// image swap, its buffer pools and image lease, and its graceful drain;
-// their runtime backstop is the -race swap/drain tests in internal/serve.
-// leasepair finds acquire/release wrappers through the interprocedural
-// ssaflow summaries. Encode/decode symmetry needs no analyzer: one section
-// table in internal/oracle drives both directions.
+// leasepair guards the serving plane's buffer pools and image lease, and
+// finds acquire/release wrappers through the interprocedural ssaflow
+// summaries. The rest of the serving plane's invariants need no
+// analyzer: go vet's copylocks refuses a copied sync/atomic value, one
+// publish method in internal/serve hands each image whole to the atomic
+// swap, and the -race swap tests and the drain tests there check the
+// swap and the joined listener at run time. Encode/decode symmetry needs
+// no analyzer either: one section table in internal/oracle drives both
+// directions.
 //
 // The suite runs as `go vet -vettool=bin/pathsep-lint` (see cmd/pathsep-lint
 // and `make lint`), and each analyzer carries analysistest-style coverage
@@ -43,8 +42,6 @@ package analyzers
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"pathsep/internal/analyzers/atomicmix"
-	"pathsep/internal/analyzers/ctxdone"
 	"pathsep/internal/analyzers/errctx"
 	"pathsep/internal/analyzers/floatcmp"
 	"pathsep/internal/analyzers/hotalloc"
@@ -61,8 +58,6 @@ import (
 // All returns every analyzer in the suite, in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicmix.Analyzer,
-		ctxdone.Analyzer,
 		errctx.Analyzer,
 		floatcmp.Analyzer,
 		hotalloc.Analyzer,

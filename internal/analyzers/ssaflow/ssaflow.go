@@ -1,5 +1,5 @@
 // Package ssaflow is the shared value-flow layer under the determinism
-// analyzers (maporder, slotwrite, sortcmp), leasepair and ctxdone. It
+// analyzers (maporder, slotwrite, sortcmp) and leasepair. It
 // plays the role golang.org/x/tools/go/analysis/passes/buildssa plays for
 // SSA-based passes: one pass builds a per-package function index plus
 // conservative def-use utilities and per-function summaries (summary.go),

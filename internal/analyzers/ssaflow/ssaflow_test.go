@@ -3,7 +3,6 @@ package ssaflow_test
 import (
 	"fmt"
 	"go/types"
-	"sort"
 	"strings"
 	"testing"
 
@@ -18,8 +17,7 @@ import (
 // pin what ssaflow computes: each parameter's direct uses, its sideways
 // sink and its transitive flow as ParamFlow resolves it (the uses that
 // leave the package's summaries, the first sink met, and whether a
-// function on the chain returns it); each result's sources; the shutdown
-// tie; and the callees.
+// function on the chain returns it); and each result's sources.
 var facts = &analysis.Analyzer{
 	Name:     "ssaflowfacts",
 	Doc:      "report ssaflow summaries as diagnostics",
@@ -75,17 +73,6 @@ func reportFacts(pass *analysis.Pass) (interface{}, error) {
 			if len(srcs) > 0 {
 				pass.Reportf(at, "returns r%d: %s", j, strings.Join(srcs, ", "))
 			}
-		}
-		if s.Tied {
-			pass.Reportf(at, "tied")
-		}
-		var callees []string
-		for c := range s.Callees {
-			callees = append(callees, c.Name())
-		}
-		if len(callees) > 0 {
-			sort.Strings(callees)
-			pass.Reportf(at, "callees: %s", strings.Join(callees, ", "))
 		}
 	}
 	return nil, nil

@@ -2,11 +2,10 @@
 // graph, the fragment of a bottom-up interprocedural analysis the
 // analyzers need to see through wrappers.
 //
-// The intraprocedural walks in leasepair/maporder/ctxdone stop at call
-// boundaries; every one of them used to carry its own single-level
-// wrapper recognizer (the pool getter/putter classifier, ctxdone's
-// argument-type heuristic). Summaries replace those: one pass over the
-// package records, per function,
+// The intraprocedural walks in leasepair and maporder stop at call
+// boundaries; each of them used to carry its own single-level wrapper
+// recognizer (such as the pool getter/putter classifier). Summaries
+// replace those: one pass over the package records, per function,
 //
 //   - which call sites each parameter's value can reach (ParamUses),
 //     so "passes its buffer to sync.Pool.Put" or "sorts its argument"
@@ -16,9 +15,7 @@
 //     ownership-transfer facts the path-sensitive walks key on;
 //   - what each result can be: an alias of a parameter ("derives alias
 //     of param") or the result of a call (a pool.Get behind a wrapper
-//     resolves here);
-//   - whether the body contains a shutdown-tie construct (ctxdone's
-//     named-function case), and the body's statically resolved callees.
+//     resolves here).
 //
 // Summaries are exported on the Result in the analysis.Fact style — a
 // self-contained record per function object, memoized once per package
@@ -78,11 +75,6 @@ type Summary struct {
 	ParamSunk map[int]string
 	// Returns[j] lists what result j can be (see ReturnSource).
 	Returns map[int][]ReturnSource
-	// Tied reports a shutdown-tie construct in the body (a non-timer
-	// channel receive, ctx.Done, defer close, defer wg.Done).
-	Tied bool
-	// Callees is the set of statically resolved functions the body calls.
-	Callees map[*types.Func]bool
 
 	info   *types.Info
 	params map[types.Object]int
@@ -118,7 +110,6 @@ func summarize(info *types.Info, funcs []*Func) map[*types.Func]*Summary {
 			ParamUses: map[int][]ParamUse{},
 			ParamSunk: map[int]string{},
 			Returns:   map[int][]ReturnSource{},
-			Callees:   map[*types.Func]bool{},
 			info:      info,
 			params:    map[types.Object]int{},
 		}
@@ -282,15 +273,12 @@ func (s *Summary) carries(e ast.Expr, i int) bool {
 }
 
 // computeFacts walks the body once, recording param-flow edges, sink
-// reasons, returns, the shutdown tie, and callees.
+// reasons and returns.
 func (s *Summary) computeFacts(body *ast.BlockStmt) {
 	nparams := len(s.params)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := CalleeFunc(s.info, n); fn != nil {
-				s.Callees[fn] = true
-			}
 			s.recordCall(n, nparams, "")
 		case *ast.GoStmt:
 			s.recordCall(n.Call, nparams, "launched in a goroutine")
@@ -354,7 +342,6 @@ func (s *Summary) computeFacts(body *ast.BlockStmt) {
 		}
 		return true
 	})
-	s.Tied = BodyTied(s.info, body)
 }
 
 // recordCall adds param-flow edges for one call's arguments; sunk, when
@@ -471,109 +458,4 @@ func (r *Result) ParamFlow(fn *types.Func, arg int) Flow {
 	}
 	walk(fn, arg, 0)
 	return fl
-}
-
-// BodyTied reports whether a function body contains a shutdown-tie
-// construct: a receive from a non-timer channel, a range over a channel,
-// a call to a context's Done method, or a deferred completion signal
-// (close(ch) / wg.Done()). This is ctxdone's tie test, shared here so
-// summaries can answer it for named functions.
-func BodyTied(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && IsChan(info.TypeOf(n.X)) && !isTimerChan(info, n.X) {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if IsChan(info.TypeOf(n.X)) {
-				found = true
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && IsContext(info.TypeOf(sel.X)) {
-				found = true
-			}
-		case *ast.DeferStmt:
-			if deferSignals(info, n.Call) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// deferSignals reports whether call, run deferred, announces completion:
-// close(ch) or wg.Done().
-func deferSignals(info *types.Info, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if _, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin && fun.Name == "close" && len(call.Args) == 1 {
-			return IsChan(info.TypeOf(call.Args[0]))
-		}
-	case *ast.SelectorExpr:
-		if fun.Sel.Name == "Done" && IsWaitGroup(info.TypeOf(fun.X)) {
-			return true
-		}
-	}
-	return false
-}
-
-// IsContext reports whether t is context.Context.
-func IsContext(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// IsWaitGroup reports whether t is sync.WaitGroup (or a pointer to one).
-func IsWaitGroup(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
-
-// IsChan reports whether t's underlying type is a channel.
-func IsChan(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
-// isTimerChan reports whether e is a time-package call or a selector of
-// a time type (After, Tick, NewTimer().C): timers are not shutdowns.
-func isTimerChan(info *types.Info, e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		fn := CalleeFunc(info, x)
-		return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time"
-	case *ast.SelectorExpr:
-		if t := info.TypeOf(x.X); t != nil {
-			if p, ok := t.Underlying().(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "time" {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -3,23 +3,21 @@
 package a
 
 import (
-	"context"
 	"sort"
 	"sync"
-	"time"
 )
 
-// ParamUses and Callees: a parameter passed to an out-of-package call.
-func sortInts(xs []int) { // want `^uses p0: Ints@0$` `^flow p0: Ints@0$` `^callees: Ints$`
+// ParamUses: a parameter passed to an out-of-package call.
+func sortInts(xs []int) { // want `^uses p0: Ints@0$` `^flow p0: Ints@0$`
 	sort.Ints(xs)
 }
 
 // ParamFlow descends through in-package callees to the terminal call.
-func outer(xs []int) { // want `^uses p0: inner@0$` `^flow p0: Ints@0$` `^callees: inner$`
+func outer(xs []int) { // want `^uses p0: inner@0$` `^flow p0: Ints@0$`
 	inner(xs)
 }
 
-func inner(ys []int) { // want `^uses p0: Ints@0$` `^flow p0: Ints@0$` `^callees: Ints$`
+func inner(ys []int) { // want `^uses p0: Ints@0$` `^flow p0: Ints@0$`
 	sort.Ints(ys)
 }
 
@@ -49,17 +47,17 @@ func viaValue(f func([]byte), b []byte) { // want `^sunk p1: passed through a fu
 }
 
 // A goroutine launch both sinks the value and records the call.
-func launch(b []byte) { // want `^uses p0: keep@0$` `^sunk p0: launched in a goroutine$` `^flow p0: sunk launched in a goroutine$` `^callees: keep$`
+func launch(b []byte) { // want `^uses p0: keep@0$` `^sunk p0: launched in a goroutine$` `^flow p0: sunk launched in a goroutine$`
 	go keep(b)
 }
 
 // A sink met below an in-package call is the flow's sink; a variadic
 // argument past the last parameter maps onto the variadic one.
-func hand(b []byte) { // want `^uses p0: many@2$` `^flow p0: sunk stored in a package-level variable$` `^callees: many$`
+func hand(b []byte) { // want `^uses p0: many@2$` `^flow p0: sunk stored in a package-level variable$`
 	many(1, nil, b)
 }
 
-func many(n int, bs ...[]byte) { // want `^uses p1: keep@0$` `^flow p1: sunk stored in a package-level variable$` `^callees: keep$`
+func many(n int, bs ...[]byte) { // want `^uses p1: keep@0$` `^flow p1: sunk stored in a package-level variable$`
 	for _, b := range bs {
 		keep(b)
 	}
@@ -77,60 +75,46 @@ func viaLocal(n int) []byte { // want `^returns r0: make\(\)$`
 	return c
 }
 
-func get(p *sync.Pool) any { // want `^returns r0: Get\(\)$` `^callees: Get$`
+func get(p *sync.Pool) any { // want `^returns r0: Get\(\)$`
 	return p.Get()
 }
 
 func two() (int, error) { return 0, nil }
 
-func spread() (int, error) { // want `^returns r0: two\(\)$` `^returns r1: two\(\)#1$` `^callees: two$`
+func spread() (int, error) { // want `^returns r0: two\(\)$` `^returns r1: two\(\)#1$`
 	return two()
-}
-
-// Tied: a context's Done and a deferred WaitGroup.Done tie a body to
-// shutdown; a timer receive does not.
-func waitCtx(ctx context.Context) { // want `^tied$` `^callees: Done$`
-	<-ctx.Done()
-}
-
-func worker(wg *sync.WaitGroup) { // want `^tied$` `^callees: Done$`
-	defer wg.Done()
-}
-
-func sleep() { // want `^callees: After$`
-	<-time.After(time.Millisecond)
 }
 
 // The cycle guard: ping and pong call each other, and ParamFlow still
 // ends, with each reaching sort.Ints once.
-func ping(xs []int) { // want `^uses p0: pong@0$` `^flow p0: Ints@0$` `^callees: pong$`
+func ping(xs []int) { // want `^uses p0: pong@0$` `^flow p0: Ints@0$`
 	if len(xs) > 1 {
 		pong(xs)
 	}
 }
 
-func pong(xs []int) { // want `^uses p0: Ints@0, ping@0$` `^flow p0: Ints@0$` `^callees: Ints, ping$`
+func pong(xs []int) { // want `^uses p0: Ints@0, ping@0$` `^flow p0: Ints@0$`
 	sort.Ints(xs)
 	ping(xs[1:])
 }
 
 // The depth cap of 16: d17 sorts its argument 17 calls below d0, so d1's
 // flow reaches the sort and d0's is cut short.
-func d0(xs []int)  { d1(xs) }        // want `^uses p0: d1@0$` `^callees: d1$`
-func d1(xs []int)  { d2(xs) }        // want `^uses p0: d2@0$` `^flow p0: Ints@0$` `^callees: d2$`
-func d2(xs []int)  { d3(xs) }        // want `^uses p0: d3@0$` `^flow p0: Ints@0$` `^callees: d3$`
-func d3(xs []int)  { d4(xs) }        // want `^uses p0: d4@0$` `^flow p0: Ints@0$` `^callees: d4$`
-func d4(xs []int)  { d5(xs) }        // want `^uses p0: d5@0$` `^flow p0: Ints@0$` `^callees: d5$`
-func d5(xs []int)  { d6(xs) }        // want `^uses p0: d6@0$` `^flow p0: Ints@0$` `^callees: d6$`
-func d6(xs []int)  { d7(xs) }        // want `^uses p0: d7@0$` `^flow p0: Ints@0$` `^callees: d7$`
-func d7(xs []int)  { d8(xs) }        // want `^uses p0: d8@0$` `^flow p0: Ints@0$` `^callees: d8$`
-func d8(xs []int)  { d9(xs) }        // want `^uses p0: d9@0$` `^flow p0: Ints@0$` `^callees: d9$`
-func d9(xs []int)  { d10(xs) }       // want `^uses p0: d10@0$` `^flow p0: Ints@0$` `^callees: d10$`
-func d10(xs []int) { d11(xs) }       // want `^uses p0: d11@0$` `^flow p0: Ints@0$` `^callees: d11$`
-func d11(xs []int) { d12(xs) }       // want `^uses p0: d12@0$` `^flow p0: Ints@0$` `^callees: d12$`
-func d12(xs []int) { d13(xs) }       // want `^uses p0: d13@0$` `^flow p0: Ints@0$` `^callees: d13$`
-func d13(xs []int) { d14(xs) }       // want `^uses p0: d14@0$` `^flow p0: Ints@0$` `^callees: d14$`
-func d14(xs []int) { d15(xs) }       // want `^uses p0: d15@0$` `^flow p0: Ints@0$` `^callees: d15$`
-func d15(xs []int) { d16(xs) }       // want `^uses p0: d16@0$` `^flow p0: Ints@0$` `^callees: d16$`
-func d16(xs []int) { d17(xs) }       // want `^uses p0: d17@0$` `^flow p0: Ints@0$` `^callees: d17$`
-func d17(xs []int) { sort.Ints(xs) } // want `^uses p0: Ints@0$` `^flow p0: Ints@0$` `^callees: Ints$`
+func d0(xs []int)  { d1(xs) }        // want `^uses p0: d1@0$`
+func d1(xs []int)  { d2(xs) }        // want `^uses p0: d2@0$` `^flow p0: Ints@0$`
+func d2(xs []int)  { d3(xs) }        // want `^uses p0: d3@0$` `^flow p0: Ints@0$`
+func d3(xs []int)  { d4(xs) }        // want `^uses p0: d4@0$` `^flow p0: Ints@0$`
+func d4(xs []int)  { d5(xs) }        // want `^uses p0: d5@0$` `^flow p0: Ints@0$`
+func d5(xs []int)  { d6(xs) }        // want `^uses p0: d6@0$` `^flow p0: Ints@0$`
+func d6(xs []int)  { d7(xs) }        // want `^uses p0: d7@0$` `^flow p0: Ints@0$`
+func d7(xs []int)  { d8(xs) }        // want `^uses p0: d8@0$` `^flow p0: Ints@0$`
+func d8(xs []int)  { d9(xs) }        // want `^uses p0: d9@0$` `^flow p0: Ints@0$`
+func d9(xs []int)  { d10(xs) }       // want `^uses p0: d10@0$` `^flow p0: Ints@0$`
+func d10(xs []int) { d11(xs) }       // want `^uses p0: d11@0$` `^flow p0: Ints@0$`
+func d11(xs []int) { d12(xs) }       // want `^uses p0: d12@0$` `^flow p0: Ints@0$`
+func d12(xs []int) { d13(xs) }       // want `^uses p0: d13@0$` `^flow p0: Ints@0$`
+func d13(xs []int) { d14(xs) }       // want `^uses p0: d14@0$` `^flow p0: Ints@0$`
+func d14(xs []int) { d15(xs) }       // want `^uses p0: d15@0$` `^flow p0: Ints@0$`
+func d15(xs []int) { d16(xs) }       // want `^uses p0: d16@0$` `^flow p0: Ints@0$`
+func d16(xs []int) { d17(xs) }       // want `^uses p0: d17@0$` `^flow p0: Ints@0$`
+func d17(xs []int) { sort.Ints(xs) } // want `^uses p0: Ints@0$` `^flow p0: Ints@0$`

@@ -167,9 +167,8 @@ func New(cfg Config) (*Server, error) {
 
 	// Generation 1 is the image the server was born with; reloads count
 	// up from here. Published before the mux exists, so no reader can
-	// ever observe a nil image. Raw Store is sanctioned: this is the
-	// initial publish, before any lease can exist.
-	s.img.Store(s.newImage(cfg.Flat, 1, cfg.Source, cfg.Flat.EncodedSize(), 0)) //pathsep:lease-bypass
+	// ever observe a nil image.
+	s.publish(cfg.Flat, 1, cfg.Source, 0)
 	s.imageGen.Set(1)
 
 	s.mux = http.NewServeMux()

@@ -21,10 +21,10 @@ const DefaultMaxImage = 1 << 30
 const drainTimeout = 5 * time.Second
 
 // image is one immutable serving generation: a frozen flat oracle plus
-// its load metadata and a live-reader count. Every field except readers
-// is written before the image is published through Server.img and never
-// after (the atomicmix publish rule); readers is only touched through
-// its atomic methods.
+// its load metadata and a live-reader count. Only Server.publish makes
+// one, and it hands the image whole to the swap on Server.img, so no
+// field but readers is written after it is published; readers is only
+// touched through its atomic methods.
 //
 // The leasepair analyzer enforces the acquire/release protocol on this
 // type: every handler path releases its lease, no lease is used after
@@ -64,21 +64,25 @@ func (s *Server) acquire() *image {
 // release returns a lease taken by acquire.
 func (s *Server) release(im *image) { im.readers.Add(-1) }
 
-// newImage wraps a decoded flat oracle with its metadata. The caller
-// publishes it afterwards; nothing here escapes early.
-func (s *Server) newImage(fl *oracle.Flat, gen uint64, source string, bytes int, loadNs int64) *image {
-	// Attach instruments before publish: once the pointer is swapped in,
+// publish serves fl as generation gen: it attaches the instruments, then
+// swaps in an image built whole inside the Swap call, and returns the
+// image it replaced (nil for the first). No caller ever holds the new
+// image, so none can write through it once readers can see it.
+func (s *Server) publish(fl *oracle.Flat, gen uint64, source string, loadNs int64) *image {
+	// Attach instruments before the swap: once the pointer is swapped in,
 	// concurrent readers are already querying this image.
 	fl.SetMetrics(s.reg)
 	fl.SetSlowSampler(s.slow)
-	return &image{
+	// The raw Swap is sanctioned: New publishes before any lease can
+	// exist, and reload holds reloadMu.
+	return s.img.Swap(&image{ //pathsep:lease-bypass
 		flat:     fl,
 		gen:      gen,
 		source:   source,
-		bytes:    bytes,
+		bytes:    fl.EncodedSize(),
 		loadedAt: time.Now(),
 		loadNs:   loadNs,
-	}
+	})
 }
 
 // ReloadResult reports one image swap, echoed as the /admin/reload
@@ -127,7 +131,7 @@ func (s *Server) reload(decode func() (*oracle.Flat, error), source string) (Rel
 	defer s.reloadMu.Unlock()
 	start := time.Now()
 	// Raw pointer access is sanctioned here: reloadMu serializes all
-	// swappers, and the Swap below is the publish the lease guards.
+	// swappers, so cur stays the serving image until publish below.
 	cur := s.img.Load() //pathsep:lease-bypass
 	s.boundHeap(0)
 	fl, err := decode()
@@ -138,20 +142,20 @@ func (s *Server) reload(decode func() (*oracle.Flat, error), source string) (Rel
 	}
 	loadNs := time.Since(start).Nanoseconds()
 
-	im := s.newImage(fl, cur.gen+1, source, fl.EncodedSize(), loadNs)
-	old := s.img.Swap(im) //pathsep:lease-bypass
+	gen := cur.gen + 1
+	old := s.publish(fl, gen, source, loadNs)
 	drained := waitDrain(old, drainTimeout)
 	s.boundHeap(fl.ResidentBytes())
 
 	total := time.Since(start).Nanoseconds()
 	s.reloads.Inc()
 	s.reloadNs.Observe(float64(total))
-	s.imageGen.Set(int64(im.gen))
+	s.imageGen.Set(int64(gen))
 	return ReloadResult{
-		Generation: im.gen,
+		Generation: gen,
 		Previous:   old.gen,
 		N:          fl.N(),
-		Bytes:      im.bytes,
+		Bytes:      fl.EncodedSize(),
 		LoadNs:     loadNs,
 		TotalNs:    total,
 		Drained:    drained,

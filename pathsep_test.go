@@ -196,26 +196,68 @@ func TestMeshFacade(t *testing.T) {
 	}
 }
 
+// TestTreeLabelingFacade is the differential between the tree labeling
+// and the oracle on trees: on random trees decomposed by centroid, both
+// store the same entries with the same largest label, and on 20,000
+// random pairs TreeLabeling, its frozen FlatTreeLabeling and the frozen
+// oracle answer bit for bit alike, in portal mode at every size and in
+// exact mode up to n = 1,024 (above that its build runs for seconds).
 func TestTreeLabelingFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := pathsep.NewRandomTree(30, pathsep.UniformWeights(1, 3), rng)
-	l, err := pathsep.NewTreeLabeling(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exactness spot check against the oracle machinery.
-	dec, err := pathsep.Decompose(g, pathsep.Options{Strategy: pathsep.StrategyTreeCentroid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orc, err := pathsep.NewOracle(dec, pathsep.OracleOptions{Epsilon: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 30; u += 3 {
-		for v := 0; v < 30; v += 4 {
-			if math.Abs(l.Query(u, v)-orc.Query(u, v)) > 1e-9 {
-				t.Fatalf("labeling and oracle disagree at (%d,%d)", u, v)
+	for _, tc := range []struct{ n, entries, maxLabel int }{
+		{64, 235, 5},
+		{1024, 5822, 8},
+		{4096, 27249, 10},
+	} {
+		rng := rand.New(rand.NewSource(18))
+		g := pathsep.NewRandomTree(tc.n, pathsep.UniformWeights(1, 4), rng)
+		l, err := pathsep.NewTreeLabeling(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft, err := l.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft.NumEntries() != tc.entries || l.MaxLabelSize() != tc.maxLabel {
+			t.Fatalf("n=%d: labeling has %d entries, largest label %d; want %d and %d",
+				tc.n, ft.NumEntries(), l.MaxLabelSize(), tc.entries, tc.maxLabel)
+		}
+		dec, err := pathsep.Decompose(g, pathsep.Options{Strategy: pathsep.StrategyTreeCentroid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := make([][2]int, 20000)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(tc.n), rng.Intn(tc.n)}
+		}
+		modes := []pathsep.OracleMode{pathsep.OraclePortals}
+		if tc.n <= 1024 {
+			modes = append(modes, pathsep.OracleExactCover)
+		}
+		for _, mode := range modes {
+			orc, err := pathsep.NewOracle(dec, pathsep.OracleOptions{Epsilon: 0.25, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orc.SpacePortals() != ft.NumEntries() || orc.MaxLabelPortals() != l.MaxLabelSize() {
+				t.Fatalf("n=%d mode %d: oracle has %d entries, largest label %d; labeling %d and %d",
+					tc.n, mode, orc.SpacePortals(), orc.MaxLabelPortals(), ft.NumEntries(), l.MaxLabelSize())
+			}
+			fo, err := orc.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				u, v := p[0], p[1]
+				want := math.Float64bits(l.Query(u, v))
+				if got := math.Float64bits(ft.Query(u, v)); got != want {
+					t.Fatalf("n=%d: FlatTreeLabeling.Query(%d,%d) = %v, TreeLabeling %v",
+						tc.n, u, v, math.Float64frombits(got), math.Float64frombits(want))
+				}
+				if got := math.Float64bits(fo.Query(u, v)); got != want {
+					t.Fatalf("n=%d mode %d: FlatOracle.Query(%d,%d) = %v, TreeLabeling %v",
+						tc.n, mode, u, v, math.Float64frombits(got), math.Float64frombits(want))
+				}
 			}
 		}
 	}
