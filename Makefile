@@ -64,8 +64,14 @@ lint-stats: $(LINT_BIN)
 build:
 	$(GO) build ./...
 
+# The walk derivation hands the big keys' scratch set to the small-key
+# tasks, its one piece of concurrency that depends on the pool width, so
+# the decode's bit-for-bit check against the frozen Flat also runs under
+# the race detector at every width a runner may have (-short keeps it to
+# the 64×64 grid).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -short -cpu 1,2,4,8 -run '^TestDecodeRestoresPositions$$' ./internal/oracle/
 
 # The runtime determinism gate: rebuild the oracle on three graph
 # families across GOMAXPROCS {1,4}, workers {1,2,4,0} and shuffled task
@@ -94,11 +100,11 @@ fuzz-short:
 		$(GO) test -fuzz=$$fn -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./$$pkg/; \
 	done
 
-# The walk derivation's scratch depends on the pool width (a set per
-# worker, sized to the largest key over the width), so the decode's and
-# the build's budgets run at every width a runner may have, not only at
-# this machine's GOMAXPROCS; so does the decomposition's, whose tasks
-# run on a pool of that width.
+# The walk derivation's scratch depends on the pool width (beside the
+# set for the big keys, one set per other worker, sized to the largest
+# key over the width), so the decode's and the build's budgets run at
+# every width a runner may have, not only at this machine's GOMAXPROCS;
+# so does the decomposition's, whose tasks run on a pool of that width.
 memory-budget:
 	$(GO) test -cpu 1,2,4,8 -run '^(TestFlatMemoryBudget|TestBuildMemoryBudget)$$' ./internal/oracle/
 	$(GO) test -cpu 1,2,4,8 -run '^TestDecomposeMemoryBudget$$' ./internal/core/

@@ -166,23 +166,6 @@ func DeclaredWithin(obj types.Object, node ast.Node) bool {
 		obj.Pos() >= node.Pos() && obj.Pos() < node.End()
 }
 
-// FreeVars returns the variables a function literal uses but does not
-// declare — the captured state a parallel task shares with its siblings.
-func FreeVars(info *types.Info, lit *ast.FuncLit) map[*types.Var]bool {
-	free := map[*types.Var]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := info.ObjectOf(id).(*types.Var); ok && !DeclaredWithin(v, lit) {
-			free[v] = true
-		}
-		return true
-	})
-	return free
-}
-
 // IsOrderCarrying reports whether values of type t can carry an iteration
 // order or an order-sensitive accumulation: slices and arrays (element
 // order), strings (concatenation order), and floats (addition is not

@@ -110,22 +110,23 @@ type tables struct {
 // the oracle's immutable rows — keys, CSR tables, sweep lane and path
 // geometry — and adds what path reporting needs: the walk layout
 // (deriveWalk), derived from every hop vertex resolved to the pool index
-// of the record it names and scattered into the key partition as a
-// decode scatters its hop section (see resolveHops); the resolved links
-// are not kept. Freeze fails when a hop names no record or links records
-// of two keys, when a record's hops reach no anchor, and when a key's
-// path repeats a vertex: an image stores no positions, and such a
-// record's would be lost. Every image Freeze returns decodes to the same
-// lane and walk layout and reports paths.
+// of the record it names (see resolveHops). The lane is shared and
+// already holds its positions, so the resolved links go into a transient
+// array of their own, which is not kept, and the derivation writes no
+// positions. Freeze fails when a hop names no record or links records of
+// two keys, when a record's hops reach no anchor, and when a key's path
+// repeats a vertex: an image stores no positions, and such a record's
+// would be lost. Every image Freeze returns decodes to the same lane and
+// walk layout and reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	r := &o.rows
 	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
-	kp := f.partitionByKey()
-	anchors, err := f.resolveHops(o.hopVert, kp)
+	links := hopLinks{ids: make([]int32, len(f.lane))}
+	anchors, err := f.resolveHops(o.hopVert, links)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.derive(kp, anchors, 0); err != nil {
+	if err := f.derive(f.partitionByKey(), links, anchors, 0); err != nil {
 		return nil, fmt.Errorf("oracle: freeze: %w", err)
 	}
 	return f, nil
@@ -151,39 +152,24 @@ func alignedPortals(n int) []Portal {
 }
 
 // buildLane transcribes the portal runs of entries [e0, e1) into the
-// sweep lane (see the lane doc on Flat); pos and dist hold those runs'
-// positions and distances back to back, from pool index portalOff[e0].
-// A decoded image has no positions, and the decode has already read its
-// distances into the lane: with a nil pos, each record's Dist stays, and
-// its Pos is the path_pos entry of its chain's anchor, which the walk
-// derivation left in anchors. It checks each record on the way: Pos and
-// Dist must be NaN-free — a NaN would poison every min-fold the sweep
-// computes — and positions must be non-decreasing within each entry, the
-// merge order the sweep relies on. +Inf stays legal in Dist: it is the
-// unreachable sentinel some constructions store.
+// sweep lane (see the lane doc on Flat) from Build's rows, which hold
+// those runs back to back from pool index portalOff[e0]. It checks each
+// record on the way: Pos and Dist must be NaN-free — a NaN would poison
+// every min-fold the sweep computes — and positions must be
+// non-decreasing within each entry, the merge order the sweep relies on.
+// +Inf stays legal in Dist: it is the unreachable sentinel some
+// constructions store. (A decode checks its distances as they stream in
+// and its positions as the walk derivation writes them.)
 //
 // buildLane fills the aligned array its caller allocated, before the
-// rows are published. Build's and the decode's range tasks each
-// transcribe their own disjoint entries.
-func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) error {
+// rows are published. Build's range tasks each transcribe their own
+// disjoint entries.
+func (f *Flat) buildLane(e0, e1 int, rows []labelRow) error {
 	base := int(f.portalOff[e0])
 	for e := e0; e < e1; e++ {
-		lo, hi := int(f.portalOff[e]), int(f.portalOff[e+1])
-		// Without pos: the key's path positions, and the entry's anchors.
-		var geo []float64
-		var idx []int32
-		if pos == nil && lo < hi {
-			k := f.entryKey[e]
-			geo, idx = f.pathPos[f.pathOff[k]:f.pathOff[k+1]], anchors.idx[anchors.first[e]:]
-		}
 		prev := math.Inf(-1)
-		for x := lo; x < hi; x++ {
-			var p, d float64
-			if pos != nil {
-				p, d = pos[x-base], dist[x-base]
-			} else {
-				p, d = geo[idx[x-lo]], f.lane[x].Dist
-			}
+		for x := int(f.portalOff[e]); x < int(f.portalOff[e+1]); x++ {
+			p, d := rows[x-base].pos, rows[x-base].dist
 			if math.IsNaN(p) || math.IsNaN(d) {
 				return fmt.Errorf("portal record %d contains NaN", x)
 			}
@@ -200,11 +186,10 @@ func (f *Flat) buildLane(e0, e1 int, pos, dist []float64, anchors anchorRuns) er
 // derive fixes the batch scheduler's key shifts — the coarser of
 // (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
 // region and both block numbers fit their 16-bit key lanes — and
-// compiles the walk layout from the hop links scattered into kp, with
-// anchors anchors, on a pool of the given width (0 means
-// runtime.GOMAXPROCS(0)), returning every record's anchor. It fails only
-// on hop links deriveWalk refuses.
-func (f *Flat) derive(kp *keyPartition, anchors int32, workers int) (anchorRuns, error) {
+// compiles the walk layout from the hop links in links, with anchors
+// anchors, on a pool of the given width (0 means runtime.GOMAXPROCS(0)).
+// It fails only where deriveWalk does.
+func (f *Flat) derive(kp *keyPartition, links hopLinks, anchors int32, workers int) error {
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}
@@ -215,7 +200,7 @@ func (f *Flat) derive(kp *keyPartition, anchors int32, workers int) (anchorRuns,
 			f.schedU = f.schedV
 		}
 	}
-	return f.deriveWalk(kp, anchors, workers)
+	return f.deriveWalk(kp, links, anchors, workers)
 }
 
 // N returns the number of labeled vertices.

@@ -329,28 +329,12 @@ func (f *Flat) putHops(dst []byte) {
 // eachRange calls fn on ranges [lo, hi) that split [0, n), on a
 // runtime.GOMAXPROCS(0)-wide pool.
 func eachRange(n int, fn func(lo, hi int)) {
-	_ = eachRangeErr(n, func(lo, hi int) error {
-		fn(lo, hi)
-		return nil
-	})
-}
-
-// eachRangeErr is eachRange for an fn that can fail: it returns the
-// error of the first range, in range order, that fails.
-func eachRangeErr(n int, fn func(lo, hi int) error) error {
 	pool := par.New(0, nil)
 	split := newVertexSplit(n, rangesPerWorker*pool.Workers())
-	errs := make([]error, split.ranges)
 	pool.ForEach(split.ranges, func(i int) {
 		lo, hi := split.bounds(i)
-		errs[i] = fn(lo, hi)
+		fn(lo, hi)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DecodeFlat parses a flat oracle produced by Encode: it is
@@ -389,21 +373,20 @@ const decodeChunk = 32 << 10
 // anything, and then reads each section
 // straight into the array where it ends up. The CSR tables and the path
 // geometry land in the Flat's own slices, the distances in the sweep
-// lane's Dist words, and the hop links, one chunk at a time, at their
-// records' key-major slots in the walk derivation's partition (see
-// keyPartition.link), which the entry tables before them are enough to
-// build. Reserved and padding bytes must be zero as they stream past, and
-// the stream must end exactly at size: a short stream fails with the
-// reader's error, and so does a reader that fails, and trailing bytes are
-// refused. Every section is validated element by element (validate,
-// validatePaths, takeHops). The walk layout is then derived from the
-// partition (see Flat.derive), and only then can the lane gain its
-// positions, each record's its chain anchor's path_pos entry, on a
-// runtime.GOMAXPROCS(0) pool of entry ranges (see buildLane). A record no
-// anchor reaches has no position, so the image is refused, as it is when
-// an anchor's vertex is not on its key's path or a path repeats a vertex.
-// On a big-endian host the table words are swapped into host order as
-// they land; the result is identical.
+// lane's Dist words, and the hop links, one chunk at a time, in its Pos
+// words, which hold nothing until the walk gives each record its
+// position (see hopLinks). Reserved and padding bytes must be zero as
+// they stream past, and the stream must end exactly at size: a short
+// stream fails with the reader's error, and so does a reader that fails,
+// and trailing bytes are refused. Every section is validated element by
+// element (validate, takeDists, takeHops, validatePaths). The walk layout
+// is then derived from the links (see Flat.derive), and the derivation
+// writes each record's position, its chain anchor's path_pos entry, over
+// its link. A record no anchor reaches has no position, so the image is
+// refused, as it is when an anchor's vertex is not on its key's path, a
+// path repeats a vertex, or positions decrease within an entry. On a
+// big-endian host the table words are swapped into host order as they
+// land; the result is identical.
 //
 // A malformed image yields an error, never a panicking query.
 func DecodeFlatFrom(r io.Reader, size int64) (*Flat, error) {
@@ -441,45 +424,31 @@ func DecodeFlatFrom(r io.Reader, size int64) (*Flat, error) {
 		return nil, err
 	}
 	f := &Flat{n: c[countN], eps: math.Float64frombits(le.Uint64(hdr[16:])), mode: Mode(le.Uint64(hdr[24:]))}
-	d.f = f
-	var chunk []byte
-	for i := range flatSections {
-		s, sp := &flatSections[i], spans[i]
-		if err := d.skipPadding(sp.off); err != nil {
-			return nil, err
-		}
-		records := s.records(&c)
-		if s.take == nil {
-			s.alloc(&f.tables, records)
-			b := s.raw(&f.tables)
-			if err := d.read(b); err != nil {
-				return nil, err
-			}
-			if !hostLittleEndian {
-				swapWords(b, s.words)
-			}
-			continue
-		}
-		if d.kp == nil {
-			// The first serving-form section: the CSR tables before it are
-			// whole, so they can be checked and the pool laid out.
-			if err := f.tables.validate(f.n, c[countPortals]); err != nil {
-				return nil, err
-			}
-			f.lane = alignedPortals(c[countPortals])
-			d.kp = f.partitionByKey()
-			chunk = make([]byte, decodeChunk)
-		}
-		per := len(chunk) / s.size()
-		for lo := 0; lo < records; lo += per {
-			src := chunk[:min(per, records-lo)*s.size()]
-			if err := d.read(src); err != nil {
-				return nil, err
-			}
-			if err := s.take(d, lo, src); err != nil {
-				return nil, err
-			}
-		}
+	d.f, d.counts, d.spans = f, &c, spans[:]
+	// The CSR tables come before the first serving-form section; once they
+	// are whole they can be checked and the pool laid out.
+	served := 0
+	for flatSections[served].take == nil {
+		served++
+	}
+	if err := d.sections(0, served); err != nil {
+		return nil, err
+	}
+	if err := f.tables.validate(f.n, c[countPortals]); err != nil {
+		return nil, err
+	}
+	f.lane = alignedPortals(c[countPortals])
+	d.chunk = make([]byte, decodeChunk)
+	// The key partition reads only the CSR tables, so a second worker
+	// builds it while the rest of the image streams in.
+	var kp *keyPartition
+	var err error
+	par.New(0, nil).Fork(
+		func() { kp = f.partitionByKey() },
+		func() { err = d.sections(served, len(flatSections)) },
+	)
+	if err != nil {
+		return nil, err
 	}
 	if err := f.tables.validatePaths(f.n); err != nil {
 		return nil, err
@@ -487,27 +456,59 @@ func DecodeFlatFrom(r io.Reader, size int64) (*Flat, error) {
 	if err := d.atEnd(); err != nil {
 		return nil, err
 	}
-	anchors, err := f.derive(d.kp, d.anchors, 0)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: flat: %w", err)
-	}
-	if err := eachRangeErr(len(f.entryKey), func(lo, hi int) error {
-		return f.buildLane(lo, hi, nil, nil, anchors)
-	}); err != nil {
+	if err := f.derive(kp, hopLinks{lane: f.lane}, d.anchors, 0); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
 	return f, nil
 }
 
 // flatDecoder is one decode's state: the stream and how far it has been
-// read, the Flat being filled, and, once the CSR tables are read, the
-// walk derivation's key partition with the anchors ranked so far.
+// read, the Flat being filled with the header's counts and the layout
+// they give, the buffer the serving-form sections are read through, and
+// the anchors ranked so far.
 type flatDecoder struct {
 	r       io.Reader
 	at      int
 	f       *Flat
-	kp      *keyPartition
+	counts  *flatCounts
+	spans   []span
+	chunk   []byte
 	anchors int32
+}
+
+// sections reads sections [from, to) of the image: each table section
+// straight into the Flat's slice, and each serving-form section one chunk
+// at a time into its serving form.
+func (d *flatDecoder) sections(from, to int) error {
+	for i := from; i < to; i++ {
+		s := &flatSections[i]
+		if err := d.skipPadding(d.spans[i].off); err != nil {
+			return err
+		}
+		records := s.records(d.counts)
+		if s.take == nil {
+			s.alloc(&d.f.tables, records)
+			b := s.raw(&d.f.tables)
+			if err := d.read(b); err != nil {
+				return err
+			}
+			if !hostLittleEndian {
+				swapWords(b, s.words)
+			}
+			continue
+		}
+		per := len(d.chunk) / s.size()
+		for lo := 0; lo < records; lo += per {
+			src := d.chunk[:min(per, records-lo)*s.size()]
+			if err := d.read(src); err != nil {
+				return err
+			}
+			if err := s.take(d, lo, src); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // read fills b from the stream; a stream that ends first or fails fails
@@ -561,28 +562,34 @@ func (d *flatDecoder) atEnd() error {
 }
 
 // takeDists reads the distances of pool records lo, lo+1, … into their
-// lane records' Dist words; buildLane checks them as it adds the
-// positions.
+// lane records' Dist words, refusing a NaN, which would poison every
+// min-fold the sweep computes. +Inf stays legal: it is the unreachable
+// sentinel some constructions store.
 func (d *flatDecoder) takeDists(lo int, src []byte) error {
 	lane := d.f.lane[lo : lo+len(src)/8]
 	for i := range lane {
-		lane[i].Dist = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		dist := math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		if math.IsNaN(dist) {
+			return fmt.Errorf("oracle: flat: portal record %d contains NaN", lo+i)
+		}
+		lane[i].Dist = dist
 	}
 	return nil
 }
 
 // takeHops range-checks the hop links of pool records lo, lo+1, … and
-// stores each at its record's key-major slot in the partition, ranking
-// the anchors in pool order as they arrive. The walk derivation refuses
-// the links that stay in range but leave their key or reach no anchor.
+// stores each in its record's Pos word, ranking the anchors in pool order
+// as they arrive. The walk derivation refuses the links that stay in
+// range but leave their key or reach no anchor.
 func (d *flatDecoder) takeHops(lo int, src []byte) error {
+	links := hopLinks{lane: d.f.lane}
 	p := int32(len(d.f.lane))
 	for i := 0; 4*i < len(src); i++ {
 		h := int32(binary.LittleEndian.Uint32(src[4*i:]))
 		if h < -1 || h >= p {
 			return fmt.Errorf("oracle: flat: hop %d links to out-of-range record %d", lo+i, h)
 		}
-		d.anchors = d.kp.link(int32(lo+i), h, d.anchors)
+		d.anchors = links.link(int32(lo+i), h, d.anchors)
 	}
 	return nil
 }
@@ -590,9 +597,9 @@ func (d *flatDecoder) takeHops(lo int, src []byte) error {
 // validate bounds-checks every CSR offset so the hot path can index
 // without guards, and checks the entry-key order the merge-join relies
 // on: strictly increasing within each vertex. portals is the pool size
-// the header declares. The distances, and the positions the walk gives
-// the records, are checked where the lane is built from them
-// (buildLane).
+// the header declares. The distances are checked as they stream in
+// (takeDists), and the positions the walk gives the records as it writes
+// them (layoutKey).
 func (t *tables) validate(n, portals int) error {
 	if t.entryOff[0] != 0 || int(t.entryOff[n]) != len(t.entryKey) {
 		return fmt.Errorf("oracle: flat: entry offsets do not span the entry table")

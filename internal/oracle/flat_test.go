@@ -183,22 +183,24 @@ func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 // blocks (4 B of owner vertex per record, 16 B of trailer per chain) per
 // portal plus the small CSR tables, so ResidentBytes must stay within 32
 // B/portal. The decode, from a file, allocates that, the walk
-// derivation's per-record hop links, its per-entry and per-anchor
-// arrays, one read chunk and the derivation scratch keyTasks bounds: at
-// a pool width w above 1, one set of six int32 arrays sized to the
-// largest key and one int32 per vertex (newWalkScratch, ~6 B/portal on
-// this fixture) for the big keys, and w sets sized to the largest key
-// over w. So the decode must stay within 40 B/portal plus that scratch,
-// and what it allocates beyond the Flat within 12 B/portal plus that
-// scratch, which has no term in the image size; make check runs the
-// test at pool widths 1, 2, 4 and 8. A lane record with a third word or
-// a kept copy of the hop links (4 B/portal) breaks the first budget,
-// reading the image into a buffer (13.3 B/portal here) breaks the last
-// two, and so do a 16 B/record derivation scratch, an 8 B/record position
-// array and a scratch set sized to the largest key on every worker (~6
-// B/portal each). Encode allocates its output plus the walk layout's
-// slot→record inverse, within EncodedSize + 10 B/portal; transcribing
-// the distances into an intermediate slice (8 B/portal) breaks it.
+// derivation's per-entry and per-anchor arrays, one read chunk and the
+// derivation scratch keyTasks bounds: one set of six int32 arrays sized
+// to the largest key and one int32 per vertex (newWalkScratch, ~6
+// B/portal on this fixture) and, at a pool width w above 1, w−1 sets
+// sized to the largest key over w. The hop links cost it nothing: they
+// wait in the lane's Pos words until the positions take them. So the
+// decode must stay within 40 B/portal plus that scratch, and what it
+// allocates beyond the Flat within 4 B/portal plus that scratch, which
+// has no term in the image size; make check runs the test at pool widths
+// 1, 2, 4 and 8. A lane record with a third word or a kept copy of the
+// hop links (4 B/portal) breaks the first budget, reading the image into
+// a buffer (13.3 B/portal here) breaks the last two, and so do a
+// pool-sized hop-link array (4 B/portal), a 16 B/record derivation
+// scratch, an 8 B/record position array and, at w = 2, a second set
+// sized to the largest key over w (~3 B/portal). Encode allocates its
+// output plus the walk layout's slot→record inverse, within
+// EncodedSize + 10 B/portal; transcribing the distances into an
+// intermediate slice (8 B/portal) breaks it.
 func TestFlatMemoryBudget(t *testing.T) {
 	fl := gridFlat(t, 32, CoverPortal)
 	p := fl.NumPortals()
@@ -214,12 +216,9 @@ func TestFlatMemoryBudget(t *testing.T) {
 	}
 	w, maxKey := runtime.GOMAXPROCS(0), slices.Max(keyRecs)
 	set := func(records int) int { return 4 * (6*records + 1 + fl.N()) }
-	scratch := w * set(maxKey/w)
-	if w > 1 {
-		scratch += set(maxKey)
-	}
+	scratch := set(maxKey) + (w-1)*set(maxKey/w)
 	perPortal := func(bytes int) float64 { return float64(bytes) / float64(p) }
-	decodeBudget, transientBudget := 40+perPortal(scratch), 12+perPortal(scratch)
+	decodeBudget, transientBudget := 40+perPortal(scratch), 4+perPortal(scratch)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	enc := fl.Encode()
@@ -246,7 +245,7 @@ func TestFlatMemoryBudget(t *testing.T) {
 		t.Errorf("DecodeFlatFile allocates %.1f B/portal, budget %.1f (40 + %.1f of walk scratch)", alloc, decodeBudget, perPortal(scratch))
 	}
 	if alloc-resident > transientBudget {
-		t.Errorf("DecodeFlatFile allocates %.1f B/portal beyond the Flat, budget %.1f (12 + %.1f of walk scratch)", alloc-resident, transientBudget, perPortal(scratch))
+		t.Errorf("DecodeFlatFile allocates %.1f B/portal beyond the Flat, budget %.1f (4 + %.1f of walk scratch)", alloc-resident, transientBudget, perPortal(scratch))
 	}
 	if encAlloc > 10 {
 		t.Errorf("Encode allocates %.1f B/portal beyond its %d-byte output, budget 10", encAlloc, fl.EncodedSize())

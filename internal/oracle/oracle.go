@@ -513,18 +513,14 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 	return c, nil
 }
 
-// labelRow is one label record in stage 3, under its vertex. rowTag
-// holds the words of a row the lane does not: its key ID and hop vertex.
-// depth is the record's hop count to its path vertex (rec.d), which only
-// the sort reads.
-type (
-	labelRow struct {
-		pos, dist float64
-		depth     int32
-		rowTag
-	}
-	rowTag struct{ key, hop int32 }
-)
+// labelRow is one label record in stage 3, under its vertex: its
+// position and distance, which go to the lane, its key ID and hop vertex,
+// and its hop count to its path vertex (rec.d), which only the sort
+// reads.
+type labelRow struct {
+	pos, dist       float64
+	depth, key, hop int32
+}
 
 // rowCmp orders a vertex's rows by key ID, position, distance, depth and
 // hop vertex. Two rows it ties are identical, so the order is total and
@@ -552,13 +548,12 @@ func floatCmp(a, b float64) int {
 }
 
 // rangeRows is one vertex range's rows after stage 3's sort, vertex
-// after vertex: vertex lo+i owns rows ends[i]..ends[i+1] of the parallel
-// pos, dist and tags. entries counts the label entries the rows form.
+// after vertex: vertex lo+i owns rows[ends[i]:ends[i+1]]. entries counts
+// the label entries the rows form.
 type rangeRows struct {
-	pos, dist []float64
-	tags      []rowTag
-	ends      []int
-	entries   int
+	rows    []labelRow
+	ends    []int
+	entries int
 }
 
 // sortRange gathers range r's records from every task output, sorts each
@@ -590,7 +585,7 @@ func (c *records) sortRange(r int) rangeRows {
 	for _, out := range c.outs {
 		for _, x := range out[r] {
 			i := int(x.v) - lo
-			rows[next[i]] = labelRow{x.p.Pos, x.p.Dist, x.d, rowTag{x.k, x.h}}
+			rows[next[i]] = labelRow{x.p.Pos, x.p.Dist, x.d, x.k, x.h}
 			next[i]++
 		}
 	}
@@ -619,11 +614,7 @@ func (c *records) sortRange(r int) rangeRows {
 		ends[i+1] = kept
 		start = end
 	}
-	rr := rangeRows{pos: make([]float64, kept), dist: make([]float64, kept), tags: make([]rowTag, kept), ends: ends, entries: entries}
-	for x, w := range rows[:kept] {
-		rr.pos[x], rr.dist[x], rr.tags[x] = w.pos, w.dist, w.rowTag
-	}
-	return rr
+	return rangeRows{rows: rows[:kept], ends: ends, entries: entries}
 }
 
 // assemble is Build's stage 3: it writes the serving rows. One pool task
@@ -631,7 +622,7 @@ func (c *records) sortRange(r int) rangeRows {
 // one prefix sum over the ranges then gives every range its entry and
 // pool offsets, and a second task per range fills its share of
 // entryOff, entryKey and portalOff, the sweep lane (buildLane) and one
-// hop vertex per row. The range boundaries of portalOff are written
+// hop vertex per row, straight from the sorted rows. The range boundaries of portalOff are written
 // before that pass, so no range reads an offset another one writes.
 func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 	split := c.split
@@ -642,7 +633,7 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 	portBase := make([]int, split.ranges+1)
 	for r := range parts {
 		entBase[r+1] = entBase[r] + parts[r].entries
-		portBase[r+1] = portBase[r] + len(parts[r].tags)
+		portBase[r+1] = portBase[r] + len(parts[r].rows)
 	}
 	numEntries, numPortals := entBase[split.ranges], portBase[split.ranges]
 	if numEntries+1 > math.MaxInt32 || numPortals > math.MaxInt32 {
@@ -676,26 +667,24 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 		e, pb := entBase[r], portBase[r]
 		for i := 0; i < hi-lo; i++ {
 			for x := rr.ends[i]; x < rr.ends[i+1]; x++ {
-				tg := rr.tags[x]
-				if x == rr.ends[i] || tg.key != rr.tags[x-1].key {
+				w := &rr.rows[x]
+				if x == rr.ends[i] || w.key != rr.rows[x-1].key {
 					if e > entBase[r] {
 						rows.portalOff[e] = int32(pb + x)
 					}
-					rows.entryKey[e] = tg.key
+					rows.entryKey[e] = w.key
 					e++
 				}
-				o.hopVert[pb+x] = tg.hop
+				o.hopVert[pb+x] = w.hop
 			}
 			rows.entryOff[lo+i+1] = int32(e)
 		}
-		if err := rows.buildLane(entBase[r], e, rr.pos, rr.dist, anchorRuns{}); err != nil {
+		if err := rows.buildLane(entBase[r], e, rr.rows); err != nil {
 			errs[r] = fmt.Errorf("oracle: build: %w", err)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
 	return o, nil
 }

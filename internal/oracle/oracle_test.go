@@ -276,13 +276,13 @@ func TestPairMinMatchesBruteForce(t *testing.T) {
 			t.Fatalf("case %d: rounded minimum %v, exact %v", c, want, exact)
 		}
 		f := &Flat{tables: tables{portalOff: []int32{0, int32(len(a)), int32(len(a) + len(b))}}, lane: alignedPortals(len(a) + len(b))}
-		var pos, dist []float64
+		var rows []labelRow
 		for _, run := range [][]Portal{a, b} {
 			for _, p := range run {
-				pos, dist = append(pos, p.Pos), append(dist, p.Dist)
+				rows = append(rows, labelRow{pos: p.Pos, dist: p.Dist})
 			}
 		}
-		if err := f.buildLane(0, 2, pos, dist, anchorRuns{}); err != nil {
+		if err := f.buildLane(0, 2, rows); err != nil {
 			t.Fatalf("case %d: buildLane: %v", c, err)
 		}
 		for _, got := range []struct {

@@ -337,14 +337,14 @@ func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
 // resolveHops resolves every hop vertex to the pool index of the record
 // it names: the hop vertex's record at the same key and position, the
 // hop forest the walk layout is derived from. Each link goes straight to
-// its record's key-major slot in kp, as a decode's hop section does (see
-// keyPartition.link), and it returns the anchor count. A hop that names
+// its record's word in links, as a decode's hop section does (see
+// hopLinks.link), and it returns the anchor count. A hop that names
 // no record fails the freeze rather than produce an image that cannot
 // report paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool,
 // one task per vertex range; the anchors rank in pool order, each range
 // from the count of anchors before it, and the error reported is the
 // first in pool order, as a serial pass would find it.
-func (f *Flat) resolveHops(hopVert []int32, kp *keyPartition) (int32, error) {
+func (f *Flat) resolveHops(hopVert []int32, links hopLinks) (int32, error) {
 	pool := par.New(0, nil)
 	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
 	rank := make([]int32, split.ranges+1)
@@ -362,20 +362,18 @@ func (f *Flat) resolveHops(hopVert []int32, kp *keyPartition) (int32, error) {
 	errs := make([]error, split.ranges)
 	pool.ForEach(split.ranges, func(r int) {
 		lo, hi := split.bounds(r)
-		errs[r] = f.resolveRange(hopVert, kp, lo, hi, rank[r])
+		errs[r] = f.resolveRange(hopVert, links, lo, hi, rank[r])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
+	if err := firstErr(errs); err != nil {
+		return 0, err
 	}
 	return rank[split.ranges], nil
 }
 
-// resolveRange links every hop record of vertices [lo, hi) in kp, the
+// resolveRange links every hop record of vertices [lo, hi) in links, the
 // range's anchors ranked from rank, stopping at the first hop with no
 // record.
-func (f *Flat) resolveRange(hopVert []int32, kp *keyPartition, lo, hi int, rank int32) error {
+func (f *Flat) resolveRange(hopVert []int32, links hopLinks, lo, hi int, rank int32) error {
 	for v := lo; v < hi; v++ {
 		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
 			kid := f.entryKey[e]
@@ -387,7 +385,7 @@ func (f *Flat) resolveRange(hopVert []int32, kp *keyPartition, lo, hi int, rank 
 						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, f.keys[kid], h, pos)
 					}
 				}
-				rank = kp.link(x, t, rank)
+				rank = links.link(x, t, rank)
 			}
 		}
 	}

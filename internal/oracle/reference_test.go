@@ -345,19 +345,19 @@ func (ref *refOracle) freeze() (*Flat, []int32, error) {
 			portalOff: make([]int32, 1, numEntries+1),
 		},
 	}
-	pos, dist := make([]float64, 0, numPortals), make([]float64, 0, numPortals)
+	rows := make([]labelRow, 0, numPortals)
 	for v := range ref.labels {
 		for _, e := range ref.labels[v].Entries {
 			f.entryKey = append(f.entryKey, seen[e.Key])
 			for _, p := range e.Portals {
-				pos, dist = append(pos, p.Pos), append(dist, p.Dist)
+				rows = append(rows, labelRow{pos: p.Pos, dist: p.Dist})
 			}
-			f.portalOff = append(f.portalOff, int32(len(pos)))
+			f.portalOff = append(f.portalOff, int32(len(rows)))
 		}
 		f.entryOff[v+1] = int32(len(f.entryKey))
 	}
-	f.lane = alignedPortals(len(pos))
-	if err := f.buildLane(0, len(f.entryKey), pos, dist, anchorRuns{}); err != nil {
+	f.lane = alignedPortals(len(rows))
+	if err := f.buildLane(0, len(f.entryKey), rows); err != nil {
 		return nil, nil, err
 	}
 	if len(ref.paths) != len(keys) {
@@ -372,7 +372,7 @@ func (ref *refOracle) freeze() (*Flat, []int32, error) {
 		f.pathPos = append(f.pathPos, ref.paths[i].pos...)
 		f.pathOff[i+1] = int32(len(f.pathVert))
 	}
-	hops := make([]int32, len(pos))
+	hops := make([]int32, len(rows))
 	for v := range ref.labels {
 		ei := int(f.entryOff[v])
 		for j, e := range ref.labels[v].Entries {

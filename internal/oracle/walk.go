@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 
 	"pathsep/internal/par"
 )
@@ -32,51 +33,50 @@ const (
 	treeUnseen   = -3
 )
 
-// deriveWalk compiles the hop forest — kp.up holds, at each record's
-// key-major slot, the pool index of the next record on its chain, or
-// −1−rank at the chain's anchor, the anchors ranked in pool order (see
-// keyPartition.link) — into the walkBlk/walkSlot layout on a pool of the
-// given width (0 means runtime.GOMAXPROCS(0)); the links themselves are
-// not kept. Chains are emitted in heavy-path order — each record's
-// heaviest child is placed immediately before it — so a chain from any
-// slot to its head is one contiguous owner run the walk copies in bulk;
-// only light edges jump, and a root-to-leaf walk crosses O(log P) of
-// them. Each anchor resolves its path-geometry index here, by its own
-// vertex on its key's path, into its tree's trailers, where QueryPath
-// reads it. deriveWalk also returns every record's anchor index, which is
-// all a decode needs to give the record its position (see anchorRuns).
+// deriveWalk compiles the hop forest — links holds, in each record's
+// word, the pool index of the next record on its chain, or −1−rank at the
+// chain's anchor, the anchors ranked in pool order (see hopLinks.link) —
+// into the walkBlk/walkSlot layout on a pool of the given width (0 means
+// runtime.GOMAXPROCS(0)); the links themselves are not kept. Chains are
+// emitted in heavy-path order — each record's heaviest child is placed
+// immediately before it — so a chain from any slot to its head is one
+// contiguous owner run the walk copies in bulk; only light edges jump,
+// and a root-to-leaf walk crosses O(log P) of them. Each anchor resolves
+// its path-geometry index here, by its own vertex on its key's path, into
+// its tree's trailers, where QueryPath reads it. Where links is the lane,
+// every record's word ends up holding its position: its chain anchor's
+// path_pos entry.
 //
 // Every hop chain stays on one separator path, so the forest splits into
 // one independent forest per key, and each key is a pool task in two
 // rounds, on the scratch keyTasks bounds. sizeKey checks the key, turns
-// its hops into parent links in key-local slots and sizes its anchor
-// trees (records plus one trailer per chain, and a tree has one chain
-// per leaf); one descending scan over the anchors then gives every tree
-// its offset, and layoutKey writes the key's trees straight into place.
-// The trees land where a whole-pool pass puts them — the last anchor's
-// tree first, each tree whole — so the layout is the same word for word
-// at every pool width and task order.
+// its hops into parent links in key-local slots, which it writes back
+// over the hops, and sizes its anchor trees (records plus one trailer per
+// chain, and a tree has one chain per leaf); one descending scan over the
+// anchors then gives every tree its offset, and layoutKey writes the
+// key's trees straight into place. The trees land where a whole-pool pass
+// puts them — the last anchor's tree first, each tree whole — so the
+// layout is the same word for word at every pool width and task order.
 //
 // The derivation fails, naming the lowest failing key, when a key's path
 // repeats a vertex, a hop links records of two keys, an anchor's vertex
 // is not on its key's path, or records reach no anchor (a hop cycle, or
-// a chain into one). Each would leave a record without a position, and
-// a cross-key hop would also make QueryPath read another key's geometry
-// out of range.
-func (f *Flat) deriveWalk(kp *keyPartition, anchors int32, workers int) (anchorRuns, error) {
+// a chain into one). Each would leave a record without a position, and a
+// cross-key hop would also make QueryPath read another key's geometry
+// out of range. Where it writes positions, it also fails when they
+// decrease within an entry, the merge order the sweep relies on.
+func (f *Flat) deriveWalk(kp *keyPartition, links hopLinks, anchors int32, workers int) error {
 	f.walkBlk, f.walkSlot = nil, nil
-	if len(kp.up) == 0 {
-		return anchorRuns{}, nil
+	if len(kp.slot) == 0 {
+		return nil
 	}
 	kp.anchorAt, kp.block = make([]int32, anchors), make([]int32, anchors)
 	pool := par.New(workers, nil)
 	tasks := newKeyTasks(kp, pool.Workers(), f.n)
 	errs := make([]error, len(f.keys))
-	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.sizeKey(k, kp, s) })
-	for _, err := range errs {
-		if err != nil {
-			return anchorRuns{}, err
-		}
+	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.sizeKey(k, kp, links, s) })
+	if err := firstErr(errs); err != nil {
+		return err
 	}
 	// Tree offsets: the trees follow one another in descending anchor
 	// order.
@@ -89,24 +89,39 @@ func (f *Flat) deriveWalk(kp *keyPartition, anchors int32, workers int) (anchorR
 	// The slot map is dead once every key is sized: its array becomes
 	// walkSlot, which the second round writes whole.
 	f.walkBlk, f.walkSlot = make([]int32, total), kp.slot
-	tasks.run(pool, func(k int32, s *walkScratch) { f.layoutKey(k, kp, s) })
-	return anchorRuns{first: kp.first, idx: kp.up}, nil
+	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.layoutKey(k, kp, links, s) })
+	return firstErr(errs)
+}
+
+// firstErr returns the first non-nil error of errs, in index order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // keyTasks schedules the walk derivation's key tasks so that the scratch
 // they hold together does not grow with the pool width w. A key of more
 // than maxKey/w records is big: the big keys run one after another as
 // one task on one scratch set sized to the largest key, and every other
-// key is a task of its own on a per-worker set sized to the largest of
-// them, at most maxKey/w records. The sets hold at most twice the
-// largest key's scratch at any width. The big task is submitted first,
-// so the other workers lay out the small keys beside it; at width 1 no
+// key is a task of its own on a set sized to the largest of them, at
+// most maxKey/w records. The big task is submitted first, so the other
+// workers lay out the small keys beside it, at most w−1 at a time; when
+// it is done it hands its set, carved to the small size, to the small
+// tasks. So at most w−1 small sets are ever allocated, and the sets hold
+// at most maxKey + (w−1)·⌊maxKey/w⌋ records at any width. At width 1 no
 // key is big.
 type keyTasks struct {
 	big, small []int32
-	bigSet     *walkScratch
-	// free holds the per-worker sets: at most w tasks run at once, so at
-	// most w sets are ever allocated, each when a worker first finds none.
+	// bigSet is the big task's set, and carved the small set inside it
+	// that the big task hands over (see run).
+	bigSet, carved *walkScratch
+	// free holds the small sets, nil until a task first finds one so: a
+	// task takes one, and puts it back when done. At most w tasks run at
+	// once, so w slots hold every set, the carved one included.
 	free     chan *walkScratch
 	smallMax int32
 	vertices int
@@ -114,9 +129,6 @@ type keyTasks struct {
 
 func newKeyTasks(kp *keyPartition, w, vertices int) *keyTasks {
 	t := &keyTasks{free: make(chan *walkScratch, w), vertices: vertices}
-	for range w {
-		t.free <- nil
-	}
 	limit := kp.maxKey / int32(w)
 	for k := 0; k+1 < len(kp.recOff); k++ {
 		if n := kp.recOff[k+1] - kp.recOff[k]; n > limit {
@@ -126,18 +138,30 @@ func newKeyTasks(kp *keyPartition, w, vertices int) *keyTasks {
 			t.smallMax = max(t.smallMax, n)
 		}
 	}
+	sets := w
 	if len(t.big) > 0 {
 		t.bigSet = newWalkScratch(kp.maxKey, vertices)
+		t.carved = t.bigSet.carve(t.smallMax)
+		sets--
+	}
+	for range sets {
+		t.free <- nil
 	}
 	return t
 }
 
-// run calls fn on every key with scratch for it, on pool.
+// run calls fn on every key with scratch for it, on pool. The big task
+// hands over the carved set once its keys are done; the next round's big
+// task needs its set whole again, so run takes the carved set back out
+// of circulation before it returns.
 func (t *keyTasks) run(pool *par.Pool, fn func(k int32, s *walkScratch)) {
 	pool.ForEach(1+len(t.small), func(i int) {
 		if i == 0 {
-			for _, k := range t.big {
-				fn(k, t.bigSet)
+			if t.bigSet != nil {
+				for _, k := range t.big {
+					fn(k, t.bigSet)
+				}
+				t.free <- t.carved
 			}
 			return
 		}
@@ -148,49 +172,45 @@ func (t *keyTasks) run(pool *par.Pool, fn func(k int32, s *walkScratch)) {
 		fn(t.small[i-1], s)
 		t.free <- s
 	})
+	if t.carved != nil {
+		sets := make([]*walkScratch, 0, cap(t.free))
+		for len(t.free) > 0 {
+			if s := <-t.free; s != t.carved {
+				sets = append(sets, s)
+			}
+		}
+		for _, s := range sets {
+			t.free <- s
+		}
+	}
 }
-
-// anchorRuns holds every record's chain anchor, as an index into its
-// key's path geometry, key-major: entry e's records, which are
-// consecutive in their key, find theirs in pool order at
-// idx[first[e]:]. A decode reads its positions off it (see buildLane)
-// one run per entry, where reading each record's anchor off its walk
-// trailer is a cache miss per record.
-type anchorRuns struct{ first, idx []int32 }
 
 // keyPartition is the pool split by key. Key k owns the entries
 // ent[entOff[k]:entOff[k+1]], ascending, so its records come in pool
 // order, with owning vertices vert[entOff[k]:entOff[k+1]], and the
-// key-major slots recOff[k]..recOff[k+1]; first[e] is entry e's first
-// key-major slot, and slot[r] record r's, so a hop target h belongs to
-// key k exactly when slot[h] falls in k's range (sizeKey reads it;
-// layoutKey writes the same array as walkSlot). up, indexed by key-major
-// slot, holds each record's hop link as link stores it, until sizeKey
-// turns it into the record's parent link in key-local slots, or −1−a at
-// anchor a, and layoutKey leaves each record's anchor index there; a
-// key's range of it is its own task's to read and write. The anchors are
-// ranked in pool order: anchorAt[a] is anchor a's path-geometry index,
-// and block[a] the size of its tree until deriveWalk turns it into the
-// tree's offset in walkBlk.
+// key-major slots recOff[k]..recOff[k+1]; slot[r] is record r's, so a hop
+// target h belongs to key k exactly when slot[h] falls in k's range
+// (sizeKey reads it; layoutKey writes the same array as walkSlot). The
+// anchors are ranked in pool order: anchorAt[a] is anchor a's
+// path-geometry index, and block[a] the size of its tree until
+// deriveWalk turns it into the tree's offset in walkBlk.
 type keyPartition struct {
-	entOff, ent, vert, first []int32
-	recOff, slot, up         []int32
-	anchorAt, block          []int32
-	maxKey                   int32
+	entOff, ent, vert []int32
+	recOff, slot      []int32
+	anchorAt, block   []int32
+	maxKey            int32
 }
 
 // partitionByKey builds the key partition of f's pool in one pass over
-// the entry tables; the hop links are stored into it afterwards (link).
+// the entry tables.
 func (f *Flat) partitionByKey() *keyPartition {
 	nk := len(f.keys)
 	kp := &keyPartition{
 		entOff: make([]int32, nk+1),
 		ent:    make([]int32, len(f.entryKey)),
 		vert:   make([]int32, len(f.entryKey)),
-		first:  make([]int32, len(f.entryKey)),
 		recOff: make([]int32, nk+1),
 		slot:   make([]int32, len(f.lane)),
-		up:     make([]int32, len(f.lane)),
 	}
 	for e, k := range f.entryKey {
 		kp.entOff[k+1]++
@@ -210,7 +230,6 @@ func (f *Flat) partitionByKey() *keyPartition {
 			kp.ent[nextEnt[k]], kp.vert[nextEnt[k]] = e, int32(v)
 			nextEnt[k]++
 			s := nextSlot[k]
-			kp.first[e] = s
 			for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
 				kp.slot[r] = s
 				s++
@@ -221,57 +240,108 @@ func (f *Flat) partitionByKey() *keyPartition {
 	return kp
 }
 
-// link stores record r's hop link h at r's key-major slot in up: the
-// pool index of the record it hops to, or, at an anchor (h < 0), −1−rank.
-// Anchors are ranked in pool order, so a caller links them in that order
-// from rank, and link returns the next anchor's rank. The decode links
-// its hop section as it streams in, and Freeze its resolved hops.
-func (kp *keyPartition) link(r, h, rank int32) int32 {
+// hopLinks is the walk derivation's link store: one word per pool record
+// that holds, in turn, the record's hop link, then its parent link in
+// key-local slots (sizeKey), and, where the store is the lane, at last
+// its position (layoutKey). A decode keeps the links in the lane's Pos
+// words, which hold nothing until the walk gives each record its
+// position, so the links cost it no memory: a float64 holds every int32
+// exactly. Freeze's lane is the Oracle's, shared, positioned and
+// queryable, so Freeze keeps its links in an array of its own, ids, and
+// gets no positions written.
+type hopLinks struct {
+	lane []Portal
+	ids  []int32
+}
+
+// at returns record r's word.
+func (l hopLinks) at(r int32) int32 {
+	if l.lane != nil {
+		return int32(l.lane[r].Pos)
+	}
+	return l.ids[r]
+}
+
+// set stores w as record r's word.
+func (l hopLinks) set(r, w int32) {
+	if l.lane != nil {
+		l.lane[r].Pos = float64(w)
+		return
+	}
+	l.ids[r] = w
+}
+
+// link stores record r's hop link h: the pool index of the record it
+// hops to, or, at an anchor (h < 0), −1−rank. Anchors are ranked in pool
+// order, so a caller links them in that order from rank, and link
+// returns the next anchor's rank. The decode links its hop section as it
+// streams in, and Freeze its resolved hops.
+func (l hopLinks) link(r, h, rank int32) int32 {
 	if h < 0 {
-		kp.up[kp.slot[r]] = -1 - rank
+		l.set(r, -1-rank)
 		return rank + 1
 	}
-	kp.up[kp.slot[r]] = h
+	l.set(r, h)
 	return rank
 }
 
 // walkScratch is one key task's scratch. Each array but at is sized to
-// the task's largest key and indexed by key-local slot: the records'
-// owning vertices, the child CSR pair, the subtree sizes (reused for the
-// pushed chain heads' jump slots, jend holding their jump ends and,
-// until its tree is laid out, each anchor's rank, and for each placed
-// record's walk slot), and the length of each record's heavy chain down
-// to its leaf. sizeKey uses the child counts, the child array as its
-// climb stack and the size array for tree labels. at, indexed by vertex,
-// holds 1 + the vertex's index on the path of the key being sized, and 0
-// between keys.
+// the task's largest key and indexed by key-local slot: the parent links
+// (then the records in breadth-first order), the child CSR pair, the
+// subtree sizes (reused for the pushed chain heads' jump slots, jend
+// holding their jump ends and, until its tree is laid out, each anchor's
+// rank, and for each placed record's walk slot), and the length of each
+// record's heavy chain down to its leaf (then its anchor index). sizeKey
+// uses the child counts, the child array as its climb stack, the size
+// array for tree labels, and the chain and jend arrays, like layoutKey
+// before its layout, for the records' pool indices and owning vertices
+// (keyRecords). at, indexed by vertex, holds 1 + the vertex's
+// index on the path of the key being sized, and 0 between keys. buf
+// backs the six per-record arrays.
 type walkScratch struct {
-	own, childOff, child, size, jend, chain, at []int32
+	up, childOff, child, size, jend, chain, at []int32
+	buf                                        []int32
 }
 
 func newWalkScratch(maxKey int32, vertices int) *walkScratch {
 	n := int(maxKey)
 	buf := make([]int32, 6*n+1+vertices)
+	return scratchIn(buf[:6*n+1], n, buf[6*n+1:])
+}
+
+// carve returns a set for keys of at most m records inside s's per-record
+// arrays. It shares s's vertex marks, which are 0 between keys, so it
+// starts as a fresh set does; s must not be used while it is.
+func (s *walkScratch) carve(m int32) *walkScratch {
+	n := int(m)
+	return scratchIn(s.buf[:6*n+1], n, s.at)
+}
+
+// scratchIn lays out a set for keys of at most n records over buf, 6n+1
+// words, with vertex marks at.
+func scratchIn(buf []int32, n int, at []int32) *walkScratch {
 	return &walkScratch{
-		own:      buf[:n:n],
+		up:       buf[:n:n],
 		childOff: buf[n : 2*n+1 : 2*n+1],
 		child:    buf[2*n+1 : 3*n+1 : 3*n+1],
 		size:     buf[3*n+1 : 4*n+1 : 4*n+1],
 		jend:     buf[4*n+1 : 5*n+1 : 5*n+1],
 		chain:    buf[5*n+1 : 6*n+1 : 6*n+1],
-		at:       buf[6*n+1:],
+		at:       at,
+		buf:      buf,
 	}
 }
 
-// sizeKey checks key k, turns the hop links in its range of up into
-// parent links and sizes its anchor trees into block: each tree's
-// records plus trailerWords per leaf. It resolves each anchor's
-// path-geometry index into anchorAt by the anchor's vertex, and labels
-// every record with its tree by climbing the parent links to an anchor
-// or into a cycle. It fails, leaving the key unfinished, when the key's
-// path repeats a vertex, a hop leaves the key, an anchor's vertex is off
-// the path, or records reach no anchor.
-func (f *Flat) sizeKey(k int32, kp *keyPartition, s *walkScratch) error {
+// sizeKey checks key k, turns the hop links its records hold in links
+// into parent links in key-local slots, writing each back over its hop
+// and into the set's parent array, and sizes its anchor trees into
+// block: each tree's records plus trailerWords per leaf. It resolves each
+// anchor's path-geometry index into anchorAt by the anchor's vertex, and
+// labels every record with its tree by climbing the parent links to an
+// anchor or into a cycle. It fails, leaving the key unfinished, when the
+// key's path repeats a vertex, a hop leaves the key, an anchor's vertex
+// is off the path, or records reach no anchor.
+func (f *Flat) sizeKey(k int32, kp *keyPartition, links hopLinks, s *walkScratch) error {
 	path := f.pathVert[f.pathOff[k]:f.pathOff[k+1]]
 	defer func() {
 		for _, v := range path {
@@ -285,29 +355,29 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, s *walkScratch) error {
 		s.at[v] = int32(x) + 1
 	}
 	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
-	up, kids, tree := kp.up[base:base+n], s.childOff[:n], s.size[:n]
+	up, kids, tree, rec, own := s.up[:n], s.childOff[:n], s.size[:n], s.chain[:n], s.jend[:n]
+	f.keyRecords(k, kp, rec, own)
 	clear(kids)
-	x := 0
-	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
-		e, v := kp.ent[i], kp.vert[i]
-		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
-			h := up[x]
-			if h < 0 {
-				if s.at[v] == 0 {
-					return fmt.Errorf("anchor record %d: vertex %d is not on the path of key %d", r, v, k)
-				}
-				tree[x] = -1 - h
-				kp.anchorAt[tree[x]] = s.at[v] - 1
-				continue
+	for x, r := range rec {
+		h := links.at(r)
+		if h < 0 {
+			v := own[x]
+			if s.at[v] == 0 {
+				return fmt.Errorf("anchor record %d: vertex %d is not on the path of key %d", r, v, k)
 			}
-			u := kp.slot[h] - base
-			if u < 0 || u >= n {
-				return fmt.Errorf("hop of record %d links to record %d of another key", r, h)
-			}
-			up[x] = u
-			kids[u]++
-			tree[x] = treeUnseen
+			up[x] = h
+			tree[x] = -1 - h
+			kp.anchorAt[tree[x]] = s.at[v] - 1
+			continue
 		}
+		u := kp.slot[h] - base
+		if u < 0 || u >= n {
+			return fmt.Errorf("hop of record %d links to record %d of another key", r, h)
+		}
+		up[x] = u
+		links.set(r, u)
+		kids[u]++
+		tree[x] = treeUnseen
 	}
 	stack := s.child[:0]
 	for x := range tree {
@@ -343,28 +413,40 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, s *walkScratch) error {
 	return nil
 }
 
+// keyRecords lists key k's records in key-local slot order, entry by
+// entry: rec[x] is the pool index of local slot x, and own[x] its owning
+// vertex. The loops over rec that follow read the records' link words in
+// the lane with no loop exit per entry between them, so the cache misses
+// of one entry's run overlap the next one's.
+func (f *Flat) keyRecords(k int32, kp *keyPartition, rec, own []int32) {
+	x := 0
+	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
+		e, v := kp.ent[i], kp.vert[i]
+		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
+			rec[x], own[x] = r, v
+		}
+	}
+}
+
 // layoutKey writes key k's anchor trees into walkBlk at the offsets in
-// block, every record's slot into walkSlot and, over the key's parent
-// links, every record's anchor index.
+// block and every record's slot into walkSlot and, where links is the
+// lane, its position into its Pos word.
 //
 // Local slots run in pool order, so every child list comes out in
 // ascending record order, and each anchor's tree is laid out exactly as
 // a whole-pool pass lays it (deriveWalkRef in the tests): chains
 // parent-first off a head stack seeded with the anchor, each record's
 // light children pushed in ascending order as its chain is traced root
-// to leaf.
-func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
-	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
-	up := kp.up[base : base+n]
-	own, childOff, child, size, jend, chain := s.own[:0], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
-	// The owning vertex of each record, in pool order (key-local slot
-	// order).
-	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
-		for r := f.portalOff[kp.ent[i]]; r < f.portalOff[kp.ent[i]+1]; r++ {
-			own = append(own, kp.vert[i])
-		}
+// to leaf. It fails only on positions that decrease within an entry.
+func (f *Flat) layoutKey(k int32, kp *keyPartition, links hopLinks, s *walkScratch) error {
+	n := kp.recOff[k+1] - kp.recOff[k]
+	up, childOff, child, size, jend, chain := s.up[:n], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
+	// The parent links sizeKey left in links, in key-local slot order.
+	f.keyRecords(k, kp, chain, jend)
+	for x, r := range chain {
+		up[x] = links.at(r)
 	}
-	// Child lists in local slots from sizeKey's parent links: count into
+	// Child lists in local slots from the parent links: count into
 	// childOff, prefix-sum to each list's end, then fill backwards so
 	// childOff[u] lands on its start.
 	clear(childOff)
@@ -429,13 +511,13 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 	}
 	// Lay out each anchor's tree at its offset, the anchors waiting on the
 	// head stack below the tree in progress: every chain root-to-leaf,
-	// written leaf-first so the bulk copy runs child-to-parent, the chain
-	// head on the run's last slot, its trailer after it. A pushed light
-	// child's size slot takes its parent's slot and its jend slot the
-	// parent's run end; the walk length past its head is the parent's,
-	// read off the parent chain's trailer. A placed record's chain length
-	// and size are spent, so their slots keep the record's anchor index
-	// and its walk slot instead.
+	// its records' slots counted leaf-first so the bulk copy runs
+	// child-to-parent, the chain head on the run's last slot, its trailer
+	// after it. A pushed light child's size slot takes its parent's slot
+	// and its jend slot the parent's run end; the walk length past its
+	// head is the parent's, read off the parent chain's trailer. A placed
+	// record's chain length and size are spent, so their slots keep the
+	// record's anchor index and its walk slot instead.
 	blk := f.walkBlk
 	heads := order[:roots]
 	for len(heads) > 0 {
@@ -454,7 +536,6 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 			}
 			blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, kp.anchorAt[tree], tail
 			for x, slot := h, end; ; x, slot = child[childOff[x]], slot-1 {
-				blk[slot] = own[x]
 				size[x] = slot
 				chain[x] = kp.anchorAt[tree]
 				lo, hi := childOff[x], childOff[x+1]
@@ -469,14 +550,27 @@ func (f *Flat) layoutKey(k int32, kp *keyPartition, s *walkScratch) {
 			at = end + 1 + trailerWords
 		}
 	}
-	// The parent links are spent too: they take the anchor indices. The
-	// records take their walk slots in pool order, local slot by local
-	// slot.
-	copy(up, chain)
+	// The records in pool order, local slot by local slot: each takes its
+	// walk slot, its owning vertex goes into that slot of walkBlk, and,
+	// where links is the lane, its anchor's path position goes over its
+	// parent link.
+	geo := f.pathPos[f.pathOff[k]:f.pathOff[k+1]]
 	x := 0
 	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
-		for r := f.portalOff[kp.ent[i]]; r < f.portalOff[kp.ent[i]+1]; r, x = r+1, x+1 {
+		e, v := kp.ent[i], kp.vert[i]
+		prev := math.Inf(-1)
+		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
 			f.walkSlot[r] = size[x]
+			blk[size[x]] = v
+			if links.lane == nil {
+				continue
+			}
+			p := geo[chain[x]]
+			if p < prev {
+				return fmt.Errorf("portal positions of entry %d decrease at record %d", e, r)
+			}
+			links.lane[r].Pos, prev = p, p
 		}
 	}
+	return nil
 }

@@ -149,6 +149,12 @@ func eachRecordRef(f *Flat, fn func(v, kid, i int32)) {
 	}
 }
 
+// anchorOf returns the path index of the anchor that the walk layout
+// blk/slots gives record r: the one its run's trailer names.
+func anchorOf(blk, slots []int32, r int32) int32 {
+	return blk[runEnd(blk, slots[r])+3]
+}
+
 // positionDiff checks the position invariant on f: every record's lane
 // position is, bit for bit, the path position of the anchor its walk
 // trailer names. It describes the first record that breaks it, or
@@ -156,13 +162,30 @@ func eachRecordRef(f *Flat, fn func(v, kid, i int32)) {
 func positionDiff(f *Flat) string {
 	for e, k := range f.entryKey {
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
-			a := f.walkBlk[runEnd(f.walkBlk, f.walkSlot[r])+3]
+			a := anchorOf(f.walkBlk, f.walkSlot, r)
 			if want := f.pathPos[f.pathOff[k]+a]; math.Float64bits(f.lane[r].Pos) != math.Float64bits(want) {
 				return fmt.Sprintf("record %d at position %v, its anchor %d at %v", r, f.lane[r].Pos, a, want)
 			}
 		}
 	}
 	return ""
+}
+
+// refOrdered reports whether the positions the layout blk/slots gives
+// f's records, each its anchor's path position, are non-decreasing within
+// every entry, as a decode requires.
+func refOrdered(f *Flat, blk, slots []int32) bool {
+	for e, k := range f.entryKey {
+		prev := math.Inf(-1)
+		for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
+			p := f.pathPos[f.pathOff[k]+anchorOf(blk, slots, r)]
+			if p < prev {
+				return false
+			}
+			prev = p
+		}
+	}
+	return true
 }
 
 // walkDiff compares f's walk layout with deriveWalkRef's word for word,
@@ -185,35 +208,60 @@ func walkDiff(f *Flat, refBlk, refSlot []int32) string {
 	return ""
 }
 
-// deriveHops derives f's walk layout from pool-order hop links on a pool
-// of the given width, linking them into the key partition as a decode
-// links its hop section.
-func deriveHops(f *Flat, hops []int32, workers int) (anchorRuns, error) {
-	kp := f.partitionByKey()
+// deriveHops links pool-order hop links into f's lane, as a decode links
+// its hop section, and derives f's walk layout and lane positions from
+// them on a pool of the given width. It writes f's lane, so f must own
+// it (see ownLane).
+func deriveHops(f *Flat, hops []int32, workers int) error {
+	links := hopLinks{lane: f.lane}
 	rank := int32(0)
 	for r, h := range hops {
-		rank = kp.link(int32(r), h, rank)
+		rank = links.link(int32(r), h, rank)
 	}
-	return f.derive(kp, rank, workers)
+	return f.derive(f.partitionByKey(), links, rank, workers)
 }
 
-// checkWidths derives f's walk layout from hops at pool widths 1, 2, 4
-// and 0 with shuffled task submission and compares each with the
-// reference: the same layout word for word, or a failure at every width
-// where the reference finds a record without a position. It reports
-// whether the layout derived.
+// ownLane returns a copy of f with a copy of its lane, for deriveHops to
+// write.
+func ownLane(f *Flat) *Flat {
+	g := *f
+	g.lane = alignedPortals(len(f.lane))
+	copy(g.lane, f.lane)
+	return &g
+}
+
+// checkWidths derives f's walk layout and lane positions from hops, on a
+// copy of f's lane, at pool widths 1, 2, 4 and 0 with shuffled task
+// submission and compares each with the reference: the same layout word
+// for word, with every record at its anchor's position and every
+// distance kept, or a failure at every width where the reference finds a
+// record without a position or positions that decrease within an entry.
+// It reports whether the layout derived.
 func checkWidths(t *testing.T, name string, f *Flat, hops []int32) bool {
 	t.Helper()
 	refBlk, refSlot, ok := deriveWalkRef(f, hops)
+	ok = ok && refOrdered(f, refBlk, refSlot)
 	par.SetShuffleSeed(0x5eed)
 	defer par.SetShuffleSeed(0)
 	for _, w := range []int{1, 2, 4, 0} {
-		_, err := deriveHops(f, hops, w)
+		g := ownLane(f)
+		err := deriveHops(g, hops, w)
 		if (err == nil) != ok {
-			t.Fatalf("%s width %d: derivation error %v, but reference positions every record: %v", name, w, err, ok)
+			t.Fatalf("%s width %d: derivation error %v, but reference positions every record in order: %v", name, w, err, ok)
 		}
-		if d := walkDiff(f, refBlk, refSlot); ok && d != "" {
+		if !ok {
+			continue
+		}
+		if d := walkDiff(g, refBlk, refSlot); d != "" {
 			t.Fatalf("%s width %d: %s", name, w, d)
+		}
+		if d := positionDiff(g); d != "" {
+			t.Fatalf("%s width %d: %s", name, w, d)
+		}
+		for r := range g.lane {
+			if math.Float64bits(g.lane[r].Dist) != math.Float64bits(f.lane[r].Dist) {
+				t.Fatalf("%s width %d: record %d's distance %v became %v", name, w, r, f.lane[r].Dist, g.lane[r].Dist)
+			}
 		}
 	}
 	return ok
@@ -294,17 +342,18 @@ func checkRoundTrip(t *testing.T, name string, img []byte) *Flat {
 
 // TestWalkLayoutMatchesReference pins the per-key derivation to the
 // whole-pool reference word for word: walkBlk and every walkSlot, at
-// pool widths 1, 2, 4 and 0 with shuffled task submission, on the golden
-// fixture, 24×24 grids in both modes, the 64×64 portal grid and (outside
-// -short) the 128×128 bench image, each of which must also decode and
-// encode back to itself byte for byte. On 24×24 hop tables corrupted
-// with same-key rewires, self-loops, extra anchors and rewires to a
-// record at the same position, the derivation must fail exactly where
-// the reference finds a record without a position, the self-loops
-// always; the corrupted image must then fail to decode. Otherwise it
-// either decodes, round-trips byte for byte and matches the reference,
-// or fails to decode with an error, which same-position rewires, whose
-// positions all stay put, must not.
+// pool widths 1, 2, 4 and 0 with shuffled task submission, with the hop
+// links in the lane as a decode keeps them, on the golden fixture, 24×24
+// grids in both modes, the 64×64 portal grid and (outside -short) the
+// 128×128 bench image, each of which must also decode and encode back to
+// itself byte for byte. On 24×24 hop tables corrupted with same-key
+// rewires, self-loops, extra anchors and rewires to a record at the same
+// position, the derivation must fail exactly where the reference finds a
+// record without a position or positions that decrease within an entry,
+// the self-loops always, and the corrupted image must then fail to
+// decode; otherwise it must decode, round-trip byte for byte and match
+// the reference. Same-position rewires, whose positions all stay put,
+// fail only where they close a cycle.
 func TestWalkLayoutMatchesReference(t *testing.T) {
 	check := func(name string, f *Flat) {
 		t.Helper()
@@ -357,13 +406,10 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 			t.Fatalf("%s: self-loops derived a layout", name)
 		}
 		img := withHops(base, hops)
-		if _, err := DecodeFlat(img); err != nil {
-			if c%4 == 3 && derived {
-				t.Fatalf("%s: rewires that keep every position: %v", name, err)
-			}
+		if _, err := DecodeFlat(img); (err == nil) != derived {
+			t.Fatalf("%s: decode error %v, but the layout derived: %v", name, err, derived)
+		} else if err != nil {
 			continue
-		} else if !derived {
-			t.Fatalf("%s: decoded, but a record has no position", name)
 		}
 		dec := checkRoundTrip(t, name, img)
 		refBlk, refSlot, _ := deriveWalkRef(dec, hops)
@@ -378,9 +424,11 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 // input bytes. Such an image either fails to decode with an error — a
 // record then reaches no anchor, has an anchor off the key's path, or
 // lands at a position out of its entry's order — or it decodes, its walk
-// layout equals deriveWalkRef's at pool widths 0, 1 and 2 (the last with
-// shuffled task submission), it encodes back to itself byte for byte,
-// and QueryPath answers every pair without error.
+// layout equals deriveWalkRef's at pool widths 0, 1 and 2 (the last two
+// with shuffled task submission, each on a copy of the lane holding the
+// hop links as the decode keeps them, and giving it the decoded lane bit
+// for bit), it encodes back to itself byte for byte, and QueryPath
+// answers every pair without error.
 func FuzzWalkLayout(f *testing.F) {
 	fl := gridFlat(f, 8, CoverPortal)
 	enc := fl.Encode()
@@ -419,14 +467,18 @@ func FuzzWalkLayout(f *testing.F) {
 			t.Fatalf("width 0: %s", d)
 		}
 		for _, w := range []int{1, 2} {
+			g := ownLane(dec)
 			par.SetShuffleSeed(int64(len(ops)) + 1)
-			_, err := deriveHops(dec, hops, w)
+			err := deriveHops(g, hops, w)
 			par.SetShuffleSeed(0)
 			if err != nil {
 				t.Fatalf("width %d: %v", w, err)
 			}
-			if d := walkDiff(dec, refBlk, refSlot); d != "" {
+			if d := walkDiff(g, refBlk, refSlot); d != "" {
 				t.Fatalf("width %d: %s", w, d)
+			}
+			if d := laneDiff(g.lane, dec.lane); d != "" {
+				t.Fatalf("width %d: lane against the decoded one: %s", w, d)
 			}
 		}
 		var buf []int32
@@ -441,17 +493,19 @@ func FuzzWalkLayout(f *testing.F) {
 	})
 }
 
-// BenchmarkDeriveWalk times the walk derivation alone on the bench-shaped
-// 64×64 ε = 0.25 portal image at the GOMAXPROCS pool width, so the layer
-// pairs without the end-to-end benchmark:
+// BenchmarkDeriveWalk times the walk derivation alone, with the hop
+// links in the lane as a decode keeps them, on the bench-shaped 64×64
+// ε = 0.25 portal image at the GOMAXPROCS pool width, so the layer pairs
+// without the end-to-end benchmark:
 //
 //	go test -run '^$' -bench DeriveWalk -cpu 1,2 ./internal/oracle/
 func BenchmarkDeriveWalk(b *testing.B) {
 	fl := gridFlat(b, 64, CoverPortal)
 	hops := imageHops(fl)
+	g := ownLane(fl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := deriveHops(fl, hops, 0); err != nil {
+		if err := deriveHops(g, hops, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
