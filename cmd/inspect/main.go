@@ -11,8 +11,9 @@
 // values are rejected) and -workers bounds the construction pool. With
 // -image the input is a flat oracle image instead of a graph, and the
 // report covers the serving layout: the bytes each resident array holds,
-// lane alignment, the image sections, and the per-entry portal-run
-// length distribution that drives merge sweep cost.
+// lane alignment, the portals another portal of their entry dominates,
+// the image sections, and the per-entry portal-run length distribution
+// that drives merge sweep cost.
 package main
 
 import (
@@ -122,10 +123,12 @@ func main() {
 // inspectImage reports the serving layout of a flat oracle image: header
 // metadata, the memory the decoded image holds for serving, one row per
 // resident array (its tables, sweep lane and walk layout), lane
-// alignment, every image section's record count and bytes, and the
-// per-entry portal-run length distribution — short runs are
-// one-candidate sweeps, long runs are where the sweep's register fold
-// spends its steps and the batch scheduler earns its keep.
+// alignment, the portals another portal of their entry dominates (a
+// rebuild keeps only those a hop chain passes through), every image
+// section's record count and bytes, and the per-entry portal-run length
+// distribution — short runs are one-candidate sweeps, long runs are where
+// the sweep's register fold spends its steps and the batch scheduler
+// earns its keep.
 func inspectImage(path string) error {
 	fl, err := oracle.DecodeFlatFile(path)
 	if err != nil {
@@ -141,6 +144,10 @@ func inspectImage(path string) error {
 	for _, a := range fl.ResidentArrays() {
 		fmt.Printf("    %-10s %11d B %5.1f B/portal\n", a.Name, a.Bytes, perPortal(a.Bytes))
 	}
+
+	dom := fl.DominatedPortals()
+	fmt.Printf("  dominated portals: %d (%.1f%%); a rebuild keeps those a hop chain passes through\n",
+		dom, 100*perPortal(dom))
 
 	fmt.Println("  sections (records, bytes):")
 	for _, s := range fl.Sections() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -137,5 +138,22 @@ func TestInspectImageResidentRows(t *testing.T) {
 	if !slices.Equal(names, want) || sum != fl.ResidentBytes() || total != sum {
 		t.Errorf("inspect reports resident rows %v adding up to %d B under a %d B total; want rows %v adding up to ResidentBytes %d:\n%s",
 			names, sum, total, want, fl.ResidentBytes(), out)
+	}
+}
+
+// TestInspectImageDominated checks the dominated-portal line of the
+// report: the count Flat.DominatedPortals gives and its share of the
+// image's portals.
+func TestInspectImageDominated(t *testing.T) {
+	img := buildImage(t)
+	fl, err := oracle.DecodeFlat(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runInspect(t, img)
+	dom := fl.DominatedPortals()
+	want := fmt.Sprintf("  dominated portals: %d (%.1f%%); ", dom, 100*float64(dom)/float64(fl.NumPortals()))
+	if !strings.Contains(out, want) {
+		t.Errorf("inspect report lacks %q:\n%s", want, out)
 	}
 }

@@ -34,27 +34,32 @@ var overflowLe = math.Ldexp(1, histBuckets-1)
 // promHelp carries HELP text for the well-known instrument names. Names
 // not listed here fall back to a generic line quoting the dotted name.
 var promHelp = map[string]string{
-	"oracle.query_ns":       "Latency of one oracle distance query in nanoseconds.",
-	"oracle.query_portals":  "Portal candidates scanned by one distance query.",
-	"oracle.batch_qps":      "Throughput of the most recent QueryBatch call in queries per second.",
-	"oracle.flat_bytes":     "Encoded size of the attached flat oracle image in bytes.",
-	"oracle.resident_bytes": "Memory the attached flat oracle image holds for serving in bytes.",
-	"serve.queries":         "Single-query HTTP requests answered.",
-	"serve.batches":         "Batch HTTP requests answered (JSON and binary).",
-	"serve.batch_pairs":     "Query pairs answered through the batch endpoints.",
-	"serve.errors":          "HTTP requests rejected with a client or server error.",
-	"serve.inflight":        "Query requests currently being served.",
-	"serve.request_ns":      "Wall-clock time of one query HTTP request in nanoseconds.",
-	"go.goroutines":         "Live goroutines at scrape time.",
-	"go.gomaxprocs":         "GOMAXPROCS at scrape time.",
-	"go.heap_alloc_bytes":   "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
-	"go.heap_sys_bytes":     "Bytes of heap memory obtained from the OS (runtime.MemStats.HeapSys).",
-	"go.heap_objects":       "Number of allocated heap objects.",
-	"go.stack_sys_bytes":    "Bytes of stack memory obtained from the OS.",
-	"go.next_gc_bytes":      "Heap size target of the next GC cycle.",
-	"go.gc_cycles":          "Completed GC cycles since process start.",
-	"go.gc_pause_total_ns":  "Cumulative GC stop-the-world pause time in nanoseconds.",
-	"go.total_alloc_bytes":  "Cumulative bytes allocated for heap objects since process start.",
+	"oracle.query_ns":           "Latency of one oracle distance query in nanoseconds.",
+	"oracle.query_portals":      "Portal candidates scanned by one distance query.",
+	"oracle.batch_qps":          "Throughput of the most recent QueryBatch call in queries per second.",
+	"oracle.flat_bytes":         "Encoded size of the attached flat oracle image in bytes.",
+	"oracle.resident_bytes":     "Memory the attached flat oracle image holds for serving in bytes.",
+	"serve.queries":             "Single-query HTTP requests answered.",
+	"serve.batches":             "Batch HTTP requests answered (JSON and binary).",
+	"serve.batch_pairs":         "Query pairs answered through the batch endpoints.",
+	"serve.errors":              "HTTP requests rejected with a client or server error.",
+	"serve.errors_4xx":          "HTTP requests rejected with a 4xx client error.",
+	"serve.errors_5xx":          "HTTP requests rejected with a 5xx server error.",
+	"serve.inflight":            "Query requests currently being served.",
+	"serve.query_request_ns":    "Wall-clock time of one GET /query request in nanoseconds.",
+	"serve.path_request_ns":     "Wall-clock time of one GET /query/path request in nanoseconds.",
+	"serve.batch_request_ns":    "Wall-clock time of one POST /query/batch request in nanoseconds.",
+	"serve.batchbin_request_ns": "Wall-clock time of one POST /query/batchbin request in nanoseconds.",
+	"go.goroutines":             "Live goroutines at scrape time.",
+	"go.gomaxprocs":             "GOMAXPROCS at scrape time.",
+	"go.heap_alloc_bytes":       "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
+	"go.heap_sys_bytes":         "Bytes of heap memory obtained from the OS (runtime.MemStats.HeapSys).",
+	"go.heap_objects":           "Number of allocated heap objects.",
+	"go.stack_sys_bytes":        "Bytes of stack memory obtained from the OS.",
+	"go.next_gc_bytes":          "Heap size target of the next GC cycle.",
+	"go.gc_cycles":              "Completed GC cycles since process start.",
+	"go.gc_pause_total_ns":      "Cumulative GC stop-the-world pause time in nanoseconds.",
+	"go.total_alloc_bytes":      "Cumulative bytes allocated for heap objects since process start.",
 }
 
 // promName flattens a dotted instrument name into a valid Prometheus

@@ -287,6 +287,28 @@ func (f *Flat) PortalRunLengths(dst []int) []int {
 	return dst
 }
 
+// DominatedPortals counts the pool records another record of their entry
+// dominates, by the rule Build drops records with (see dominate), read
+// off the lane alone. Build keeps a dominated record only where a kept
+// record's hop chain passes through it, so on an image it wrote the
+// count is at most those; on an image of every record it is what a
+// rebuild would drop before the chains keep some back.
+func (f *Flat) DominatedPortals() int {
+	n := 0
+	for e := 0; e+1 < len(f.portalOff); e++ {
+		run := f.lane[f.portalOff[e]:f.portalOff[e+1]]
+		for i, a := range run {
+			for j, b := range run {
+				if j != i && dominates(a.Pos, a.Dist, b.Pos, b.Dist, j < i) {
+					n++
+					break
+				}
+			}
+		}
+	}
+	return n
+}
+
 // SetMetrics attaches (or, with nil, detaches) serving metrics:
 // "oracle.query_ns" and "oracle.query_portals" observe single queries
 // (the same instruments as Oracle.SetMetrics), "oracle.batch_qps"

@@ -154,16 +154,23 @@ func TestDecodeRestoresPositions(t *testing.T) {
 	}
 }
 
-// gridFlat freezes the bench-shaped build: a side×side grid with uniform
-// [1,4) weights from seed 1, ε = 0.25, serial workers.
-func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
+// gridDec decomposes the bench-shaped grid: side×side with uniform [1,4)
+// weights from seed 1, serial workers.
+func gridDec(tb testing.TB, side int) *core.Tree {
 	tb.Helper()
 	rot := embed.Grid(side, side, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
 	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	o, err := Build(dec, Options{Epsilon: 0.25, Mode: mode, Workers: 1})
+	return dec
+}
+
+// gridFlat freezes the bench-shaped build: gridDec's grid, ε = 0.25,
+// serial workers.
+func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
+	tb.Helper()
+	o, err := Build(gridDec(tb, side), Options{Epsilon: 0.25, Mode: mode, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -174,41 +181,73 @@ func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 	return fl
 }
 
-// TestFlatMemoryBudget pins the image and the serving footprint per
-// portal on the 32×32 bench-shaped CoverPortal image. The image stores
-// an 8 B distance and a 4 B hop link per portal plus the small CSR
-// tables and path geometry, so EncodedSize must stay within 14
-// B/portal; storing the positions too (8 B/portal) breaks it. A decoded
-// Flat keeps a 16 B lane record, a 4 B walk slot and ~10 B of walk
-// blocks (4 B of owner vertex per record, 16 B of trailer per chain) per
-// portal plus the small CSR tables, so ResidentBytes must stay within 32
-// B/portal. The decode, from a file, allocates that, the walk
-// derivation's per-entry and per-anchor arrays, one read chunk and the
-// derivation scratch keyTasks bounds: one set of six int32 arrays sized
-// to the largest key and one int32 per vertex (newWalkScratch, ~6
-// B/portal on this fixture) and, at a pool width w above 1, w−1 sets
-// sized to the largest key over w. The hop links cost it nothing: they
-// wait in the lane's Pos words until the positions take them. So the
-// decode must stay within 40 B/portal plus that scratch, and what it
-// allocates beyond the Flat within 4 B/portal plus that scratch, which
-// has no term in the image size; make check runs the test at pool widths
-// 1, 2, 4 and 8. A lane record with a third word or a kept copy of the
-// hop links (4 B/portal) breaks the first budget, reading the image into
-// a buffer (13.3 B/portal here) breaks the last two, and so do a
-// pool-sized hop-link array (4 B/portal), a 16 B/record derivation
-// scratch, an 8 B/record position array and, at w = 2, a second set
-// sized to the largest key over w (~3 B/portal). Encode allocates its
-// output plus the walk layout's slot→record inverse, within
-// EncodedSize + 10 B/portal; transcribing the distances into an
-// intermediate slice (8 B/portal) breaks it.
-func TestFlatMemoryBudget(t *testing.T) {
-	fl := gridFlat(t, 32, CoverPortal)
-	p := fl.NumPortals()
-	if p != 67878 {
-		t.Fatalf("fixture has %d portals, want 67878", p)
+// budgetRows is the number of rows Build emits on the 32×32 bench-shaped
+// CoverPortal fixture of the memory budgets before it drops the dominated
+// ones: the fixture's portal count until it did. The budgets are stated
+// in bytes per emitted row, so no byte bound on the fixture rose when the
+// drop cut its portals to 46,002.
+const budgetRows = 67878
+
+// budgetFixture returns the memory budgets' fixture, its build options
+// and its decomposition, after checking its emitted rows and its
+// portals.
+func budgetFixture(t *testing.T) (*core.Tree, Options) {
+	t.Helper()
+	dec, opt := gridDec(t, 32), Options{Epsilon: 0.25, Mode: CoverPortal, Workers: 1}
+	rows := 0
+	for _, l := range unprunedRef(t, dec, opt, 1).labels {
+		rows += l.NumPortals()
 	}
-	if image := float64(fl.EncodedSize()) / float64(p); image > 14 {
-		t.Errorf("EncodedSize = %.1f B/portal, budget 14", image)
+	if rows != budgetRows {
+		t.Fatalf("fixture emits %d rows, want %d", rows, budgetRows)
+	}
+	return dec, opt
+}
+
+// TestFlatMemoryBudget pins the image and the serving footprint on the
+// 32×32 bench-shaped CoverPortal image, in bytes per row Build emits
+// before it drops dominated rows (budgetRows); its 46,002 kept portals
+// are pinned too. The image stores an 8 B distance and a 4 B hop link per
+// kept portal plus the small CSR tables and path geometry, so
+// EncodedSize must stay within 10 B/row, 678,780 B; an image of every
+// emitted row takes 13.3 B/row, and storing the positions too (8 B per
+// portal, 5.4 B/row) breaks it. A decoded Flat keeps a 16 B lane record,
+// a 4 B walk slot and ~10 B of walk blocks (4 B of owner vertex per
+// record, 16 B of trailer per chain) per portal plus the small CSR
+// tables, so ResidentBytes must stay within 22 B/row, 1,493,316 B; every
+// emitted row takes 29.8 B/row, and a lane record with a third word (5.4
+// B/row) or a kept copy of the hop links (2.7 B/row) breaks it. The
+// decode, from a file, allocates that, the walk derivation's per-entry
+// and per-anchor arrays, one read chunk and the derivation scratch
+// keyTasks bounds: one set of six int32 arrays sized to the largest key
+// and one int32 per vertex (newWalkScratch) and, at a pool width w above
+// 1, w−1 sets sized to the largest key over w. The hop links cost it
+// nothing: they wait in the lane's Pos words until the positions take
+// them. So the decode must stay within 40 B/row plus that scratch, and
+// what it allocates beyond the Flat within 4 B/row plus that scratch,
+// which has no term in the image size; make check runs the test at pool
+// widths 1, 2, 4 and 8. Reading the image into a buffer (9.4 B/row here),
+// a pool-sized hop-link array (2.7 B/row), a 16 B/record derivation
+// scratch and an 8 B/record position array each break the last. Encode
+// allocates its output plus the walk layout's slot→record inverse, within
+// EncodedSize + 10 B/row; transcribing the distances into an intermediate
+// slice (5.4 B/row) breaks it.
+func TestFlatMemoryBudget(t *testing.T) {
+	dec, opt := budgetFixture(t)
+	o, err := Build(dec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := o.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := fl.NumPortals(); p != 46002 {
+		t.Fatalf("fixture has %d portals, want 46002", p)
+	}
+	perRow := func(bytes int) float64 { return float64(bytes) / budgetRows }
+	if image := perRow(fl.EncodedSize()); image > 10 {
+		t.Errorf("EncodedSize = %.2f B/row, budget 10", image)
 	}
 	keyRecs := make([]int, fl.NumKeys())
 	for e, k := range fl.entryKey {
@@ -217,38 +256,37 @@ func TestFlatMemoryBudget(t *testing.T) {
 	w, maxKey := runtime.GOMAXPROCS(0), slices.Max(keyRecs)
 	set := func(records int) int { return 4 * (6*records + 1 + fl.N()) }
 	scratch := set(maxKey) + (w-1)*set(maxKey/w)
-	perPortal := func(bytes int) float64 { return float64(bytes) / float64(p) }
-	decodeBudget, transientBudget := 40+perPortal(scratch), 4+perPortal(scratch)
+	decodeBudget, transientBudget := 40+perRow(scratch), 4+perRow(scratch)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	enc := fl.Encode()
 	runtime.ReadMemStats(&after)
-	encAlloc := perPortal(int(after.TotalAlloc - before.TotalAlloc - uint64(fl.EncodedSize())))
+	encAlloc := perRow(int(after.TotalAlloc - before.TotalAlloc - uint64(fl.EncodedSize())))
 	path := filepath.Join(t.TempDir(), "fixture.flat")
 	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&before)
-	dec, err := DecodeFlatFile(path)
+	decoded, err := DecodeFlatFile(path)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident := perPortal(dec.ResidentBytes())
-	alloc := perPortal(int(after.TotalAlloc - before.TotalAlloc))
-	t.Logf("image %.1f B/portal, resident %.1f B/portal, decode allocates %.1f B/portal, %.1f beyond the Flat (budgets %.1f and %.1f at GOMAXPROCS %d), encode %.1f B/portal beyond its output",
-		perPortal(fl.EncodedSize()), resident, alloc, alloc-resident, decodeBudget, transientBudget, w, encAlloc)
-	if resident > 32 {
-		t.Errorf("ResidentBytes = %.1f B/portal, budget 32", resident)
+	resident := perRow(decoded.ResidentBytes())
+	alloc := perRow(int(after.TotalAlloc - before.TotalAlloc))
+	t.Logf("image %.2f B/row, resident %.2f B/row, decode allocates %.1f B/row, %.1f beyond the Flat (budgets %.1f and %.1f at GOMAXPROCS %d), encode %.1f B/row beyond its output",
+		perRow(fl.EncodedSize()), resident, alloc, alloc-resident, decodeBudget, transientBudget, w, encAlloc)
+	if resident > 22 {
+		t.Errorf("ResidentBytes = %.2f B/row, budget 22", resident)
 	}
 	if alloc > decodeBudget {
-		t.Errorf("DecodeFlatFile allocates %.1f B/portal, budget %.1f (40 + %.1f of walk scratch)", alloc, decodeBudget, perPortal(scratch))
+		t.Errorf("DecodeFlatFile allocates %.1f B/row, budget %.1f (40 + %.1f of walk scratch)", alloc, decodeBudget, perRow(scratch))
 	}
 	if alloc-resident > transientBudget {
-		t.Errorf("DecodeFlatFile allocates %.1f B/portal beyond the Flat, budget %.1f (4 + %.1f of walk scratch)", alloc-resident, transientBudget, perPortal(scratch))
+		t.Errorf("DecodeFlatFile allocates %.1f B/row beyond the Flat, budget %.1f (4 + %.1f of walk scratch)", alloc-resident, transientBudget, perRow(scratch))
 	}
 	if encAlloc > 10 {
-		t.Errorf("Encode allocates %.1f B/portal beyond its %d-byte output, budget 10", encAlloc, fl.EncodedSize())
+		t.Errorf("Encode allocates %.1f B/row beyond its %d-byte output, budget 10", encAlloc, fl.EncodedSize())
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // build: a 12×12 grid with unit weights, ε = 0.25, serial workers. Unit
 // weights keep every position and distance an exact small integer, so the
 // image is the same on every architecture. Any codec change that alters a
-// single byte of the image fails here.
+// single byte of the image fails here. The exact image of this unit grid
+// has no dominated record, so only the portal image pins which records
+// Build drops.
 func TestFlatImageGolden(t *testing.T) {
 	golden := []struct {
 		mode Mode
@@ -24,7 +26,7 @@ func TestFlatImageGolden(t *testing.T) {
 		sum  string
 	}{
 		{CoverExact, 51656, "6b92fe566eb334c30ef88cbd9fc5c8d32616e93be88ca221b84c31868c4b2c0e"},
-		{CoverPortal, 80432, "2033ab795f32b512d646dbb3057b4315abc00e32dddf64b4573e1c332385a16c"},
+		{CoverPortal, 53600, "e1c65f96315d292274226572be3b71d15a5525f5b729b86fcf17dc253948e6b1"},
 	}
 	for _, g := range golden {
 		fl := goldenFlat(t, g.mode)
@@ -68,7 +70,7 @@ func TestWalkLayoutGolden(t *testing.T) {
 		sum          string
 	}{
 		{CoverExact, 3512, 6968, "2f68bbf4ccc0ebe2a8fb015c374f704a5039e2aa0531bde0eb5989fa3a396bae"},
-		{CoverPortal, 5910, 14182, "d2c0fb5caa3fe5cb429c9d9b5d508a18af07762fc1e78a1a7d64c99262c3121d"},
+		{CoverPortal, 3674, 8638, "7b3f14990091b8a61e9a45266084651f4914d3958fd8562caedc2296ebbb884b"},
 	}
 	for _, g := range golden {
 		fl := goldenFlat(t, g.mode)

@@ -259,8 +259,10 @@ type records struct {
 // rank), and emits the zero-distance self records. The tasks fan out on a
 // bounded worker pool (Options.Workers), each returning its records
 // grouped by the contiguous vertex range that owns them. Stage 3 writes
-// the serving rows on the same pool, one task per range (see assemble):
-// every vertex's records are sorted under a total order, so the rows are
+// the serving rows on the same pool, one task per range, keeping only the
+// rows that can give a query its minimum and those their hop chains pass
+// through (see assemble): every vertex's records are sorted under a total
+// order and the kept set does not depend on the schedule, so the rows are
 // bit-identical for every worker count and task order — the differential
 // tests compare Freeze().Encode() bytes of workers=1 and workers=N builds.
 func Build(t *core.Tree, opt Options) (*Oracle, error) {
@@ -516,11 +518,18 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 // labelRow is one label record in stage 3, under its vertex: its
 // position and distance, which go to the lane, its key ID and hop vertex,
 // and its hop count to its path vertex (rec.d), which only the sort
-// reads.
+// reads: after it, dominate sets the depth of a row the build drops to
+// dropped, and prune resets it on the rows it keeps back. link is the
+// index of the row the hop names among the rows of the hop vertex's
+// range, or -1 at an anchor (resolveLinks); it fills the word the other
+// fields leave as padding.
 type labelRow struct {
-	pos, dist       float64
-	depth, key, hop int32
+	pos, dist             float64
+	depth, key, hop, link int32
 }
+
+// dropped is the depth that marks a row the build drops.
+const dropped = -1
 
 // rowCmp orders a vertex's rows by key ID, position, distance, depth and
 // hop vertex. Two rows it ties are identical, so the order is total and
@@ -549,11 +558,13 @@ func floatCmp(a, b float64) int {
 
 // rangeRows is one vertex range's rows after stage 3's sort, vertex
 // after vertex: vertex lo+i owns rows[ends[i]:ends[i+1]]. entries counts
-// the label entries the rows form.
+// the label entries the rows form, and seeds lists the kept rows whose
+// hop names a dropped row, where the hop closure starts (resolveLinks).
 type rangeRows struct {
 	rows    []labelRow
 	ends    []int
 	entries int
+	seeds   []int32
 }
 
 // sortRange gathers range r's records from every task output, sorts each
@@ -566,7 +577,8 @@ type rangeRows struct {
 // and no farther, so (distance, depth) decreases along every hop chain
 // and the chain reaches a path vertex's self record. Breaking those ties
 // by the hop vertex alone can link two kept rows to each other, and
-// neither then reaches the path.
+// neither then reaches the path. Each entry's dominated rows are then
+// marked (see dominate).
 func (c *records) sortRange(r int) rangeRows {
 	lo, hi := c.split.bounds(r)
 	nv := hi - lo
@@ -585,7 +597,7 @@ func (c *records) sortRange(r int) rangeRows {
 	for _, out := range c.outs {
 		for _, x := range out[r] {
 			i := int(x.v) - lo
-			rows[next[i]] = labelRow{x.p.Pos, x.p.Dist, x.d, x.k, x.h}
+			rows[next[i]] = labelRow{pos: x.p.Pos, dist: x.p.Dist, depth: x.d, key: x.k, hop: x.h}
 			next[i]++
 		}
 	}
@@ -599,35 +611,153 @@ func (c *records) sortRange(r int) rangeRows {
 		// sorted, where a stable sort is faster, but exact-mode groups
 		// interleave keys, where it is slower (DESIGN §7).
 		slices.SortFunc(group, rowCmp)
-		first := kept
+		first, entry := kept, kept
 		for _, x := range group {
 			if kept > first && x.key == rows[kept-1].key {
 				if core.SameDist(x.pos, rows[kept-1].pos) {
 					continue
 				}
 			} else {
+				dominate(rows[entry:kept])
+				entry = kept
 				entries++
 			}
 			rows[kept] = x
 			kept++
 		}
+		dominate(rows[entry:kept])
 		ends[i+1] = kept
 		start = end
 	}
 	return rangeRows{rows: rows[:kept], ends: ends, entries: entries}
 }
 
+// dominate marks dropped every row of one entry, sorted by position, that
+// another row of the entry dominates: row a is dominated when some other
+// row b has b.dist + |a.pos − b.pos| < a.dist, or = with b first. For any
+// partner record p, a.dist + |a.pos − p.pos| ≥ b.dist + |b.pos − p.pos|
+// by the triangle inequality on path positions, so a never lowers a
+// query's minimum in exact arithmetic, and every path vertex a covers
+// within 1+ε, b covers too. An anchor's distance is 0, and the first of
+// the smallest distances has no row below it, so neither is ever marked
+// and no entry empties.
+func dominate(entry []labelRow) {
+	for i := range entry {
+		a := &entry[i]
+		for j := range entry {
+			if b := &entry[j]; j != i && dominates(a.pos, a.dist, b.pos, b.dist, j < i) {
+				a.depth = dropped
+				break
+			}
+		}
+	}
+}
+
+// dominates reports whether the record (bPos, bDist) of an entry
+// dominates its record (aPos, aDist), first tells whether b comes first.
+func dominates(aPos, aDist, bPos, bDist float64, first bool) bool {
+	d := bDist + math.Abs(aPos-bPos)
+	return d < aDist || first && d <= aDist
+}
+
+// resolveLinks sets the link of every kept row of range r to the index
+// of the row at the hop vertex's key and position among the rows of the
+// hop vertex's range — the record findRecord finds in the serving rows —
+// or -1 at an anchor, and lists the rows whose link names a dropped row
+// in the range's seeds. A hop that names no row also gets -1; Freeze
+// reports it. A dropped row's link is left to prune, which resolves only
+// those of the rows it keeps back. resolveLinks reads other ranges' rows,
+// all sorted and marked, and writes only range r's links and seeds.
+func (c *records) resolveLinks(parts []rangeRows, r int) {
+	rr := &parts[r]
+	for x := range rr.rows {
+		w := &rr.rows[x]
+		if w.depth == dropped {
+			continue
+		}
+		if w.link = c.link(parts, w.hop, w.key, w.pos); w.link >= 0 && parts[c.split.of(w.hop)].rows[w.link].depth == dropped {
+			rr.seeds = append(rr.seeds, int32(x))
+		}
+	}
+}
+
+// link returns the index of hop vertex h's row at key k and position pos
+// among the rows of h's range, or -1 when h < 0 or h has no such row. It
+// reads no row's link, which the range tasks write beside it.
+func (c *records) link(parts []rangeRows, h, k int32, pos float64) int32 {
+	if h < 0 {
+		return -1
+	}
+	r := c.split.of(h)
+	lo, _ := c.split.bounds(r)
+	rr := &parts[r]
+	first, last := rr.ends[int(h)-lo], rr.ends[int(h)-lo+1]
+	rows := rr.rows[first:last]
+	x := first + sort.Search(len(rows), func(i int) bool {
+		return rows[i].key > k || rows[i].key == k && rows[i].pos >= pos
+	})
+	if x < last && rr.rows[x].key == k && core.SameDist(rr.rows[x].pos, pos) {
+		return int32(x)
+	}
+	return -1
+}
+
+// prune is the hop closure, one serial pass from every range's seeds: a
+// seed's chain keeps every dropped row it passes through, resolving each
+// one's link on the way, until it reaches a row that stays, so a kept
+// row's chain still reaches its anchor. The kept set is the same whatever
+// order the seeds are visited in.
+func (c *records) prune(parts []rangeRows) {
+	for r := range parts {
+		for _, x := range parts[r].seeds {
+			w := &parts[r].rows[x]
+			for h, t := w.hop, w.link; t >= 0; {
+				y := &parts[c.split.of(h)].rows[t]
+				if y.depth != dropped {
+					break
+				}
+				y.depth = 0
+				y.link = c.link(parts, y.hop, y.key, y.pos)
+				h, t = y.hop, y.link
+			}
+		}
+	}
+}
+
+// compact moves the range's kept rows to its front, vertex by vertex, in
+// place. No entry empties, so the entry count stands.
+func (rr *rangeRows) compact() {
+	kept, start := 0, 0
+	for i := 1; i < len(rr.ends); i++ {
+		for _, w := range rr.rows[start:rr.ends[i]] {
+			if w.depth != dropped {
+				rr.rows[kept] = w
+				kept++
+			}
+		}
+		start, rr.ends[i] = rr.ends[i], kept
+	}
+	rr.rows = rr.rows[:kept]
+}
+
 // assemble is Build's stage 3: it writes the serving rows. One pool task
-// per vertex range sorts and deduplicates the range's rows (sortRange);
-// one prefix sum over the ranges then gives every range its entry and
-// pool offsets, and a second task per range fills its share of
-// entryOff, entryKey and portalOff, the sweep lane (buildLane) and one
-// hop vertex per row, straight from the sorted rows. The range boundaries of portalOff are written
-// before that pass, so no range reads an offset another one writes.
+// per vertex range sorts and deduplicates the range's rows and marks the
+// dominated ones (sortRange), a second resolves every kept row's hop to
+// a row (resolveLinks), the serial hop closure keeps back the dominated rows a
+// kept row's chain passes through (prune), and a third task per range
+// compacts the range's kept rows in place. One prefix sum over the ranges
+// then gives every range its entry and pool offsets, and a last task per
+// range fills its share of entryOff, entryKey and portalOff, the sweep
+// lane (buildLane) and one hop vertex per row, straight from the kept
+// rows. The range boundaries of portalOff are written before that pass,
+// so no range reads an offset another one writes.
 func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 	split := c.split
 	parts := make([]rangeRows, split.ranges)
 	pool.ForEach(split.ranges, func(r int) { parts[r] = c.sortRange(r) })
+	pool.ForEach(split.ranges, func(r int) { c.resolveLinks(parts, r) })
+	c.prune(parts)
+	pool.ForEach(split.ranges, func(r int) { parts[r].compact() })
 
 	entBase := make([]int, split.ranges+1)
 	portBase := make([]int, split.ranges+1)

@@ -40,7 +40,7 @@ func decodeBoth(img []byte) (whole, streamed *Flat, errWhole, errStreamed error)
 // image with uniform [1,4) weights, swapping two of vertex 5's entry
 // keys used to decode cleanly and change most of the vertex's distances.
 // Positions are not in the image: a record's position is its chain
-// anchor's, so the last record of vertex 0's first run of at least four
+// anchor's, so the last record of the pool's first run of at least four
 // portals is moved onto a lower anchor, the one its first record's chain
 // ends at, by rewiring its hop there. The decode must refuse both
 // mutations, from a whole buffer and from a stream.
@@ -63,14 +63,14 @@ func TestDecodeFlatRejectsOutOfOrder(t *testing.T) {
 
 	positions := append([]byte(nil), enc...)
 	run := -1
-	for e := fl.entryOff[0]; e < fl.entryOff[1]; e++ {
+	for e := 0; e < fl.NumEntries(); e++ {
 		if lo, hi := fl.portalOff[e], fl.portalOff[e+1]; hi-lo >= 4 && fl.lane[lo].Pos < fl.lane[hi-2].Pos {
-			run = int(e)
+			run = e
 			break
 		}
 	}
 	if run < 0 {
-		t.Fatal("vertex 0 has no run of four or more portals in the fixture")
+		t.Fatal("the fixture has no run of four or more portals")
 	}
 	hops := imageHops(fl)
 	anchor := fl.portalOff[run]

@@ -1,10 +1,11 @@
 // The label reference: the []Label form of the oracle that Build's row
 // assembly replaced, kept as the oracle the differential tests compare
 // against. It replays the same stage-2 records into per-vertex labels
-// (normalizeLabel), answers queries by walking the labels
-// (queryLabels, queryLabelsArg, walkChain) and freezes them the old way:
-// keys interned through a map, the CSR laid out label by label and
-// every hop resolved against those tables.
+// (normalizeLabel), drops the dominated records pairwise (pruneRef), or
+// keeps them all as the unpruned reference, answers queries by walking
+// the labels (queryLabels, queryLabelsArg, walkChain) and freezes them
+// the old way: keys interned through a map, the CSR laid out label by
+// label and every hop resolved against those tables.
 package oracle
 
 import (
@@ -30,9 +31,19 @@ type refOracle struct {
 	paths  []sepPath
 }
 
-// refBuild runs Build's first two stages on a pool of the given width
-// and replays their records into labels.
+// refBuild runs Build's first two stages on a pool of the given width,
+// replays their records into labels and prunes them (pruneRef).
 func refBuild(tb testing.TB, t *core.Tree, opt Options, workers int) *refOracle {
+	tb.Helper()
+	ref := unprunedRef(tb, t, opt, workers)
+	pruneRef(ref.labels)
+	return ref
+}
+
+// unprunedRef is refBuild without the pruning: every label keeps every
+// normalized record, as Build wrote them before it dropped dominated
+// records. The pruned-against-unpruned differential holds Build to it.
+func unprunedRef(tb testing.TB, t *core.Tree, opt Options, workers int) *refOracle {
 	tb.Helper()
 	pool := par.New(workers, nil)
 	c, err := collect(t, opt, pool)
@@ -42,6 +53,78 @@ func refBuild(tb testing.TB, t *core.Tree, opt Options, workers int) *refOracle 
 	ref := replayRef(c)
 	ref.eps, ref.mode = opt.Epsilon, opt.Mode
 	return ref
+}
+
+// pruneRef drops, label by label, every portal another portal of its
+// entry dominates, comparing the two one for one: a is dominated when
+// some other b has b.Dist + |a.Pos − b.Pos| < a.Dist, or = with b first.
+// It keeps back every dominated portal a kept portal's hop chain passes
+// through, found by following the hops through the labels.
+func pruneRef(labels []Label) {
+	keep := make([][][]bool, len(labels))
+	for v := range labels {
+		for _, e := range labels[v].Entries {
+			k := make([]bool, len(e.Portals))
+			for x, a := range e.Portals {
+				k[x] = true
+				for y, b := range e.Portals {
+					d := b.Dist + math.Abs(a.Pos-b.Pos)
+					if y != x && (d < a.Dist || y < x && core.SameDist(d, a.Dist)) {
+						k[x] = false
+						break
+					}
+				}
+			}
+			keep[v] = append(keep[v], k)
+		}
+	}
+	for v := range labels {
+		for i, e := range labels[v].Entries {
+			for x := range e.Portals {
+				if !keep[v][i][x] {
+					continue
+				}
+				// The chain stays on e's key and position.
+				for w, j, y := v, i, x; labels[w].Entries[j].Hops[y] >= 0; {
+					h := int(labels[w].Entries[j].Hops[y])
+					hj, hy := portalAt(&labels[h], e.Key, e.Portals[x].Pos)
+					if hj < 0 || keep[h][hj][hy] {
+						break
+					}
+					keep[h][hj][hy] = true
+					w, j, y = h, hj, hy
+				}
+			}
+		}
+	}
+	for v := range labels {
+		for i := range labels[v].Entries {
+			e := &labels[v].Entries[i]
+			var ps []Portal
+			var hs []int32
+			for x, p := range e.Portals {
+				if keep[v][i][x] {
+					ps, hs = append(ps, p), append(hs, e.Hops[x])
+				}
+			}
+			e.Portals, e.Hops = ps, hs
+		}
+	}
+}
+
+// portalAt returns the entry and portal indices of l's portal on key k at
+// position pos, or -1, -1.
+func portalAt(l *Label, k Key, pos float64) (int, int) {
+	i := sort.Search(len(l.Entries), func(i int) bool { return !keyLess(l.Entries[i].Key, k) })
+	if i == len(l.Entries) || l.Entries[i].Key != k {
+		return -1, -1
+	}
+	ps := l.Entries[i].Portals
+	x := sort.Search(len(ps), func(x int) bool { return ps[x].Pos >= pos })
+	if x == len(ps) || !core.SameDist(ps[x].Pos, pos) {
+		return -1, -1
+	}
+	return i, x
 }
 
 // replayRef gathers every record under its vertex range by range, in

@@ -139,8 +139,9 @@ func zeroWeightGrid(side int, rng *rand.Rand) *embed.Rotation {
 }
 
 // TestBuildRowsMatchReference pins the row assembly to the label replay
-// it replaced, word for word: keys, entryOff, entryKey, portalOff, the
-// lane, the geometry and the hops Freeze resolves, plus every Label —
+// it replaced, pruned by pruneRef, word for word: keys, entryOff,
+// entryKey, portalOff, the lane, the geometry and the hops Freeze
+// resolves, plus every Label —
 // on laneFamilies and a zero-weight grid in both modes, and on the
 // 64×64 bench grid and (outside -short) the 128×128 one, at pool widths
 // 1, 2, 4 and 0 with shuffled task submission.
@@ -260,10 +261,12 @@ func toInts(walk []int32) []int {
 // FuzzBuildRows builds small random grids — up to 7×7, weights uniform
 // in [0, 4) with a share of zero edges chosen by the input — in either
 // mode at pool width 1 or 2, and compares the rows, the resolved hops
-// and every Label with the reference replay. Freeze fails on a record
-// no hop chain links to its path, so the target also fails on those;
-// the last two seeds, and the checked-in corpus entry, are the grids of
-// TestZeroWeightWalks.
+// and every Label with the reference replay, pruned by pruneRef. Against
+// the unpruned replay, every vertex must keep every entry, none empty,
+// and every anchor, and every kept record's hop must name a kept record
+// (pruneDiff). Freeze fails on a record no hop chain links to its path,
+// so the target also fails on those; the last two seeds, and the
+// checked-in corpus entry, are the grids of TestZeroWeightWalks.
 func FuzzBuildRows(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(0), false)
 	f.Add(int64(2), uint8(6), uint8(5), uint8(128), true)
@@ -277,6 +280,7 @@ func FuzzBuildRows(f *testing.F) {
 			t.Skip(err)
 		}
 		opt := Options{Epsilon: 0.25, Mode: modeOf(portal)}
+		full := unprunedRef(t, dec, opt, 1)
 		ref := refBuild(t, dec, opt, 1)
 		want, wantHops, err := ref.freeze()
 		if err != nil {
@@ -297,31 +301,32 @@ func FuzzBuildRows(f *testing.F) {
 		if d := labelDiff(o, ref); d != "" {
 			t.Fatal(d)
 		}
+		if d := pruneDiff(o, full); d != "" {
+			t.Fatal(d)
+		}
 	})
 }
 
 // TestBuildMemoryBudget pins what building the 32×32 bench-shaped
-// CoverPortal image costs, per portal. Build writes the serving rows
-// straight from its sorted label rows and Freeze shares them, and each
-// separator path's Dijkstra runs share one workspace, so Build+Freeze
-// allocates within 160 B/portal in all, and the live Oracle plus its
-// Flat — one 16 B lane record and a 4 B hop vertex per portal, the walk
-// layout and the small CSR tables — hold within 40 B/portal after a GC.
-// Assembling per-vertex label slices first and copying them into the
-// Flat, fresh arrays for every Dijkstra run, or copying the sorted rows
-// into per-field arrays before the lane (24 B/portal) break the first;
-// keeping the resolved hop links, per-record walk entries or a third
-// lane word breaks the second.
+// CoverPortal image costs, in bytes per row Build emits before it drops
+// dominated rows (budgetRows). Build writes the serving rows straight
+// from its sorted label rows and Freeze shares them, and each separator
+// path's Dijkstra runs share one workspace, so Build+Freeze allocates
+// within 145 B/row in all, where keeping every emitted row allocates
+// 145.3–150.5, and the live Oracle plus its Flat — one 16 B lane record
+// and a 4 B hop vertex per kept portal, the walk layout and the small CSR
+// tables — hold within 26 B/row after a GC, where keeping every emitted
+// row holds 34.4. Assembling per-vertex label slices first and copying
+// them into the Flat, fresh arrays for every Dijkstra run, or copying the
+// kept rows into per-field arrays before the lane (16.3 B/row) break the
+// first; keeping the resolved hop links (2.7 B/row), per-record walk
+// entries or a third lane word (5.4 B/row) breaks the second.
 func TestBuildMemoryBudget(t *testing.T) {
-	rot := embed.Grid(32, 32, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1)))
-	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec, opt := budgetFixture(t)
 	var before, built, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	o, err := Build(dec, Options{Epsilon: 0.25, Mode: CoverPortal, Workers: 1})
+	o, err := Build(dec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,21 +337,20 @@ func TestBuildMemoryBudget(t *testing.T) {
 	runtime.ReadMemStats(&built)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	p := fl.NumPortals()
-	if p != 67878 {
-		t.Fatalf("fixture has %d portals, want 67878", p)
+	if p := fl.NumPortals(); p != 46002 {
+		t.Fatalf("fixture has %d portals, want 46002", p)
 	}
-	alloc := float64(built.TotalAlloc-before.TotalAlloc) / float64(p)
-	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(p)
+	alloc := float64(built.TotalAlloc-before.TotalAlloc) / budgetRows
+	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / budgetRows
 	runtime.KeepAlive(dec)
 	runtime.KeepAlive(o)
 	runtime.KeepAlive(fl)
-	t.Logf("Build+Freeze allocate %.1f B/portal in %d mallocs; Oracle+Flat hold %.1f B/portal", alloc, built.Mallocs-before.Mallocs, live)
-	if alloc > 160 {
-		t.Errorf("Build+Freeze allocate %.1f B/portal, budget 160", alloc)
+	t.Logf("Build+Freeze allocate %.1f B/row in %d mallocs; Oracle+Flat hold %.1f B/row", alloc, built.Mallocs-before.Mallocs, live)
+	if alloc > 145 {
+		t.Errorf("Build+Freeze allocate %.1f B/row, budget 145", alloc)
 	}
-	if live > 40 {
-		t.Errorf("Oracle+Flat hold %.1f B/portal, budget 40", live)
+	if live > 26 {
+		t.Errorf("Oracle+Flat hold %.1f B/row, budget 26", live)
 	}
 }
 

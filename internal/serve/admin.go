@@ -36,13 +36,16 @@ type ImageStatus struct {
 	LaneAligned   bool `json:"lane_aligned"`
 }
 
-// ServingStatus is the live request-side accounting.
+// ServingStatus is the live request-side accounting. Errors counts every
+// rejected request; Errors4xx and Errors5xx split it by status class.
 type ServingStatus struct {
 	Inflight     int64 `json:"inflight"`
 	Queries      int64 `json:"queries"`
 	Batches      int64 `json:"batches"`
 	BatchPairs   int64 `json:"batch_pairs"`
 	Errors       int64 `json:"errors"`
+	Errors4xx    int64 `json:"errors_4xx"`
+	Errors5xx    int64 `json:"errors_5xx"`
 	Reloads      int64 `json:"reloads"`
 	ReloadErrors int64 `json:"reload_errors"`
 	BatchWorkers int   `json:"batch_workers"`
@@ -117,6 +120,8 @@ func (s *Server) status() Status {
 			Batches:      s.batches.Value(),
 			BatchPairs:   s.pairs.Value(),
 			Errors:       s.errs.Value(),
+			Errors4xx:    s.errs4xx.Value(),
+			Errors5xx:    s.errs5xx.Value(),
 			Reloads:      s.reloads.Value(),
 			ReloadErrors: s.reloadErrs.Value(),
 			BatchWorkers: s.workers,

@@ -69,12 +69,21 @@ type Config struct {
 // Connection timeouts. readHeaderTimeout bounds how long a connection
 // may take to send a request's headers, so a client that opens
 // connections and trickles bytes into them (a slow loris) cannot hold
-// them open; idleTimeout closes a keep-alive connection that sends no
-// next request. A client that pauses between requests, as the bench's
-// reload connection does for up to a second, stays far inside it. Tests
-// shorten them.
+// them open; readTimeout bounds the whole request, body included, so a
+// client that sends its headers and then trickles a body cannot either;
+// writeTimeout bounds a request from the end of its headers to the end
+// of its response, so a client that reads a response slowly cannot hold
+// a handler. writeTimeout outlasts a /debug/pprof/profile request's
+// default 30 s (pprof refuses a profile no shorter than the timeout) and
+// a reload: its body, within readTimeout, then the decode and the old
+// image's 5 s drain. idleTimeout closes a keep-alive connection that
+// sends no next request. A client that pauses between requests, as the
+// bench's reload connection does for up to a second, stays far inside
+// it. Tests shorten them.
 var (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -109,11 +118,12 @@ type Server struct {
 	batches    *obs.Counter
 	pairs      *obs.Counter
 	errs       *obs.Counter
+	errs4xx    *obs.Counter
+	errs5xx    *obs.Counter
 	reloads    *obs.Counter
 	reloadErrs *obs.Counter
 	inflightG  *obs.Gauge
 	imageGen   *obs.Gauge
-	reqNs      *obs.Histogram
 	reloadNs   *obs.Histogram
 
 	pairBufs sync.Pool // *[]oracle.Pair
@@ -158,11 +168,12 @@ func New(cfg Config) (*Server, error) {
 	s.batches = reg.Counter("serve.batches")
 	s.pairs = reg.Counter("serve.batch_pairs")
 	s.errs = reg.Counter("serve.errors")
+	s.errs4xx = reg.Counter("serve.errors_4xx")
+	s.errs5xx = reg.Counter("serve.errors_5xx")
 	s.reloads = reg.Counter("serve.reloads")
 	s.reloadErrs = reg.Counter("serve.reload_errors")
 	s.inflightG = reg.Gauge("serve.inflight")
 	s.imageGen = reg.Gauge("serve.image_generation")
-	s.reqNs = reg.Histogram("serve.request_ns")
 	s.reloadNs = reg.Histogram("serve.reload_ns")
 
 	// Generation 1 is the image the server was born with; reloads count
@@ -172,10 +183,10 @@ func New(cfg Config) (*Server, error) {
 	s.imageGen.Set(1)
 
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/query", s.track(http.HandlerFunc(s.handleQuery)))
-	s.mux.Handle("/query/path", s.track(http.HandlerFunc(s.handleQueryPath)))
-	s.mux.Handle("/query/batch", s.track(http.HandlerFunc(s.handleBatchJSON)))
-	s.mux.Handle("/query/batchbin", s.track(http.HandlerFunc(s.handleBatchBin)))
+	s.mux.Handle("/query", s.track("serve.query_request_ns", s.handleQuery))
+	s.mux.Handle("/query/path", s.track("serve.path_request_ns", s.handleQueryPath))
+	s.mux.Handle("/query/batch", s.track("serve.batch_request_ns", s.handleBatchJSON))
+	s.mux.Handle("/query/batchbin", s.track("serve.batchbin_request_ns", s.handleBatchBin))
 	s.mux.HandleFunc("/admin/status", s.handleStatus)
 	s.mux.HandleFunc("/admin/reload", s.handleReload)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -183,7 +194,13 @@ func New(cfg Config) (*Server, error) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	obs.RegisterDebug(s.mux, reg)
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s, nil
 }
 
@@ -230,22 +247,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Inflight reports the query requests currently being served.
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
 
-// track wraps a query handler with the in-flight gauge and the request
-// latency histogram.
-func (s *Server) track(h http.Handler) http.Handler {
+// track wraps a query handler with the in-flight gauge and the
+// endpoint's request latency histogram, latency, which it looks up once
+// here rather than on every request.
+func (s *Server) track(latency string, h http.HandlerFunc) http.Handler {
+	reqNs := s.reg.Histogram(latency)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := s.inflight.Add(1)
 		s.inflightG.Set(n)
 		start := time.Now()
-		h.ServeHTTP(w, r)
-		s.reqNs.Observe(float64(time.Since(start)))
+		h(w, r)
+		reqNs.Observe(float64(time.Since(start)))
 		s.inflightG.Set(s.inflight.Add(-1))
 	})
 }
 
-// fail rejects a request with a plain-text error and counts it.
+// fail rejects a request with a plain-text error and counts it, in the
+// total and in its status class.
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	s.errs.Inc()
+	if code >= http.StatusInternalServerError {
+		s.errs5xx.Inc()
+	} else {
+		s.errs4xx.Inc()
+	}
 	http.Error(w, msg, code)
 }
 

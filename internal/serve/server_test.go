@@ -406,6 +406,138 @@ func TestSlowLoris(t *testing.T) {
 	}
 }
 
+// TestSlowBody pins the request timeout: a client that sends a batch
+// request's headers and then trickles its body, 8 bytes every 20 ms of a
+// declared 800, is disconnected within the timeout instead of holding
+// its connection and handler for the two seconds the body would take.
+func TestSlowBody(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 200 * time.Millisecond
+	s, err := New(Config{Flat: testFlat(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	slow, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(slow, "POST /query/batchbin HTTP/1.1\r\nHost: x\r\nContent-Length: 800\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for i := 0; i < 100; i++ {
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := slow.Write(make([]byte, 8)); err != nil {
+				return
+			}
+		}
+	}()
+	if err := slow.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("trickling connection not closed by the server: %v", err)
+	}
+	if took := time.Since(start); took > 5*readTimeout {
+		t.Fatalf("trickling connection closed after %v, request timeout %v", took, readTimeout)
+	}
+}
+
+// TestErrorClassesAndEndpointLatency pins the serving instruments'
+// names: one request latency histogram per query endpoint, and the
+// rejected requests counted in serve.errors and in their status class. A
+// 400 and a 413 land in serve.errors_4xx; /metrics and /admin/status
+// both show them.
+func TestErrorClassesAndEndpointLatency(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{MaxBatch: 2})
+	get := func(path string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	get("/query?u=0&v=9")
+	get("/query/path?u=0&v=9")
+	if code := post("/query/batch", `{"pairs":[[0,1]]}`); code != http.StatusOK {
+		t.Fatalf("batch: status %d", code)
+	}
+	if code := post("/query/batchbin", "1234567"); code != http.StatusBadRequest {
+		t.Fatalf("7-byte batchbin body: status %d, want 400", code)
+	}
+	if code := post("/query/batchbin", strings.Repeat("\x00", 24)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("3-pair batchbin body over a 2-pair cap: status %d, want 413", code)
+	}
+	if e, e4, e5 := s.errs.Value(), s.errs4xx.Value(), s.errs5xx.Value(); e != 2 || e4 != 2 || e5 != 0 {
+		t.Fatalf("errors %d, 4xx %d, 5xx %d; want 2, 2, 0", e, e4, e5)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pathsep_serve_query_request_ns_count 1\n",
+		"pathsep_serve_path_request_ns_count 1\n",
+		"pathsep_serve_batch_request_ns_count 1\n",
+		"pathsep_serve_batchbin_request_ns_count 2\n",
+		"pathsep_serve_errors 2\n",
+		"pathsep_serve_errors_4xx 2\n",
+		"pathsep_serve_errors_5xx 0\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	if strings.Contains(string(body), "pathsep_serve_request_ns") {
+		t.Error("scrape still carries the all-endpoint pathsep_serve_request_ns")
+	}
+	st := s.status()
+	if st.Serving.Errors != 2 || st.Serving.Errors4xx != 2 || st.Serving.Errors5xx != 0 {
+		t.Errorf("status errors %d, 4xx %d, 5xx %d; want 2, 2, 0", st.Serving.Errors, st.Serving.Errors4xx, st.Serving.Errors5xx)
+	}
+	for _, name := range []string{"serve.query_request_ns", "serve.path_request_ns", "serve.batch_request_ns", "serve.batchbin_request_ns"} {
+		if _, ok := st.Metrics.Histograms[name]; !ok {
+			t.Errorf("status metrics lack %s", name)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/query?u=0&v=9")
