@@ -4,7 +4,7 @@
 #   make test       plain test run (the tier-1 gate)
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
-#   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced, the walk layout and the build rows
+#   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced, the walk layout, the build rows, image reloads and the query handlers
 #   make memory-budget  the decomposition's, the build's and the flat image's memory budgets at pool widths 1, 2, 4 and 8
 #   make bench-obs  metrics on vs. off numbers (.bench_build/BENCH_obs.json)
 #   make bench-parallel  parallel-build speedup gate (.bench_build/BENCH_parallel.json)
@@ -26,7 +26,7 @@ FUZZMINTIME ?= 50x
 LINT_BIN := bin/pathsep-lint
 LINT_SRC := $(wildcard cmd/pathsep-lint/*.go internal/analyzers/*.go internal/analyzers/*/*.go)
 
-.PHONY: check test vet lint lint-json lint-stats determinism fuzz-short memory-budget build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit loc
+.PHONY: check test vet lint lint-json determinism fuzz-short memory-budget build race bench-overhead bench-obs bench-parallel bench-query bench-path bench-serve bench-unit loc
 
 check: vet lint build race determinism fuzz-short memory-budget bench-overhead bench-parallel bench-query bench-path bench-serve bench-unit
 
@@ -52,14 +52,6 @@ lint: $(LINT_BIN)
 # set.
 lint-json: $(LINT_BIN)
 	./$(LINT_BIN) -json -out=LINT_findings.ndjson ./...
-
-# Per-analyzer finding and suppression counts: the findings come from
-# the same vet run as lint-json; suppressions are the exception-granting
-# directives (//pathsep:lease-bypass) counted in non-test library
-# sources. Rising suppressions with flat findings means exceptions are
-# doing an analyzer's job — worth a look in review.
-lint-stats: $(LINT_BIN)
-	./$(LINT_BIN) -stats ./...
 
 build:
 	$(GO) build ./...
@@ -89,7 +81,8 @@ FUZZ_TARGETS := \
 	internal/oracle:FuzzWalkLayout \
 	internal/oracle:FuzzBuildRows \
 	internal/routing:FuzzDecodeAddr \
-	internal/serve:FuzzReloadImage
+	internal/serve:FuzzReloadImage \
+	internal/serve:FuzzQueryHandlers
 
 # Short coverage-guided runs of every fuzz target; seed corpora alone run
 # in plain `go test`, this also mutates for FUZZTIME each.

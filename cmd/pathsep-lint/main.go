@@ -21,14 +21,6 @@
 // on pull requests. -out=FILE additionally writes the NDJSON stream to
 // FILE (created even when there are no findings), which is how CI
 // captures the findings artifact without annotation lines mixed in.
-//
-// With -stats as the first argument, standalone mode prints a
-// per-analyzer table instead: finding counts from the same vet run,
-// plus suppression counts — the exception-granting directive comment
-// //pathsep:lease-bypass found in non-test library sources, attributed
-// to the analyzer it silences. The table makes directive creep visible:
-// a rising suppression count with flat findings means exceptions are
-// doing the analyzer's job.
 package main
 
 import (
@@ -36,13 +28,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"go/parser"
-	"go/token"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,17 +50,13 @@ func main() {
 	if jsonMode {
 		args = args[1:]
 	}
-	statsMode := len(args) > 0 && args[0] == "-stats"
-	if statsMode {
-		args = args[1:]
-	}
 	outPath := ""
 	if jsonMode && len(args) > 0 && strings.HasPrefix(args[0], "-out=") {
 		outPath = strings.TrimPrefix(args[0], "-out=")
 		args = args[1:]
 	}
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: pathsep-lint [-json [-out=FILE] | -stats] <package patterns>  (e.g. pathsep-lint ./...)")
+		fmt.Fprintln(os.Stderr, "usage: pathsep-lint [-json [-out=FILE]] <package patterns>  (e.g. pathsep-lint ./...)")
 		os.Exit(2)
 	}
 	self, err := os.Executable()
@@ -82,9 +66,6 @@ func main() {
 	}
 	if jsonMode {
 		os.Exit(runJSON(self, args, outPath))
-	}
-	if statsMode {
-		os.Exit(runStats(self, args))
 	}
 	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, args...)...)
 	cmd.Stdout = os.Stdout
@@ -232,87 +213,6 @@ func runJSON(self string, patterns []string, outPath string) int {
 				f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// suppressionDirectives maps each exception-granting directive comment
-// to the analyzer it silences. Opt-in directives (bare
-// //pathsep:hotpath, //pathsep:lease on a type) configure an analyzer
-// rather than suppress it and are deliberately not counted.
-var suppressionDirectives = map[string]string{
-	"//pathsep:lease-bypass": "leasepair",
-}
-
-// countSuppressions walks the non-test, non-vendored library sources
-// under the current directory and tallies suppression directives per
-// analyzer. Files are parsed so only actual comments count — a
-// directive quoted in a string literal or shown as an indented example
-// inside another comment (as the analyzers' own docs do) is not a
-// suppression.
-func countSuppressions() (map[string]int, error) {
-	counts := map[string]int{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if name == "vendor" || name == "testdata" || name == ".git" || name == "bin" {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				for dir, analyzer := range suppressionDirectives {
-					if text == dir || strings.HasPrefix(text, dir+" ") {
-						counts[analyzer]++
-					}
-				}
-			}
-		}
-		return nil
-	})
-	return counts, err
-}
-
-// runStats prints a per-analyzer table of finding and suppression
-// counts over the given patterns. Exit code matches runJSON: findings
-// fail the run, a clean tree (suppressions or not) passes.
-func runStats(self string, patterns []string) int {
-	findings, code := collect(self, patterns)
-	if code != 0 {
-		return code
-	}
-	byAnalyzer := map[string]int{}
-	for _, f := range findings {
-		byAnalyzer[f.Analyzer]++
-	}
-	suppr, err := countSuppressions()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pathsep-lint: counting suppressions: %v\n", err)
-		return 1
-	}
-	fmt.Printf("%-14s %9s %13s\n", "analyzer", "findings", "suppressions")
-	totalF, totalS := 0, 0
-	for _, a := range analyzers.All() {
-		fmt.Printf("%-14s %9d %13d\n", a.Name, byAnalyzer[a.Name], suppr[a.Name])
-		totalF += byAnalyzer[a.Name]
-		totalS += suppr[a.Name]
-	}
-	fmt.Printf("%-14s %9d %13d\n", "total", totalF, totalS)
 	if len(findings) > 0 {
 		return 1
 	}

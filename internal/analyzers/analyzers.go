@@ -14,25 +14,20 @@
 //     slots, never shared appends/maps/scalars
 //   - sortcmp:     sort.Slice less-functions are strict weak orderings and
 //     compare floats via core/floatcmp
-//   - leasepair:   sync.Pool buffers and //pathsep:lease values are
-//     released on every path, never used after release, and pool buffers
-//     go back to their own pool; a lease allows one generation per
-//     response and no raw atomic access to the leased pointer
 //   - unsafeview:  unsafe.Slice appears only inside the image codec's
 //     view[T], which refuses overrunning and misaligned spans
 //
 // The determinism trio (maporder, slotwrite, sortcmp) shares the ssaflow
 // value-flow layer and is backed at runtime by `make determinism`, which
 // rebuilds the oracle under shuffled schedules and byte-compares encodings.
-// leasepair guards the serving plane's buffer pools and image lease, and
-// finds acquire/release wrappers through the interprocedural ssaflow
-// summaries. The rest of the serving plane's invariants need no
-// analyzer: go vet's copylocks refuses a copied sync/atomic value, one
-// publish method in internal/serve hands each image whole to the atomic
-// swap, and the -race swap tests and the drain tests there check the
-// swap and the joined listener at run time. Encode/decode symmetry needs
-// no analyzer either: one section table in internal/oracle drives both
-// directions.
+// The serving plane's invariants need no analyzer: go vet's copylocks
+// refuses a copied sync/atomic value, one publish method in
+// internal/serve hands each image whole to the atomic swap, and one
+// function there holds each query request's image lease and pooled
+// buffers, releasing them on every path; its tests check the lease, the
+// swap and the joined listener at run time, under -race too.
+// Encode/decode symmetry needs no analyzer either: one section table in
+// internal/oracle drives both directions.
 //
 // The suite runs as `go vet -vettool=bin/pathsep-lint` (see cmd/pathsep-lint
 // and `make lint`), and each analyzer carries analysistest-style coverage
@@ -45,7 +40,6 @@ import (
 	"pathsep/internal/analyzers/errctx"
 	"pathsep/internal/analyzers/floatcmp"
 	"pathsep/internal/analyzers/hotalloc"
-	"pathsep/internal/analyzers/leasepair"
 	"pathsep/internal/analyzers/maporder"
 	"pathsep/internal/analyzers/obsnilguard"
 	"pathsep/internal/analyzers/seededrand"
@@ -61,7 +55,6 @@ func All() []*analysis.Analyzer {
 		errctx.Analyzer,
 		floatcmp.Analyzer,
 		hotalloc.Analyzer,
-		leasepair.Analyzer,
 		maporder.Analyzer,
 		obsnilguard.Analyzer,
 		seededrand.Analyzer,

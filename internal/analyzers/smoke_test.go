@@ -14,8 +14,8 @@ import (
 // set. Bump the count when registering a new analyzer.
 func TestAll(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 11 {
-		t.Fatalf("All() returned %d analyzers, want exactly 11", len(all))
+	if len(all) != 10 {
+		t.Fatalf("All() returned %d analyzers, want exactly 10", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

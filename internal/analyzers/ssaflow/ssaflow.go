@@ -1,6 +1,5 @@
 // Package ssaflow is the shared value-flow layer under the determinism
-// analyzers (maporder, slotwrite, sortcmp) and leasepair. It
-// plays the role golang.org/x/tools/go/analysis/passes/buildssa plays for
+// analyzers (maporder, slotwrite, sortcmp). It plays the role golang.org/x/tools/go/analysis/passes/buildssa plays for
 // SSA-based passes: one pass builds a per-package function index plus
 // conservative def-use utilities and per-function summaries (summary.go),
 // and the analyzers consume its Result via Requires.
@@ -13,8 +12,8 @@
 //     and function literals alike, each analyzed as its own unit;
 //   - object-level def-use queries: the base storage object of an lvalue,
 //     whether an expression mentions an object (skipping len/cap, whose
-//     results carry no element order), and free-variable sets of function
-//     literals;
+//     results carry no element order), and whether an object is declared
+//     inside a node (a function literal's own locals);
 //   - a Taint store used by maporder's flow-sensitive reachability walk:
 //     objects tainted at a program point, with the originating map-range
 //     position retained for diagnostics.

@@ -60,15 +60,8 @@ func reportFacts(pass *analysis.Pass) (interface{}, error) {
 		}
 		for j := 0; j < sig.Results().Len(); j++ {
 			var srcs []string
-			for _, src := range s.Returns[j] {
-				switch {
-				case src.Call == nil:
-					srcs = append(srcs, fmt.Sprintf("p%d", src.Param))
-				case src.Result > 0:
-					srcs = append(srcs, fmt.Sprintf("%s()#%d", callName(src), src.Result))
-				default:
-					srcs = append(srcs, callName(src)+"()")
-				}
+			for _, p := range s.Returns[j] {
+				srcs = append(srcs, fmt.Sprintf("p%d", p))
 			}
 			if len(srcs) > 0 {
 				pass.Reportf(at, "returns r%d: %s", j, strings.Join(srcs, ", "))
@@ -85,15 +78,6 @@ func useList(uses []ssaflow.ParamUse) string {
 		out[k] = fmt.Sprintf("%s@%d", u.Callee.Name(), u.Arg)
 	}
 	return strings.Join(out, ", ")
-}
-
-// callName is a result source's callee, or the called expression for
-// builtins.
-func callName(src ssaflow.ReturnSource) string {
-	if src.Callee != nil {
-		return src.Callee.Name()
-	}
-	return types.ExprString(src.Call.Fun)
 }
 
 func TestSummaries(t *testing.T) {

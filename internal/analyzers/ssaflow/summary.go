@@ -1,21 +1,17 @@
 // Interprocedural layer: per-function summaries and the package call
-// graph, the fragment of a bottom-up interprocedural analysis the
-// analyzers need to see through wrappers.
+// graph, the fragment of a bottom-up interprocedural analysis maporder
+// needs to see through wrappers.
 //
-// The intraprocedural walks in leasepair and maporder stop at call
-// boundaries; each of them used to carry its own single-level wrapper
-// recognizer (such as the pool getter/putter classifier). Summaries
-// replace those: one pass over the package records, per function,
+// maporder's intraprocedural walk stops at call boundaries. Summaries
+// let it see past them: one pass over the package records, per function,
 //
 //   - which call sites each parameter's value can reach (ParamUses),
-//     so "passes its buffer to sync.Pool.Put" or "sorts its argument"
-//     is visible through any chain of in-package calls;
+//     so "sorts its argument" or "encodes its argument" is visible
+//     through any chain of in-package calls;
 //   - whether a parameter escapes sideways (stored, sent, captured,
-//     launched in a goroutine, passed through a function value) — the
-//     ownership-transfer facts the path-sensitive walks key on;
-//   - what each result can be: an alias of a parameter ("derives alias
-//     of param") or the result of a call (a pool.Get behind a wrapper
-//     resolves here).
+//     launched in a goroutine, passed through a function value);
+//   - which parameters each result may alias, so ParamFlow sees a
+//     wrapper hand its argument back to its caller.
 //
 // Summaries are exported on the Result in the analysis.Fact style — a
 // self-contained record per function object, memoized once per package
@@ -33,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // maxFlowDepth caps transitive resolution; real wrapper chains are two
@@ -50,20 +47,10 @@ type ParamUse struct {
 	Arg    int
 }
 
-// ReturnSource describes one thing a function result can be: an alias
-// of parameter Param (when >= 0), or result Result of Call/Callee.
-type ReturnSource struct {
-	Param  int // >= 0: result may alias this parameter
-	Call   *ast.CallExpr
-	Callee *types.Func // nil for builtins and function values
-	Result int
-}
-
 // Summary is the per-function fact record. All maps are keyed by
 // parameter index (receiver excluded) or result index.
 type Summary struct {
-	// Fn is the summarized function object; Decl its declaration.
-	Fn   *types.Func
+	// Decl is the summarized function's declaration.
 	Decl *ast.FuncDecl
 	// ParamUses[i] lists the direct call sites receiving data derived
 	// from parameter i. Transitive reachability is ParamFlow's job.
@@ -73,14 +60,14 @@ type Summary struct {
 	// channel, captured by a function literal, launched in a goroutine,
 	// or passed through a function value the resolver cannot follow.
 	ParamSunk map[int]string
-	// Returns[j] lists what result j can be (see ReturnSource).
-	Returns map[int][]ReturnSource
+	// Returns[j] lists the parameters result j may alias.
+	Returns map[int][]int
 
 	info   *types.Info
 	params map[types.Object]int
-	// locals maps each local variable to the sources its value may
-	// carry, computed to a fixpoint.
-	locals map[types.Object][]ReturnSource
+	// locals maps each local variable to the parameters its value may
+	// alias, computed to a fixpoint.
+	locals map[types.Object][]int
 }
 
 // SummaryOf returns fn's summary, or nil for functions outside the
@@ -105,11 +92,10 @@ func summarize(info *types.Info, funcs []*Func) map[*types.Func]*Summary {
 			continue
 		}
 		s := &Summary{
-			Fn:        fn,
 			Decl:      fd,
 			ParamUses: map[int][]ParamUse{},
 			ParamSunk: map[int]string{},
-			Returns:   map[int][]ReturnSource{},
+			Returns:   map[int][]int{},
 			info:      info,
 			params:    map[types.Object]int{},
 		}
@@ -124,62 +110,50 @@ func summarize(info *types.Info, funcs []*Func) map[*types.Func]*Summary {
 	return out
 }
 
-// exprSources resolves the alias-preserving sources of e: the parameters
-// and calls whose value e may carry. Only shapes that preserve identity
-// are followed (idents, selectors, slicing, indexing, deref, address-of,
-// type assertions, calls); arithmetic produces fresh values and yields
-// nothing.
-func (s *Summary) exprSources(e ast.Expr) []ReturnSource {
+// exprSources resolves the parameters e may alias. Only shapes that
+// preserve identity are followed (idents, selectors, slicing, indexing,
+// deref, address-of, type assertions); arithmetic and calls produce fresh
+// values and yield nothing.
+func (s *Summary) exprSources(e ast.Expr) []int {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.TypeAssertExpr:
 			e = x.X
-			continue
 		case *ast.UnaryExpr:
 			if x.Op != token.AND {
 				return nil
 			}
 			e = x.X
-			continue
-		case *ast.CallExpr:
-			return []ReturnSource{{Param: -1, Call: x, Callee: CalleeFunc(s.info, x)}}
 		default:
-			obj := BaseObject(s.info, ast.Unparen(e))
+			obj := BaseObject(s.info, x)
 			if obj == nil {
 				return nil
 			}
 			if i, ok := s.params[obj]; ok {
-				return []ReturnSource{{Param: i}}
+				return []int{i}
 			}
 			return s.locals[obj]
 		}
 	}
 }
 
-// addLocal merges srcs into obj's source set, reporting growth. Only
+// addLocal merges params into obj's set, reporting growth. Only
 // variables declared in the function are locals: a store into a
 // package-level variable is a sink (computeFacts), not a binding.
-func (s *Summary) addLocal(obj types.Object, srcs []ReturnSource) bool {
-	if obj == nil || len(srcs) == 0 || !DeclaredWithin(obj, s.Decl) {
+func (s *Summary) addLocal(obj types.Object, params []int) bool {
+	if obj == nil || len(params) == 0 || !DeclaredWithin(obj, s.Decl) {
 		return false
 	}
 	if _, isParam := s.params[obj]; isParam {
 		return false // a param reassigned keeps its param identity conservatively
 	}
 	grew := false
-	for _, src := range srcs {
-		dup := false
-		for _, have := range s.locals[obj] {
-			if have == src {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	for _, p := range params {
+		if !slices.Contains(s.locals[obj], p) {
 			if s.locals == nil {
-				s.locals = map[types.Object][]ReturnSource{}
+				s.locals = map[types.Object][]int{}
 			}
-			s.locals[obj] = append(s.locals[obj], src)
+			s.locals[obj] = append(s.locals[obj], p)
 			grew = true
 		}
 	}
@@ -187,7 +161,7 @@ func (s *Summary) addLocal(obj types.Object, srcs []ReturnSource) bool {
 }
 
 // computeLocals iterates the body's bindings to a fixpoint, building the
-// local variable → sources map (flow-insensitive union).
+// local variable → parameters map (flow-insensitive union).
 func (s *Summary) computeLocals(body *ast.BlockStmt) {
 	for changed := true; changed; {
 		changed = false
@@ -220,38 +194,14 @@ func (s *Summary) computeLocals(body *ast.BlockStmt) {
 	}
 }
 
-// bindAssign records one assignment's bindings.
+// bindAssign records one assignment's bindings. A tuple binding (one
+// right-hand side) binds only its first variable: the comma-ok form's
+// value, since a multi-result call's results are fresh values.
 func (s *Summary) bindAssign(as *ast.AssignStmt) bool {
 	changed := false
-	switch {
-	case len(as.Lhs) == len(as.Rhs):
-		for i := range as.Lhs {
-			if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
-				changed = s.addLocal(s.info.ObjectOf(id), s.exprSources(as.Rhs[i])) || changed
-			}
-		}
-	case len(as.Rhs) == 1:
-		// Tuple binding: a multi-result call hands result i to lhs i;
-		// a comma-ok form hands the value to lhs 0 only.
-		srcs := s.exprSources(as.Rhs[0])
-		for i := range as.Lhs {
-			id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			for _, src := range srcs {
-				src := src
-				if src.Call != nil {
-					if _, isCall := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); isCall {
-						src.Result = i
-					} else if i > 0 {
-						continue // comma-ok: the bool carries no value
-					}
-				} else if i > 0 {
-					continue
-				}
-				changed = s.addLocal(s.info.ObjectOf(id), []ReturnSource{src}) || changed
-			}
+	for i, rhs := range as.Rhs {
+		if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
+			changed = s.addLocal(s.info.ObjectOf(id), s.exprSources(rhs)) || changed
 		}
 	}
 	return changed
@@ -263,12 +213,7 @@ func (s *Summary) carries(e ast.Expr, i int) bool {
 		if pi, ok := s.params[o]; ok && pi == i {
 			return true
 		}
-		for _, src := range s.locals[o] {
-			if src.Param == i {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(s.locals[o], i)
 	})
 }
 
@@ -313,29 +258,9 @@ func (s *Summary) computeFacts(body *ast.BlockStmt) {
 			return false
 		case *ast.ReturnStmt:
 			for j, res := range n.Results {
-				for _, src := range s.exprSources(res) {
-					dup := false
-					for _, have := range s.Returns[j] {
-						if have == src {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						s.Returns[j] = append(s.Returns[j], src)
-					}
-				}
-			}
-			if len(n.Results) == 1 {
-				// return f() of a multi-result callee spreads its results.
-				if call, ok := ast.Unparen(n.Results[0]).(*ast.CallExpr); ok {
-					if tv, ok := s.info.Types[call]; ok {
-						if tup, ok := tv.Type.(*types.Tuple); ok && tup.Len() > 1 {
-							callee := CalleeFunc(s.info, call)
-							for j := 1; j < tup.Len(); j++ {
-								s.Returns[j] = append(s.Returns[j], ReturnSource{Param: -1, Call: call, Callee: callee, Result: j})
-							}
-						}
+				for _, p := range s.exprSources(res) {
+					if !slices.Contains(s.Returns[j], p) {
+						s.Returns[j] = append(s.Returns[j], p)
 					}
 				}
 			}
@@ -431,11 +356,9 @@ func (r *Result) ParamFlow(fn *types.Func, arg int) Flow {
 		if why, ok := s.ParamSunk[arg]; ok && fl.Sunk == "" {
 			fl.Sunk = why
 		}
-		for _, srcs := range s.Returns {
-			for _, src := range srcs {
-				if src.Param == arg {
-					fl.Returned = true
-				}
+		for _, params := range s.Returns {
+			if slices.Contains(params, arg) {
+				fl.Returned = true
 			}
 		}
 		for _, use := range s.ParamUses[arg] {

@@ -2,10 +2,7 @@
 // prints every fact of each declared function at its name.
 package a
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // ParamUses: a parameter passed to an out-of-package call.
 func sortInts(xs []int) { // want `^uses p0: Ints@0$` `^flow p0: Ints@0$`
@@ -63,26 +60,20 @@ func many(n int, bs ...[]byte) { // want `^uses p1: keep@0$` `^flow p1: sunk sto
 	}
 }
 
-// Returns: a parameter alias, a local carrying a call's result, an
-// out-of-package call, and a multi-result call spread over the results.
+// Returns: a parameter alias, directly or through locals. viaLocals
+// binds d before c carries b, so only the locals fixpoint sees that d
+// does; a call's result aliases nothing.
 func id(b []byte) []byte { // want `^returns r0: p0$` `^flow p0: returned$`
 	return b[:len(b)]
 }
 
-func viaLocal(n int) []byte { // want `^returns r0: make\(\)$`
-	b := make([]byte, n)
-	c := b
-	return c
-}
-
-func get(p *sync.Pool) any { // want `^returns r0: Get\(\)$`
-	return p.Get()
-}
-
-func two() (int, error) { return 0, nil }
-
-func spread() (int, error) { // want `^returns r0: two\(\)$` `^returns r1: two\(\)#1$`
-	return two()
+func viaLocals(b []byte) ([]byte, []byte) { // want `^uses p0: id@0$` `^returns r0: p0$` `^flow p0: returned$`
+	var c, d []byte
+	for i := 0; i < 2; i++ {
+		d = c
+		c = b
+	}
+	return d, id(b)
 }
 
 // The cycle guard: ping and pong call each other, and ParamFlow still

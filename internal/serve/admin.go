@@ -84,13 +84,11 @@ type Status struct {
 	GCCycles    uint64 `json:"gc_cycles"`
 }
 
-// status assembles the current Status document. It takes a proper lease
-// on the image while reading its metadata: images are immutable after
-// publish, but holding the lease keeps the generation it reports from
-// draining out from under the reads mid-document.
+// status assembles the current Status document. It leases the image
+// while reading its metadata: images are immutable after publish, but
+// holding the lease keeps the generation it reports from draining out
+// from under the reads mid-document.
 func (s *Server) status() Status {
-	im := s.acquire()
-	defer s.release(im)
 	st := Status{
 		Service:    "pathsepd",
 		PID:        os.Getpid(),
@@ -98,22 +96,6 @@ func (s *Server) status() Status {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Goroutines: runtime.NumGoroutine(),
 		UptimeSec:  time.Since(s.started).Seconds(),
-		Image: ImageStatus{
-			Source:        im.source,
-			Generation:    im.gen,
-			LoadedAt:      im.loadedAt.UTC().Format(time.RFC3339Nano),
-			LoadNs:        im.loadNs,
-			Readers:       im.readers.Load() - 1, // exclude status's own lease
-			N:             im.flat.N(),
-			Eps:           im.flat.Eps(),
-			Mode:          im.flat.Mode().String(),
-			NumKeys:       im.flat.NumKeys(),
-			NumEntries:    im.flat.NumEntries(),
-			NumPortals:    im.flat.NumPortals(),
-			Bytes:         im.bytes,
-			ResidentBytes: im.flat.ResidentBytes(),
-			LaneAligned:   im.flat.LaneAligned(),
-		},
 		Serving: ServingStatus{
 			Inflight:     s.inflight.Load(),
 			Queries:      s.queries.Value(),
@@ -133,6 +115,24 @@ func (s *Server) status() Status {
 		MemoryLimit: debug.SetMemoryLimit(-1),
 		GCCycles:    gcCycles(),
 	}
+	s.withImage(func(im *image) {
+		st.Image = ImageStatus{
+			Source:        im.source,
+			Generation:    im.gen,
+			LoadedAt:      im.loadedAt.UTC().Format(time.RFC3339Nano),
+			LoadNs:        im.loadNs,
+			Readers:       im.readers.Load() - 1, // exclude status's own lease
+			N:             im.flat.N(),
+			Eps:           im.flat.Eps(),
+			Mode:          im.flat.Mode().String(),
+			NumKeys:       im.flat.NumKeys(),
+			NumEntries:    im.flat.NumEntries(),
+			NumPortals:    im.flat.NumPortals(),
+			Bytes:         im.bytes,
+			ResidentBytes: im.flat.ResidentBytes(),
+			LaneAligned:   im.flat.LaneAligned(),
+		}
+	})
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
 			if kv.Key == "vcs.revision" {

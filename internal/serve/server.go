@@ -51,9 +51,6 @@ type Config struct {
 	Workers int
 	// MaxBatch caps pairs per batch request (0 = DefaultMaxBatch).
 	MaxBatch int
-	// MaxImage caps the bytes POST /admin/reload accepts
-	// (0 = DefaultMaxImage).
-	MaxImage int
 	// Source describes where the image came from ("file:oracle.flat",
 	// "built:grid64"), echoed by /admin/status.
 	Source string
@@ -87,6 +84,11 @@ var (
 	idleTimeout       = 2 * time.Minute
 )
 
+// maxImage caps the image bytes POST /admin/reload accepts: 1 GiB, far
+// above any image this repo builds, far below an accidental /dev/zero
+// upload. Tests shorten it.
+var maxImage int64 = 1 << 30
+
 // Server serves a flat oracle image — the *current* one: the image
 // lives behind an atomic pointer so POST /admin/reload (or SIGHUP on
 // cmd/pathsepd) can swap in a new generation while in-flight requests
@@ -99,7 +101,6 @@ type Server struct {
 	slow     *obs.SlowQuerySampler
 	workers  int
 	maxBatch int
-	maxImage int
 	started  time.Time
 
 	heapBound func(resident int)
@@ -126,10 +127,8 @@ type Server struct {
 	imageGen   *obs.Gauge
 	reloadNs   *obs.Histogram
 
-	pairBufs sync.Pool // *[]oracle.Pair
-	distBufs sync.Pool // *[]float64
-	byteBufs sync.Pool // *[]byte
-	pathBufs sync.Pool // *[]int32
+	// scratch holds *scratch values, one per query request in flight.
+	scratch sync.Pool
 }
 
 // New wires a Server over cfg.Flat. The flat image gains the registry's
@@ -141,9 +140,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch < 0 {
 		return nil, fmt.Errorf("serve: negative MaxBatch %d", cfg.MaxBatch)
 	}
-	if cfg.MaxImage < 0 {
-		return nil, fmt.Errorf("serve: negative MaxImage %d", cfg.MaxImage)
-	}
 	reg := cfg.Reg
 	if reg == nil {
 		reg = obs.New()
@@ -153,16 +149,13 @@ func New(cfg Config) (*Server, error) {
 		slow:     cfg.Slow,
 		workers:  cfg.Workers,
 		maxBatch: cfg.MaxBatch,
-		maxImage: cfg.MaxImage,
 		started:  time.Now(),
 
 		heapBound: cfg.HeapBound,
+		scratch:   sync.Pool{New: func() any { return new(scratch) }},
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
-	}
-	if s.maxImage == 0 {
-		s.maxImage = DefaultMaxImage
 	}
 	s.queries = reg.Counter("serve.queries")
 	s.batches = reg.Counter("serve.batches")
@@ -183,10 +176,22 @@ func New(cfg Config) (*Server, error) {
 	s.imageGen.Set(1)
 
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/query", s.track("serve.query_request_ns", s.handleQuery))
-	s.mux.Handle("/query/path", s.track("serve.path_request_ns", s.handleQueryPath))
-	s.mux.Handle("/query/batch", s.track("serve.batch_request_ns", s.handleBatchJSON))
-	s.mux.Handle("/query/batchbin", s.track("serve.batchbin_request_ns", s.handleBatchBin))
+	s.mux.Handle("/query", s.track(endpoint{
+		method: http.MethodGet, latency: "serve.query_request_ns",
+		parse: parsePair, answer: answerQuery, write: writeQuery,
+	}))
+	s.mux.Handle("/query/path", s.track(endpoint{
+		method: http.MethodGet, latency: "serve.path_request_ns",
+		parse: parsePair, answer: answerPath, write: writePath,
+	}))
+	s.mux.Handle("/query/batch", s.track(endpoint{
+		method: http.MethodPost, latency: "serve.batch_request_ns", batch: true,
+		parse: s.parseBatchJSON, answer: answerBatch(s.workers, true), write: writeBatchJSON,
+	}))
+	s.mux.Handle("/query/batchbin", s.track(endpoint{
+		method: http.MethodPost, latency: "serve.batchbin_request_ns", batch: true,
+		parse: s.parseBatchBin, answer: answerBatch(s.workers, false), write: writeBatchBin,
+	}))
 	s.mux.HandleFunc("/admin/status", s.handleStatus)
 	s.mux.HandleFunc("/admin/reload", s.handleReload)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -247,19 +252,51 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Inflight reports the query requests currently being served.
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
 
-// track wraps a query handler with the in-flight gauge and the
-// endpoint's request latency histogram, latency, which it looks up once
-// here rather than on every request.
-func (s *Server) track(latency string, h http.HandlerFunc) http.Handler {
-	reqNs := s.reg.Histogram(latency)
+// track serves one query endpoint. Each request takes one scratch value
+// from the pool and gives it back by defer, on every path; it holds the
+// image lease only around ep.answer, so the lease is released before the
+// response is written and a slow client never holds up a reload's drain.
+// track also keeps the in-flight gauge and the endpoint's request latency
+// histogram, which it looks up once here rather than on every request.
+func (s *Server) track(ep endpoint) http.Handler {
+	reqNs := s.reg.Histogram(ep.latency)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := s.inflight.Add(1)
 		s.inflightG.Set(n)
 		start := time.Now()
-		h(w, r)
+		sc := s.scratch.Get().(*scratch)
+		defer s.scratch.Put(sc)
+		if f := s.handle(w, r, &ep, sc); f != nil {
+			s.fail(w, f.code, f.msg)
+		}
 		reqNs.Observe(float64(time.Since(start)))
 		s.inflightG.Set(s.inflight.Add(-1))
 	})
+}
+
+// handle runs ep's steps on one request and returns the failure that
+// rejects it, if one does. The counters count a request once its lease
+// is released.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep *endpoint, sc *scratch) *failure {
+	if r.Method != ep.method {
+		return &failure{http.StatusMethodNotAllowed, ep.method + " only"}
+	}
+	if f := ep.parse(w, r, sc); f != nil {
+		return f
+	}
+	var f *failure
+	s.withImage(func(im *image) { f = ep.answer(im.flat, sc) })
+	if f != nil {
+		return f
+	}
+	if ep.batch {
+		s.batches.Inc()
+		s.pairs.Add(int64(len(sc.pairs)))
+	} else {
+		s.queries.Inc()
+	}
+	ep.write(w, sc)
+	return nil
 }
 
 // fail rejects a request with a plain-text error and counts it, in the
@@ -276,11 +313,10 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 
 // readBody reads r's body, up to limit bytes, into buf's backing array
 // and returns it, in a new array when buf's is too small (see fill). A
-// body over the cap answers 413; any other read error (a client that
-// stops mid-upload, a dropped connection) is a bad request, not a large
-// one, and answers 400. ok reports whether the body was read whole; the
-// buffer returned is the caller's to keep or pool either way.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) (body []byte, ok bool) {
+// body over the cap is a 413; any other read error (a client that stops
+// mid-upload, a dropped connection) is a bad request, not a large one,
+// and a 400. The buffer returned is the caller's to keep either way.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, *failure) {
 	var err error
 	if r.ContentLength > limit {
 		err = &http.MaxBytesError{Limit: limit}
@@ -288,15 +324,13 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64, b
 		buf, err = fill(http.MaxBytesReader(w, r.Body, limit), buf[:0], int(r.ContentLength))
 	}
 	if err == nil {
-		return buf, true
+		return buf, nil
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body larger than the %d-byte cap", limit))
-	} else {
-		s.fail(w, http.StatusBadRequest, "reading body: "+err.Error())
+		return buf, &failure{http.StatusRequestEntityTooLarge, fmt.Sprintf("body larger than the %d-byte cap", limit)}
 	}
-	return buf, false
+	return buf, &failure{http.StatusBadRequest, "reading body: " + err.Error()}
 }
 
 // bodyPrealloc bounds what a declared body length allocates before its
@@ -341,44 +375,3 @@ func fill(r io.Reader, buf []byte, want int) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// getPairs returns a pooled pair buffer of length n.
-func (s *Server) getPairs(n int) []oracle.Pair {
-	if p, ok := s.pairBufs.Get().(*[]oracle.Pair); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]oracle.Pair, n)
-}
-
-func (s *Server) putPairs(p []oracle.Pair) { s.pairBufs.Put(&p) }
-
-// getDists returns a pooled distance buffer of length n.
-func (s *Server) getDists(n int) []float64 {
-	if p, ok := s.distBufs.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func (s *Server) putDists(p []float64) { s.distBufs.Put(&p) }
-
-// getBytes returns a pooled byte buffer of length n.
-func (s *Server) getBytes(n int) []byte {
-	if p, ok := s.byteBufs.Get().(*[]byte); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]byte, n)
-}
-
-func (s *Server) putBytes(p []byte) { s.byteBufs.Put(&p) }
-
-// getPath returns a pooled path-vertex buffer (empty, any capacity —
-// Flat.QueryPath appends into it).
-func (s *Server) getPath() []int32 {
-	if p, ok := s.pathBufs.Get().(*[]int32); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-func (s *Server) putPath(p []int32) { s.pathBufs.Put(&p) }

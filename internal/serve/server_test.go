@@ -311,45 +311,67 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
-// TestBatchBinBodyAllocs pins that a binary batch body costs no
-// allocation of its own once the buffer pools are warm: a 1024-pair
+// TestBatchBinBodyAllocs pins what a warm request allocates on each query
+// endpoint. Each bound is the count the endpoint had for its input when
+// the bounds were set, so none allocates more often than it did. A
+// binary batch also allocates no bytes of its own body: a 1024-pair
 // request through the handler allocates less than its 8 KiB body, which
 // reading the body into a fresh buffer takes at the least, and growing
-// one from 512 bytes about twice. Under the race detector the pools drop
-// buffers at random, so there is nothing to count.
+// one from 512 bytes about twice. Under the race detector the pool drops
+// values at random, so there is nothing to count.
 func TestBatchBinBodyAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under the race detector")
+		t.Skip("sync.Pool drops values at random under the race detector")
 	}
 	s, _, fl := newTestServer(t, Config{Workers: 1})
 	rng := rand.New(rand.NewSource(5))
-	body := make([]byte, 8*1024)
-	for i := 0; i < len(body); i += 4 {
-		binary.LittleEndian.PutUint32(body[i:], uint32(rng.Intn(fl.N())))
+	bin := make([]byte, 8*1024)
+	for i := 0; i < len(bin); i += 4 {
+		binary.LittleEndian.PutUint32(bin[i:], uint32(rng.Intn(fl.N())))
 	}
-	w := &discardWriter{h: http.Header{}}
-	req := httptest.NewRequest(http.MethodPost, "/query/batchbin", nil)
-	rd := bytes.NewReader(body)
-	serveOne := func() {
-		rd.Reset(body)
-		req.Body, req.ContentLength = io.NopCloser(rd), int64(len(body))
-		s.Handler().ServeHTTP(w, req)
+	for _, tc := range []struct {
+		method, target string
+		body           []byte
+		allocs         uint64 // at most, per request
+		lessThanBody   bool
+	}{
+		{http.MethodGet, "/query?u=0&v=17", nil, 9, false},
+		{http.MethodGet, "/query/path?u=0&v=17", nil, 11, false},
+		{http.MethodPost, "/query/batch", []byte(`{"pairs":[[0,5],[3,9],[7,7]]}`), 20, false},
+		{http.MethodPost, "/query/batchbin", bin, 9, true},
+	} {
+		w := &discardWriter{h: http.Header{}}
+		req := httptest.NewRequest(tc.method, tc.target, nil)
+		rd := bytes.NewReader(tc.body)
+		serveOne := func() {
+			rd.Reset(tc.body)
+			req.Body, req.ContentLength = io.NopCloser(rd), int64(len(tc.body))
+			s.Handler().ServeHTTP(w, req)
+		}
+		serveOne() // fills the pool
+		errs := s.errs.Value()
+		const reqs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reqs {
+			serveOne()
+		}
+		runtime.ReadMemStats(&after)
+		if s.errs.Value() != errs {
+			t.Fatalf("%s %s: rejected", tc.method, tc.target)
+		}
+		allocs := (after.Mallocs - before.Mallocs) / reqs
+		size := (after.TotalAlloc - before.TotalAlloc) / reqs
+		t.Logf("%s %s: %d allocations, %d B a request", tc.method, tc.target, allocs, size)
+		if allocs > tc.allocs {
+			t.Errorf("%s %s: %d allocations a request, want at most %d", tc.method, tc.target, allocs, tc.allocs)
+		}
+		if tc.lessThanBody && size >= uint64(len(tc.body)) {
+			t.Errorf("a %d-byte batchbin request allocates %d B, not less than its body", len(tc.body), size)
+		}
 	}
-	serveOne() // fills the pools
-	const reqs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range reqs {
-		serveOne()
-	}
-	runtime.ReadMemStats(&after)
-	if got := s.batches.Value(); got != reqs+1 {
-		t.Fatalf("%d batches answered, want %d", got, reqs+1)
-	}
-	per := (after.TotalAlloc - before.TotalAlloc) / reqs
-	t.Logf("a %d-byte batchbin request allocates %d B", len(body), per)
-	if per >= uint64(len(body)) {
-		t.Fatalf("a %d-byte batchbin request allocates %d B, not less than its body", len(body), per)
+	if got := s.batches.Value(); got != 2*101 {
+		t.Fatalf("%d batches answered, want %d", got, 2*101)
 	}
 }
 

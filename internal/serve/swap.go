@@ -10,11 +10,6 @@ import (
 	"pathsep/internal/oracle"
 )
 
-// DefaultMaxImage caps the image bytes accepted by POST /admin/reload
-// when Config.MaxImage is zero: 1 GiB, far above any image this repo
-// builds, far below an accidental /dev/zero upload.
-const DefaultMaxImage = 1 << 30
-
 // drainTimeout bounds how long a reload waits for readers of the old
 // image to finish before declaring the drain incomplete. Readers hold
 // an image only across one query/batch call, so this is generous.
@@ -26,12 +21,9 @@ const drainTimeout = 5 * time.Second
 // field but readers is written after it is published; readers is only
 // touched through its atomic methods.
 //
-// The leasepair analyzer enforces the acquire/release protocol on this
-// type: every handler path releases its lease, no lease is used after
-// release, and nothing outside the annotated bypass sites touches
-// Server.img directly.
-//
-//pathsep:lease acquire=acquire release=release
+// Requests reach an image only through withImage, which leases it. No
+// code outside this file touches Server.img: besides acquire, only the
+// reloadMu-serialized Load in reload and the Swap in publish do.
 type image struct {
 	flat     *oracle.Flat
 	gen      uint64
@@ -64,6 +56,16 @@ func (s *Server) acquire() *image {
 // release returns a lease taken by acquire.
 func (s *Server) release(im *image) { im.readers.Add(-1) }
 
+// withImage runs f on a lease of the current image and releases it when
+// f returns, panic or not. It is the only holder of a lease: the query
+// endpoints call it around their answer step alone, and /admin/status
+// around its image fields, so a lease spans no response write.
+func (s *Server) withImage(f func(im *image)) {
+	im := s.acquire()
+	defer s.release(im)
+	f(im)
+}
+
 // publish serves fl as generation gen: it attaches the instruments, then
 // swaps in an image built whole inside the Swap call, and returns the
 // image it replaced (nil for the first). No caller ever holds the new
@@ -73,9 +75,9 @@ func (s *Server) publish(fl *oracle.Flat, gen uint64, source string, loadNs int6
 	// concurrent readers are already querying this image.
 	fl.SetMetrics(s.reg)
 	fl.SetSlowSampler(s.slow)
-	// The raw Swap is sanctioned: New publishes before any lease can
-	// exist, and reload holds reloadMu.
-	return s.img.Swap(&image{ //pathsep:lease-bypass
+	// A raw Swap, not a lease: New publishes before any lease can exist,
+	// and reload holds reloadMu.
+	return s.img.Swap(&image{
 		flat:     fl,
 		gen:      gen,
 		source:   source,
@@ -130,9 +132,9 @@ func (s *Server) reload(decode func() (*oracle.Flat, error), source string) (Rel
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	start := time.Now()
-	// Raw pointer access is sanctioned here: reloadMu serializes all
-	// swappers, so cur stays the serving image until publish below.
-	cur := s.img.Load() //pathsep:lease-bypass
+	// A raw Load, not a lease: reloadMu serializes all swappers, so cur
+	// stays the serving image until publish below.
+	cur := s.img.Load()
 	s.boundHeap(0)
 	fl, err := decode()
 	if err != nil {
@@ -197,8 +199,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// and a declared Content-Length does not vouch for them. The decode
 	// copies what it keeps, so the body is garbage as soon as ReloadImage
 	// returns.
-	body, ok := s.readBody(w, r, int64(s.maxImage), nil)
-	if !ok {
+	body, f := readBody(w, r, maxImage, nil)
+	if f != nil {
+		s.fail(w, f.code, f.msg)
 		return
 	}
 	if len(body) == 0 {

@@ -8,9 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -194,7 +196,9 @@ func TestReloadRejectsCorrupt(t *testing.T) {
 }
 
 func TestReloadImageCap(t *testing.T) {
-	_, ts, fl := newTestServer(t, Config{MaxImage: 64})
+	defer func(n int64) { maxImage = n }(maxImage)
+	maxImage = 64
+	_, ts, fl := newTestServer(t, Config{})
 	if _, code := postReload(t, ts.URL, fl.Encode()); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-cap image: status %d, want 413", code)
 	}
@@ -408,5 +412,66 @@ func TestReloadRaceHTTPAndSIGHUP(t *testing.T) {
 	}
 	if gen := s.status().Image.Generation; gen != 2*rounds+1 {
 		t.Errorf("final generation %d, want %d", gen, 2*rounds+1)
+	}
+}
+
+// TestEveryPathReleasesLease drives each query endpoint and /admin/status
+// through every outcome it has, one request at a time, and after each
+// requires the serving image to have no readers left and a reload right
+// after it to drain. A request that kept its lease on any path would
+// hold the count up and time the drain out.
+func TestEveryPathReleasesLease(t *testing.T) {
+	s, _, fl := newTestServer(t, Config{MaxBatch: 2})
+	img := fl.Encode()
+	pairs := func(n int) io.Reader { return bytes.NewReader(make([]byte, 8*n)) }
+	far := make([]byte, 8)
+	binary.LittleEndian.PutUint32(far[4:], 1<<30)
+	for _, tc := range []struct {
+		name, method, target string
+		body                 io.Reader
+		want                 int
+	}{
+		{"query", http.MethodGet, "/query?u=0&v=17", nil, http.StatusOK},
+		{"query-method", http.MethodPost, "/query?u=0&v=17", nil, http.StatusMethodNotAllowed},
+		{"query-params", http.MethodGet, "/query?u=zero&v=1", nil, http.StatusBadRequest},
+		{"query-range", http.MethodGet, "/query?u=0&v=99999", nil, http.StatusBadRequest},
+		{"path", http.MethodGet, "/query/path?u=0&v=17", nil, http.StatusOK},
+		{"path-method", http.MethodPost, "/query/path?u=0&v=17", nil, http.StatusMethodNotAllowed},
+		{"path-params", http.MethodGet, "/query/path?u=0", nil, http.StatusBadRequest},
+		{"path-range", http.MethodGet, "/query/path?u=-1&v=3", nil, http.StatusBadRequest},
+		{"batch", http.MethodPost, "/query/batch", strings.NewReader(`{"pairs":[[0,5],[3,9]]}`), http.StatusOK},
+		{"batch-method", http.MethodGet, "/query/batch", nil, http.StatusMethodNotAllowed},
+		{"batch-params", http.MethodPost, "/query/batch", strings.NewReader(`{"pairs":[[0,`), http.StatusBadRequest},
+		{"batch-range", http.MethodPost, "/query/batch", strings.NewReader(`{"pairs":[[0,5],[0,99999]]}`), http.StatusBadRequest},
+		{"batch-cap", http.MethodPost, "/query/batch", strings.NewReader(`{"pairs":[[0,1],[0,2],[0,3]]}`), http.StatusRequestEntityTooLarge},
+		{"batch-drop", http.MethodPost, "/query/batch", &failingBody{}, http.StatusBadRequest},
+		{"batchbin", http.MethodPost, "/query/batchbin", pairs(2), http.StatusOK},
+		{"batchbin-far", http.MethodPost, "/query/batchbin", bytes.NewReader(far), http.StatusOK},
+		{"batchbin-method", http.MethodGet, "/query/batchbin", nil, http.StatusMethodNotAllowed},
+		{"batchbin-ragged", http.MethodPost, "/query/batchbin", strings.NewReader("1234567"), http.StatusBadRequest},
+		{"batchbin-cap", http.MethodPost, "/query/batchbin", pairs(3), http.StatusRequestEntityTooLarge},
+		{"batchbin-body-cap", http.MethodPost, "/query/batchbin", pairs(4), http.StatusRequestEntityTooLarge},
+		{"batchbin-drop", http.MethodPost, "/query/batchbin", &failingBody{}, http.StatusBadRequest},
+		{"status", http.MethodGet, "/admin/status", nil, http.StatusOK},
+		{"status-method", http.MethodPost, "/admin/status", nil, http.StatusMethodNotAllowed},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.want)
+		}
+		if n := s.img.Load().readers.Load(); n != 0 {
+			t.Fatalf("%s: %d readers left on the serving image", tc.name, n)
+		}
+		res, err := s.ReloadImage(img, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Drained {
+			t.Fatalf("%s: the reload after it did not drain: %+v", tc.name, res)
+		}
+	}
+	if s.Inflight() != 0 {
+		t.Fatalf("inflight %d after every request returned", s.Inflight())
 	}
 }
