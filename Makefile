@@ -60,10 +60,14 @@ build:
 # tasks, its one piece of concurrency that depends on the pool width, so
 # the decode's bit-for-bit check against the frozen Flat also runs under
 # the race detector at every width a runner may have (-short keeps it to
-# the 64×64 grid).
+# the 64×64 grid). So does the build's differential against the searched
+# reference: its link round reads other vertex ranges' forward maps and
+# rows one pool round after they are written, and the range count
+# follows the width.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -short -cpu 1,2,4,8 -run '^TestDecodeRestoresPositions$$' ./internal/oracle/
+	$(GO) test -race -short -cpu 1,2,4,8 -run '^TestBuildRowsMatchReference$$' ./internal/oracle/
 
 # The runtime determinism gate: rebuild the oracle on three graph
 # families across GOMAXPROCS {1,4}, workers {1,2,4,0} and shuffled task

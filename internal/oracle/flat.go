@@ -7,6 +7,7 @@ import (
 	"time"
 	"unsafe"
 
+	"pathsep/internal/core"
 	"pathsep/internal/obs"
 	"pathsep/internal/par"
 )
@@ -109,22 +110,26 @@ type tables struct {
 // Freeze compiles the oracle into its flat serving form. The Flat shares
 // the oracle's immutable rows — keys, CSR tables, sweep lane and path
 // geometry — and adds what path reporting needs: the walk layout
-// (deriveWalk), derived from every hop vertex resolved to the pool index
-// of the record it names (see resolveHops). The lane is shared and
-// already holds its positions, so the resolved links go into a transient
-// array of their own, which is not kept, and the derivation writes no
-// positions. Freeze fails when a hop names no record or links records of
-// two keys, when a record's hops reach no anchor, and when a key's path
-// repeats a vertex: an image stores no positions, and such a record's
-// would be lost. Every image Freeze returns decodes to the same lane and
-// walk layout and reports paths.
+// (deriveWalk), derived from the hop links Build resolved to pool
+// indices. The lane is shared and already holds its positions, so the
+// links, with the anchors ranked in pool order (see hopLinks.link), go
+// into a transient array of their own, which is not kept, and the
+// derivation writes no positions. Freeze fails when a link names no
+// record at its record's position or a record of another key, when a
+// record's hops reach no anchor, and when a key's path repeats a vertex:
+// an image stores no positions, and such a record's would be lost. Every
+// image Freeze returns decodes to the same lane and walk layout and
+// reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	r := &o.rows
 	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
 	links := hopLinks{ids: make([]int32, len(f.lane))}
-	anchors, err := f.resolveHops(o.hopVert, links)
-	if err != nil {
-		return nil, err
+	anchors := int32(0)
+	for x, t := range o.links {
+		if t >= 0 && (int(t) >= len(f.lane) || !core.SameDist(f.lane[t].Pos, f.lane[x].Pos)) {
+			return nil, fmt.Errorf("oracle: freeze: record %d links to %d, no record at its position %v", x, t, f.lane[x].Pos)
+		}
+		anchors = links.link(int32(x), t, anchors)
 	}
 	if err := f.derive(f.partitionByKey(), links, anchors, 0); err != nil {
 		return nil, fmt.Errorf("oracle: freeze: %w", err)

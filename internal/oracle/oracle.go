@@ -149,15 +149,16 @@ type sepPath struct {
 // Theorem 2, held as the serving rows Build writes them in. rows is a
 // Flat without its path records: the interned keys, the CSR entry and
 // portal tables, the sweep lane and the separator-path geometry, so
-// Query runs the flat engine on them. hopVert[i] is the hop vertex of
-// pool record i (-1 at a path vertex's own record); Freeze resolves the
-// hop vertices to pool indices and derives the walk, sharing the rows
-// rather than copying them. The rows are immutable once Build returns.
+// Query runs the flat engine on them. links[i] is the pool index of the
+// record pool record i hops to, or -1 at a path vertex's own record:
+// Build resolves every hop once, when the record is born, so Freeze only
+// ranks the anchors and derives the walk, sharing the rows rather than
+// copying them. The rows are immutable once Build returns.
 type Oracle struct {
-	N       int
-	Eps     float64
-	rows    Flat
-	hopVert []int32
+	N     int
+	Eps   float64
+	rows  Flat
+	links []int32
 }
 
 // SetMetrics attaches (or, with nil, detaches) query-time metrics:
@@ -172,23 +173,27 @@ func (o *Oracle) SetMetrics(reg *obs.Registry) {
 	o.rows.qPortals = reg.Histogram("oracle.query_portals")
 }
 
-// rec is one label record produced by a build task: vertex v stores
-// portal p on the separator path with key ID k, with hop vertex h (-1
-// when the record is a path vertex's self record) and depth d, the
-// number of hops from v to that path vertex along the run that emitted
-// the record.
+// rec is one label record produced by a build task: vertex v stores a
+// portal at distance dist on the separator path with key ID k, anchored
+// at path vertex at (an index into the path geometry, whose path_pos
+// entry is the portal's position), with hop vertex h (-1 when the record
+// is a path vertex's self record) and depth d, the number of hops from v
+// to that path vertex along the run that emitted the record. up names
+// the hop vertex's record, which the same run emitted at the same key
+// and position: its index in the task output's buffer for the hop's
+// range, or, at depth 1, where the hop is the run's source, the index of
+// the source's self record in the first output's (selfAt). It is -1 at a
+// self record.
 type rec struct {
-	p Portal
-	v int32
-	k int32
-	h int32
-	d int32
+	dist       float64
+	v, k, h, d int32
+	at, up     int32
 }
 
 // vertexSplit cuts the root vertices 0..n-1 into contiguous ranges of
-// width vertices, one pool task each: Build's row assembly, Freeze's hop
-// resolution and the walk relocation. The last ranges are empty when n
-// is smaller than the range count.
+// width vertices, one pool task each: Build's row assembly and the
+// decode's vertex-range passes (eachRange). The last ranges are empty
+// when n is smaller than the range count.
 type vertexSplit struct {
 	n, ranges, width int
 }
@@ -228,10 +233,12 @@ func sizedRecBuf(s vertexSplit, roots []int32, perVertex int) recBuf {
 	return buf
 }
 
-// put appends x to the range that owns its vertex.
-func (b recBuf) put(s vertexSplit, x rec) {
+// put appends x to the range that owns its vertex and returns its index
+// there.
+func (b recBuf) put(s vertexSplit, x rec) int32 {
 	r := s.of(x.v)
 	b[r] = append(b[r], x)
+	return int32(len(b[r]) - 1)
 }
 
 // rangesPerWorker over-splits the vertex-range stages so that a worker
@@ -241,12 +248,30 @@ const rangesPerWorker = 4
 // records is what Build's first two stages hand to the third: the
 // interned keys with their separator-path geometry, and every label
 // record, grouped by the task that emitted it and the vertex range that
-// owns it. The first output holds the path vertices' self records.
+// owns it. The first output holds the path vertices' self records. Every
+// other record names its hop's record by where it sits (rec.up), so stage
+// 3 resolves each hop once, without a search.
 type records struct {
 	n     int
 	split vertexSplit
 	geo   tables // keys, pathOff, pathVert, pathPos
 	outs  []recBuf
+}
+
+// gatherBase returns, for task output t and range r, the gather index of
+// outs[t][r]'s first record at [t*ranges+r]: stage 3 gathers a range's
+// records output by output, in task order, and numbers them as it reads
+// them. The first output's records come first, so a self record's
+// gather index is its index in that output.
+func (c *records) gatherBase() []int32 {
+	ranges := c.split.ranges
+	base := make([]int32, len(c.outs)*ranges)
+	for t := 1; t < len(c.outs); t++ {
+		for r := 0; r < ranges; r++ {
+			base[t*ranges+r] = base[(t-1)*ranges+r] + int32(len(c.outs[t-1][r]))
+		}
+	}
+	return base
 }
 
 // Build constructs the oracle from a decomposition tree.
@@ -307,10 +332,12 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 
 	// Stage 1: serial planning — residual graphs, path geometry and the
 	// task list. Paths are numbered in emission order; rank maps that
-	// number to the path's key ID once every path is known, and the tasks
-	// read it when they run.
+	// number to the path's key ID once every path is known, pathOff a key
+	// to its first vertex in the geometry and selfAt a path vertex there
+	// to the index of its self record, and the tasks read them when they
+	// run.
 	var paths []sepPath
-	var rank []int32
+	var rank, pathOff, selfAt []int32
 	var tasks []func() recBuf
 	for _, node := range t.Nodes {
 		if node.Sep == nil {
@@ -381,6 +408,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 					at := first + pi
 					tasks = append(tasks, func() recBuf {
 						k := rank[at]
+						base := pathOff[k]
 						// Evenly spaced portals (by weight), endpoints
 						// included, plus the closest attachment: at most
 						// one record per residual vertex each.
@@ -389,36 +417,56 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 						// Every run of the task reuses one workspace; each
 						// run's tree is read before the next run starts.
 						var ws shortest.Workspace
-						// Closest-attachment entries via one multi-source run.
+						// Each run emits one record for every vertex it
+						// reaches but its sources, in residual vertex order:
+						// w's at its distance, with w's parent in the run's
+						// forest as its hop. The parent shares w's source,
+						// so it carries a record of the run at the same
+						// (key, position), and the hop chain telescopes down
+						// to the source's self record. A first pass gives
+						// every record its index in its range's buffer in
+						// up, which holds the self records' at the sources,
+						// so each record names its hop's as it is born.
+						// anchor holds each path vertex's index in the
+						// geometry.
+						up, anchor, rangeOf := make([]int32, j.N()), make([]int32, j.N()), make([]int32, j.N())
+						for jv, v := range roots {
+							rangeOf[jv] = int32(split.of(v))
+						}
+						for x, jv := range info.verts {
+							anchor[jv] = base + int32(x)
+							up[jv] = selfAt[anchor[jv]]
+						}
+						next := make([]int32, split.ranges)
+						emit := func(tr *shortest.Tree) {
+							for w, src := range tr.Source {
+								if src >= 0 && src != w {
+									r := rangeOf[w]
+									up[w] = int32(len(out[r])) + next[r]
+									next[r]++
+								}
+							}
+							clear(next)
+							for w, src := range tr.Source {
+								if src >= 0 && src != w {
+									p, r := tr.Parent[w], rangeOf[w]
+									out[r] = append(out[r], rec{tr.Dist[w], roots[w], k, roots[p], int32(tr.Hops[w]), anchor[src], up[p]})
+								}
+							}
+						}
+						// Closest-attachment entries via one multi-source
+						// run: path vertices have their self records, and
+						// every other reached vertex gets one, at distance 0
+						// too, since a record may hop through it.
 						trQ := ws.Run(j, info.verts, nil)
 						col.Record(trQ)
-						posOf := make([]float64, j.N())
-						for x, jv := range info.verts {
-							posOf[jv] = info.pos[x]
-						}
-						for w := 0; w < j.N(); w++ {
-							// Path vertices have their self records; every
-							// other reached vertex gets one, at distance 0
-							// too, since a record may hop through it.
-							src := trQ.Source[w]
-							if src < 0 || src == w {
-								continue
-							}
-							// The hop is w's parent in the multi-source
-							// forest: it shares w's source, so it carries a
-							// record at the same (key, position) and the hop
-							// chain telescopes down to the source itself.
-							out.put(split, rec{Portal{Pos: posOf[src], Dist: trQ.Dist[w]}, roots[w], k, roots[trQ.Parent[w]], int32(trQ.Hops[w])})
-						}
+						emit(trQ)
 						for _, x := range sel {
+							s := info.verts[x]
 							tr := ws.Run(j, info.verts[x:x+1], nil)
 							col.Record(tr)
-							for w := 0; w < j.N(); w++ {
-								if math.IsInf(tr.Dist[w], 1) || w == info.verts[x] {
-									continue
-								}
-								out.put(split, rec{Portal{Pos: info.pos[x], Dist: tr.Dist[w]}, roots[w], k, roots[tr.Parent[w]], int32(tr.Hops[w])})
-							}
+							up[s] = selfAt[anchor[s]]
+							emit(tr)
 						}
 						return out
 					})
@@ -432,6 +480,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 						col.Record(tr)
 						for pi, info := range infos {
 							k := rank[first+pi]
+							base := pathOff[k]
 							for _, x := range epsCover(tr.Dist, info, opt.Epsilon) {
 								if info.verts[x] == w {
 									continue // self record already present
@@ -450,12 +499,17 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 								// below the next one's: summed forward from w,
 								// w's could round below its hop's, and a chain
 								// of kept rows could then close on itself.
+								// Each record comes right after its hop's, so
+								// up is the index put just returned, the
+								// anchor's self record's at first.
 								path := tr.PathTo(info.verts[x])
 								tail := 0.0
+								a := base + int32(x)
+								up := selfAt[a]
 								for pidx := len(path) - 2; pidx >= 0; pidx-- {
 									ew, _ := j.EdgeWeight(path[pidx], path[pidx+1])
 									tail = ew + tail
-									out.put(split, rec{Portal{Pos: info.pos[x], Dist: tail}, roots[path[pidx]], k, roots[path[pidx+1]], int32(len(path) - 1 - pidx)})
+									up = out.put(split, rec{tail, roots[path[pidx]], k, roots[path[pidx+1]], int32(len(path) - 1 - pidx), a, up})
 								}
 							}
 						}
@@ -502,10 +556,12 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 		c.geo.pathPos = append(c.geo.pathPos, sp.pos...)
 		c.geo.pathOff[id+1] = int32(len(c.geo.pathVert))
 	}
+	pathOff = c.geo.pathOff
+	selfAt = make([]int32, nv)
 	self := sizedRecBuf(split, c.geo.pathVert, 1)
 	for k := range c.geo.keys {
-		for x := c.geo.pathOff[k]; x < c.geo.pathOff[k+1]; x++ {
-			self.put(split, rec{Portal{Pos: c.geo.pathPos[x]}, c.geo.pathVert[x], int32(k), -1, 0})
+		for x := pathOff[k]; x < pathOff[k+1]; x++ {
+			selfAt[x] = self.put(split, rec{0, c.geo.pathVert[x], int32(k), -1, 0, x, -1})
 		}
 	}
 	c.outs[0] = self
@@ -519,10 +575,12 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 // position and distance, which go to the lane, its key ID and hop vertex,
 // and its hop count to its path vertex (rec.d), which only the sort
 // reads: after it, dominate sets the depth of a row the build drops to
-// dropped, and prune resets it on the rows it keeps back. link is the
-// index of the row the hop names among the rows of the hop vertex's
-// range, or -1 at an anchor (resolveLinks); it fills the word the other
-// fields leave as padding.
+// dropped, and prune resets it on the rows it keeps back. link fills the
+// word the other fields leave as padding. Through the sort it holds the
+// record's gather index, after the dedupe the gather index of its hop's
+// record, and from the link round on the index of the row the hop names
+// among the rows of the hop vertex's range, or -1 at an anchor
+// (linkRange).
 type labelRow struct {
 	pos, dist             float64
 	depth, key, hop, link int32
@@ -531,44 +589,84 @@ type labelRow struct {
 // dropped is the depth that marks a row the build drops.
 const dropped = -1
 
-// rowCmp orders a vertex's rows by key ID, position, distance, depth and
-// hop vertex. Two rows it ties are identical, so the order is total and
-// a sort yields the same rows whatever order the records arrived in.
-func rowCmp(a, b labelRow) int {
+// rowLess orders a vertex's rows by key ID, position, distance, depth and
+// hop vertex. Two rows it ties are identical but for their links, which
+// resolve to the same row (see sortRange), so the order is total and a
+// sort yields the same rows whatever order the records arrived in. It
+// inlines, so sortRows compares without a call.
+func rowLess(a, b *labelRow) bool {
 	if a.key != b.key {
-		return cmp.Compare(a.key, b.key)
+		return a.key < b.key
 	}
 	if !core.SameDist(a.pos, b.pos) {
-		return floatCmp(a.pos, b.pos)
+		return a.pos < b.pos
 	}
 	if !core.SameDist(a.dist, b.dist) {
-		return floatCmp(a.dist, b.dist)
+		return a.dist < b.dist
 	}
-	return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.hop, b.hop))
+	if a.depth != b.depth {
+		return a.depth < b.depth
+	}
+	return a.hop < b.hop
 }
 
-// floatCmp orders two distances its caller has found not SameDist: -1 when
-// a < b, else +1.
-func floatCmp(a, b float64) int {
-	if a < b {
+// rowCmp is rowLess as a three-way comparison, for pdqsort.
+func rowCmp(a, b labelRow) int {
+	switch {
+	case rowLess(&a, &b):
 		return -1
+	case rowLess(&b, &a):
+		return 1
 	}
-	return 1
+	return 0
+}
+
+// sortRows sorts one vertex's rows under rowLess. Portal-mode groups
+// arrive nearly sorted: by key, and within a key one run's record, the
+// closest attachment's, ahead of the rest in ascending position. An
+// insertion sort finishes them in a few moves. An exact-mode vertex also
+// gets closure records from the tasks of other residual vertices, so its
+// keys arrive interleaved; once the moves exceed twice the group's
+// length, the group goes to pdqsort instead (DESIGN §7).
+func sortRows(rows []labelRow) {
+	moves := 0
+	for i := 1; i < len(rows); i++ {
+		if !rowLess(&rows[i], &rows[i-1]) {
+			continue
+		}
+		x := rows[i]
+		j := i - 1
+		for j > 0 && rowLess(&x, &rows[j-1]) {
+			j--
+		}
+		if moves += i - j; moves > 2*len(rows) {
+			slices.SortFunc(rows, rowCmp)
+			return
+		}
+		copy(rows[j+1:i+1], rows[j:i])
+		rows[j] = x
+	}
 }
 
 // rangeRows is one vertex range's rows after stage 3's sort, vertex
 // after vertex: vertex lo+i owns rows[ends[i]:ends[i+1]]. entries counts
 // the label entries the rows form, and seeds lists the kept rows whose
-// hop names a dropped row, where the hop closure starts (resolveLinks).
+// hop names a dropped row, where the hop closure starts (linkRange). fwd
+// holds one word per gathered record, in gather order: the gather index
+// of its hop's record while the range gathers, then, once the sort has
+// deduplicated the rows, the row that stands for it — its own, or the
+// duplicate kept in its place — and, from compact on, that row's index
+// among the kept rows.
 type rangeRows struct {
 	rows    []labelRow
 	ends    []int
 	entries int
 	seeds   []int32
+	fwd     []int32
 }
 
 // sortRange gathers range r's records from every task output, sorts each
-// vertex's rows with rowCmp and drops repeated positions on a key,
+// vertex's rows under rowLess and drops repeated positions on a key,
 // keeping the first — the smallest distance, then the smallest depth,
 // then the smallest hop. The depth breaks the distance ties zero-weight
 // edges make between rows of different runs (shortest-path trees, or
@@ -578,8 +676,9 @@ type rangeRows struct {
 // and the chain reaches a path vertex's self record. Breaking those ties
 // by the hop vertex alone can link two kept rows to each other, and
 // neither then reaches the path. Each entry's dominated rows are then
-// marked (see dominate).
-func (c *records) sortRange(r int) rangeRows {
+// marked (see dominate). base is gatherBase's table: with it the gather
+// turns each record's up into its hop's gather index in the hop's range.
+func (c *records) sortRange(r int, base []int32) rangeRows {
 	lo, hi := c.split.bounds(r)
 	nv := hi - lo
 	// Count each vertex's records, then scatter them into its group.
@@ -593,28 +692,46 @@ func (c *records) sortRange(r int) rangeRows {
 		ends[i+1] += ends[i]
 	}
 	rows := make([]labelRow, ends[nv])
+	fwd := make([]int32, ends[nv])
 	next := slices.Clone(ends[:nv])
-	for _, out := range c.outs {
-		for _, x := range out[r] {
+	// The rows are written field by field: a row built whole and then
+	// copied is read back in 16-byte halves over its narrower stores,
+	// which no store forwards, and every record then stalls.
+	g := int32(0)
+	for t, out := range c.outs {
+		recs := out[r]
+		for j := range recs {
+			x := &recs[j]
 			i := int(x.v) - lo
-			rows[next[i]] = labelRow{pos: x.p.Pos, dist: x.p.Dist, depth: x.d, key: x.k, hop: x.h}
+			w := &rows[next[i]]
 			next[i]++
+			w.pos, w.dist = c.geo.pathPos[x.at], x.dist
+			w.depth, w.key, w.hop, w.link = x.d, x.k, x.h, g
+			// A depth-1 record's hop is its run's source, whose self record
+			// the first output holds; any other's is in its own output.
+			switch {
+			case x.d == 1:
+				fwd[g] = x.up
+			case x.d > 1:
+				fwd[g] = base[t*c.split.ranges+c.split.of(x.h)] + x.up
+			}
+			g++
 		}
 	}
 	// Sort and deduplicate group by group, compacting in place: the write
-	// cursor never passes the row being read.
+	// cursor never passes the row being read. A row takes its hop's gather
+	// index out of fwd and leaves there the row that stands for it.
 	kept, entries, start := 0, 0, 0
 	for i := 0; i < nv; i++ {
 		end := ends[i+1]
 		group := rows[start:end]
-		// pdqsort, not a stable sort: portal-mode groups arrive nearly
-		// sorted, where a stable sort is faster, but exact-mode groups
-		// interleave keys, where it is slower (DESIGN §7).
-		slices.SortFunc(group, rowCmp)
+		sortRows(group)
 		first, entry := kept, kept
 		for _, x := range group {
+			g := x.link
 			if kept > first && x.key == rows[kept-1].key {
 				if core.SameDist(x.pos, rows[kept-1].pos) {
+					fwd[g] = int32(kept - 1)
 					continue
 				}
 			} else {
@@ -622,14 +739,17 @@ func (c *records) sortRange(r int) rangeRows {
 				entry = kept
 				entries++
 			}
+			h := fwd[g]
+			fwd[g] = int32(kept)
 			rows[kept] = x
+			rows[kept].link = h
 			kept++
 		}
 		dominate(rows[entry:kept])
 		ends[i+1] = kept
 		start = end
 	}
-	return rangeRows{rows: rows[:kept], ends: ends, entries: entries}
+	return rangeRows{rows: rows[:kept], ends: ends, entries: entries, fwd: fwd}
 }
 
 // dominate marks dropped every row of one entry, sorted by position, that
@@ -660,53 +780,33 @@ func dominates(aPos, aDist, bPos, bDist float64, first bool) bool {
 	return d < aDist || first && d <= aDist
 }
 
-// resolveLinks sets the link of every kept row of range r to the index
-// of the row at the hop vertex's key and position among the rows of the
-// hop vertex's range — the record findRecord finds in the serving rows —
-// or -1 at an anchor, and lists the rows whose link names a dropped row
-// in the range's seeds. A hop that names no row also gets -1; Freeze
-// reports it. A dropped row's link is left to prune, which resolves only
-// those of the rows it keeps back. resolveLinks reads other ranges' rows,
-// all sorted and marked, and writes only range r's links and seeds.
-func (c *records) resolveLinks(parts []rangeRows, r int) {
+// linkRange sets the link of every row of range r, kept and dropped, to
+// the index of the row that stands for its hop's record among the rows
+// of the hop vertex's range — the row at the hop vertex's key and
+// position — or -1 at an anchor, and lists the kept rows whose link
+// names a dropped row in the range's seeds. It reads other ranges' fwd
+// maps and rows, all sorted and marked, and writes only range r's links
+// and seeds.
+func (c *records) linkRange(parts []rangeRows, r int) {
 	rr := &parts[r]
 	for x := range rr.rows {
 		w := &rr.rows[x]
-		if w.depth == dropped {
+		if w.hop < 0 {
+			w.link = -1
 			continue
 		}
-		if w.link = c.link(parts, w.hop, w.key, w.pos); w.link >= 0 && parts[c.split.of(w.hop)].rows[w.link].depth == dropped {
+		hp := &parts[c.split.of(w.hop)]
+		if w.link = hp.fwd[w.link]; w.depth != dropped && hp.rows[w.link].depth == dropped {
 			rr.seeds = append(rr.seeds, int32(x))
 		}
 	}
 }
 
-// link returns the index of hop vertex h's row at key k and position pos
-// among the rows of h's range, or -1 when h < 0 or h has no such row. It
-// reads no row's link, which the range tasks write beside it.
-func (c *records) link(parts []rangeRows, h, k int32, pos float64) int32 {
-	if h < 0 {
-		return -1
-	}
-	r := c.split.of(h)
-	lo, _ := c.split.bounds(r)
-	rr := &parts[r]
-	first, last := rr.ends[int(h)-lo], rr.ends[int(h)-lo+1]
-	rows := rr.rows[first:last]
-	x := first + sort.Search(len(rows), func(i int) bool {
-		return rows[i].key > k || rows[i].key == k && rows[i].pos >= pos
-	})
-	if x < last && rr.rows[x].key == k && core.SameDist(rr.rows[x].pos, pos) {
-		return int32(x)
-	}
-	return -1
-}
-
 // prune is the hop closure, one serial pass from every range's seeds: a
-// seed's chain keeps every dropped row it passes through, resolving each
-// one's link on the way, until it reaches a row that stays, so a kept
-// row's chain still reaches its anchor. The kept set is the same whatever
-// order the seeds are visited in.
+// seed's chain keeps every dropped row it passes through, until it
+// reaches a row that stays, so a kept row's chain still reaches its
+// anchor. The kept set is the same whatever order the seeds are visited
+// in.
 func (c *records) prune(parts []rangeRows) {
 	for r := range parts {
 		for _, x := range parts[r].seeds {
@@ -717,7 +817,6 @@ func (c *records) prune(parts []rangeRows) {
 					break
 				}
 				y.depth = 0
-				y.link = c.link(parts, y.hop, y.key, y.pos)
 				h, t = y.hop, y.link
 			}
 		}
@@ -725,12 +824,14 @@ func (c *records) prune(parts []rangeRows) {
 }
 
 // compact moves the range's kept rows to its front, vertex by vertex, in
-// place. No entry empties, so the entry count stands.
+// place, and leaves in fwd each kept row's new index at its old one. No
+// entry empties, so the entry count stands.
 func (rr *rangeRows) compact() {
 	kept, start := 0, 0
 	for i := 1; i < len(rr.ends); i++ {
-		for _, w := range rr.rows[start:rr.ends[i]] {
-			if w.depth != dropped {
+		for x := start; x < rr.ends[i]; x++ {
+			if w := rr.rows[x]; w.depth != dropped {
+				rr.fwd[x] = int32(kept)
 				rr.rows[kept] = w
 				kept++
 			}
@@ -742,20 +843,24 @@ func (rr *rangeRows) compact() {
 
 // assemble is Build's stage 3: it writes the serving rows. One pool task
 // per vertex range sorts and deduplicates the range's rows and marks the
-// dominated ones (sortRange), a second resolves every kept row's hop to
-// a row (resolveLinks), the serial hop closure keeps back the dominated rows a
-// kept row's chain passes through (prune), and a third task per range
-// compacts the range's kept rows in place. One prefix sum over the ranges
-// then gives every range its entry and pool offsets, and a last task per
-// range fills its share of entryOff, entryKey and portalOff, the sweep
-// lane (buildLane) and one hop vertex per row, straight from the kept
-// rows. The range boundaries of portalOff are written before that pass,
-// so no range reads an offset another one writes.
+// dominated ones (sortRange), a second links every row to the row its
+// hop's record stands at (linkRange), the serial hop closure keeps back
+// the dominated rows a kept row's chain passes through (prune), and a
+// third task per range compacts the range's kept rows in place. One
+// prefix sum over the ranges then gives every range its entry and pool
+// offsets, and a last task per range fills its share of entryOff,
+// entryKey and portalOff, the sweep lane (buildLane) and every kept
+// row's link, remapped to the pool index of the row it names, straight
+// from the kept rows. The range boundaries of portalOff are written
+// before that pass, so no range reads an offset another one writes.
+// Every round reads other ranges' words only where an earlier round
+// wrote them.
 func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 	split := c.split
 	parts := make([]rangeRows, split.ranges)
-	pool.ForEach(split.ranges, func(r int) { parts[r] = c.sortRange(r) })
-	pool.ForEach(split.ranges, func(r int) { c.resolveLinks(parts, r) })
+	base := c.gatherBase()
+	pool.ForEach(split.ranges, func(r int) { parts[r] = c.sortRange(r, base) })
+	pool.ForEach(split.ranges, func(r int) { c.linkRange(parts, r) })
 	c.prune(parts)
 	pool.ForEach(split.ranges, func(r int) { parts[r].compact() })
 
@@ -779,7 +884,7 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 			tables: c.geo,
 			lane:   alignedPortals(numPortals),
 		},
-		hopVert: make([]int32, numPortals),
+		links: make([]int32, numPortals),
 	}
 	rows := &o.rows
 	rows.entryOff = make([]int32, c.n+1)
@@ -805,7 +910,12 @@ func (c *records) assemble(opt Options, pool *par.Pool) (*Oracle, error) {
 					rows.entryKey[e] = w.key
 					e++
 				}
-				o.hopVert[pb+x] = w.hop
+				t := int32(-1)
+				if w.hop >= 0 {
+					h := split.of(w.hop)
+					t = int32(portBase[h]) + parts[h].fwd[w.link]
+				}
+				o.links[pb+x] = t
 			}
 			rows.entryOff[lo+i+1] = int32(e)
 		}
@@ -903,7 +1013,8 @@ func keyCmp(a, b Key) int {
 func (o *Oracle) Query(u, v int) float64 { return o.rows.Query(u, v) }
 
 // Label returns vertex v's distance label, assembled from its rows, or
-// nil when v is out of range. Two labels alone answer a query
+// nil when v is out of range: each portal's hop is the vertex that owns
+// the record its link names. Two labels alone answer a query
 // (QueryLabels): the distributed form of the oracle.
 func (o *Oracle) Label(v int) *Label {
 	if v < 0 || v >= o.N {
@@ -915,13 +1026,27 @@ func (o *Oracle) Label(v int) *Label {
 	for i := range l.Entries {
 		e := lo + i
 		plo, phi := int(r.portalOff[e]), int(r.portalOff[e+1])
+		hops := make([]int32, phi-plo)
+		for x, t := range o.links[plo:phi] {
+			hops[x] = r.owner(t)
+		}
 		l.Entries[i] = Entry{
 			Key:     r.keys[r.entryKey[e]],
 			Portals: slices.Clone(r.lane[plo:phi]),
-			Hops:    slices.Clone(o.hopVert[plo:phi]),
+			Hops:    hops,
 		}
 	}
 	return l
+}
+
+// owner returns the vertex whose label holds pool record t, or -1 when t
+// is negative.
+func (f *Flat) owner(t int32) int32 {
+	if t < 0 {
+		return -1
+	}
+	e := sort.Search(len(f.entryKey), func(e int) bool { return f.portalOff[e+1] > t })
+	return int32(sort.Search(f.n, func(v int) bool { return int(f.entryOff[v+1]) > e }))
 }
 
 // QueryLabels answers an approximate distance query from two labels alone

@@ -12,12 +12,7 @@ package oracle
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
-
-	"pathsep/internal/core"
-	"pathsep/internal/par"
 )
 
 // Static walk errors: inconsistent path records are reported, never
@@ -313,81 +308,4 @@ func (f *Flat) QueryPathBatch(pairs []Pair, dists []float64, verts []int32, offs
 		offs[i+1] = int32(len(verts))
 	}
 	return dists, verts, offs, nil
-}
-
-// findRecord locates vertex w's pool record for key kid at position pos,
-// or -1 when absent.
-func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
-	if w < 0 || w >= f.n {
-		return -1
-	}
-	lo, hi := int(f.entryOff[w]), int(f.entryOff[w+1])
-	e := lo + sort.Search(hi-lo, func(i int) bool { return f.entryKey[lo+i] >= kid })
-	if e == hi || f.entryKey[e] != kid {
-		return -1
-	}
-	plo, phi := int(f.portalOff[e]), int(f.portalOff[e+1])
-	x := plo + sort.Search(phi-plo, func(i int) bool { return f.lane[plo+i].Pos >= pos })
-	if x < phi && core.SameDist(f.lane[x].Pos, pos) {
-		return int32(x)
-	}
-	return -1
-}
-
-// resolveHops resolves every hop vertex to the pool index of the record
-// it names: the hop vertex's record at the same key and position, the
-// hop forest the walk layout is derived from. Each link goes straight to
-// its record's word in links, as a decode's hop section does (see
-// hopLinks.link), and it returns the anchor count. A hop that names
-// no record fails the freeze rather than produce an image that cannot
-// report paths. The hops resolve on a runtime.GOMAXPROCS(0)-wide pool,
-// one task per vertex range; the anchors rank in pool order, each range
-// from the count of anchors before it, and the error reported is the
-// first in pool order, as a serial pass would find it.
-func (f *Flat) resolveHops(hopVert []int32, links hopLinks) (int32, error) {
-	pool := par.New(0, nil)
-	split := newVertexSplit(f.n, rangesPerWorker*pool.Workers())
-	rank := make([]int32, split.ranges+1)
-	pool.ForEach(split.ranges, func(r int) {
-		lo, hi := split.bounds(r)
-		for _, h := range hopVert[f.portalOff[f.entryOff[lo]]:f.portalOff[f.entryOff[hi]]] {
-			if h < 0 {
-				rank[r+1]++
-			}
-		}
-	})
-	for r := 0; r < split.ranges; r++ {
-		rank[r+1] += rank[r]
-	}
-	errs := make([]error, split.ranges)
-	pool.ForEach(split.ranges, func(r int) {
-		lo, hi := split.bounds(r)
-		errs[r] = f.resolveRange(hopVert, links, lo, hi, rank[r])
-	})
-	if err := firstErr(errs); err != nil {
-		return 0, err
-	}
-	return rank[split.ranges], nil
-}
-
-// resolveRange links every hop record of vertices [lo, hi) in links, the
-// range's anchors ranked from rank, stopping at the first hop with no
-// record.
-func (f *Flat) resolveRange(hopVert []int32, links hopLinks, lo, hi int, rank int32) error {
-	for v := lo; v < hi; v++ {
-		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
-			kid := f.entryKey[e]
-			for x := f.portalOff[e]; x < f.portalOff[e+1]; x++ {
-				t := int32(-1)
-				if h := hopVert[x]; h >= 0 {
-					pos := f.lane[x].Pos
-					if t = f.findRecord(int(h), kid, pos); t < 0 {
-						return fmt.Errorf("oracle: freeze: vertex %d key %v: hop to %d has no record at position %v", v, f.keys[kid], h, pos)
-					}
-				}
-				rank = links.link(x, t, rank)
-			}
-		}
-	}
-	return nil
 }

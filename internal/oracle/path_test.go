@@ -238,75 +238,80 @@ func TestDecodeFlatPathValidation(t *testing.T) {
 	}
 }
 
-// TestFreezeRejectsTruncatedHops pins Freeze's failure mode: a hop that
-// names no record makes Freeze fail instead of producing an image that
-// cannot report paths. Every hop record of the first vertex that has
-// one is planted, in turn, with a hop vertex that has no record at the
-// record's key and position.
+// TestFreezeRejectsTruncatedHops pins Freeze's refusal of a link that
+// does not name its hop's record, which a hop chain could not follow
+// from a record to its anchor's position. On the 12×12 CoverPortal
+// build, the first record that hops anywhere and has a record to link to
+// is planted, in turn, with a link to a record of its own key at another
+// position, which Freeze's check against the lane refuses, and with a
+// link to another key's record at its own position, which the walk
+// derivation's key check refuses. Freeze must fail on both instead of
+// producing an image that cannot report paths.
 func TestFreezeRejectsTruncatedHops(t *testing.T) {
-	o, _ := buildPathImage(t)
-	r := &o.rows
-	planted := 0
-	for v := 0; v < o.N && planted == 0; v++ {
-		for e := r.entryOff[v]; e < r.entryOff[v+1]; e++ {
-			kid := r.entryKey[e]
-			for x := r.portalOff[e]; x < r.portalOff[e+1]; x++ {
-				if o.hopVert[x] < 0 {
-					continue
-				}
-				w := 0
-				for w < o.N && r.findRecord(w, kid, r.lane[x].Pos) >= 0 {
-					w++
-				}
-				if w == o.N {
-					continue
-				}
-				hop := o.hopVert[x]
-				o.hopVert[x] = int32(w)
-				_, err := o.Freeze()
-				o.hopVert[x] = hop
-				if err == nil || !strings.Contains(err.Error(), "has no record") {
-					t.Fatalf("vertex %d record %d: hop planted on vertex %d: Freeze err = %v, want no record", v, x, w, err)
-				}
-				planted++
+	o, err := Build(gridDec(t, 12), Options{Epsilon: 0.25, Mode: CoverPortal, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := o.rows.lane
+	_, keyOf := keyRecords(&o.rows)
+	plants := []struct {
+		name, want string
+		ok         func(x, y int32) bool
+	}{
+		{"same key, another position", "no record at its position", func(x, y int32) bool {
+			return keyOf[y] == keyOf[x] && lane[y].Pos != lane[x].Pos
+		}},
+		{"another key, same position", "another key", func(x, y int32) bool {
+			return keyOf[y] != keyOf[x] && lane[y].Pos == lane[x].Pos
+		}},
+	}
+	for _, p := range plants {
+		x, y := plantFor(o.links, func(x, y int32) bool { return o.links[x] >= 0 && p.ok(x, y) })
+		if x < 0 {
+			t.Fatalf("%s: fixture has no hop record to plant", p.name)
+		}
+		link := o.links[x]
+		o.links[x] = y
+		_, err := o.Freeze()
+		o.links[x] = link
+		if err == nil || !strings.Contains(err.Error(), p.want) {
+			t.Errorf("%s: record %d linked to record %d: Freeze err = %v, want %q", p.name, x, y, err, p.want)
+		}
+	}
+	if _, err := o.Freeze(); err != nil {
+		t.Fatalf("restored links: %v", err)
+	}
+}
+
+// plantFor returns the first pair of pool records (x, y), x first, for
+// which ok holds, or -1, -1.
+func plantFor(links []int32, ok func(x, y int32) bool) (int32, int32) {
+	for x := range links {
+		for y := range links {
+			if ok(int32(x), int32(y)) {
+				return int32(x), int32(y)
 			}
 		}
 	}
-	if planted == 0 {
-		t.Fatal("fixture has no hop record to plant")
-	}
-	if _, err := o.Freeze(); err != nil {
-		t.Fatalf("restored hops: %v", err)
-	}
+	return -1, -1
 }
 
 // TestFreezeRejectsUnpositioned pins the two ways a build could leave a
 // record without a position, which Freeze must refuse rather than write
-// an image that does not decode: a hop cycle, planted by pointing the
-// record the first hop reaches back at the hopping record's vertex, and
-// a key path that repeats a vertex, planted on the golden fixture's
-// first path of two or more vertices.
+// an image that does not decode: a hop cycle, planted by linking the
+// first record that hops anywhere to itself, and a key path that repeats
+// a vertex, planted on the golden fixture's first path of two or more
+// vertices.
 func TestFreezeRejectsUnpositioned(t *testing.T) {
 	o, _ := buildPathImage(t)
-	r := &o.rows
-	x, owner := int32(-1), int32(-1)
-	for v := 0; v < o.N && x < 0; v++ {
-		for e := r.entryOff[v]; e < r.entryOff[v+1] && x < 0; e++ {
-			for y := r.portalOff[e]; y < r.portalOff[e+1]; y++ {
-				if o.hopVert[y] >= 0 {
-					x, owner = r.findRecord(int(o.hopVert[y]), r.entryKey[e], r.lane[y].Pos), int32(v)
-					break
-				}
-			}
-		}
-	}
+	x, _ := plantFor(o.links, func(x, _ int32) bool { return o.links[x] >= 0 })
 	if x < 0 {
 		t.Fatal("fixture has no hop record")
 	}
-	hop := o.hopVert[x]
-	o.hopVert[x] = owner
+	link := o.links[x]
+	o.links[x] = x
 	_, err := o.Freeze()
-	o.hopVert[x] = hop
+	o.links[x] = link
 	if err == nil || !strings.Contains(err.Error(), "reach no anchor") {
 		t.Errorf("hop cycle through record %d: Freeze err = %v, want records that reach no anchor", x, err)
 	}

@@ -135,7 +135,8 @@ func replayRef(c *records) *refOracle {
 	for r := 0; r < c.split.ranges; r++ {
 		for _, out := range c.outs {
 			for _, x := range out[r] {
-				rows[x.v] = append(rows[x.v], refRow{key: c.geo.keys[x.k], p: x.p, hop: x.h, depth: x.d})
+				p := Portal{Pos: c.geo.pathPos[x.at], Dist: x.dist}
+				rows[x.v] = append(rows[x.v], refRow{key: c.geo.keys[x.k], p: p, hop: x.h, depth: x.d})
 			}
 		}
 	}
@@ -472,4 +473,32 @@ func (ref *refOracle) freeze() (*Flat, []int32, error) {
 		}
 	}
 	return f, hops, nil
+}
+
+// findRecord locates vertex w's pool record for key kid at position pos,
+// or -1 when absent: the search the reference freeze resolves hops with.
+func (f *Flat) findRecord(w int, kid int32, pos float64) int32 {
+	if w < 0 || w >= f.n {
+		return -1
+	}
+	lo, hi := int(f.entryOff[w]), int(f.entryOff[w+1])
+	e := lo + sort.Search(hi-lo, func(i int) bool { return f.entryKey[lo+i] >= kid })
+	if e == hi || f.entryKey[e] != kid {
+		return -1
+	}
+	plo, phi := int(f.portalOff[e]), int(f.portalOff[e+1])
+	x := plo + sort.Search(phi-plo, func(i int) bool { return f.lane[plo+i].Pos >= pos })
+	if x < phi && core.SameDist(f.lane[x].Pos, pos) {
+		return int32(x)
+	}
+	return -1
+}
+
+// floatCmp orders two distances its caller has found not SameDist: -1 when
+// a < b, else +1.
+func floatCmp(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	return 1
 }

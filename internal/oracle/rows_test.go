@@ -15,9 +15,10 @@ import (
 	"pathsep/internal/shortest"
 )
 
-// rowsDiff compares Build's rows, with the hops Freeze resolved (as its
-// image carries them), against the reference freeze and its hops word for
-// word, and describes the first difference or returns "".
+// rowsDiff compares Build's rows and the links it resolved as it wrote
+// them, and the hops its frozen image carries, against the reference
+// freeze and the hops it searched, word for word, and describes the
+// first difference or returns "".
 func rowsDiff(o *Oracle, got, want *Flat, wantHops []int32) string {
 	r := &o.rows
 	if !slices.Equal(r.keys, want.keys) {
@@ -32,6 +33,7 @@ func rowsDiff(o *Oracle, got, want *Flat, wantHops []int32) string {
 		{"portalOff", r.portalOff, want.portalOff},
 		{"pathOff", r.pathOff, want.pathOff},
 		{"pathVert", r.pathVert, want.pathVert},
+		{"links", o.links, wantHops},
 		{"hops", imageHops(got), wantHops},
 	} {
 		if len(t.got) != len(t.want) {
@@ -98,9 +100,9 @@ func labelDiff(o *Oracle, ref *refOracle) string {
 }
 
 // checkRows builds dec at pool widths 1, 2, 4 and 0 with shuffled task
-// submission and compares every build's rows, and the hops its Freeze
-// resolves, with the reference replay of a serial build; with labels it
-// also compares every Label with the reference's.
+// submission and compares every build's rows and links, and the hops its
+// frozen image carries, with the reference replay of a serial build; with
+// labels it also compares every Label with the reference's.
 func checkRows(t *testing.T, name string, dec *core.Tree, opt Options, labels bool) {
 	t.Helper()
 	ref := refBuild(t, dec, opt, 1)
@@ -140,8 +142,9 @@ func zeroWeightGrid(side int, rng *rand.Rand) *embed.Rotation {
 
 // TestBuildRowsMatchReference pins the row assembly to the label replay
 // it replaced, pruned by pruneRef, word for word: keys, entryOff,
-// entryKey, portalOff, the lane, the geometry and the hops Freeze
-// resolves, plus every Label —
+// entryKey, portalOff, the lane, the geometry, and the links Build
+// resolves without a search and the hops its image carries against the
+// hops the reference searched, plus every Label —
 // on laneFamilies and a zero-weight grid in both modes, and on the
 // 64×64 bench grid and (outside -short) the 128×128 one, at pool widths
 // 1, 2, 4 and 0 with shuffled task submission.
@@ -260,7 +263,7 @@ func toInts(walk []int32) []int {
 
 // FuzzBuildRows builds small random grids — up to 7×7, weights uniform
 // in [0, 4) with a share of zero edges chosen by the input — in either
-// mode at pool width 1 or 2, and compares the rows, the resolved hops
+// mode at pool width 1 or 2, and compares the rows, the links, the hops
 // and every Label with the reference replay, pruned by pruneRef. Against
 // the unpruned replay, every vertex must keep every entry, none empty,
 // and every anchor, and every kept record's hop must name a kept record
@@ -314,12 +317,12 @@ func FuzzBuildRows(f *testing.F) {
 // path's Dijkstra runs share one workspace, so Build+Freeze allocates
 // within 145 B/row in all, where keeping every emitted row allocates
 // 145.3–150.5, and the live Oracle plus its Flat — one 16 B lane record
-// and a 4 B hop vertex per kept portal, the walk layout and the small CSR
+// and a 4 B hop link per kept portal, the walk layout and the small CSR
 // tables — hold within 26 B/row after a GC, where keeping every emitted
 // row holds 34.4. Assembling per-vertex label slices first and copying
 // them into the Flat, fresh arrays for every Dijkstra run, or copying the
 // kept rows into per-field arrays before the lane (16.3 B/row) break the
-// first; keeping the resolved hop links (2.7 B/row), per-record walk
+// first; keeping Freeze's transient link array (2.7 B/row), per-record walk
 // entries or a third lane word (5.4 B/row) breaks the second.
 func TestBuildMemoryBudget(t *testing.T) {
 	dec, opt := budgetFixture(t)
@@ -359,8 +362,9 @@ var setupSink any
 
 // BenchmarkImageSetup times the bulk workload's image set-up stage by
 // stage — Decompose, Build, Freeze and Encode of the 128×128
-// bench-shaped ε = 0.25 portal image, at the GOMAXPROCS pool width — so
-// each stage pairs without the end-to-end benchmark:
+// bench-shaped ε = 0.25 portal image, at the GOMAXPROCS pool width, and
+// DecodeFlat of its encoding, the work pathsepd -image does at start —
+// so each stage pairs without the end-to-end benchmark:
 //
 //	go test -run '^$' -bench ImageSetup -cpu 1,2 ./internal/oracle/
 func BenchmarkImageSetup(b *testing.B) {
@@ -380,6 +384,7 @@ func BenchmarkImageSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	img := fl.Encode()
 	stages := []struct {
 		name string
 		run  func() (any, error)
@@ -388,6 +393,7 @@ func BenchmarkImageSetup(b *testing.B) {
 		{"build", func() (any, error) { return Build(dec, Options{Epsilon: 0.25, Mode: CoverPortal}) }},
 		{"freeze", func() (any, error) { return o.Freeze() }},
 		{"encode", func() (any, error) { return fl.Encode(), nil }},
+		{"decode", func() (any, error) { return DecodeFlat(img) }},
 	}
 	for _, st := range stages {
 		b.Run(st.name, func(b *testing.B) {

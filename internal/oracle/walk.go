@@ -275,7 +275,7 @@ func (l hopLinks) set(r, w int32) {
 // hops to, or, at an anchor (h < 0), −1−rank. Anchors are ranked in pool
 // order, so a caller links them in that order from rank, and link
 // returns the next anchor's rank. The decode links its hop section as it
-// streams in, and Freeze its resolved hops.
+// streams in, and Freeze the links Build resolved.
 func (l hopLinks) link(r, h, rank int32) int32 {
 	if h < 0 {
 		l.set(r, -1-rank)

@@ -144,3 +144,116 @@ func TestQuickRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refPQ is the heap before its keys moved into the heap slots: keys in a
+// per-item array, every sift comparison reading key[heap[i]]. It is kept
+// as the reference for the pop order.
+type refPQ struct {
+	heap, pos []int
+	key       []float64
+}
+
+func newRef(n int) *refPQ {
+	q := &refPQ{pos: make([]int, n), key: make([]float64, n)}
+	for i := range q.pos {
+		q.pos[i] = -1
+	}
+	return q
+}
+
+func (q *refPQ) push(item int, key float64) {
+	if q.pos[item] >= 0 {
+		old := q.key[item]
+		q.key[item] = key
+		if key < old {
+			q.up(q.pos[item])
+		} else if key > old {
+			q.down(q.pos[item])
+		}
+		return
+	}
+	q.key[item] = key
+	q.pos[item] = len(q.heap)
+	q.heap = append(q.heap, item)
+	q.up(len(q.heap) - 1)
+}
+
+func (q *refPQ) pop() (int, float64) {
+	item := q.heap[0]
+	last := len(q.heap) - 1
+	q.swap(0, last)
+	q.heap = q.heap[:last]
+	q.pos[item] = -1
+	if last > 0 {
+		q.down(0)
+	}
+	return item, q.key[item]
+}
+
+func (q *refPQ) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if q.key[q.heap[i]] >= q.key[q.heap[parent]] {
+			break
+		}
+		q.swap(i, parent)
+		i = parent
+	}
+}
+
+func (q *refPQ) down(i int) {
+	n := len(q.heap)
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && q.key[q.heap[l]] < q.key[q.heap[smallest]] {
+			smallest = l
+		}
+		if r < n && q.key[q.heap[r]] < q.key[q.heap[smallest]] {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		q.swap(i, smallest)
+		i = smallest
+	}
+}
+
+func (q *refPQ) swap(i, j int) {
+	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
+	q.pos[q.heap[i]] = i
+	q.pos[q.heap[j]] = j
+}
+
+// TestPopOrderMatchesReference pins the heap to refPQ item for item
+// under random pushes, key updates both ways and pops, with keys drawn
+// from eight values so that ties are common: the order ties pop in is
+// what every Dijkstra's settle order, and so every tree and image, rests
+// on.
+func TestPopOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 64
+	for trial := 0; trial < 200; trial++ {
+		q, ref := New(n), newRef(n)
+		for step := 0; step < 500; step++ {
+			if rng.Intn(3) > 0 {
+				it, k := rng.Intn(n), float64(rng.Intn(8))
+				q.Push(it, k)
+				ref.push(it, k)
+				continue
+			}
+			if q.Len() != len(ref.heap) {
+				t.Fatalf("trial %d step %d: %d items, reference %d", trial, step, q.Len(), len(ref.heap))
+			}
+			if q.Len() == 0 {
+				continue
+			}
+			gi, gk := q.Pop()
+			wi, wk := ref.pop()
+			if gi != wi || gk != wk {
+				t.Fatalf("trial %d step %d: popped (%d, %v), reference (%d, %v)", trial, step, gi, gk, wi, wk)
+			}
+		}
+	}
+}

@@ -40,6 +40,7 @@ type scratch struct {
 	path  []int32
 	body  []byte
 	out   []byte
+	batch batchRequest // a JSON batch as decoded; its pairs are zero between requests
 }
 
 // failure is a rejected request: its status and plain-text message.
@@ -177,18 +178,28 @@ func (s *Server) parseBatchJSON(w http.ResponseWriter, r *http.Request, sc *scra
 	if sc.body, f = readBody(w, r, int64(s.maxBatch)*64+4096, sc.body); f != nil {
 		return f
 	}
-	var req batchRequest
-	if err := json.Unmarshal(sc.body, &req); err != nil {
-		return &failure{http.StatusBadRequest, "bad JSON: " + err.Error()}
+	// Unmarshal appends the pairs into the scratch's capacity, but a null
+	// element leaves the pair it lands on as it finds it, so the whole
+	// capacity is zeroed again before the scratch is reused: a repeated
+	// "pairs" key decodes twice, and the first decode's pairs past the
+	// second's length stay behind. A body may hold more pairs than the
+	// cap, which is checked only once they are decoded; the scratch keeps
+	// no more than the cap's worth.
+	req := &sc.batch
+	req.Pairs = req.Pairs[:0]
+	if err := json.Unmarshal(sc.body, req); err != nil {
+		f = &failure{http.StatusBadRequest, "bad JSON: " + err.Error()}
+	} else if f = s.overCap(len(req.Pairs)); f == nil {
+		sc.pairs = slices.Grow(sc.pairs[:0], len(req.Pairs))
+		for _, p := range req.Pairs {
+			sc.pairs = append(sc.pairs, oracle.Pair{U: p[0], V: p[1]})
+		}
 	}
-	if f := s.overCap(len(req.Pairs)); f != nil {
-		return f
+	clear(req.Pairs[:cap(req.Pairs)])
+	if cap(req.Pairs) > s.maxBatch {
+		req.Pairs = nil
 	}
-	sc.pairs = slices.Grow(sc.pairs[:0], len(req.Pairs))
-	for _, p := range req.Pairs {
-		sc.pairs = append(sc.pairs, oracle.Pair{U: p[0], V: p[1]})
-	}
-	return nil
+	return f
 }
 
 func writeBatchJSON(w http.ResponseWriter, sc *scratch) {

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -303,6 +304,89 @@ func TestAdminStatus(t *testing.T) {
 	}
 }
 
+// TestBatchJSONReusedScratch pins the JSON batch answers across requests
+// that share a scratch: the decoder appends into the scratch's pairs, and
+// a null element leaves the pair it lands on as it finds it, so a pair
+// of an earlier request must not show through. After
+// {"pairs":[[11,12],[13,14]]}, the body {"pairs":[null,[7]]} must answer
+// the pairs (0, 0) and (7, 0), as a fresh slice decodes it, and not
+// (11, 12) and (7, 0). A repeated "pairs" key decodes twice into the
+// same slice, so after {"pairs":[[11,12],[13,14]],"pairs":[[1,2]]} the
+// body {"pairs":[[0,0],null]} must answer (0, 0) twice, and not (13, 14)
+// second. Three rounds in one goroutine, so the pool hands the same
+// scratch back at least once outside the race detector.
+func TestBatchJSONReusedScratch(t *testing.T) {
+	s, _, fl := newTestServer(t, Config{Workers: 1})
+	post := func(body string) []*float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		var got struct {
+			Dists []*float64 `json:"dists"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		return got.Dists
+	}
+	for _, tc := range []struct {
+		first, second string
+		want          [][2]int
+	}{
+		{`{"pairs":[[11,12],[13,14]]}`, `{"pairs":[null,[7]]}`, [][2]int{{0, 0}, {7, 0}}},
+		{`{"pairs":[[11,12],[13,14]],"pairs":[[1,2]]}`, `{"pairs":[[0,0],null]}`, [][2]int{{0, 0}, {0, 0}}},
+	} {
+		for round := 0; round < 3; round++ {
+			post(tc.first)
+			got := post(tc.second)
+			if len(got) != len(tc.want) {
+				t.Fatalf("%s after %s, round %d: %d answers, want %d", tc.second, tc.first, round, len(got), len(tc.want))
+			}
+			for i, p := range tc.want {
+				if want := fl.Query(p[0], p[1]); got[i] == nil || *got[i] != want {
+					t.Fatalf("%s after %s, round %d: pair %d answers %s, want %v", tc.second, tc.first, round, i, distText(got[i]), want)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchJSONScratchBound pins what a JSON batch leaves in the pooled
+// scratch: a body may hold more pairs than the cap, which is checked
+// only once they are decoded, and the decoded slice must not stay
+// behind at that size. With a cap of 4 pairs, a 64-pair body is refused
+// with a 413, and the scratch the pool hands out next holds room for at
+// most 4 pairs. Under the race detector the pool drops values at random,
+// so there is nothing to look at.
+func TestBatchJSONScratchBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops values at random under the race detector")
+	}
+	s, _, _ := newTestServer(t, Config{MaxBatch: 4})
+	body := `{"pairs":[` + strings.Repeat(`[0,1],`, 63) + `[0,1]]}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("64-pair batch under a cap of 4: status %d, want 413", rec.Code)
+	}
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
+	if c := cap(sc.batch.Pairs); c > 4 {
+		t.Fatalf("the scratch keeps room for %d decoded pairs after a refused batch, want at most the cap of 4", c)
+	}
+}
+
+// distText prints a JSON batch answer: its value, or null.
+func distText(d *float64) string {
+	if d == nil {
+		return "null"
+	}
+	return strconv.FormatFloat(*d, 'g', -1, 64)
+}
+
 // discardWriter is a ResponseWriter that keeps nothing of the response,
 // so an allocation count sees only the handler's own.
 type discardWriter struct{ h http.Header }
@@ -313,7 +397,8 @@ func (w *discardWriter) WriteHeader(int)             {}
 
 // TestBatchBinBodyAllocs pins what a warm request allocates on each query
 // endpoint. Each bound is the count the endpoint had for its input when
-// the bounds were set, so none allocates more often than it did. A
+// the bounds were set, so none allocates more often than it did; a JSON
+// batch decodes into the request scratch, not a fresh slice. A
 // binary batch also allocates no bytes of its own body: a 1024-pair
 // request through the handler allocates less than its 8 KiB body, which
 // reading the body into a fresh buffer takes at the least, and growing
@@ -337,7 +422,7 @@ func TestBatchBinBodyAllocs(t *testing.T) {
 	}{
 		{http.MethodGet, "/query?u=0&v=17", nil, 9, false},
 		{http.MethodGet, "/query/path?u=0&v=17", nil, 11, false},
-		{http.MethodPost, "/query/batch", []byte(`{"pairs":[[0,5],[3,9],[7,7]]}`), 20, false},
+		{http.MethodPost, "/query/batch", []byte(`{"pairs":[[0,5],[3,9],[7,7]]}`), 9, false},
 		{http.MethodPost, "/query/batchbin", bin, 9, true},
 	} {
 		w := &discardWriter{h: http.Header{}}

@@ -120,9 +120,10 @@ type Separator = core.Separator
 // Oracle is the Theorem 2 (1+ε)-approximate distance oracle. NewOracle
 // writes its labels straight into the serving rows: Query runs the same
 // engine as a FlatOracle, and Label(v) assembles vertex v's distance
-// label from its rows. Freeze() resolves the per-portal parent links
-// recorded at build time and returns the FlatOracle to serve, persist
-// and report witness paths from.
+// label from its rows. Every portal row is linked to the row its hop
+// names as the row is built, and Freeze() derives the walk layout from
+// those links and returns the FlatOracle to serve, persist and report
+// witness paths from.
 type Oracle = oracle.Oracle
 
 // Label is a vertex's distance label (the distributed form of the
