@@ -56,17 +56,21 @@ lint-json: $(LINT_BIN)
 build:
 	$(GO) build ./...
 
-# The walk derivation hands the big keys' scratch set to the small-key
-# tasks, its one piece of concurrency that depends on the pool width, so
-# the decode's bit-for-bit check against the frozen Flat also runs under
-# the race detector at every width a runner may have (-short keeps it to
-# the 64×64 grid). So does the build's differential against the searched
-# reference: its link round reads other vertex ranges' forward maps and
-# rows one pool round after they are written, and the range count
-# follows the width.
+# The walk derivation runs on a pool whose width follows GOMAXPROCS: its
+# counting pass reads the key partition's slot map by entry ranges, then
+# each key task reads that map within its key and writes it over as
+# walkSlot, and the big keys' task hands its scratch set to the small-key
+# tasks; Freeze builds the partition and its link marks by vertex and
+# record ranges of that width. So the decode's bit-for-bit check against
+# the frozen Flat, the differential against the whole-pool reference and
+# the cross-key refusals also run under the race detector at every width
+# a runner may have (-short keeps them to the 64×64 grid). So does the
+# build's differential against the searched reference: its link round
+# reads other vertex ranges' forward maps and rows one pool round after
+# they are written, and the range count follows the width.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -short -cpu 1,2,4,8 -run '^TestDecodeRestoresPositions$$' ./internal/oracle/
+	$(GO) test -race -short -cpu 1,2,4,8 -run '^(TestDecodeRestoresPositions|TestWalkLayoutMatchesReference|TestDecodeFlatRejectsCrossKeyHop)$$' ./internal/oracle/
 	$(GO) test -race -short -cpu 1,2,4,8 -run '^TestBuildRowsMatchReference$$' ./internal/oracle/
 
 # The runtime determinism gate: rebuild the oracle on three graph
@@ -98,10 +102,12 @@ fuzz-short:
 	done
 
 # The walk derivation's scratch depends on the pool width (beside the
-# set for the big keys, one set per other worker, sized to the largest
-# key over the width), so the decode's and the build's budgets run at
-# every width a runner may have, not only at this machine's GOMAXPROCS;
-# so does the decomposition's, whose tasks run on a pool of that width.
+# big keys' set, one set per other worker, sized to the largest key over
+# the width), and so do Freeze's link marks (one set per worker) and its
+# key partition's counters (one row per worker), so the decode's and the
+# build's budgets run at every width a runner may have, not only at this
+# machine's GOMAXPROCS; so does the decomposition's, whose tasks run on a
+# pool of that width.
 memory-budget:
 	$(GO) test -cpu 1,2,4,8 -run '^(TestFlatMemoryBudget|TestBuildMemoryBudget)$$' ./internal/oracle/
 	$(GO) test -cpu 1,2,4,8 -run '^TestDecomposeMemoryBudget$$' ./internal/core/

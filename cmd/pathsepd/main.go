@@ -156,8 +156,9 @@ wait:
 				fmt.Fprintf(os.Stderr, "pathsepd: %v\n", err)
 				continue
 			}
-			fmt.Printf("pathsepd: reloaded %s: generation %d (n=%d, %d bytes, load %s, drained=%v)\n",
-				*image, res.Generation, res.N, res.Bytes, time.Duration(res.LoadNs), res.Drained)
+			fmt.Printf("pathsepd: reloaded %s: generation %d (n=%d, %d bytes, load %s, derive %s, flip %s, drain %s, drained=%v)\n",
+				*image, res.Generation, res.N, res.Bytes, time.Duration(res.LoadNs), time.Duration(res.DeriveNs),
+				time.Duration(res.FlipNs), time.Duration(res.DrainNs), res.Drained)
 		}
 	}
 	stop()

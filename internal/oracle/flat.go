@@ -79,6 +79,8 @@ type Flat struct {
 	// record, a chain head to its trailer's jump, an anchor nowhere.
 	walkBlk  []int32
 	walkSlot []int32
+	// deriveNs is how long the walk derivation took (DeriveNs).
+	deriveNs int64
 
 	// Query-time instruments (SetMetrics); all nil-safe, and the disabled
 	// path is a single nil check with no allocation.
@@ -111,27 +113,53 @@ type tables struct {
 // the oracle's immutable rows — keys, CSR tables, sweep lane and path
 // geometry — and adds what path reporting needs: the walk layout
 // (deriveWalk), derived from the hop links Build resolved to pool
-// indices. The lane is shared and already holds its positions, so the
-// links, with the anchors ranked in pool order (see hopLinks.link), go
-// into a transient array of their own, which is not kept, and the
-// derivation writes no positions. Freeze fails when a link names no
-// record at its record's position or a record of another key, when a
-// record's hops reach no anchor, and when a key's path repeats a vertex:
-// an image stores no positions, and such a record's would be lost. Every
-// image Freeze returns decodes to the same lane and walk layout and
-// reports paths.
+// indices, which it reads in place. The lane is shared and already holds
+// its positions, so the derivation writes none. On one
+// runtime.GOMAXPROCS(0) pool, Freeze checks every link against the lane
+// and marks the records the links name, one record range per worker,
+// then builds the key partition and derives the walk. It fails when a
+// link names no record at its record's position or a record of another
+// key, when a record's hops reach no anchor, and when a key's path
+// repeats a vertex: an image stores no positions, and such a record's
+// would be lost. Every image Freeze returns decodes to the same lane and
+// walk layout and reports paths.
 func (o *Oracle) Freeze() (*Flat, error) {
 	r := &o.rows
 	f := &Flat{n: r.n, eps: r.eps, mode: r.mode, tables: r.tables, lane: r.lane}
-	links := hopLinks{ids: make([]int32, len(f.lane))}
-	anchors := int32(0)
-	for x, t := range o.links {
-		if t >= 0 && (int(t) >= len(f.lane) || !core.SameDist(f.lane[t].Pos, f.lane[x].Pos)) {
-			return nil, fmt.Errorf("oracle: freeze: record %d links to %d, no record at its position %v", x, t, f.lane[x].Pos)
+	pool := par.New(0, nil)
+	// One record range per worker, each marking the records its links
+	// name in a set of its own; the sets are then merged into the first.
+	split := newVertexSplit(len(o.links), pool.Workers())
+	sets, errs := make([]linkSet, split.ranges), make([]error, split.ranges)
+	pool.ForEach(split.ranges, func(i int) {
+		lo, hi := split.bounds(i)
+		sets[i] = newLinkSet(len(f.lane))
+		for x := lo; x < hi; x++ {
+			t := o.links[x]
+			if t < 0 {
+				continue
+			}
+			if int(t) >= len(f.lane) || !core.SameDist(f.lane[t].Pos, f.lane[x].Pos) {
+				errs[i] = fmt.Errorf("oracle: freeze: record %d links to %d, no record at its position %v", x, t, f.lane[x].Pos)
+				return
+			}
+			sets[i].add(t)
 		}
-		anchors = links.link(int32(x), t, anchors)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
-	if err := f.derive(f.partitionByKey(), links, anchors, 0); err != nil {
+	linked := sets[0]
+	words := newVertexSplit(len(linked), split.ranges)
+	pool.ForEach(words.ranges, func(i int) {
+		lo, hi := words.bounds(i)
+		for _, s := range sets[1:] {
+			for j := lo; j < hi; j++ {
+				linked[j] |= s[j]
+			}
+		}
+	})
+	if err := f.derive(f.partitionByKey(pool), hopLinks{ids: o.links}, linked, 0); err != nil {
 		return nil, fmt.Errorf("oracle: freeze: %w", err)
 	}
 	return f, nil
@@ -191,10 +219,12 @@ func (f *Flat) buildLane(e0, e1 int, rows []labelRow) error {
 // derive fixes the batch scheduler's key shifts — the coarser of
 // (entry-table bits − 16) and 6, so a u-block names a ~64-entry portal
 // region and both block numbers fit their 16-bit key lanes — and
-// compiles the walk layout from the hop links in links, with anchors
-// anchors, on a pool of the given width (0 means runtime.GOMAXPROCS(0)).
-// It fails only where deriveWalk does.
-func (f *Flat) derive(kp *keyPartition, links hopLinks, anchors int32, workers int) error {
+// compiles the walk layout from the hop links in links, with the records
+// they name marked in linked, on a pool of the given width (0 means
+// runtime.GOMAXPROCS(0)), timing the derivation (DeriveNs). It fails
+// only where deriveWalk does.
+func (f *Flat) derive(kp *keyPartition, links hopLinks, linked linkSet, workers int) error {
+	start := time.Now()
 	need := 0
 	for ne := len(f.entryKey); ne>>need != 0; need++ {
 	}
@@ -205,8 +235,15 @@ func (f *Flat) derive(kp *keyPartition, links hopLinks, anchors int32, workers i
 			f.schedU = f.schedV
 		}
 	}
-	return f.deriveWalk(kp, links, anchors, workers)
+	err := f.deriveWalk(kp, links, linked, workers)
+	f.deriveNs = time.Since(start).Nanoseconds()
+	return err
 }
+
+// DeriveNs returns the nanoseconds the walk derivation took when the
+// Flat was frozen or decoded: the counting pass and the key round that
+// lay out walkBlk and walkSlot (and, in a decode, write the positions).
+func (f *Flat) DeriveNs() int64 { return f.deriveNs }
 
 // N returns the number of labeled vertices.
 func (f *Flat) N() int { return f.n }

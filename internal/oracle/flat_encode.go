@@ -438,13 +438,13 @@ func DecodeFlatFrom(r io.Reader, size int64) (*Flat, error) {
 		return nil, err
 	}
 	f.lane = alignedPortals(c[countPortals])
-	d.chunk = make([]byte, decodeChunk)
+	d.chunk, d.linked = make([]byte, decodeChunk), newLinkSet(c[countPortals])
 	// The key partition reads only the CSR tables, so a second worker
 	// builds it while the rest of the image streams in.
 	var kp *keyPartition
 	var err error
 	par.New(0, nil).Fork(
-		func() { kp = f.partitionByKey() },
+		func() { kp = f.partitionByKey(nil) },
 		func() { err = d.sections(served, len(flatSections)) },
 	)
 	if err != nil {
@@ -456,7 +456,7 @@ func DecodeFlatFrom(r io.Reader, size int64) (*Flat, error) {
 	if err := d.atEnd(); err != nil {
 		return nil, err
 	}
-	if err := f.derive(kp, hopLinks{lane: f.lane}, d.anchors, 0); err != nil {
+	if err := f.derive(kp, hopLinks{lane: f.lane}, d.linked, 0); err != nil {
 		return nil, fmt.Errorf("oracle: flat: %w", err)
 	}
 	return f, nil
@@ -465,15 +465,15 @@ func DecodeFlatFrom(r io.Reader, size int64) (*Flat, error) {
 // flatDecoder is one decode's state: the stream and how far it has been
 // read, the Flat being filled with the header's counts and the layout
 // they give, the buffer the serving-form sections are read through, and
-// the anchors ranked so far.
+// the records the hop links read so far name.
 type flatDecoder struct {
-	r       io.Reader
-	at      int
-	f       *Flat
-	counts  *flatCounts
-	spans   []span
-	chunk   []byte
-	anchors int32
+	r      io.Reader
+	at     int
+	f      *Flat
+	counts *flatCounts
+	spans  []span
+	chunk  []byte
+	linked linkSet
 }
 
 // sections reads sections [from, to) of the image: each table section
@@ -578,18 +578,21 @@ func (d *flatDecoder) takeDists(lo int, src []byte) error {
 }
 
 // takeHops range-checks the hop links of pool records lo, lo+1, … and
-// stores each in its record's Pos word, ranking the anchors in pool order
-// as they arrive. The walk derivation refuses the links that stay in
-// range but leave their key or reach no anchor.
+// stores each in its record's Pos word, marking the record it names in
+// linked. The walk derivation refuses the links that stay in range but
+// leave their key or reach no anchor.
 func (d *flatDecoder) takeHops(lo int, src []byte) error {
-	links := hopLinks{lane: d.f.lane}
+	lane := d.f.lane[lo : lo+len(src)/4]
 	p := int32(len(d.f.lane))
-	for i := 0; 4*i < len(src); i++ {
+	for i := range lane {
 		h := int32(binary.LittleEndian.Uint32(src[4*i:]))
 		if h < -1 || h >= p {
 			return fmt.Errorf("oracle: flat: hop %d links to out-of-range record %d", lo+i, h)
 		}
-		d.anchors = links.link(int32(lo+i), h, d.anchors)
+		lane[i].Pos = float64(h)
+		if h >= 0 {
+			d.linked.add(h)
+		}
 	}
 	return nil
 }
@@ -599,7 +602,7 @@ func (d *flatDecoder) takeHops(lo int, src []byte) error {
 // on: strictly increasing within each vertex. portals is the pool size
 // the header declares. The distances are checked as they stream in
 // (takeDists), and the positions the walk gives the records as it writes
-// them (layoutKey).
+// them (placeKey).
 func (t *tables) validate(n, portals int) error {
 	if t.entryOff[0] != 0 || int(t.entryOff[n]) != len(t.entryKey) {
 		return fmt.Errorf("oracle: flat: entry offsets do not span the entry table")

@@ -110,12 +110,21 @@ func TestFreezeRoundTrip(t *testing.T) {
 // each from the walk. On the lane families and the zero-weight grids of
 // TestZeroWeightWalks in both modes, both golden fixtures and the 64×64
 // bench grid (128×128 outside -short), the frozen lane must hold the
-// invariant, and DecodeFlat(Freeze().Encode()) must hold the frozen lane
-// bit for bit and the frozen walkBlk and walkSlot word for word.
+// invariant, DecodeFlat(Freeze().Encode()) must hold the frozen lane
+// bit for bit and the frozen walkBlk and walkSlot word for word, and
+// every record's walk, frozen and decoded, must be its hop chain through
+// Build's links (walkCheck).
 func TestDecodeRestoresPositions(t *testing.T) {
-	check := func(name string, fl *Flat) {
+	check := func(name string, o *Oracle) {
 		t.Helper()
+		fl, err := o.Freeze()
+		if err != nil {
+			t.Fatalf("%s: freeze: %v", name, err)
+		}
 		if d := positionDiff(fl); d != "" {
+			t.Fatalf("%s: frozen %s", name, d)
+		}
+		if d := walkCheck(fl, o.links); d != "" {
 			t.Fatalf("%s: frozen %s", name, d)
 		}
 		dec, err := DecodeFlat(fl.Encode())
@@ -128,29 +137,32 @@ func TestDecodeRestoresPositions(t *testing.T) {
 		if d := walkDiff(dec, fl.walkBlk, fl.walkSlot); d != "" {
 			t.Fatalf("%s: decoded %s", name, d)
 		}
+		if d := walkCheck(dec, o.links); d != "" {
+			t.Fatalf("%s: decoded %s", name, d)
+		}
 	}
 	for fam, fx := range laneFamilies(t) {
 		for _, m := range laneModes {
-			_, fl := laneBuild(t, fx.g, fx.rot, m.mode)
-			check(fam+"/"+m.name, fl)
+			_, o := laneOracle(t, fx.g, fx.rot, m.mode)
+			check(fam+"/"+m.name, o)
 		}
 	}
 	for _, in := range zeroWeightGrids {
 		rot := fuzzGrid(in.seed, in.rows, in.cols, in.zeros)
 		for _, m := range laneModes {
-			_, fl := laneBuild(t, rot.G, rot, m.mode)
-			check(fmt.Sprintf("zero-weight seed %d/%s", in.seed, m.name), fl)
+			_, o := laneOracle(t, rot.G, rot, m.mode)
+			check(fmt.Sprintf("zero-weight seed %d/%s", in.seed, m.name), o)
 		}
 	}
 	for _, m := range laneModes {
-		check("golden/"+m.name, goldenFlat(t, m.mode))
+		check("golden/"+m.name, goldenOracle(t, m.mode))
 	}
 	sides := []int{64}
 	if !testing.Short() {
 		sides = append(sides, 128)
 	}
 	for _, side := range sides {
-		check(fmt.Sprintf("%dx%d portal", side, side), gridFlat(t, side, CoverPortal))
+		check(fmt.Sprintf("%dx%d portal", side, side), gridOracle(t, side, CoverPortal))
 	}
 }
 
@@ -170,15 +182,21 @@ func gridDec(tb testing.TB, side int) *core.Tree {
 // serial workers.
 func gridFlat(tb testing.TB, side int, mode Mode) *Flat {
 	tb.Helper()
-	o, err := Build(gridDec(tb, side), Options{Epsilon: 0.25, Mode: mode, Workers: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fl, err := o.Freeze()
+	fl, err := gridOracle(tb, side, mode).Freeze()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return fl
+}
+
+// gridOracle builds the bench-shaped oracle gridFlat freezes.
+func gridOracle(tb testing.TB, side int, mode Mode) *Oracle {
+	tb.Helper()
+	o, err := Build(gridDec(tb, side), Options{Epsilon: 0.25, Mode: mode, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return o
 }
 
 // budgetRows is the number of rows Build emits on the 32×32 bench-shaped
@@ -217,13 +235,14 @@ func budgetFixture(t *testing.T) (*core.Tree, Options) {
 // tables, so ResidentBytes must stay within 22 B/row, 1,493,316 B; every
 // emitted row takes 29.8 B/row, and a lane record with a third word (5.4
 // B/row) or a kept copy of the hop links (2.7 B/row) breaks it. The
-// decode, from a file, allocates that, the walk derivation's per-entry
-// and per-anchor arrays, one read chunk and the derivation scratch
-// keyTasks bounds: one set of six int32 arrays sized to the largest key
-// and one int32 per vertex (newWalkScratch) and, at a pool width w above
-// 1, w−1 sets sized to the largest key over w. The hop links cost it
-// nothing: they wait in the lane's Pos words until the positions take
-// them. So the decode must stay within 40 B/row plus that scratch, and
+// decode, from a file, allocates that, the key partition's per-entry
+// arrays, one bit per portal marking the records a link names, one read
+// chunk and the derivation scratch keyTasks bounds: one set sized to the
+// largest key — at most six int32 words per record (newWalkScratch holds
+// five) and one int32 per vertex — and, at a pool width w above 1, w−1
+// sets sized to the largest key over w. The hop links cost it nothing:
+// they wait in the lane's Pos words until the positions take them. So
+// the decode must stay within 40 B/row plus that scratch, and
 // what it allocates beyond the Flat within 4 B/row plus that scratch,
 // which has no term in the image size; make check runs the test at pool
 // widths 1, 2, 4 and 8. Reading the image into a buffer (9.4 B/row here),

@@ -42,6 +42,16 @@ func TestFlatImageGolden(t *testing.T) {
 // ε = 0.25, serial workers.
 func goldenFlat(t *testing.T, mode Mode) *Flat {
 	t.Helper()
+	fl, err := goldenOracle(t, mode).Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// goldenOracle builds the golden fixture's oracle.
+func goldenOracle(t *testing.T, mode Mode) *Oracle {
+	t.Helper()
 	rot := embed.Grid(12, 12, graph.UnitWeights(), rand.New(rand.NewSource(1)))
 	dec, err := core.Decompose(rot.G, core.Options{Strategy: core.Auto{}, Rot: rot, Workers: 1})
 	if err != nil {
@@ -51,26 +61,25 @@ func goldenFlat(t *testing.T, mode Mode) *Flat {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := o.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fl
+	return o
 }
 
 // TestWalkLayoutGolden pins the derived walk layout on the golden
 // fixture, for the Freeze output and for a decode of its image: SHA-256
 // over little-endian int32 words, walkBlk[0:len] followed by walkSlot in
 // pool order. The layout is not part of the image, so this is what keeps
-// a rewrite of deriveWalk honest: QueryPath reads nothing else.
+// a rewrite of deriveWalk honest: QueryPath reads nothing else. The sums
+// pin the placement order too — the keys in ID order, each key's chains
+// parents first — so reordering the chains moves them while the record
+// and word counts stay.
 func TestWalkLayoutGolden(t *testing.T) {
 	golden := []struct {
 		mode         Mode
 		recs, blkLen int
 		sum          string
 	}{
-		{CoverExact, 3512, 6968, "2f68bbf4ccc0ebe2a8fb015c374f704a5039e2aa0531bde0eb5989fa3a396bae"},
-		{CoverPortal, 3674, 8638, "7b3f14990091b8a61e9a45266084651f4914d3958fd8562caedc2296ebbb884b"},
+		{CoverExact, 3512, 6968, "8621cb68f115c0cf16068574832ffafb44bf5ac633256bc44528996cf361a899"},
+		{CoverPortal, 3674, 8638, "35e3c6cb8db71b6a1a4cbd7d68db30166db4b7cf0c4b1be4a734f5a1bf9f12d5"},
 	}
 	for _, g := range golden {
 		fl := goldenFlat(t, g.mode)

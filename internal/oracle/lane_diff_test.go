@@ -73,24 +73,30 @@ func laneFamilies(t *testing.T) map[string]struct {
 	return out
 }
 
-// laneBuild builds g's oracle in the given mode, freezes it, and replays
-// the same build's records into the reference labels.
-func laneBuild(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode Mode) (*refOracle, *Flat) {
+// laneOracle decomposes g and builds its oracle in the given mode.
+func laneOracle(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode Mode) (*core.Tree, *Oracle) {
 	t.Helper()
 	dec, err := core.Decompose(g, core.Options{Strategy: core.Auto{}, Rot: rot})
 	if err != nil {
 		t.Fatalf("decompose: %v", err)
 	}
-	opt := Options{Epsilon: 0.25, Mode: mode}
-	o, err := Build(dec, opt)
+	o, err := Build(dec, Options{Epsilon: 0.25, Mode: mode})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	return dec, o
+}
+
+// laneBuild builds g's oracle in the given mode, freezes it, and replays
+// the same build's records into the reference labels.
+func laneBuild(t *testing.T, g *graph.Graph, rot *embed.Rotation, mode Mode) (*refOracle, *Flat) {
+	t.Helper()
+	dec, o := laneOracle(t, g, rot, mode)
 	f, err := o.Freeze()
 	if err != nil {
 		t.Fatalf("freeze: %v", err)
 	}
-	return refBuild(t, dec, opt, 0), f
+	return refBuild(t, dec, Options{Epsilon: 0.25, Mode: mode}, 0), f
 }
 
 // laneModes enumerates both cover modes with printable names.

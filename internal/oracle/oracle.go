@@ -152,7 +152,7 @@ type sepPath struct {
 // Query runs the flat engine on them. links[i] is the pool index of the
 // record pool record i hops to, or -1 at a path vertex's own record:
 // Build resolves every hop once, when the record is born, so Freeze only
-// ranks the anchors and derives the walk, sharing the rows rather than
+// derives the walk from the links in place, sharing the rows rather than
 // copying them. The rows are immutable once Build returns.
 type Oracle struct {
 	N     int

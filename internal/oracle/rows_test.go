@@ -322,8 +322,8 @@ func FuzzBuildRows(f *testing.F) {
 // row holds 34.4. Assembling per-vertex label slices first and copying
 // them into the Flat, fresh arrays for every Dijkstra run, or copying the
 // kept rows into per-field arrays before the lane (16.3 B/row) break the
-// first; keeping Freeze's transient link array (2.7 B/row), per-record walk
-// entries or a third lane word (5.4 B/row) breaks the second.
+// first; keeping a second copy of the hop links (2.7 B/row), per-record
+// walk entries or a third lane word (5.4 B/row) breaks the second.
 func TestBuildMemoryBudget(t *testing.T) {
 	dec, opt := budgetFixture(t)
 	var before, built, after runtime.MemStats

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pathsep/internal/par"
 )
@@ -26,70 +27,62 @@ func runEnd(blk []int32, s int32) int32 {
 	return s
 }
 
-// Marks sizeKey's tree labels use besides anchor ranks.
+// Marks placeKey's climb leaves on a record while it orders the key. An
+// ordered record's mark is 1, the subtree size it starts from.
 const (
-	treeStranded = -1 // on or behind a hop cycle: it reaches no anchor
-	treeClimbing = -2 // on the parent-link path being climbed
-	treeUnseen   = -3
+	markClimbing = -1 // on the parent-link path being climbed
+	markStranded = -2 // on or behind a hop cycle: it reaches no anchor
+	markOrdered  = 1
 )
 
-// deriveWalk compiles the hop forest — links holds, in each record's
-// word, the pool index of the next record on its chain, or −1−rank at the
-// chain's anchor, the anchors ranked in pool order (see hopLinks.link) —
-// into the walkBlk/walkSlot layout on a pool of the given width (0 means
-// runtime.GOMAXPROCS(0)); the links themselves are not kept. Chains are
-// emitted in heavy-path order — each record's heaviest child is placed
-// immediately before it — so a chain from any slot to its head is one
-// contiguous owner run the walk copies in bulk; only light edges jump,
-// and a root-to-leaf walk crosses O(log P) of them. Each anchor resolves
-// its path-geometry index here, by its own vertex on its key's path, into
-// its tree's trailers, where QueryPath reads it. Where links is the lane,
-// every record's word ends up holding its position: its chain anchor's
-// path_pos entry.
+// deriveWalk compiles the hop forest — links holds each record's hop
+// link, the pool index of the next record on its chain or a negative
+// word at the chain's anchor, and linked marks every record some link
+// names — into the walkBlk/walkSlot layout on a pool of the given width
+// (0 means runtime.GOMAXPROCS(0)); the links themselves are not kept.
+// Chains are emitted in heavy-path order — each record's heaviest child
+// is placed immediately before it — so a chain from any slot to its head
+// is one contiguous owner run the walk copies in bulk; only light edges
+// jump, and a root-to-leaf walk crosses O(log P) of them. Each anchor
+// resolves its path-geometry index here, by its own vertex on its key's
+// path, into its chains' trailers, where QueryPath reads it. Where links
+// is the lane, every record's word ends up holding its position: its
+// chain anchor's path_pos entry.
 //
 // Every hop chain stays on one separator path, so the forest splits into
-// one independent forest per key, and each key is a pool task in two
-// rounds, on the scratch keyTasks bounds. sizeKey checks the key, turns
-// its hops into parent links in key-local slots, which it writes back
-// over the hops, and sizes its anchor trees (records plus one trailer per
-// chain, and a tree has one chain per leaf); one descending scan over the
-// anchors then gives every tree its offset, and layoutKey writes the
-// key's trees straight into place. The trees land where a whole-pool pass
-// puts them — the last anchor's tree first, each tree whole — so the
-// layout is the same word for word at every pool width and task order.
+// one independent forest per key. A counting pass (keyRegions) checks
+// that every hop stays in its key and gives each key its region of
+// walkBlk, the keys in ID order; then each key is one pool task
+// (placeKey), on the scratch keyTasks bounds, that writes its chains
+// straight into its region, parents first. The layout is therefore the
+// same word for word at every pool width and task order.
 //
-// The derivation fails, naming the lowest failing key, when a key's path
-// repeats a vertex, a hop links records of two keys, an anchor's vertex
-// is not on its key's path, or records reach no anchor (a hop cycle, or
-// a chain into one). Each would leave a record without a position, and a
-// cross-key hop would also make QueryPath read another key's geometry
-// out of range. Where it writes positions, it also fails when they
-// decrease within an entry, the merge order the sweep relies on.
-func (f *Flat) deriveWalk(kp *keyPartition, links hopLinks, anchors int32, workers int) error {
+// The derivation fails when a hop links records of two keys, naming the
+// lowest such record, before any key is laid out. Otherwise it fails,
+// naming the lowest failing key, when a key's path repeats a vertex, an
+// anchor's vertex is not on its key's path, or records reach no anchor
+// (a hop cycle, or a chain into one). Each would leave a record without a
+// position, and a cross-key hop would also make QueryPath read another
+// key's geometry out of range. Where it writes positions, it also fails
+// when they decrease within an entry, the merge order the sweep relies
+// on.
+func (f *Flat) deriveWalk(kp *keyPartition, links hopLinks, linked linkSet, workers int) error {
 	f.walkBlk, f.walkSlot = nil, nil
 	if len(kp.slot) == 0 {
 		return nil
 	}
-	kp.anchorAt, kp.block = make([]int32, anchors), make([]int32, anchors)
 	pool := par.New(workers, nil)
-	tasks := newKeyTasks(kp, pool.Workers(), f.n)
-	errs := make([]error, len(f.keys))
-	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.sizeKey(k, kp, links, s) })
-	if err := firstErr(errs); err != nil {
+	region, err := f.keyRegions(pool, kp, links, linked)
+	if err != nil {
 		return err
 	}
-	// Tree offsets: the trees follow one another in descending anchor
-	// order.
-	total := int32(0)
-	for a := len(kp.block) - 1; a >= 0; a-- {
-		size := kp.block[a]
-		kp.block[a] = total
-		total += size
-	}
-	// The slot map is dead once every key is sized: its array becomes
-	// walkSlot, which the second round writes whole.
-	f.walkBlk, f.walkSlot = make([]int32, total), kp.slot
-	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.layoutKey(k, kp, links, s) })
+	// The slot map is read only within each key from here on: its array
+	// becomes walkSlot, which each key task writes for its own records
+	// once it has read their links.
+	f.walkBlk, f.walkSlot = make([]int32, region[len(region)-1]), kp.slot
+	tasks := newKeyTasks(kp, pool.Workers(), f.n)
+	errs := make([]error, len(f.keys))
+	tasks.run(pool, func(k int32, s *walkScratch) { errs[k] = f.placeKey(k, kp, links, region[k], s) })
 	return firstErr(errs)
 }
 
@@ -101,6 +94,77 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
+}
+
+// keyRegions is the derivation's counting pass. On pool, by entry
+// ranges in pool order, it refuses a hop whose target falls outside its
+// record's key, naming the lowest such record; then, by key ranges, it
+// counts each key's layout words: one per record and trailerWords for
+// each record no link names, which ends exactly one chain. It returns
+// their prefix sums: key k's layout fills walkBlk[region[k]:region[k+1]].
+func (f *Flat) keyRegions(pool *par.Pool, kp *keyPartition, links hopLinks, linked linkSet) ([]int32, error) {
+	entries := newVertexSplit(len(f.entryKey), rangesPerWorker*pool.Workers())
+	errs := make([]error, entries.ranges)
+	pool.ForEach(entries.ranges, func(i int) {
+		lo, hi := entries.bounds(i)
+		for e := lo; e < hi; e++ {
+			k := f.entryKey[e]
+			klo, khi := kp.recOff[k], kp.recOff[k+1]
+			for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
+				if h := links.at(r); h >= 0 && (kp.slot[h] < klo || kp.slot[h] >= khi) {
+					errs[i] = fmt.Errorf("hop of record %d links to record %d of another key", r, h)
+					return
+				}
+			}
+		}
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	nk := len(f.keys)
+	region := make([]int32, nk+1)
+	keys := newVertexSplit(nk, rangesPerWorker*pool.Workers())
+	pool.ForEach(keys.ranges, func(i int) {
+		lo, hi := keys.bounds(i)
+		for k := lo; k < hi; k++ {
+			n, named := kp.recOff[k+1]-kp.recOff[k], int32(0)
+			for _, e := range kp.ent[kp.entOff[k]:kp.entOff[k+1]] {
+				named += linked.count(f.portalOff[e], f.portalOff[e+1])
+			}
+			region[k+1] = n + trailerWords*(n-named)
+		}
+	})
+	for k := range nk {
+		region[k+1] += region[k]
+	}
+	return region, nil
+}
+
+// linkSet holds one bit per pool record, set where some record's hop
+// link names it: the records that have a child in the hop forest. The
+// decode marks it as the hop section streams in, and Freeze from Build's
+// links; the counting pass reads it.
+type linkSet []uint32
+
+func newLinkSet(records int) linkSet { return make(linkSet, (records+31)/32) }
+
+// add marks record h.
+func (s linkSet) add(h int32) { s[h>>5] |= 1 << (h & 31) }
+
+// count returns how many of records [lo, hi) are marked.
+func (s linkSet) count(lo, hi int32) int32 {
+	n := 0
+	for lo < hi {
+		w := s[lo>>5] >> (lo & 31)
+		if take := min(32-lo&31, hi-lo); take < 32 {
+			w &= 1<<take - 1
+			lo += take
+		} else {
+			lo += 32
+		}
+		n += bits.OnesCount32(w)
+	}
+	return int32(n)
 }
 
 // keyTasks schedules the walk derivation's key tasks so that the scratch
@@ -117,7 +181,7 @@ func firstErr(errs []error) error {
 type keyTasks struct {
 	big, small []int32
 	// bigSet is the big task's set, and carved the small set inside it
-	// that the big task hands over (see run).
+	// that the big task hands over.
 	bigSet, carved *walkScratch
 	// free holds the small sets, nil until a task first finds one so: a
 	// task takes one, and puts it back when done. At most w tasks run at
@@ -150,10 +214,8 @@ func newKeyTasks(kp *keyPartition, w, vertices int) *keyTasks {
 	return t
 }
 
-// run calls fn on every key with scratch for it, on pool. The big task
-// hands over the carved set once its keys are done; the next round's big
-// task needs its set whole again, so run takes the carved set back out
-// of circulation before it returns.
+// run calls fn on every key with scratch for it, on pool; the big task
+// hands over the carved set once its keys are done.
 func (t *keyTasks) run(pool *par.Pool, fn func(k int32, s *walkScratch)) {
 	pool.ForEach(1+len(t.small), func(i int) {
 		if i == 0 {
@@ -172,38 +234,27 @@ func (t *keyTasks) run(pool *par.Pool, fn func(k int32, s *walkScratch)) {
 		fn(t.small[i-1], s)
 		t.free <- s
 	})
-	if t.carved != nil {
-		sets := make([]*walkScratch, 0, cap(t.free))
-		for len(t.free) > 0 {
-			if s := <-t.free; s != t.carved {
-				sets = append(sets, s)
-			}
-		}
-		for _, s := range sets {
-			t.free <- s
-		}
-	}
 }
 
 // keyPartition is the pool split by key. Key k owns the entries
 // ent[entOff[k]:entOff[k+1]], ascending, so its records come in pool
 // order, with owning vertices vert[entOff[k]:entOff[k+1]], and the
 // key-major slots recOff[k]..recOff[k+1]; slot[r] is record r's, so a hop
-// target h belongs to key k exactly when slot[h] falls in k's range
-// (sizeKey reads it; layoutKey writes the same array as walkSlot). The
-// anchors are ranked in pool order: anchorAt[a] is anchor a's
-// path-geometry index, and block[a] the size of its tree until
-// deriveWalk turns it into the tree's offset in walkBlk.
+// target h belongs to key k exactly when slot[h] falls in k's range (the
+// counting pass checks it, and placeKey maps each hop to a key-local
+// parent by it before it writes the same array as walkSlot).
 type keyPartition struct {
 	entOff, ent, vert []int32
 	recOff, slot      []int32
-	anchorAt, block   []int32
 	maxKey            int32
 }
 
-// partitionByKey builds the key partition of f's pool in one pass over
-// the entry tables.
-func (f *Flat) partitionByKey() *keyPartition {
+// partitionByKey builds the key partition of f's pool on pool (nil runs
+// it serially): each vertex range counts its entries and records per
+// key, one prefix sum in (key, range) order gives every range its first
+// entry and slot in each key, and each range then fills its own. The
+// arrays are the same at every width.
+func (f *Flat) partitionByKey(pool *par.Pool) *keyPartition {
 	nk := len(f.keys)
 	kp := &keyPartition{
 		entOff: make([]int32, nk+1),
@@ -212,49 +263,63 @@ func (f *Flat) partitionByKey() *keyPartition {
 		recOff: make([]int32, nk+1),
 		slot:   make([]int32, len(f.lane)),
 	}
-	for e, k := range f.entryKey {
-		kp.entOff[k+1]++
-		kp.recOff[k+1] += f.portalOff[e+1] - f.portalOff[e]
-	}
-	for k := 0; k < nk; k++ {
-		kp.maxKey = max(kp.maxKey, kp.recOff[k+1])
-		kp.entOff[k+1] += kp.entOff[k]
-		kp.recOff[k+1] += kp.recOff[k]
-	}
-	// Each key's next entry and next slot.
-	nextEnt := append([]int32(nil), kp.entOff[:nk]...)
-	nextSlot := append([]int32(nil), kp.recOff[:nk]...)
-	for v := 0; v < f.n; v++ {
-		for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
+	split := newVertexSplit(f.n, pool.Workers())
+	// Range i's row of each: its entries and records of key k, then its
+	// next entry and next slot in key k.
+	nextEnt, nextSlot := make([]int32, split.ranges*nk), make([]int32, split.ranges*nk)
+	pool.ForEach(split.ranges, func(i int) {
+		lo, hi := split.bounds(i)
+		ents, recs := nextEnt[i*nk:(i+1)*nk], nextSlot[i*nk:(i+1)*nk]
+		for e := f.entryOff[lo]; e < f.entryOff[hi]; e++ {
 			k := f.entryKey[e]
-			kp.ent[nextEnt[k]], kp.vert[nextEnt[k]] = e, int32(v)
-			nextEnt[k]++
-			s := nextSlot[k]
-			for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
-				kp.slot[r] = s
-				s++
-			}
-			nextSlot[k] = s
+			ents[k]++
+			recs[k] += f.portalOff[e+1] - f.portalOff[e]
 		}
+	})
+	var ent, slot int32
+	for k := range nk {
+		kp.entOff[k], kp.recOff[k] = ent, slot
+		for i := k; i < len(nextEnt); i += nk {
+			ent, nextEnt[i] = ent+nextEnt[i], ent
+			slot, nextSlot[i] = slot+nextSlot[i], slot
+		}
+		kp.maxKey = max(kp.maxKey, slot-kp.recOff[k])
 	}
+	kp.entOff[nk], kp.recOff[nk] = ent, slot
+	pool.ForEach(split.ranges, func(i int) {
+		lo, hi := split.bounds(i)
+		ents, recs := nextEnt[i*nk:(i+1)*nk], nextSlot[i*nk:(i+1)*nk]
+		for v := lo; v < hi; v++ {
+			for e := f.entryOff[v]; e < f.entryOff[v+1]; e++ {
+				k := f.entryKey[e]
+				kp.ent[ents[k]], kp.vert[ents[k]] = e, int32(v)
+				ents[k]++
+				s := recs[k]
+				for r := f.portalOff[e]; r < f.portalOff[e+1]; r++ {
+					kp.slot[r] = s
+					s++
+				}
+				recs[k] = s
+			}
+		}
+	})
 	return kp
 }
 
 // hopLinks is the walk derivation's link store: one word per pool record
-// that holds, in turn, the record's hop link, then its parent link in
-// key-local slots (sizeKey), and, where the store is the lane, at last
-// its position (layoutKey). A decode keeps the links in the lane's Pos
-// words, which hold nothing until the walk gives each record its
+// that holds the record's hop link and, where the store is the lane, at
+// last its position (placeKey). A decode keeps the links in the lane's
+// Pos words, which hold nothing until the walk gives each record its
 // position, so the links cost it no memory: a float64 holds every int32
 // exactly. Freeze's lane is the Oracle's, shared, positioned and
-// queryable, so Freeze keeps its links in an array of its own, ids, and
-// gets no positions written.
+// queryable, so Freeze reads Build's links in place, from ids, and gets
+// no positions written.
 type hopLinks struct {
 	lane []Portal
 	ids  []int32
 }
 
-// at returns record r's word.
+// at returns record r's hop link.
 func (l hopLinks) at(r int32) int32 {
 	if l.lane != nil {
 		return int32(l.lane[r].Pos)
@@ -262,86 +327,62 @@ func (l hopLinks) at(r int32) int32 {
 	return l.ids[r]
 }
 
-// set stores w as record r's word.
-func (l hopLinks) set(r, w int32) {
-	if l.lane != nil {
-		l.lane[r].Pos = float64(w)
-		return
-	}
-	l.ids[r] = w
-}
-
-// link stores record r's hop link h: the pool index of the record it
-// hops to, or, at an anchor (h < 0), −1−rank. Anchors are ranked in pool
-// order, so a caller links them in that order from rank, and link
-// returns the next anchor's rank. The decode links its hop section as it
-// streams in, and Freeze the links Build resolved.
-func (l hopLinks) link(r, h, rank int32) int32 {
-	if h < 0 {
-		l.set(r, -1-rank)
-		return rank + 1
-	}
-	l.set(r, h)
-	return rank
-}
-
-// walkScratch is one key task's scratch. Each array but at is sized to
-// the task's largest key and indexed by key-local slot: the parent links
-// (then the records in breadth-first order), the child CSR pair, the
-// subtree sizes (reused for the pushed chain heads' jump slots, jend
-// holding their jump ends and, until its tree is laid out, each anchor's
-// rank, and for each placed record's walk slot), and the length of each
-// record's heavy chain down to its leaf (then its anchor index). sizeKey
-// uses the child counts, the child array as its climb stack, the size
-// array for tree labels, and the chain and jend arrays, like layoutKey
-// before its layout, for the records' pool indices and owning vertices
-// (keyRecords). at, indexed by vertex, holds 1 + the vertex's
-// index on the path of the key being sized, and 0 between keys. buf
-// backs the six per-record arrays.
+// walkScratch is one key task's scratch: rec and order sized to the
+// task's largest key and indexed by key-local slot, and at, indexed by
+// vertex, which holds 1 + the vertex's index on the path of the key being
+// laid out, and 0 between keys. order lists the records parents first,
+// and its tail is the climb stack until then.
 type walkScratch struct {
-	up, childOff, child, size, jend, chain, at []int32
-	buf                                        []int32
+	rec       []walkRec
+	order, at []int32
+}
+
+// walkRec is one record's scratch in placeKey, four int32 words beside
+// its word of order, so the fields a step reads at a parent or a child
+// share one cache line. up is the parent link (−1 − the path index at an
+// anchor). slot is the climb mark, then the subtree size, then the walk
+// slot. heavy is the heavy child, then the run's last slot. chain is the
+// heavy child's subtree size until the record's own turn in the size
+// pass, then its heavy-chain length (−1 on a heavy child), then its
+// anchor index.
+type walkRec struct {
+	up, slot, heavy, chain int32
 }
 
 func newWalkScratch(maxKey int32, vertices int) *walkScratch {
-	n := int(maxKey)
-	buf := make([]int32, 6*n+1+vertices)
-	return scratchIn(buf[:6*n+1], n, buf[6*n+1:])
+	return &walkScratch{rec: make([]walkRec, maxKey), order: make([]int32, maxKey), at: make([]int32, vertices)}
 }
 
 // carve returns a set for keys of at most m records inside s's per-record
 // arrays. It shares s's vertex marks, which are 0 between keys, so it
 // starts as a fresh set does; s must not be used while it is.
 func (s *walkScratch) carve(m int32) *walkScratch {
-	n := int(m)
-	return scratchIn(s.buf[:6*n+1], n, s.at)
+	return &walkScratch{rec: s.rec[:m:m], order: s.order[:m:m], at: s.at}
 }
 
-// scratchIn lays out a set for keys of at most n records over buf, 6n+1
-// words, with vertex marks at.
-func scratchIn(buf []int32, n int, at []int32) *walkScratch {
-	return &walkScratch{
-		up:       buf[:n:n],
-		childOff: buf[n : 2*n+1 : 2*n+1],
-		child:    buf[2*n+1 : 3*n+1 : 3*n+1],
-		size:     buf[3*n+1 : 4*n+1 : 4*n+1],
-		jend:     buf[4*n+1 : 5*n+1 : 5*n+1],
-		chain:    buf[5*n+1 : 6*n+1 : 6*n+1],
-		at:       at,
-		buf:      buf,
-	}
-}
-
-// sizeKey checks key k, turns the hop links its records hold in links
-// into parent links in key-local slots, writing each back over its hop
-// and into the set's parent array, and sizes its anchor trees into
-// block: each tree's records plus trailerWords per leaf. It resolves each
-// anchor's path-geometry index into anchorAt by the anchor's vertex, and
-// labels every record with its tree by climbing the parent links to an
-// anchor or into a cycle. It fails, leaving the key unfinished, when the
-// key's path repeats a vertex, a hop leaves the key, an anchor's vertex
-// is off the path, or records reach no anchor.
-func (f *Flat) sizeKey(k int32, kp *keyPartition, links hopLinks, s *walkScratch) error {
+// placeKey lays out key k's trees in walkBlk from slot at on, writes
+// every record's slot into walkSlot and, where links is the lane, its
+// position into its Pos word. Local slots run in pool order. It
+//
+//  1. marks the key's path vertices, failing on a repeat, and maps every
+//     record's hop to a key-local parent, or an anchor to −1 − its
+//     vertex's path index, failing on an anchor off the path;
+//  2. orders the records parents first, each record after the unordered
+//     ancestors a climb up its parent links finds, in local slot order;
+//     a climb that meets itself has found a cycle, and the key fails
+//     with the count of records on or behind one;
+//  3. in one reverse pass over that order sums subtree sizes, picks each
+//     record's heavy child (the largest subtree, the lowest slot on ties)
+//     and counts each record's heavy chain down to its leaf;
+//  4. in one forward pass places each chain when its head comes up: a
+//     head is an anchor or a record that is not its parent's heavy
+//     child. Its run goes child to parent, the head on its last slot,
+//     then its trailer; a heavy child takes its parent's slot minus one;
+//  5. in pool order writes each record's walk slot, its owning vertex
+//     into that slot and, where links is the lane, its anchor's path
+//     position over its link, failing on positions that decrease within
+//     an entry.
+func (f *Flat) placeKey(k int32, kp *keyPartition, links hopLinks, at int32, s *walkScratch) error {
 	path := f.pathVert[f.pathOff[k]:f.pathOff[k+1]]
 	defer func() {
 		for _, v := range path {
@@ -355,217 +396,123 @@ func (f *Flat) sizeKey(k int32, kp *keyPartition, links hopLinks, s *walkScratch
 		s.at[v] = int32(x) + 1
 	}
 	base, n := kp.recOff[k], kp.recOff[k+1]-kp.recOff[k]
-	up, kids, tree, rec, own := s.up[:n], s.childOff[:n], s.size[:n], s.chain[:n], s.jend[:n]
-	f.keyRecords(k, kp, rec, own)
-	clear(kids)
-	for x, r := range rec {
-		h := links.at(r)
-		if h < 0 {
-			v := own[x]
-			if s.at[v] == 0 {
-				return fmt.Errorf("anchor record %d: vertex %d is not on the path of key %d", r, v, k)
-			}
-			up[x] = h
-			tree[x] = -1 - h
-			kp.anchorAt[tree[x]] = s.at[v] - 1
-			continue
-		}
-		u := kp.slot[h] - base
-		if u < 0 || u >= n {
-			return fmt.Errorf("hop of record %d links to record %d of another key", r, h)
-		}
-		up[x] = u
-		links.set(r, u)
-		kids[u]++
-		tree[x] = treeUnseen
-	}
-	stack := s.child[:0]
-	for x := range tree {
-		y := int32(x)
-		for tree[y] == treeUnseen {
-			tree[y] = treeClimbing
-			stack = append(stack, y)
-			y = up[y]
-		}
-		t := tree[y]
-		if t == treeClimbing {
-			t = treeStranded
-		}
-		for _, z := range stack {
-			tree[z] = t
-		}
-		stack = stack[:0]
-	}
-	stranded := 0
-	for x, t := range tree {
-		if t < 0 {
-			stranded++
-			continue
-		}
-		kp.block[t]++
-		if kids[x] == 0 {
-			kp.block[t] += trailerWords
-		}
-	}
-	if stranded > 0 {
-		return fmt.Errorf("%d records of key %d reach no anchor: their hops form a cycle or lead into one", stranded, k)
-	}
-	return nil
-}
-
-// keyRecords lists key k's records in key-local slot order, entry by
-// entry: rec[x] is the pool index of local slot x, and own[x] its owning
-// vertex. The loops over rec that follow read the records' link words in
-// the lane with no loop exit per entry between them, so the cache misses
-// of one entry's run overlap the next one's.
-func (f *Flat) keyRecords(k int32, kp *keyPartition, rec, own []int32) {
-	x := 0
+	rec, order := s.rec[:n], s.order[:n]
+	x := int32(0)
 	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
 		e, v := kp.ent[i], kp.vert[i]
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
-			rec[x], own[x] = r, v
+			rec[x].slot = 0
+			if h := links.at(r); h >= 0 {
+				rec[x].up = kp.slot[h] - base
+				continue
+			}
+			if s.at[v] == 0 {
+				return fmt.Errorf("anchor record %d: vertex %d is not on the path of key %d", r, v, k)
+			}
+			rec[x].up = -s.at[v]
 		}
 	}
-}
 
-// layoutKey writes key k's anchor trees into walkBlk at the offsets in
-// block and every record's slot into walkSlot and, where links is the
-// lane, its position into its Pos word.
-//
-// Local slots run in pool order, so every child list comes out in
-// ascending record order, and each anchor's tree is laid out exactly as
-// a whole-pool pass lays it (deriveWalkRef in the tests): chains
-// parent-first off a head stack seeded with the anchor, each record's
-// light children pushed in ascending order as its chain is traced root
-// to leaf. It fails only on positions that decrease within an entry.
-func (f *Flat) layoutKey(k int32, kp *keyPartition, links hopLinks, s *walkScratch) error {
-	n := kp.recOff[k+1] - kp.recOff[k]
-	up, childOff, child, size, jend, chain := s.up[:n], s.childOff[:n+1], s.child[:n], s.size[:n], s.jend[:n], s.chain[:n]
-	// The parent links sizeKey left in links, in key-local slot order.
-	f.keyRecords(k, kp, chain, jend)
-	for x, r := range chain {
-		up[x] = links.at(r)
-	}
-	// Child lists in local slots from the parent links: count into
-	// childOff, prefix-sum to each list's end, then fill backwards so
-	// childOff[u] lands on its start.
-	clear(childOff)
-	for _, u := range up {
-		if u >= 0 {
-			childOff[u]++
-		}
-	}
-	for x := int32(1); x <= n; x++ {
-		childOff[x] += childOff[x-1]
-	}
-	for x := n - 1; x >= 0; x-- {
-		if u := up[x]; u >= 0 {
-			childOff[u]--
-			child[childOff[u]] = x
-		}
-	}
-	// The records, parents before children (breadth-first from the
-	// anchors in ascending order: sizeKey saw every record reach one),
-	// written over the parent links the child lists have consumed. jend
-	// keeps each anchor's rank.
-	order, roots := up, int32(0)
-	for x := int32(0); x < n; x++ {
-		if w := up[x]; w < 0 {
-			jend[x] = -1 - w
-			order[roots] = x
-			roots++
-		}
-	}
-	reached := int(roots)
-	for i := 0; i < reached; i++ {
-		x := order[i]
-		for j := childOff[x]; j < childOff[x+1]; j++ {
-			order[reached] = child[j]
-			reached++
-		}
-	}
-	// Subtree sizes in reverse order. Each record's heaviest child (the
-	// first of the largest subtrees) moves to the front of its list; the
-	// light children keep their ascending order behind it. A record's
-	// heavy chain is one longer than its heavy child's.
-	for i := reached - 1; i >= 0; i-- {
-		x := order[i]
-		lo, hi := childOff[x], childOff[x+1]
-		sz, heavy, heavySz := int32(1), lo, int32(0)
-		for j := lo; j < hi; j++ {
-			c := size[child[j]]
-			sz += c
-			if c > heavySz {
-				heavy, heavySz = j, c
+	// Parents first: climb from each unmarked record to an anchor or a
+	// marked record, pushing onto the stack at order's tail, then order
+	// the climbed records top down. The ordered records and the stack
+	// never overlap. An ordered record starts with no heavy child.
+	placed, lost := int32(0), int32(0)
+	for x0 := range n {
+		top := n
+		for y := x0; rec[y].slot == 0; y = rec[y].up {
+			rec[y].slot = markClimbing
+			top--
+			order[top] = y
+			if rec[y].up < 0 {
+				break
 			}
 		}
-		size[x], chain[x] = sz, 1
-		if heavy < hi {
-			chain[x] += chain[child[heavy]]
+		if top == n {
+			continue
 		}
-		if heavy > lo {
-			c := child[heavy]
-			copy(child[lo+1:heavy+1], child[lo:heavy])
-			child[lo] = c
+		if p := rec[order[top]].up; p >= 0 && rec[p].slot != markOrdered {
+			for _, y := range order[top:] {
+				rec[y].slot = markStranded
+			}
+			lost += n - top
+			continue
+		}
+		for _, y := range order[top:] {
+			rec[y].slot, rec[y].heavy, rec[y].chain = markOrdered, -1, 0
+			order[placed] = y
+			placed++
 		}
 	}
-	// Lay out each anchor's tree at its offset, the anchors waiting on the
-	// head stack below the tree in progress: every chain root-to-leaf,
-	// its records' slots counted leaf-first so the bulk copy runs
-	// child-to-parent, the chain head on the run's last slot, its trailer
-	// after it. A pushed light child's size slot takes its parent's slot
-	// and its jend slot the parent's run end; the walk length past its
-	// head is the parent's, read off the parent chain's trailer. A placed
-	// record's chain length and size are spent, so their slots keep the
-	// record's anchor index and its walk slot instead.
+	if lost > 0 {
+		return fmt.Errorf("%d records of key %d reach no anchor: their hops form a cycle or lead into one", lost, k)
+	}
+
+	// Subtree sizes, heavy children and heavy chains, children before
+	// parents. Each record's turn finds its subtree summed and its heavy
+	// child final.
+	for j := n - 1; j >= 0; j-- {
+		y := order[j]
+		r := &rec[y]
+		c := int32(1)
+		if h := r.heavy; h >= 0 {
+			c += rec[h].chain
+			rec[h].chain = -1
+		}
+		r.chain = c
+		if r.up >= 0 {
+			q := &rec[r.up]
+			q.slot += r.slot
+			if r.slot > q.chain || (r.slot == q.chain && y < q.heavy) {
+				q.heavy, q.chain = y, r.slot
+			}
+		}
+	}
+
+	// The chains, parents first. A head — an anchor or a light child —
+	// lays its chain's run down from the cursor, the head on its last
+	// slot, and its trailer after it; a heavy child takes its parent's
+	// slot minus one. A light child's trailer jumps to its parent's slot
+	// and run end; the walk length past its head is the parent's, read off
+	// the parent chain's trailer. Each placed record keeps its walk slot,
+	// its run's last slot and its anchor index.
 	blk := f.walkBlk
-	heads := order[:roots]
-	for len(heads) > 0 {
-		floor := len(heads) - 1
-		a := heads[floor]
-		tree := jend[a]
-		size[a], jend[a] = -1, -1
-		at := kp.block[tree]
-		for len(heads) > floor {
-			h := heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-			end := at + chain[h] - 1
-			jump, jumpEnd, tail := size[h], jend[h], int32(0)
-			if jump >= 0 {
-				tail = jumpEnd - jump + 1 + blk[jumpEnd+4]
-			}
-			blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, kp.anchorAt[tree], tail
-			for x, slot := h, end; ; x, slot = child[childOff[x]], slot-1 {
-				size[x] = slot
-				chain[x] = kp.anchorAt[tree]
-				lo, hi := childOff[x], childOff[x+1]
-				if lo == hi {
-					break
-				}
-				for _, c := range child[lo+1 : hi] {
-					size[c], jend[c] = slot, end
-					heads = append(heads, c)
-				}
-			}
-			at = end + 1 + trailerWords
+	for _, y := range order {
+		r := &rec[y]
+		if r.up < 0 {
+			last := at + r.chain - 1
+			r.slot, r.heavy, r.chain = last, last, -1-r.up
+			blk[last+1], blk[last+2], blk[last+3], blk[last+4] = -1, -1, r.chain, 0
+			at = last + 1 + trailerWords
+			continue
 		}
+		q := &rec[r.up]
+		if r.chain < 0 {
+			r.slot, r.heavy, r.chain = q.slot-1, q.heavy, q.chain
+			continue
+		}
+		last := at + r.chain - 1
+		r.slot, r.heavy, r.chain = last, last, q.chain
+		blk[last+1], blk[last+2], blk[last+3], blk[last+4] = -2-q.slot, q.heavy, q.chain, q.heavy-q.slot+1+blk[q.heavy+4]
+		at = last + 1 + trailerWords
 	}
+
 	// The records in pool order, local slot by local slot: each takes its
 	// walk slot, its owning vertex goes into that slot of walkBlk, and,
 	// where links is the lane, its anchor's path position goes over its
-	// parent link.
+	// link.
 	geo := f.pathPos[f.pathOff[k]:f.pathOff[k+1]]
-	x := 0
+	x = 0
 	for i := kp.entOff[k]; i < kp.entOff[k+1]; i++ {
 		e, v := kp.ent[i], kp.vert[i]
 		prev := math.Inf(-1)
 		for r := f.portalOff[e]; r < f.portalOff[e+1]; r, x = r+1, x+1 {
-			f.walkSlot[r] = size[x]
-			blk[size[x]] = v
+			f.walkSlot[r] = rec[x].slot
+			blk[rec[x].slot] = v
 			if links.lane == nil {
 				continue
 			}
-			p := geo[chain[x]]
+			p := geo[rec[x].chain]
 			if p < prev {
 				return fmt.Errorf("portal positions of entry %d decrease at record %d", e, r)
 			}

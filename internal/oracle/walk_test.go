@@ -12,41 +12,75 @@ import (
 	"pathsep/internal/par"
 )
 
-// deriveWalkRef is the whole-pool walk derivation the per-key deriveWalk
-// replaced, kept as the reference the differential tests compare the
-// layout against word for word. It reads f's tables and the hop links
-// and returns the walkBlk/walkSlot pair instead of storing it, with ok
-// false where a record has no position and deriveWalk must fail: it
-// reaches no anchor, or its anchor's vertex is not on the key's path.
+// deriveWalkRef is a whole-pool walk derivation written apart from the
+// per-key deriveWalk, kept as the reference the differential tests
+// compare the layout against word for word. It reads f's tables and the
+// hop links and returns the walkBlk/walkSlot pair instead of storing it,
+// with ok false where a record has no position and deriveWalk must fail:
+// it reaches no anchor, or its anchor's vertex is not on the key's path.
 // (The tests that plant hops across keys or paths that repeat a vertex
 // check those failures themselves.)
 //
-// Chains are emitted in heavy-path order — each record's heaviest child
-// is placed immediately before it — so a chain from any slot to its head
-// is one contiguous owner run; anchors seed the head stack in ascending
-// record order, so the last anchor's tree is laid out first. An anchor's
-// path index is the index of its vertex on its key's path.
+// The placement rule: the keys come in ID order, each one's layout right
+// after the last one's. Within a key the records are listed parents
+// first — each, in pool order, right after its unlisted ancestors — and
+// every chain head, an anchor or a record that is not its parent's heavy
+// child (the child with the largest subtree, the lowest pool index on
+// ties), lays its heavy chain down where the listing reaches it: child to
+// parent, the head on the run's last slot, then the trailer. A chain from
+// any slot to its head is so one contiguous owner run. An anchor's path
+// index is the index of its vertex on its key's path.
 func deriveWalkRef(f *Flat, hops []int32) (blk, slots []int32, ok bool) {
 	p := len(hops)
 	slots = make([]int32, p)
 	if p == 0 {
 		return nil, slots, true
 	}
-	// Each record's slot, run end, chain anchor and walk length.
-	type refRec struct{ slot, end, anchor, depth int32 }
-	from := make([]refRec, p)
-	for r := range from {
-		from[r] = refRec{slot: -1, end: -1, anchor: -1}
-	}
+	byKey := make([][]int32, len(f.keys))
+	anchor := make([]int32, p)
 	ok = true
 	eachRecordRef(f, func(v, kid, i int32) {
+		byKey[kid] = append(byKey[kid], i)
 		if hops[i] < 0 {
-			from[i].anchor = int32(slices.Index(f.pathVert[f.pathOff[kid]:f.pathOff[kid+1]], v))
-			ok = ok && from[i].anchor >= 0
+			anchor[i] = int32(slices.Index(f.pathVert[f.pathOff[kid]:f.pathOff[kid+1]], v))
+			ok = ok && anchor[i] >= 0
 		}
 	})
+	// The listing, by recursion: a record is listed after its parent, and
+	// one met again before it is listed closes a hop cycle.
+	const (
+		unseen = iota
+		visiting
+		listed
+	)
+	state := make([]int8, p)
+	order := make([]int32, 0, p)
+	var list func(r int32) bool
+	list = func(r int32) bool {
+		switch state[r] {
+		case listed:
+			return true
+		case visiting:
+			return false
+		}
+		state[r] = visiting
+		if h := hops[r]; h >= 0 && !list(h) {
+			return false
+		}
+		state[r] = listed
+		order = append(order, r)
+		return true
+	}
+	for _, recs := range byKey {
+		for _, r := range recs {
+			ok = ok && list(r)
+		}
+	}
+	if !ok {
+		return nil, nil, false
+	}
 	// Children of each record, CSR form, each list in ascending record
-	// order.
+	// order; subtree sizes, children before parents; heavy children.
 	childOff := make([]int32, p+1)
 	for _, h := range hops {
 		if h >= 0 {
@@ -63,18 +97,6 @@ func deriveWalkRef(f *Flat, hops []int32) (blk, slots []int32, ok bool) {
 			child[childOff[h]] = int32(i)
 		}
 	}
-	// Breadth-first from the anchors; subtree sizes in reverse order.
-	order := make([]int32, 0, p)
-	for i, h := range hops {
-		if h < 0 {
-			order = append(order, int32(i))
-		}
-	}
-	roots := len(order)
-	for x := 0; x < len(order); x++ {
-		r := order[x]
-		order = append(order, child[childOff[r]:childOff[r+1]]...)
-	}
 	size := make([]int32, p)
 	for x := len(order) - 1; x >= 0; x-- {
 		r := order[x]
@@ -84,7 +106,7 @@ func deriveWalkRef(f *Flat, hops []int32) (blk, slots []int32, ok bool) {
 		}
 	}
 	heavy := make([]int32, p)
-	chains := 0
+	leaves := 0
 	for i := 0; i < p; i++ {
 		best, bestSz := int32(-1), int32(0)
 		for _, c := range child[childOff[i]:childOff[i+1]] {
@@ -93,48 +115,44 @@ func deriveWalkRef(f *Flat, hops []int32) (blk, slots []int32, ok bool) {
 			}
 		}
 		heavy[i] = best
-		if size[i] > 0 && best < 0 {
-			chains++
+		if best < 0 {
+			leaves++
 		}
 	}
-	blk = make([]int32, len(order)+trailerWords*chains)
-	heads, path := order[:roots], size[:0]
+	// Each placed record's slot, run end, chain anchor and walk length.
+	type refRec struct{ slot, end, anchor, depth int32 }
+	from := make([]refRec, p)
+	blk = make([]int32, p+trailerWords*leaves)
 	at := int32(0)
-	for len(heads) > 0 {
-		h := heads[len(heads)-1]
-		heads = heads[:len(heads)-1]
-		path = path[:0]
-		for r := h; r >= 0; r = heavy[r] {
-			path = append(path, r)
-			for _, c := range child[childOff[r]:childOff[r+1]] {
-				if c != heavy[r] {
-					heads = append(heads, c)
-				}
-			}
+	var run []int32
+	for _, h := range order {
+		up := hops[h]
+		if up >= 0 && heavy[up] == h {
+			continue // laid down with its chain's head
 		}
-		end := at + int32(len(path)) - 1
-		anchor, tail := from[h].anchor, int32(0)
+		run = run[:0]
+		for r := h; r >= 0; r = heavy[r] {
+			run = append(run, r)
+		}
+		end := at + int32(len(run)) - 1
+		a, tail := anchor[h], int32(0)
 		jump, jumpEnd := int32(-1), int32(-1)
-		if up := hops[h]; up >= 0 {
+		if up >= 0 {
 			w := from[up]
 			jump, jumpEnd = w.slot, w.end
-			anchor, tail = w.anchor, w.depth
+			a, tail = w.anchor, w.depth
 		}
-		blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, anchor, tail
-		for k, r := range path {
+		blk[end+1], blk[end+2], blk[end+3], blk[end+4] = -2-jump, jumpEnd, a, tail
+		for k, r := range run {
 			slot := end - int32(k)
-			from[r] = refRec{slot: slot, end: end, anchor: anchor, depth: end - slot + 1 + tail}
+			from[r] = refRec{slot: slot, end: end, anchor: a, depth: end - slot + 1 + tail}
 		}
 		at = end + 1 + trailerWords
 	}
 	eachRecordRef(f, func(v, _, i int32) {
-		if s := from[i].slot; s >= 0 {
-			blk[s], slots[i] = v, s
-		} else {
-			ok = false
-		}
+		blk[from[i].slot], slots[i] = v, from[i].slot
 	})
-	return blk, slots, ok
+	return blk, slots, true
 }
 
 // eachRecordRef calls fn(v, kid, i) for every pool record i in pool
@@ -208,17 +226,79 @@ func walkDiff(f *Flat, refBlk, refSlot []int32) string {
 	return ""
 }
 
-// deriveHops links pool-order hop links into f's lane, as a decode links
-// its hop section, and derives f's walk layout and lane positions from
-// them on a pool of the given width. It writes f's lane, so f must own
-// it (see ownLane).
-func deriveHops(f *Flat, hops []int32, workers int) error {
-	links := hopLinks{lane: f.lane}
-	rank := int32(0)
-	for r, h := range hops {
-		rank = links.link(int32(r), h, rank)
+// walkCheck reads every record's walk off f's layout as QueryPath reads
+// it — its owner run from its slot to the trailer, then each jump — and
+// requires it to be the record's hop chain, followed link by link
+// through hops: the chain's records slot by slot, each slot holding its
+// record's owning vertex, ending at an anchor whose path index every
+// trailer on the way names, with each trailer's tail the walk length
+// left past its run. It describes the first record whose walk differs,
+// or returns "".
+func walkCheck(f *Flat, hops []int32) string {
+	owner, keyOf := make([]int32, len(hops)), make([]int32, len(hops))
+	eachRecordRef(f, func(v, kid, i int32) { owner[i], keyOf[i] = v, kid })
+	blk, slots := f.walkBlk, f.walkSlot
+	var chain []int32
+	for r := range hops {
+		chain = chain[:0]
+		for x := int32(r); ; x = hops[x] {
+			if chain = append(chain, x); len(chain) > len(hops) {
+				return fmt.Sprintf("record %d: its hops reach no anchor", r)
+			}
+			if hops[x] < 0 {
+				break
+			}
+		}
+		a := chain[len(chain)-1]
+		path := f.pathVert[f.pathOff[keyOf[a]]:f.pathOff[keyOf[a]+1]]
+		want := int32(slices.Index(path, owner[a]))
+		s, e, i := slots[r], runEnd(blk, slots[r]), 0
+		for {
+			for ; s <= e; s, i = s+1, i+1 {
+				if i == len(chain) || slots[chain[i]] != s || blk[s] != owner[chain[i]] {
+					return fmt.Sprintf("record %d: walk slot %d (step %d) is not its hop chain's", r, s, i)
+				}
+			}
+			if e+trailerWords >= int32(len(blk)) || blk[e+1] >= 0 {
+				return fmt.Sprintf("record %d: run ending at slot %d has no trailer", r, e)
+			}
+			if blk[e+3] != want || blk[e+4] != int32(len(chain)-i) {
+				return fmt.Sprintf("record %d: trailer at slot %d names anchor %d and tail %d; its chain ends at anchor %d, %d records on",
+					r, e+1, blk[e+3], blk[e+4], want, len(chain)-i)
+			}
+			if blk[e+1] == -1 {
+				break
+			}
+			s, e = -2-blk[e+1], blk[e+2]
+			if s < 0 || s > e || e >= int32(len(blk)) {
+				return fmt.Sprintf("record %d: trailer at slot %d jumps to [%d, %d]", r, e+1, s, e)
+			}
+		}
+		if i != len(chain) {
+			return fmt.Sprintf("record %d: walk of %d records, hop chain of %d", r, i, len(chain))
+		}
 	}
-	return f.derive(f.partitionByKey(), links, rank, workers)
+	return ""
+}
+
+// deriveHops stores pool-order hop links in f's lane, as a decode stores
+// its hop section, and derives f's walk layout and lane positions from
+// them on a pool of the given width, the key partition built on a pool
+// of that width too. It writes f's lane, so f must own it (see ownLane).
+func deriveHops(f *Flat, hops []int32, workers int) error {
+	return f.derive(f.partitionByKey(par.New(workers, nil)), hopLinks{lane: f.lane}, storeHops(f, hops), workers)
+}
+
+// storeHops stores hops in f's lane and returns the records they name.
+func storeHops(f *Flat, hops []int32) linkSet {
+	linked := newLinkSet(len(hops))
+	for r, h := range hops {
+		f.lane[r].Pos = float64(h)
+		if h >= 0 {
+			linked.add(h)
+		}
+	}
+	return linked
 }
 
 // ownLane returns a copy of f with a copy of its lane, for deriveHops to
@@ -233,10 +313,11 @@ func ownLane(f *Flat) *Flat {
 // checkWidths derives f's walk layout and lane positions from hops, on a
 // copy of f's lane, at pool widths 1, 2, 4 and 0 with shuffled task
 // submission and compares each with the reference: the same layout word
-// for word, with every record at its anchor's position and every
-// distance kept, or a failure at every width where the reference finds a
-// record without a position or positions that decrease within an entry.
-// It reports whether the layout derived.
+// for word, every record's walk its hop chain (walkCheck), every record
+// at its anchor's position and every distance kept, or a failure at
+// every width where the reference finds a record without a position or
+// positions that decrease within an entry. It reports whether the layout
+// derived.
 func checkWidths(t *testing.T, name string, f *Flat, hops []int32) bool {
 	t.Helper()
 	refBlk, refSlot, ok := deriveWalkRef(f, hops)
@@ -253,6 +334,9 @@ func checkWidths(t *testing.T, name string, f *Flat, hops []int32) bool {
 			continue
 		}
 		if d := walkDiff(g, refBlk, refSlot); d != "" {
+			t.Fatalf("%s width %d: %s", name, w, d)
+		}
+		if d := walkCheck(g, hops); d != "" {
 			t.Fatalf("%s width %d: %s", name, w, d)
 		}
 		if d := positionDiff(g); d != "" {
@@ -343,7 +427,8 @@ func checkRoundTrip(t *testing.T, name string, img []byte) *Flat {
 // TestWalkLayoutMatchesReference pins the per-key derivation to the
 // whole-pool reference word for word: walkBlk and every walkSlot, at
 // pool widths 1, 2, 4 and 0 with shuffled task submission, with the hop
-// links in the lane as a decode keeps them, on the golden fixture, 24×24
+// links in the lane as a decode keeps them, and every record's walk to
+// its hop chain (walkCheck), on the golden fixture, 24×24
 // grids in both modes, the 64×64 portal grid and (outside -short) the
 // 128×128 bench image, each of which must also decode and encode back to
 // itself byte for byte. On 24×24 hop tables corrupted with same-key
@@ -352,8 +437,8 @@ func checkRoundTrip(t *testing.T, name string, img []byte) *Flat {
 // record without a position or positions that decrease within an entry,
 // the self-loops always, and the corrupted image must then fail to
 // decode; otherwise it must decode, round-trip byte for byte and match
-// the reference. Same-position rewires, whose positions all stay put,
-// fail only where they close a cycle.
+// the reference and walk its hop chains. Same-position rewires, whose
+// positions all stay put, fail only where they close a cycle.
 func TestWalkLayoutMatchesReference(t *testing.T) {
 	check := func(name string, f *Flat) {
 		t.Helper()
@@ -416,6 +501,9 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 		if d := walkDiff(dec, refBlk, refSlot); d != "" {
 			t.Fatalf("%s: decoded %s", name, d)
 		}
+		if d := walkCheck(dec, hops); d != "" {
+			t.Fatalf("%s: decoded %s", name, d)
+		}
 	}
 }
 
@@ -424,11 +512,12 @@ func TestWalkLayoutMatchesReference(t *testing.T) {
 // input bytes. Such an image either fails to decode with an error — a
 // record then reaches no anchor, has an anchor off the key's path, or
 // lands at a position out of its entry's order — or it decodes, its walk
-// layout equals deriveWalkRef's at pool widths 0, 1 and 2 (the last two
-// with shuffled task submission, each on a copy of the lane holding the
-// hop links as the decode keeps them, and giving it the decoded lane bit
-// for bit), it encodes back to itself byte for byte, and QueryPath
-// answers every pair without error.
+// layout equals deriveWalkRef's and walks every record's hop chain
+// (walkCheck) at pool widths 0, 1 and 2 (the last two with shuffled task
+// submission, each on a copy of the lane holding the hop links as the
+// decode keeps them, and giving it the decoded lane bit for bit), it
+// encodes back to itself byte for byte, and QueryPath answers every pair
+// without error.
 func FuzzWalkLayout(f *testing.F) {
 	fl := gridFlat(f, 8, CoverPortal)
 	enc := fl.Encode()
@@ -466,6 +555,9 @@ func FuzzWalkLayout(f *testing.F) {
 		if d := walkDiff(dec, refBlk, refSlot); d != "" {
 			t.Fatalf("width 0: %s", d)
 		}
+		if d := walkCheck(dec, hops); d != "" {
+			t.Fatalf("width 0: %s", d)
+		}
 		for _, w := range []int{1, 2} {
 			g := ownLane(dec)
 			par.SetShuffleSeed(int64(len(ops)) + 1)
@@ -475,6 +567,9 @@ func FuzzWalkLayout(f *testing.F) {
 				t.Fatalf("width %d: %v", w, err)
 			}
 			if d := walkDiff(g, refBlk, refSlot); d != "" {
+				t.Fatalf("width %d: %s", w, d)
+			}
+			if d := walkCheck(g, hops); d != "" {
 				t.Fatalf("width %d: %s", w, d)
 			}
 			if d := laneDiff(g.lane, dec.lane); d != "" {
@@ -493,20 +588,33 @@ func FuzzWalkLayout(f *testing.F) {
 	})
 }
 
-// BenchmarkDeriveWalk times the walk derivation alone, with the hop
-// links in the lane as a decode keeps them, on the bench-shaped 64×64
-// ε = 0.25 portal image at the GOMAXPROCS pool width, so the layer pairs
-// without the end-to-end benchmark:
+// BenchmarkDeriveWalk times the walk derivation alone — the counting
+// pass and the key round, what DeriveNs reports — with the hop links in
+// the lane as a decode keeps them, at the GOMAXPROCS pool width, on the
+// bench-shaped ε = 0.25 portal images: 64×64 and, outside -short,
+// 128×128, the bulk workload's grid. Each iteration stores the links and
+// builds the key partition untimed. The layer so pairs without the
+// end-to-end benchmark:
 //
 //	go test -run '^$' -bench DeriveWalk -cpu 1,2 ./internal/oracle/
 func BenchmarkDeriveWalk(b *testing.B) {
-	fl := gridFlat(b, 64, CoverPortal)
-	hops := imageHops(fl)
-	g := ownLane(fl)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := deriveHops(g, hops, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, side := range []int{64, 128} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			if side > 64 && testing.Short() {
+				b.Skip("the 128×128 image runs outside -short")
+			}
+			fl := gridFlat(b, side, CoverPortal)
+			hops := imageHops(fl)
+			g := ownLane(fl)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				linked, kp := storeHops(g, hops), g.partitionByKey(nil)
+				b.StartTimer()
+				if err := g.derive(kp, hopLinks{lane: g.lane}, linked, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -19,6 +19,7 @@ type ImageStatus struct {
 	Generation uint64  `json:"generation"`
 	LoadedAt   string  `json:"loaded_at"`
 	LoadNs     int64   `json:"load_ns"`
+	DeriveNs   int64   `json:"derive_ns"` // the walk derivation inside load_ns (Flat.DeriveNs)
 	Readers    int64   `json:"readers"`
 	N          int     `json:"n"`
 	Eps        float64 `json:"eps"`
@@ -121,6 +122,7 @@ func (s *Server) status() Status {
 			Generation:    im.gen,
 			LoadedAt:      im.loadedAt.UTC().Format(time.RFC3339Nano),
 			LoadNs:        im.loadNs,
+			DeriveNs:      im.flat.DeriveNs(),
 			Readers:       im.readers.Load() - 1, // exclude status's own lease
 			N:             im.flat.N(),
 			Eps:           im.flat.Eps(),

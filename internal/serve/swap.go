@@ -88,15 +88,19 @@ func (s *Server) publish(fl *oracle.Flat, gen uint64, source string, loadNs int6
 }
 
 // ReloadResult reports one image swap, echoed as the /admin/reload
-// response body.
+// response body. Its phases follow one another: load, flip and drain add
+// up to at most the total, and the walk derivation is part of the load.
 type ReloadResult struct {
 	Generation uint64 `json:"generation"`
 	Previous   uint64 `json:"previous"`
 	N          int    `json:"n"`
 	Bytes      int    `json:"bytes"`
-	LoadNs     int64  `json:"load_ns"`  // decode + validate (a file's read included)
-	TotalNs    int64  `json:"total_ns"` // load + flip + drain
-	Drained    bool   `json:"drained"`  // old image's readers hit zero in time
+	LoadNs     int64  `json:"load_ns"`   // decode + validate (a file's read included)
+	DeriveNs   int64  `json:"derive_ns"` // the decode's walk derivation (Flat.DeriveNs)
+	FlipNs     int64  `json:"flip_ns"`   // publish: instruments attached, image swapped in
+	DrainNs    int64  `json:"drain_ns"`  // waiting for the old image's readers
+	TotalNs    int64  `json:"total_ns"`  // load + flip + drain
+	Drained    bool   `json:"drained"`   // old image's readers hit zero in time
 }
 
 // ReloadImage decodes, validates and publishes a new flat image without
@@ -142,11 +146,13 @@ func (s *Server) reload(decode func() (*oracle.Flat, error), source string) (Rel
 		s.boundHeap(cur.flat.ResidentBytes())
 		return ReloadResult{}, fmt.Errorf("serve: reload rejected, image not swapped: %w", err)
 	}
-	loadNs := time.Since(start).Nanoseconds()
+	loaded := time.Now()
 
 	gen := cur.gen + 1
-	old := s.publish(fl, gen, source, loadNs)
+	old := s.publish(fl, gen, source, loaded.Sub(start).Nanoseconds())
+	flipped := time.Now()
 	drained := waitDrain(old, drainTimeout)
+	done := time.Now()
 	s.boundHeap(fl.ResidentBytes())
 
 	total := time.Since(start).Nanoseconds()
@@ -158,7 +164,10 @@ func (s *Server) reload(decode func() (*oracle.Flat, error), source string) (Rel
 		Previous:   old.gen,
 		N:          fl.N(),
 		Bytes:      fl.EncodedSize(),
-		LoadNs:     loadNs,
+		LoadNs:     loaded.Sub(start).Nanoseconds(),
+		DeriveNs:   fl.DeriveNs(),
+		FlipNs:     flipped.Sub(loaded).Nanoseconds(),
+		DrainNs:    done.Sub(flipped).Nanoseconds(),
 		TotalNs:    total,
 		Drained:    drained,
 	}, nil

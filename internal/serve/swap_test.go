@@ -63,6 +63,10 @@ func postReload(tb testing.TB, url string, image []byte) (ReloadResult, int) {
 	return res, resp.StatusCode
 }
 
+// TestReloadEndpoint pins a successful POST /admin/reload: the result
+// describes the new generation and its phases — derive_ns inside
+// load_ns, and load, flip and drain within total_ns — the new image
+// serves, and /admin/status reports the swap and the image's derive_ns.
 func TestReloadEndpoint(t *testing.T) {
 	s, ts, flA := newTestServer(t, Config{Source: "test:gen1"})
 	flB := altFlat(t)
@@ -79,6 +83,14 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if !res.Drained {
 		t.Fatalf("idle server did not drain the old image: %+v", res)
+	}
+	// The phases: the walk derivation is timed inside the load, and load,
+	// flip and drain follow one another within the total.
+	if res.DeriveNs <= 0 || res.DeriveNs > res.LoadNs {
+		t.Fatalf("derive_ns %d, want in (0, load_ns %d]", res.DeriveNs, res.LoadNs)
+	}
+	if res.FlipNs < 0 || res.DrainNs < 0 || res.LoadNs+res.FlipNs+res.DrainNs > res.TotalNs {
+		t.Fatalf("load_ns %d + flip_ns %d + drain_ns %d exceed total_ns %d", res.LoadNs, res.FlipNs, res.DrainNs, res.TotalNs)
 	}
 
 	// The new image is serving: answers match flB (flA only incidentally).
@@ -105,6 +117,9 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if st.Image.Bytes != len(flB.Encode()) || st.Image.N != flB.N() {
 		t.Fatalf("status image metadata still describes the old image: %+v", st.Image)
+	}
+	if st.Image.DeriveNs != res.DeriveNs {
+		t.Fatalf("status derive_ns %d, reload reported %d", st.Image.DeriveNs, res.DeriveNs)
 	}
 	if s.Inflight() != 0 {
 		t.Fatalf("inflight %d after reload", s.Inflight())

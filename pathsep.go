@@ -122,8 +122,9 @@ type Separator = core.Separator
 // engine as a FlatOracle, and Label(v) assembles vertex v's distance
 // label from its rows. Every portal row is linked to the row its hop
 // names as the row is built, and Freeze() derives the walk layout from
-// those links and returns the FlatOracle to serve, persist and report
-// witness paths from.
+// those links in place — one pool task per separator-path key, each
+// writing its chains into a region a counting pass fixed — and returns
+// the FlatOracle to serve, persist and report witness paths from.
 type Oracle = oracle.Oracle
 
 // Label is a vertex's distance label (the distributed form of the
@@ -141,7 +142,8 @@ type Label = oracle.Label
 // QueryPathBatch report witness paths into caller buffers
 // (allocation-free once the buffers are warm): every image carries its
 // path records. Encode writes the one image format, and DecodeFlatOracle
-// rejects any other version.
+// rejects any other version; a decode derives the walk layout as Freeze
+// does, and FlatOracle.DeriveNs reports how long that took.
 type FlatOracle = oracle.Flat
 
 // QueryPair is one (U, V) query of a FlatOracle batch.
