@@ -15,7 +15,7 @@
 # The gates write their measurements under the ignored .bench_build/, so
 # make check leaves the tracked tree as it found it.
 #   make bench-unit      the bench/ module's own tests (a separate Go module that ./... never reaches)
-#   make loc BASE=<rev>  non-test Go lines added and removed against BASE (code/comment/blank)
+#   make loc BASE=<rev>  Go lines added and removed against BASE (code/comment/blank), non-test and _test.go files in two tables
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -168,14 +168,15 @@ bench-serve:
 bench-unit:
 	$(GO) -C bench test ./...
 
-# Non-test Go lines added and removed against BASE (default HEAD), per
-# directory (two levels under internal/ and cmd/) and in total, split
-# into code, comment and blank; a comment line is one whose first token
-# is //, and the repo has no /* */ blocks. vendor/, testdata/ and
-# _test.go files are skipped. The working tree is compared, so
-# uncommitted edits count, and untracked files count as added.
+# Go lines added and removed against BASE (default HEAD), per directory
+# (two levels under internal/ and cmd/) and in total, split into code,
+# comment and blank; a comment line is one whose first token is //, and
+# the repo has no /* */ blocks. Non-test files and _test.go files get a
+# table each; vendor/ and testdata/ are skipped. The working tree is
+# compared, so uncommitted edits count, and untracked files count as
+# added.
 BASE ?= HEAD
-LOC_PATHS := '*.go' ':(exclude)vendor/**' ':(exclude)**/testdata/**' ':(exclude)*_test.go'
+LOC_PATHS := '*.go' ':(exclude)vendor/**' ':(exclude)**/testdata/**'
 
 loc:
 	@{ git diff -U0 --no-color --no-renames $(BASE) -- $(LOC_PATHS); \
@@ -183,18 +184,21 @@ loc:
 	    printf 'diff --git a/%s b/%s\n+++ b/%s\n@@\n' "$$f" "$$f" "$$f"; sed 's/^/+/' "$$f"; \
 	  done; } | awk ' \
 	  /^diff --git / { hdr = 1; next } \
-	  hdr && /^(---|\+\+\+) [ab]\// { f = substr($$0, 7); next } \
+	  hdr && /^(---|\+\+\+) [ab]\// { f = substr($$0, 7); x = f ~ /_test\.go$$/ ? "test" : "non-test"; next } \
 	  /^@@/ { hdr = 0; next } \
 	  hdr || !/^[-+]/ { next } \
 	  { t = substr($$0, 2); sub(/^[ \t]+/, "", t); \
 	    k = t == "" ? 3 : (t ~ /^\/\// ? 2 : 1); \
 	    n = split(f, p, "/"); d = n == 1 ? "." : ((p[1] == "internal" || p[1] == "cmd") && n > 2 ? p[1] "/" p[2] : p[1]); \
-	    s = substr($$0, 1, 1) == "+" ? 0 : 3; c[d, s + k]++; c["total", s + k]++; dirs[d] = 1 } \
-	  function row(d, i) { \
-	    for (i = 1; i <= 6; i++) c[d, i] += 0; \
-	    return sprintf("%-26s %7d %7d %7d %7d %7d %7d %7d %7d %7d", d, c[d, 1], c[d, 2], c[d, 3], c[d, 4], c[d, 5], c[d, 6], \
-	      c[d, 1] - c[d, 4], c[d, 2] - c[d, 5], c[d, 1] + c[d, 2] + c[d, 3] - c[d, 4] - c[d, 5] - c[d, 6]) } \
-	  END { print "non-test Go lines, working tree against $(BASE):"; \
+	    s = substr($$0, 1, 1) == "+" ? 0 : 3; c[x, d, s + k]++; c[x, "total", s + k]++; dirs[x, d] = 1 } \
+	  function row(x, d, i) { \
+	    for (i = 1; i <= 6; i++) c[x, d, i] += 0; \
+	    return sprintf("%-26s %7d %7d %7d %7d %7d %7d %7d %7d %7d", d, c[x, d, 1], c[x, d, 2], c[x, d, 3], c[x, d, 4], c[x, d, 5], c[x, d, 6], \
+	      c[x, d, 1] - c[x, d, 4], c[x, d, 2] - c[x, d, 5], c[x, d, 1] + c[x, d, 2] + c[x, d, 3] - c[x, d, 4] - c[x, d, 5] - c[x, d, 6]) } \
+	  function table(x, k, q) { \
+	    print x " Go lines, working tree against $(BASE):"; \
 	    printf "%-26s %7s %7s %7s %7s %7s %7s %7s %7s %7s\n", "path", "+code", "+comm", "+blank", \
 	      "-code", "-comm", "-blank", "net cd", "net cm", "net"; \
-	    for (d in dirs) print row(d) | "sort"; close("sort"); print row("total") }'
+	    fflush(); for (k in dirs) { split(k, q, SUBSEP); if (q[1] == x) print row(x, q[2]) | "sort" } \
+	    close("sort"); print row(x, "total") } \
+	  END { table("non-test"); print ""; table("test") }'

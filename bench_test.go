@@ -16,7 +16,6 @@ import (
 	"pathsep/internal/embed"
 	"pathsep/internal/graph"
 	"pathsep/internal/hardness"
-	"pathsep/internal/labeling"
 	"pathsep/internal/oracle"
 	"pathsep/internal/routing"
 	"pathsep/internal/shortest"
@@ -380,29 +379,5 @@ func BenchmarkPlanarizeGrid(b *testing.B) {
 		if _, err := embed.Planarize(g); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkTreeLabelingBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(18))
-	g := graph.RandomTree(4096, graph.UniformWeights(1, 4), rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := labeling.BuildTree(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTreeLabelingQuery(b *testing.B) {
-	rng := rand.New(rand.NewSource(19))
-	g := graph.RandomTree(4096, graph.UniformWeights(1, 4), rng)
-	l, err := labeling.BuildTree(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Query(i%4096, (i*31)%4096)
 	}
 }

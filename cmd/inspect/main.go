@@ -7,13 +7,15 @@
 //	gengraph -family apollonian -n 60 | inspect -maxdepth 3
 //	inspect -image oracle.img
 //
-// -mode pins the separator strategy (auto|tree|bag|planar|greedy; unknown
-// values are rejected) and -workers bounds the construction pool. With
-// -image the input is a flat oracle image instead of a graph, and the
-// report covers the serving layout: the bytes each resident array holds,
-// lane alignment, the portals another portal of their entry dominates,
-// the image sections, and the per-entry portal-run length distribution
-// that drives merge sweep cost.
+// -mode pins the separator strategy (auto|tree|bag|greedy, the names
+// cmd/pathsep takes; unknown values are rejected). An edge list carries
+// no rotation, so planar nodes are auto's: it embeds them itself.
+// -workers bounds the construction pool. With -image the input is a
+// flat oracle image instead of a graph, and the report covers the
+// serving layout: the bytes each resident array holds, lane alignment,
+// the portals another portal of their entry dominates, the image
+// sections, and the per-entry portal-run length distribution that
+// drives merge sweep cost.
 package main
 
 import (
@@ -34,7 +36,7 @@ func main() {
 	image := flag.String("image", "", "inspect a flat oracle image file instead of a graph")
 	maxDepth := flag.Int("maxdepth", 4, "deepest level to print (-1 = all)")
 	showPaths := flag.Bool("paths", true, "print the separator paths")
-	mode := flag.String("mode", "auto", "decomposition strategy: auto|tree|bag|planar|greedy")
+	mode := flag.String("mode", "auto", "decomposition strategy: auto|tree|bag|greedy")
 	workers := flag.Int("workers", 0, "construction worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
@@ -55,12 +57,10 @@ func main() {
 		strat = core.TreeCentroid{}
 	case "bag":
 		strat = core.CenterBag{}
-	case "planar":
-		strat = core.Planar{}
 	case "greedy":
 		strat = core.Greedy{}
 	default:
-		fmt.Fprintf(os.Stderr, "inspect: unknown -mode %q (want auto|tree|bag|planar|greedy)\n", *mode)
+		fmt.Fprintf(os.Stderr, "inspect: unknown -mode %q (want auto|tree|bag|greedy)\n", *mode)
 		flag.Usage()
 		os.Exit(2)
 	}

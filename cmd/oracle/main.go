@@ -28,7 +28,6 @@ import (
 	"pathsep/internal/graph"
 	"pathsep/internal/obs"
 	"pathsep/internal/oracle"
-	"pathsep/internal/shortest"
 )
 
 func main() {
@@ -45,6 +44,11 @@ func main() {
 
 	if !(*eps > 0) || math.IsInf(*eps, 1) {
 		fmt.Fprintf(os.Stderr, "oracle: -eps must be a positive finite number, got %v\n", *eps)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *queries < 0 || *audit < 0 {
+		fmt.Fprintf(os.Stderr, "oracle: -queries and -audit must not be negative, got %d and %d\n", *queries, *audit)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -108,32 +112,16 @@ func main() {
 	}
 	qTime := time.Since(start) / time.Duration(max(1, *queries))
 
-	worst, sum, count := 1.0, 0.0, 0
-	for i := 0; i < *audit; i++ {
-		u, v := rng.Intn(g.N()), rng.Intn(g.N())
-		if u == v {
-			continue
-		}
-		d := shortest.Dijkstra(g, u).Dist[v]
-		if math.IsInf(d, 1) || core.IsZeroDist(d) {
-			continue
-		}
-		ratio := o.Query(u, v) / d
-		if ratio > worst {
-			worst = ratio
-		}
-		sum += ratio
-		count++
-	}
+	res := o.AuditWorkers(g, *audit, rng.Intn, *workers)
 
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 	fmt.Printf("decompose: %v  (maxK=%d depth=%d)\n", decTime.Round(time.Millisecond), dec.MaxK, dec.Depth)
 	fmt.Printf("build: %v  mode=%s eps=%g\n", buildTime.Round(time.Millisecond), *mode, *eps)
 	fmt.Printf("space: %d portal entries, max label %d portals\n", o.SpacePortals(), o.MaxLabelPortals())
 	fmt.Printf("query: %v/query over %d queries\n", qTime, *queries)
-	if count > 0 {
-		fmt.Printf("stretch: max=%.4f mean=%.4f over %d audited pairs (bound 1+eps=%.4f)\n",
-			worst, sum/float64(count), count, 1+*eps)
+	if res.Pairs > 0 {
+		fmt.Printf("stretch: max=%.4f mean=%.4f over %d audited pairs (bound 1+eps=%.4f), %d underestimates\n",
+			res.MaxStretch, res.MeanStretch, res.Pairs, 1+*eps, res.Underestimates)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, reg); err != nil {

@@ -4,10 +4,12 @@
 //
 //	//pathsep:hotpath
 //
-// are the per-query serving code: Oracle.queryLabels, pairMin, the Flat
-// merge-join and the frozen tree-labeling query. Their zero-allocs/op
-// contract is enforced dynamically by the bench-query gate, but only for
-// the paths a benchmark happens to exercise; this pass enforces it
+// are the per-query serving code: the label walk (queryLabels, pairMin),
+// the Flat merge-join (query, answer, gallopTo, sweepMatches, sweepRec),
+// the batch prefetch (touchPair) and internal/serve's binary batch codec
+// (decodePairs, encodeDists). Their zero-allocs/op contract is enforced
+// dynamically by the bench-query gate and the allocation tests, but only
+// for the paths those happen to exercise; this pass enforces it
 // statically for every path, flagging the constructs that allocate (or
 // may allocate) inside a tagged function:
 //

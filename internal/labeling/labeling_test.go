@@ -1,135 +1,113 @@
+// Package labeling holds tests only: exact distance labels for trees,
+// served by the facade's tree recipe. Trees are the 1-path-separable
+// base case of Definition 1. Decomposed by centroids
+// (StrategyTreeCentroid), every separator path is one vertex at
+// position 0, so a portal estimate is d(u,c) + d(c,v) and the oracle
+// answers exact tree distances in either mode. These tests hold it to
+// that: exact answers against Dijkstra, labels of at most ⌊log2 n⌋ + 2
+// entries, answers from two labels alone, witness walks over real
+// edges, forests answered per tree, and cycles and the empty graph
+// refused.
 package labeling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"pathsep"
 	"pathsep/internal/graph"
 	"pathsep/internal/shortest"
 )
 
-func TestExactOnPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := graph.Path(17, graph.UniformWeights(1, 3), rng)
-	l, err := BuildTree(g)
+// treeOracle builds g's oracle over its centroid decomposition in mode.
+func treeOracle(g *graph.Graph, mode pathsep.OracleMode) (*pathsep.Oracle, error) {
+	dec, err := pathsep.Decompose(g, pathsep.Options{Strategy: pathsep.StrategyTreeCentroid})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	tr := shortest.Dijkstra(g, 0)
-	for v := 0; v < g.N(); v++ {
-		if math.Abs(l.Query(0, v)-tr.Dist[v]) > 1e-9 {
-			t.Fatalf("Query(0,%d) = %v, want %v", v, l.Query(0, v), tr.Dist[v])
-		}
-	}
+	return pathsep.NewOracle(dec, pathsep.OracleOptions{Epsilon: 0.25, Mode: mode})
 }
 
-func TestExactAllPairsRandomTrees(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomTree(60, graph.UniformWeights(0.5, 5), rng)
-		l, err := BuildTree(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < g.N(); u += 4 {
-			tr := shortest.Dijkstra(g, u)
-			for v := 0; v < g.N(); v++ {
-				if math.Abs(l.Query(u, v)-tr.Dist[v]) > 1e-9 {
-					t.Fatalf("seed %d: Query(%d,%d) = %v, want %v", seed, u, v, l.Query(u, v), tr.Dist[v])
-				}
+// exactErr builds both modes over g's centroid decomposition and checks,
+// from up to 64 sampled sources to every vertex, that the two store as
+// many entries, answer bit for bit alike and match Dijkstra within 1e-9
+// relative.
+func exactErr(g *graph.Graph) error {
+	exact, err := treeOracle(g, pathsep.OracleExactCover)
+	if err != nil {
+		return err
+	}
+	portal, err := treeOracle(g, pathsep.OraclePortals)
+	if err != nil {
+		return err
+	}
+	if exact.SpacePortals() != portal.SpacePortals() || exact.MaxLabelPortals() != portal.MaxLabelPortals() {
+		return fmt.Errorf("exact mode has %d entries, largest label %d; portal mode %d and %d",
+			exact.SpacePortals(), exact.MaxLabelPortals(), portal.SpacePortals(), portal.MaxLabelPortals())
+	}
+	n := g.N()
+	for u := 0; u < n; u += max(1, n/64) {
+		truth := shortest.Dijkstra(g, u).Dist
+		for v := 0; v < n; v++ {
+			d := portal.Query(u, v)
+			if e := exact.Query(u, v); math.Float64bits(e) != math.Float64bits(d) {
+				return fmt.Errorf("Query(%d,%d) = %v in exact mode, %v in portal mode", u, v, e, d)
+			}
+			if !pathsep.ApproxDistEq(d, truth[v], 1e-9) {
+				return fmt.Errorf("Query(%d,%d) = %v, Dijkstra %v", u, v, d, truth[v])
 			}
 		}
 	}
+	return nil
 }
 
-func TestLabelSizeLogarithmic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{64, 512, 4096} {
-		g := graph.RandomTree(n, graph.UnitWeights(), rng)
-		l, err := BuildTree(g)
-		if err != nil {
-			t.Fatal(err)
+func TestExactOnPath(t *testing.T) {
+	g := graph.Path(33, graph.UniformWeights(1, 3), rand.New(rand.NewSource(1)))
+	if err := exactErr(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExactAllPairsRandomTrees checks every pair of six 60-vertex random
+// trees, and 64 sources of a 1,024-vertex one.
+func TestExactAllPairsRandomTrees(t *testing.T) {
+	for seed := int64(0); seed < 7; seed++ {
+		n := 60
+		if seed == 6 {
+			n = 1024
 		}
-		bound := int(math.Log2(float64(n))) + 2
-		if got := l.MaxLabelSize(); got > bound {
-			t.Errorf("n=%d: max label %d > log bound %d", n, got, bound)
-		}
-		if l.Depth() >= l.MaxLabelSize() {
-			// depth is max entries - 1.
-			t.Errorf("n=%d: depth %d vs max label %d", n, l.Depth(), l.MaxLabelSize())
+		g := graph.RandomTree(n, graph.UniformWeights(0.5, 5), rand.New(rand.NewSource(seed)))
+		if err := exactErr(g); err != nil {
+			t.Fatalf("seed %d, n=%d: %v", seed, n, err)
 		}
 	}
 }
 
 func TestCaterpillarAndStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, g := range []*graph.Graph{
-		graph.Star(50, graph.UniformWeights(1, 2), rng),
-		graph.Caterpillar(10, 4, graph.UniformWeights(1, 2), rng),
-		graph.BinaryTree(63, graph.UnitWeights(), rng),
+	for name, g := range map[string]*graph.Graph{
+		"star":        graph.Star(50, graph.UniformWeights(1, 2), rng),
+		"caterpillar": graph.Caterpillar(10, 4, graph.UniformWeights(1, 2), rng),
+		"binary":      graph.BinaryTree(63, graph.UnitWeights(), rng),
 	} {
-		l, err := BuildTree(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := shortest.Dijkstra(g, 0)
-		for v := 0; v < g.N(); v++ {
-			if math.Abs(l.Query(0, v)-tr.Dist[v]) > 1e-9 {
-				t.Fatalf("Query(0,%d) mismatch", v)
-			}
+		if err := exactErr(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
-func TestRejectsNonTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	if _, err := BuildTree(graph.Cycle(5, graph.UnitWeights(), rng)); err == nil {
-		t.Fatal("cycle accepted")
-	}
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(2, 3, 1) // forest, not tree
-	// m = n-2: not a tree by edge count.
-	if _, err := BuildTree(b.Build()); err == nil {
-		t.Fatal("forest accepted")
-	}
-	if _, err := BuildTree(graph.New(0)); err == nil {
-		t.Fatal("empty accepted")
-	}
-}
-
-func TestDistributedQueryMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := graph.RandomTree(40, graph.UniformWeights(1, 4), rng)
-	l, _ := BuildTree(g)
-	for u := 0; u < 40; u += 3 {
-		for v := 0; v < 40; v += 7 {
-			got := QueryTreeLabels(&l.Labels[u], &l.Labels[v])
-			want := l.Query(u, v)
-			if got != want {
-				t.Fatalf("(%d,%d): %v != %v", u, v, got, want)
-			}
-		}
-	}
-}
-
+// TestQuickExactness checks random trees of 2 to 51 vertices.
 func TestQuickExactness(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%50 + 2
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomTree(n, graph.UniformWeights(0.5, 3), rng)
-		l, err := BuildTree(g)
-		if err != nil {
+		g := graph.RandomTree(n, graph.UniformWeights(0.5, 3), rand.New(rand.NewSource(seed)))
+		if err := exactErr(g); err != nil {
+			t.Logf("seed %d, n=%d: %v", seed, n, err)
 			return false
-		}
-		u := rng.Intn(n)
-		tr := shortest.Dijkstra(g, u)
-		for v := 0; v < n; v++ {
-			if math.Abs(l.Query(u, v)-tr.Dist[v]) > 1e-9 {
-				return false
-			}
 		}
 		return true
 	}
@@ -138,156 +116,198 @@ func TestQuickExactness(t *testing.T) {
 	}
 }
 
-// TestQueryPathExact checks witness-path reporting on several tree
-// families: for every sampled pair the reported distance is bit-identical
-// to Query, the path is a real tree walk from u to v, and its edge-weight
-// sum matches the exact distance.
+// TestDistributedQueryMatches: two labels alone (QueryLabels) answer
+// like Query, bit for bit, in both modes.
+func TestDistributedQueryMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []*graph.Graph{
+		graph.RandomTree(40, graph.UniformWeights(1, 4), rng),
+		graph.RandomTree(1024, graph.UniformWeights(1, 4), rng),
+	} {
+		n := g.N()
+		step := max(1, n/64)
+		for _, mode := range []pathsep.OracleMode{pathsep.OracleExactCover, pathsep.OraclePortals} {
+			o, err := treeOracle(g, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < n; u += step {
+				lu := o.Label(u)
+				for v := 0; v < n; v += step {
+					if got, want := pathsep.QueryLabels(lu, o.Label(v)), o.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d, mode %d: QueryLabels(%d,%d) = %v, Query %v", n, mode, u, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLabelSizeLogarithmic pins the portal oracle's size on random trees
+// of 64, 1,024 and 4,096 vertices: its entry count, and its largest
+// label, which the halving of the centroid decomposition keeps at most
+// ⌊log2 n⌋ + 2 entries.
+func TestLabelSizeLogarithmic(t *testing.T) {
+	for _, tc := range []struct{ n, entries, maxLabel int }{
+		{64, 235, 5},
+		{1024, 5822, 8},
+		{4096, 27249, 10},
+	} {
+		g := graph.RandomTree(tc.n, graph.UniformWeights(1, 4), rand.New(rand.NewSource(18)))
+		o, err := treeOracle(g, pathsep.OraclePortals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := int(math.Log2(float64(tc.n))) + 2
+		if got := o.MaxLabelPortals(); got != tc.maxLabel || got > bound {
+			t.Errorf("n=%d: largest label %d entries, want %d (bound %d)", tc.n, got, tc.maxLabel, bound)
+		}
+		if got := o.SpacePortals(); got != tc.entries {
+			t.Errorf("n=%d: %d entries, want %d", tc.n, got, tc.entries)
+		}
+	}
+}
+
+// TestQueryPathExact walks the frozen portal oracle's witness paths on
+// the path, star, caterpillar and binary families and on the random
+// trees of TestLabelSizeLogarithmic, from up to 64 sources to every
+// vertex: each path starts at u, ends at v and steps over real edges
+// that re-weigh to the reported distance, which is Query's to the bit
+// and Dijkstra's within 1e-9 relative. A self pair reports (0, [u]) and
+// an out-of-range pair (+Inf, empty).
 func TestQueryPathExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for name, g := range map[string]*graph.Graph{
-		"path":   graph.Path(21, graph.UniformWeights(1, 3), rng),
-		"random": graph.RandomTree(70, graph.UniformWeights(0.5, 5), rng),
-		"star":   graph.Star(30, graph.UniformWeights(1, 2), rng),
-		"binary": graph.BinaryTree(63, graph.UnitWeights(), rng),
-	} {
-		l, err := BuildTree(g)
+	trees := []*graph.Graph{
+		graph.Path(21, graph.UniformWeights(1, 3), rng),
+		graph.Star(30, graph.UniformWeights(1, 2), rng),
+		graph.Caterpillar(10, 4, graph.UniformWeights(1, 2), rng),
+		graph.BinaryTree(63, graph.UnitWeights(), rng),
+	}
+	for _, n := range []int{64, 1024, 4096} {
+		trees = append(trees, graph.RandomTree(n, graph.UniformWeights(1, 4), rand.New(rand.NewSource(18))))
+	}
+	for _, g := range trees {
+		n := g.N()
+		o, err := treeOracle(g, pathsep.OraclePortals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := g.N()
+		fl, err := o.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf []int32
-		for u := 0; u < n; u += 3 {
-			for v := 0; v < n; v += 5 {
-				var dist float64
-				dist, buf, err = l.QueryPath(u, v, buf)
-				if err != nil {
-					t.Fatalf("%s: QueryPath(%d,%d): %v", name, u, v, err)
+		walk := make([]int, 0, n)
+		for u := 0; u < n; u += max(1, n/64) {
+			truth := shortest.Dijkstra(g, u).Dist
+			for v := 0; v < n; v++ {
+				var d float64
+				if d, buf, err = fl.QueryPath(u, v, buf); err != nil {
+					t.Fatalf("n=%d: QueryPath(%d,%d): %v", n, u, v, err)
 				}
-				if want := l.Query(u, v); math.Float64bits(dist) != math.Float64bits(want) {
-					t.Fatalf("%s: QueryPath(%d,%d) dist %v, Query %v", name, u, v, dist, want)
+				if q := fl.Query(u, v); math.Float64bits(d) != math.Float64bits(q) || !pathsep.ApproxDistEq(d, truth[v], 1e-9) {
+					t.Fatalf("n=%d: QueryPath(%d,%d) = %v, Query %v, Dijkstra %v", n, u, v, d, q, truth[v])
 				}
-				if len(buf) == 0 || int(buf[0]) != u || int(buf[len(buf)-1]) != v {
-					t.Fatalf("%s: path(%d,%d) endpoints wrong: %v", name, u, v, buf)
-				}
-				w := 0.0
-				for i := 1; i < len(buf); i++ {
-					ew, ok := g.EdgeWeight(int(buf[i-1]), int(buf[i]))
-					if !ok {
-						t.Fatalf("%s: path(%d,%d) uses non-edge %d-%d: %v", name, u, v, buf[i-1], buf[i], buf)
+				if u == v {
+					if !pathsep.IsZeroDist(d) || len(buf) != 1 || int(buf[0]) != u {
+						t.Fatalf("n=%d: self pair %d reported (%v, %v)", n, u, d, buf)
 					}
-					w += ew
+					continue
 				}
-				if math.Abs(w-dist) > 1e-9 {
-					t.Fatalf("%s: path(%d,%d) weighs %v, reported %v (%v)", name, u, v, w, dist, buf)
+				if len(buf) < 2 || int(buf[0]) != u || int(buf[len(buf)-1]) != v {
+					t.Fatalf("n=%d: path(%d,%d) = %v", n, u, v, buf)
+				}
+				walk = walk[:0]
+				for _, x := range buf {
+					walk = append(walk, int(x))
+				}
+				if w, ok := shortest.PathLength(g, walk); !ok || !pathsep.ApproxDistEq(w, d, 1e-9) {
+					t.Fatalf("n=%d: path(%d,%d) %v weighs %v (on edges: %v), reported %v", n, u, v, buf, w, ok, d)
 				}
 			}
 		}
-		// Out-of-range and self pairs follow the Query conventions.
-		if d, p, err := l.QueryPath(-1, 2, buf); err != nil || !math.IsInf(d, 1) || len(p) != 0 {
-			t.Fatalf("%s: out-of-range: %v %v %v", name, d, p, err)
-		}
-		if d, p, err := l.QueryPath(4, 4, buf); err != nil || math.Float64bits(d) != 0 || len(p) != 1 || p[0] != 4 {
-			t.Fatalf("%s: self pair: %v %v %v", name, d, p, err)
+		for _, pair := range [][2]int{{-1, 0}, {0, n}, {n + 3, -2}} {
+			d, p, err := fl.QueryPath(pair[0], pair[1], buf)
+			if err != nil || !math.IsInf(d, 1) || len(p) != 0 {
+				t.Fatalf("n=%d: QueryPath(%d,%d) = (%v, %v, %v), want (+Inf, [], nil)", n, pair[0], pair[1], d, p, err)
+			}
 		}
 	}
 }
 
-// TestQueryPathRejectsCorruptHops pins the step budget: a hand-built
-// labeling whose hop links cycle reports an error instead of spinning.
-func TestQueryPathRejectsCorruptHops(t *testing.T) {
-	bad := &TreeLabeling{
-		Labels: []TreeLabel{
-			{Entries: []Entry{{Centroid: 0, Hop: 1, Dist: 1}}},
-			{Entries: []Entry{{Centroid: 0, Hop: 0, Dist: 1}}},
-		},
-		n: 2,
+// disjointUnion lays the graphs side by side, renumbering each after
+// the ones before it.
+func disjointUnion(gs ...*graph.Graph) *graph.Graph {
+	n := 0
+	for _, g := range gs {
+		n += g.N()
 	}
-	if _, _, err := bad.QueryPath(0, 1, nil); err == nil {
-		t.Fatal("cyclic hop links accepted")
+	b := graph.NewBuilder(n)
+	off := 0
+	for _, g := range gs {
+		g.Edges(func(u, v int, w float64) { b.AddEdge(off+u, off+v, w) })
+		off += g.N()
 	}
+	return b.Build()
 }
 
-// TestFlatTreeMatchesPointer freezes labelings of several tree families
-// and checks Query bit-identity against TreeLabeling.Query for every pair,
-// including self and out-of-range IDs, plus the accessor bookkeeping and
-// the zero-allocation contract of the frozen form.
-func TestFlatTreeMatchesPointer(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for name, g := range map[string]*graph.Graph{
-		"path":   graph.Path(33, graph.UniformWeights(1, 3), rng),
-		"random": graph.RandomTree(80, graph.UniformWeights(0.5, 5), rng),
-		"star":   graph.Star(40, graph.UniformWeights(1, 2), rng),
-		"binary": graph.BinaryTree(63, graph.UnitWeights(), rng),
+// TestRejectsNonTrees: a graph with a cycle, alone or beside a tree, and
+// the empty graph are refused.
+func TestRejectsNonTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for name, tc := range map[string]struct {
+		g    *graph.Graph
+		want string
+	}{
+		"cycle":       {graph.Cycle(5, graph.UnitWeights(), rng), "tree-centroid requires a tree"},
+		"tree+cycle":  {disjointUnion(graph.RandomTree(30, graph.UniformWeights(1, 3), rng), graph.Cycle(6, graph.UnitWeights(), rng)), "tree-centroid requires a tree"},
+		"empty graph": {graph.New(0), "core: empty graph"},
 	} {
-		l, err := BuildTree(g)
+		if _, err := treeOracle(tc.g, pathsep.OraclePortals); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestForestAnswersPerTree: the centroid strategy accepts a forest,
+// decomposing each tree on its own, and the oracle over it answers exact
+// distances within a tree and +Inf, with an empty path, between trees,
+// in both modes.
+func TestForestAnswersPerTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	forest := disjointUnion(
+		graph.RandomTree(30, graph.UniformWeights(1, 3), rng),
+		graph.Star(12, graph.UniformWeights(1, 3), rng),
+		graph.Path(1, graph.UnitWeights(), rng),
+	)
+	n := forest.N()
+	for _, mode := range []pathsep.OracleMode{pathsep.OracleExactCover, pathsep.OraclePortals} {
+		o, err := treeOracle(forest, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := l.Freeze()
+		fl, err := o.Freeze()
 		if err != nil {
-			t.Fatalf("%s: freeze: %v", name, err)
+			t.Fatal(err)
 		}
-		if f.N() != g.N() || f.Depth() != l.Depth() {
-			t.Fatalf("%s: N/Depth = %d/%d, want %d/%d", name, f.N(), f.Depth(), g.N(), l.Depth())
-		}
-		entries := 0
-		for v := range l.Labels {
-			entries += len(l.Labels[v].Entries)
-		}
-		if f.NumEntries() != entries {
-			t.Fatalf("%s: NumEntries = %d, want %d", name, f.NumEntries(), entries)
-		}
-		n := g.N()
-		for u := -1; u <= n; u++ {
-			for v := -1; v <= n; v++ {
-				got, want := f.Query(u, v), l.Query(u, v)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: Query(%d,%d) = %v, pointer %v", name, u, v, got, want)
+		var buf []int32
+		for u := 0; u < n; u++ {
+			truth := shortest.Dijkstra(forest, u).Dist
+			for v := 0; v < n; v++ {
+				d := fl.Query(u, v)
+				if !pathsep.ApproxDistEq(d, truth[v], 1e-9) {
+					t.Fatalf("mode %d: Query(%d,%d) = %v, Dijkstra %v", mode, u, v, d, truth[v])
+				}
+				if !math.IsInf(truth[v], 1) {
+					continue
+				}
+				if d, buf, err = fl.QueryPath(u, v, buf); err != nil || !math.IsInf(d, 1) || len(buf) != 0 {
+					t.Fatalf("mode %d: QueryPath(%d,%d) across trees = (%v, %v, %v)", mode, u, v, d, buf, err)
+				}
+				if l := pathsep.QueryLabels(o.Label(u), o.Label(v)); !math.IsInf(l, 1) {
+					t.Fatalf("mode %d: QueryLabels(%d,%d) across trees = %v", mode, u, v, l)
 				}
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { f.Query(0, n-1) }); allocs != 0 {
-			t.Fatalf("%s: FlatTree.Query allocated %.1f times", name, allocs)
-		}
-	}
-}
-
-// TestFlatTreeQueryBounds is the bounds-hardening parity regression: the
-// frozen tree labeling must reject out-of-range vertex ids exactly the
-// way Oracle.Query and TreeLabeling.Query do — +Inf, never a panic —
-// including extreme ids whose offsets would wrap.
-func TestFlatTreeQueryBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	l, err := BuildTree(graph.RandomTree(25, graph.UniformWeights(1, 4), rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := l.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := f.N()
-	for _, pair := range [][2]int{
-		{-1, 0}, {0, -1}, {n, 0}, {0, n}, {n + 7, -3},
-		{math.MinInt, 0}, {0, math.MaxInt}, {math.MaxInt, math.MinInt},
-	} {
-		if d := f.Query(pair[0], pair[1]); !math.IsInf(d, 1) {
-			t.Fatalf("FlatTree.Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
-		}
-	}
-}
-
-// TestFlatTreeFreezeRejectsMisorder pins the merge-join invariant: Freeze
-// must refuse labels whose entries are not in increasing centroid order.
-func TestFlatTreeFreezeRejectsMisorder(t *testing.T) {
-	bad := &TreeLabeling{
-		Labels: []TreeLabel{
-			{Entries: []Entry{{Centroid: 1, Dist: 0}, {Centroid: 0, Dist: 1}}},
-			{Entries: []Entry{{Centroid: 0, Dist: 1}}},
-		},
-		n: 2,
-	}
-	if _, err := bad.Freeze(); err == nil {
-		t.Fatal("misordered label accepted")
 	}
 }

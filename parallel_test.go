@@ -166,10 +166,25 @@ func TestQueryBoundsGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl, err := o.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := grid.G.N()
-	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {n, 0}, {0, n}, {-7, n + 3}} {
+	var buf []int32
+	for _, pair := range [][2]int{
+		{-1, 0}, {0, -1}, {n, 0}, {0, n}, {-7, n + 3},
+		{math.MinInt, 0}, {0, math.MaxInt}, {math.MaxInt, math.MinInt},
+	} {
 		if d := o.Query(pair[0], pair[1]); !math.IsInf(d, 1) {
 			t.Fatalf("Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
+		}
+		if d := fl.Query(pair[0], pair[1]); !math.IsInf(d, 1) {
+			t.Fatalf("FlatOracle.Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
+		}
+		var d float64
+		if d, buf, err = fl.QueryPath(pair[0], pair[1], buf); err != nil || !math.IsInf(d, 1) || len(buf) != 0 {
+			t.Fatalf("FlatOracle.QueryPath(%d,%d) = (%v, %v, %v), want (+Inf, [], nil)", pair[0], pair[1], d, buf, err)
 		}
 	}
 	if d := pathsep.QueryLabels(nil, o.Label(0)); !math.IsInf(d, 1) {
@@ -186,17 +201,6 @@ func TestQueryBoundsGuards(t *testing.T) {
 		}
 		if est, path, ok := r.EstimateAndRoute(pair[0], pair[1], 4*n); ok || path != nil || !math.IsInf(est, 1) {
 			t.Fatalf("EstimateAndRoute(%d,%d) = (%v, %v, %v)", pair[0], pair[1], est, path, ok)
-		}
-	}
-
-	tree := pathsep.NewRandomTree(40, pathsep.UnitWeights(), rng)
-	tl, err := pathsep.NewTreeLabeling(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]int{{-1, 0}, {0, 40}, {99, -99}} {
-		if d := tl.Query(pair[0], pair[1]); !math.IsInf(d, 1) {
-			t.Fatalf("TreeLabeling.Query(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
 		}
 	}
 }

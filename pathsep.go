@@ -28,7 +28,6 @@
 //	internal/routing    compact routing scheme
 //	internal/smallworld Section 4 augmentation + greedy routing
 //	internal/doubling   Section 5.3 doubling separators
-//	internal/labeling   exact tree distance labels (centroid decomposition)
 //	internal/baseline   exact / ALT / Thorup–Zwick comparison oracles
 //	internal/hardness   Section 5 lower-bound instances and verifiers
 package pathsep
@@ -43,7 +42,6 @@ import (
 	"pathsep/internal/doubling"
 	"pathsep/internal/embed"
 	"pathsep/internal/graph"
-	"pathsep/internal/labeling"
 	"pathsep/internal/obs"
 	"pathsep/internal/oracle"
 	"pathsep/internal/par"
@@ -166,7 +164,12 @@ const (
 	// graphs the planar fundamental-cycle strategy, narrow graphs the
 	// center bag, everything else the greedy shortest-path-tree strategy.
 	StrategyAuto Strategy = iota
-	// StrategyTreeCentroid requires a tree (1-path separators).
+	// StrategyTreeCentroid separates each node by its centroid, a
+	// one-vertex path (trees are 1-path separable). It accepts a forest,
+	// decomposing each tree on its own, and refuses a graph with a cycle.
+	// An oracle over it answers exact tree distances; build that oracle
+	// with OraclePortals, which writes the same rows as OracleExactCover
+	// much faster.
 	StrategyTreeCentroid
 	// StrategyCenterBag uses the center bag of a heuristic tree
 	// decomposition (strong (width+1)-path separators, Theorem 7).
@@ -426,21 +429,6 @@ func NewMeshOracle(d *MeshDecomposition, eps float64) (*MeshOracle, error) {
 func AugmentMesh(d *MeshDecomposition, rng *rand.Rand) *Augmented {
 	return doubling.Augment(d, rng)
 }
-
-// TreeLabeling is an EXACT distance labeling for weighted trees
-// (centroid decomposition; O(log n) entries per label): the base case of
-// the paper's object-location program.
-type TreeLabeling = labeling.TreeLabeling
-
-// NewTreeLabeling builds exact distance labels for a weighted tree.
-func NewTreeLabeling(g *Graph) (*TreeLabeling, error) {
-	return labeling.BuildTree(g)
-}
-
-// FlatTreeLabeling is the frozen serving form of a TreeLabeling (the same
-// CSR layout as FlatOracle); build one with TreeLabeling.Freeze(). Queries
-// are exact, allocation-free and goroutine-safe.
-type FlatTreeLabeling = labeling.FlatTree
 
 // Float comparison helpers (re-exported from internal/core). Distances
 // are float64 sums accumulated along different computation paths, so raw
