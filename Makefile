@@ -2,6 +2,7 @@
 #
 #   make check      vet + lint + build + race tests + determinism + fuzz smoke + memory budget + obs-overhead + parallel-speedup + query-serving + path-serving + serving gates + bench-module tests
 #   make test       plain test run (the tier-1 gate)
+#   make vet        go vet, and gofmt -l over the tracked Go files outside vendor/ and testdata/
 #   make lint       run the repo-specific analyzers (cmd/pathsep-lint) over ./...
 #   make determinism  full schedule-matrix byte-identity gate (GOMAXPROCS x workers x shuffled submission)
 #   make fuzz-short short fuzz smoke of the graph/label/address decoders, Induced, the walk layout, the build rows, image reloads and the query handlers
@@ -34,8 +35,12 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# vet also fails when gofmt would reformat a tracked Go file outside
+# vendor/ and testdata/.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files -- $(LOC_PATHS))); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # The vettool binary is cached under bin/ and rebuilt only when analyzer
 # sources change.

@@ -110,7 +110,7 @@ func main() {
 	for i := 0; i < *queries; i++ {
 		o.Query(rng.Intn(g.N()), rng.Intn(g.N()))
 	}
-	qTime := time.Since(start) / time.Duration(max(1, *queries))
+	qTime := time.Since(start)
 
 	res := o.AuditWorkers(g, *audit, rng.Intn, *workers)
 
@@ -118,7 +118,9 @@ func main() {
 	fmt.Printf("decompose: %v  (maxK=%d depth=%d)\n", decTime.Round(time.Millisecond), dec.MaxK, dec.Depth)
 	fmt.Printf("build: %v  mode=%s eps=%g\n", buildTime.Round(time.Millisecond), *mode, *eps)
 	fmt.Printf("space: %d portal entries, max label %d portals\n", o.SpacePortals(), o.MaxLabelPortals())
-	fmt.Printf("query: %v/query over %d queries\n", qTime, *queries)
+	if *queries > 0 {
+		fmt.Printf("query: %v/query over %d queries\n", qTime/time.Duration(*queries), *queries)
+	}
 	if res.Pairs > 0 {
 		fmt.Printf("stretch: max=%.4f mean=%.4f over %d audited pairs (bound 1+eps=%.4f), %d underestimates\n",
 			res.MaxStretch, res.MeanStretch, res.Pairs, 1+*eps, res.Underestimates)

@@ -333,26 +333,27 @@ func (n *Node) SepInRootIDs() *Separator {
 	return out
 }
 
+// Auto's limits. DMP embedding is O(n·m), so Auto embeds only nodes of
+// at most planarizeLimit vertices; a center bag is used only when the
+// heuristic decomposition is at most bagWidthLimit wide.
+const (
+	planarizeLimit = 4096
+	bagWidthLimit  = 16
+)
+
 // Auto dispatches per node: trees get the centroid strategy; embedded
-// graphs the planar strategy (falling back to Greedy on failure); when no
-// embedding is supplied but the graph passes the planar edge bound and is
-// not too large, one is computed with the DMP algorithm; graphs whose
-// min-degree decomposition is narrow get the center bag; everything else
-// Greedy.
-type Auto struct {
-	// BagWidthLimit is the largest heuristic width for which the center-bag
-	// strategy is used (default 16).
-	BagWidthLimit int
-	// PlanarizeLimit caps the vertex count for attempting a DMP embedding
-	// when none is provided (default 4096; DMP is O(n·m)).
-	PlanarizeLimit int
-}
+// graphs the planar strategy (falling back on failure); when no
+// embedding is supplied but the graph passes the planar edge bound and
+// has at most 4096 vertices, one is computed with the DMP algorithm;
+// graphs whose min-degree decomposition is at most 16 wide get the
+// center bag; everything else Greedy.
+type Auto struct{}
 
 // Name implements Strategy.
 func (Auto) Name() string { return "auto" }
 
 // Separate implements Strategy.
-func (a Auto) Separate(in Input) (*Separator, error) {
+func (Auto) Separate(in Input) (*Separator, error) {
 	if IsTree(in.G) {
 		return TreeCentroid{}.Separate(in)
 	}
@@ -362,10 +363,6 @@ func (a Auto) Separate(in Input) (*Separator, error) {
 			return sep, nil
 		}
 	}
-	planarizeLimit := a.PlanarizeLimit
-	if planarizeLimit <= 0 {
-		planarizeLimit = 4096
-	}
 	if in.Rot == nil && in.G.N() >= 3 && in.G.N() <= planarizeLimit && in.G.M() <= 3*in.G.N()-6 {
 		if rot, err := embed.Planarize(in.G); err == nil {
 			if sep, err := (Planar{}).Separate(Input{G: in.G, Rot: rot, Metrics: in.Metrics}); err == nil {
@@ -373,43 +370,8 @@ func (a Auto) Separate(in Input) (*Separator, error) {
 			}
 		}
 	}
-	limit := a.BagWidthLimit
-	if limit <= 0 {
-		limit = 16
-	}
-	if sep, err := (WidthBounded{Limit: limit}).Separate(in); err == nil {
+	if sep, err := centerBag(in.G, treedecomp.MinDegree, bagWidthLimit); err == nil {
 		return sep, nil
 	}
 	return Greedy{}.Separate(in)
-}
-
-// WidthBounded applies CenterBag only when the heuristic decomposition is
-// narrow; it fails otherwise so callers can fall back.
-type WidthBounded struct {
-	Limit     int
-	Heuristic treedecomp.Heuristic
-}
-
-// Name implements Strategy.
-func (WidthBounded) Name() string { return "center-bag-bounded" }
-
-// Separate implements Strategy.
-func (w WidthBounded) Separate(in Input) (*Separator, error) {
-	d := treedecomp.Build(in.G, w.Heuristic)
-	if width := d.Width(); width > w.Limit {
-		return nil, fmt.Errorf("core: heuristic width %d exceeds limit %d", width, w.Limit)
-	}
-	c := d.CenterBag(in.G)
-	if c < 0 {
-		return nil, fmt.Errorf("core: no center bag")
-	}
-	bag := d.Bags[c]
-	if got := balanceOf(in.G, bag); got > in.G.N()/2 {
-		return nil, fmt.Errorf("core: center bag unbalanced")
-	}
-	paths := make([]Path, 0, len(bag))
-	for _, v := range bag {
-		paths = append(paths, Path{Vertices: []int{v}})
-	}
-	return &Separator{Phases: []Phase{{Paths: paths}}}, nil
 }

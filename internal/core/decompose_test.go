@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -240,5 +243,69 @@ func TestDecomposeMemoryBudget(t *testing.T) {
 	t.Logf("Decompose allocates %.0f B/vertex in %d mallocs", alloc, after.Mallocs-before.Mallocs)
 	if alloc > 8000 {
 		t.Errorf("Decompose allocates %.0f B/vertex, budget 8000", alloc)
+	}
+}
+
+// decomposeDigest hashes every node's parent and its separator in
+// root-graph IDs, phase by phase and path by path, in node order.
+func decomposeDigest(tr *Tree) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
+		h.Write(buf[:])
+	}
+	for _, n := range tr.Nodes {
+		put(n.Parent)
+		sep := n.SepInRootIDs()
+		if sep == nil {
+			put(-1)
+			continue
+		}
+		put(len(sep.Phases))
+		for _, ph := range sep.Phases {
+			put(len(ph.Paths))
+			for _, p := range ph.Paths {
+				put(len(p.Vertices))
+				for _, v := range p.Vertices {
+					put(v)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDecomposeGolden pins the decomposition trees of every separator
+// route (greedy, tree centroid, center bag, Auto's width-capped bag, and
+// the planar route from a supplied and from a computed embedding), so a
+// refactor of the separator routines must reproduce them node for node.
+func TestDecomposeGolden(t *testing.T) {
+	grid20 := embed.Grid(20, 20, graph.UniformWeights(1, 4), rand.New(rand.NewSource(2)))
+	grid24 := embed.Grid(24, 24, graph.UniformWeights(1, 4), rand.New(rand.NewSource(3)))
+	ktree := graph.KTree(200, 3, graph.UniformWeights(1, 4), rand.New(rand.NewSource(4)))
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		rot   *embed.Rotation
+		strat Strategy
+		want  string
+	}{
+		{"greedy/gnm", graph.ConnectedGNM(200, 500, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1))), nil, Greedy{}, "f84f2d4558173ea70d691305f8f149ba1c5d75725d86acfacc052dcec0a7e5f1"},
+		{"greedy/grid20", grid20.G, nil, Greedy{}, "45b806f0482ba9b802d6c2b957769dac6c9e7093cad64c93e960cd5baa63219c"},
+		{"tree-centroid/tree", graph.RandomTree(500, graph.UniformWeights(1, 4), rand.New(rand.NewSource(5))), nil, TreeCentroid{}, "df48e65af14e5e362f118f32735eaf4d4557b305b612c525d291615ac60553d2"},
+		{"center-bag/ktree", ktree, nil, CenterBag{}, "604e49cf5aa3c86b235d0407c55afcdc0065787a77539769693ced3faec0cf83"},
+		{"auto/ktree", ktree, nil, Auto{}, "3dd7e0f5a8f744d5ab00264312b1dd79a12cb82080fef0ed4c243e247750d091"},
+		{"auto/grid24-edges", grid24.G, nil, Auto{}, "76e4ebd7dcf8af170b961c18d5c8c085e2685b901b7f905b80be32f94b40c478"},
+		{"auto/grid24-rotation", grid24.G, grid24, Auto{}, "29189b2277f53ce679fb425d11371034a9882b472c8e1d17924c97110f201f37"},
+	}
+	for _, c := range cases {
+		tr, err := Decompose(c.g, Options{Strategy: c.strat, Rot: c.rot, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := decomposeDigest(tr); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pathsep/internal/embed"
 	"pathsep/internal/graph"
@@ -113,66 +112,79 @@ type Strategy interface {
 	Separate(in Input) (*Separator, error)
 }
 
-// Certify verifies that sep is a valid k-path separator of g per
-// Definition 1: phases are pairwise disjoint; every path of phase i is a
-// shortest path in g minus phases j<i; and the connected components of g
-// minus the separator have at most n/2 vertices. It is O(k · Dijkstra) and
-// intended for tests and audits.
-func Certify(g *graph.Graph, sep *Separator) error {
-	if sep == nil || len(sep.Phases) == 0 {
-		return fmt.Errorf("core: empty separator")
-	}
-	n := g.N()
-	removed := make(map[int]bool)
+// ResidualPath is one separator path in the vertex IDs of its residual
+// graph, with the prefix weight of every vertex along it: Pos[0] is 0
+// and Pos[x] is Pos[x-1] plus the weight of the edge from Verts[x-1].
+type ResidualPath struct {
+	Verts []int
+	Pos   []float64
+}
+
+// Residuals walks the phases of sep over g in order (Definition 1). For
+// phase i it calls fn with the residual graph J_i, which is g minus the
+// vertices of phases 0..i-1 induced in ascending vertex order (J.Orig
+// maps J's IDs to g's), and with the phase's paths in J's IDs. It refuses
+// an empty phase, an empty path, a path vertex that is out of range or
+// was removed by an earlier phase, and consecutive path vertices that are
+// not adjacent in J_i; it stops at the first error fn returns.
+func Residuals(g *graph.Graph, sep *Separator, fn func(phase int, j *graph.Sub, paths []ResidualPath) error) error {
+	// toJ[v] is v's ID in the current residual graph, or -1 once an
+	// earlier phase removed it.
+	toJ := make([]int, g.N())
 	for i, ph := range sep.Phases {
 		if len(ph.Paths) == 0 {
 			return fmt.Errorf("core: phase %d has no paths", i)
 		}
-		// Residual graph J_i = g minus earlier phases.
-		keep := make([]int, 0, n)
-		for v := 0; v < n; v++ {
-			if !removed[v] {
+		keep := make([]int, 0, g.N())
+		for v, jv := range toJ {
+			if jv >= 0 {
+				toJ[v] = len(keep)
 				keep = append(keep, v)
 			}
 		}
-		sub := graph.Induced(g, keep)
-		toSub := make(map[int]int, len(sub.Orig))
-		for sv, ov := range sub.Orig {
-			toSub[ov] = sv
-		}
-		for j, p := range ph.Paths {
+		j := graph.Induced(g, keep)
+		paths := make([]ResidualPath, len(ph.Paths))
+		for pi, p := range ph.Paths {
 			if len(p.Vertices) == 0 {
-				return fmt.Errorf("core: phase %d path %d empty", i, j)
+				return fmt.Errorf("core: phase %d path %d is empty", i, pi)
 			}
-			local := make([]int, len(p.Vertices))
+			rp := ResidualPath{Verts: make([]int, len(p.Vertices)), Pos: make([]float64, len(p.Vertices))}
 			for x, v := range p.Vertices {
-				sv, ok := toSub[v]
-				if !ok {
-					return fmt.Errorf("core: phase %d path %d vertex %d already removed by an earlier phase", i, j, v)
+				if v < 0 || v >= len(toJ) {
+					return fmt.Errorf("core: phase %d path %d: vertex %d out of range", i, pi, v)
 				}
-				local[x] = sv
+				if toJ[v] < 0 {
+					return fmt.Errorf("core: phase %d path %d: vertex %d already removed by an earlier phase", i, pi, v)
+				}
+				rp.Verts[x] = toJ[v]
+				if x > 0 {
+					w, ok := j.G.EdgeWeight(rp.Verts[x-1], rp.Verts[x])
+					if !ok {
+						return fmt.Errorf("core: phase %d path %d: %d-%d is not an edge", i, pi, p.Vertices[x-1], v)
+					}
+					rp.Pos[x] = rp.Pos[x-1] + w
+				}
 			}
-			if !shortest.IsShortestPath(sub.G, local) {
-				return fmt.Errorf("core: phase %d path %d is not a shortest path in its residual graph", i, j)
-			}
+			paths[pi] = rp
+		}
+		if err := fn(i, j, paths); err != nil {
+			return err
 		}
 		for _, p := range ph.Paths {
 			for _, v := range p.Vertices {
-				removed[v] = true
+				toJ[v] = -1
 			}
 		}
 	}
-	all := make([]int, 0, len(removed))
-	for v := range removed {
-		all = append(all, v)
-	}
-	sort.Ints(all)
-	comps := graph.ComponentsAfterRemoval(g, all)
-	if len(comps) > 0 && len(comps[0]) > n/2 {
-		return fmt.Errorf("core: component of size %d > n/2 = %d remains", len(comps[0]), n/2)
-	}
 	return nil
 }
+
+// Certify verifies that sep is a valid k-path separator of g per
+// Definition 1: phases are pairwise disjoint; every path of phase i is a
+// shortest path in g minus phases j<i; and the connected components of g
+// minus the separator have at most n/2 vertices. It is CertifyWeighted at
+// unit weights: O(k · Dijkstra), and intended for tests and audits.
+func Certify(g *graph.Graph, sep *Separator) error { return CertifyWeighted(g, nil, sep) }
 
 // IsTree reports whether g is a tree (connected with n-1 edges).
 func IsTree(g *graph.Graph) bool {
@@ -180,13 +192,11 @@ func IsTree(g *graph.Graph) bool {
 }
 
 // treeCentroid returns a vertex of the tree g whose removal leaves
-// components of at most n/2 vertices.
-func treeCentroid(g *graph.Graph) int {
+// components of at most half the total vertex weight (unit weights when
+// weights is nil).
+func treeCentroid(g *graph.Graph, weights []float64) int {
 	n := g.N()
-	if n == 0 {
-		return -1
-	}
-	size := make([]int, n)
+	total := graphWeight(n, weights)
 	parent := make([]int, n)
 	order := make([]int, 0, n)
 	for i := range parent {
@@ -205,21 +215,23 @@ func treeCentroid(g *graph.Graph) int {
 			}
 		}
 	}
+	sub := make([]float64, n)
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		size[v]++
+		sub[v] += vertexWeight(weights, v)
 		if parent[v] >= 0 {
-			size[parent[v]] += size[v]
+			sub[parent[v]] += sub[v]
 		}
 	}
 	// Descend from the root into the heavy child while one exists. The
-	// stopping vertex v has all child subtrees <= n/2, and its up-side is
-	// n - size[v] < n/2 since we only ever step into subtrees > n/2.
+	// stopping vertex v has all child subtrees <= total/2, and its up-side
+	// is total - sub[v] < total/2 since we only ever step into subtrees
+	// > total/2.
 	v := 0
 	for {
 		next := -1
 		for _, h := range g.Neighbors(v) {
-			if parent[h.To] == v && size[h.To] > n/2 {
+			if parent[h.To] == v && sub[h.To] > total/2 {
 				next = h.To
 				break
 			}
@@ -243,7 +255,7 @@ func (TreeCentroid) Separate(in Input) (*Separator, error) {
 	if !IsTree(in.G) {
 		return nil, fmt.Errorf("core: tree-centroid requires a tree, got n=%d m=%d", in.G.N(), in.G.M())
 	}
-	c := treeCentroid(in.G)
+	c := treeCentroid(in.G, nil)
 	return &Separator{Phases: []Phase{{Paths: []Path{{Vertices: []int{c}}}}}}, nil
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pathsep/internal/embed"
@@ -231,5 +234,73 @@ func TestSeparatorAccessors(t *testing.T) {
 	vs := s.Vertices()
 	if len(vs) != 5 { // 1,2,3,4,7 with the repeated 3 deduplicated
 		t.Fatalf("Vertices = %v", vs)
+	}
+}
+
+// TestResiduals checks the phase walk on the 7-cycle whose edge {i, i+1}
+// weighs i+1: each residual graph keeps the vertices no earlier phase
+// took, in ascending order, paths arrive in its IDs with prefix-weight
+// positions, and every refusal names its phase and path.
+func TestResiduals(t *testing.T) {
+	b := graph.NewBuilder(7)
+	for i := 0; i < 7; i++ {
+		b.AddEdge(i, (i+1)%7, float64(i+1))
+	}
+	g := b.Build()
+	type call struct {
+		orig  []int
+		paths []ResidualPath
+	}
+	var calls []call
+	walk := func(sep *Separator) error {
+		calls = nil
+		return Residuals(g, sep, func(phase int, j *graph.Sub, paths []ResidualPath) error {
+			if phase != len(calls) {
+				t.Fatalf("phase %d visited as call %d", phase, len(calls))
+			}
+			calls = append(calls, call{j.Orig, paths})
+			return nil
+		})
+	}
+	if err := walk(&Separator{Phases: []Phase{
+		{Paths: []Path{{Vertices: []int{1, 2, 3}}}},
+		{Paths: []Path{{Vertices: []int{5, 4}}, {Vertices: []int{0}}}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []call{
+		{[]int{0, 1, 2, 3, 4, 5, 6}, []ResidualPath{{Verts: []int{1, 2, 3}, Pos: []float64{0, 2, 5}}}},
+		{[]int{0, 4, 5, 6}, []ResidualPath{{Verts: []int{2, 1}, Pos: []float64{0, 5}}, {Verts: []int{0}, Pos: []float64{0}}}},
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("walk = %+v, want %+v", calls, want)
+	}
+
+	one := func(vs ...int) Path { return Path{Vertices: vs} }
+	for _, c := range []struct {
+		phases []Phase
+		want   string
+	}{
+		{[]Phase{{Paths: []Path{one(1)}}, {}}, "phase 1 has no paths"},
+		{[]Phase{{Paths: []Path{one(1), one()}}}, "phase 0 path 1 is empty"},
+		{[]Phase{{Paths: []Path{one(1)}}, {Paths: []Path{one(0), one(7)}}}, "phase 1 path 1: vertex 7 out of range"},
+		{[]Phase{{Paths: []Path{one(-1)}}}, "phase 0 path 0: vertex -1 out of range"},
+		{[]Phase{{Paths: []Path{one(1)}}, {Paths: []Path{one(0), one(2, 1)}}}, "phase 1 path 1: vertex 1 already removed by an earlier phase"},
+		{[]Phase{{Paths: []Path{one(3, 2), one(0, 2)}}}, "phase 0 path 1: 0-2 is not an edge"},
+		{[]Phase{{Paths: []Path{one(1)}}, {Paths: []Path{one(0, 2)}}}, "phase 1 path 0: 0-2 is not an edge"},
+	} {
+		err := walk(&Separator{Phases: c.phases})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.phases, err, c.want)
+		}
+	}
+
+	// The walk stops at fn's first error and returns it.
+	stop := errors.New("stop")
+	visits := 0
+	err := Residuals(g, &Separator{Phases: []Phase{{Paths: []Path{one(1)}}, {Paths: []Path{one(4)}}}},
+		func(int, *graph.Sub, []ResidualPath) error { visits++; return stop })
+	if !errors.Is(err, stop) || visits != 1 {
+		t.Errorf("fn error: err = %v after %d visits, want %v after 1", err, visits, stop)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pathsep/internal/graph"
 	"pathsep/internal/shortest"
@@ -23,28 +24,31 @@ func (s CenterBag) Name() string { return "center-bag" }
 
 // Separate implements Strategy.
 func (s CenterBag) Separate(in Input) (*Separator, error) {
-	g := in.G
-	if g.N() == 0 {
-		return nil, fmt.Errorf("core: empty graph")
+	return centerBag(in.G, s.Heuristic, math.MaxInt)
+}
+
+// centerBag separates g with the center bag of its heuristic tree
+// decomposition (Lemma 1), one one-vertex path per bag vertex. It fails
+// when the decomposition is wider than maxWidth, so that Auto can fall
+// back to another strategy.
+func centerBag(g *graph.Graph, h treedecomp.Heuristic, maxWidth int) (*Separator, error) {
+	d := treedecomp.Build(g, h)
+	if width := d.Width(); width > maxWidth {
+		return nil, fmt.Errorf("core: heuristic width %d exceeds limit %d", width, maxWidth)
 	}
-	if g.N() == 1 {
-		return singleVertexSeparator(0), nil
-	}
-	d := treedecomp.Build(g, s.Heuristic)
 	c := d.CenterBag(g)
 	if c < 0 {
 		return nil, fmt.Errorf("core: no center bag found")
 	}
 	bag := d.Bags[c]
+	if got := balanceOf(g, bag); got > g.N()/2 {
+		return nil, fmt.Errorf("core: center bag left a component of %d > n/2", got)
+	}
 	paths := make([]Path, 0, len(bag))
 	for _, v := range bag {
 		paths = append(paths, Path{Vertices: []int{v}})
 	}
-	sep := &Separator{Phases: []Phase{{Paths: paths}}}
-	if got := balanceOf(g, bag); got > g.N()/2 {
-		return nil, fmt.Errorf("core: center bag left a component of %d > n/2", got)
-	}
-	return sep, nil
+	return &Separator{Phases: []Phase{{Paths: paths}}}, nil
 }
 
 // Greedy separates arbitrary connected graphs with shortest-path-tree
@@ -63,7 +67,16 @@ func (Greedy) Name() string { return "greedy-sptree" }
 
 // Separate implements Strategy.
 func (s Greedy) Separate(in Input) (*Separator, error) {
-	g := in.G
+	return greedy(in.G, nil, s.MaxPaths, shortest.NewCollector(in.Metrics))
+}
+
+// greedy is Greedy at the given vertex weights (unit weights when nil):
+// each phase removes, from the heaviest remaining component, the
+// shortest path from a root to the weighted centroid of its
+// shortest-path tree, until no component holds more than half the total
+// weight. An input that is already balanced gets a one-vertex separator,
+// since Definition 1 requires removing something.
+func greedy(g *graph.Graph, weights []float64, maxPaths int, col *shortest.Collector) (*Separator, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty graph")
@@ -71,20 +84,30 @@ func (s Greedy) Separate(in Input) (*Separator, error) {
 	if n == 1 {
 		return singleVertexSeparator(0), nil
 	}
-	maxPaths := s.MaxPaths
 	if maxPaths <= 0 {
 		maxPaths = 4*isqrt(n) + 16
 	}
-	col := shortest.NewCollector(in.Metrics)
+	total := graphWeight(n, weights)
 	sep := &Separator{}
 	removed := make([]int, 0, 16)
 	for len(sep.Phases) < maxPaths {
 		comps := graph.ComponentsAfterRemoval(g, removed)
-		if len(comps) == 0 || len(comps[0]) <= n/2 {
+		big, w := heaviest(comps, weights)
+		if big < 0 || w <= total/2 {
+			if len(sep.Phases) == 0 {
+				return singleVertexSeparator(0), nil
+			}
 			return sep, nil
 		}
-		sub := graph.Induced(g, comps[0])
-		path := centroidPath(sub, col)
+		sub := graph.Induced(g, comps[big])
+		var subWeights []float64
+		if weights != nil {
+			subWeights = make([]float64, len(sub.Orig))
+			for i, ov := range sub.Orig {
+				subWeights[i] = weights[ov]
+			}
+		}
+		path := centroidPath(sub.G, subWeights, col)
 		lifted := make([]int, len(path))
 		for i, v := range path {
 			lifted[i] = sub.Orig[v]
@@ -95,17 +118,16 @@ func (s Greedy) Separate(in Input) (*Separator, error) {
 	return nil, fmt.Errorf("core: greedy exceeded %d paths without halving (n=%d)", maxPaths, n)
 }
 
-// centroidPath returns, in sub-local IDs, the shortest path from a root to
-// the centroid of the shortest-path tree of the (connected) subgraph.
-func centroidPath(sub *graph.Sub, col *shortest.Collector) []int {
-	j := sub.G
+// centroidPath returns the shortest path from a root to the weighted
+// centroid of the shortest-path tree of the connected graph j.
+func centroidPath(j *graph.Graph, weights []float64, col *shortest.Collector) []int {
 	if j.N() == 1 {
 		return []int{0}
 	}
 	root := maxDegreeVertex(j)
 	t := shortest.Dijkstra(j, root)
 	col.Record(t)
-	c := sptCentroid(j.N(), t.Parent)
+	c := sptCentroid(t.Parent, weights)
 	return t.PathTo(c)
 }
 
@@ -119,22 +141,23 @@ func maxDegreeVertex(g *graph.Graph) int {
 	return best
 }
 
-// sptCentroid computes the centroid of the tree given by parent pointers
-// (root has parent -1): the vertex whose removal from the TREE leaves
-// subtrees of at most n/2 vertices. Removing the root-to-centroid path
-// leaves tree components of at most n/2 vertices (graph components may
-// still merge across non-tree edges, which is why Greedy iterates).
-func sptCentroid(n int, parent []int) int {
-	size := make([]int, n)
-	childCount := make([]int, n)
+// sptCentroid computes the weighted centroid of the tree given by parent
+// pointers (root has parent -1): the vertex whose removal from the TREE
+// leaves subtrees of at most half the total weight. Removing the
+// root-to-centroid path leaves tree components of at most half the
+// weight (graph components may still merge across non-tree edges, which
+// is why greedy iterates).
+func sptCentroid(parent []int, weights []float64) int {
+	n := len(parent)
+	total := graphWeight(n, weights)
+	sub := make([]float64, n)
+	// Kahn-style leaf peeling to get subtree weights without recursion.
+	pending := make([]int, n)
 	for v := 0; v < n; v++ {
 		if parent[v] >= 0 {
-			childCount[parent[v]]++
+			pending[parent[v]]++
 		}
 	}
-	// Kahn-style leaf peeling to get sizes without recursion.
-	pending := make([]int, n)
-	copy(pending, childCount)
 	queue := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if pending[v] == 0 {
@@ -144,9 +167,9 @@ func sptCentroid(n int, parent []int) int {
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		size[v]++
+		sub[v] += vertexWeight(weights, v)
 		if p := parent[v]; p >= 0 {
-			size[p] += size[v]
+			sub[p] += sub[v]
 			pending[p]--
 			if pending[p] == 0 {
 				queue = append(queue, p)
@@ -161,17 +184,17 @@ func sptCentroid(n int, parent []int) int {
 		}
 	}
 	// children lists for the descent.
-	childHead := make([][]int, n)
+	children := make([][]int, n)
 	for v := 0; v < n; v++ {
 		if p := parent[v]; p >= 0 {
-			childHead[p] = append(childHead[p], v)
+			children[p] = append(children[p], v)
 		}
 	}
 	v := root
 	for {
 		next := -1
-		for _, c := range childHead[v] {
-			if size[c] > n/2 {
+		for _, c := range children[v] {
+			if sub[c] > total/2 {
 				next = c
 				break
 			}

@@ -128,7 +128,7 @@ func fundamentalCycleSeparator(j *graph.Graph, rot *embed.Rotation, col *shortes
 	}
 	if bestEdge < 0 {
 		// No non-tree edges: j is a tree; single-vertex centroid.
-		return [][]int{{treeCentroid(j)}}, nil
+		return [][]int{{treeCentroid(j, nil)}}, nil
 	}
 	u, v := tri.EU[bestEdge], tri.EV[bestEdge]
 	a := bestLCA

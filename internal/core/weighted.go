@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"pathsep/internal/graph"
 	"pathsep/internal/shortest"
@@ -13,11 +13,39 @@ import (
 // Theorem 1 in the paper: a k-path separator that splits the graph into
 // components of at most HALF THE TOTAL VERTEX WEIGHT (rather than half
 // the vertex count), with the separator still a sequence of phases of
-// shortest paths. Lemmas 1 and 5 "can be easily adapted"; these are the
-// adaptations for the implementable strategies.
+// shortest paths. Lemmas 1 and 5 "can be easily adapted"; the unweighted
+// routines are these at unit weights (nil weights). A nil-weight sum is
+// an integer-valued float64, exact below 2^53, and for an integer s,
+// s > n/2 holds exactly when s > ⌊n/2⌋, so the unit-weight comparisons
+// are the vertex-count ones.
 
-// totalWeight sums the weights of the given vertices (weight 1 each when
-// weights is nil).
+// checkWeights refuses a weight vector without one entry per vertex, or
+// with a negative or non-finite weight. Zero weights are legal, and nil
+// weights are unit weights.
+func checkWeights(n int, weights []float64) error {
+	if weights == nil {
+		return nil
+	}
+	if len(weights) != n {
+		return fmt.Errorf("core: %d weights for %d vertices", len(weights), n)
+	}
+	for v, w := range weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("core: vertex %d has weight %v; weights must be finite and non-negative", v, w)
+		}
+	}
+	return nil
+}
+
+// vertexWeight returns v's weight, 1 when weights is nil.
+func vertexWeight(weights []float64, v int) float64 {
+	if weights == nil {
+		return 1
+	}
+	return weights[v]
+}
+
+// totalWeight sums the weights of the given vertices.
 func totalWeight(vertices []int, weights []float64) float64 {
 	if weights == nil {
 		return float64(len(vertices))
@@ -29,100 +57,63 @@ func totalWeight(vertices []int, weights []float64) float64 {
 	return s
 }
 
+// heaviest returns the index and weight of the first heaviest of comps,
+// or -1 when none has positive weight. At unit weights that is comps[0],
+// since ComponentsAfterRemoval returns components largest first.
+func heaviest(comps [][]int, weights []float64) (int, float64) {
+	best, bestW := -1, 0.0
+	for i, comp := range comps {
+		if w := totalWeight(comp, weights); w > bestW {
+			best, bestW = i, w
+		}
+	}
+	return best, bestW
+}
+
 // maxComponentWeight returns the heaviest component weight of g minus the
 // removed set.
 func maxComponentWeight(g *graph.Graph, weights []float64, removed []int) float64 {
-	best := 0.0
-	for _, comp := range graph.ComponentsAfterRemoval(g, removed) {
-		if w := totalWeight(comp, weights); w > best {
-			best = w
-		}
+	_, w := heaviest(graph.ComponentsAfterRemoval(g, removed), weights)
+	return w
+}
+
+// graphWeight sums the weights of all n vertices, in vertex order.
+func graphWeight(n int, weights []float64) float64 {
+	total := 0.0
+	for v := 0; v < n; v++ {
+		total += vertexWeight(weights, v)
 	}
-	return best
+	return total
 }
 
 // WeightedTreeCentroid returns a vertex of the tree g whose removal
-// leaves components of at most half the total vertex weight. All weights
-// must be non-negative.
+// leaves components of at most half the total vertex weight. Weights
+// must be finite and non-negative; nil weights are unit weights.
 func WeightedTreeCentroid(g *graph.Graph, weights []float64) (int, error) {
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return -1, fmt.Errorf("core: empty graph")
 	}
 	if !IsTree(g) {
 		return -1, fmt.Errorf("core: weighted centroid requires a tree")
 	}
-	if weights != nil && len(weights) != n {
-		return -1, fmt.Errorf("core: %d weights for %d vertices", len(weights), n)
+	if err := checkWeights(g.N(), weights); err != nil {
+		return -1, err
 	}
-	wOf := func(v int) float64 {
-		if weights == nil {
-			return 1
-		}
-		if weights[v] < 0 {
-			return 0
-		}
-		return weights[v]
-	}
-	total := 0.0
-	for v := 0; v < n; v++ {
-		total += wOf(v)
-	}
-	// Subtree weights rooted at 0.
-	parent := make([]int, n)
-	order := make([]int, 0, n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[0] = -1
-	stack := []int{0}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, v)
-		for _, h := range g.Neighbors(v) {
-			if parent[h.To] == -2 {
-				parent[h.To] = v
-				stack = append(stack, h.To)
-			}
-		}
-	}
-	sub := make([]float64, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		sub[v] += wOf(v)
-		if parent[v] >= 0 {
-			sub[parent[v]] += sub[v]
-		}
-	}
-	v := 0
-	for {
-		next := -1
-		for _, h := range g.Neighbors(v) {
-			if parent[h.To] == v && sub[h.To] > total/2 {
-				next = h.To
-				break
-			}
-		}
-		if next < 0 {
-			return v, nil
-		}
-		v = next
-	}
+	return treeCentroid(g, weights), nil
 }
 
 // WeightedCenterBag finds a bag of a heuristic tree decomposition whose
 // removal leaves components of at most half the total vertex weight —
-// Lemma 1 with vertex weights.
+// Lemma 1 with vertex weights. Weights must be finite and non-negative.
 func WeightedCenterBag(g *graph.Graph, weights []float64, h treedecomp.Heuristic) ([]int, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
-	if weights != nil && len(weights) != g.N() {
-		return nil, fmt.Errorf("core: %d weights for %d vertices", len(weights), g.N())
+	if err := checkWeights(g.N(), weights); err != nil {
+		return nil, err
 	}
 	d := treedecomp.Build(g, h)
-	total := totalWeightAll(g.N(), weights)
+	total := graphWeight(g.N(), weights)
 	// Exhaustive scan (Lemma 1 guarantees success); decompositions are
 	// linear in n so this is O(n * components) worst case.
 	bestBag, bestW := -1, total+1
@@ -141,209 +132,41 @@ func WeightedCenterBag(g *graph.Graph, weights []float64, h treedecomp.Heuristic
 	return nil, fmt.Errorf("core: no weighted center bag (best leaves %.3g of %.3g)", bestW, total)
 }
 
-func totalWeightAll(n int, weights []float64) float64 {
-	if weights == nil {
-		return float64(n)
-	}
-	var s float64
-	for _, w := range weights {
-		if w > 0 {
-			s += w
-		}
-	}
-	return s
-}
-
 // WeightedGreedy computes a phased path separator that halves the total
-// vertex weight: each phase removes, from the heaviest remaining
-// component, the shortest path from a root to the WEIGHTED centroid of
-// its shortest-path tree.
+// vertex weight: Greedy with the WEIGHTED centroid of each shortest-path
+// tree. Weights must be finite and non-negative.
 func WeightedGreedy(g *graph.Graph, weights []float64, maxPaths int) (*Separator, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty graph")
+	if err := checkWeights(g.N(), weights); err != nil {
+		return nil, err
 	}
-	if weights != nil && len(weights) != n {
-		return nil, fmt.Errorf("core: %d weights for %d vertices", len(weights), n)
-	}
-	if n == 1 {
-		return singleVertexSeparator(0), nil
-	}
-	if maxPaths <= 0 {
-		maxPaths = 4*isqrt(n) + 16
-	}
-	total := totalWeightAll(n, weights)
-	sep := &Separator{}
-	removed := make([]int, 0, 16)
-	for len(sep.Phases) < maxPaths {
-		comps := graph.ComponentsAfterRemoval(g, removed)
-		heaviest, heaviestW := -1, 0.0
-		for i, comp := range comps {
-			if w := totalWeight(comp, weights); w > heaviestW {
-				heaviest, heaviestW = i, w
-			}
-		}
-		if heaviest < 0 || heaviestW <= total/2 {
-			if len(sep.Phases) == 0 {
-				// Definition 1 requires removing something even when the
-				// graph is already balanced by weight.
-				return singleVertexSeparator(0), nil
-			}
-			return sep, nil
-		}
-		sub := graph.Induced(g, comps[heaviest])
-		var subWeights []float64
-		if weights != nil {
-			subWeights = make([]float64, len(sub.Orig))
-			for i, ov := range sub.Orig {
-				subWeights[i] = weights[ov]
-			}
-		}
-		path := weightedCentroidPath(sub, subWeights)
-		lifted := make([]int, len(path))
-		for i, v := range path {
-			lifted[i] = sub.Orig[v]
-		}
-		sep.Phases = append(sep.Phases, Phase{Paths: []Path{{Vertices: lifted}}})
-		removed = append(removed, lifted...)
-	}
-	return nil, fmt.Errorf("core: weighted greedy exceeded %d paths", maxPaths)
-}
-
-// weightedCentroidPath is centroidPath with subtree weights.
-func weightedCentroidPath(sub *graph.Sub, weights []float64) []int {
-	j := sub.G
-	if j.N() == 1 {
-		return []int{0}
-	}
-	root := maxDegreeVertex(j)
-	t := shortest.Dijkstra(j, root)
-	c := weightedSPTCentroid(j.N(), t.Parent, weights)
-	return t.PathTo(c)
-}
-
-func weightedSPTCentroid(n int, parent []int, weights []float64) int {
-	wOf := func(v int) float64 {
-		if weights == nil {
-			return 1
-		}
-		if weights[v] < 0 {
-			return 0
-		}
-		return weights[v]
-	}
-	total := 0.0
-	for v := 0; v < n; v++ {
-		total += wOf(v)
-	}
-	sub := make([]float64, n)
-	childCount := make([]int, n)
-	for v := 0; v < n; v++ {
-		if parent[v] >= 0 {
-			childCount[parent[v]]++
-		}
-	}
-	pending := make([]int, n)
-	copy(pending, childCount)
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if pending[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		sub[v] += wOf(v)
-		if p := parent[v]; p >= 0 {
-			sub[p] += sub[v]
-			pending[p]--
-			if pending[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-	}
-	root := 0
-	for v := 0; v < n; v++ {
-		if parent[v] < 0 {
-			root = v
-			break
-		}
-	}
-	children := make([][]int, n)
-	for v := 0; v < n; v++ {
-		if p := parent[v]; p >= 0 {
-			children[p] = append(children[p], v)
-		}
-	}
-	v := root
-	for {
-		next := -1
-		for _, c := range children[v] {
-			if sub[c] > total/2 {
-				next = c
-				break
-			}
-		}
-		if next < 0 {
-			return v
-		}
-		v = next
-	}
+	return greedy(g, weights, maxPaths, nil)
 }
 
 // CertifyWeighted verifies a separator against the weighted Definition 1
 // variant: phases of shortest paths in their residual graphs, and
-// remaining components of at most half the total vertex weight.
+// remaining components of at most half the total vertex weight. Weights
+// must be finite and non-negative; nil weights are unit weights.
 func CertifyWeighted(g *graph.Graph, weights []float64, sep *Separator) error {
 	if sep == nil || len(sep.Phases) == 0 {
 		return fmt.Errorf("core: empty separator")
 	}
-	if weights != nil && len(weights) != g.N() {
-		return fmt.Errorf("core: %d weights for %d vertices", len(weights), g.N())
+	if err := checkWeights(g.N(), weights); err != nil {
+		return err
 	}
-	// Path/phase conditions are identical to the unweighted certificate.
-	n := g.N()
-	removed := make(map[int]bool)
-	for i, ph := range sep.Phases {
-		keep := make([]int, 0, n)
-		for v := 0; v < n; v++ {
-			if !removed[v] {
-				keep = append(keep, v)
+	err := Residuals(g, sep, func(i int, j *graph.Sub, paths []ResidualPath) error {
+		for pi, p := range paths {
+			if !shortest.IsShortestPath(j.G, p.Verts) {
+				return fmt.Errorf("core: phase %d path %d is not a shortest path in its residual graph", i, pi)
 			}
 		}
-		sub := graph.Induced(g, keep)
-		toSub := make(map[int]int, len(sub.Orig))
-		for sv, ov := range sub.Orig {
-			toSub[ov] = sv
-		}
-		for j, p := range ph.Paths {
-			local := make([]int, len(p.Vertices))
-			for x, v := range p.Vertices {
-				sv, ok := toSub[v]
-				if !ok {
-					return fmt.Errorf("core: phase %d path %d vertex removed earlier", i, j)
-				}
-				local[x] = sv
-			}
-			if !shortest.IsShortestPath(sub.G, local) {
-				return fmt.Errorf("core: phase %d path %d not shortest in residual", i, j)
-			}
-		}
-		for _, p := range ph.Paths {
-			for _, v := range p.Vertices {
-				removed[v] = true
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	all := make([]int, 0, len(removed))
-	for v := range removed {
-		all = append(all, v)
-	}
-	sort.Ints(all)
-	total := totalWeightAll(n, weights)
-	if got := maxComponentWeight(g, weights, all); got > total/2 {
-		return fmt.Errorf("core: component weight %.6g > half of %.6g", got, total)
+	total := graphWeight(g.N(), weights)
+	if got := maxComponentWeight(g, weights, sep.Vertices()); got > total/2 {
+		return fmt.Errorf("core: component of weight %.6g > half of %.6g remains", got, total)
 	}
 	return nil
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"pathsep/internal/embed"
 	"pathsep/internal/graph"
 	"pathsep/internal/treedecomp"
 )
@@ -65,7 +69,7 @@ func TestWeightedCenterBag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := totalWeightAll(60, w)
+	total := graphWeight(60, w)
 	if got := maxComponentWeight(g, w, bag); got > total/2 {
 		t.Fatalf("bag leaves weight %v > %v/2", got, total)
 	}
@@ -158,5 +162,72 @@ func TestQuickWeightedGreedyAlwaysCertifies(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWeightsRefused pins the refusal of negative and non-finite vertex
+// weights: on the unit path 0-1-2-3, weight -10 or NaN at vertex 0 once
+// made CertifyWeighted accept {3}, which leaves {0,1,2}, and
+// WeightedGreedy return {0}, which leaves weight 3.
+func TestWeightsRefused(t *testing.T) {
+	g := graph.Path(4, graph.UnitWeights(), rand.New(rand.NewSource(1)))
+	three := &Separator{Phases: []Phase{{Paths: []Path{{Vertices: []int{3}}}}}}
+	for _, bad := range []float64{-10, math.NaN(), math.Inf(1)} {
+		w := []float64{bad, 1, 1, 1}
+		errs := map[string]error{"CertifyWeighted": CertifyWeighted(g, w, three)}
+		_, errs["WeightedGreedy"] = WeightedGreedy(g, w, 0)
+		_, errs["WeightedTreeCentroid"] = WeightedTreeCentroid(g, w)
+		_, errs["WeightedCenterBag"] = WeightedCenterBag(g, w, treedecomp.MinDegree)
+		for name, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "vertex 0") {
+				t.Errorf("%s with weight %v at vertex 0: err = %v, want a refusal naming vertex 0", name, bad, err)
+			}
+		}
+	}
+	// Zero weights stay legal.
+	if _, err := WeightedGreedy(g, []float64{0, 1, 1, 1}, 0); err != nil {
+		t.Errorf("zero weight refused: %v", err)
+	}
+}
+
+// TestUnitWeightsAreNilWeights checks that explicit unit weights give the
+// unweighted strategies' separators, on the families TestDecomposeGolden
+// pins.
+func TestUnitWeightsAreNilWeights(t *testing.T) {
+	ones := func(n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	for _, g := range []*graph.Graph{
+		graph.ConnectedGNM(200, 500, graph.UniformWeights(1, 4), rand.New(rand.NewSource(1))),
+		embed.Grid(20, 20, graph.UniformWeights(1, 4), rand.New(rand.NewSource(2))).G,
+		graph.KTree(200, 3, graph.UniformWeights(1, 4), rand.New(rand.NewSource(4))),
+	} {
+		want, err := Greedy{}.Separate(Input{G: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := WeightedGreedy(g, ones(g.N()), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d m=%d: WeightedGreedy at unit weights %v, Greedy %v", g.N(), g.M(), got, want)
+		}
+	}
+	tree := graph.RandomTree(500, graph.UniformWeights(1, 4), rand.New(rand.NewSource(5)))
+	want, err := TreeCentroid{}.Separate(Input{G: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := WeightedTreeCentroid(tree, ones(tree.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := want.Phases[0].Paths[0].Vertices[0]; c != w {
+		t.Errorf("WeightedTreeCentroid at unit weights = %d, TreeCentroid %d", c, w)
 	}
 }

@@ -343,19 +343,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 		if node.Sep == nil {
 			continue
 		}
-		local := node.Sub.G
-		// toJ[lv] is the residual ID of local vertex lv in the current
-		// phase, or -1 once an earlier phase removed it.
-		toJ := make([]int, local.N())
-		for phaseIdx, phase := range node.Sep.Phases {
-			keep := make([]int, 0, local.N())
-			for lv, jv := range toJ {
-				if jv >= 0 {
-					toJ[lv] = len(keep)
-					keep = append(keep, lv)
-				}
-			}
-			sub := graph.Induced(local, keep) // residual J
+		err := core.Residuals(node.Sub.G, node.Sep, func(phaseIdx int, sub *graph.Sub, infos []core.ResidualPath) error {
 			j := sub.G
 			// roots[jv] is the root-graph ID of residual vertex jv,
 			// precomputed once and read by every task of the phase.
@@ -363,39 +351,14 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 			for jv := range roots {
 				roots[jv] = int32(node.Sub.Orig[sub.Orig[jv]])
 			}
-
-			// Per-path J-local vertex lists and positions.
 			first := len(paths)
-			infos := make([]pathInfo, len(phase.Paths))
-			for pi, p := range phase.Paths {
-				if len(p.Vertices) == 0 {
-					return nil, fmt.Errorf("oracle: node %d phase %d path %d: empty path", node.ID, phaseIdx, pi)
-				}
-				info := pathInfo{
-					verts: make([]int, len(p.Vertices)),
-					pos:   make([]float64, len(p.Vertices)),
-				}
-				for x, lv := range p.Vertices {
-					if lv < 0 || lv >= len(toJ) || toJ[lv] < 0 {
-						return nil, fmt.Errorf("oracle: node %d phase %d path %d: vertex removed earlier", node.ID, phaseIdx, pi)
-					}
-					jv := toJ[lv]
-					info.verts[x] = jv
-					if x > 0 {
-						w, ok := j.EdgeWeight(info.verts[x-1], jv)
-						if !ok {
-							return nil, fmt.Errorf("oracle: node %d phase %d path %d: non-edge on path", node.ID, phaseIdx, pi)
-						}
-						info.pos[x] = info.pos[x-1] + w
-					}
-				}
-				infos[pi] = info
+			for pi, info := range infos {
 				sp := sepPath{
 					key:   Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)},
-					verts: make([]int32, len(info.verts)),
-					pos:   info.pos,
+					verts: make([]int32, len(info.Verts)),
+					pos:   info.Pos,
 				}
-				for x, jv := range info.verts {
+				for x, jv := range info.Verts {
 					sp.verts[x] = roots[jv]
 				}
 				paths = append(paths, sp)
@@ -412,7 +375,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 						// Evenly spaced portals (by weight), endpoints
 						// included, plus the closest attachment: at most
 						// one record per residual vertex each.
-						sel := selectEvenPortals(info.pos, portalsPerPath)
+						sel := selectEvenPortals(info.Pos, portalsPerPath)
 						out := sizedRecBuf(split, roots, len(sel)+1)
 						// Every run of the task reuses one workspace; each
 						// run's tree is read before the next run starts.
@@ -433,7 +396,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 						for jv, v := range roots {
 							rangeOf[jv] = int32(split.of(v))
 						}
-						for x, jv := range info.verts {
+						for x, jv := range info.Verts {
 							anchor[jv] = base + int32(x)
 							up[jv] = selfAt[anchor[jv]]
 						}
@@ -458,12 +421,12 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 						// run: path vertices have their self records, and
 						// every other reached vertex gets one, at distance 0
 						// too, since a record may hop through it.
-						trQ := ws.Run(j, info.verts, nil)
+						trQ := ws.Run(j, info.Verts, nil)
 						col.Record(trQ)
 						emit(trQ)
 						for _, x := range sel {
-							s := info.verts[x]
-							tr := ws.Run(j, info.verts[x:x+1], nil)
+							s := info.Verts[x]
+							tr := ws.Run(j, info.Verts[x:x+1], nil)
 							col.Record(tr)
 							up[s] = selfAt[anchor[s]]
 							emit(tr)
@@ -482,7 +445,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 							k := rank[first+pi]
 							base := pathOff[k]
 							for _, x := range epsCover(tr.Dist, info, opt.Epsilon) {
-								if info.verts[x] == w {
+								if info.Verts[x] == w {
 									continue // self record already present
 								}
 								// w's record, then closure records: the
@@ -502,7 +465,7 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 								// Each record comes right after its hop's, so
 								// up is the index put just returned, the
 								// anchor's self record's at first.
-								path := tr.PathTo(info.verts[x])
+								path := tr.PathTo(info.Verts[x])
 								tail := 0.0
 								a := base + int32(x)
 								up := selfAt[a]
@@ -517,12 +480,10 @@ func collect(t *core.Tree, opt Options, pool *par.Pool) (*records, error) {
 					})
 				}
 			}
-
-			for _, p := range phase.Paths {
-				for _, lv := range p.Vertices {
-					toJ[lv] = -1
-				}
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("oracle: node %d: %w", node.ID, err)
 		}
 	}
 
@@ -964,28 +925,21 @@ func selectEvenPortals(pos []float64, p int) []int {
 	return out
 }
 
-// pathInfo is a separator path in residual-local IDs with prefix-weight
-// positions along it.
-type pathInfo struct {
-	verts []int
-	pos   []float64
-}
-
 // epsCover greedily selects indices x into the path such that every path
 // vertex y reachable from w satisfies, for some selected x:
 // dist[x] + |pos[x]-pos[y]| <= (1+eps) * dist[y]. A vertex certifies its
 // own coverage when selected, so the invariant holds by construction.
-func epsCover(dist []float64, info pathInfo, eps float64) []int {
+func epsCover(dist []float64, info core.ResidualPath, eps float64) []int {
 	var chosen []int
-	for y := range info.verts {
-		dy := dist[info.verts[y]]
+	for y := range info.Verts {
+		dy := dist[info.Verts[y]]
 		if math.IsInf(dy, 1) {
 			continue
 		}
 		covered := false
 		for _, x := range chosen {
-			dx := dist[info.verts[x]]
-			if dx+math.Abs(info.pos[x]-info.pos[y]) <= (1+eps)*dy {
+			dx := dist[info.Verts[x]]
+			if dx+math.Abs(info.Pos[x]-info.Pos[y]) <= (1+eps)*dy {
 				covered = true
 				break
 			}

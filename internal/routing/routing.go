@@ -184,40 +184,12 @@ func Build(t *core.Tree, opt Options) (*Router, error) {
 		if node.Sep == nil {
 			continue
 		}
-		local := node.Sub.G
-		removed := make(map[int]bool)
-		for phaseIdx, phase := range node.Sep.Phases {
-			keep := make([]int, 0, local.N())
-			for v := 0; v < local.N(); v++ {
-				if !removed[v] {
-					keep = append(keep, v)
-				}
-			}
-			sub := graph.Induced(local, keep)
+		err := core.Residuals(node.Sub.G, node.Sep, func(phaseIdx int, sub *graph.Sub, paths []core.ResidualPath) error {
 			j := sub.G
-			toJ := make(map[int]int, len(sub.Orig))
-			for jv, lv := range sub.Orig {
-				toJ[lv] = jv
-			}
 			rootID := func(jv int) int { return node.Sub.Orig[sub.Orig[jv]] }
-			for pi, p := range phase.Paths {
+			for pi, p := range paths {
 				k := oracle.Key{Node: int32(node.ID), Phase: int16(phaseIdx), Path: int16(pi)}
-				verts := make([]int, len(p.Vertices))
-				pos := make([]float64, len(p.Vertices))
-				for x, lv := range p.Vertices {
-					jv, ok := toJ[lv]
-					if !ok {
-						return nil, fmt.Errorf("routing: node %d phase %d path %d: vertex removed earlier", node.ID, phaseIdx, pi)
-					}
-					verts[x] = jv
-					if x > 0 {
-						w, ok := j.EdgeWeight(verts[x-1], jv)
-						if !ok {
-							return nil, fmt.Errorf("routing: node %d phase %d path %d: non-edge on path", node.ID, phaseIdx, pi)
-						}
-						pos[x] = pos[x-1] + w
-					}
-				}
+				verts, pos := p.Verts, p.Pos
 				entryOf := make(map[int]*Entry, j.N()) // J-local -> table entry
 				addrOf := make(map[int]*AddrEntry, j.N())
 				getEntry := func(jv int) *Entry {
@@ -246,7 +218,7 @@ func Build(t *core.Tree, opt Options) (*Router, error) {
 				col.Record(trQ)
 				dfsA, err := dfsNumber(j.N(), trQ.Parent, trQ.Source)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				idxOf := make(map[int]int, len(verts))
 				for x, jv := range verts {
@@ -302,7 +274,7 @@ func Build(t *core.Tree, opt Options) (*Router, error) {
 					}
 					dfsP, err := dfsNumber(j.N(), tr.Parent, src)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					for w := 0; w < j.N(); w++ {
 						if src[w] < 0 {
@@ -328,11 +300,10 @@ func Build(t *core.Tree, opt Options) (*Router, error) {
 					}
 				}
 			}
-			for _, p := range phase.Paths {
-				for _, lv := range p.Vertices {
-					removed[lv] = true
-				}
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("routing: node %d: %w", node.ID, err)
 		}
 	}
 	for v := range r.Tables {

@@ -102,50 +102,24 @@ func collectPathData(t *core.Tree) ([][]pathData, error) {
 		if node.Sep == nil {
 			continue
 		}
-		local := node.Sub.G
-		removed := make(map[int]bool)
-		for phaseIdx, phase := range node.Sep.Phases {
-			keep := make([]int, 0, local.N())
-			for v := 0; v < local.N(); v++ {
-				if !removed[v] {
-					keep = append(keep, v)
-				}
-			}
-			sub := graph.Induced(local, keep)
+		err := core.Residuals(node.Sub.G, node.Sep, func(phaseIdx int, sub *graph.Sub, paths []core.ResidualPath) error {
 			j := sub.G
-			toJ := make(map[int]int, len(sub.Orig))
-			for jv, lv := range sub.Orig {
-				toJ[lv] = jv
-			}
-			for pi, p := range phase.Paths {
+			for pi, p := range paths {
 				pd := pathData{
 					node:     node.ID,
 					phase:    phaseIdx,
 					pathIdx:  pi,
-					verts:    make([]int, len(p.Vertices)),
-					pos:      make([]float64, len(p.Vertices)),
+					verts:    make([]int, len(p.Verts)),
+					pos:      p.Pos,
 					distRoot: make(map[int]float64, j.N()),
 					closest:  make(map[int]int, j.N()),
 				}
-				jPath := make([]int, len(p.Vertices))
-				idxOf := make(map[int]int, len(p.Vertices))
-				for x, lv := range p.Vertices {
-					jv, ok := toJ[lv]
-					if !ok {
-						return nil, fmt.Errorf("smallworld: node %d phase %d: path vertex removed earlier", node.ID, phaseIdx)
-					}
-					jPath[x] = jv
+				idxOf := make(map[int]int, len(p.Verts))
+				for x, jv := range p.Verts {
 					idxOf[jv] = x
-					pd.verts[x] = node.Sub.Orig[lv]
-					if x > 0 {
-						w, ok := j.EdgeWeight(jPath[x-1], jv)
-						if !ok {
-							return nil, fmt.Errorf("smallworld: node %d phase %d: non-edge on path", node.ID, phaseIdx)
-						}
-						pd.pos[x] = pd.pos[x-1] + w
-					}
+					pd.verts[x] = node.Sub.Orig[sub.Orig[jv]]
 				}
-				tr := shortest.MultiSource(j, jPath)
+				tr := shortest.MultiSource(j, p.Verts)
 				for w := 0; w < j.N(); w++ {
 					if tr.Source[w] < 0 {
 						continue
@@ -156,11 +130,10 @@ func collectPathData(t *core.Tree) ([][]pathData, error) {
 				}
 				perNode[node.ID] = append(perNode[node.ID], pd)
 			}
-			for _, p := range phase.Paths {
-				for _, lv := range p.Vertices {
-					removed[lv] = true
-				}
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("smallworld: node %d: %w", node.ID, err)
 		}
 	}
 	return perNode, nil

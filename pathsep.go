@@ -394,13 +394,18 @@ func Planarize(g *Graph) (*Embedding, error) { return embed.Planarize(g) }
 
 // WeightedSeparator computes a phased path separator halving the total
 // VERTEX WEIGHT instead of the vertex count (the strengthening noted
-// after Theorem 1). weights may be nil for the unweighted behaviour.
+// after Theorem 1). weights may be nil for the unweighted behaviour;
+// otherwise it holds one finite, non-negative weight per vertex, and
+// any other weight is refused with an error naming its vertex.
 func WeightedSeparator(g *Graph, weights []float64) (*Separator, error) {
 	return core.WeightedGreedy(g, weights, 0)
 }
 
 // CertifyWeightedSeparator verifies a separator against the
-// vertex-weighted Definition 1 variant.
+// vertex-weighted Definition 1 variant. weights may be nil for unit
+// weights; otherwise it holds one finite, non-negative weight per
+// vertex, and any other weight is refused with an error naming its
+// vertex.
 func CertifyWeightedSeparator(g *Graph, weights []float64, s *Separator) error {
 	return core.CertifyWeighted(g, weights, s)
 }
